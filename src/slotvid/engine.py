@@ -6,6 +6,16 @@ a DAG of :class:`Value` nodes; ``backward`` walks it once in reverse
 topological order and accumulates adjoints into persistent ``grad`` buffers,
 so repeated backward calls without zeroing add up.
 
+Hot composites are fused into single nodes with analytic backwards:
+``softmax_axis``, ``layer_norm``, ``cross_entropy``, the gated recurrent
+update ``gru_step`` and one slot-attention read ``slot_attention_step``. The
+last two evaluate the same products and sums in the same order as the same
+computations composed from primitive ops (the references in
+``tests/test_fused_ops.py``), so their values are identical; their backwards
+sum in their own order, so gradients may differ from the composites' in the
+last bits. Fusing drops intermediate nodes, never the finite check on an
+op's output.
+
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
 """
@@ -42,9 +52,9 @@ def as_array(data) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, what: str = "tensor") -> None:
-    # a float64 sum of finite float32 values cannot overflow, while any
-    # NaN/Inf propagates into it; one reduction, no temporary
-    if not np.isfinite(arr.sum(dtype=np.float64)):
+    # one elementwise test and one boolean reduction; unlike a sum it has no
+    # overflow to reason about and is faster than a float64 accumulation
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -282,12 +292,17 @@ def exp(a) -> Value:
     return _node(out_data, (a,), backward)
 
 
+def _sigmoid_data(x: np.ndarray) -> np.ndarray:
+    # stable for both signs: exp(-|x|) never overflows. The numerator is 1
+    # where x >= 0 (there z <= 1) and z elsewhere, the same values np.where
+    # would select, without evaluating both branches
+    z = np.exp(-np.abs(x))
+    return np.maximum(z, (x >= 0).astype(DTYPE)) / (1.0 + z)
+
+
 def sigmoid(a) -> Value:
     a = _coerce(a)
-    x = a.data
-    # stable for both signs: exp(-|x|) never overflows
-    z = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(DTYPE, copy=False)
+    out_data = _sigmoid_data(a.data)
 
     def backward(g, adj):
         _send(adj, a, g * out_data * (1.0 - out_data))
@@ -312,7 +327,8 @@ def relu(a) -> Value:
     def backward(g, adj):
         _send(adj, a, g * mask)
 
-    return _node(np.where(mask, a.data, np.float32(0.0)), (a,), backward)
+    # negative inputs give -0.0, which compares equal to 0.0
+    return _node(a.data * mask, (a,), backward)
 
 
 def smooth_ramp(a) -> Value:
@@ -470,10 +486,11 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
     out_data = xhat * gain.data + bias.data
 
     def backward(g, adj):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True, dtype=DTYPE)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=DTYPE)
-        _send(adj, x, inv * (dxhat - m1 - xhat * m2))
+        if x.requires_grad:  # raw input features need no adjoint
+            dxhat = g * gain.data
+            m1 = dxhat.mean(axis=-1, keepdims=True, dtype=DTYPE)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=DTYPE)
+            _send(adj, x, inv * (dxhat - m1 - xhat * m2))
         red = tuple(range(g.ndim - 1))
         _send(adj, gain, (g * xhat).sum(axis=red))
         _send(adj, bias, g.sum(axis=red))
@@ -501,6 +518,61 @@ def cross_entropy(logits, labels) -> Value:
         _send(adj, logits, d * (g / np.float32(b)))
 
     return _node(out_data.reshape(()), (logits,), backward)
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """Max over a short last axis, keepdims; exact, as a chain of elementwise maxima.
+
+    numpy's reduction over a contiguous axis of a few elements pays per-row
+    loop overhead; the slot axis is that short.
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out[..., None]
+
+
+def slot_attention_step(k, q, v, temp: float, eps: float) -> tuple[Value, np.ndarray]:
+    """One slot-attention read of keys ``k`` [B, M, A] and values ``v`` [B, M, Dv].
+
+    The token-by-slot logits ``temp * k q^T`` of queries ``q`` [B, N, A] are
+    softmaxed over the slots, each slot's column is renormalized over the
+    tokens (``eps`` added to the column sum) and the slot update is the
+    weighted mean of the values. One node with an analytic backward; its
+    forward values are identical to those of the same read composed from
+    primitive ops (the reference in ``tests/test_fused_ops.py``). Returns
+    (updates [B, N, Dv], mask [B, M, N]); the mask is plain data, rows
+    summing to one over the slots.
+    """
+    k, q, v = _coerce(k), _coerce(q), _coerce(v)
+    if k.ndim != 3 or q.ndim != 3 or v.ndim != 3:
+        raise ShapeError("slot_attention_step expects rank-3 keys, queries and values")
+    b, m, a_dim = k.data.shape
+    if q.data.shape[::2] != (b, a_dim) or v.data.shape[:2] != (b, m):
+        raise ShapeError(
+            f"slot_attention_step shapes disagree: k {k.data.shape}, q {q.data.shape}, v {v.data.shape}"
+        )
+    temp32 = np.float32(temp)
+    logits = np.matmul(k.data, q.data.transpose(0, 2, 1)) * temp32
+    e = np.exp(logits - _max_last(logits))
+    attn = e / e.sum(axis=2, keepdims=True)  # competition over slots
+    _require_finite(attn, "slot attention mask")
+    inv = np.float32(1.0) / (attn.sum(axis=1, keepdims=True) + np.float32(eps))  # [B, 1, N]
+    weights = attn * inv
+    out_data = np.matmul(weights.transpose(0, 2, 1), v.data)
+
+    def backward(g, adj):
+        _send(adj, v, np.matmul(weights, g))
+        if not (k.requires_grad or q.requires_grad):
+            return
+        g_w = np.matmul(v.data, g.transpose(0, 2, 1))  # [B, M, N]
+        g_attn = inv * (g_w - (g_w * weights).sum(axis=1, keepdims=True))
+        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
+        g_logits *= temp32
+        _send(adj, k, np.matmul(g_logits, q.data))
+        _send(adj, q, np.matmul(g_logits.transpose(0, 2, 1), k.data))
+
+    return _node(out_data, (k, q, v), backward), attn
 
 
 # -- gated recurrent update -----------------------------------------------------
@@ -538,18 +610,61 @@ class GruParams:
 
 
 def gru_step(h, x, params: GruParams) -> Value:
-    """One gated recurrent update: h' = (1-z) * h + z * tanh-candidate."""
+    """One gated recurrent update: h' = (1-z) * h + z * tanh-candidate.
+
+    A single fused node over the rows of the last axis. The forward forms
+    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br) and
+    c = tanh(x Wh + (r*h) Uh + bh) with the same products and sums in the same
+    order as the update composed from primitive ops (the reference in
+    ``tests/test_fused_ops.py``), so its values are identical; the backward is
+    analytic. The x- and h-side weights are concatenated per call, so one GEMM
+    serves all gates that share an operand.
+    """
     h, x = _coerce(h), _coerce(x)
     if h.data.shape != x.data.shape:
         raise ShapeError(f"gru_step state/input shapes differ: {h.data.shape} vs {x.data.shape}")
-    z = sigmoid(add(add(matmul(x, params.wz), matmul(h, params.uz)), params.bz))
-    r = sigmoid(add(add(matmul(x, params.wr), matmul(h, params.ur)), params.br))
-    cand = tanh(add(add(matmul(x, params.wh), matmul(mul(r, h), params.uh)), params.bh))
-    return add(mul(add_scalar(neg(z), 1.0), h), mul(z, cand))
+    p = params
+    shape = h.data.shape
+    d = shape[-1]
+    w_x = np.concatenate((p.wz.data, p.wr.data, p.wh.data), axis=1)  # [D, 3D]
+    u_zr = np.concatenate((p.uz.data, p.ur.data), axis=1)  # [D, 2D]
+    if w_x.shape != (d, 3 * d) or u_zr.shape != (d, 2 * d) or p.uh.data.shape != (d, d):
+        raise ShapeError(f"gru_step weights must be [{d}, {d}]")
+    hr = h.data.reshape(-1, d)
+    xr = x.data.reshape(-1, d)
+    xw = xr @ w_x
+    hu = hr @ u_zr
+    z = _sigmoid_data(xw[:, :d] + hu[:, :d] + p.bz.data)
+    r = _sigmoid_data(xw[:, d : 2 * d] + hu[:, d:] + p.br.data)
+    rh = r * hr
+    c = np.tanh(xw[:, 2 * d :] + rh @ p.uh.data + p.bh.data)
+    out_data = (1.0 - z) * hr + z * c
 
+    def backward(g, adj):
+        g = g.reshape(-1, d)
+        dac = g * z * (1.0 - c * c)
+        drh = dac @ p.uh.data.T
+        # adjoints of the z, r and candidate pre-activations, side by side
+        pre = np.concatenate((g * (c - hr) * z * (1.0 - z), drh * hr * r * (1.0 - r), dac), axis=1)
+        pre_zr = pre[:, : 2 * d]
+        if h.requires_grad:
+            _send(adj, h, (g * (1.0 - z) + drh * r + pre_zr @ u_zr.T).reshape(shape))
+        if x.requires_grad:
+            _send(adj, x, (pre @ w_x.T).reshape(shape))
+        gw = xr.T @ pre
+        gu = hr.T @ pre_zr
+        gb = pre.sum(axis=0)
+        for i, (w, u, b) in enumerate(((p.wz, p.uz, p.bz), (p.wr, p.ur, p.br))):
+            cols = slice(i * d, (i + 1) * d)
+            _send(adj, w, gw[:, cols])
+            _send(adj, u, gu[:, cols])
+            _send(adj, b, gb[cols])
+        _send(adj, p.wh, gw[:, 2 * d :])
+        _send(adj, p.uh, rh.T @ dac)
+        _send(adj, p.bh, gb[2 * d :])
 
-def neg(a) -> Value:
-    return scale(a, -1.0)
+    parents = (h, x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
+    return _node(out_data.reshape(shape), parents, backward)
 
 
 # -- pooling ---------------------------------------------------------------------

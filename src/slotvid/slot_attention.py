@@ -4,6 +4,11 @@ Attention logits are normalized over the *slot* axis, so slots compete for
 each token; per-slot weights are then renormalized across tokens before the
 weighted update. The returned mask is the final-iteration competition matrix,
 one row per input token, rows summing to one.
+
+Inside ``forward_batch`` the slot state of the whole batch is kept as
+[B*N, D_slot] rows, so the query projection, the gated update, the MLP and
+their layer norms each run as one 2-D GEMM or row op over all slots; only the
+fused read ``engine.slot_attention_step`` sees the [B, N, ...] set structure.
 """
 
 from __future__ import annotations
@@ -19,17 +24,12 @@ from .engine import (
     ShapeError,
     Value,
     add,
-    add_scalar,
     broadcast_to,
     gru_step,
     layer_norm,
     matmul,
-    mul,
-    recip,
     reshape,
-    scale,
-    softmax_axis,
-    transpose,
+    slot_attention_step,
 )
 
 ATTN_EPS = 1e-8
@@ -179,7 +179,8 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, Va
     """Run the iterative competition on a batch of token sets.
 
     ``inputs`` is [B, M, D_in]; returns (slots [B, N, D_slot],
-    attn [B, M, N]) where attn is the final-iteration mask, rows over slots.
+    attn [B, M, N]) where attn is the final-iteration mask, rows over slots,
+    as a constant (no gradient flows through it).
     """
     if inputs.ndim != 3:
         raise ShapeError("forward_batch expects [B, M, D_in] inputs")
@@ -192,20 +193,16 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, Va
     k = matmul(xn, params.wk)  # [B, M, D_att]
     v = matmul(xn, params.wv)  # [B, M, D_slot]
 
-    slots = broadcast_to(reshape(params.slots, (1, n, d_slot)), (b, n, d_slot))
-    attn = None
+    # slot state as [B*N, D_slot] rows: every slot-side op is one 2-D GEMM or row op
+    slots = reshape(broadcast_to(reshape(params.slots, (1, n, d_slot)), (b, n, d_slot)), (b * n, d_slot))
+    mask = None
     for _ in range(params.iterations):
-        sn = layer_norm(slots, params.slot_norm_g, params.slot_norm_b)
-        q = matmul(sn, params.wq)  # [B, N, D_att]
-        logits = scale(matmul(k, transpose(q, (0, 2, 1))), temp)  # [B, M, N]
-        attn = softmax_axis(logits, axis=2)  # competition over slots
-        col_sums = attn.sum(axis=1, keepdims=True)  # [B, 1, N]
-        weights = mul(attn, broadcast_to(recip(add_scalar(col_sums, params.eps)), attn.shape))
-        updates = matmul(transpose(weights, (0, 2, 1)), v)  # [B, N, D_slot]
-        slots = gru_step(slots, updates, params.gru)
+        q = matmul(layer_norm(slots, params.slot_norm_g, params.slot_norm_b), params.wq)
+        updates, mask = slot_attention_step(k, reshape(q, (b, n, params.d_att)), v, temp, params.eps)
+        slots = gru_step(slots, reshape(updates, (b * n, d_slot)), params.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, params.mlp_norm_g, params.mlp_norm_b), params.mlp_w1), params.mlp_b1))
         slots = add(slots, add(matmul(hidden, params.mlp_w2), params.mlp_b2))
-    return slots, attn
+    return reshape(slots, (b, n, d_slot)), Value(mask)
 
 
 def slot_attention_forward(

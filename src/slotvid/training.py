@@ -232,6 +232,8 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
     for name in trainable:
         mk, vk = f"adam.m.{name}", f"adam.v.{name}"
         if mk in tensors:
+            if vk not in tensors:
+                raise CheckpointError(f"checkpoint has {mk!r} but is missing {vk!r}")
             state.m[name] = np.ascontiguousarray(tensors[mk], dtype=np.float32).copy()
             state.v[name] = np.ascontiguousarray(tensors[vk], dtype=np.float32).copy()
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from slotvid.checkpoint import load_checkpoint
+from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.cli import main
 from slotvid.metrics import DecouplingReport, parse_pgm
 
@@ -84,6 +84,20 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, stage={"stage": 2, "branch": "slow",
                                             "init_checkpoint": str(tmp_path / "no.sfsl")})
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+
+    def test_resume_missing_adam_second_moment_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        dropped = sorted(name for name in tensors if name.startswith("adam.v."))[0]
+        assert f"adam.m.{dropped[len('adam.v.'):]}" in tensors
+        del tensors[dropped]
+        broken = str(tmp_path / "broken.sfsl")
+        save_checkpoint(tensors, broken)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--resume", broken]) == 3
+        assert dropped in capsys.readouterr().err
 
 
 class TestPipelineCommands:

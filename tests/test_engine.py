@@ -364,6 +364,59 @@ class TestFiniteness:
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
             engine.recip(Value([0.0]))
 
+    def test_values_whose_float32_sum_overflows_accepted(self):
+        big = np.full(16, 3e38, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.sum(dtype=np.float32))
+        np.testing.assert_array_equal(Value(big).data, big)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_single_non_finite_last_element_rejected(self, bad):
+        arr = np.zeros(1 << 20, dtype=np.float32)
+        arr[-1] = bad
+        with pytest.raises(NonFiniteError):
+            Value(arr)
+
+
+class TestPrimitiveForms:
+    """Elementwise forms checked against their np.where references."""
+
+    def test_sigmoid_bit_equal_to_where_reference(self):
+        x = np.array([0.0, -0.0, 1e-3, -1e-3, 20.0, -20.0, 100.0, -100.0], dtype=np.float32)
+        z = np.exp(-np.abs(x))
+        ref = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(np.float32)
+        out = engine.sigmoid(Value(x)).data
+        assert out.dtype == np.float32
+        assert out.tobytes() == ref.tobytes()
+
+    def test_relu_equal_to_where_reference(self):
+        x = engine.normal(engine.rng_for(3, "relu"), (64,))
+        x[:4] = [0.0, -0.0, 1e-30, -1e-30]
+        out = engine.relu(Value(x)).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, np.where(x > 0, x, np.float32(0.0)))
+
+    def test_layer_norm_without_input_grad_keeps_param_grads(self):
+        rng = engine.rng_for(8, "ln-dead")
+        data = engine.normal(rng, (3, 5, 6))
+        probe = engine.normal(rng, (3, 5, 6))
+        g = Value(engine.normal(rng, (6,)), requires_grad=True)
+        b = Value(engine.normal(rng, (6,)), requires_grad=True)
+
+        def param_grads(x):
+            engine.zero_grads([g, b])
+            backward(engine.mul(layer_norm(x, g, b), probe).sum())
+            return g.grad.copy(), b.grad.copy()
+
+        with_input = Value(data, requires_grad=True)
+        live = param_grads(with_input)
+        assert np.any(with_input.grad != 0.0)
+        dead_input = Value(data)
+        dead = param_grads(dead_input)
+        assert dead_input._grad is None
+        for a, c in zip(live, dead):
+            assert a.tobytes() == c.tobytes()
+
 
 class TestDeterminism:
     def test_bit_identical_pipeline(self):
