@@ -6,10 +6,11 @@ cross-attention whose softmax runs over the *input* axis (one distribution
 per query), the opposite normalization direction from slot attention; its
 returned masks are stored input-by-query so columns, not rows, sum to one.
 
-``slowfast_wrap`` applies the query transformer with exactly the slot
-connector's frame sampling, pooling, temporal embeddings and projections, so
-token counts match branch for branch and comparisons isolate the aggregation
-mechanism.
+``slowfast_wrap`` runs the query transformer inside the slot connector's own
+two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
+``join_branches``): the same frame sampling, pooling, temporal embeddings and
+projections, so token counts match branch for branch and comparisons isolate
+the aggregation mechanism.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .connector import ConnectorConfig, ConnectorError, VideoFeatures, uniform_sample_frames
+from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
 from .engine import (
     ShapeError,
     Value,
     add,
-    avg_pool_hw,
     broadcast_to,
     layer_norm,
     matmul,
     reshape,
     scale,
     softmax_axis,
-    take,
     transpose,
 )
 
@@ -55,10 +54,6 @@ class PoolingParams:
         return {"proj.w": self.proj_w, "proj.b": self.proj_b}
 
 
-def pooling_token_count(cfg: ConnectorConfig, n_frames: int) -> int:
-    return n_frames + cfg.grid_h * cfg.grid_w
-
-
 def pooling_tokens_batch(feats: Value) -> Value:
     """Pre-projection pooled tokens: T frame means then H*W cell means."""
     if feats.ndim != 5:
@@ -72,14 +67,6 @@ def pooling_tokens_batch(feats: Value) -> Value:
 def pooling_connector_batch(feats: Value, params: PoolingParams) -> Value:
     tokens = pooling_tokens_batch(feats)
     return add(matmul(tokens, params.proj_w), params.proj_b)
-
-
-def pooling_connector(features: VideoFeatures, cfg: ConnectorConfig, params: PoolingParams) -> np.ndarray:
-    """Compress one clip to T + H*W projected tokens."""
-    t, h, w, d = features.grid.shape
-    with engine.no_grad():
-        out = pooling_connector_batch(Value(features.grid.reshape(1, t, h, w, d)), params)
-    return out.data[0].copy()
 
 
 # -- learnable-query transformer ----------------------------------------------------
@@ -241,151 +228,41 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     return x, masks
 
 
-def query_transformer_connector(
-    features: VideoFeatures,
-    params: QueryTransformerParams,
-    cfg: ConnectorConfig,
-    input_cap: int = 8192,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate the flattened T*H*W token grid into N_q tokens.
-
-    Returns (tokens [N_q, D_q], masks [heads, M, N_q]).
-    """
-    t, h, w, d = features.grid.shape
-    m = t * h * w
-    if m > input_cap:
-        raise ConnectorError(f"flattened input of {m} tokens exceeds the cap {input_cap}")
-    with engine.no_grad():
-        tokens, masks = query_transformer_batch(Value(features.grid.reshape(1, m, d)), params)
-    return tokens.data[0].copy(), masks.data[0].copy()
-
-
-def head_mean_mask(masks: np.ndarray) -> np.ndarray:
-    """Average a [heads, M, N] mask stack over heads."""
-    return np.asarray(masks, dtype=np.float32).mean(axis=0)
-
-
 # -- slot-parity wrapper --------------------------------------------------------------
 
 
-@dataclass
-class WrapParams:
-    """Query-transformer analogs of the two-branch connector."""
+class WrapParams(ConnectorParams):
+    """The two-branch connector's state with a query transformer per branch.
 
-    qt_slow: QueryTransformerParams
-    qt_fast: QueryTransformerParams
-    slow_pos: Value
-    fast_pos: Value
-    s_proj_w: Value
-    s_proj_b: Value
-    f_proj_w: Value
-    f_proj_b: Value
-    proj_w: Value
-    proj_b: Value
+    Only the aggregators differ from ``ConnectorParams``: two query stacks,
+    named ``qt_slow.*`` and ``qt_fast.*``, created before the shared tensors.
+    """
 
-    @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        cfg: ConnectorConfig,
-        n_layers: int = 2,
-        n_heads: int = 4,
-    ) -> "WrapParams":
-        cfg.validate()
+    prefix = "qt_"
 
-        def lin(fi, fo):
-            return Value(engine.linear_init(rng, fi, fo), requires_grad=True)
-
-        def zeros(d):
-            return Value(np.zeros(d, dtype=np.float32), requires_grad=True)
-
-        return cls(
-            qt_slow=QueryTransformerParams.create(
-                rng, cfg.slots_per_frame, cfg.feat_dim, cfg.slot_dim,
+    @staticmethod
+    def create_aggregators(
+        rng: np.random.Generator, cfg: ConnectorConfig, n_layers: int = 2, n_heads: int = 4
+    ) -> tuple:
+        return tuple(
+            QueryTransformerParams.create(
+                rng, n_queries, cfg.feat_dim, cfg.slot_dim,
                 n_layers=n_layers, n_heads=n_heads, nonlinearity=cfg.nonlinearity,
-            ),
-            qt_fast=QueryTransformerParams.create(
-                rng, cfg.slots_per_position, cfg.feat_dim, cfg.slot_dim,
-                n_layers=n_layers, n_heads=n_heads, nonlinearity=cfg.nonlinearity,
-            ),
-            slow_pos=Value(engine.normal(rng, (cfg.slow_frames, cfg.slot_dim), std=0.02), requires_grad=True),
-            fast_pos=Value(engine.normal(rng, (cfg.max_frames, cfg.feat_dim), std=0.02), requires_grad=True),
-            s_proj_w=lin(cfg.slot_dim, cfg.slot_dim),
-            s_proj_b=zeros(cfg.slot_dim),
-            f_proj_w=lin(cfg.slot_dim, cfg.slot_dim),
-            f_proj_b=zeros(cfg.slot_dim),
-            proj_w=lin(cfg.slot_dim, cfg.out_dim),
-            proj_b=zeros(cfg.out_dim),
+            )
+            for n_queries in (cfg.slots_per_frame, cfg.slots_per_position)
         )
-
-    def named(self) -> dict:
-        out = {}
-        out.update(self.qt_slow.named("qt_slow"))
-        out.update(self.qt_fast.named("qt_fast"))
-        out["slow_pos"] = self.slow_pos
-        out["fast_pos"] = self.fast_pos
-        out["s_proj.w"] = self.s_proj_w
-        out["s_proj.b"] = self.s_proj_b
-        out["f_proj.w"] = self.f_proj_w
-        out["f_proj.b"] = self.f_proj_b
-        out["proj.w"] = self.proj_w
-        out["proj.b"] = self.proj_b
-        return out
 
 
 def wrap_slow_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, Value]:
-    """Per-frame query aggregation with the slot connector's sampling and embeddings."""
-    b, t, h, w, d = feats.shape
-    idx = uniform_sample_frames(t, cfg.slow_frames)
-    frames = reshape(take(feats, idx, axis=1), (b * cfg.slow_frames, h * w, d))
-    tokens, masks = query_transformer_batch(frames, params.qt_slow)
-    tokens = reshape(tokens, (b, cfg.slow_frames, cfg.slots_per_frame, cfg.slot_dim))
-    pos = reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim))
-    tokens = add(tokens, broadcast_to(pos, tokens.shape))
-    tokens = reshape(tokens, (b, cfg.n_slow_tokens, cfg.slot_dim))
-    tokens = add(matmul(tokens, params.s_proj_w), params.s_proj_b)
-    nh = params.qt_slow.n_heads
-    masks = reshape(masks, (b, cfg.slow_frames, nh, h * w, cfg.slots_per_frame))
-    return tokens, masks
+    """Per-frame query aggregation; masks [B, t, heads, M_s, N_s]."""
+    return slow_tokens(feats, cfg, params, query_transformer_batch)
 
 
 def wrap_fast_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, Value]:
-    """Per-position temporal query aggregation with the slot connector's pooling."""
-    b, t, h, w, d = feats.shape
-    if t > cfg.max_frames:
-        raise ConnectorError(
-            f"clip has {t} frames but the temporal embedding table holds {cfg.max_frames}"
-        )
-    m_d = cfg.n_positions
-    pooled = reshape(avg_pool_hw(feats, cfg.pool_stride), (b, t, m_d, d))
-    emb = take(params.fast_pos, np.arange(t, dtype=np.intp))
-    pooled = add(pooled, broadcast_to(reshape(emb, (1, t, 1, d)), pooled.shape))
-    per_pos = reshape(transpose(pooled, (0, 2, 1, 3)), (b * m_d, t, d))
-    tokens, masks = query_transformer_batch(per_pos, params.qt_fast)
-    tokens = reshape(tokens, (b, m_d * cfg.slots_per_position, cfg.slot_dim))
-    tokens = add(matmul(tokens, params.f_proj_w), params.f_proj_b)
-    nh = params.qt_fast.n_heads
-    masks = reshape(masks, (b, m_d, nh, t, cfg.slots_per_position))
-    return tokens, masks
+    """Per-position temporal query aggregation; masks [B, M_d, heads, T, N_f]."""
+    return fast_tokens(feats, cfg, params, query_transformer_batch)
 
 
 def slowfast_wrap(features, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
     """Token-count-parity baseline forward; mode selects slow, fast or both branches."""
-    if mode not in ("slow", "fast", "both"):
-        raise ValueError(f"unknown wrap mode {mode!r}")
-    if isinstance(features, VideoFeatures):
-        t, h, w, d = features.grid.shape
-        feats = Value(features.grid.reshape(1, t, h, w, d))
-    else:
-        feats = features
-    parts = []
-    slow_masks = fast_masks = None
-    if mode in ("slow", "both"):
-        tokens, slow_masks = wrap_slow_batch(feats, cfg, params)
-        parts.append(tokens)
-    if mode in ("fast", "both"):
-        tokens, fast_masks = wrap_fast_batch(feats, cfg, params)
-        parts.append(tokens)
-    joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
-    out = add(matmul(joined, params.proj_w), params.proj_b)
-    return out, slow_masks, fast_masks
+    return join_branches(features, cfg, params, mode, wrap_slow_batch, wrap_fast_batch)

@@ -12,7 +12,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .connector import ConnectorConfig
 from .synthetic import SceneRanges
@@ -39,24 +39,9 @@ def default_config_dict() -> dict:
     return {
         "connector": {
             "type": "slot",
-            "frames": 32,
-            "grid_h": 16,
-            "grid_w": 16,
-            "feat_dim": 32,
-            "slow_frames": 8,
-            "pool_stride": 4,
-            "slots_per_frame": 8,
-            "slots_per_position": 8,
-            "slot_dim": 64,
-            "out_dim": 64,
-            "max_frames": 256,
-            "iters_slow": 3,
-            "iters_fast": 3,
-            "mlp_hidden": None,
-            "nonlinearity": "gelu-like",
+            **{f.name: f.default for f in fields(ConnectorConfig)},
             "qt_layers": 2,
             "qt_heads": 4,
-            "qt_input_cap": 8192,
         },
         "data": {
             "n_train_scenes": 512,
@@ -122,7 +107,6 @@ class RunConfig:
     connector: ConnectorConfig
     qt_layers: int
     qt_heads: int
-    qt_input_cap: int
     data: DataConfig
     stage: StageConfig
     out: str | None
@@ -162,10 +146,9 @@ def from_dict(user: dict) -> RunConfig:
              f"connector.nonlinearity must be one of {NONLINEARITY_NAMES}")
     if conn["mlp_hidden"] is None:
         conn["mlp_hidden"] = 2 * int(conn["slot_dim"])
-    for key in ("frames", "grid_h", "grid_w", "feat_dim", "slow_frames", "pool_stride",
-                "slots_per_frame", "slots_per_position", "slot_dim", "out_dim",
-                "max_frames", "iters_slow", "iters_fast", "mlp_hidden",
-                "qt_layers", "qt_heads", "qt_input_cap"):
+    # every connector field but the nonlinearity name is a positive integer
+    int_keys = [f.name for f in fields(ConnectorConfig) if f.name != "nonlinearity"]
+    for key in int_keys + ["qt_layers", "qt_heads"]:
         _require(isinstance(conn[key], int) and conn[key] > 0, f"connector.{key} must be a positive integer")
     _require(conn["slot_dim"] % conn["qt_heads"] == 0,
              "connector.slot_dim must be divisible by connector.qt_heads")
@@ -198,23 +181,7 @@ def from_dict(user: dict) -> RunConfig:
     _require(isinstance(merged["seed"], int), "seed must be an integer")
     _require(merged["out"] is None or isinstance(merged["out"], str), "out must be a string path")
 
-    connector_cfg = ConnectorConfig(
-        frames=conn["frames"],
-        grid_h=conn["grid_h"],
-        grid_w=conn["grid_w"],
-        feat_dim=conn["feat_dim"],
-        slow_frames=conn["slow_frames"],
-        pool_stride=conn["pool_stride"],
-        slots_per_frame=conn["slots_per_frame"],
-        slots_per_position=conn["slots_per_position"],
-        slot_dim=conn["slot_dim"],
-        out_dim=conn["out_dim"],
-        max_frames=conn["max_frames"],
-        iters_slow=conn["iters_slow"],
-        iters_fast=conn["iters_fast"],
-        mlp_hidden=conn["mlp_hidden"],
-        nonlinearity=conn["nonlinearity"],
-    )
+    connector_cfg = ConnectorConfig(**{f.name: conn[f.name] for f in fields(ConnectorConfig)})
     try:
         connector_cfg.validate()
         ranges = SceneRanges(
@@ -254,7 +221,6 @@ def from_dict(user: dict) -> RunConfig:
         connector=connector_cfg,
         qt_layers=conn["qt_layers"],
         qt_heads=conn["qt_heads"],
-        qt_input_cap=conn["qt_input_cap"],
         data=DataConfig(
             n_train_scenes=data["n_train_scenes"],
             n_heldout_scenes=data["n_heldout_scenes"],

@@ -14,18 +14,23 @@ slow-first (frame-major) then fast (position-major), and a final affine map
 produces the downstream token width. The output token count is
 ``slow_frames * slots_per_frame + pooled_positions * slots_per_position``
 regardless of T.
+
+This module is the one home of that frame (sampling, pooling, embeddings,
+projections). The aggregator is a function passed in: slot attention here,
+the query transformer in ``baselines``, so both comparators differ only in
+how each group of inputs is aggregated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import engine
 from .engine import ShapeError, Value, add, avg_pool_hw, broadcast_to, matmul, reshape, take, transpose
-from .slot_attention import AttentionMask, MaskLayout, SlotAttentionParams, forward_batch
+from .slot_attention import SlotAttentionParams, forward_batch
 
 
 class ConnectorError(Exception):
@@ -111,33 +116,18 @@ class VideoFeatures:
         return self.grid.shape[0]
 
 
-@dataclass(frozen=True)
-class TokenProvenance:
-    branch: str  # "slow" | "fast"
-    source: int  # frame index (slow) or pooled position index (fast), 0-based
-    slot: int
-
-
-@dataclass
-class SlotTokens:
-    """Connector output: tokens plus per-token provenance and raw masks."""
-
-    tokens: np.ndarray  # [N, D_out]
-    provenance: list
-    slow_masks: list  # AttentionMask per sampled frame, spatial layout
-    fast_masks: list  # AttentionMask per pooled position, temporal layout
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-
 @dataclass
 class ConnectorParams:
-    """All learnable state of the connector."""
+    """Learnable state of the two-branch frame around one aggregator per branch.
 
-    slow: SlotAttentionParams
-    fast: SlotAttentionParams
+    The slot connector aggregates with slot attention. A subclass swaps in
+    other aggregator params by overriding ``create_aggregators`` and names
+    them under its own ``prefix``; every other tensor and its checkpoint name
+    is shared.
+    """
+
+    slow: object  # aggregator params of the slow branch
+    fast: object  # aggregator params of the fast branch
     slow_pos: Value  # [slow_frames, slot_dim], added to slots after attention
     fast_pos: Value  # [max_frames, feat_dim], added to tokens before attention
     s_proj_w: Value
@@ -147,8 +137,21 @@ class ConnectorParams:
     proj_w: Value
     proj_b: Value
 
+    prefix = ""  # checkpoint-name prefix of the aggregator params
+
+    @staticmethod
+    def create_aggregators(rng: np.random.Generator, cfg: ConnectorConfig) -> tuple:
+        """(slow, fast) slot-attention params, created in that order."""
+        return tuple(
+            SlotAttentionParams.create(
+                rng, n_slots, cfg.feat_dim, cfg.slot_dim,
+                mlp_hidden=cfg.mlp_hidden, iterations=iters, nonlinearity=cfg.nonlinearity,
+            )
+            for n_slots, iters in ((cfg.slots_per_frame, cfg.iters_slow), (cfg.slots_per_position, cfg.iters_fast))
+        )
+
     @classmethod
-    def create(cls, rng: np.random.Generator, cfg: ConnectorConfig) -> "ConnectorParams":
+    def create(cls, rng: np.random.Generator, cfg: ConnectorConfig, **aggregator_kw) -> "ConnectorParams":
         cfg.validate()
 
         def lin(fi, fo):
@@ -157,24 +160,7 @@ class ConnectorParams:
         def zeros(d):
             return Value(np.zeros(d, dtype=np.float32), requires_grad=True)
 
-        slow = SlotAttentionParams.create(
-            rng,
-            cfg.slots_per_frame,
-            cfg.feat_dim,
-            cfg.slot_dim,
-            mlp_hidden=cfg.mlp_hidden,
-            iterations=cfg.iters_slow,
-            nonlinearity=cfg.nonlinearity,
-        )
-        fast = SlotAttentionParams.create(
-            rng,
-            cfg.slots_per_position,
-            cfg.feat_dim,
-            cfg.slot_dim,
-            mlp_hidden=cfg.mlp_hidden,
-            iterations=cfg.iters_fast,
-            nonlinearity=cfg.nonlinearity,
-        )
+        slow, fast = cls.create_aggregators(rng, cfg, **aggregator_kw)
         return cls(
             slow=slow,
             fast=fast,
@@ -190,8 +176,8 @@ class ConnectorParams:
 
     def named(self) -> dict:
         out = {}
-        out.update(self.slow.named("slow"))
-        out.update(self.fast.named("fast"))
+        out.update(self.slow.named(self.prefix + "slow"))
+        out.update(self.fast.named(self.prefix + "fast"))
         out["slow_pos"] = self.slow_pos
         out["fast_pos"] = self.fast_pos
         out["s_proj.w"] = self.s_proj_w
@@ -225,24 +211,34 @@ def _as_batch_value(features) -> Value:
     return val
 
 
-def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
-    """Returns (tokens [B, slow_frames * N_s, slot_dim], attn [B, t, M_s, N_s])."""
+# -- the two-branch frame -----------------------------------------------------------
+# The helpers below take the aggregator as a function of ([B', M, D] inputs,
+# aggregator params) -> (tokens [B', N, slot_dim], masks [B', ...]). The traced
+# entry points pass it by name at call time, so a wrapper installed on the
+# module global sees every call.
+
+
+def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, Value]:
+    """Sample frames, aggregate each, add the frame embedding and project.
+
+    Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, slow_frames, ...])
+    where the trailing mask axes are the aggregator's own per-frame layout.
+    """
     b, t, h, w, d = feats.shape
     idx = uniform_sample_frames(t, cfg.slow_frames)
     frames = take(feats, idx, axis=1)  # [B, t_d, H, W, D]
     flat = reshape(frames, (b * cfg.slow_frames, h * w, d))
-    slots, attn = forward_batch(flat, params.slow)
+    slots, masks = aggregate(flat, params.slow)
     slots = reshape(slots, (b, cfg.slow_frames, cfg.slots_per_frame, cfg.slot_dim))
     pos = reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim))
     slots = add(slots, broadcast_to(pos, slots.shape))
     tokens = reshape(slots, (b, cfg.n_slow_tokens, cfg.slot_dim))
     tokens = add(matmul(tokens, params.s_proj_w), params.s_proj_b)
-    masks = reshape(attn, (b, cfg.slow_frames, h * w, cfg.slots_per_frame))
-    return tokens, masks
+    return tokens, reshape(masks, (b, cfg.slow_frames) + masks.shape[1:])
 
 
-def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
-    """Returns (tokens [B, positions * N_f, slot_dim], attn [B, M_d, T, N_f])."""
+def pooled_series(feats: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value:
+    """Pooled features plus the frame embedding as [B * positions, T, D] time series."""
     b, t, h, w, d = feats.shape
     if t > cfg.max_frames:
         raise ConnectorError(
@@ -251,54 +247,59 @@ def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParam
     pooled = avg_pool_hw(feats, cfg.pool_stride)  # [B, T, h_d, w_d, D]
     m_d = cfg.n_positions
     pooled = reshape(pooled, (b, t, m_d, d))
-    emb = take(params.fast_pos, np.arange(t, dtype=np.intp))  # [T, D]
+    emb = take(fast_pos, np.arange(t, dtype=np.intp))  # [T, D]
     pooled = add(pooled, broadcast_to(reshape(emb, (1, t, 1, d)), pooled.shape))
-    per_pos = reshape(transpose(pooled, (0, 2, 1, 3)), (b * m_d, t, d))
-    slots, attn = forward_batch(per_pos, params.fast)
-    tokens = reshape(slots, (b, m_d * cfg.slots_per_position, cfg.slot_dim))
+    return reshape(transpose(pooled, (0, 2, 1, 3)), (b * m_d, t, d))
+
+
+def fast_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, Value]:
+    """Aggregate each pooled position's time series and project.
+
+    Returns (tokens [B, positions * N_f, slot_dim], masks [B, positions, ...]).
+    """
+    b = feats.shape[0]
+    slots, masks = aggregate(pooled_series(feats, cfg, params.fast_pos), params.fast)
+    tokens = reshape(slots, (b, cfg.n_fast_tokens, cfg.slot_dim))
     tokens = add(matmul(tokens, params.f_proj_w), params.f_proj_b)
-    masks = reshape(attn, (b, m_d, t, cfg.slots_per_position))
-    return tokens, masks
+    return tokens, reshape(masks, (b, cfg.n_positions) + masks.shape[1:])
 
 
-def connect_batch(feats, cfg: ConnectorConfig, params: ConnectorParams):
-    """Differentiable forward over a batch; returns (tokens, slow_attn, fast_attn)."""
+def join_branches(features, cfg: ConnectorConfig, params: ConnectorParams, branch: str, slow_fn, fast_fn):
+    """Run the selected branches, concatenate slow-first and apply the final map.
+
+    Returns (tokens [B, N, out_dim], slow_masks, fast_masks); the masks of a
+    branch that did not run are None.
+    """
+    if branch not in ("slow", "fast", "both"):
+        raise ValueError(f"unknown branch {branch!r}")
     cfg.validate()
-    val = _as_batch_value(feats)
-    slow_tokens, slow_attn = slow_branch_batch(val, cfg, params)
-    fast_tokens, fast_attn = fast_branch_batch(val, cfg, params)
-    joined = engine.concat([slow_tokens, fast_tokens], axis=1)
-    tokens = add(matmul(joined, params.proj_w), params.proj_b)
-    return tokens, slow_attn, fast_attn
+    feats = _as_batch_value(features)
+    parts = []
+    slow_masks = fast_masks = None
+    if branch != "fast":
+        tokens, slow_masks = slow_fn(feats, cfg, params)
+        parts.append(tokens)
+    if branch != "slow":
+        tokens, fast_masks = fast_fn(feats, cfg, params)
+        parts.append(tokens)
+    joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
+    return add(matmul(joined, params.proj_w), params.proj_b), slow_masks, fast_masks
 
 
-def token_provenance(cfg: ConnectorConfig) -> list:
-    """Provenance records in output order: frame-major slow, position-major fast."""
-    out = []
-    for i in range(cfg.slow_frames):
-        for j in range(cfg.slots_per_frame):
-            out.append(TokenProvenance("slow", i, j))
-    for k in range(cfg.n_positions):
-        for j in range(cfg.slots_per_position):
-            out.append(TokenProvenance("fast", k, j))
-    return out
+def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
+    """Returns (tokens [B, slow_frames * N_s, slot_dim], attn [B, t, M_s, N_s])."""
+    return slow_tokens(feats, cfg, params, forward_batch)
 
 
-def connect(features: VideoFeatures, cfg: ConnectorConfig, params: ConnectorParams) -> SlotTokens:
-    """Compress one clip into its fixed token set with provenance and masks."""
-    with engine.no_grad():
-        tokens, slow_attn, fast_attn = connect_batch(features, cfg, params)
-    spatial = MaskLayout("spatial", (cfg.grid_h, cfg.grid_w))
-    temporal = MaskLayout("temporal", (features.n_frames,))
-    slow_masks = [
-        AttentionMask(slow_attn.data[0, i].copy(), spatial) for i in range(cfg.slow_frames)
-    ]
-    fast_masks = [
-        AttentionMask(fast_attn.data[0, k].copy(), temporal) for k in range(cfg.n_positions)
-    ]
-    return SlotTokens(
-        tokens=tokens.data[0].copy(),
-        provenance=token_provenance(cfg),
-        slow_masks=slow_masks,
-        fast_masks=fast_masks,
-    )
+def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
+    """Returns (tokens [B, positions * N_f, slot_dim], attn [B, M_d, T, N_f])."""
+    return fast_tokens(feats, cfg, params, forward_batch)
+
+
+def connect_batch(feats, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
+    """Differentiable forward over a batch; returns (tokens, slow_attn, fast_attn).
+
+    ``branch`` selects slow, fast or both branches; an unused branch's
+    attention is None.
+    """
+    return join_branches(feats, cfg, params, branch, slow_branch_batch, fast_branch_batch)

@@ -261,10 +261,6 @@ def recip(a) -> Value:
     return _node(out_data, (a,), backward)
 
 
-def div(a, b) -> Value:
-    return mul(a, recip(b))
-
-
 def matmul(a, b) -> Value:
     """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
     a, b = _coerce(a), _coerce(b)
@@ -680,14 +676,6 @@ def avg_pool_hw(a, stride: int) -> Value:
         raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
     r = reshape(a, (*lead, h // stride, stride, w // stride, stride, d))
     return vmean(r, axis=(-4, -2))
-
-
-def avg_pool_grid(x, stride: int) -> Value:
-    """Block-mean a single [H, W, D] grid; each cell is its block's mean."""
-    x = _coerce(x)
-    if x.ndim != 3:
-        raise ShapeError("avg_pool_grid expects a rank-3 [H, W, D] tensor")
-    return avg_pool_hw(x, stride)
 
 
 # -- reverse pass -----------------------------------------------------------------

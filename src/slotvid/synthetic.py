@@ -255,13 +255,6 @@ def probe_labels(spec: SceneSpec, truth: SceneTruth) -> dict:
     }
 
 
-def gen_probe_task(spec: SceneSpec, truth: SceneTruth, task: str) -> tuple[int, str]:
-    """One (label, task-id) pair for a scene."""
-    if task not in TASKS:
-        raise SceneError(f"unknown probe task {task!r}")
-    return probe_labels(spec, truth)[task], task
-
-
 def probe_class_counts(ranges: SceneRanges) -> dict:
     """Logit widths per task for the given sampling ranges."""
     return {
@@ -309,20 +302,3 @@ class SceneStream:
             self._cache[index] = out
         return out
 
-
-def dataset(seed: int, n_scenes: int, stream: SceneStream):
-    """Iterate ``n_scenes`` scenes of a stream re-keyed by ``seed``."""
-    if n_scenes < 1:
-        raise SceneError("need at least one scene")
-    keyed = SceneStream(
-        seed=seed,
-        t=stream.t,
-        h=stream.h,
-        w=stream.w,
-        d=stream.d,
-        pool_stride=stream.pool_stride,
-        ranges=stream.ranges,
-        tag=stream.tag,
-    )
-    for i in range(n_scenes):
-        yield keyed.scene(i)

@@ -7,6 +7,10 @@ Stage 3 loads both tuned branches and tunes them jointly. Baselines train
 under the identical probe protocol. Parameter groups outside the stage's
 trainable set never move; every run is a pure function of its config and
 seed, so checkpoints are bit-reproducible.
+
+Every connector kind runs through one dispatch, ``_connect``. The slot
+connector and the query-transformer wrapper share the two-branch frame of
+``connector`` and differ only in their aggregator.
 """
 
 from __future__ import annotations
@@ -25,18 +29,16 @@ from .baselines import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageConfig, config_hash
-from .connector import (
-    ConnectorParams,
-    connect_batch,
-    fast_branch_batch,
-    slow_branch_batch,
-    uniform_sample_frames,
-)
+from .connector import ConnectorParams, connect_batch, pooled_series, uniform_sample_frames
 from .decoder import DecoderParams, decode_batch, recon_loss
 from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
 from .metrics import DecouplingReport, ari, hard_assign, mask_entropy, slot_overlap
 from .slot_attention import forward_batch
 from .synthetic import TASKS, SceneStream, probe_class_counts, probe_labels
+
+# not called here: the benchmark tracer requires these traced names to be bound
+# in this module too, so that its wrappers provably see every call
+from .connector import fast_branch_batch, slow_branch_batch  # noqa: F401
 
 
 class TrainingError(Exception):
@@ -288,44 +290,36 @@ def majority_accuracy(labels: dict) -> float:
 # -- forward paths ----------------------------------------------------------------
 
 
-def probe_tokens(model: Model, feats: Value, branch: str) -> Value:
-    """Connector tokens [B, N, D_out] for the probe, honoring the branch mode."""
+def _connect(model: Model, feats: Value, branch: str):
+    """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector.
+
+    Masks are graph values in their aggregator's layout, None for a branch
+    that did not run and for the pooling connector.
+    """
     cfg = model.rc.connector
     if model.kind == "slot":
-        if branch == "both":
-            tokens, _, _ = connect_batch(feats, cfg, model.conn)
-            return tokens
-        if branch == "slow":
-            tokens, _ = slow_branch_batch(feats, cfg, model.conn)
-        else:
-            tokens, _ = fast_branch_batch(feats, cfg, model.conn)
-        return engine.add(engine.matmul(tokens, model.conn.proj_w), model.conn.proj_b)
+        return connect_batch(feats, cfg, model.conn, branch)
     if model.kind == "pooling":
-        return pooling_connector_batch(feats, model.conn)
-    tokens, _, _ = slowfast_wrap(feats, cfg, model.conn, mode=branch)
-    return tokens
+        return pooling_connector_batch(feats, model.conn), None, None
+    return slowfast_wrap(feats, cfg, model.conn, branch)
+
+
+def _mask_data(mask):
+    # query-transformer masks carry a head axis, [B, groups, heads, M, N]: average it out
+    if mask is None:
+        return None
+    return mask.data.mean(axis=2) if mask.ndim == 5 else mask.data
+
+
+def probe_tokens(model: Model, feats: Value, branch: str) -> Value:
+    """Connector tokens [B, N, D_out] for the probe, honoring the branch mode."""
+    return _connect(model, feats, branch)[0]
 
 
 def forward_masks(model: Model, feats: Value, branch: str):
     """(tokens, slow_masks, fast_masks) with masks as plain arrays, head-merged."""
-    cfg = model.rc.connector
-    if model.kind == "slot":
-        if branch == "both":
-            tokens, slow_attn, fast_attn = connect_batch(feats, cfg, model.conn)
-            return tokens, slow_attn.data, fast_attn.data
-        if branch == "slow":
-            raw, attn = slow_branch_batch(feats, cfg, model.conn)
-        else:
-            raw, attn = fast_branch_batch(feats, cfg, model.conn)
-        tokens = engine.add(engine.matmul(raw, model.conn.proj_w), model.conn.proj_b)
-        return (tokens, attn.data, None) if branch == "slow" else (tokens, None, attn.data)
-    if model.kind == "pooling":
-        return probe_tokens(model, feats, branch), None, None
-    tokens, slow_attn, fast_attn = slowfast_wrap(feats, cfg, model.conn, mode=branch)
-    # wrap masks carry a head axis: [B, groups, heads, M, N] -> head mean
-    slow = slow_attn.data.mean(axis=2) if slow_attn is not None else None
-    fast = fast_attn.data.mean(axis=2) if fast_attn is not None else None
-    return tokens, slow, fast
+    tokens, slow, fast = _connect(model, feats, branch)
+    return tokens, _mask_data(slow), _mask_data(fast)
 
 
 def _probe_loss(model: Model, tokens: Value, labels: dict):
@@ -345,19 +339,20 @@ def _probe_loss(model: Model, tokens: Value, labels: dict):
 # -- training loops ----------------------------------------------------------------
 
 
-def _write_records(out_dir: str | None, records: list) -> None:
+def _write_records(out_dir: str | None, records: list, append: bool) -> None:
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "train-log.txt"), "w", encoding="ascii") as fh:
+    with open(os.path.join(out_dir, "train-log.txt"), "a" if append else "w", encoding="ascii") as fh:
         for rec in records:
             fields = " ".join(f"{k}={rec[k]:.8g}" if isinstance(rec[k], float) else f"{k}={rec[k]}"
                               for k in rec)
             fh.write(fields + "\n")
 
 
-def _finish(model, adam, step, stage, out_dir, records):
-    _write_records(out_dir, records)
+def _finish(model, adam, step, stage, out_dir, records, resumed):
+    # a resumed run's records start at the resume step: keep the earlier ones
+    _write_records(out_dir, records, append=resumed)
     ckpt_path = None
     if out_dir is not None:
         ckpt_path = os.path.join(out_dir, "checkpoint.sfsl")
@@ -406,17 +401,13 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
             inputs_np = np.concatenate(chunks, axis=0)
             sa, dec = model.conn.slow, model.dec_slow
         else:
-            s = cfg.pool_stride
-            pooled = feats_np.reshape(
-                stage.batch_size, cfg.frames, cfg.pooled_h, s, cfg.pooled_w, s, cfg.feat_dim
-            ).mean(axis=(3, 5), dtype=np.float32)
-            pooled = pooled.reshape(stage.batch_size, cfg.frames, cfg.n_positions, cfg.feat_dim)
-            pooled = pooled + model.conn.fast_pos.data[: cfg.frames][None, :, None, :]
-            chunks = []
+            with engine.no_grad():
+                series = pooled_series(Value(feats_np), cfg, model.conn.fast_pos).data  # [B*M_d, T, D]
+            rows = []
             for b in range(stage.batch_size):
                 sel = np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene, replace=False))
-                chunks.append(pooled[b][:, sel].transpose(1, 0, 2))
-            inputs_np = np.concatenate(chunks, axis=0)  # [B*p, T, D]
+                rows.append(b * cfg.n_positions + sel)
+            inputs_np = series[np.concatenate(rows)]  # [B*p, T, D]
             sa, dec = model.conn.fast, model.dec_fast
 
         lr = _lr_at(stage, step)
@@ -432,7 +423,7 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
             raise TrainingError(f"training diverged at step {step}: {exc}") from exc
         if step % stage.log_every == 0 or step == stage.steps - 1:
             records.append({"step": step, "lr": lr, "loss": float(loss.item())})
-    return _finish(model, adam, stage.steps, 1, out_dir, records)
+    return _finish(model, adam, stage.steps, 1, out_dir, records, resume is not None)
 
 
 def _run_probe_stage(rc: RunConfig, model: Model, branch: str, out_dir, resume, stage_no) -> dict:
@@ -477,7 +468,7 @@ def _run_probe_stage(rc: RunConfig, model: Model, branch: str, out_dir, resume, 
     for name, before in frozen.items():
         if not np.array_equal(before, named[name].data):
             raise TrainingError(f"frozen parameter {name!r} moved during stage {stage_no}")
-    return _finish(model, adam, stage.steps, stage_no, out_dir, records)
+    return _finish(model, adam, stage.steps, stage_no, out_dir, records, resume is not None)
 
 
 def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:

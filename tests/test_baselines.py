@@ -8,17 +8,16 @@ from slotvid.baselines import (
     PoolingParams,
     QueryTransformerParams,
     WrapParams,
-    head_mean_mask,
-    pooling_connector,
-    pooling_token_count,
+    pooling_connector_batch,
     pooling_tokens_batch,
     query_transformer_batch,
-    query_transformer_connector,
     slowfast_wrap,
 )
-from slotvid.connector import ConnectorConfig, ConnectorError, ConnectorParams, VideoFeatures, connect
+from slotvid.config import from_dict
+from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch
 from slotvid.engine import Value
 from slotvid.slot_attention import slot_attention_forward
+from slotvid.training import build_model, forward_masks
 
 
 def make_video(seed, cfg, frames=None):
@@ -30,10 +29,11 @@ def make_video(seed, cfg, frames=None):
 class TestPooling:
     def test_356_tokens_for_100_frames(self):
         cfg = ConnectorConfig(frames=100, max_frames=256)
-        assert pooling_token_count(cfg, 100) == 356
         params = PoolingParams.create(engine.rng_for(1, "pool"), cfg)
-        video = make_video(1, cfg)
-        assert pooling_connector(video, cfg, params).shape == (356, cfg.out_dim)
+        grid = make_video(1, cfg).grid
+        with engine.no_grad():
+            tokens = pooling_connector_batch(Value(grid[None]), params)
+        assert tokens.shape == (1, 356, cfg.out_dim)  # T frame means + H*W cell means
 
     def test_constant_input_pools_to_constant(self):
         grid = np.full((3, 4, 4, 2), 0.75, dtype=np.float32)
@@ -127,20 +127,33 @@ class TestQueryTransformer:
         np.testing.assert_allclose(tokens.data[0], want_tokens, atol=1e-5)
         np.testing.assert_allclose(masks.data[0, 0], want_attn.T, atol=1e-5)
 
-    def test_flat_connector_cap(self):
+    def test_flat_grid_input(self):
+        # the whole T*H*W grid as one input set, as a single flat query aggregator
         cfg = ConnectorConfig(frames=4, grid_h=4, grid_w=4, feat_dim=3, slow_frames=2,
                               pool_stride=2, slot_dim=8, out_dim=4, max_frames=8)
         p = QueryTransformerParams.create(engine.rng_for(6, "qt"), 2, 3, 8, n_layers=1, n_heads=2)
-        video = make_video(6, cfg)
-        tokens, masks = query_transformer_connector(video, p, cfg, input_cap=64)
-        assert tokens.shape == (2, 8)
-        assert masks.shape == (2, 64, 2)
-        with pytest.raises(ConnectorError):
-            query_transformer_connector(video, p, cfg, input_cap=63)
+        grid = make_video(6, cfg).grid
+        with engine.no_grad():
+            tokens, masks = query_transformer_batch(Value(grid.reshape(1, 64, 3)), p)
+        assert tokens.shape == (1, 2, 8)
+        assert masks.shape == (1, 2, 64, 2)
 
     def test_head_mean_mask(self):
-        masks = np.stack([np.full((3, 2), 0.25), np.full((3, 2), 0.75)]).astype(np.float32)
-        np.testing.assert_allclose(head_mean_mask(masks), 0.5)
+        # forward_masks averages out the head axis of the query transformer's masks
+        rc = from_dict({
+            "connector": {"type": "query_transformer", "frames": 4, "grid_h": 4, "grid_w": 4,
+                          "feat_dim": 3, "slow_frames": 2, "pool_stride": 2, "slots_per_frame": 2,
+                          "slots_per_position": 2, "slot_dim": 8, "out_dim": 4, "max_frames": 8,
+                          "qt_layers": 1, "qt_heads": 2},
+        })
+        model = build_model(rc)
+        feats = Value(make_video(11, rc.connector).grid[None])
+        with engine.no_grad():
+            _, slow, fast = forward_masks(model, feats, "both")
+            _, raw_slow, raw_fast = slowfast_wrap(feats, rc.connector, model.conn)
+        assert raw_slow.shape == (1, 2, 2, 16, 2) and raw_fast.shape == (1, 4, 2, 4, 2)
+        np.testing.assert_array_equal(slow, raw_slow.data.mean(axis=2))
+        np.testing.assert_array_equal(fast, raw_fast.data.mean(axis=2))
 
 
 class TestNormalizationDirections:
@@ -183,10 +196,10 @@ class TestWrap:
                               pool_stride=4, slots_per_frame=2, slots_per_position=2,
                               slot_dim=8, out_dim=5, max_frames=16, iters_slow=1, iters_fast=1)
         video = make_video(9, cfg)
-        slot_out = connect(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg))
         with engine.no_grad():
+            slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg))
             wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg))
-        assert slot_out.tokens.shape == wrap_out.data[0].shape
+        assert slot_out.shape == wrap_out.shape
 
     def test_rejects_unknown_mode(self):
         cfg = self.CFG

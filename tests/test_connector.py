@@ -6,13 +6,10 @@ from slotvid.connector import (
     ConnectorConfig,
     ConnectorError,
     ConnectorParams,
-    SlotTokens,
     VideoFeatures,
-    connect,
     connect_batch,
     fast_branch_batch,
     slow_branch_batch,
-    token_provenance,
     uniform_sample_frames,
 )
 from slotvid.engine import Value
@@ -100,15 +97,17 @@ class TestTokenCounts:
             )
             expect = t_d * n_s + (8 // stride) * (8 // stride) * n_f
             assert cfg.n_tokens == expect
-            out = connect(make_video(t_d * 100 + n_f, cfg), cfg, make_params(1, cfg))
-            assert out.n_tokens == expect
+            with engine.no_grad():
+                tokens, _, _ = connect_batch(make_video(t_d * 100 + n_f, cfg), cfg, make_params(1, cfg))
+            assert tokens.shape == (1, expect, cfg.out_dim)
 
     def test_count_independent_of_clip_length(self):
         cfg = SMALL
         params = make_params(2, cfg)
         for t in (cfg.slow_frames, cfg.frames, cfg.max_frames):
-            out = connect(make_video(3, cfg, frames=t), cfg, params)
-            assert out.n_tokens == cfg.n_tokens
+            with engine.no_grad():
+                tokens, _, _ = connect_batch(make_video(3, cfg, frames=t), cfg, params)
+            assert tokens.shape[1] == cfg.n_tokens
 
     def test_doubling_slots_doubles_each_term(self):
         # 8*16 + 16*16 under the count contract
@@ -233,7 +232,7 @@ class TestFastBranch:
         cfg = SMALL
         video = make_video(11, cfg, frames=cfg.max_frames + 1)
         with pytest.raises(ConnectorError):
-            connect(video, cfg, make_params(11, cfg))
+            connect_batch(video, cfg, make_params(11, cfg))
 
 
 class TestPooling:
@@ -254,24 +253,55 @@ class TestPooling:
 
 class TestConnect:
     def test_ordering_contract(self):
+        # slow tokens first, frame-major; then fast tokens, position-major:
+        # changing one sampled frame moves only that frame's slow tokens, and
+        # changing one pooled cell moves only that position's fast tokens
         cfg = SMALL
-        prov = token_provenance(cfg)
-        assert len(prov) == cfg.n_tokens
-        expect = [("slow", i, j) for i in range(cfg.slow_frames) for j in range(cfg.slots_per_frame)]
-        expect += [("fast", k, j) for k in range(cfg.n_positions) for j in range(cfg.slots_per_position)]
-        assert [(p.branch, p.source, p.slot) for p in prov] == expect
+        params = make_params(12, cfg)
+        grid = make_video(12, cfg).grid
+        n_s, n_f = cfg.slots_per_frame, cfg.slots_per_position
+
+        def tokens(g):
+            with engine.no_grad():
+                return connect_batch(VideoFeatures(g), cfg, params)[0].data[0]
+
+        base = tokens(grid)
+        frame = uniform_sample_frames(cfg.frames, cfg.slow_frames)[1]
+        moved = grid.copy()
+        moved[frame] += 1.0
+        slow = tokens(moved)[: cfg.n_slow_tokens]
+        changed = np.any(slow != base[: cfg.n_slow_tokens], axis=1)
+        assert changed.tolist() == [n_s <= i < 2 * n_s for i in range(cfg.n_slow_tokens)]
+
+        moved = grid.copy()
+        moved[:, :4, 4:] += 1.0  # the stride-4 block of pooled position 1
+        fast = tokens(moved)[cfg.n_slow_tokens :]
+        changed = np.any(fast != base[cfg.n_slow_tokens :], axis=1)
+        assert changed.tolist() == [n_f <= i < 2 * n_f for i in range(cfg.n_fast_tokens)]
 
     def test_connect_packaging(self):
+        # one [T, H, W, D] clip in, a batch of one out, masks in branch layout
         cfg = SMALL
-        out = connect(make_video(13, cfg), cfg, make_params(13, cfg))
-        assert isinstance(out, SlotTokens)
-        assert out.tokens.shape == (cfg.n_tokens, cfg.out_dim)
-        assert len(out.slow_masks) == cfg.slow_frames
-        assert len(out.fast_masks) == cfg.n_positions
-        assert out.slow_masks[0].layout.dims == (8, 8)
-        assert out.fast_masks[0].layout.dims == (cfg.frames,)
-        for mask in out.slow_masks + out.fast_masks:
-            np.testing.assert_allclose(mask.weights.sum(axis=1), 1.0, atol=1e-5)
+        with engine.no_grad():
+            tokens, slow, fast = connect_batch(make_video(13, cfg), cfg, make_params(13, cfg))
+        assert tokens.shape == (1, cfg.n_tokens, cfg.out_dim)
+        assert slow.shape == (1, cfg.slow_frames, cfg.grid_h * cfg.grid_w, cfg.slots_per_frame)
+        assert fast.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
+        for masks in (slow, fast):
+            np.testing.assert_allclose(masks.data.sum(axis=-1), 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("branch", ["slow", "fast"])
+    def test_single_branch_is_branch_then_proj(self, branch):
+        cfg = SMALL
+        params = make_params(16, cfg)
+        feats = Value(make_video(16, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
+        tokens, slow, fast = connect_batch(feats, cfg, params, branch=branch)
+        branch_fn = slow_branch_batch if branch == "slow" else fast_branch_batch
+        raw, masks = branch_fn(feats, cfg, params)
+        expect = engine.add(engine.matmul(raw, params.proj_w), params.proj_b)
+        assert np.array_equal(tokens.data, expect.data)
+        assert np.array_equal((slow if branch == "slow" else fast).data, masks.data)
+        assert (fast if branch == "slow" else slow) is None
 
     def test_proj_applied_after_concat(self):
         cfg = SMALL

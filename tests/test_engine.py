@@ -11,7 +11,7 @@ from slotvid.engine import (
     ShapeError,
     Value,
     adam_update,
-    avg_pool_grid,
+    avg_pool_hw,
     backward,
     gru_step,
     layer_norm,
@@ -174,21 +174,21 @@ class TestGru:
 class TestAvgPool:
     def test_16_grid_stride_4_shape(self):
         rng = engine.rng_for(7, "pool")
-        out = avg_pool_grid(Value(engine.normal(rng, (16, 16, 3))), 4)
+        out = avg_pool_hw(Value(engine.normal(rng, (16, 16, 3))), 4)
         assert out.data.shape == (4, 4, 3)
 
     def test_constant_preserved(self):
-        out = avg_pool_grid(Value(np.full((8, 8, 2), 1.25, dtype=np.float32)), 2)
+        out = avg_pool_hw(Value(np.full((8, 8, 2), 1.25, dtype=np.float32)), 2)
         np.testing.assert_allclose(out.data, 1.25, atol=1e-7)
 
     def test_block_mean_oracle(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(2, 2, 1)
-        out = avg_pool_grid(Value(x), 2)
+        out = avg_pool_hw(Value(x), 2)
         np.testing.assert_allclose(out.data, [[[2.5]]])
 
     def test_non_divisible(self):
         with pytest.raises(ShapeError):
-            avg_pool_grid(Value(np.zeros((6, 6, 1))), 4)
+            avg_pool_hw(Value(np.zeros((6, 6, 1))), 4)
 
 
 class TestBackward:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 
@@ -138,6 +140,17 @@ class TestStage1:
         full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
         assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
 
+    def test_resume_appends_to_log(self, tmp_path):
+        log = tmp_path / "train-log.txt"
+        short = run_stage1(tiny_config(stage={"steps": 2}), out_dir=str(tmp_path))
+        first = log.read_text().splitlines()
+        resumed = run_stage1(tiny_config(stage={"steps": 5}), out_dir=str(tmp_path),
+                             resume=short["checkpoint"])
+        lines = log.read_text().splitlines()
+        assert [r["step"] for r in resumed["records"]] == [2, 4]
+        assert lines[: len(first)] == first
+        assert [line.split()[0] for line in lines] == ["step=0", "step=1", "step=2", "step=4"]
+
     def test_wrong_connector_kind_rejected(self):
         rc = tiny_config(connector={"type": "pooling"})
         with pytest.raises(TrainingError):
@@ -242,6 +255,21 @@ class TestStage3:
         with engine.no_grad():
             tokens = probe_tokens(model, Value(feats), "both")
         assert tokens.shape[1] == rc.connector.n_tokens
+
+
+class TestModelLayout:
+    # sha256 of the sorted (tensor name, shape) list at the tiny config;
+    # checkpoints store tensors under these names, so a change here breaks
+    # every existing checkpoint
+    DIGESTS = {"slot": "21f2015e5cf57ebb", "pooling": "9c622f219ed3eeac",
+               "query_transformer": "161ca0977fc635c1"}
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_tensor_names_and_shapes_unchanged(self, kind):
+        named = build_model(tiny_config(connector={"type": kind})).named()
+        items = sorted((name, list(val.data.shape)) for name, val in named.items())
+        digest = hashlib.sha256(json.dumps(items).encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[kind]
 
 
 class TestBaselines:
