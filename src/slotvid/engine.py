@@ -13,8 +13,14 @@ last two evaluate the same products and sums in the same order as the same
 computations composed from primitive ops (the references in
 ``tests/test_fused_ops.py``), so their values are identical; their backwards
 sum in their own order, so gradients may differ from the composites' in the
-last bits. Fusing drops intermediate nodes, never the finite check on an
-op's output.
+last bits. The slot-attention read takes two operands, the inputs (keys and
+values at once, the caller applying the projections around the read) and the
+queries. Its sums over the slot and token axes, like the softmax's over a
+last axis, are GEMMs against a ones vector, which round differently from
+numpy's reductions: its values equal a composite's only when that takes the
+same sums, and differ from a read of projected keys and values in the last
+bits. Fusing drops intermediate nodes, never the finite check on an op's
+output.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 import zlib
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -226,8 +233,11 @@ def mul(a, b) -> Value:
     a, b = _coerce(a), _coerce(b)
 
     def backward(g, adj):
-        _send(adj, a, _unbroadcast(g * b.data, a.data.shape))
-        _send(adj, b, _unbroadcast(g * a.data, b.data.shape))
+        # a constant operand's adjoint would be dropped by _send: skip the product
+        if a.requires_grad:
+            _send(adj, a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _send(adj, b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), backward)
 
@@ -272,8 +282,11 @@ def matmul(a, b) -> Value:
         )
 
     def backward(g, adj):
-        _send(adj, a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _send(adj, b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        # a constant operand's adjoint would be dropped by _send: skip the product
+        if a.requires_grad:
+            _send(adj, a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            _send(adj, b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _node(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -447,20 +460,50 @@ def broadcast_to(a, shape) -> Value:
 # -- fused neural-network operations -------------------------------------------
 
 
+# Up to this many entries, a chain of elementwise maxima beats numpy's max
+# reduction over a contiguous last axis, which pays per-row loop overhead
+# (512k float32 elements, one thread, numpy 2.4: 8 entries 0.7 against 7.5 ms,
+# 32 entries 2.1 against 2.7 ms); from 64 entries the reduction wins.
+SHORT_AXIS = 32
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, keepdims; exact, so either evaluation gives the same bits."""
+    n = x.shape[-1]
+    if n > SHORT_AXIS:
+        return x.max(axis=-1, keepdims=True)
+    out = x[..., 0].copy()
+    for j in range(1, n):
+        np.maximum(out, x[..., j], out=out)
+    return out[..., None]
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, keepdims, as one GEMM of the rows against a ones vector."""
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones((n, 1), dtype=DTYPE)).reshape(*x.shape[:-1], 1)
+
+
 def softmax_axis(a, axis: int) -> Value:
-    """Softmax along ``axis`` with max-subtraction for stability."""
+    """Softmax along ``axis`` with max-subtraction for stability.
+
+    Over the last axis the max is ``_max_last`` and the sums are ``_sum_last``.
+    """
     a = _coerce(a)
     if axis >= a.ndim or axis < -a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for rank {a.ndim}")
     ax = axis % a.ndim
     x = a.data
-    shifted = x - x.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=ax, keepdims=True)
+    if ax == x.ndim - 1:
+        top, total = _max_last, _sum_last
+    else:
+        top = partial(np.max, axis=ax, keepdims=True)
+        total = partial(np.sum, axis=ax, keepdims=True)
+    e = np.exp(x - top(x))
+    out_data = e / total(e)
 
     def backward(g, adj):
-        inner = (g * out_data).sum(axis=ax, keepdims=True)
-        _send(adj, a, out_data * (g - inner))
+        _send(adj, a, out_data * (g - total(g * out_data)))
 
     return _node(out_data, (a,), backward)
 
@@ -516,59 +559,52 @@ def cross_entropy(logits, labels) -> Value:
     return _node(out_data.reshape(()), (logits,), backward)
 
 
-def _max_last(x: np.ndarray) -> np.ndarray:
-    """Max over a short last axis, keepdims; exact, as a chain of elementwise maxima.
+def slot_attention_step(x, q, temp: float, eps: float) -> tuple[Value, np.ndarray]:
+    """One slot-attention read of the inputs ``x`` [B, M, D] by queries ``q`` [B, N, D].
 
-    numpy's reduction over a contiguous axis of a few elements pays per-row
-    loop overhead; the slot axis is that short.
+    The token-by-slot logits ``temp * x q^T`` are softmaxed over the slots,
+    each slot's column is renormalized over the tokens (``eps`` added to the
+    column sum) and the slot update is the weighted mean of the inputs
+    [B, N, D]. Key and value projections are the caller's: it folds the key
+    weights into ``q`` and applies the value weights to the update, so ``x``
+    serves as both keys and values. One node with an analytic backward, which
+    sends ``x`` one combined adjoint. Sums over the slot and token axes are
+    GEMMs against a ones vector; the forward values are identical to those of
+    the same read composed from primitive ops with its column sums taken as
+    that GEMM too (the reference in ``tests/test_fused_ops.py``). Returns
+    (updates [B, N, D], mask [B, M, N]); the mask is plain data, rows summing
+    to one over the slots.
     """
-    out = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(out, x[..., j], out=out)
-    return out[..., None]
-
-
-def slot_attention_step(k, q, v, temp: float, eps: float) -> tuple[Value, np.ndarray]:
-    """One slot-attention read of keys ``k`` [B, M, A] and values ``v`` [B, M, Dv].
-
-    The token-by-slot logits ``temp * k q^T`` of queries ``q`` [B, N, A] are
-    softmaxed over the slots, each slot's column is renormalized over the
-    tokens (``eps`` added to the column sum) and the slot update is the
-    weighted mean of the values. One node with an analytic backward; its
-    forward values are identical to those of the same read composed from
-    primitive ops (the reference in ``tests/test_fused_ops.py``). Returns
-    (updates [B, N, Dv], mask [B, M, N]); the mask is plain data, rows
-    summing to one over the slots.
-    """
-    k, q, v = _coerce(k), _coerce(q), _coerce(v)
-    if k.ndim != 3 or q.ndim != 3 or v.ndim != 3:
-        raise ShapeError("slot_attention_step expects rank-3 keys, queries and values")
-    b, m, a_dim = k.data.shape
-    if q.data.shape[::2] != (b, a_dim) or v.data.shape[:2] != (b, m):
-        raise ShapeError(
-            f"slot_attention_step shapes disagree: k {k.data.shape}, q {q.data.shape}, v {v.data.shape}"
-        )
+    x, q = _coerce(x), _coerce(q)
+    if x.ndim != 3 or q.ndim != 3:
+        raise ShapeError("slot_attention_step expects rank-3 inputs and queries")
+    b, m, d = x.data.shape
+    if q.data.shape[::2] != (b, d):
+        raise ShapeError(f"slot_attention_step shapes disagree: x {x.data.shape}, q {q.data.shape}")
     temp32 = np.float32(temp)
-    logits = np.matmul(k.data, q.data.transpose(0, 2, 1)) * temp32
+    logits = np.matmul(x.data, q.data.transpose(0, 2, 1)) * temp32
     e = np.exp(logits - _max_last(logits))
-    attn = e / e.sum(axis=2, keepdims=True)  # competition over slots
+    attn = e / _sum_last(e)  # competition over slots
     _require_finite(attn, "slot attention mask")
-    inv = np.float32(1.0) / (attn.sum(axis=1, keepdims=True) + np.float32(eps))  # [B, 1, N]
+    col_sums = np.matmul(np.ones((1, m), dtype=DTYPE), attn)  # [B, 1, N]
+    inv = np.float32(1.0) / (col_sums + np.float32(eps))
     weights = attn * inv
-    out_data = np.matmul(weights.transpose(0, 2, 1), v.data)
+    out_data = np.matmul(weights.transpose(0, 2, 1), x.data)
 
     def backward(g, adj):
-        _send(adj, v, np.matmul(weights, g))
-        if not (k.requires_grad or q.requires_grad):
-            return
-        g_w = np.matmul(v.data, g.transpose(0, 2, 1))  # [B, M, N]
-        g_attn = inv * (g_w - (g_w * weights).sum(axis=1, keepdims=True))
-        g_logits = attn * (g_attn - (g_attn * attn).sum(axis=2, keepdims=True))
+        g_w = np.matmul(x.data, g.transpose(0, 2, 1))  # [B, M, N]
+        # column sums of g_w * weights, taken as sum_d g * out over the short side
+        g_attn = inv * (g_w - _sum_last(g * out_data).transpose(0, 2, 1))
+        g_logits = attn * (g_attn - _sum_last(g_attn * attn))
         g_logits *= temp32
-        _send(adj, k, np.matmul(g_logits, q.data))
-        _send(adj, q, np.matmul(g_logits.transpose(0, 2, 1), k.data))
+        if x.requires_grad:
+            gx = np.matmul(weights, g)
+            gx += np.matmul(g_logits, q.data)
+            _send(adj, x, gx)
+        if q.requires_grad:
+            _send(adj, q, np.matmul(g_logits.transpose(0, 2, 1), x.data))
 
-    return _node(out_data, (k, q, v), backward), attn
+    return _node(out_data, (x, q), backward), attn
 
 
 # -- gated recurrent update -----------------------------------------------------

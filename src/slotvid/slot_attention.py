@@ -9,6 +9,19 @@ Inside ``forward_batch`` the slot state of the whole batch is kept as
 [B*N, D_slot] rows, so the query projection, the gated update, the MLP and
 their layer norms each run as one 2-D GEMM or row op over all slots; only the
 fused read ``engine.slot_attention_step`` sees the [B, N, ...] set structure.
+
+The read works in input space: with normalized inputs ``xn`` [B, M, D_in],
+the logits ``(xn wk) q^T`` are evaluated as ``xn (q wk^T)^T`` and the update
+``weights^T (xn wv)`` as ``(weights^T xn) wv``, so no per-token keys or values
+[B, M, D_att] are ever built, and the inputs receive one adjoint per
+iteration instead of a key and a value adjoint. The key weights fold into the
+query weights once per call (``wq wk^T``, [D_slot, D_in]); the value weights
+apply to N read rows per set and iteration instead of M token rows once, which
+is cheaper while iterations x slots stays below the token count (3 x 8 = 24
+against 256 slow and 32 fast tokens by default). The logits and the read run
+over D_in (32) instead of D_att and D_slot (64). The mask, the parameters and
+their checkpoint names are those of the keys-and-values form; values agree
+with it to float32 rounding.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from .engine import (
     matmul,
     reshape,
     slot_attention_step,
+    transpose,
 )
 
 ATTN_EPS = 1e-8
@@ -189,17 +203,20 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, Va
     nonlin = engine.NONLINEARITIES[params.nonlinearity]
     temp = np.float32(1.0 / np.sqrt(params.d_att))
 
-    xn = layer_norm(inputs, params.in_norm_g, params.in_norm_b)
-    k = matmul(xn, params.wk)  # [B, M, D_att]
-    v = matmul(xn, params.wv)  # [B, M, D_slot]
+    xn = layer_norm(inputs, params.in_norm_g, params.in_norm_b)  # [B, M, D_in]
+    d_in = xn.shape[-1]
+    # keys in the queries: (xn wk) q^T = xn (q wk^T)^T, so no [B, M, D_att] keys exist
+    wqk = matmul(params.wq, transpose(params.wk, (1, 0)))  # [D_slot, D_in]
 
     # slot state as [B*N, D_slot] rows: every slot-side op is one 2-D GEMM or row op
     slots = reshape(broadcast_to(reshape(params.slots, (1, n, d_slot)), (b, n, d_slot)), (b * n, d_slot))
     mask = None
     for _ in range(params.iterations):
-        q = matmul(layer_norm(slots, params.slot_norm_g, params.slot_norm_b), params.wq)
-        updates, mask = slot_attention_step(k, reshape(q, (b, n, params.d_att)), v, temp, params.eps)
-        slots = gru_step(slots, reshape(updates, (b * n, d_slot)), params.gru)
+        q = matmul(layer_norm(slots, params.slot_norm_g, params.slot_norm_b), wqk)
+        read, mask = slot_attention_step(xn, reshape(q, (b, n, d_in)), temp, params.eps)
+        # values after the read: weights^T (xn wv) = (weights^T xn) wv
+        updates = matmul(reshape(read, (b * n, d_in)), params.wv)
+        slots = gru_step(slots, updates, params.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, params.mlp_norm_g, params.mlp_norm_b), params.mlp_w1), params.mlp_b1))
         slots = add(slots, add(matmul(hidden, params.mlp_w2), params.mlp_b2))
     return reshape(slots, (b, n, d_slot)), Value(mask)

@@ -418,6 +418,60 @@ class TestPrimitiveForms:
             assert a.tobytes() == c.tobytes()
 
 
+    @pytest.mark.parametrize("op", ["matmul", "mul"])
+    @pytest.mark.parametrize("constant_side", [0, 1])
+    def test_constant_operand_gets_no_adjoint(self, op, constant_side):
+        rng = engine.rng_for(9, "dead-operand", op)
+        shapes = {"matmul": ((4, 5, 3), (3, 2)), "mul": ((4, 5, 3), (3,))}[op]
+        data = [engine.normal(rng, shp) for shp in shapes]
+        probe = engine.normal(rng, (4, 5, 2) if op == "matmul" else (4, 5, 3))
+        fn = getattr(engine, op)
+        live_side = 1 - constant_side
+
+        def live_grad(operands):
+            backward(engine.mul(fn(*operands), probe).sum())
+            return operands[live_side].grad.copy()
+
+        both = live_grad([Value(d, requires_grad=True) for d in data])
+        operands = [Value(d, requires_grad=(i == live_side)) for i, d in enumerate(data)]
+        one = live_grad(operands)
+        assert operands[constant_side]._grad is None
+        assert both.tobytes() == one.tobytes()
+
+
+class TestShortAxisReductions:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_max_last_bit_equal_to_numpy_max(self, n):
+        rng = engine.rng_for(10, "max-last", n)
+        x = engine.normal(rng, (7, 3, n), std=4.0)
+        x[0] = np.round(x[0])  # ties
+        x[1] = -np.abs(x[1]) - 1.0  # all negative
+        got = engine._max_last(x)
+        want = x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 32, 33, 256])
+    def test_sum_last_matches_float64(self, n):
+        x = engine.normal(engine.rng_for(11, "sum-last", n), (5, 6, n))
+        want = x.astype(np.float64).sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(engine._sum_last(x), want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 8, 32, 33, 256])
+    def test_softmax_last_axis_matches_float64(self, n):
+        rng = engine.rng_for(12, "softmax-last", n)
+        x = Value(engine.normal(rng, (4, 3, n), std=3.0), requires_grad=True)
+        probe = engine.normal(rng, (4, 3, n))
+        out = softmax_axis(x, axis=-1)
+        x64 = x.data.astype(np.float64)
+        e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-7)
+        backward(engine.mul(out, probe).sum())
+        want_grad = want * (probe - (probe * want).sum(axis=-1, keepdims=True))
+        np.testing.assert_allclose(x.grad, want_grad, rtol=1e-4, atol=1e-6)
+
+
 class TestDeterminism:
     def test_bit_identical_pipeline(self):
         def run():

@@ -2,9 +2,10 @@
 
 The references below build the same computations from primitive engine ops,
 one graph node per primitive. The fused forwards evaluate the same products
-and sums in the same order, so they must match bit for bit; their analytic
-backwards sum in a different order, so gradients agree within a float32
-tolerance fixed before measuring.
+and sums in the same order (the attention read takes its column sums as a
+GEMM against a ones vector, and so does its reference), so they must match
+bit for bit; their analytic backwards sum in a different order, so gradients
+agree within a float32 tolerance fixed before measuring.
 """
 
 import numpy as np
@@ -44,13 +45,14 @@ def reference_gru(h, x, p):
     return add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, cand))
 
 
-def reference_attention_step(k, q, v, temp, eps):
-    """Composite slot-attention read: softmax over slots, column renormalization, weighted mean."""
-    logits = scale(matmul(k, transpose(q, (0, 2, 1))), temp)
+def reference_attention_step(x, q, temp, eps):
+    """Composite slot-attention read with keys = values = ``x``: softmax over slots,
+    column renormalization, weighted mean."""
+    logits = scale(matmul(x, transpose(q, (0, 2, 1))), temp)
     attn = softmax_axis(logits, axis=2)
-    col_sums = attn.sum(axis=1, keepdims=True)
+    col_sums = matmul(np.ones((1, x.shape[1]), dtype=np.float32), attn)
     weights = mul(attn, broadcast_to(recip(add_scalar(col_sums, eps)), attn.shape))
-    return matmul(transpose(weights, (0, 2, 1)), v), attn
+    return matmul(transpose(weights, (0, 2, 1)), x), attn
 
 
 def _leaf(rng, shape, std=1.0):
@@ -74,15 +76,15 @@ def _gru_case(seed, shape):
     return p, h, x, probe, leaves
 
 
-def _attention_case(seed, b, m, n, a, dv):
+def _attention_case(seed, b, m, n, d):
     rng = engine.rng_for(seed, "fused-attn")
-    k, q, v = _leaf(rng, (b, m, a)), _leaf(rng, (b, n, a)), _leaf(rng, (b, m, dv))
-    probe = engine.normal(rng, (b, n, dv))
-    return k, q, v, probe
+    x, q = _leaf(rng, (b, m, d)), _leaf(rng, (b, n, d))
+    probe = engine.normal(rng, (b, n, d))
+    return x, q, probe
 
 
 GRU_SHAPES = [(1, 3), (5, 4), (3, 4, 6), (16, 8)]
-ATTENTION_SHAPES = [(1, 1, 1, 2, 3), (2, 5, 3, 4, 4), (4, 17, 8, 6, 5), (3, 32, 2, 8, 7)]
+ATTENTION_SHAPES = [(1, 1, 1, 3), (2, 5, 3, 4), (4, 17, 8, 6), (3, 32, 2, 7)]
 
 
 class TestFusedGru:
@@ -132,10 +134,10 @@ class TestFusedAttentionStep:
     @pytest.mark.parametrize("dims", ATTENTION_SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_forward_bit_equal_to_composite(self, seed, dims, eps):
-        k, q, v, _ = _attention_case(seed, *dims)
+        x, q, _ = _attention_case(seed, *dims)
         temp = np.float32(1.0 / np.sqrt(dims[3]))
-        updates, mask = slot_attention_step(k, q, v, temp, eps)
-        ref_updates, ref_attn = reference_attention_step(k, q, v, temp, eps)
+        updates, mask = slot_attention_step(x, q, temp, eps)
+        ref_updates, ref_attn = reference_attention_step(x, q, temp, eps)
         np.testing.assert_array_equal(updates.data, ref_updates.data)
         np.testing.assert_array_equal(mask, ref_attn.data)
         assert isinstance(mask, np.ndarray)
@@ -144,41 +146,46 @@ class TestFusedAttentionStep:
     @pytest.mark.parametrize("dims", ATTENTION_SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_composite(self, seed, dims, eps):
-        k, q, v, probe = _attention_case(seed, *dims)
+        x, q, probe = _attention_case(seed, *dims)
         temp = np.float32(1.0 / np.sqrt(dims[3]))
-        leaves = [k, q, v]
-        fused = _grads(lambda: mul(slot_attention_step(k, q, v, temp, eps)[0], probe).sum(), leaves)
-        ref = _grads(lambda: mul(reference_attention_step(k, q, v, temp, eps)[0], probe).sum(), leaves)
+        leaves = [x, q]
+        fused = _grads(lambda: mul(slot_attention_step(x, q, temp, eps)[0], probe).sum(), leaves)
+        ref = _grads(lambda: mul(reference_attention_step(x, q, temp, eps)[0], probe).sum(), leaves)
         for got, want in zip(fused, ref):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_finite_differences(self, eps):
-        k, q, v, probe = _attention_case(9, 2, 6, 3, 4, 5)
+        x, q, probe = _attention_case(9, 2, 6, 3, 4)
 
         def build():
-            return mul(slot_attention_step(k, q, v, 0.5, eps)[0], probe).sum()
+            return mul(slot_attention_step(x, q, 0.5, eps)[0], probe).sum()
 
-        ok, total = fd_check(build, [k, q, v], engine.rng_for(9, "pick"), coords_per_param=6)
+        ok, total = fd_check(build, [x, q], engine.rng_for(9, "pick"), coords_per_param=6)
         assert ok / total >= 0.95
 
-    def test_keys_without_grad_skip_logit_adjoints(self):
-        k, q, v, probe = _attention_case(2, 2, 5, 3, 4, 4)
-        k, q = Value(k.data), Value(q.data)
-        engine.backward(mul(slot_attention_step(k, q, v, 0.5, 1e-8)[0], probe).sum())
-        assert k._grad is None and q._grad is None
-        assert np.any(v.grad != 0.0)
+    @pytest.mark.parametrize("constant", ["x", "q"])
+    def test_operand_without_grad_gets_none(self, constant):
+        x, q, probe = _attention_case(2, 2, 5, 3, 4)
+        if constant == "x":
+            x = Value(x.data)
+        else:
+            q = Value(q.data)
+        const, live = (x, q) if constant == "x" else (q, x)
+        engine.backward(mul(slot_attention_step(x, q, 0.5, 1e-8)[0], probe).sum())
+        assert const._grad is None
+        assert np.any(live.grad != 0.0)
 
     def test_mask_rows_sum_to_one(self):
-        k, q, v, _ = _attention_case(3, 3, 10, 4, 4, 2)
-        _, mask = slot_attention_step(k, q, v, 0.5, 1e-8)
+        x, q, _ = _attention_case(3, 3, 10, 4, 4)
+        _, mask = slot_attention_step(x, q, 0.5, 1e-8)
         np.testing.assert_allclose(mask.sum(axis=2), 1.0, atol=1e-6)
 
     def test_shape_checks(self):
-        k, q, v, _ = _attention_case(0, 2, 5, 3, 4, 4)
+        x, q, _ = _attention_case(0, 2, 5, 3, 4)
         with pytest.raises(ShapeError):
-            slot_attention_step(k, q.reshape((6, 4)), v, 0.5, 0.0)
+            slot_attention_step(x, q.reshape((6, 4)), 0.5, 0.0)
         with pytest.raises(ShapeError):
-            slot_attention_step(k, Value(np.zeros((2, 3, 5), dtype=np.float32)), v, 0.5, 0.0)
+            slot_attention_step(x, Value(np.zeros((2, 3, 5), dtype=np.float32)), 0.5, 0.0)
         with pytest.raises(ShapeError):
-            slot_attention_step(k, q, Value(np.zeros((2, 4, 4), dtype=np.float32)), 0.5, 0.0)
+            slot_attention_step(x, Value(np.zeros((3, 3, 4), dtype=np.float32)), 0.5, 0.0)

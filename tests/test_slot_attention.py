@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 
 from slotvid import engine
-from slotvid.engine import Value
+from slotvid.engine import (
+    Value,
+    add,
+    add_scalar,
+    broadcast_to,
+    gru_step,
+    layer_norm,
+    matmul,
+    mul,
+    recip,
+    reshape,
+    scale,
+    softmax_axis,
+    transpose,
+)
 from slotvid.slot_attention import (
     AttentionMask,
     MaskLayout,
@@ -189,6 +203,58 @@ class TestBatchedConsistency:
             slots_i, mask_i = slot_attention_forward(batch[i], p)
             np.testing.assert_allclose(slots_b.data[i], slots_i.data, atol=1e-5)
             np.testing.assert_allclose(attn_b.data[i], mask_i.weights, atol=1e-5)
+
+
+def _keys_values_forward(inputs, p):
+    """``forward_batch`` with explicit [B, M, D_att] keys ``xn wk`` and values ``xn wv``."""
+    b, _, _ = inputs.shape
+    n, d = p.slots.data.shape
+    nonlin = engine.NONLINEARITIES[p.nonlinearity]
+    temp = np.float32(1.0 / np.sqrt(p.d_att))
+    xn = layer_norm(inputs, p.in_norm_g, p.in_norm_b)
+    k = matmul(xn, p.wk)
+    v = matmul(xn, p.wv)
+    slots = reshape(broadcast_to(reshape(p.slots, (1, n, d)), (b, n, d)), (b * n, d))
+    attn = None
+    for _ in range(p.iterations):
+        q = reshape(matmul(layer_norm(slots, p.slot_norm_g, p.slot_norm_b), p.wq), (b, n, p.d_att))
+        attn = softmax_axis(scale(matmul(k, transpose(q, (0, 2, 1))), temp), axis=2)
+        col = recip(add_scalar(attn.sum(axis=1, keepdims=True), p.eps))
+        updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
+        slots = gru_step(slots, reshape(updates, (b * n, d)), p.gru)
+        hidden = nonlin(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
+        slots = add(slots, add(matmul(hidden, p.mlp_w2), p.mlp_b2))
+    return reshape(slots, (b, n, d)), attn
+
+
+class TestInputSpaceRead:
+    """The read of the inputs themselves against explicit keys and values, at the default branch shapes."""
+
+    @pytest.mark.parametrize("shape", [(64, 256, 32), (128, 32, 32)], ids=["slow", "fast"])
+    def test_matches_keys_values_formulation(self, shape):
+        rng = engine.rng_for(14, "input-space", *shape)
+        p = SlotAttentionParams.create(rng, 8, shape[2], 64)
+        inputs = Value(engine.normal(rng, shape), requires_grad=True)
+        probe = engine.normal(rng, (shape[0], 8, 64))
+        leaves = dict(p.named("sa"), inputs=inputs)
+        runs = []
+        for fwd in (forward_batch, _keys_values_forward):
+            engine.zero_grads(leaves)
+            slots, attn = fwd(inputs, p)
+            engine.backward(mul(slots, probe).sum())
+            runs.append((slots.data, attn.data, {k: v.grad.copy() for k, v in leaves.items()}))
+        (slots, attn, grads), (want_slots, want_attn, want_grads) = runs
+        np.testing.assert_allclose(slots, want_slots, rtol=1e-5, atol=1e-5 * np.abs(want_slots).max())
+        np.testing.assert_allclose(attn, want_attn, rtol=1e-5, atol=1e-6)
+        largest = max(np.abs(g).max() for g in want_grads.values())
+        for name, want in want_grads.items():
+            got = grads[name]
+            if name == "sa.slot_norm.b":
+                # the bias shifts every slot's logits for a token equally, so the
+                # softmax over slots cancels it: both gradients are rounding noise
+                assert np.abs(got).max() < 1e-6 * largest and np.abs(want).max() < 1e-6 * largest
+                continue
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max(), err_msg=name)
 
 
 class TestMaskTypes:
