@@ -3,8 +3,10 @@
 The pooling path averages over space per frame and over time per cell, then
 projects. The query transformer reads the inputs through multi-head
 cross-attention whose softmax runs over the *input* axis (one distribution
-per query), the opposite normalization direction from slot attention; its
-returned masks are stored input-by-query so columns, not rows, sum to one.
+per query), the opposite normalization direction from slot attention. Its
+mask is the last cross-attention averaged over heads, returned like slot
+attention's as a plain float32 array [sets, inputs, queries]; columns, not
+rows, sum to one.
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
@@ -185,13 +187,13 @@ def _merge_heads(x: Value) -> Value:
     return reshape(transpose(x, (0, 2, 1, 3)), (b, n, h * dh))
 
 
-def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tuple[Value, Value]:
+def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tuple[Value, np.ndarray]:
     """Run the query stack over [B, M, D_in] inputs.
 
-    Returns (tokens [B, N_q, D_q], masks [B, heads, M, N_q]). The mask is the
-    final layer's cross attention transposed to input-by-query: each column is
-    one query's softmax distribution over the inputs and sums to one; rows do
-    not.
+    Returns (tokens [B, N_q, D_q], mask [B, M, N_q]). The mask is the final
+    layer's cross attention averaged over heads and transposed to
+    input-by-query, as a plain float32 array: each column is one query's
+    softmax distribution over the inputs and sums to one; rows do not.
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
@@ -224,8 +226,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
         hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
         x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
 
-    masks = transpose(cross, (0, 1, 3, 2))  # [B, heads, M, Nq]
-    return x, masks
+    return x, cross.data.mean(axis=1).transpose(0, 2, 1)  # head mean, [B, M, Nq]
 
 
 # -- slot-parity wrapper --------------------------------------------------------------
@@ -253,13 +254,13 @@ class WrapParams(ConnectorParams):
         )
 
 
-def wrap_slow_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, Value]:
-    """Per-frame query aggregation; masks [B, t, heads, M_s, N_s]."""
+def wrap_slow_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
+    """Per-frame query aggregation; masks [B, t, M_s, N_s]."""
     return slow_tokens(feats, cfg, params, query_transformer_batch)
 
 
-def wrap_fast_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, Value]:
-    """Per-position temporal query aggregation; masks [B, M_d, heads, T, N_f]."""
+def wrap_fast_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
+    """Per-position temporal query aggregation; masks [B, M_d, T, N_f]."""
     return fast_tokens(feats, cfg, params, query_transformer_batch)
 
 

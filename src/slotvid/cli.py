@@ -132,7 +132,6 @@ def _cmd_viz(args) -> int:
     from .config import write_effective_config
     from .engine import Value, no_grad
     from .metrics import render_masks
-    from .slot_attention import AttentionMask, MaskLayout
     from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors
 
     rc = _load(args)
@@ -147,15 +146,12 @@ def _cmd_viz(args) -> int:
     cfg = rc.connector
     with no_grad():
         _, slow_masks, fast_masks = forward_masks(model, Value(video.grid[None, ...]), branch)
+    # slow masks render as the H x W frame, fast masks as a T x 1 time strip
     entries = []
     if slow_masks is not None:
-        layout = MaskLayout("spatial", (cfg.grid_h, cfg.grid_w))
-        for i in range(cfg.slow_frames):
-            entries.append(("slow", i, AttentionMask(slow_masks[0, i], layout)))
+        entries += [("slow", i, mask, (cfg.grid_h, cfg.grid_w)) for i, mask in enumerate(slow_masks[0])]
     if fast_masks is not None:
-        layout = MaskLayout("temporal", (video.n_frames,))
-        for k in range(cfg.n_positions):
-            entries.append(("fast", k, AttentionMask(fast_masks[0, k], layout)))
+        entries += [("fast", k, mask, (video.n_frames, 1)) for k, mask in enumerate(fast_masks[0])]
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(rc, out_dir)
     names = render_masks(entries, out_dir)

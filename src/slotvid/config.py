@@ -134,6 +134,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(section: dict, where: str, key: str) -> float:
+    """``float`` of a config value, as a ConfigError when it is not a number."""
+    try:
+        return float(section[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from None
+
+
 def from_dict(user: dict) -> RunConfig:
     """Validate a raw config dict and materialize every default."""
     if not isinstance(user, dict):
@@ -166,9 +174,11 @@ def from_dict(user: dict) -> RunConfig:
     _require(isinstance(stage["steps"], int) and stage["steps"] >= 0, "stage.steps must be >= 0")
     for key in ("batch_size", "log_every", "frames_per_scene", "positions_per_scene"):
         _require(isinstance(stage[key], int) and stage[key] > 0, f"stage.{key} must be a positive integer")
-    _require(float(stage["lr_max"]) >= 0.0 and float(stage["lr_min"]) >= 0.0, "learning rates must be >= 0")
-    _require(stage["head_lr"] is None or float(stage["head_lr"]) >= 0.0, "stage.head_lr must be >= 0")
-    _require(float(stage["grad_clip"]) > 0.0, "stage.grad_clip must be > 0")
+    lr_max, lr_min, grad_clip = (_number(stage, "stage", key) for key in ("lr_max", "lr_min", "grad_clip"))
+    head_lr = None if stage["head_lr"] is None else _number(stage, "stage", "head_lr")
+    _require(lr_max >= 0.0 and lr_min >= 0.0, "learning rates must be >= 0")
+    _require(head_lr is None or head_lr >= 0.0, "stage.head_lr must be >= 0")
+    _require(grad_clip > 0.0, "stage.grad_clip must be > 0")
 
     data = merged["data"]
     for key in ("n_train_scenes", "n_heldout_scenes", "n_object_ids", "align"):
@@ -176,7 +186,8 @@ def from_dict(user: dict) -> RunConfig:
     for key in ("k_objects", "k_events", "extent"):
         val = data[key]
         _require(isinstance(val, (list, tuple)) and len(val) == 2, f"data.{key} must be a [lo, hi] pair")
-    _require(float(data["sigma"]) >= 0.0, "data.sigma must be >= 0")
+    sigma = _number(data, "data", "sigma")
+    _require(sigma >= 0.0, "data.sigma must be >= 0")
 
     _require(isinstance(merged["seed"], int), "seed must be an integer")
     _require(merged["out"] is None or isinstance(merged["out"], str), "out must be a string path")
@@ -187,7 +198,7 @@ def from_dict(user: dict) -> RunConfig:
         ranges = SceneRanges(
             k_objects=tuple(data["k_objects"]),
             k_events=tuple(data["k_events"]),
-            sigma=float(data["sigma"]),
+            sigma=sigma,
             n_object_ids=int(data["n_object_ids"]),
             extent=tuple(data["extent"]),
             align=int(data["align"]),
@@ -201,14 +212,14 @@ def from_dict(user: dict) -> RunConfig:
         branch=stage["branch"],
         steps=int(stage["steps"]),
         batch_size=int(stage["batch_size"]),
-        lr_max=float(stage["lr_max"]),
-        lr_min=float(stage["lr_min"]),
-        head_lr=None if stage["head_lr"] is None else float(stage["head_lr"]),
+        lr_max=lr_max,
+        lr_min=lr_min,
+        head_lr=head_lr,
         schedule=stage["schedule"],
         log_every=int(stage["log_every"]),
         frames_per_scene=min(int(stage["frames_per_scene"]), connector_cfg.slow_frames),
         positions_per_scene=min(int(stage["positions_per_scene"]), connector_cfg.n_positions),
-        grad_clip=float(stage["grad_clip"]),
+        grad_clip=grad_clip,
         init_checkpoint=stage["init_checkpoint"],
         init_slow_checkpoint=stage["init_slow_checkpoint"],
         init_fast_checkpoint=stage["init_fast_checkpoint"],

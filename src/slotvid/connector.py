@@ -18,7 +18,9 @@ regardless of T.
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
 the query transformer in ``baselines``, so both comparators differ only in
-how each group of inputs is aggregated.
+how each group of inputs is aggregated. Every aggregator returns its mask as
+a plain float32 array [sets, tokens, slots]; the branches regroup it to
+[B, sampled frames, H*W, N_s] (slow) and [B, pooled positions, T, N_f] (fast).
 """
 
 from __future__ import annotations
@@ -213,16 +215,15 @@ def _as_batch_value(features) -> Value:
 
 # -- the two-branch frame -----------------------------------------------------------
 # The helpers below take the aggregator as a function of ([B', M, D] inputs,
-# aggregator params) -> (tokens [B', N, slot_dim], masks [B', ...]). The traced
-# entry points pass it by name at call time, so a wrapper installed on the
-# module global sees every call.
+# aggregator params) -> (tokens [B', N, slot_dim], mask [B', M, N]), the mask a
+# plain float32 array. The traced entry points pass it by name at call time,
+# so a wrapper installed on the module global sees every call.
 
 
-def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, Value]:
+def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
     """Sample frames, aggregate each, add the frame embedding and project.
 
-    Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, slow_frames, ...])
-    where the trailing mask axes are the aggregator's own per-frame layout.
+    Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, slow_frames, H*W, N_s]).
     """
     b, t, h, w, d = feats.shape
     idx = uniform_sample_frames(t, cfg.slow_frames)
@@ -234,7 +235,7 @@ def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, agg
     slots = add(slots, broadcast_to(pos, slots.shape))
     tokens = reshape(slots, (b, cfg.n_slow_tokens, cfg.slot_dim))
     tokens = add(matmul(tokens, params.s_proj_w), params.s_proj_b)
-    return tokens, reshape(masks, (b, cfg.slow_frames) + masks.shape[1:])
+    return tokens, masks.reshape((b, cfg.slow_frames) + masks.shape[1:])
 
 
 def pooled_series(feats: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value:
@@ -252,23 +253,23 @@ def pooled_series(feats: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value:
     return reshape(transpose(pooled, (0, 2, 1, 3)), (b * m_d, t, d))
 
 
-def fast_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, Value]:
+def fast_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
     """Aggregate each pooled position's time series and project.
 
-    Returns (tokens [B, positions * N_f, slot_dim], masks [B, positions, ...]).
+    Returns (tokens [B, positions * N_f, slot_dim], masks [B, positions, T, N_f]).
     """
     b = feats.shape[0]
     slots, masks = aggregate(pooled_series(feats, cfg, params.fast_pos), params.fast)
     tokens = reshape(slots, (b, cfg.n_fast_tokens, cfg.slot_dim))
     tokens = add(matmul(tokens, params.f_proj_w), params.f_proj_b)
-    return tokens, reshape(masks, (b, cfg.n_positions) + masks.shape[1:])
+    return tokens, masks.reshape((b, cfg.n_positions) + masks.shape[1:])
 
 
 def join_branches(features, cfg: ConnectorConfig, params: ConnectorParams, branch: str, slow_fn, fast_fn):
     """Run the selected branches, concatenate slow-first and apply the final map.
 
-    Returns (tokens [B, N, out_dim], slow_masks, fast_masks); the masks of a
-    branch that did not run are None.
+    Returns (tokens [B, N, out_dim], slow_masks, fast_masks) with the masks as
+    arrays [B, groups, M, N]; the masks of a branch that did not run are None.
     """
     if branch not in ("slow", "fast", "both"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -286,20 +287,20 @@ def join_branches(features, cfg: ConnectorConfig, params: ConnectorParams, branc
     return add(matmul(joined, params.proj_w), params.proj_b), slow_masks, fast_masks
 
 
-def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
-    """Returns (tokens [B, slow_frames * N_s, slot_dim], attn [B, t, M_s, N_s])."""
+def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
+    """Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, t, M_s, N_s])."""
     return slow_tokens(feats, cfg, params, forward_batch)
 
 
-def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, Value]:
-    """Returns (tokens [B, positions * N_f, slot_dim], attn [B, M_d, T, N_f])."""
+def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
+    """Returns (tokens [B, positions * N_f, slot_dim], masks [B, M_d, T, N_f])."""
     return fast_tokens(feats, cfg, params, forward_batch)
 
 
 def connect_batch(feats, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
-    """Differentiable forward over a batch; returns (tokens, slow_attn, fast_attn).
+    """Differentiable forward over a batch; returns (tokens, slow_masks, fast_masks).
 
     ``branch`` selects slow, fast or both branches; an unused branch's
-    attention is None.
+    masks are None.
     """
     return join_branches(feats, cfg, params, branch, slow_branch_batch, fast_branch_batch)

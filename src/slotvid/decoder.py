@@ -128,10 +128,6 @@ class DecoderParams:
             nonlinearity=nonlinearity,
         )
 
-    @property
-    def n_positions(self) -> int:
-        return self.pos_queries.data.shape[0]
-
     def named(self, prefix: str) -> dict:
         out = {
             f"{prefix}.pos_queries": self.pos_queries,
@@ -173,20 +169,6 @@ def decode_batch(slots: Value, params: DecoderParams, return_attn: bool = False)
     if return_attn:
         return out, attn
     return out
-
-
-def decode(slots, params: DecoderParams, return_attn: bool = False):
-    """Decode one [N, D_slot] slot set into [M, D_out] features."""
-    val = slots if isinstance(slots, Value) else Value(slots)
-    if val.ndim != 2:
-        raise ShapeError("decode expects [N, D_slot] slots")
-    n, d = val.shape
-    res = decode_batch(reshape(val, (1, n, d)), params, return_attn=return_attn)
-    if return_attn:
-        out, attn = res
-        m = params.n_positions
-        return reshape(out, (m, out.shape[-1])), attn.data.reshape(m, n).copy()
-    return reshape(res, (params.n_positions, res.shape[-1]))
 
 
 def recon_loss(predicted: Value, target: Value) -> Value:

@@ -1,9 +1,11 @@
 """Decoupling metrics over attention masks, plus mask rendering and reports.
 
-Masks are read the way the eye reads them: each input token goes to its
-strongest slot (argmax), and the resulting partition is scored against ground
-truth with the adjusted Rand index. Column overlap and row entropy quantify
-how much slots share tokens and how concentrated each token's assignment is.
+A mask is one set's [tokens, slots] weight matrix, a 2-D array sliced from
+an aggregator's [sets, tokens, slots] output. Masks are read the way the eye
+reads them: each input token goes to its strongest slot (argmax), and the
+resulting partition is scored against ground truth with the adjusted Rand
+index. Column overlap and row entropy quantify how much slots share tokens
+and how concentrated each token's assignment is.
 """
 
 from __future__ import annotations
@@ -13,16 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .slot_attention import AttentionMask
-
 
 class MetricsError(Exception):
     """Invalid metric input or unreadable artifact."""
 
 
 def _weights(mask) -> np.ndarray:
-    if isinstance(mask, AttentionMask):
-        return mask.weights
     arr = np.asarray(mask, dtype=np.float32)
     if arr.ndim != 2:
         raise MetricsError("mask must be a [tokens, slots] matrix")
@@ -124,34 +122,24 @@ def parse_pgm(path: str) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
-def _mask_image(mask: AttentionMask, slot: int) -> np.ndarray:
-    column = mask.weights[:, slot]
-    if mask.layout is None:
-        return _quantize(column).reshape(-1, 1)
-    if mask.layout.kind == "spatial":
-        h, w = mask.layout.dims
-        if h * w != column.size:
-            raise MetricsError("spatial layout does not match mask rows")
-        return _quantize(column).reshape(h, w)
-    (t,) = mask.layout.dims
-    if t != column.size:
-        raise MetricsError("temporal layout does not match mask rows")
-    return _quantize(column).reshape(t, 1)
-
-
 def render_masks(masks, out_dir: str) -> list:
     """Write one PGM per slot per mask group plus a plain-text index.
 
-    ``masks`` is a sequence of (branch, group_index, AttentionMask); weight 1
-    maps to pixel 255 (floor quantization). Returns the written file names in
-    index order; the index file itself is ``index.txt``.
+    ``masks`` is a sequence of (branch, group_index, weights [M, N],
+    image_shape), where the image shape lays the M rows out in raster order:
+    (H, W) for a slow frame, (T, 1) for a fast position's time series. Weight
+    1 maps to pixel 255 (floor quantization). Returns the written file names
+    in index order; the index file itself is ``index.txt``.
     """
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    for branch, group, mask in masks:
-        for slot in range(mask.n_slots):
+    for branch, group, mask, image_shape in masks:
+        weights = _weights(mask)
+        if int(np.prod(image_shape)) != weights.shape[0]:
+            raise MetricsError(f"image shape {tuple(image_shape)} does not match {weights.shape[0]} mask rows")
+        for slot in range(weights.shape[1]):
             name = f"{branch}_{group:03d}_slot{slot:02d}.pgm"
-            write_pgm(os.path.join(out_dir, name), _mask_image(mask, slot))
+            write_pgm(os.path.join(out_dir, name), _quantize(weights[:, slot]).reshape(image_shape))
             entries.append((branch, group, slot, name))
     index_path = os.path.join(out_dir, "index.txt")
     with open(index_path, "w", encoding="ascii") as fh:
@@ -161,6 +149,24 @@ def render_masks(masks, out_dir: str) -> list:
 
 
 # -- aggregate reports -------------------------------------------------------------------
+
+
+_REPORT_SCALARS = (
+    "spatial_ari",
+    "temporal_ari",
+    "slot_overlap_slow",
+    "slot_overlap_fast",
+    "mask_entropy_slow",
+    "mask_entropy_fast",
+    "probe_acc",
+)
+
+
+def _number(kind, key: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise MetricsError(f"report value of {key} is not a number: {text!r}") from None
 
 
 @dataclass
@@ -189,16 +195,7 @@ class DecouplingReport:
             f"n_tokens {self.n_tokens}",
             f"scenes {self.scenes}",
         ]
-        scalars = (
-            "spatial_ari",
-            "temporal_ari",
-            "slot_overlap_slow",
-            "slot_overlap_fast",
-            "mask_entropy_slow",
-            "mask_entropy_fast",
-            "probe_acc",
-        )
-        for key in scalars:
+        for key in _REPORT_SCALARS:
             val = getattr(self, key)
             if val is not None:
                 lines.append(f"{key} {val!r}")
@@ -218,24 +215,18 @@ class DecouplingReport:
             if not value:
                 raise MetricsError(f"malformed report line: {line!r}")
             if key.startswith("probe_acc."):
-                per_task[key.split(".", 1)[1]] = float(value)
+                per_task[key.split(".", 1)[1]] = _number(float, key, value)
             else:
                 fields[key] = value
         try:
             return cls(
                 connector=fields["connector"],
-                seed=int(fields["seed"]),
+                seed=_number(int, "seed", fields["seed"]),
                 config_hash=fields["config_hash"],
-                n_tokens=int(fields["n_tokens"]),
-                scenes=int(fields["scenes"]),
-                spatial_ari=float(fields["spatial_ari"]) if "spatial_ari" in fields else None,
-                temporal_ari=float(fields["temporal_ari"]) if "temporal_ari" in fields else None,
-                slot_overlap_slow=float(fields["slot_overlap_slow"]) if "slot_overlap_slow" in fields else None,
-                slot_overlap_fast=float(fields["slot_overlap_fast"]) if "slot_overlap_fast" in fields else None,
-                mask_entropy_slow=float(fields["mask_entropy_slow"]) if "mask_entropy_slow" in fields else None,
-                mask_entropy_fast=float(fields["mask_entropy_fast"]) if "mask_entropy_fast" in fields else None,
-                probe_acc=float(fields["probe_acc"]) if "probe_acc" in fields else None,
+                n_tokens=_number(int, "n_tokens", fields["n_tokens"]),
+                scenes=_number(int, "scenes", fields["scenes"]),
                 probe_acc_per_task=per_task,
+                **{key: _number(float, key, fields[key]) for key in _REPORT_SCALARS if key in fields},
             )
         except KeyError as exc:
             raise MetricsError(f"report missing required key: {exc}") from exc

@@ -2,8 +2,9 @@
 
 Attention logits are normalized over the *slot* axis, so slots compete for
 each token; per-slot weights are then renormalized across tokens before the
-weighted update. The returned mask is the final-iteration competition matrix,
-one row per input token, rows summing to one.
+weighted update. The returned mask is the final-iteration competition matrix
+as a plain float32 array [sets, tokens, slots], the one mask format every
+aggregator returns; each row sums to one.
 
 Inside ``forward_batch`` the slot state of the whole batch is kept as
 [B*N, D_slot] rows, so the query projection, the gated update, the MLP and
@@ -26,8 +27,7 @@ with it to float32 rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,39 +47,6 @@ from .engine import (
 )
 
 ATTN_EPS = 1e-8
-
-
-@dataclass
-class MaskLayout:
-    """Maps mask row indices back to their source: a spatial grid or a time axis."""
-
-    kind: str  # "spatial" | "temporal"
-    dims: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("spatial", "temporal"):
-            raise ValueError(f"unknown layout kind {self.kind!r}")
-
-
-@dataclass
-class AttentionMask:
-    """Token-by-slot weight matrix [M, N] with an optional row layout."""
-
-    weights: np.ndarray
-    layout: Optional[MaskLayout] = None
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float32)
-        if self.weights.ndim != 2:
-            raise ShapeError("attention mask must be [tokens, slots]")
-
-    @property
-    def n_tokens(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_slots(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass
@@ -189,12 +156,12 @@ class SlotAttentionParams:
         return out
 
 
-def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, Value]:
+def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np.ndarray]:
     """Run the iterative competition on a batch of token sets.
 
     ``inputs`` is [B, M, D_in]; returns (slots [B, N, D_slot],
-    attn [B, M, N]) where attn is the final-iteration mask, rows over slots,
-    as a constant (no gradient flows through it).
+    mask [B, M, N]) where the mask is the final-iteration competition, rows
+    over slots, as a plain float32 array (no gradient flows through it).
     """
     if inputs.ndim != 3:
         raise ShapeError("forward_batch expects [B, M, D_in] inputs")
@@ -219,54 +186,5 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, Va
         slots = gru_step(slots, updates, params.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, params.mlp_norm_g, params.mlp_norm_b), params.mlp_w1), params.mlp_b1))
         slots = add(slots, add(matmul(hidden, params.mlp_w2), params.mlp_b2))
-    return reshape(slots, (b, n, d_slot)), Value(mask)
+    return reshape(slots, (b, n, d_slot)), mask
 
-
-def slot_attention_forward(
-    inputs, params: SlotAttentionParams, layout: MaskLayout | None = None
-) -> tuple[Value, AttentionMask]:
-    """Map one token set [M, D_in] to (slots [N, D_slot], AttentionMask)."""
-    val = inputs if isinstance(inputs, Value) else Value(inputs)
-    if val.ndim != 2:
-        raise ShapeError("slot_attention_forward expects [M, D_in] inputs")
-    m, d_in = val.shape
-    if m < 1:
-        raise ShapeError("need at least one input token")
-    slots, attn = forward_batch(reshape(val, (1, m, d_in)), params)
-    n = params.n_slots
-    mask = AttentionMask(attn.data.reshape(m, n).copy(), layout)
-    return reshape(slots, (n, params.d_slot)), mask
-
-
-def permute_slots_check(inputs, params: SlotAttentionParams, perm, tol: float = 1e-5) -> bool:
-    """True iff permuting the slot initializers permutes outputs identically."""
-    perm = np.asarray(perm, dtype=np.intp)
-    n = params.n_slots
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..N-1")
-    with engine.no_grad():
-        base_slots, base_mask = slot_attention_forward(inputs, params)
-        permuted = SlotAttentionParams(
-            slots=Value(params.slots.data[perm].copy()),
-            in_norm_g=params.in_norm_g,
-            in_norm_b=params.in_norm_b,
-            slot_norm_g=params.slot_norm_g,
-            slot_norm_b=params.slot_norm_b,
-            mlp_norm_g=params.mlp_norm_g,
-            mlp_norm_b=params.mlp_norm_b,
-            wq=params.wq,
-            wk=params.wk,
-            wv=params.wv,
-            gru=params.gru,
-            mlp_w1=params.mlp_w1,
-            mlp_b1=params.mlp_b1,
-            mlp_w2=params.mlp_w2,
-            mlp_b2=params.mlp_b2,
-            iterations=params.iterations,
-            eps=params.eps,
-            nonlinearity=params.nonlinearity,
-        )
-        out_slots, out_mask = slot_attention_forward(inputs, permuted)
-    slots_ok = np.allclose(out_slots.data, base_slots.data[perm], atol=tol)
-    mask_ok = np.allclose(out_mask.weights, base_mask.weights[:, perm], atol=tol)
-    return bool(slots_ok and mask_ok)

@@ -8,9 +8,10 @@ under the identical probe protocol. Parameter groups outside the stage's
 trainable set never move; every run is a pure function of its config and
 seed, so checkpoints are bit-reproducible.
 
-Every connector kind runs through one dispatch, ``_connect``. The slot
+Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
-``connector`` and differ only in their aggregator.
+``connector`` and differ only in their aggregator; both return their masks
+as plain arrays [B, groups, tokens, slots], which the metrics read directly.
 """
 
 from __future__ import annotations
@@ -290,11 +291,12 @@ def majority_accuracy(labels: dict) -> float:
 # -- forward paths ----------------------------------------------------------------
 
 
-def _connect(model: Model, feats: Value, branch: str):
+def forward_masks(model: Model, feats: Value, branch: str):
     """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector.
 
-    Masks are graph values in their aggregator's layout, None for a branch
-    that did not run and for the pooling connector.
+    The one forward of probe training, evaluation and mask rendering. Masks
+    are plain arrays [B, groups, M, N]; they are None for a branch that did
+    not run and for the pooling connector.
     """
     cfg = model.rc.connector
     if model.kind == "slot":
@@ -302,24 +304,6 @@ def _connect(model: Model, feats: Value, branch: str):
     if model.kind == "pooling":
         return pooling_connector_batch(feats, model.conn), None, None
     return slowfast_wrap(feats, cfg, model.conn, branch)
-
-
-def _mask_data(mask):
-    # query-transformer masks carry a head axis, [B, groups, heads, M, N]: average it out
-    if mask is None:
-        return None
-    return mask.data.mean(axis=2) if mask.ndim == 5 else mask.data
-
-
-def probe_tokens(model: Model, feats: Value, branch: str) -> Value:
-    """Connector tokens [B, N, D_out] for the probe, honoring the branch mode."""
-    return _connect(model, feats, branch)[0]
-
-
-def forward_masks(model: Model, feats: Value, branch: str):
-    """(tokens, slow_masks, fast_masks) with masks as plain arrays, head-merged."""
-    tokens, slow, fast = _connect(model, feats, branch)
-    return tokens, _mask_data(slow), _mask_data(fast)
 
 
 def _probe_loss(model: Model, tokens: Value, labels: dict):
@@ -450,7 +434,7 @@ def _run_probe_stage(rc: RunConfig, model: Model, branch: str, out_dir, resume, 
         feats_np, labels, _ = _batch(stream, indices)
         lr = _lr_at(stage, step)
         try:
-            tokens = probe_tokens(model, Value(feats_np), branch)
+            tokens, _, _ = forward_masks(model, Value(feats_np), branch)
             loss, accs = _probe_loss(model, tokens, labels)
             zero_grads(train)
             backward(loss)
@@ -547,6 +531,8 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     branch = "both" if rc.connector_kind == "pooling" else rc.stage.branch
     stream = _stream(rc, tag)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
+    if n < 1:
+        raise TrainingError(f"evaluation needs at least one scene, got {n}")
     frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
     heldout = _heldout_indices(stream, n, k_objects)
 

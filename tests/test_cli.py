@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -100,6 +101,35 @@ class TestConfigErrors:
         assert dropped in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("stage", "lr_max", "abc"), ("stage", "lr_min", [1]), ("stage", "head_lr", "fast"),
+        ("stage", "grad_clip", {}), ("data", "sigma", "abc"),
+    ])
+    def test_non_numeric_value_exits_2(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenes", ["0", "-2"])
+    def test_eval_without_scenes_exits_3(self, tmp_path, capsys, scenes):
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--ckpt", str(tmp_path / "a" / "checkpoint.sfsl"),
+                     "--scenes", scenes]) == 3
+        assert "at least one scene" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?"])
+    def test_compare_non_numeric_report_exits_3(self, tmp_path, line):
+        good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\nprobe_acc 0.5\n"
+        key = line.split()[0]
+        bad = "".join(ln + "\n" for ln in good.splitlines() if ln.split()[0] != key) + line + "\n"
+        (tmp_path / "good.txt").write_text(good)
+        (tmp_path / "bad.txt").write_text(bad)
+        assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "good.txt")]) == 0
+        assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]) == 3
+
+
 class TestPipelineCommands:
     def test_full_pipeline_and_compare(self, tmp_path, capsys):
         cfg1 = write_config(tmp_path, name="s1.json")
@@ -180,3 +210,39 @@ class TestViz:
         assert main(["viz", "--config", cfg, "--ckpt",
                      str(tmp_path / "p" / "checkpoint.sfsl"),
                      "--out", str(tmp_path / "v")]) == 3
+
+
+def _files_digest(directory, names):
+    lines = []
+    for name in sorted(names):
+        data = (directory / name).read_bytes()
+        lines.append(f"{name} {hashlib.sha256(data).hexdigest()}\n")
+    return hashlib.sha256("".join(lines).encode("ascii")).hexdigest()[:16]
+
+
+class TestGoldenOutputs:
+    # sha256 of the rendered masks (PGMs and index.txt) and of the eval report
+    # at the tiny config, for a stage-1 slot checkpoint and a trained query
+    # transformer, both read with both branches; mask plumbing changes must
+    # leave every byte in place
+    VIZ = {"slot": "32ec8204ae9411a6", "query_transformer": "b40aa9cca195fc00"}
+    REPORT = {"slot": "fbb429aa6e7c6801", "query_transformer": "6a65fc3cac29d73d"}
+
+    @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
+    def test_viz_and_eval_bytes_unchanged(self, tmp_path, kind):
+        if kind == "slot":
+            cfg = write_config(tmp_path, name="train.json", stage={"branch": "slow"})
+            assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        else:
+            cfg = write_config(tmp_path, name="train.json", connector={"type": kind},
+                               stage={"branch": "both"})
+            assert main(["train-baseline", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        both = write_config(tmp_path, name="both.json", connector={"type": kind},
+                            stage={"branch": "both"})
+        ckpt = str(tmp_path / "run" / "checkpoint.sfsl")
+        assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
+        assert main(["eval", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "eval")]) == 0
+        images = [p.name for p in (tmp_path / "viz").iterdir() if p.name != "effective-config.json"]
+        assert "index.txt" in images
+        assert _files_digest(tmp_path / "viz", images) == self.VIZ[kind]
+        assert _files_digest(tmp_path / "eval", ["report.txt"]) == self.REPORT[kind]

@@ -13,7 +13,7 @@ from slotvid.connector import (
     uniform_sample_frames,
 )
 from slotvid.engine import Value
-from slotvid.slot_attention import slot_attention_forward
+from slotvid.slot_attention import forward_batch
 
 from gradcheck import fd_check
 
@@ -127,7 +127,7 @@ class TestSlowBranch:
         cfg = SMALL
         feats = Value(make_video(5, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
         _, masks = slow_branch_batch(feats, cfg, make_params(5, cfg))
-        np.testing.assert_allclose(masks.data.sum(axis=-1), 1.0, atol=1e-5)
+        np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_single_slot_constant_frame_is_transformed_mean(self):
         cfg = ConnectorConfig(
@@ -137,8 +137,9 @@ class TestSlowBranch:
         )
         params = make_params(6, cfg)
         frame = np.tile(np.array([0.4, -0.2, 0.9], dtype=np.float32), (16, 1))
-        slots, mask = slot_attention_forward(frame, params.slow)
-        np.testing.assert_allclose(mask.weights, 1.0, atol=1e-5)
+        slots, mask = forward_batch(Value(frame[None]), params.slow)
+        slots = Value(slots.data[0])
+        np.testing.assert_allclose(mask, 1.0, atol=1e-5)
         # all value rows are identical, so the update is their (renormalized) mean
         # and the slot equals the gated/MLP transform of that mean
         p = params.slow
@@ -176,7 +177,8 @@ class TestSlowBranch:
         # added per-frame embedding follows the new position
         for i, src in enumerate(perm):
             frame = permuted.grid[i].reshape(16, 4)
-            slots, _ = slot_attention_forward(frame, params.slow)
+            slots, _ = forward_batch(Value(frame[None]), params.slow)
+            slots = Value(slots.data[0])
             with engine.no_grad():
                 expect = engine.add(
                     engine.matmul(
@@ -189,8 +191,8 @@ class TestSlowBranch:
                 tokens_b[i * 2 : (i + 1) * 2], expect.data, atol=1e-5
             )
             orig_frame = video.grid[src].reshape(16, 4)
-            orig_slots, _ = slot_attention_forward(orig_frame, params.slow)
-            np.testing.assert_allclose(slots.data, orig_slots.data, atol=1e-6)
+            orig_slots, _ = forward_batch(Value(orig_frame[None]), params.slow)
+            np.testing.assert_allclose(slots.data, orig_slots.data[0], atol=1e-6)
 
 
 class TestFastBranch:
@@ -200,7 +202,7 @@ class TestFastBranch:
         tokens, masks = fast_branch_batch(feats, cfg, make_params(8, cfg))
         assert tokens.shape == (1, cfg.n_fast_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
-        np.testing.assert_allclose(masks.data.sum(axis=-1), 1.0, atol=1e-5)
+        np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_single_frame_single_slot(self):
         cfg = ConnectorConfig(
@@ -211,7 +213,7 @@ class TestFastBranch:
         params = make_params(9, cfg)
         feats = Value(make_video(9, cfg, frames=1).grid.reshape(1, 1, 4, 4, 3))
         _, masks = fast_branch_batch(feats, cfg, params)
-        np.testing.assert_allclose(masks.data, 1.0, atol=1e-7)
+        np.testing.assert_allclose(masks, 1.0, atol=1e-7)
 
     def test_static_position_has_constant_mask_rows(self):
         cfg = ConnectorConfig(
@@ -225,7 +227,7 @@ class TestFastBranch:
         grid = np.tile(frame, (6, 1, 1, 1))
         feats = Value(grid.reshape(1, 6, 4, 4, 5))
         _, masks = fast_branch_batch(feats, cfg, params)
-        rows = masks.data[0, 0]  # [T, N_f] for the single position
+        rows = masks[0, 0]  # [T, N_f] for the single position
         np.testing.assert_allclose(rows, np.tile(rows[0], (6, 1)), atol=1e-4)
 
     def test_capacity_exceeded_is_explicit(self):
@@ -288,7 +290,7 @@ class TestConnect:
         assert slow.shape == (1, cfg.slow_frames, cfg.grid_h * cfg.grid_w, cfg.slots_per_frame)
         assert fast.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
         for masks in (slow, fast):
-            np.testing.assert_allclose(masks.data.sum(axis=-1), 1.0, atol=1e-5)
+            np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     @pytest.mark.parametrize("branch", ["slow", "fast"])
     def test_single_branch_is_branch_then_proj(self, branch):
@@ -300,7 +302,7 @@ class TestConnect:
         raw, masks = branch_fn(feats, cfg, params)
         expect = engine.add(engine.matmul(raw, params.proj_w), params.proj_b)
         assert np.array_equal(tokens.data, expect.data)
-        assert np.array_equal((slow if branch == "slow" else fast).data, masks.data)
+        assert np.array_equal(slow if branch == "slow" else fast, masks)
         assert (fast if branch == "slow" else slow) is None
 
     def test_proj_applied_after_concat(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slotvid import engine
-from slotvid.decoder import DecoderParams, decode, decode_batch, recon_loss
+from slotvid.decoder import DecoderParams, decode_batch, recon_loss
 from slotvid.engine import Value
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
@@ -54,42 +54,42 @@ class TestDecode:
         p.head_w.data[:] = 0.0
         p.head_b.data[:] = [0.5, -1.0, 2.0]
         rng = engine.rng_for(1, "slots")
-        out = decode(engine.normal(rng, (2, 4)), p)
-        np.testing.assert_allclose(out.data, np.tile([0.5, -1.0, 2.0], (5, 1)), atol=1e-6)
+        out = decode_batch(Value(engine.normal(rng, (3, 2, 4))), p)
+        np.testing.assert_allclose(out.data, np.tile([0.5, -1.0, 2.0], (3, 5, 1)), atol=1e-6)
 
     def test_single_slot_gets_full_attention(self):
         p = make_params(2, n_positions=4, d_slot=4, d_out=3)
         rng = engine.rng_for(2, "slots")
-        _, attn = decode(engine.normal(rng, (1, 4)), p, return_attn=True)
-        np.testing.assert_allclose(attn, 1.0, atol=1e-7)
+        _, attn = decode_batch(Value(engine.normal(rng, (2, 1, 4))), p, return_attn=True)
+        np.testing.assert_allclose(attn.data, 1.0, atol=1e-7)
 
     def test_miniature_matches_scalar_trace(self):
         p = make_params(3, n_positions=2, d_slot=3, d_out=2, n_layers=1)
         rng = engine.rng_for(3, "slots")
         slots = engine.normal(rng, (2, 3))
-        out = decode(slots, p)
-        np.testing.assert_allclose(out.data, _trace_decode(slots, p), atol=1e-5)
+        out = decode_batch(Value(slots[None]), p)
+        np.testing.assert_allclose(out.data[0], _trace_decode(slots, p), atol=1e-5)
 
     def test_two_layer_trace(self):
         p = make_params(4, n_positions=3, d_slot=4, d_out=4, n_layers=2)
         rng = engine.rng_for(4, "slots")
-        slots = engine.normal(rng, (3, 4))
-        out = decode(slots, p)
-        np.testing.assert_allclose(out.data, _trace_decode(slots, p), atol=1e-5)
+        slots = engine.normal(rng, (2, 3, 4))
+        out = decode_batch(Value(slots), p)
+        for i in range(2):
+            np.testing.assert_allclose(out.data[i], _trace_decode(slots[i], p), atol=1e-5)
 
     def test_slot_order_invariance(self):
         p = make_params(5, n_positions=6, d_slot=4, d_out=3)
         rng = engine.rng_for(5, "slots")
         slots = engine.normal(rng, (4, 4))
         perm = engine.rng_for(5, "perm").permutation(4)
-        out_a = decode(slots, p)
-        out_b = decode(slots[perm], p)
-        np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-5)
+        out = decode_batch(Value(np.stack([slots, slots[perm]])), p)
+        np.testing.assert_allclose(out.data[0], out.data[1], atol=1e-5)
 
     def test_shape_mismatch(self):
         p = make_params(6, n_positions=4, d_slot=4, d_out=3)
         with pytest.raises(engine.ShapeError):
-            decode(np.zeros((2, 2, 4), dtype=np.float32), p)
+            decode_batch(Value(np.zeros((2, 4), dtype=np.float32)), p)
 
 
 class TestReconLoss:
@@ -141,12 +141,12 @@ class TestGradientFlow:
     def test_decode_finite_differences(self):
         p = make_params(13, n_positions=3, d_slot=4, d_out=3, n_layers=1)
         rng = engine.rng_for(13, "slots")
-        slots = Value(engine.normal(rng, (2, 4)), requires_grad=True)
-        probe = engine.normal(engine.rng_for(13, "probe"), (3, 3))
+        slots = Value(engine.normal(rng, (1, 2, 4)), requires_grad=True)
+        probe = engine.normal(engine.rng_for(13, "probe"), (1, 3, 3))
         params = [slots, p.pos_queries, p.head_w] + [p.layers[0].wk, p.layers[0].wv, p.layers[0].ff_w1]
 
         def build():
-            return engine.mul(decode(slots, p), probe).mean()
+            return engine.mul(decode_batch(slots, p), probe).mean()
 
         ok, total = fd_check(build, params, engine.rng_for(13, "pick"), coords_per_param=5)
         assert ok / total >= 0.95

@@ -16,7 +16,6 @@ from slotvid.metrics import (
     slot_overlap,
     write_pgm,
 )
-from slotvid.slot_attention import AttentionMask, MaskLayout
 
 
 def pair_ari_oracle(pred, truth):
@@ -146,8 +145,8 @@ class TestMaskEntropy:
 
 class TestRendering:
     def test_uniform_eighth_pixels_are_31(self, tmp_path):
-        mask = AttentionMask(np.full((16, 8), 1.0 / 8.0, dtype=np.float32), MaskLayout("spatial", (4, 4)))
-        names = render_masks([("slow", 0, mask)], str(tmp_path))
+        mask = np.full((16, 8), 1.0 / 8.0, dtype=np.float32)
+        names = render_masks([("slow", 0, mask, (4, 4))], str(tmp_path))
         assert len(names) == 8
         img = parse_pgm(os.path.join(tmp_path, names[0]))
         assert img.shape == (4, 4)
@@ -157,16 +156,14 @@ class TestRendering:
         weights = np.zeros((4, 2), dtype=np.float32)
         weights[:2, 0] = 1.0
         weights[2:, 1] = 1.0
-        mask = AttentionMask(weights, MaskLayout("spatial", (2, 2)))
-        names = render_masks([("slow", 3, mask)], str(tmp_path))
+        names = render_masks([("slow", 3, weights, (2, 2))], str(tmp_path))
         for name in names:
             img = parse_pgm(os.path.join(tmp_path, name))
             assert set(np.unique(img).tolist()) <= {0, 255}
 
     def test_raster_order_matches_grid(self, tmp_path):
         weights = (np.arange(16, dtype=np.float32) / 15.0).reshape(16, 1)
-        mask = AttentionMask(weights, MaskLayout("spatial", (4, 4)))
-        (name,) = render_masks([("slow", 1, mask)], str(tmp_path))
+        (name,) = render_masks([("slow", 1, weights, (4, 4))], str(tmp_path))
         raw = open(os.path.join(tmp_path, name), "rb").read()
         header = f"P5\n4 4\n255\n".encode()
         assert raw.startswith(header)
@@ -177,8 +174,7 @@ class TestRendering:
     def test_round_trip_recovers_quantized_weights(self, tmp_path):
         rng = np.random.default_rng(8)
         weights = rng.random((6, 3)).astype(np.float32)
-        mask = AttentionMask(weights, MaskLayout("temporal", (6,)))
-        names = render_masks([("fast", 2, mask)], str(tmp_path))
+        names = render_masks([("fast", 2, weights, (6, 1))], str(tmp_path))
         for slot, name in enumerate(names):
             img = parse_pgm(os.path.join(tmp_path, name))
             assert img.shape == (6, 1)
@@ -187,8 +183,8 @@ class TestRendering:
 
     def test_index_file_lists_every_image(self, tmp_path):
         masks = [
-            ("slow", 0, AttentionMask(np.full((4, 2), 0.5, dtype=np.float32), MaskLayout("spatial", (2, 2)))),
-            ("fast", 5, AttentionMask(np.full((3, 2), 0.5, dtype=np.float32), MaskLayout("temporal", (3,)))),
+            ("slow", 0, np.full((4, 2), 0.5, dtype=np.float32), (2, 2)),
+            ("fast", 5, np.full((3, 2), 0.5, dtype=np.float32), (3, 1)),
         ]
         names = render_masks(masks, str(tmp_path))
         lines = open(os.path.join(tmp_path, "index.txt")).read().splitlines()
@@ -199,12 +195,19 @@ class TestRendering:
             assert os.path.exists(os.path.join(tmp_path, name))
 
     def test_rendering_is_deterministic(self, tmp_path):
-        mask = AttentionMask(np.full((4, 2), 0.3, dtype=np.float32), MaskLayout("spatial", (2, 2)))
-        a = render_masks([("slow", 0, mask)], str(tmp_path / "a"))
-        b = render_masks([("slow", 0, mask)], str(tmp_path / "b"))
+        mask = np.full((4, 2), 0.3, dtype=np.float32)
+        a = render_masks([("slow", 0, mask, (2, 2))], str(tmp_path / "a"))
+        b = render_masks([("slow", 0, mask, (2, 2))], str(tmp_path / "b"))
         assert a == b
         for name in a:
             assert open(tmp_path / "a" / name, "rb").read() == open(tmp_path / "b" / name, "rb").read()
+
+    def test_image_shape_must_match_rows(self, tmp_path):
+        weights = np.full((4, 2), 0.5, dtype=np.float32)
+        with pytest.raises(MetricsError):
+            render_masks([("slow", 0, weights, (3, 3))], str(tmp_path))
+        with pytest.raises(MetricsError):
+            render_masks([("slow", 0, weights[None], (2, 2))], str(tmp_path))
 
     def test_corrupt_pgm_rejected(self, tmp_path):
         path = tmp_path / "x.pgm"
@@ -260,3 +263,10 @@ class TestReports:
     def test_malformed_report_rejected(self):
         with pytest.raises(MetricsError):
             DecouplingReport.from_text("connector slot\nseed\n")
+
+    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?", "probe_acc.occupancy x", "scenes 2.5"])
+    def test_non_numeric_value_rejected(self, line):
+        key = line.split()[0]
+        lines = [ln for ln in self._report().to_text().splitlines() if ln.split()[0] != key]
+        with pytest.raises(MetricsError, match=key.replace(".", r"\.")):
+            DecouplingReport.from_text("\n".join(lines + [line]) + "\n")

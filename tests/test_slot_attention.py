@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,14 +20,8 @@ from slotvid.engine import (
     softmax_axis,
     transpose,
 )
-from slotvid.slot_attention import (
-    AttentionMask,
-    MaskLayout,
-    SlotAttentionParams,
-    forward_batch,
-    permute_slots_check,
-    slot_attention_forward,
-)
+from slotvid.metrics import MetricsError, hard_assign
+from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
 from gradcheck import fd_check
 
@@ -83,50 +78,61 @@ class TestForward:
     def test_single_slot_mask_all_ones(self):
         p = make_params(1, n_slots=1, d_in=3, d_slot=4, iterations=2)
         rng = engine.rng_for(1, "inputs")
-        _, mask = slot_attention_forward(engine.normal(rng, (6, 3)), p)
-        np.testing.assert_allclose(mask.weights, 1.0, atol=1e-7)
+        _, mask = forward_batch(Value(engine.normal(rng, (2, 6, 3))), p)
+        np.testing.assert_allclose(mask, 1.0, atol=1e-7)
 
     @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
     def test_mask_rows_sum_to_one(self, iterations):
         p = make_params(2, n_slots=5, d_in=4, d_slot=6, iterations=iterations)
         rng = engine.rng_for(2, "inputs", iterations)
-        _, mask = slot_attention_forward(engine.normal(rng, (9, 4)), p)
-        np.testing.assert_allclose(mask.weights.sum(axis=1), 1.0, atol=1e-5)
-        assert mask.weights.min() >= 0.0 and mask.weights.max() <= 1.0
+        _, mask = forward_batch(Value(engine.normal(rng, (2, 9, 4))), p)
+        np.testing.assert_allclose(mask.sum(axis=2), 1.0, atol=1e-5)
+        assert mask.min() >= 0.0 and mask.max() <= 1.0
 
     def test_single_iteration_matches_scalar_trace(self):
         p = make_params(3, n_slots=2, d_in=2, d_slot=2, iterations=1)
         inputs = np.array([[0.9, -0.5], [-0.3, 0.8]], dtype=np.float32)
-        slots, mask = slot_attention_forward(inputs, p)
+        slots, mask = forward_batch(Value(inputs[None]), p)
         want_slots, want_attn = _trace_forward(inputs, p)
-        np.testing.assert_allclose(slots.data, want_slots, atol=1e-5)
-        np.testing.assert_allclose(mask.weights, want_attn, atol=1e-5)
+        np.testing.assert_allclose(slots.data[0], want_slots, atol=1e-5)
+        np.testing.assert_allclose(mask[0], want_attn, atol=1e-5)
 
     def test_multi_iteration_matches_scalar_trace(self):
         p = make_params(4, n_slots=3, d_in=4, d_slot=5, iterations=3)
         rng = engine.rng_for(4, "inputs")
         inputs = engine.normal(rng, (7, 4))
-        slots, mask = slot_attention_forward(inputs, p)
+        slots, mask = forward_batch(Value(inputs[None]), p)
         want_slots, want_attn = _trace_forward(inputs, p)
-        np.testing.assert_allclose(slots.data, want_slots, atol=1e-4)
-        np.testing.assert_allclose(mask.weights, want_attn, atol=1e-4)
+        np.testing.assert_allclose(slots.data[0], want_slots, atol=1e-4)
+        np.testing.assert_allclose(mask[0], want_attn, atol=1e-4)
 
     def test_rejects_bad_rank(self):
         p = make_params(5, n_slots=2, d_in=3, d_slot=4)
         with pytest.raises(engine.ShapeError):
-            slot_attention_forward(np.zeros((2, 2, 3), dtype=np.float32), p)
+            forward_batch(Value(np.zeros((2, 3), dtype=np.float32)), p)
+
+
+def _permutes_with_slots(inputs, p, perm, tol=1e-5) -> bool:
+    """True iff permuting the slot initializers permutes the slots and mask columns alike."""
+    batch = Value(inputs[None])
+    with engine.no_grad():
+        base_slots, base_mask = forward_batch(batch, p)
+        out_slots, out_mask = forward_batch(batch, dataclasses.replace(p, slots=Value(p.slots.data[perm])))
+    slots_ok = np.allclose(out_slots.data, base_slots.data[:, perm], atol=tol)
+    mask_ok = np.allclose(out_mask, base_mask[:, :, perm], atol=tol)
+    return bool(slots_ok and mask_ok)
 
 
 class TestPermutationEquivariance:
     def test_identity_perm(self):
         p = make_params(6, n_slots=4, d_in=3, d_slot=4)
         rng = engine.rng_for(6, "inputs")
-        assert permute_slots_check(engine.normal(rng, (8, 3)), p, [0, 1, 2, 3])
+        assert _permutes_with_slots(engine.normal(rng, (8, 3)), p, [0, 1, 2, 3])
 
     def test_swap_outer_slots(self):
         p = make_params(7, n_slots=3, d_in=3, d_slot=4)
         rng = engine.rng_for(7, "inputs")
-        assert permute_slots_check(engine.normal(rng, (8, 3)), p, [2, 1, 0])
+        assert _permutes_with_slots(engine.normal(rng, (8, 3)), p, [2, 1, 0])
 
     def test_random_pairs(self):
         for i in range(12):
@@ -135,12 +141,7 @@ class TestPermutationEquivariance:
             p = make_params(800 + i, n_slots=n, d_in=3, d_slot=4)
             perm = rng.permutation(n)
             inputs = engine.normal(rng, (int(rng.integers(2, 10)), 3))
-            assert permute_slots_check(inputs, p, perm)
-
-    def test_rejects_non_permutation(self):
-        p = make_params(9, n_slots=3, d_in=3, d_slot=4)
-        with pytest.raises(ValueError):
-            permute_slots_check(np.zeros((2, 3), dtype=np.float32), p, [0, 0, 1])
+            assert _permutes_with_slots(inputs, p, perm)
 
 
 class TestConvexHull:
@@ -151,12 +152,13 @@ class TestConvexHull:
             p.eps = 0.0
             rng = engine.rng_for(40, "hull", i)
             inputs = engine.normal(rng, (10, 4))
-            _, mask = slot_attention_forward(inputs, p)
-            if mask.weights.sum(axis=0).min() <= 1e-6:
+            _, masks = forward_batch(Value(inputs[None]), p)
+            mask = masks[0]
+            if mask.sum(axis=0).min() <= 1e-6:
                 continue
             xn = _ln64(inputs)
             v = xn @ np.asarray(p.wv.data, dtype=np.float64)
-            weights = mask.weights / mask.weights.sum(axis=0, keepdims=True)
+            weights = mask / mask.sum(axis=0, keepdims=True)
             updates = weights.T @ v
             lo, hi = v.min(axis=0), v.max(axis=0)
             assert np.all(updates >= lo - 1e-5) and np.all(updates <= hi + 1e-5)
@@ -168,10 +170,9 @@ class TestSetFunction:
         rng = engine.rng_for(10, "inputs")
         inputs = engine.normal(rng, (9, 4))
         perm = engine.rng_for(10, "perm").permutation(9)
-        slots_a, mask_a = slot_attention_forward(inputs, p)
-        slots_b, mask_b = slot_attention_forward(inputs[perm], p)
-        np.testing.assert_allclose(slots_a.data, slots_b.data, atol=1e-5)
-        np.testing.assert_allclose(mask_a.weights[perm], mask_b.weights, atol=1e-5)
+        slots, mask = forward_batch(Value(np.stack([inputs, inputs[perm]])), p)
+        np.testing.assert_allclose(slots.data[0], slots.data[1], atol=1e-5)
+        np.testing.assert_allclose(mask[0][perm], mask[1], atol=1e-5)
 
 
 class TestGradients:
@@ -200,9 +201,9 @@ class TestBatchedConsistency:
         batch = engine.normal(rng, (4, 6, 3))
         slots_b, attn_b = forward_batch(Value(batch), p)
         for i in range(4):
-            slots_i, mask_i = slot_attention_forward(batch[i], p)
-            np.testing.assert_allclose(slots_b.data[i], slots_i.data, atol=1e-5)
-            np.testing.assert_allclose(attn_b.data[i], mask_i.weights, atol=1e-5)
+            slots_i, mask_i = forward_batch(Value(batch[i : i + 1]), p)
+            np.testing.assert_allclose(slots_b.data[i], slots_i.data[0], atol=1e-5)
+            np.testing.assert_allclose(attn_b[i], mask_i[0], atol=1e-5)
 
 
 def _keys_values_forward(inputs, p):
@@ -224,7 +225,7 @@ def _keys_values_forward(inputs, p):
         slots = gru_step(slots, reshape(updates, (b * n, d)), p.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
         slots = add(slots, add(matmul(hidden, p.mlp_w2), p.mlp_b2))
-    return reshape(slots, (b, n, d)), attn
+    return reshape(slots, (b, n, d)), attn.data
 
 
 class TestInputSpaceRead:
@@ -242,7 +243,7 @@ class TestInputSpaceRead:
             engine.zero_grads(leaves)
             slots, attn = fwd(inputs, p)
             engine.backward(mul(slots, probe).sum())
-            runs.append((slots.data, attn.data, {k: v.grad.copy() for k, v in leaves.items()}))
+            runs.append((slots.data, attn, {k: v.grad.copy() for k, v in leaves.items()}))
         (slots, attn, grads), (want_slots, want_attn, want_grads) = runs
         np.testing.assert_allclose(slots, want_slots, rtol=1e-5, atol=1e-5 * np.abs(want_slots).max())
         np.testing.assert_allclose(attn, want_attn, rtol=1e-5, atol=1e-6)
@@ -258,13 +259,14 @@ class TestInputSpaceRead:
 
 
 class TestMaskTypes:
-    def test_layout_validation(self):
-        with pytest.raises(ValueError):
-            MaskLayout("diagonal", (2, 2))
-
     def test_mask_must_be_2d(self):
-        with pytest.raises(engine.ShapeError):
-            AttentionMask(np.zeros((2, 2, 2)))
+        # forward_batch returns a plain [B, M, N] array; metrics read one set at a time
+        p = make_params(13, n_slots=2, d_in=3, d_slot=4)
+        _, mask = forward_batch(Value(engine.normal(engine.rng_for(13, "inputs"), (2, 5, 3))), p)
+        assert type(mask) is np.ndarray and mask.dtype == np.float32 and mask.shape == (2, 5, 2)
+        assert hard_assign(mask[0]).shape == (5,)
+        with pytest.raises(MetricsError):
+            hard_assign(mask)
 
     def test_initial_slots_distinct(self):
         p = make_params(13, n_slots=8, d_in=3, d_slot=16)

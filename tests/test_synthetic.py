@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from slotvid import engine
-from slotvid.slot_attention import SlotAttentionParams, slot_attention_forward
+from slotvid.engine import Value
+from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.synthetic import (
     SceneError,
     SceneRanges,
@@ -172,10 +173,10 @@ class TestJointInvariants:
         feats, truth = gen_scene(spec)
         params = SlotAttentionParams.create(engine.rng_for(20, "sa"), 3, spec.d, 8)
         frame = feats.grid[0].reshape(-1, spec.d)
-        _, mask = slot_attention_forward(frame, params)
+        _, masks = forward_batch(Value(frame[None]), params)
         labels = truth.object_labels[0].reshape(-1)
         for lab in (0, 1, 2):
-            rows = mask.weights[labels == lab]
+            rows = masks[0][labels == lab]
             assert np.abs(rows - rows[0]).max() < 1e-6
 
     def test_perfect_masks_score_ari_one(self):

@@ -248,12 +248,12 @@ class TestStage3:
         rc = tiny_config()
         model = build_model(rc)
         from slotvid.engine import Value
-        from slotvid.training import probe_tokens, _stream
+        from slotvid.training import forward_masks, _stream
 
         stream = _stream(rc, "train")
         feats = np.stack([stream.scene(i)[1].grid for i in range(2)])
         with engine.no_grad():
-            tokens = probe_tokens(model, Value(feats), "both")
+            tokens, _, _ = forward_masks(model, Value(feats), "both")
         assert tokens.shape[1] == rc.connector.n_tokens
 
 
