@@ -59,6 +59,15 @@ def _require_out(args) -> str:
     return args.out
 
 
+def _non_negative(args, name: str) -> int:
+    value = getattr(args, name)
+    if value < 0:
+        from .config import ConfigError
+
+        raise ConfigError(f"--{name} must be >= 0, got {value}")
+    return value
+
+
 def _load(args):
     from .config import load_config
 
@@ -70,6 +79,7 @@ def _cmd_gen_data(args) -> int:
     from .config import write_effective_config
     from .training import _stream
 
+    count = _non_negative(args, "count")
     rc = _load(args)
     out_dir = _require_out(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -77,7 +87,7 @@ def _cmd_gen_data(args) -> int:
     stream = _stream(rc, args.split)
     import numpy as np
 
-    for i in range(args.count):
+    for i in range(count):
         spec, video, truth = stream.scene(i)
         tensors = {
             "features": video.grid,
@@ -87,7 +97,7 @@ def _cmd_gen_data(args) -> int:
             "meta.k_objects": np.float32(spec.k_objects),
         }
         save_checkpoint(tensors, os.path.join(out_dir, f"scene_{i:05d}.sfsl"))
-    print(f"wrote {args.count} scene containers to {out_dir}")
+    print(f"wrote {count} scene containers to {out_dir}")
     return 0
 
 
@@ -134,6 +144,7 @@ def _cmd_viz(args) -> int:
     from .metrics import render_masks
     from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors
 
+    scene = _non_negative(args, "scene")
     rc = _load(args)
     out_dir = _require_out(args)
     if rc.connector_kind == "pooling":
@@ -141,7 +152,7 @@ def _cmd_viz(args) -> int:
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
     stream = _stream(rc, "heldout")
-    _, video, _ = stream.scene(args.scene)
+    _, video, _ = stream.scene(scene)
     branch = rc.stage.branch
     cfg = rc.connector
     with no_grad():

@@ -4,6 +4,11 @@ Unknown keys anywhere in the document are a hard error, so typos cannot
 silently fall back to defaults. Every run writes the fully materialized
 effective configuration next to its outputs; re-running from that file
 reproduces the run bit-exactly (same seed, same thread cap).
+
+Each field is declared once, with its default, in the dataclass that carries
+it (``ConnectorConfig``, ``DataConfig`` with ``SceneRanges``, ``StageConfig``);
+the defaults document is derived from those, and the dataclasses are built
+back from the validated document.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -35,70 +41,34 @@ _STAGE_LR = {1: 1e-4, 2: 2e-5, 3: 2e-5}
 _STAGE_SCHEDULE = {1: "constant", 2: "cosine", 3: "cosine"}
 
 
-def default_config_dict() -> dict:
-    return {
-        "connector": {
-            "type": "slot",
-            **{f.name: f.default for f in fields(ConnectorConfig)},
-            "qt_layers": 2,
-            "qt_heads": 4,
-        },
-        "data": {
-            "n_train_scenes": 512,
-            "n_heldout_scenes": 50,
-            "k_objects": [2, 4],
-            "k_events": [2, 4],
-            "sigma": 0.05,
-            "n_object_ids": 6,
-            "extent": [3, 5],
-            "align": 1,
-        },
-        "stage": {
-            "stage": 1,
-            "branch": "slow",
-            "steps": None,
-            "batch_size": 8,
-            "lr_max": None,
-            "lr_min": 0.0,
-            "head_lr": None,
-            "schedule": None,
-            "log_every": 50,
-            "frames_per_scene": 2,
-            "positions_per_scene": 4,
-            "grad_clip": 1.0,
-            "init_checkpoint": None,
-            "init_slow_checkpoint": None,
-            "init_fast_checkpoint": None,
-        },
-        "out": None,
-        "seed": 0,
-    }
+@dataclass(frozen=True)
+class StageConfig:
+    """The stage section; a null ``steps``, ``lr_max`` or ``schedule`` takes the stage's default."""
+
+    stage: int = 1
+    branch: str = "slow"
+    steps: int | None = None
+    batch_size: int = 8
+    lr_max: float | None = None
+    lr_min: float = 0.0
+    head_lr: float | None = None
+    schedule: str | None = None
+    log_every: int = 50
+    frames_per_scene: int = 2
+    positions_per_scene: int = 4
+    grad_clip: float = 1.0
+    init_checkpoint: str | None = None
+    init_slow_checkpoint: str | None = None
+    init_fast_checkpoint: str | None = None
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    n_train_scenes: int
-    n_heldout_scenes: int
-    ranges: SceneRanges
+    """The data section: the scene counts here, the sampling ranges in ``SceneRanges``."""
 
-
-@dataclass(frozen=True)
-class StageConfig:
-    stage: int
-    branch: str
-    steps: int
-    batch_size: int
-    lr_max: float
-    lr_min: float
-    head_lr: float | None
-    schedule: str
-    log_every: int
-    frames_per_scene: int
-    positions_per_scene: int
-    grad_clip: float
-    init_checkpoint: str | None
-    init_slow_checkpoint: str | None
-    init_fast_checkpoint: str | None
+    n_train_scenes: int = 512
+    n_heldout_scenes: int = 50
+    ranges: SceneRanges = SceneRanges()
 
 
 @dataclass(frozen=True)
@@ -112,6 +82,22 @@ class RunConfig:
     out: str | None
     seed: int
     effective: dict
+
+
+def _defaults(cls, skip: tuple = ()) -> dict:
+    """The field defaults of a config dataclass as JSON values (tuples become lists)."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
+def default_config_dict() -> dict:
+    return {
+        "connector": {"type": "slot", **_defaults(ConnectorConfig), "qt_layers": 2, "qt_heads": 4},
+        "data": {**_defaults(DataConfig, skip=("ranges",)), **_defaults(SceneRanges)},
+        "stage": _defaults(StageConfig),
+        "out": None,
+        "seed": 0,
+    }
 
 
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
@@ -134,12 +120,27 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_ints(section: dict, where: str, keys) -> None:
+    for key in keys:
+        _require(_is_int(section[key]) and section[key] > 0,
+                 f"{where}.{key} must be a positive integer, got {section[key]!r}")
+
+
 def _number(section: dict, where: str, key: str) -> float:
     """``float`` of a config value, as a ConfigError when it is not a number."""
-    try:
-        return float(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, got {section[key]!r}") from None
+    value = section[key]
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _build(cls, section: dict, **typed):
+    """``cls`` from the section's values of its fields, ``typed`` taking precedence."""
+    return cls(**{f.name: typed[f.name] if f.name in typed else section[f.name] for f in fields(cls)})
 
 
 def from_dict(user: dict) -> RunConfig:
@@ -152,17 +153,16 @@ def from_dict(user: dict) -> RunConfig:
     _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
     _require(conn["nonlinearity"] in NONLINEARITY_NAMES,
              f"connector.nonlinearity must be one of {NONLINEARITY_NAMES}")
-    if conn["mlp_hidden"] is None:
-        conn["mlp_hidden"] = 2 * int(conn["slot_dim"])
+    if conn["mlp_hidden"] is None and _is_int(conn["slot_dim"]):
+        conn["mlp_hidden"] = 2 * conn["slot_dim"]
     # every connector field but the nonlinearity name is a positive integer
     int_keys = [f.name for f in fields(ConnectorConfig) if f.name != "nonlinearity"]
-    for key in int_keys + ["qt_layers", "qt_heads"]:
-        _require(isinstance(conn[key], int) and conn[key] > 0, f"connector.{key} must be a positive integer")
+    _positive_ints(conn, "connector", int_keys + ["qt_layers", "qt_heads"])
     _require(conn["slot_dim"] % conn["qt_heads"] == 0,
              "connector.slot_dim must be divisible by connector.qt_heads")
 
     stage = merged["stage"]
-    _require(stage["stage"] in (1, 2, 3), "stage.stage must be 1, 2 or 3")
+    _require(_is_int(stage["stage"]) and stage["stage"] in (1, 2, 3), "stage.stage must be 1, 2 or 3")
     _require(stage["branch"] in BRANCHES, f"stage.branch must be one of {BRANCHES}")
     if stage["steps"] is None:
         stage["steps"] = _STAGE_STEPS[stage["stage"]]
@@ -171,73 +171,45 @@ def from_dict(user: dict) -> RunConfig:
     if stage["schedule"] is None:
         stage["schedule"] = _STAGE_SCHEDULE[stage["stage"]]
     _require(stage["schedule"] in SCHEDULES, f"stage.schedule must be one of {SCHEDULES}")
-    _require(isinstance(stage["steps"], int) and stage["steps"] >= 0, "stage.steps must be >= 0")
-    for key in ("batch_size", "log_every", "frames_per_scene", "positions_per_scene"):
-        _require(isinstance(stage[key], int) and stage[key] > 0, f"stage.{key} must be a positive integer")
-    lr_max, lr_min, grad_clip = (_number(stage, "stage", key) for key in ("lr_max", "lr_min", "grad_clip"))
-    head_lr = None if stage["head_lr"] is None else _number(stage, "stage", "head_lr")
-    _require(lr_max >= 0.0 and lr_min >= 0.0, "learning rates must be >= 0")
-    _require(head_lr is None or head_lr >= 0.0, "stage.head_lr must be >= 0")
-    _require(grad_clip > 0.0, "stage.grad_clip must be > 0")
+    _require(_is_int(stage["steps"]) and stage["steps"] >= 0, "stage.steps must be an integer >= 0")
+    _positive_ints(stage, "stage", ("batch_size", "log_every", "frames_per_scene", "positions_per_scene"))
+    floats = {key: _number(stage, "stage", key) for key in ("lr_max", "lr_min", "grad_clip")}
+    floats["head_lr"] = None if stage["head_lr"] is None else _number(stage, "stage", "head_lr")
+    _require(floats["lr_max"] >= 0.0 and floats["lr_min"] >= 0.0, "learning rates must be >= 0")
+    _require(floats["head_lr"] is None or floats["head_lr"] >= 0.0, "stage.head_lr must be >= 0")
+    _require(floats["grad_clip"] > 0.0, "stage.grad_clip must be > 0")
 
     data = merged["data"]
-    for key in ("n_train_scenes", "n_heldout_scenes", "n_object_ids", "align"):
-        _require(isinstance(data[key], int) and data[key] > 0, f"data.{key} must be a positive integer")
+    _positive_ints(data, "data", ("n_train_scenes", "n_heldout_scenes", "n_object_ids", "align"))
+    pairs = {}
     for key in ("k_objects", "k_events", "extent"):
         val = data[key]
-        _require(isinstance(val, (list, tuple)) and len(val) == 2, f"data.{key} must be a [lo, hi] pair")
+        _require(isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_int(v) for v in val),
+                 f"data.{key} must be a [lo, hi] pair of integers, got {val!r}")
+        pairs[key] = tuple(val)
     sigma = _number(data, "data", "sigma")
     _require(sigma >= 0.0, "data.sigma must be >= 0")
 
-    _require(isinstance(merged["seed"], int), "seed must be an integer")
+    _require(_is_int(merged["seed"]), "seed must be an integer")
     _require(merged["out"] is None or isinstance(merged["out"], str), "out must be a string path")
 
-    connector_cfg = ConnectorConfig(**{f.name: conn[f.name] for f in fields(ConnectorConfig)})
+    connector_cfg = _build(ConnectorConfig, conn)
+    ranges = _build(SceneRanges, data, sigma=sigma, **pairs)
     try:
         connector_cfg.validate()
-        ranges = SceneRanges(
-            k_objects=tuple(data["k_objects"]),
-            k_events=tuple(data["k_events"]),
-            sigma=sigma,
-            n_object_ids=int(data["n_object_ids"]),
-            extent=tuple(data["extent"]),
-            align=int(data["align"]),
-        )
         ranges.validate()
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-
-    stage_cfg = StageConfig(
-        stage=stage["stage"],
-        branch=stage["branch"],
-        steps=int(stage["steps"]),
-        batch_size=int(stage["batch_size"]),
-        lr_max=lr_max,
-        lr_min=lr_min,
-        head_lr=head_lr,
-        schedule=stage["schedule"],
-        log_every=int(stage["log_every"]),
-        frames_per_scene=min(int(stage["frames_per_scene"]), connector_cfg.slow_frames),
-        positions_per_scene=min(int(stage["positions_per_scene"]), connector_cfg.n_positions),
-        grad_clip=grad_clip,
-        init_checkpoint=stage["init_checkpoint"],
-        init_slow_checkpoint=stage["init_slow_checkpoint"],
-        init_fast_checkpoint=stage["init_fast_checkpoint"],
-    )
-    merged["stage"]["frames_per_scene"] = stage_cfg.frames_per_scene
-    merged["stage"]["positions_per_scene"] = stage_cfg.positions_per_scene
+    stage["frames_per_scene"] = min(stage["frames_per_scene"], connector_cfg.slow_frames)
+    stage["positions_per_scene"] = min(stage["positions_per_scene"], connector_cfg.n_positions)
 
     return RunConfig(
         connector_kind=conn["type"],
         connector=connector_cfg,
         qt_layers=conn["qt_layers"],
         qt_heads=conn["qt_heads"],
-        data=DataConfig(
-            n_train_scenes=data["n_train_scenes"],
-            n_heldout_scenes=data["n_heldout_scenes"],
-            ranges=ranges,
-        ),
-        stage=stage_cfg,
+        data=_build(DataConfig, data, ranges=ranges),
+        stage=_build(StageConfig, stage, **floats),
         out=merged["out"],
         seed=merged["seed"],
         effective=merged,

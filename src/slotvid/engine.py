@@ -119,9 +119,6 @@ class Value:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Value":
-        return Value(self.data.copy())
-
     def zero_grad(self) -> None:
         self._grad = None
 
@@ -250,25 +247,6 @@ def scale(a, c: float) -> Value:
         _send(adj, a, g * c32)
 
     return _node(a.data * c32, (a,), backward)
-
-
-def add_scalar(a, c: float) -> Value:
-    a = _coerce(a)
-
-    def backward(g, adj):
-        _send(adj, a, g)
-
-    return _node(a.data + np.float32(c), (a,), backward)
-
-
-def recip(a) -> Value:
-    a = _coerce(a)
-    out_data = np.float32(1.0) / a.data
-
-    def backward(g, adj):
-        _send(adj, a, -g * out_data * out_data)
-
-    return _node(out_data, (a,), backward)
 
 
 def matmul(a, b) -> Value:

@@ -4,9 +4,14 @@ Stage 1 pretrains one branch's slot attention by reconstructing its own
 inputs with a transformer decoder. Stage 2 loads those weights and tunes the
 branch, its projections and a linear probe on synthetic classification tasks.
 Stage 3 loads both tuned branches and tunes them jointly. Baselines train
-under the identical probe protocol. Parameter groups outside the stage's
-trainable set never move; every run is a pure function of its config and
-seed, so checkpoints are bit-reproducible.
+under the identical probe protocol. Every run is a pure function of its
+config and seed, so checkpoints are bit-reproducible.
+
+Every trainer runs the one step loop ``_train`` and supplies only its
+per-step loss. The loop owns resume, the lr schedule, the divergence error,
+the log and the final checkpoint. Each step updates the stage's trainable
+group (``trainable_names``) with exactly one ``adam_update`` call, and any
+other tensor that moves during the stage is a ``TrainingError``.
 
 Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
@@ -17,6 +22,7 @@ as plain arrays [B, groups, tokens, slots], which the metrics read directly.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,36 +147,27 @@ def build_model(rc: RunConfig) -> Model:
     return Model(rc.connector_kind, rc, conn, dec_slow, dec_fast, probe)
 
 
+# each slot branch's group in stages 2 and 3: its slot attention, positional
+# table and projection, which stage 3 takes from that branch's stage-2
+# checkpoint; both stages also tune the shared projection and the probe
+_BRANCH_GROUPS = {"slow": ("slow.", "slow_pos", "s_proj."), "fast": ("fast.", "fast_pos", "f_proj.")}
+_SHARED_GROUP = ("proj.", "probe.")
+
+
 def trainable_names(model: Model, stage: StageConfig) -> list[str]:
     """Stage-dependent trainable parameter group; everything else stays frozen."""
     names = list(model.named().keys())
     if model.kind != "slot":
         return names  # baselines: aggregator + projection + probe under one budget
-    if stage.stage == 1:
-        if stage.branch == "slow":
-            keep = lambda n: n.startswith("slow.") or n.startswith("dec_slow.")
-        elif stage.branch == "fast":
-            keep = lambda n: n.startswith("fast.") or n.startswith("dec_fast.")
-        else:
-            raise TrainingError("stage 1 trains one branch at a time")
-        return [n for n in names if keep(n)]
-    shared = {"proj.w", "proj.b"}
-    slow_group = {"slow_pos", "s_proj.w", "s_proj.b"}
-    fast_group = {"fast_pos", "f_proj.w", "f_proj.b"}
-    if stage.stage == 2 and stage.branch == "slow":
-        allowed = slow_group | shared
-        keep = lambda n: n.startswith("slow.") or n.startswith("probe.") or n in allowed
-    elif stage.stage == 2 and stage.branch == "fast":
-        allowed = fast_group | shared
-        keep = lambda n: n.startswith("fast.") or n.startswith("probe.") or n in allowed
+    if stage.stage == 1 and stage.branch in _BRANCH_GROUPS:
+        keep = (f"{stage.branch}.", f"dec_{stage.branch}.")
+    elif stage.stage == 2 and stage.branch in _BRANCH_GROUPS:
+        keep = _BRANCH_GROUPS[stage.branch] + _SHARED_GROUP
     elif stage.stage == 3:
-        allowed = slow_group | fast_group | shared
-        keep = lambda n: (
-            n.startswith("slow.") or n.startswith("fast.") or n.startswith("probe.") or n in allowed
-        )
+        keep = _BRANCH_GROUPS["slow"] + _BRANCH_GROUPS["fast"] + _SHARED_GROUP
     else:
         raise TrainingError(f"unsupported stage/branch combination {stage.stage}/{stage.branch}")
-    return [n for n in names if keep(n)]
+    return [n for n in names if n.startswith(keep)]
 
 
 # -- checkpoint plumbing ----------------------------------------------------------------
@@ -201,12 +198,15 @@ def _meta_scalar(tensors: dict, key: str, default: float) -> float:
     return float(np.asarray(tensors[key]).reshape(-1)[0])
 
 
-def load_model_tensors(model: Model, tensors: dict) -> None:
-    """Strict full-state load: every model tensor must be present with its shape."""
+def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> None:
+    """Strict load of every model tensor whose name starts with one of ``prefixes``
+    (all of them by default): each must be present with its shape."""
     kind_code = _meta_scalar(tensors, "meta.connector", -1.0)
     if kind_code >= 0.0 and kind_code != _KIND_CODES[model.kind]:
         raise CheckpointError("checkpoint was written by a different connector kind")
     for name, val in model.named().items():
+        if not name.startswith(prefixes):
+            continue
         if name not in tensors:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         arr = tensors[name]
@@ -215,17 +215,6 @@ def load_model_tensors(model: Model, tensors: dict) -> None:
                 f"shape mismatch for {name!r}: checkpoint {arr.shape} vs model {val.data.shape}"
             )
         val.data = np.ascontiguousarray(arr, dtype=np.float32).copy()
-
-
-def load_group(model: Model, tensors: dict, prefixes: tuple, exact: tuple = ()) -> None:
-    for name, val in model.named().items():
-        if name.startswith(prefixes) or name in exact:
-            if name not in tensors:
-                raise CheckpointError(f"checkpoint missing tensor {name!r}")
-            arr = tensors[name]
-            if tuple(arr.shape) != tuple(val.data.shape):
-                raise CheckpointError(f"shape mismatch for {name!r}")
-            val.data = np.ascontiguousarray(arr, dtype=np.float32).copy()
 
 
 def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
@@ -306,51 +295,91 @@ def forward_masks(model: Model, feats: Value, branch: str):
     return slowfast_wrap(feats, cfg, model.conn, branch)
 
 
-def _probe_loss(model: Model, tokens: Value, labels: dict):
-    pooled = tokens.mean(axis=1)
-    losses = []
-    accs = {}
-    for task in TASKS:
-        logits = model.probe.logits(pooled, task)
-        losses.append(engine.cross_entropy(logits, labels[task]))
-        accs[task] = float((np.argmax(logits.data, axis=1) == labels[task]).mean())
-    total = losses[0]
-    for extra in losses[1:]:
-        total = engine.add(total, extra)
-    return engine.scale(total, 1.0 / len(losses)), accs
+# -- training ----------------------------------------------------------------
 
 
-# -- training loops ----------------------------------------------------------------
+def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resume: str | None,
+           step_loss: Callable[[int, tuple], tuple[Value, dict]]) -> dict:
+    """The one step loop of every trainer.
 
+    ``step_loss(step, batch)`` builds the step's scalar loss from the batch
+    ``(features, labels, truths)`` and returns it with the extra fields of the
+    step's log record. Each step zeroes, back-propagates and clips the
+    gradients of the stage's trainable group, then makes exactly one
+    ``adam_update`` call; every other tensor must end the stage bit-identical.
+    """
+    stage = rc.stage
+    named = model.named()
+    train_names = trainable_names(model, stage)
+    train = {n: named[n] for n in train_names}
+    adam = AdamState(lr=stage.lr_max)
+    start = 0
+    if resume is not None:
+        tensors = load_checkpoint(resume)
+        load_model_tensors(model, tensors)
+        _load_adam(tensors, adam, train_names)
+        start = int(_meta_scalar(tensors, "meta.step", 0.0))
+    frozen = {n: v.data.copy() for n, v in named.items() if n not in train}
+    # the probe head may learn at its own rate: it stands in for the frozen
+    # LLM reader, which is not part of the connector's tuning recipe
+    lr_overrides = (
+        None if stage.head_lr is None
+        else {n: stage.head_lr for n in train_names if n.startswith("probe.")}
+    )
 
-def _write_records(out_dir: str | None, records: list, append: bool) -> None:
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "train-log.txt"), "a" if append else "w", encoding="ascii") as fh:
-        for rec in records:
-            fields = " ".join(f"{k}={rec[k]:.8g}" if isinstance(rec[k], float) else f"{k}={rec[k]}"
-                              for k in rec)
-            fh.write(fields + "\n")
+    stream = _stream(rc, "train")
+    records = []
+    for step in range(start, stage.steps):
+        indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
+                   for j in range(stage.batch_size)]
+        lr = _lr_at(stage, step)
+        try:
+            loss, fields = step_loss(step, _batch(stream, indices))
+            zero_grads(train)
+            backward(loss)
+            clip_global_norm(train, stage.grad_clip)
+            adam_update(train, adam, lr=lr, lr_overrides=lr_overrides)
+        except engine.NonFiniteError as exc:
+            raise TrainingError(f"training diverged at step {step}: {exc}") from exc
+        if step % stage.log_every == 0 or step == stage.steps - 1:
+            records.append({"step": step, "lr": lr, "loss": float(loss.item()), **fields})
+    for name, before in frozen.items():
+        if not np.array_equal(before, named[name].data):
+            raise TrainingError(f"frozen parameter {name!r} moved during stage {stage_no}")
 
-
-def _finish(model, adam, step, stage, out_dir, records, resumed):
-    # a resumed run's records start at the resume step: keep the earlier ones
-    _write_records(out_dir, records, append=resumed)
     ckpt_path = None
     if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        # a resumed run's records start at the resume step: keep the earlier ones
+        mode = "w" if resume is None else "a"
+        with open(os.path.join(out_dir, "train-log.txt"), mode, encoding="ascii") as fh:
+            for rec in records:
+                fh.write(" ".join(f"{k}={v:.8g}" if isinstance(v, float) else f"{k}={v}"
+                                  for k, v in rec.items()) + "\n")
         ckpt_path = os.path.join(out_dir, "checkpoint.sfsl")
-        save_model(ckpt_path, model, adam, step, stage)
+        save_model(ckpt_path, model, adam, stage.steps, stage_no)
     return {"checkpoint": ckpt_path, "records": records, "model": model}
 
 
-def _resume_if_requested(model, adam, trainable, resume):
-    if resume is None:
-        return 0
-    tensors = load_checkpoint(resume)
-    load_model_tensors(model, tensors)
-    _load_adam(tensors, adam, trainable)
-    return int(_meta_scalar(tensors, "meta.step", 0.0))
+def _probe_step(model: Model, branch: str):
+    """Step loss of the probe protocol: the mean over tasks of each head's
+    cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
+
+    def step_loss(step, batch):
+        feats_np, labels, _ = batch
+        tokens, _, _ = forward_masks(model, Value(feats_np), branch)
+        pooled = tokens.mean(axis=1)
+        losses, accs = [], []
+        for task in TASKS:
+            logits = model.probe.logits(pooled, task)
+            losses.append(engine.cross_entropy(logits, labels[task]))
+            accs.append(float((np.argmax(logits.data, axis=1) == labels[task]).mean()))
+        total = losses[0]
+        for extra in losses[1:]:
+            total = engine.add(total, extra)
+        return engine.scale(total, 1.0 / len(losses)), {"acc": float(np.mean(accs))}
+
+    return step_loss
 
 
 def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -362,20 +391,11 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
     cfg = rc.connector
     model = build_model(rc)
-    named = model.named()
-    train_names = trainable_names(model, stage)
-    train = {n: named[n] for n in train_names}
-    adam = AdamState(lr=stage.lr_max)
-    start = _resume_if_requested(model, adam, train_names, resume)
-
-    stream = _stream(rc, "train")
     frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
-    records = []
     m_s = cfg.grid_h * cfg.grid_w
-    for step in range(start, stage.steps):
-        indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
-                   for j in range(stage.batch_size)]
-        feats_np, _, _ = _batch(stream, indices)
+
+    def step_loss(step, batch):
+        feats_np = batch[0]
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
         if stage.branch == "slow":
             chunks = []
@@ -393,66 +413,11 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
                 rows.append(b * cfg.n_positions + sel)
             inputs_np = series[np.concatenate(rows)]  # [B*p, T, D]
             sa, dec = model.conn.fast, model.dec_fast
+        inputs = Value(inputs_np)
+        slots, _ = forward_batch(inputs, sa)
+        return recon_loss(decode_batch(slots, dec), inputs), {}
 
-        lr = _lr_at(stage, step)
-        try:
-            inputs = Value(inputs_np)
-            slots, _ = forward_batch(inputs, sa)
-            loss = recon_loss(decode_batch(slots, dec), inputs)
-            zero_grads(train)
-            backward(loss)
-            clip_global_norm(train, stage.grad_clip)
-            adam_update(train, adam, lr=lr)
-        except engine.NonFiniteError as exc:
-            raise TrainingError(f"training diverged at step {step}: {exc}") from exc
-        if step % stage.log_every == 0 or step == stage.steps - 1:
-            records.append({"step": step, "lr": lr, "loss": float(loss.item())})
-    return _finish(model, adam, stage.steps, 1, out_dir, records, resume is not None)
-
-
-def _run_probe_stage(rc: RunConfig, model: Model, branch: str, out_dir, resume, stage_no) -> dict:
-    stage = rc.stage
-    named = model.named()
-    train_names = trainable_names(model, stage)
-    train = {n: named[n] for n in train_names}
-    adam = AdamState(lr=stage.lr_max)
-    start = _resume_if_requested(model, adam, train_names, resume)
-    frozen = {n: named[n].data.copy() for n in named if n not in set(train_names)}
-    # the probe head may learn at its own rate: it stands in for the frozen
-    # LLM reader, which is not part of the connector's tuning recipe
-    head_lr = stage.head_lr
-    lr_overrides = (
-        None if head_lr is None
-        else {n: head_lr for n in train_names if n.startswith("probe.")}
-    )
-
-    stream = _stream(rc, "train")
-    records = []
-    for step in range(start, stage.steps):
-        indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
-                   for j in range(stage.batch_size)]
-        feats_np, labels, _ = _batch(stream, indices)
-        lr = _lr_at(stage, step)
-        try:
-            tokens, _, _ = forward_masks(model, Value(feats_np), branch)
-            loss, accs = _probe_loss(model, tokens, labels)
-            zero_grads(train)
-            backward(loss)
-            clip_global_norm(train, stage.grad_clip)
-            adam_update(train, adam, lr=lr, lr_overrides=lr_overrides)
-        except engine.NonFiniteError as exc:
-            raise TrainingError(f"training diverged at step {step}: {exc}") from exc
-        if step % stage.log_every == 0 or step == stage.steps - 1:
-            records.append({
-                "step": step,
-                "lr": lr,
-                "loss": float(loss.item()),
-                "acc": float(np.mean(list(accs.values()))),
-            })
-    for name, before in frozen.items():
-        if not np.array_equal(before, named[name].data):
-            raise TrainingError(f"frozen parameter {name!r} moved during stage {stage_no}")
-    return _finish(model, adam, stage.steps, stage_no, out_dir, records, resume is not None)
+    return _train(rc, model, 1, out_dir, resume, step_loss)
 
 
 def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -467,7 +432,7 @@ def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         if stage.init_checkpoint is None:
             raise TrainingError("stage 2 needs stage.init_checkpoint (a stage-1 checkpoint)")
         load_model_tensors(model, load_checkpoint(stage.init_checkpoint))
-    return _run_probe_stage(rc, model, stage.branch, out_dir, resume, 2)
+    return _train(rc, model, 2, out_dir, resume, _probe_step(model, stage.branch))
 
 
 def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -479,14 +444,13 @@ def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
     if resume is None:
         if stage.init_slow_checkpoint is None or stage.init_fast_checkpoint is None:
             raise TrainingError("stage 3 needs init_slow_checkpoint and init_fast_checkpoint")
-        slow_state = load_checkpoint(stage.init_slow_checkpoint)
-        fast_state = load_checkpoint(stage.init_fast_checkpoint)
-        load_group(model, slow_state, ("slow.", "dec_slow."), ("slow_pos", "s_proj.w", "s_proj.b"))
-        load_group(model, fast_state, ("fast.", "dec_fast."), ("fast_pos", "f_proj.w", "f_proj.b"))
-        # the shared projection and probe exist in both inputs; the slow-branch
-        # checkpoint is the designated donor
-        load_group(model, slow_state, ("probe.",), ("proj.w", "proj.b"))
-    return _run_probe_stage(rc, model, "both", out_dir, resume, 3)
+        # each branch comes from its own stage-2 run; the shared projection and
+        # probe exist in both, and the slow-branch checkpoint is the designated donor
+        load_model_tensors(model, load_checkpoint(stage.init_slow_checkpoint),
+                           _BRANCH_GROUPS["slow"] + ("dec_slow.",) + _SHARED_GROUP)
+        load_model_tensors(model, load_checkpoint(stage.init_fast_checkpoint),
+                           _BRANCH_GROUPS["fast"] + ("dec_fast.",))
+    return _train(rc, model, 3, out_dir, resume, _probe_step(model, "both"))
 
 
 def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -497,7 +461,7 @@ def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None =
     model = build_model(rc)
     if resume is None and rc.stage.init_checkpoint is not None:
         load_model_tensors(model, load_checkpoint(rc.stage.init_checkpoint))
-    return _run_probe_stage(rc, model, branch, out_dir, resume, rc.stage.stage)
+    return _train(rc, model, rc.stage.stage, out_dir, resume, _probe_step(model, branch))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -536,12 +500,14 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
     heldout = _heldout_indices(stream, n, k_objects)
 
-    spatial_aris = []
-    temporal_aris = []
-    overlap_slow = []
-    overlap_fast = []
-    entropy_slow = []
-    entropy_fast = []
+    # each branch's masks are scored against its own ground truth: the object
+    # map of each sampled frame (slow) or the event segments of each pooled
+    # position (fast)
+    truth_of = {
+        "slow": lambda truth, i: truth.object_labels[frame_idx[i]].reshape(-1),
+        "fast": lambda truth, k: truth.segment_labels[k],
+    }
+    scores = {br: {"ari": [], "overlap": [], "entropy": []} for br in truth_of}
     task_hits = {task: 0 for task in TASKS}
     n_tokens = None
 
@@ -556,28 +522,21 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
                 logits = model.probe.logits(pooled, task)
                 task_hits[task] += int((np.argmax(logits.data, axis=1) == labels[task]).sum())
         n_tokens = tokens.data.shape[1]
-        for b, (spec, truth) in enumerate(truths):
-            if slow_masks is not None:
-                per_frame_ari = []
-                for i in range(cfg.slow_frames):
-                    mask = slow_masks[b, i]
-                    labels_frame = truth.object_labels[frame_idx[i]].reshape(-1)
-                    per_frame_ari.append(ari(hard_assign(mask), labels_frame))
+        for br, masks in (("slow", slow_masks), ("fast", fast_masks)):
+            if masks is None:
+                continue
+            score = scores[br]
+            for (_, truth), set_masks in zip(truths, masks):
+                per_set_ari = []
+                for i, mask in enumerate(set_masks):
+                    per_set_ari.append(ari(hard_assign(mask), truth_of[br](truth, i)))
                     if mask.shape[1] >= 2:
-                        overlap_slow.append(slot_overlap(mask))
-                    entropy_slow.append(mask_entropy(mask))
-                spatial_aris.append(float(np.mean(per_frame_ari)))
-            if fast_masks is not None:
-                per_pos_ari = []
-                for k in range(cfg.n_positions):
-                    mask = fast_masks[b, k]
-                    per_pos_ari.append(ari(hard_assign(mask), truth.segment_labels[k]))
-                    if mask.shape[1] >= 2:
-                        overlap_fast.append(slot_overlap(mask))
-                    entropy_fast.append(mask_entropy(mask))
-                temporal_aris.append(float(np.mean(per_pos_ari)))
+                        score["overlap"].append(slot_overlap(mask))
+                    score["entropy"].append(mask_entropy(mask))
+                score["ari"].append(float(np.mean(per_set_ari)))
 
-    def mean_opt(vals):
+    def mean_opt(br, key):
+        vals = scores[br][key]
         return float(np.mean(vals)) if vals else None
 
     per_task = {task: task_hits[task] / n for task in TASKS}
@@ -587,12 +546,12 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
         config_hash=config_hash(rc),
         n_tokens=int(n_tokens),
         scenes=n,
-        spatial_ari=mean_opt(spatial_aris),
-        temporal_ari=mean_opt(temporal_aris),
-        slot_overlap_slow=mean_opt(overlap_slow),
-        slot_overlap_fast=mean_opt(overlap_fast),
-        mask_entropy_slow=mean_opt(entropy_slow),
-        mask_entropy_fast=mean_opt(entropy_fast),
+        spatial_ari=mean_opt("slow", "ari"),
+        temporal_ari=mean_opt("fast", "ari"),
+        slot_overlap_slow=mean_opt("slow", "overlap"),
+        slot_overlap_fast=mean_opt("fast", "overlap"),
+        mask_entropy_slow=mean_opt("slow", "entropy"),
+        mask_entropy_fast=mean_opt("fast", "entropy"),
         probe_acc=float(np.mean(list(per_task.values()))),
         probe_acc_per_task=per_task,
     )

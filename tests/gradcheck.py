@@ -1,4 +1,4 @@
-"""Central finite-difference gradient checking shared by the test modules."""
+"""Central finite-difference gradient checking and reference-only ops, shared by the test modules."""
 
 import numpy as np
 
@@ -44,3 +44,14 @@ def fd_check(build, params, rng, coords_per_param=6, h=1e-3, rtol=1e-3, floor=5e
                 ok += 1
             total += 1
     return ok, total
+
+
+def recip(a):
+    """``1 / a`` as one graph node. The composite references of the fused
+    attention read need it; the library computes it inside the fused op."""
+    out = np.float32(1.0) / a.data
+
+    def backward(g, adj):
+        engine._send(adj, a, -g * out * out)
+
+    return engine._node(out, (a,), backward)

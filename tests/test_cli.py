@@ -101,14 +101,31 @@ class TestConfigErrors:
         assert dropped in capsys.readouterr().err
 
 
+    # what each non-float field must be; a numeric string or a boolean would
+    # run like the number but hash differently, so both are refused everywhere
+    MUST_BE = {"stage": "1, 2 or 3", "steps": "an integer >= 0", "k_objects": "a [lo, hi] pair of integers",
+               "k_events": "a [lo, hi] pair of integers", "extent": "a [lo, hi] pair of integers",
+               "batch_size": "a positive integer", "log_every": "a positive integer",
+               "n_train_scenes": "a positive integer", "slot_dim": "a positive integer",
+               "qt_heads": "a positive integer", None: "an integer"}
+
     @pytest.mark.parametrize("section,key,value", [
         ("stage", "lr_max", "abc"), ("stage", "lr_min", [1]), ("stage", "head_lr", "fast"),
         ("stage", "grad_clip", {}), ("data", "sigma", "abc"),
+        ("stage", "lr_max", "0.001"), ("stage", "lr_max", True), ("stage", "head_lr", True),
+        ("data", "sigma", False), ("stage", "stage", True), ("stage", "steps", "3"),
+        ("stage", "batch_size", True), ("stage", "log_every", 2.0), ("data", "n_train_scenes", "6"),
+        ("data", "k_objects", [2, 4.5]), ("data", "k_events", ["2", 2]), ("data", "extent", [True, 2]),
+        ("connector", "slot_dim", "8"), ("connector", "qt_heads", True),
+        ("seed", None, True), ("seed", None, "11"),
     ])
     def test_non_numeric_value_exits_2(self, tmp_path, capsys, section, key, value):
-        cfg = write_config(tmp_path, **{section: {key: value}})
+        # key None: the value replaces the whole top-level field
+        cfg = write_config(tmp_path, **{section: value if key is None else {key: value}})
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert f"{section}.{key} must be a number" in capsys.readouterr().err
+        where = section if key is None else f"{section}.{key}"
+        assert f"{where} must be {self.MUST_BE.get(key, 'a number')}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("scenes", ["0", "-2"])
     def test_eval_without_scenes_exits_3(self, tmp_path, capsys, scenes):
@@ -189,6 +206,18 @@ class TestGenData:
         assert tensors["segment_labels"].shape == (4, 6)
 
 
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "-2"]) == 2
+        assert "--count must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_zero_count_writes_no_scenes(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "0"]) == 0
+        assert os.listdir(tmp_path / "data") == ["effective-config.json"]
+
+
 class TestViz:
     def test_renders_masks_with_index(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -203,6 +232,15 @@ class TestViz:
         first = index[0].split()
         img = parse_pgm(str(tmp_path / "viz" / first[3]))
         assert img.shape == (4, 4)
+
+    def test_negative_scene_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        capsys.readouterr()
+        assert main(["viz", "--config", cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl"),
+                     "--scene", "-1", "--out", str(tmp_path / "viz")]) == 2
+        assert "--scene must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "viz").exists()
 
     def test_pooling_has_no_masks(self, tmp_path):
         cfg = write_config(tmp_path, connector={"type": "pooling"})
@@ -220,6 +258,29 @@ def _files_digest(directory, names):
     return hashlib.sha256("".join(lines).encode("ascii")).hexdigest()[:16]
 
 
+def _train_outputs(root):
+    """Run every trainer at the tiny config; digest of each run's checkpoint and log."""
+    def run(name, command, **sections):
+        cfg = write_config(root, name=f"{name}.json", **sections)
+        assert main([command, "--config", cfg, "--out", str(root / name)]) == 0
+        return str(root / name / "checkpoint.sfsl")
+
+    s1 = {b: run(f"stage1-{b}", "pretrain", stage={"branch": b}) for b in ("slow", "fast")}
+    s2 = {b: run(f"stage2-{b}", "tune", stage={"stage": 2, "branch": b, "schedule": "cosine",
+                                              "init_checkpoint": s1[b]}) for b in ("slow", "fast")}
+    run("stage3", "joint", stage={"stage": 3, "branch": "both", "schedule": "cosine", "head_lr": 1e-2,
+                                  "init_slow_checkpoint": s2["slow"], "init_fast_checkpoint": s2["fast"]})
+    run("qt-both", "train-baseline", connector={"type": "query_transformer"}, stage={"branch": "both"})
+    run("pooling", "train-baseline", connector={"type": "pooling"})
+    return {p.name: _files_digest(p, ["checkpoint.sfsl", "train-log.txt"])
+            for p in root.iterdir() if p.is_dir()}
+
+
+@pytest.fixture(scope="module")
+def train_digests(tmp_path_factory):
+    return _train_outputs(tmp_path_factory.mktemp("golden-train"))
+
+
 class TestGoldenOutputs:
     # sha256 of the rendered masks (PGMs and index.txt) and of the eval report
     # at the tiny config, for a stage-1 slot checkpoint and a trained query
@@ -227,6 +288,16 @@ class TestGoldenOutputs:
     # leave every byte in place
     VIZ = {"slot": "32ec8204ae9411a6", "query_transformer": "b40aa9cca195fc00"}
     REPORT = {"slot": "fbb429aa6e7c6801", "query_transformer": "6a65fc3cac29d73d"}
+    # sha256 of checkpoint.sfsl and train-log.txt for every trainer at the
+    # tiny config; the step loop's bookkeeping must leave every byte in place
+    TRAIN = {"stage1-slow": "89643aceb0a6d313", "stage1-fast": "225e1b74db0a27b4",
+             "stage2-slow": "439bdb9802be1175", "stage2-fast": "c58f0f29cbecc284",
+             "stage3": "22130b2155103368", "qt-both": "6bad0e9a8ace6e0e",
+             "pooling": "588749a13ad1e388"}
+
+    @pytest.mark.parametrize("run", list(TRAIN))
+    def test_training_bytes_unchanged(self, train_digests, run):
+        assert train_digests[run] == self.TRAIN[run]
 
     @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
     def test_viz_and_eval_bytes_unchanged(self, tmp_path, kind):

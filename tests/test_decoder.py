@@ -134,7 +134,7 @@ class TestGradientFlow:
         rng = engine.rng_for(11, "x")
         x = Value(engine.normal(rng, (1, 5, 4)))
         slots, _ = forward_batch(x, sa)
-        loss = recon_loss(decode_batch(slots, dec), x.detach())
+        loss = recon_loss(decode_batch(slots, dec), x)
         engine.backward(loss)
         assert float(np.abs(sa.slots.grad).max()) > 0.0
 

@@ -17,21 +17,20 @@ from slotvid.engine import (
     ShapeError,
     Value,
     add,
-    add_scalar,
     broadcast_to,
     gru_step,
     matmul,
     mul,
-    recip,
     scale,
     sigmoid,
     slot_attention_step,
     softmax_axis,
+    sub,
     tanh,
     transpose,
 )
 
-from gradcheck import fd_check
+from gradcheck import fd_check, recip
 
 RTOL = 1e-5
 ATOL = 1e-6
@@ -42,7 +41,7 @@ def reference_gru(h, x, p):
     z = sigmoid(add(add(matmul(x, p.wz), matmul(h, p.uz)), p.bz))
     r = sigmoid(add(add(matmul(x, p.wr), matmul(h, p.ur)), p.br))
     cand = tanh(add(add(matmul(x, p.wh), matmul(mul(r, h), p.uh)), p.bh))
-    return add(mul(add_scalar(scale(z, -1.0), 1.0), h), mul(z, cand))
+    return add(mul(sub(1.0, z), h), mul(z, cand))
 
 
 def reference_attention_step(x, q, temp, eps):
@@ -51,7 +50,7 @@ def reference_attention_step(x, q, temp, eps):
     logits = scale(matmul(x, transpose(q, (0, 2, 1))), temp)
     attn = softmax_axis(logits, axis=2)
     col_sums = matmul(np.ones((1, x.shape[1]), dtype=np.float32), attn)
-    weights = mul(attn, broadcast_to(recip(add_scalar(col_sums, eps)), attn.shape))
+    weights = mul(attn, broadcast_to(recip(add(col_sums, np.float32(eps))), attn.shape))
     return matmul(transpose(weights, (0, 2, 1)), x), attn
 
 

@@ -8,13 +8,11 @@ from slotvid import engine
 from slotvid.engine import (
     Value,
     add,
-    add_scalar,
     broadcast_to,
     gru_step,
     layer_norm,
     matmul,
     mul,
-    recip,
     reshape,
     scale,
     softmax_axis,
@@ -23,7 +21,7 @@ from slotvid.engine import (
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check
+from gradcheck import fd_check, recip
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
@@ -220,7 +218,7 @@ def _keys_values_forward(inputs, p):
     for _ in range(p.iterations):
         q = reshape(matmul(layer_norm(slots, p.slot_norm_g, p.slot_norm_b), p.wq), (b, n, p.d_att))
         attn = softmax_axis(scale(matmul(k, transpose(q, (0, 2, 1))), temp), axis=2)
-        col = recip(add_scalar(attn.sum(axis=1, keepdims=True), p.eps))
+        col = recip(add(attn.sum(axis=1, keepdims=True), np.float32(p.eps)))
         updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
         slots = gru_step(slots, reshape(updates, (b * n, d)), p.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))

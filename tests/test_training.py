@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from slotvid import engine
+from slotvid import engine, training
 from slotvid.checkpoint import load_checkpoint
 from slotvid.config import from_dict
 from slotvid.training import (
@@ -22,6 +22,7 @@ from slotvid.training import (
     run_stage1,
     run_stage2,
     run_stage3,
+    save_model,
     trainable_names,
 )
 
@@ -331,3 +332,68 @@ class TestDivergenceSignal:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="step"):
                 run_stage1(rc, out_dir=str(tmp_path))
+
+
+RUNNERS = ["stage1-slow", "stage1-fast", "stage2", "stage3", "query_transformer", "pooling"]
+
+
+def runner_case(name, tmp_path):
+    """(runner, config) of one trainer at the tiny config; stages 2 and 3 start from a fresh model."""
+    if name.startswith("stage1-"):
+        return run_stage1, tiny_config(stage={"branch": name[len("stage1-"):]})
+    if name in ("query_transformer", "pooling"):
+        return run_baseline, tiny_config(connector={"type": name}, stage={"branch": "both"})
+    init = str(tmp_path / "init.sfsl")
+    save_model(init, build_model(tiny_config()), None, 0, 1)
+    if name == "stage2":
+        return run_stage2, tiny_config(stage={"stage": 2, "branch": "fast", "init_checkpoint": init})
+    return run_stage3, tiny_config(stage={"stage": 3, "branch": "both", "head_lr": 1e-2,
+                                          "init_slow_checkpoint": init, "init_fast_checkpoint": init})
+
+
+class TestLoopContract:
+    """Every trainer runs the one step loop: one ``training.adam_update`` per step
+    (the benchmark times steps through that module global), and a stage that
+    moves a tensor outside its trainable group fails."""
+
+    @pytest.mark.parametrize("name", RUNNERS)
+    def test_one_adam_update_per_step(self, tmp_path, monkeypatch, name):
+        runner, rc = runner_case(name, tmp_path)
+        calls = []
+        update = training.adam_update
+
+        def counting(params, state, **kwargs):
+            calls.append(sorted(params))
+            return update(params, state, **kwargs)
+
+        monkeypatch.setattr(training, "adam_update", counting)
+        result = runner(rc, out_dir=str(tmp_path / "run"))
+        assert len(calls) == rc.stage.steps
+        assert all(names == sorted(trainable_names(result["model"], rc.stage)) for names in calls)
+
+    @pytest.mark.parametrize("name", RUNNERS)
+    def test_moving_frozen_tensor_fails(self, tmp_path, monkeypatch, name):
+        runner, rc = runner_case(name, tmp_path)
+        models, nudged = [], []
+        build, update = training.build_model, training.adam_update
+
+        def capturing(cfg):
+            models.append(build(cfg))
+            return models[-1]
+
+        def nudging(params, state, **kwargs):
+            update(params, state, **kwargs)
+            frozen = [n for n in models[0].named() if n not in params]
+            if frozen:  # the comparators train every tensor: nothing is frozen
+                models[0].named()[frozen[0]].data += np.float32(1e-3)
+                nudged.append(frozen[0])
+
+        monkeypatch.setattr(training, "build_model", capturing)
+        monkeypatch.setattr(training, "adam_update", nudging)
+        if rc.connector_kind != "slot":
+            runner(rc, out_dir=str(tmp_path / "run"))
+            assert not nudged
+            return
+        with pytest.raises(TrainingError, match="frozen parameter") as exc:
+            runner(rc, out_dir=str(tmp_path / "run"))
+        assert repr(nudged[0]) in str(exc.value)
