@@ -8,6 +8,29 @@ mask is the last cross-attention averaged over heads, returned like slot
 attention's as a plain float32 array [sets, inputs, queries]; columns, not
 rows, sum to one.
 
+Inside ``query_transformer_batch`` the query state of the whole batch is kept
+as [B*N_q, D_q] rows, so the layer norms, the query, self-attention and
+output projections and the feed-forward each run as one 2-D GEMM or row op
+over all queries; only the self-attention and the cross-attention read see
+the [B, N_q, ...] set structure.
+
+The cross-attention read works in input space, with two folds per layer and
+call. Head h's key weights fold into its query weights, ``wqk_h = wq_h
+wk_h^T`` [D_q, D_in], so the logits ``(q wq_h)(x wk_h)^T`` are evaluated as
+``(q wqk_h) x^T``: the heads become N_q*h query rows over the raw [B, M, D_in]
+inputs, logits [B, N_q*h, M], softmax over the inputs, then the read
+``attn x``. The value and output weights fold after the read, ``wvo_h = wv_h
+wo_h`` [D_in, D_q], so ``sum_h (attn_h x wv_h) wo_h`` is one GEMM of the
+[B*N_q, h*D_in] read rows against the stacked ``wvo`` [h*D_in, D_q]. No
+per-token keys or values [B, M, D_q] are ever built, and the inputs receive
+one adjoint per layer instead of a key and a value adjoint. Per token the
+fold costs ``h*N_q*D_in`` multiply-adds against ``D_q*(D_in + N_q)`` for the
+keys, values, logits and read of the unfolded form, so it pays while
+``h*N_q*D_in < D_q*(D_in + N_q)``: 4*8*32 = 1024 against 64*40 = 2560 by
+default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config. The
+parameters and their checkpoint names are those of the keys-and-values form;
+values agree with it to float32 rounding.
+
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
 ``join_branches``): the same frame sampling, pooling, temporal embeddings and
@@ -177,14 +200,22 @@ class QueryTransformerParams:
         return out
 
 
-def _split_heads(x: Value, n_heads: int) -> Value:
-    b, n, d = x.shape
-    return transpose(reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+def _head_blocks(w: Value, heads: int) -> Value:
+    """[D, heads*dh] weight columns as per-head blocks [heads, D, dh]."""
+    d, width = w.shape
+    return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
+
+
+def _split_heads(rows: Value, b: int, heads: int) -> Value:
+    """[B*N, heads*dh] rows as [B, heads, N, dh]."""
+    bn, d = rows.shape
+    return transpose(reshape(rows, (b, bn // b, heads, d // heads)), (0, 2, 1, 3))
 
 
 def _merge_heads(x: Value) -> Value:
+    """[B, heads, N, dh] as [B*N, heads*dh] rows."""
     b, h, n, dh = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, n, h * dh))
+    return reshape(transpose(x, (0, 2, 1, 3)), (b * n, h * dh))
 
 
 def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tuple[Value, np.ndarray]:
@@ -194,39 +225,46 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     layer's cross attention averaged over heads and transposed to
     input-by-query, as a plain float32 array: each column is one query's
     softmax distribution over the inputs and sums to one; rows do not.
+
+    The query state runs as [B*N_q, D_q] rows. Per layer, ``wqk = [wq_h
+    wk_h^T]_h`` [D_q, h*D_in] turns the heads into N_q*h query rows over the
+    raw inputs, and ``wvo = [wv_h wo_h]_h`` [h*D_in, D_q] maps the read rows
+    back, so no [B, M, D_q] keys or values exist. This pays while
+    ``h*N_q*D_in < D_q*(D_in + N_q)`` (see the module docstring).
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
-    b, m, _ = inputs.shape
+    b, m, d_in = inputs.shape
     nq, dq = params.queries.data.shape
     heads = params.n_heads
     dh = dq // heads
     temp = np.float32(1.0 / np.sqrt(dh))
     nonlin = engine.NONLINEARITIES[params.nonlinearity]
+    inputs_t = transpose(inputs, (0, 2, 1))  # [B, D_in, M]
 
-    x = broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq))
+    x = reshape(broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq)), (b * nq, dq))
     cross = None
     for layer in params.layers:
-        q = _split_heads(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), layer.wq), heads)
-        k = _split_heads(matmul(inputs, layer.wk), heads)
-        v = _split_heads(matmul(inputs, layer.wv), heads)
-        logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), temp)  # [B, h, Nq, M]
-        cross = softmax_axis(logits, axis=3)  # one distribution over inputs per query
-        ctx = _merge_heads(matmul(cross, v))
-        x = add(x, add(matmul(ctx, layer.wo), layer.bo))
+        wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
+        wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
+        q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), wqk), (b, nq * heads, d_in))
+        cross = softmax_axis(scale(matmul(q, inputs_t), temp), axis=2)  # [B, N_q*h, M]
+        read = reshape(matmul(cross, inputs), (b * nq, heads * d_in))
+        wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
+        x = add(x, add(matmul(read, wvo), layer.bo))
 
         xs = layer_norm(x, layer.ln_s_g, layer.ln_s_b)
-        sq = _split_heads(matmul(xs, layer.s_wq), heads)
-        sk = _split_heads(matmul(xs, layer.s_wk), heads)
-        sv = _split_heads(matmul(xs, layer.s_wv), heads)
-        s_logits = scale(matmul(sq, transpose(sk, (0, 1, 3, 2))), temp)
-        s_attn = softmax_axis(s_logits, axis=3)
+        sq = _split_heads(matmul(xs, layer.s_wq), b, heads)
+        sk = _split_heads(matmul(xs, layer.s_wk), b, heads)
+        sv = _split_heads(matmul(xs, layer.s_wv), b, heads)
+        s_attn = softmax_axis(scale(matmul(sq, transpose(sk, (0, 1, 3, 2))), temp), axis=3)
         x = add(x, add(matmul(_merge_heads(matmul(s_attn, sv)), layer.s_wo), layer.s_bo))
 
         hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
         x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
 
-    return x, cross.data.mean(axis=1).transpose(0, 2, 1)  # head mean, [B, M, Nq]
+    mask = cross.data.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
+    return reshape(x, (b, nq, dq)), mask
 
 
 # -- slot-parity wrapper --------------------------------------------------------------

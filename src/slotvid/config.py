@@ -178,6 +178,9 @@ def from_dict(user: dict) -> RunConfig:
     _require(floats["lr_max"] >= 0.0 and floats["lr_min"] >= 0.0, "learning rates must be >= 0")
     _require(floats["head_lr"] is None or floats["head_lr"] >= 0.0, "stage.head_lr must be >= 0")
     _require(floats["grad_clip"] > 0.0, "stage.grad_clip must be > 0")
+    for key in ("init_checkpoint", "init_slow_checkpoint", "init_fast_checkpoint"):
+        _require(stage[key] is None or isinstance(stage[key], str),
+                 f"stage.{key} must be a string path or null, got {stage[key]!r}")
 
     data = merged["data"]
     _positive_ints(data, "data", ("n_train_scenes", "n_heldout_scenes", "n_object_ids", "align"))

@@ -382,10 +382,17 @@ def _probe_step(model: Model, branch: str):
     return step_loss
 
 
+def _require_stage(rc: RunConfig, stage_no: int) -> None:
+    """Each runner trains its own stage's group: ``trainable_names`` keys off ``stage.stage``."""
+    if rc.connector_kind != "slot":
+        raise TrainingError(f"stage {stage_no} applies to the slot connector")
+    if rc.stage.stage != stage_no:
+        raise TrainingError(f"stage.stage is {rc.stage.stage}, but this runner trains stage {stage_no}")
+
+
 def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Feature-reconstruction pretraining of one branch's slot attention."""
-    if rc.connector_kind != "slot":
-        raise TrainingError("stage 1 applies to the slot connector")
+    _require_stage(rc, 1)
     stage = rc.stage
     if stage.branch not in ("slow", "fast"):
         raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
@@ -422,8 +429,7 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
 
 def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Single-branch probe tuning, warm-started from a stage-1 checkpoint."""
-    if rc.connector_kind != "slot":
-        raise TrainingError("stage 2 applies to the slot connector")
+    _require_stage(rc, 2)
     stage = rc.stage
     if stage.branch not in ("slow", "fast"):
         raise TrainingError("stage 2 tunes one branch: set stage.branch to slow or fast")
@@ -437,8 +443,7 @@ def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
 
 def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Joint two-branch tuning from the two stage-2 checkpoints."""
-    if rc.connector_kind != "slot":
-        raise TrainingError("stage 3 applies to the slot connector")
+    _require_stage(rc, 3)
     stage = rc.stage
     model = build_model(rc)
     if resume is None:

@@ -15,7 +15,18 @@ from slotvid.baselines import (
 )
 from slotvid.config import from_dict
 from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch
-from slotvid.engine import Value
+from slotvid.engine import (
+    Value,
+    add,
+    broadcast_to,
+    layer_norm,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    softmax_axis,
+    transpose,
+)
 from slotvid.slot_attention import forward_batch
 from slotvid.training import build_model, forward_masks
 
@@ -168,6 +179,102 @@ class TestQueryTransformer:
         assert slow.shape == (1, 2, 16, 2) and fast.shape == (1, 4, 4, 2)
         np.testing.assert_allclose(slow.sum(axis=2), 1.0, atol=1e-5)
         np.testing.assert_allclose(fast.sum(axis=2), 1.0, atol=1e-5)
+
+
+def _keys_values_query_transformer(inputs, p):
+    """``query_transformer_batch`` with explicit [B, M, D_q] keys ``x wk`` and values ``x wv``,
+    and the query state as [B, N_q, D_q] sets."""
+    b, m, _ = inputs.shape
+    nq, dq = p.queries.data.shape
+    heads = p.n_heads
+    temp = np.float32(1.0 / np.sqrt(dq // heads))
+    nonlin = engine.NONLINEARITIES[p.nonlinearity]
+
+    def split(x):
+        n = x.shape[1]
+        return transpose(reshape(x, (b, n, heads, dq // heads)), (0, 2, 1, 3))
+
+    def merge(x):
+        return reshape(transpose(x, (0, 2, 1, 3)), (b, x.shape[2], dq))
+
+    def attend(q, k, v):
+        attn = softmax_axis(scale(matmul(q, transpose(k, (0, 1, 3, 2))), temp), axis=3)
+        return merge(matmul(attn, v)), attn
+
+    x = broadcast_to(reshape(p.queries, (1, nq, dq)), (b, nq, dq))
+    cross = None
+    for layer in p.layers:
+        q = split(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), layer.wq))
+        ctx, cross = attend(q, split(matmul(inputs, layer.wk)), split(matmul(inputs, layer.wv)))
+        x = add(x, add(matmul(ctx, layer.wo), layer.bo))
+        xs = layer_norm(x, layer.ln_s_g, layer.ln_s_b)
+        ctx, _ = attend(split(matmul(xs, layer.s_wq)), split(matmul(xs, layer.s_wk)), split(matmul(xs, layer.s_wv)))
+        x = add(x, add(matmul(ctx, layer.s_wo), layer.s_bo))
+        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
+        x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
+    return x, cross.data.mean(axis=1).transpose(0, 2, 1)
+
+
+class TestInputSpaceRead:
+    """The folded read of the raw inputs against explicit keys and values: the
+    default slow and fast branch shapes, and the tiny config (2 heads, dh 4)."""
+
+    # (sets, inputs, D_in, queries, D_q, heads)
+    SHAPES = {"slow": (64, 256, 32, 8, 64, 4), "fast": (128, 32, 32, 8, 64, 4), "tiny": (8, 16, 8, 2, 8, 2)}
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_matches_keys_values_formulation(self, name):
+        b, m, d_in, nq, dq, heads = self.SHAPES[name]
+        rng = engine.rng_for(15, "qt-input-space", name)
+        p = QueryTransformerParams.create(rng, nq, d_in, dq, n_layers=2, n_heads=heads)
+        # inputs take gradients, as the fast branch's do through fast_pos
+        inputs = Value(engine.normal(rng, (b, m, d_in)), requires_grad=True)
+        probe = engine.normal(rng, (b, nq, dq))
+        leaves = dict(p.named("qt"), inputs=inputs)
+        runs = []
+        for fwd in (query_transformer_batch, _keys_values_query_transformer):
+            engine.zero_grads(leaves)
+            tokens, mask = fwd(inputs, p)
+            engine.backward(mul(tokens, probe).sum())
+            runs.append((tokens.data, mask, {k: v.grad.copy() for k, v in leaves.items()}))
+        (tokens, mask, grads), (want_tokens, want_mask, want_grads) = runs
+        assert mask.dtype == np.float32 and mask.shape == want_mask.shape == (b, m, nq)
+        np.testing.assert_allclose(tokens, want_tokens, rtol=1e-5, atol=1e-5 * np.abs(want_tokens).max())
+        np.testing.assert_allclose(mask, want_mask, rtol=1e-5, atol=1e-5 * np.abs(want_mask).max())
+        for name, want in want_grads.items():
+            np.testing.assert_allclose(grads[name], want, rtol=1e-5, atol=1e-5 * np.abs(want).max(), err_msg=name)
+
+
+def _graph(root):
+    """Every node of the record behind ``root``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestRowsLayout:
+    def test_no_per_token_keys_values_or_set_shaped_weight_products(self):
+        # default slow branch: 64 frames of 256 tokens, 8 queries of width 64, 4 heads
+        b, m, d_in, nq, dq, heads = 64, 256, 32, 8, 64, 4
+        rng = engine.rng_for(16, "qt-layout")
+        p = QueryTransformerParams.create(rng, nq, d_in, dq, n_layers=2, n_heads=heads)
+        tokens, _ = query_transformer_batch(Value(engine.normal(rng, (b, m, d_in)), requires_grad=True), p)
+        nodes = _graph(tokens)
+        shapes = {n.shape for n in nodes}
+        assert (b, m, dq) not in shapes  # per-token keys or values
+        assert (b, heads, m, dq // heads) not in shapes  # ... split into heads
+        matmuls = [n for n in nodes if n._backward is not None
+                   and n._backward.__qualname__.startswith("matmul.")]
+        assert matmuls
+        for node in matmuls:
+            a, w = node._parents
+            if w.ndim == 2:  # a weight, or a folded weight: the other side must be [B*N_q, .] rows
+                assert a.ndim == 2, f"{a.shape} @ {w.shape}"
+            assert not (a.ndim == 3 and a.shape[:2] == (b, nq)), f"{a.shape} @ {w.shape}"
 
 
 class TestNormalizationDirections:
