@@ -29,7 +29,8 @@ keys, values, logits and read of the unfolded form, so it pays while
 ``h*N_q*D_in < D_q*(D_in + N_q)``: 4*8*32 = 1024 against 64*40 = 2560 by
 default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config. The
 parameters and their checkpoint names are those of the keys-and-values form;
-values agree with it to float32 rounding.
+values agree with it to float32 rounding. The cross-attention block is
+``decoder.cross_attention``, which the stage-1 decoder runs with one head.
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
@@ -46,17 +47,23 @@ import numpy as np
 
 from . import engine
 from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
+from .decoder import cross_attention
 from .engine import (
     ShapeError,
     Value,
     add,
     broadcast_to,
     layer_norm,
+    linear_param,
     matmul,
+    normal_param,
+    ones_param,
     reshape,
+    residual_mlp,
     scale,
     softmax_axis,
     transpose,
+    zeros_param,
 )
 
 
@@ -71,8 +78,8 @@ class PoolingParams:
     @classmethod
     def create(cls, rng: np.random.Generator, cfg: ConnectorConfig) -> "PoolingParams":
         return cls(
-            proj_w=Value(engine.linear_init(rng, cfg.feat_dim, cfg.out_dim), requires_grad=True),
-            proj_b=Value(np.zeros(cfg.out_dim, dtype=np.float32), requires_grad=True),
+            proj_w=linear_param(rng, cfg.feat_dim, cfg.out_dim),
+            proj_b=zeros_param(cfg.out_dim),
         )
 
     def named(self) -> dict:
@@ -153,57 +160,33 @@ class QueryTransformerParams:
             raise ValueError("need at least one query")
         if d_q % n_heads:
             raise ValueError(f"query width {d_q} not divisible by {n_heads} heads")
-
-        def ones(d):
-            return Value(np.ones(d, dtype=np.float32), requires_grad=True)
-
-        def zeros(d):
-            return Value(np.zeros(d, dtype=np.float32), requires_grad=True)
-
-        def lin(fi, fo):
-            return Value(engine.linear_init(rng, fi, fo), requires_grad=True)
-
-        layers = []
-        for _ in range(n_layers):
-            layers.append(
-                QTLayerParams(
-                    ln_q_g=ones(d_q), ln_q_b=zeros(d_q),
-                    wq=lin(d_q, d_q), wk=lin(d_in, d_q), wv=lin(d_in, d_q),
-                    wo=lin(d_q, d_q), bo=zeros(d_q),
-                    ln_s_g=ones(d_q), ln_s_b=zeros(d_q),
-                    s_wq=lin(d_q, d_q), s_wk=lin(d_q, d_q), s_wv=lin(d_q, d_q),
-                    s_wo=lin(d_q, d_q), s_bo=zeros(d_q),
-                    ln_f_g=ones(d_q), ln_f_b=zeros(d_q),
-                    ff_w1=lin(d_q, 2 * d_q), ff_b1=zeros(2 * d_q),
-                    ff_w2=lin(2 * d_q, d_q), ff_b2=zeros(d_q),
-                )
+        d = d_q
+        layers = [
+            QTLayerParams(
+                ln_q_g=ones_param(d), ln_q_b=zeros_param(d),
+                wq=linear_param(rng, d, d), wk=linear_param(rng, d_in, d), wv=linear_param(rng, d_in, d),
+                wo=linear_param(rng, d, d), bo=zeros_param(d),
+                ln_s_g=ones_param(d), ln_s_b=zeros_param(d),
+                s_wq=linear_param(rng, d, d), s_wk=linear_param(rng, d, d), s_wv=linear_param(rng, d, d),
+                s_wo=linear_param(rng, d, d), s_bo=zeros_param(d),
+                ln_f_g=ones_param(d), ln_f_b=zeros_param(d),
+                ff_w1=linear_param(rng, d, 2 * d), ff_b1=zeros_param(2 * d),
+                ff_w2=linear_param(rng, 2 * d, d), ff_b2=zeros_param(d),
             )
+            for _ in range(n_layers)
+        ]
         return cls(
-            queries=Value(engine.normal(rng, (n_queries, d_q), std=0.5), requires_grad=True),
+            queries=normal_param(rng, (n_queries, d), 0.5),
             layers=layers,
             n_heads=n_heads,
             nonlinearity=nonlinearity,
         )
-
-    @property
-    def n_queries(self) -> int:
-        return self.queries.data.shape[0]
-
-    @property
-    def d_q(self) -> int:
-        return self.queries.data.shape[1]
 
     def named(self, prefix: str) -> dict:
         out = {f"{prefix}.queries": self.queries}
         for i, layer in enumerate(self.layers):
             out.update(layer.named(f"{prefix}.layer{i}"))
         return out
-
-
-def _head_blocks(w: Value, heads: int) -> Value:
-    """[D, heads*dh] weight columns as per-head blocks [heads, D, dh]."""
-    d, width = w.shape
-    return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
 
 
 def _split_heads(rows: Value, b: int, heads: int) -> Value:
@@ -234,7 +217,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
-    b, m, d_in = inputs.shape
+    b, m, _ = inputs.shape
     nq, dq = params.queries.data.shape
     heads = params.n_heads
     dh = dq // heads
@@ -245,13 +228,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     x = reshape(broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq)), (b * nq, dq))
     cross = None
     for layer in params.layers:
-        wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
-        wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
-        q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), wqk), (b, nq * heads, d_in))
-        cross = softmax_axis(scale(matmul(q, inputs_t), temp), axis=2)  # [B, N_q*h, M]
-        read = reshape(matmul(cross, inputs), (b * nq, heads * d_in))
-        wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
-        x = add(x, add(matmul(read, wvo), layer.bo))
+        x, cross = cross_attention(x, inputs, inputs_t, layer, heads)
 
         xs = layer_norm(x, layer.ln_s_g, layer.ln_s_b)
         sq = _split_heads(matmul(xs, layer.s_wq), b, heads)
@@ -260,8 +237,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
         s_attn = softmax_axis(scale(matmul(sq, transpose(sk, (0, 1, 3, 2))), temp), axis=3)
         x = add(x, add(matmul(_merge_heads(matmul(s_attn, sv)), layer.s_wo), layer.s_bo))
 
-        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
-        x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
 
     mask = cross.data.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
     return reshape(x, (b, nq, dq)), mask

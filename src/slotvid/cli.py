@@ -107,10 +107,10 @@ def _cmd_train(args, runner_name: str) -> int:
 
     rc = _load(args)
     out_dir = _require_out(args)
-    os.makedirs(out_dir, exist_ok=True)
-    write_effective_config(rc, out_dir)
     runner = getattr(training, runner_name)
     result = runner(rc, out_dir=out_dir, resume=args.resume)
+    # written once the run has succeeded, so a refused run leaves no directory
+    write_effective_config(rc, out_dir)
     last = result["records"][-1] if result["records"] else None
     if last is not None:
         tail = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in last.items())

@@ -156,24 +156,18 @@ class ConnectorParams:
     def create(cls, rng: np.random.Generator, cfg: ConnectorConfig, **aggregator_kw) -> "ConnectorParams":
         cfg.validate()
 
-        def lin(fi, fo):
-            return Value(engine.linear_init(rng, fi, fo), requires_grad=True)
-
-        def zeros(d):
-            return Value(np.zeros(d, dtype=np.float32), requires_grad=True)
-
         slow, fast = cls.create_aggregators(rng, cfg, **aggregator_kw)
         return cls(
             slow=slow,
             fast=fast,
-            slow_pos=Value(engine.normal(rng, (cfg.slow_frames, cfg.slot_dim), std=0.02), requires_grad=True),
-            fast_pos=Value(engine.normal(rng, (cfg.max_frames, cfg.feat_dim), std=0.02), requires_grad=True),
-            s_proj_w=lin(cfg.slot_dim, cfg.slot_dim),
-            s_proj_b=zeros(cfg.slot_dim),
-            f_proj_w=lin(cfg.slot_dim, cfg.slot_dim),
-            f_proj_b=zeros(cfg.slot_dim),
-            proj_w=lin(cfg.slot_dim, cfg.out_dim),
-            proj_b=zeros(cfg.out_dim),
+            slow_pos=engine.normal_param(rng, (cfg.slow_frames, cfg.slot_dim), 0.02),
+            fast_pos=engine.normal_param(rng, (cfg.max_frames, cfg.feat_dim), 0.02),
+            s_proj_w=engine.linear_param(rng, cfg.slot_dim, cfg.slot_dim),
+            s_proj_b=engine.zeros_param(cfg.slot_dim),
+            f_proj_w=engine.linear_param(rng, cfg.slot_dim, cfg.slot_dim),
+            f_proj_b=engine.zeros_param(cfg.slot_dim),
+            proj_w=engine.linear_param(rng, cfg.slot_dim, cfg.out_dim),
+            proj_b=engine.zeros_param(cfg.out_dim),
         )
 
     def named(self) -> dict:

@@ -1,9 +1,24 @@
 """Transformer decoder that reconstructs token features from a slot set.
 
 Non-autoregressive: one learned query per output position cross-attends to
-the slots through a stack of pre-norm attention + feed-forward blocks, then an
-affine head maps back to the feature width. Decoding is invariant to slot
-order because the slots enter only as an unordered key/value set.
+the normalized slots through a stack of pre-norm attention + feed-forward
+blocks, then an affine head maps back to the feature width. Decoding is
+invariant to slot order because the slots enter only as an unordered set.
+
+The attention block is ``cross_attention``, shared with the query transformer
+in ``baselines``; the decoder runs it with one head. The position queries of
+the whole batch are [B*M, D_dec] rows, so every weight product, layer norm
+and the head is one 2-D GEMM or row op; only the logits and the read see the
+[B, ...] sets, and one reshape after the head gives [B, M, D_out]. With one
+head the folds are ``wqk = wq wk^T`` [D_dec, D_slot], making the logits
+``(LN(x) wqk) s^T`` over the normalized slots ``s`` [B, N, D_slot], and
+``wvo = wv wo`` [D_slot, D_dec], mapping the read ``attn s`` back. No per-slot
+keys or values [B, N, D_dec] are built: per set the fold saves their
+2*N*D_slot*D_dec multiply-adds and runs the query and output products, the
+logits and the read over D_slot instead of D_dec, against two weight products
+per layer and call, so it always pays when D_slot <= D_dec. The decoder width
+is the slot width (64 by default). Values agree with the keys-and-values form
+to float32 rounding.
 """
 
 from __future__ import annotations
@@ -19,11 +34,16 @@ from .engine import (
     add,
     broadcast_to,
     layer_norm,
+    linear_param,
     matmul,
+    normal_param,
+    ones_param,
     reshape,
+    residual_mlp,
     scale,
     softmax_axis,
     transpose,
+    zeros_param,
 )
 
 
@@ -82,49 +102,30 @@ class DecoderParams:
         n_positions: int,
         d_slot: int,
         d_out: int,
-        d_dec: int | None = None,
         n_layers: int = 2,
         nonlinearity: str = "gelu-like",
     ) -> "DecoderParams":
-        d_dec = d_slot if d_dec is None else d_dec
-
-        def ones(d):
-            return Value(np.ones(d, dtype=np.float32), requires_grad=True)
-
-        def zeros(d):
-            return Value(np.zeros(d, dtype=np.float32), requires_grad=True)
-
-        def lin(fi, fo):
-            return Value(engine.linear_init(rng, fi, fo), requires_grad=True)
-
-        layers = []
-        for _ in range(n_layers):
-            layers.append(
-                DecoderLayerParams(
-                    ln_q_g=ones(d_dec),
-                    ln_q_b=zeros(d_dec),
-                    wq=lin(d_dec, d_dec),
-                    wk=lin(d_slot, d_dec),
-                    wv=lin(d_slot, d_dec),
-                    wo=lin(d_dec, d_dec),
-                    bo=zeros(d_dec),
-                    ln_f_g=ones(d_dec),
-                    ln_f_b=zeros(d_dec),
-                    ff_w1=lin(d_dec, 2 * d_dec),
-                    ff_b1=zeros(2 * d_dec),
-                    ff_w2=lin(2 * d_dec, d_dec),
-                    ff_b2=zeros(d_dec),
-                )
+        d = d_slot
+        layers = [
+            DecoderLayerParams(
+                ln_q_g=ones_param(d), ln_q_b=zeros_param(d),
+                wq=linear_param(rng, d, d), wk=linear_param(rng, d, d), wv=linear_param(rng, d, d),
+                wo=linear_param(rng, d, d), bo=zeros_param(d),
+                ln_f_g=ones_param(d), ln_f_b=zeros_param(d),
+                ff_w1=linear_param(rng, d, 2 * d), ff_b1=zeros_param(2 * d),
+                ff_w2=linear_param(rng, 2 * d, d), ff_b2=zeros_param(d),
             )
+            for _ in range(n_layers)
+        ]
         return cls(
-            pos_queries=Value(engine.normal(rng, (n_positions, d_dec), std=0.5), requires_grad=True),
-            in_norm_g=ones(d_slot),
-            in_norm_b=zeros(d_slot),
+            pos_queries=normal_param(rng, (n_positions, d), 0.5),
+            in_norm_g=ones_param(d),
+            in_norm_b=zeros_param(d),
             layers=layers,
-            out_norm_g=ones(d_dec),
-            out_norm_b=zeros(d_dec),
-            head_w=lin(d_dec, d_out),
-            head_b=zeros(d_out),
+            out_norm_g=ones_param(d),
+            out_norm_b=zeros_param(d),
+            head_w=linear_param(rng, d, d_out),
+            head_b=zeros_param(d_out),
             nonlinearity=nonlinearity,
         )
 
@@ -143,32 +144,53 @@ class DecoderParams:
         return out
 
 
-def decode_batch(slots: Value, params: DecoderParams, return_attn: bool = False):
+def _head_blocks(w: Value, heads: int) -> Value:
+    """[D, heads*dh] weight columns as per-head blocks [heads, D, dh]."""
+    d, width = w.shape
+    return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
+
+
+def cross_attention(x: Value, inputs: Value, inputs_t: Value, layer, heads: int) -> tuple[Value, Value]:
+    """One pre-norm cross-attention block of query rows over a set of inputs.
+
+    ``x`` holds the queries as [B*N_q, D_q] rows, ``inputs`` is [B, M, D_in]
+    and ``inputs_t`` its [B, D_in, M] transpose, taken once per forward.
+    ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``, ``wv``, ``wo``
+    and ``bo``. Per head h, ``wqk_h = wq_h wk_h^T`` [D_q, D_in] makes the
+    heads N_q*h query rows over the raw inputs, softmaxed over the inputs,
+    and ``wvo_h = wv_h wo_h`` [D_in, D_q] maps the [B*N_q, h*D_in] read rows
+    back, so no keys or values [B, M, D_q] exist. Returns (x plus the
+    attention output, as rows; attention [B, N_q*h, M]).
+    """
+    b, _, d_in = inputs.shape
+    dq = x.shape[1]
+    dh = dq // heads
+    temp = np.float32(1.0 / np.sqrt(dh))
+    wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
+    wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
+    q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), wqk), (b, -1, d_in))
+    attn = softmax_axis(scale(matmul(q, inputs_t), temp), axis=2)  # [B, N_q*h, M]
+    read = reshape(matmul(attn, inputs), (x.shape[0], heads * d_in))
+    wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
+    return add(x, add(matmul(read, wvo), layer.bo)), attn
+
+
+def decode_batch(slots: Value, params: DecoderParams) -> Value:
     """Decode [B, N, D_slot] slot sets into [B, M, D_out] feature grids."""
     if slots.ndim != 3:
         raise ShapeError("decode_batch expects [B, N, D_slot] slots")
     b = slots.shape[0]
     m, d_dec = params.pos_queries.data.shape
     nonlin = engine.NONLINEARITIES[params.nonlinearity]
-    temp = np.float32(1.0 / np.sqrt(d_dec))
 
-    kv = layer_norm(slots, params.in_norm_g, params.in_norm_b)
-    x = broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec))
-    attn = None
+    sn = layer_norm(slots, params.in_norm_g, params.in_norm_b)
+    sn_t = transpose(sn, (0, 2, 1))  # [B, D_slot, N]
+    x = reshape(broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec)), (b * m, d_dec))
     for layer in params.layers:
-        q = matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), layer.wq)
-        k = matmul(kv, layer.wk)
-        v = matmul(kv, layer.wv)
-        logits = scale(matmul(q, transpose(k, (0, 2, 1))), temp)  # [B, M, N]
-        attn = softmax_axis(logits, axis=2)  # over the slot set
-        ctx = matmul(attn, v)
-        x = add(x, add(matmul(ctx, layer.wo), layer.bo))
-        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
-        x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
+        x, _ = cross_attention(x, sn, sn_t, layer, heads=1)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
     out = add(matmul(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w), params.head_b)
-    if return_attn:
-        return out, attn
-    return out
+    return reshape(out, (b, m, out.shape[1]))
 
 
 def recon_loss(predicted: Value, target: Value) -> Value:

@@ -510,7 +510,8 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
             _send(adj, x, inv * (dxhat - m1 - xhat * m2))
         red = tuple(range(g.ndim - 1))
         _send(adj, gain, (g * xhat).sum(axis=red))
-        _send(adj, bias, g.sum(axis=red))
+        if bias.requires_grad:
+            _send(adj, bias, g.sum(axis=red))
 
     return _node(out_data, (x, gain, bias), backward)
 
@@ -604,12 +605,7 @@ class GruParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int) -> "GruParams":
-        def w():
-            return Value(normal(rng, (dim, dim), std=dim**-0.5), requires_grad=True)
-
-        def b():
-            return Value(np.zeros(dim, dtype=DTYPE), requires_grad=True)
-
+        w, b = partial(linear_param, rng, dim, dim), partial(zeros_param, dim)
         return cls(w(), w(), b(), w(), w(), b(), w(), w(), b())
 
     def named(self, prefix: str) -> dict:
@@ -675,6 +671,12 @@ def gru_step(h, x, params: GruParams) -> Value:
 
     parents = (h, x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
     return _node(out_data.reshape(shape), parents, backward)
+
+
+def residual_mlp(x, g, b, w1, b1, w2, b2, nonlin) -> Value:
+    """Pre-norm residual feed-forward over rows: x + nonlin(LN(x) w1 + b1) w2 + b2."""
+    hidden = nonlin(add(matmul(layer_norm(x, g, b), w1), b1))
+    return add(x, add(matmul(hidden, w2), b2))
 
 
 # -- pooling ---------------------------------------------------------------------
@@ -837,5 +839,23 @@ def normal(rng: np.random.Generator, shape, std: float = 1.0) -> np.ndarray:
     return out
 
 
-def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    return normal(rng, (fan_in, fan_out), std=fan_in**-0.5)
+# -- trainable leaves ---------------------------------------------------------------
+# The one parameter factory of every module's ``create``. Each draw takes the
+# next values of ``rng``, so the order of the calls fixes every initial value.
+
+
+def ones_param(shape) -> Value:
+    return Value(np.ones(shape, dtype=DTYPE), requires_grad=True)
+
+
+def zeros_param(shape) -> Value:
+    return Value(np.zeros(shape, dtype=DTYPE), requires_grad=True)
+
+
+def normal_param(rng: np.random.Generator, shape, std: float) -> Value:
+    return Value(normal(rng, shape, std=std), requires_grad=True)
+
+
+def linear_param(rng: np.random.Generator, fan_in: int, fan_out: int) -> Value:
+    """A [fan_in, fan_out] weight with entries of standard deviation fan_in**-0.5."""
+    return normal_param(rng, (fan_in, fan_out), fan_in**-0.5)

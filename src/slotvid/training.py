@@ -84,9 +84,7 @@ class ProbeParams:
     def create(cls, d_in: int, class_counts: dict) -> "ProbeParams":
         heads = {}
         for task in TASKS:
-            w = Value(np.zeros((d_in, class_counts[task]), dtype=np.float32), requires_grad=True)
-            b = Value(np.zeros(class_counts[task], dtype=np.float32), requires_grad=True)
-            heads[task] = (w, b)
+            heads[task] = (engine.zeros_param((d_in, class_counts[task])), engine.zeros_param(class_counts[task]))
         return cls(heads)
 
     def logits(self, pooled: Value, task: str) -> Value:

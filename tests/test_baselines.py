@@ -15,6 +15,7 @@ from slotvid.baselines import (
 )
 from slotvid.config import from_dict
 from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch
+from slotvid.decoder import DecoderParams, decode_batch
 from slotvid.engine import (
     Value,
     add,
@@ -256,7 +257,19 @@ def _graph(root):
     return list(seen.values())
 
 
+def _matmuls(nodes):
+    """The (left, right) operands of every matmul node, asserting there is one."""
+    pairs = [n._parents for n in nodes
+             if n._backward is not None and n._backward.__qualname__.startswith("matmul.")]
+    assert pairs
+    return pairs
+
+
 class TestRowsLayout:
+    """No weight product runs on a set-shaped operand: a 2-D right operand (a
+    weight, or a folded weight) always meets [sets*queries, .] rows, so no
+    per-input keys or values [B, M, .] exist either."""
+
     def test_no_per_token_keys_values_or_set_shaped_weight_products(self):
         # default slow branch: 64 frames of 256 tokens, 8 queries of width 64, 4 heads
         b, m, d_in, nq, dq, heads = 64, 256, 32, 8, 64, 4
@@ -267,14 +280,20 @@ class TestRowsLayout:
         shapes = {n.shape for n in nodes}
         assert (b, m, dq) not in shapes  # per-token keys or values
         assert (b, heads, m, dq // heads) not in shapes  # ... split into heads
-        matmuls = [n for n in nodes if n._backward is not None
-                   and n._backward.__qualname__.startswith("matmul.")]
-        assert matmuls
-        for node in matmuls:
-            a, w = node._parents
-            if w.ndim == 2:  # a weight, or a folded weight: the other side must be [B*N_q, .] rows
+        for a, w in _matmuls(nodes):
+            if w.ndim == 2:
                 assert a.ndim == 2, f"{a.shape} @ {w.shape}"
             assert not (a.ndim == 3 and a.shape[:2] == (b, nq)), f"{a.shape} @ {w.shape}"
+
+    def test_decoder_position_rows(self):
+        # stage-1 slow: 16 sets of 8 slots of width 64 decoded to 256 positions
+        b, n, d, m, d_out = 16, 8, 64, 256, 32
+        rng = engine.rng_for(16, "dec-layout")
+        p = DecoderParams.create(rng, m, d, d_out)
+        out = decode_batch(Value(engine.normal(rng, (b, n, d)), requires_grad=True), p)
+        for a, w in _matmuls(_graph(out)):
+            if w.ndim == 2:
+                assert a.ndim == 2, f"{a.shape} @ {w.shape}"
 
 
 class TestNormalizationDirections:

@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from slotvid import engine
-from slotvid.decoder import DecoderParams, decode_batch, recon_loss
-from slotvid.engine import Value
+from slotvid.decoder import DecoderParams, cross_attention, decode_batch, recon_loss
+from slotvid.engine import (
+    Value,
+    add,
+    broadcast_to,
+    layer_norm,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    softmax_axis,
+    transpose,
+)
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
 from gradcheck import fd_check
@@ -58,9 +69,14 @@ class TestDecode:
         np.testing.assert_allclose(out.data, np.tile([0.5, -1.0, 2.0], (3, 5, 1)), atol=1e-6)
 
     def test_single_slot_gets_full_attention(self):
+        # the shared cross-attention layer as the decoder runs it: one head,
+        # 2 sets of 4 position rows over a set of one slot each
         p = make_params(2, n_positions=4, d_slot=4, d_out=3)
         rng = engine.rng_for(2, "slots")
-        _, attn = decode_batch(Value(engine.normal(rng, (2, 1, 4))), p, return_attn=True)
+        rows = Value(engine.normal(rng, (2 * 4, 4)))
+        slots = Value(engine.normal(rng, (2, 1, 4)))
+        _, attn = cross_attention(rows, slots, transpose(slots, (0, 2, 1)), p.layers[0], heads=1)
+        assert attn.shape == (2, 4, 1)
         np.testing.assert_allclose(attn.data, 1.0, atol=1e-7)
 
     def test_miniature_matches_scalar_trace(self):
@@ -150,3 +166,51 @@ class TestGradientFlow:
 
         ok, total = fd_check(build, params, engine.rng_for(13, "pick"), coords_per_param=5)
         assert ok / total >= 0.95
+
+
+def _keys_values_decode(slots, p):
+    """``decode_batch`` with explicit per-slot keys ``LN(slots) wk`` and values
+    ``LN(slots) wv``, and the position queries as [B, M, D_dec] sets."""
+    b = slots.shape[0]
+    m, d_dec = p.pos_queries.data.shape
+    nonlin = engine.NONLINEARITIES[p.nonlinearity]
+    temp = np.float32(1.0 / np.sqrt(d_dec))
+    kv = layer_norm(slots, p.in_norm_g, p.in_norm_b)
+    x = broadcast_to(reshape(p.pos_queries, (1, m, d_dec)), (b, m, d_dec))
+    for layer in p.layers:
+        q = matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), layer.wq)
+        k = matmul(kv, layer.wk)
+        v = matmul(kv, layer.wv)
+        attn = softmax_axis(scale(matmul(q, transpose(k, (0, 2, 1))), temp), axis=2)
+        x = add(x, add(matmul(matmul(attn, v), layer.wo), layer.bo))
+        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
+        x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
+    return add(matmul(layer_norm(x, p.out_norm_g, p.out_norm_b), p.head_w), p.head_b)
+
+
+class TestInputSpaceRead:
+    """The one-head folded read of the normalized slots against explicit keys
+    and values: the stage-1 slow and fast shapes, and the tiny config."""
+
+    # (sets, slots, D_slot, positions, D_out)
+    SHAPES = {"slow": (16, 8, 64, 256, 32), "fast": (32, 8, 64, 32, 32), "tiny": (4, 2, 8, 16, 8)}
+
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_matches_keys_values_formulation(self, name):
+        b, n, d, m, d_out = self.SHAPES[name]
+        rng = engine.rng_for(17, "dec-input-space", name)
+        p = DecoderParams.create(rng, m, d, d_out)
+        slots = Value(engine.normal(rng, (b, n, d)), requires_grad=True)
+        probe = engine.normal(rng, (b, m, d_out))
+        leaves = dict(p.named("dec"), slots=slots)
+        runs = []
+        for fwd in (decode_batch, _keys_values_decode):
+            engine.zero_grads(leaves)
+            out = fwd(slots, p)
+            engine.backward(mul(out, probe).sum())
+            runs.append((out.data, {k: v.grad.copy() for k, v in leaves.items()}))
+        (out, grads), (want_out, want_grads) = runs
+        assert out.shape == want_out.shape == (b, m, d_out)
+        np.testing.assert_allclose(out, want_out, rtol=1e-5, atol=1e-5 * np.abs(want_out).max())
+        for key, want in want_grads.items():
+            np.testing.assert_allclose(grads[key], want, rtol=1e-5, atol=1e-5 * np.abs(want).max(), err_msg=key)
