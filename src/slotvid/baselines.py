@@ -54,6 +54,7 @@ from .engine import (
     add,
     broadcast_to,
     layer_norm,
+    linear,
     linear_param,
     matmul,
     normal_param,
@@ -98,7 +99,7 @@ def pooling_tokens_batch(feats: Value) -> Value:
 
 def pooling_connector_batch(feats: Value, params: PoolingParams) -> Value:
     tokens = pooling_tokens_batch(feats)
-    return add(matmul(tokens, params.proj_w), params.proj_b)
+    return linear(tokens, params.proj_w, params.proj_b)
 
 
 # -- learnable-query transformer ----------------------------------------------------
@@ -235,7 +236,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
         sk = _split_heads(matmul(xs, layer.s_wk), b, heads)
         sv = _split_heads(matmul(xs, layer.s_wv), b, heads)
         s_attn = softmax_axis(scale(matmul(sq, transpose(sk, (0, 1, 3, 2))), temp), axis=3)
-        x = add(x, add(matmul(_merge_heads(matmul(s_attn, sv)), layer.s_wo), layer.s_bo))
+        x = add(x, linear(_merge_heads(matmul(s_attn, sv)), layer.s_wo, layer.s_bo))
 
         x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .engine import ShapeError, Value, add, avg_pool_hw, broadcast_to, matmul, reshape, take, transpose
+from .engine import ShapeError, Value, add, avg_pool_hw, broadcast_to, linear, reshape, take, transpose
 from .slot_attention import SlotAttentionParams, forward_batch
 
 
@@ -228,7 +228,7 @@ def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, agg
     pos = reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim))
     slots = add(slots, broadcast_to(pos, slots.shape))
     tokens = reshape(slots, (b, cfg.n_slow_tokens, cfg.slot_dim))
-    tokens = add(matmul(tokens, params.s_proj_w), params.s_proj_b)
+    tokens = linear(tokens, params.s_proj_w, params.s_proj_b)
     return tokens, masks.reshape((b, cfg.slow_frames) + masks.shape[1:])
 
 
@@ -255,7 +255,7 @@ def fast_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, agg
     b = feats.shape[0]
     slots, masks = aggregate(pooled_series(feats, cfg, params.fast_pos), params.fast)
     tokens = reshape(slots, (b, cfg.n_fast_tokens, cfg.slot_dim))
-    tokens = add(matmul(tokens, params.f_proj_w), params.f_proj_b)
+    tokens = linear(tokens, params.f_proj_w, params.f_proj_b)
     return tokens, masks.reshape((b, cfg.n_positions) + masks.shape[1:])
 
 
@@ -278,7 +278,7 @@ def join_branches(features, cfg: ConnectorConfig, params: ConnectorParams, branc
         tokens, fast_masks = fast_fn(feats, cfg, params)
         parts.append(tokens)
     joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
-    return add(matmul(joined, params.proj_w), params.proj_b), slow_masks, fast_masks
+    return linear(joined, params.proj_w, params.proj_b), slow_masks, fast_masks
 
 
 def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:

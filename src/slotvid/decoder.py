@@ -34,6 +34,7 @@ from .engine import (
     add,
     broadcast_to,
     layer_norm,
+    linear,
     linear_param,
     matmul,
     normal_param,
@@ -156,11 +157,13 @@ def cross_attention(x: Value, inputs: Value, inputs_t: Value, layer, heads: int)
     ``x`` holds the queries as [B*N_q, D_q] rows, ``inputs`` is [B, M, D_in]
     and ``inputs_t`` its [B, D_in, M] transpose, taken once per forward.
     ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``, ``wv``, ``wo``
-    and ``bo``. Per head h, ``wqk_h = wq_h wk_h^T`` [D_q, D_in] makes the
-    heads N_q*h query rows over the raw inputs, softmaxed over the inputs,
-    and ``wvo_h = wv_h wo_h`` [D_in, D_q] maps the [B*N_q, h*D_in] read rows
-    back, so no keys or values [B, M, D_q] exist. Returns (x plus the
-    attention output, as rows; attention [B, N_q*h, M]).
+    and ``bo``. Per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in]
+    makes the heads N_q*h query rows over the raw inputs, softmaxed over the
+    inputs, and ``wvo_h = wv_h wo_h`` [D_in, D_q] maps the [B*N_q, h*D_in]
+    read rows back, so no keys or values [B, M, D_q] exist. The softmax
+    temperature sits in ``wqk``, scaling D_q*h*D_in weights instead of the
+    B*N_q*h*M logits. Returns (x plus the attention output, as rows;
+    attention [B, N_q*h, M]).
     """
     b, _, d_in = inputs.shape
     dq = x.shape[1]
@@ -168,11 +171,11 @@ def cross_attention(x: Value, inputs: Value, inputs_t: Value, layer, heads: int)
     temp = np.float32(1.0 / np.sqrt(dh))
     wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
     wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
-    q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), wqk), (b, -1, d_in))
-    attn = softmax_axis(scale(matmul(q, inputs_t), temp), axis=2)  # [B, N_q*h, M]
+    q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), scale(wqk, temp)), (b, -1, d_in))
+    attn = softmax_axis(matmul(q, inputs_t), axis=2)  # [B, N_q*h, M]
     read = reshape(matmul(attn, inputs), (x.shape[0], heads * d_in))
     wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
-    return add(x, add(matmul(read, wvo), layer.bo)), attn
+    return add(x, linear(read, wvo, layer.bo)), attn
 
 
 def decode_batch(slots: Value, params: DecoderParams) -> Value:
@@ -189,7 +192,7 @@ def decode_batch(slots: Value, params: DecoderParams) -> Value:
     for layer in params.layers:
         x, _ = cross_attention(x, sn, sn_t, layer, heads=1)
         x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
-    out = add(matmul(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w), params.head_b)
+    out = linear(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w, params.head_b)
     return reshape(out, (b, m, out.shape[1]))
 
 

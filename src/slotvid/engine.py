@@ -7,20 +7,24 @@ topological order and accumulates adjoints into persistent ``grad`` buffers,
 so repeated backward calls without zeroing add up.
 
 Hot composites are fused into single nodes with analytic backwards:
-``softmax_axis``, ``layer_norm``, ``cross_entropy``, the gated recurrent
-update ``gru_step`` and one slot-attention read ``slot_attention_step``. The
-last two evaluate the same products and sums in the same order as the same
-computations composed from primitive ops (the references in
-``tests/test_fused_ops.py``), so their values are identical; their backwards
-sum in their own order, so gradients may differ from the composites' in the
-last bits. The slot-attention read takes two operands, the inputs (keys and
-values at once, the caller applying the projections around the read) and the
-queries. Its sums over the slot and token axes, like the softmax's over a
-last axis, are GEMMs against a ones vector, which round differently from
-numpy's reductions: its values equal a composite's only when that takes the
-same sums, and differ from a read of projected keys and values in the last
-bits. Fusing drops intermediate nodes, never the finite check on an op's
-output.
+``softmax_axis``, ``cross_entropy``, the gated recurrent update ``gru_step``,
+one slot-attention read ``slot_attention_step``, and the row ops
+``layer_norm``, ``smooth_ramp``, the affine map ``linear`` (``x w + b`` over
+rows) and the grid pooling ``avg_pool_hw``. The GRU and the read evaluate
+the same products and sums in the same order as the same computations
+composed from primitive ops (the references in ``tests/test_fused_ops.py``),
+so their values are identical; their backwards sum in their own order, so
+gradients may differ from the composites' in the last bits. The
+slot-attention read takes two operands, the inputs (keys and values at once,
+the caller applying the projections around the read) and the queries.
+
+Row means and sums over a last axis, and column sums over rows, are GEMMs
+against a ones vector (``_sum_last``, ``_sum_rows``; a mean puts 1/D in the
+vector), never numpy reductions, which pay a per-row loop over the short
+axes these ops reduce; grid pooling is one GEMM with a constant block-mean
+matrix. These sums round differently from numpy's reductions, so values
+equal a composite's only when that takes the same sums. Fusing drops
+intermediate nodes, never the finite check on an op's output.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -282,9 +286,15 @@ def exp(a) -> Value:
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # stable for both signs: exp(-|x|) never overflows. The numerator is 1
     # where x >= 0 (there z <= 1) and z elsewhere, the same values np.where
-    # would select, without evaluating both branches
-    z = np.exp(-np.abs(x))
-    return np.maximum(z, (x >= 0).astype(DTYPE)) / (1.0 + z)
+    # would select, without evaluating both branches; in place after exp
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    num = (x >= 0).astype(DTYPE)
+    np.maximum(z, num, out=num)
+    z += np.float32(1.0)
+    num /= z
+    return num
 
 
 def sigmoid(a) -> Value:
@@ -318,9 +328,27 @@ def relu(a) -> Value:
     return _node(a.data * mask, (a,), backward)
 
 
+RAMP_SLOPE = np.float32(1.702)
+
+
 def smooth_ramp(a) -> Value:
-    """Gelu-like nonlinearity x * sigmoid(1.702 x)."""
-    return mul(a, sigmoid(scale(a, 1.702)))
+    """Gelu-like nonlinearity x * sigmoid(1.702 x), one node.
+
+    With s = sigmoid(1.702 x) the derivative is s + 1.702 x s (1 - s).
+    """
+    a = _coerce(a)
+    s = _sigmoid_data(a.data * RAMP_SLOPE)
+
+    def backward(g, adj):
+        d = np.float32(1.0) - s
+        d *= s
+        d *= a.data
+        d *= RAMP_SLOPE
+        d += s
+        d *= g
+        _send(adj, a, d)
+
+    return _node(a.data * s, (a,), backward)
 
 
 NONLINEARITIES = {"gelu-like": smooth_ramp, "relu": relu, "tanh": tanh}
@@ -462,6 +490,11 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, n) @ np.ones((n, 1), dtype=DTYPE)).reshape(*x.shape[:-1], 1)
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """Column sums of [R, D] rows as [D], one GEMM of a ones row against them."""
+    return (np.ones((1, rows.shape[0]), dtype=DTYPE) @ rows).reshape(-1)
+
+
 def softmax_axis(a, axis: int) -> Value:
     """Softmax along ``axis`` with max-subtraction for stability.
 
@@ -495,25 +528,36 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
             f"layer_norm gain/bias must have shape ({d},); got "
             f"{gain.data.shape} and {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=DTYPE)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=DTYPE)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    shape = x.data.shape
+    xr = x.data.reshape(-1, d)
+    mean_col = np.full((d, 1), 1.0 / d, dtype=DTYPE)
+    xhat = xr - xr @ mean_col  # centred rows
+    sq = xhat * xhat
+    var = sq @ mean_col
+    var += np.float32(eps)
+    inv = np.float32(1.0) / np.sqrt(var)
+    xhat *= inv
+    out_data = np.multiply(xhat, gain.data, out=sq)
+    out_data += bias.data
 
     def backward(g, adj):
+        g = g.reshape(-1, d)
+        gx = g * xhat
+        _send(adj, gain, _sum_rows(gx))
         if x.requires_grad:  # raw input features need no adjoint
-            dxhat = g * gain.data
-            m1 = dxhat.mean(axis=-1, keepdims=True, dtype=DTYPE)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=DTYPE)
-            _send(adj, x, inv * (dxhat - m1 - xhat * m2))
-        red = tuple(range(g.ndim - 1))
-        _send(adj, gain, (g * xhat).sum(axis=red))
+            # the row means of g*gain and g*gain*xhat, the gain folded into the ones vector
+            gain_col = (gain.data * np.float32(1.0 / d)).reshape(d, 1)
+            m1 = g @ gain_col
+            m2 = gx @ gain_col
+            dx = g * gain.data
+            dx -= m1
+            dx -= np.multiply(xhat, m2, out=gx)
+            dx *= inv
+            _send(adj, x, dx.reshape(shape))
         if bias.requires_grad:
-            _send(adj, bias, g.sum(axis=red))
+            _send(adj, bias, _sum_rows(g))
 
-    return _node(out_data, (x, gain, bias), backward)
+    return _node(out_data.reshape(shape), (x, gain, bias), backward)
 
 
 def cross_entropy(logits, labels) -> Value:
@@ -673,25 +717,64 @@ def gru_step(h, x, params: GruParams) -> Value:
     return _node(out_data.reshape(shape), parents, backward)
 
 
+def linear(x, w, b) -> Value:
+    """Affine map ``x w + b`` over the rows of the last axis, one node.
+
+    ``x`` is [..., D_in], ``w`` [D_in, D_out] and ``b`` [D_out]; the product
+    is one 2-D GEMM over all rows, and the bias adjoint their column sums.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    d_in = x.data.shape[-1]
+    if w.ndim != 2 or w.data.shape[0] != d_in or b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"linear shapes disagree: x {x.data.shape}, w {w.data.shape}, b {b.data.shape}")
+    d_out = w.data.shape[1]
+    xr = x.data.reshape(-1, d_in)
+    out_data = xr @ w.data
+    out_data += b.data
+
+    def backward(g, adj):
+        g = g.reshape(-1, d_out)
+        if x.requires_grad:
+            _send(adj, x, (g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _send(adj, w, xr.T @ g)
+        if b.requires_grad:
+            _send(adj, b, _sum_rows(g))
+
+    return _node(out_data.reshape(*x.data.shape[:-1], d_out), (x, w, b), backward)
+
+
 def residual_mlp(x, g, b, w1, b1, w2, b2, nonlin) -> Value:
     """Pre-norm residual feed-forward over rows: x + nonlin(LN(x) w1 + b1) w2 + b2."""
-    hidden = nonlin(add(matmul(layer_norm(x, g, b), w1), b1))
-    return add(x, add(matmul(hidden, w2), b2))
+    return add(x, linear(nonlin(linear(layer_norm(x, g, b), w1, b1)), w2, b2))
 
 
 # -- pooling ---------------------------------------------------------------------
 
 
 def avg_pool_hw(a, stride: int) -> Value:
-    """Mean-pool the trailing [..., H, W, D] axes in fixed summation order."""
+    """Mean-pool the trailing [..., H, W, D] axes in fixed summation order.
+
+    One node: each [H*W, D] grid is multiplied by a constant pooling matrix
+    [H*W/stride^2, H*W], and the adjoint by its transpose.
+    """
     a = _coerce(a)
     if a.ndim < 3:
         raise ShapeError("avg_pool_hw expects at least [H, W, D]")
     *lead, h, w, d = a.data.shape
     if stride <= 0 or h % stride or w % stride:
         raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
-    r = reshape(a, (*lead, h // stride, stride, w // stride, stride, d))
-    return vmean(r, axis=(-4, -2))
+    hd, wd = h // stride, w // stride
+    # row c of the pooling matrix weighs the cells of block c by 1/stride^2
+    block = ((np.arange(h) // stride)[:, None] * wd + np.arange(w) // stride).reshape(-1)
+    pool = np.zeros((hd * wd, h * w), dtype=DTYPE)
+    pool[block, np.arange(h * w)] = np.float32(1.0 / (stride * stride))
+    out_data = np.matmul(pool, a.data.reshape(-1, h * w, d))
+
+    def backward(g, adj):
+        _send(adj, a, np.matmul(pool.T, g.reshape(-1, hd * wd, d)).reshape(a.data.shape))
+
+    return _node(out_data.reshape(*lead, hd, wd, d), (a,), backward)
 
 
 # -- reverse pass -----------------------------------------------------------------

@@ -89,7 +89,7 @@ class ProbeParams:
 
     def logits(self, pooled: Value, task: str) -> Value:
         w, b = self.heads[task]
-        return engine.add(engine.matmul(pooled, w), b)
+        return engine.linear(pooled, w, b)
 
     def named(self) -> dict:
         out = {}

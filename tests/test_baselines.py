@@ -257,10 +257,15 @@ def _graph(root):
     return list(seen.values())
 
 
+def _op(node):
+    """The engine op that made ``node``: its backward's enclosing function, or None for a leaf."""
+    return None if node._backward is None else node._backward.__qualname__.split(".")[0]
+
+
 def _matmuls(nodes):
-    """The (left, right) operands of every matmul node, asserting there is one."""
-    pairs = [n._parents for n in nodes
-             if n._backward is not None and n._backward.__qualname__.startswith("matmul.")]
+    """The (left, right) operands of every matmul node and the (input, weight)
+    operands of every linear node, asserting there is one."""
+    pairs = [n._parents[:2] for n in nodes if _op(n) in ("matmul", "linear")]
     assert pairs
     return pairs
 
@@ -294,6 +299,36 @@ class TestRowsLayout:
         for a, w in _matmuls(_graph(out)):
             if w.ndim == 2:
                 assert a.ndim == 2, f"{a.shape} @ {w.shape}"
+
+
+class TestFusedRowNodes:
+    """The decoder and the residual MLP run the fused row ops: no sigmoid node
+    of a composite ramp, and no bias added to a matmul output as its own node."""
+
+    @staticmethod
+    def _assert_fused(nodes):
+        ops = {id(n): _op(n) for n in nodes}
+        assert "sigmoid" not in ops.values()
+        for n in nodes:
+            if ops[id(n)] == "add":
+                a, b = n._parents
+                for operand, other in ((a, b), (b, a)):
+                    assert not (ops[id(operand)] == "matmul" and other.ndim == 1), f"bias add on {operand.shape}"
+        assert {"linear", "smooth_ramp"} <= set(ops.values())
+
+    def test_decoder(self):
+        rng = engine.rng_for(16, "dec-fused")
+        p = DecoderParams.create(rng, 16, 8, 4)
+        self._assert_fused(_graph(decode_batch(Value(engine.normal(rng, (2, 3, 8)), requires_grad=True), p)))
+
+    def test_residual_mlp(self):
+        rng = engine.rng_for(16, "mlp-fused")
+        d = 6
+        x = Value(engine.normal(rng, (5, d)), requires_grad=True)
+        w1, w2 = engine.linear_param(rng, d, 2 * d), engine.linear_param(rng, 2 * d, d)
+        out = engine.residual_mlp(x, engine.ones_param(d), engine.zeros_param(d), w1, engine.zeros_param(2 * d),
+                                  w2, engine.zeros_param(d), engine.smooth_ramp)
+        self._assert_fused(_graph(out))
 
 
 class TestNormalizationDirections:

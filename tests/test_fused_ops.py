@@ -1,11 +1,20 @@
-"""Fused GRU and slot-attention step checked against their composite references.
+"""Fused GRU, slot-attention step and row ops checked against composite references.
 
 The references below build the same computations from primitive engine ops,
-one graph node per primitive. The fused forwards evaluate the same products
-and sums in the same order (the attention read takes its column sums as a
-GEMM against a ones vector, and so does its reference), so they must match
-bit for bit; their analytic backwards sum in a different order, so gradients
-agree within a float32 tolerance fixed before measuring.
+one graph node per primitive. The fused GRU and attention forwards evaluate
+the same products and sums in the same order (the attention read takes its
+column sums as a GEMM against a ones vector, and so does its reference), so
+they must match bit for bit; their analytic backwards sum in a different
+order, so gradients agree within a float32 tolerance fixed before measuring.
+
+The row ops (``layer_norm``, ``smooth_ramp``, ``linear``, ``avg_pool_hw``)
+take their row means, column sums and block means as GEMMs, where the forms
+they replaced used numpy reductions; forwards agree within ``FWD_RTOL`` and
+gradients within ``RTOL``, each with an absolute floor of ``ATOL`` times the
+tensor's largest entry. A parameter adjoint sums its terms over all R rows,
+and a float32 sum of R terms carries a rounding error of about
+sqrt(R) * eps32 of their scale in either order, so its floor is the larger
+of that and ``ATOL``.
 """
 
 import numpy as np
@@ -17,23 +26,30 @@ from slotvid.engine import (
     ShapeError,
     Value,
     add,
+    avg_pool_hw,
     broadcast_to,
     gru_step,
+    layer_norm,
+    linear,
     matmul,
     mul,
+    reshape,
     scale,
     sigmoid,
     slot_attention_step,
+    smooth_ramp,
     softmax_axis,
     sub,
     tanh,
     transpose,
+    vmean,
 )
 
 from gradcheck import fd_check, recip
 
 RTOL = 1e-5
 ATOL = 1e-6
+FWD_RTOL = 1e-6
 
 
 def reference_gru(h, x, p):
@@ -188,3 +204,162 @@ class TestFusedAttentionStep:
             slot_attention_step(x, Value(np.zeros((2, 3, 5), dtype=np.float32)), 0.5, 0.0)
         with pytest.raises(ShapeError):
             slot_attention_step(x, Value(np.zeros((3, 3, 4), dtype=np.float32)), 0.5, 0.0)
+
+
+# -- row ops ----------------------------------------------------------------------
+
+
+def reference_layer_norm(x, gain, bias, eps=engine.LAYER_NORM_EPS):
+    """Layer norm with numpy reductions for its means and sums, one node."""
+    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float32)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=np.float32)
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    xhat = xc * inv
+
+    def backward(g, adj):
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float32)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float32)
+        engine._send(adj, x, inv * (dxhat - m1 - xhat * m2))
+        red = tuple(range(g.ndim - 1))
+        engine._send(adj, gain, (g * xhat).sum(axis=red))
+        engine._send(adj, bias, g.sum(axis=red))
+
+    return engine._node(xhat * gain.data + bias.data, (x, gain, bias), backward)
+
+
+def reference_smooth_ramp(a):
+    return mul(a, sigmoid(scale(a, 1.702)))
+
+
+def reference_linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def reference_avg_pool_hw(a, stride):
+    *lead, h, w, d = a.shape
+    return vmean(reshape(a, (*lead, h // stride, stride, w // stride, stride, d)), axis=(-4, -2))
+
+
+def _close(got, want, rtol, what="", terms=1):
+    floor = max(ATOL, np.finfo(np.float32).eps * np.sqrt(terms))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=floor * np.abs(want).max(), err_msg=what)
+
+
+def _rows(shape):
+    return int(np.prod(shape[:-1]))
+
+
+def _row_case(seed, build_leaves):
+    """(op arguments, leaves that take an adjoint, terms each leaf's adjoint sums over)."""
+    return build_leaves(engine.rng_for(seed, "fused-rows"))
+
+
+def _layer_norm_leaves(shape, x_grad):
+    def build(rng):
+        x = Value(engine.normal(rng, shape, std=2.0) + 0.5, requires_grad=x_grad)
+        g = _leaf(rng, shape[-1:])
+        b = _leaf(rng, shape[-1:])
+        r = _rows(shape)
+        return (x, g, b), [x, g, b] if x_grad else [g, b], [1, r, r] if x_grad else [r, r]
+
+    return build
+
+
+def _ramp_leaves(shape):
+    def build(rng):
+        x = _leaf(rng, shape, std=2.0)
+        return (x,), [x], [1]
+
+    return build
+
+
+def _linear_leaves(shape, d_out):
+    def build(rng):
+        x = _leaf(rng, shape)
+        w = _leaf(rng, (shape[-1], d_out), std=shape[-1] ** -0.5)
+        b = _leaf(rng, (d_out,))
+        return (x, w, b), [x, w, b], [1, _rows(shape), _rows(shape)]
+
+    return build
+
+
+def _pool_leaves(shape):
+    def build(rng):
+        x = _leaf(rng, shape)
+        return (x,), [x], [1]
+
+    return build
+
+
+# (fused op, composite reference, leaf maker) at the shapes the default
+# config runs: decoder rows [4096, 64] (16 sets of 256 positions), slot-branch
+# inputs [64, 256, 32] that need no adjoint, query-transformer hidden rows
+# [1024, 128], connector tokens [8, 64, 64] and the fast branch's grid
+ROW_CASES = {
+    "layer_norm-decoder-rows": (layer_norm, reference_layer_norm, _layer_norm_leaves((4096, 64), True)),
+    "layer_norm-inputs-no-grad": (layer_norm, reference_layer_norm, _layer_norm_leaves((64, 256, 32), False)),
+    "layer_norm-hidden": (layer_norm, reference_layer_norm, _layer_norm_leaves((1024, 128), True)),
+    "smooth_ramp-decoder-rows": (smooth_ramp, reference_smooth_ramp, _ramp_leaves((4096, 64))),
+    "smooth_ramp-hidden": (smooth_ramp, reference_smooth_ramp, _ramp_leaves((1024, 128))),
+    "linear-decoder-rows": (linear, reference_linear, _linear_leaves((4096, 64), 128)),
+    "linear-hidden": (linear, reference_linear, _linear_leaves((1024, 128), 64)),
+    "linear-tokens-3d": (linear, reference_linear, _linear_leaves((8, 64, 64), 64)),
+    "avg_pool_hw-fast-grid": (lambda a: avg_pool_hw(a, 4), lambda a: reference_avg_pool_hw(a, 4),
+                              _pool_leaves((8, 32, 16, 16, 32))),
+}
+
+
+class TestFusedRowOps:
+    @pytest.mark.parametrize("case", list(ROW_CASES))
+    def test_forward_matches_composite(self, case):
+        op, ref, leaves = ROW_CASES[case]
+        args, _, _ = _row_case(0, leaves)
+        got, want = op(*args), ref(*args)
+        assert got.shape == want.shape
+        _close(got.data, want.data, FWD_RTOL)
+
+    @pytest.mark.parametrize("case", list(ROW_CASES))
+    def test_gradients_match_composite(self, case):
+        op, ref, leaves = ROW_CASES[case]
+        args, trained, terms = _row_case(1, leaves)
+        probe = engine.normal(engine.rng_for(1, "row-probe", case), op(*args).shape)
+        fused = _grads(lambda: mul(op(*args), probe).sum(), trained)
+        want = _grads(lambda: mul(ref(*args), probe).sum(), trained)
+        for i, (got, w, n) in enumerate(zip(fused, want, terms)):
+            _close(got, w, RTOL, f"{case} leaf {i}", terms=n)
+
+    @pytest.mark.parametrize("op", ["layer_norm", "smooth_ramp", "linear", "avg_pool_hw"])
+    def test_finite_differences(self, op):
+        small = {
+            "layer_norm": (layer_norm, _layer_norm_leaves((3, 4, 6), True)),
+            "smooth_ramp": (smooth_ramp, _ramp_leaves((5, 7))),
+            "linear": (linear, _linear_leaves((2, 3, 5), 4)),
+            "avg_pool_hw": (lambda a: avg_pool_hw(a, 2), _pool_leaves((2, 4, 6, 3))),
+        }
+        fn, leaves = small[op]
+        args, trained, _ = _row_case(5, leaves)
+        probe = engine.normal(engine.rng_for(5, "fd-probe", op), fn(*args).shape)
+
+        def build():
+            return mul(fn(*args), probe).sum()
+
+        ok, total = fd_check(build, trained, engine.rng_for(5, "pick", op), coords_per_param=6)
+        assert ok / total >= 0.95
+
+    def test_linear_constant_operands_get_none(self):
+        (x, w, b), _, _ = _row_case(3, _linear_leaves((4, 5), 3))
+        x, b = Value(x.data), Value(b.data)
+        engine.backward(linear(x, w, b).sum())
+        assert x._grad is None and b._grad is None
+        np.testing.assert_allclose(w.grad, np.broadcast_to(x.data.sum(axis=0)[:, None], (5, 3)), rtol=1e-6)
+
+    def test_linear_shape_checks(self):
+        (x, w, b), _, _ = _row_case(0, _linear_leaves((4, 5), 3))
+        with pytest.raises(ShapeError):
+            linear(x, transpose(w, (1, 0)), b)
+        with pytest.raises(ShapeError):
+            linear(x, w, Value(np.zeros(5, dtype=np.float32)))
+        with pytest.raises(ShapeError):
+            linear(x, reshape(w, (5, 3, 1)), b)
