@@ -9,10 +9,13 @@ attention's as a plain float32 array [sets, inputs, queries]; columns, not
 rows, sum to one.
 
 Inside ``query_transformer_batch`` the query state of the whole batch is kept
-as [B*N_q, D_q] rows, so the layer norms, the query, self-attention and
-output projections and the feed-forward each run as one 2-D GEMM or row op
-over all queries; only the self-attention and the cross-attention read see
-the [B, N_q, ...] set structure.
+as [B*N_q, D_q] rows, and each layer is three engine nodes over them:
+``decoder.cross_attention`` (its weight folds, then
+``engine.cross_attention_block``), ``engine.self_attention_block`` and
+``engine.residual_mlp``. Every weight product is one 2-D GEMM over all
+queries; the self-attention splits its heads and merges them as array views
+inside its node, and only the attention logits and reads see the
+[B, N_q, ...] set structure.
 
 The cross-attention read works in input space, with two folds per layer and
 call. Head h's key weights fold into its query weights, ``wqk_h = wq_h
@@ -51,19 +54,14 @@ from .decoder import cross_attention
 from .engine import (
     ShapeError,
     Value,
-    add,
     broadcast_to,
-    layer_norm,
     linear,
     linear_param,
-    matmul,
     normal_param,
     ones_param,
     reshape,
     residual_mlp,
-    scale,
-    softmax_axis,
-    transpose,
+    self_attention_block,
     zeros_param,
 )
 
@@ -190,18 +188,6 @@ class QueryTransformerParams:
         return out
 
 
-def _split_heads(rows: Value, b: int, heads: int) -> Value:
-    """[B*N, heads*dh] rows as [B, heads, N, dh]."""
-    bn, d = rows.shape
-    return transpose(reshape(rows, (b, bn // b, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Value) -> Value:
-    """[B, heads, N, dh] as [B*N, heads*dh] rows."""
-    b, h, n, dh = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b * n, h * dh))
-
-
 def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tuple[Value, np.ndarray]:
     """Run the query stack over [B, M, D_in] inputs.
 
@@ -221,26 +207,17 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     b, m, _ = inputs.shape
     nq, dq = params.queries.data.shape
     heads = params.n_heads
-    dh = dq // heads
-    temp = np.float32(1.0 / np.sqrt(dh))
-    nonlin = engine.NONLINEARITIES[params.nonlinearity]
-    inputs_t = transpose(inputs, (0, 2, 1))  # [B, D_in, M]
 
     x = reshape(broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq)), (b * nq, dq))
     cross = None
     for layer in params.layers:
-        x, cross = cross_attention(x, inputs, inputs_t, layer, heads)
+        x, cross = cross_attention(x, inputs, layer, heads)
+        x = self_attention_block(x, b, heads, layer.ln_s_g, layer.ln_s_b, layer.s_wq, layer.s_wk, layer.s_wv,
+                                 layer.s_wo, layer.s_bo)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2,
+                         params.nonlinearity)
 
-        xs = layer_norm(x, layer.ln_s_g, layer.ln_s_b)
-        sq = _split_heads(matmul(xs, layer.s_wq), b, heads)
-        sk = _split_heads(matmul(xs, layer.s_wk), b, heads)
-        sv = _split_heads(matmul(xs, layer.s_wv), b, heads)
-        s_attn = softmax_axis(scale(matmul(sq, transpose(sk, (0, 1, 3, 2))), temp), axis=3)
-        x = add(x, linear(_merge_heads(matmul(s_attn, sv)), layer.s_wo, layer.s_bo))
-
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
-
-    mask = cross.data.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
+    mask = cross.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
     return reshape(x, (b, nq, dq)), mask
 
 

@@ -6,10 +6,13 @@ blocks, then an affine head maps back to the feature width. Decoding is
 invariant to slot order because the slots enter only as an unordered set.
 
 The attention block is ``cross_attention``, shared with the query transformer
-in ``baselines``; the decoder runs it with one head. The position queries of
-the whole batch are [B*M, D_dec] rows, so every weight product, layer norm
-and the head is one 2-D GEMM or row op; only the logits and the read see the
-[B, ...] sets, and one reshape after the head gives [B, M, D_out]. With one
+in ``baselines``; the decoder runs it with one head. It folds the weights as
+graph ops and runs the block as the one node
+``engine.cross_attention_block``; the feed-forward is the one node
+``engine.residual_mlp``. The position queries of the whole batch are
+[B*M, D_dec] rows, so every weight product, layer norm and the head is one
+2-D GEMM or row op; only the logits and the read see the [B, ...] sets, and
+one reshape after the head gives [B, M, D_out]. With one
 head the folds are ``wqk = wq wk^T`` [D_dec, D_slot], making the logits
 ``(LN(x) wqk) s^T`` over the normalized slots ``s`` [B, N, D_slot], and
 ``wvo = wv wo`` [D_slot, D_dec], mapping the read ``attn s`` back. No per-slot
@@ -31,8 +34,8 @@ from . import engine
 from .engine import (
     ShapeError,
     Value,
-    add,
     broadcast_to,
+    cross_attention_block,
     layer_norm,
     linear,
     linear_param,
@@ -42,7 +45,6 @@ from .engine import (
     reshape,
     residual_mlp,
     scale,
-    softmax_axis,
     transpose,
     zeros_param,
 )
@@ -151,31 +153,28 @@ def _head_blocks(w: Value, heads: int) -> Value:
     return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
 
 
-def cross_attention(x: Value, inputs: Value, inputs_t: Value, layer, heads: int) -> tuple[Value, Value]:
+def cross_attention(x: Value, inputs: Value, layer, heads: int) -> tuple[Value, np.ndarray]:
     """One pre-norm cross-attention block of query rows over a set of inputs.
 
-    ``x`` holds the queries as [B*N_q, D_q] rows, ``inputs`` is [B, M, D_in]
-    and ``inputs_t`` its [B, D_in, M] transpose, taken once per forward.
-    ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``, ``wv``, ``wo``
-    and ``bo``. Per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in]
-    makes the heads N_q*h query rows over the raw inputs, softmaxed over the
-    inputs, and ``wvo_h = wv_h wo_h`` [D_in, D_q] maps the [B*N_q, h*D_in]
-    read rows back, so no keys or values [B, M, D_q] exist. The softmax
-    temperature sits in ``wqk``, scaling D_q*h*D_in weights instead of the
-    B*N_q*h*M logits. Returns (x plus the attention output, as rows;
-    attention [B, N_q*h, M]).
+    ``x`` holds the queries as [B*N_q, D_q] rows and ``inputs`` is
+    [B, M, D_in]. ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``,
+    ``wv``, ``wo`` and ``bo``. The weight folds run here, as graph ops on the
+    weights: per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in] makes
+    the heads N_q*h query rows over the raw inputs, and ``wvo_h = wv_h wo_h``
+    [D_in, D_q] maps the [B*N_q, h*D_in] read rows back, so no keys or values
+    [B, M, D_q] exist. The softmax temperature sits in ``wqk``, scaling
+    D_q*h*D_in weights instead of the B*N_q*h*M logits. The block itself is
+    the one node ``engine.cross_attention_block``. Returns (x plus the
+    attention output, as rows; attention [B, N_q*h, M] as a plain array).
     """
-    b, _, d_in = inputs.shape
+    d_in = inputs.shape[2]
     dq = x.shape[1]
     dh = dq // heads
     temp = np.float32(1.0 / np.sqrt(dh))
     wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
     wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
-    q = reshape(matmul(layer_norm(x, layer.ln_q_g, layer.ln_q_b), scale(wqk, temp)), (b, -1, d_in))
-    attn = softmax_axis(matmul(q, inputs_t), axis=2)  # [B, N_q*h, M]
-    read = reshape(matmul(attn, inputs), (x.shape[0], heads * d_in))
     wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
-    return add(x, linear(read, wvo, layer.bo)), attn
+    return cross_attention_block(x, inputs, layer.ln_q_g, layer.ln_q_b, scale(wqk, temp), wvo, layer.bo)
 
 
 def decode_batch(slots: Value, params: DecoderParams) -> Value:
@@ -184,14 +183,13 @@ def decode_batch(slots: Value, params: DecoderParams) -> Value:
         raise ShapeError("decode_batch expects [B, N, D_slot] slots")
     b = slots.shape[0]
     m, d_dec = params.pos_queries.data.shape
-    nonlin = engine.NONLINEARITIES[params.nonlinearity]
 
     sn = layer_norm(slots, params.in_norm_g, params.in_norm_b)
-    sn_t = transpose(sn, (0, 2, 1))  # [B, D_slot, N]
     x = reshape(broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec)), (b * m, d_dec))
     for layer in params.layers:
-        x, _ = cross_attention(x, sn, sn_t, layer, heads=1)
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2, nonlin)
+        x, _ = cross_attention(x, sn, layer, heads=1)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2,
+                         params.nonlinearity)
     out = linear(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w, params.head_b)
     return reshape(out, (b, m, out.shape[1]))
 

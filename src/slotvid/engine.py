@@ -7,16 +7,20 @@ topological order and accumulates adjoints into persistent ``grad`` buffers,
 so repeated backward calls without zeroing add up.
 
 Hot composites are fused into single nodes with analytic backwards:
-``softmax_axis``, ``cross_entropy``, the gated recurrent update ``gru_step``,
-one slot-attention read ``slot_attention_step``, and the row ops
-``layer_norm``, ``smooth_ramp``, the affine map ``linear`` (``x w + b`` over
-rows) and the grid pooling ``avg_pool_hw``. The GRU and the read evaluate
-the same products and sums in the same order as the same computations
-composed from primitive ops (the references in ``tests/test_fused_ops.py``),
-so their values are identical; their backwards sum in their own order, so
-gradients may differ from the composites' in the last bits. The
-slot-attention read takes two operands, the inputs (keys and values at once,
-the caller applying the projections around the read) and the queries.
+``cross_entropy``, the gated recurrent update ``gru_step``, one
+slot-attention read ``slot_attention_step``, the row ops ``layer_norm``,
+the affine map ``linear`` (``x w + b`` over rows) and the grid pooling
+``avg_pool_hw``, and the pre-norm transformer blocks over [R, D] rows:
+``residual_mlp`` (its nonlinearity named in ``NONLINEARITIES``),
+``cross_attention_block`` and ``self_attention_block``. The GRU, the read
+and the blocks evaluate the same products, sums and softmaxes in the same
+order as the same computations composed from primitive ops (the references
+in ``tests/test_fused_ops.py``), so their values are identical; their
+backwards sum in their own order, so gradients may differ from the
+composites' in the last bits. The slot-attention read takes two operands,
+the inputs (keys and values at once, the caller applying the projections
+around the read) and the queries; the cross-attention block likewise takes
+the raw inputs and weights the caller has folded.
 
 Row means and sums over a last axis, and column sums over rows, are GEMMs
 against a ones vector (``_sum_last``, ``_sum_rows``; a mean puts 1/D in the
@@ -24,7 +28,8 @@ vector), never numpy reductions, which pay a per-row loop over the short
 axes these ops reduce; grid pooling is one GEMM with a constant block-mean
 matrix. These sums round differently from numpy's reductions, so values
 equal a composite's only when that takes the same sums. Fusing drops
-intermediate nodes, never the finite check on an op's output.
+intermediate nodes, never the finite check on an op's output; the attention
+nodes check their attention too.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -273,16 +278,6 @@ def matmul(a, b) -> Value:
     return _node(np.matmul(a.data, b.data), (a, b), backward)
 
 
-def exp(a) -> Value:
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def backward(g, adj):
-        _send(adj, a, g * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
 def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     # stable for both signs: exp(-|x|) never overflows. The numerator is 1
     # where x >= 0 (there z <= 1) and z elsewhere, the same values np.where
@@ -297,61 +292,43 @@ def _sigmoid_data(x: np.ndarray) -> np.ndarray:
     return num
 
 
-def sigmoid(a) -> Value:
-    a = _coerce(a)
-    out_data = _sigmoid_data(a.data)
-
-    def backward(g, adj):
-        _send(adj, a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def tanh(a) -> Value:
-    a = _coerce(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g, adj):
-        _send(adj, a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), backward)
-
-
-def relu(a) -> Value:
-    a = _coerce(a)
-    mask = a.data > 0
-
-    def backward(g, adj):
-        _send(adj, a, g * mask)
-
-    # negative inputs give -0.0, which compares equal to 0.0
-    return _node(a.data * mask, (a,), backward)
-
-
 RAMP_SLOPE = np.float32(1.702)
 
 
-def smooth_ramp(a) -> Value:
-    """Gelu-like nonlinearity x * sigmoid(1.702 x), one node.
-
-    With s = sigmoid(1.702 x) the derivative is s + 1.702 x s (1 - s).
-    """
-    a = _coerce(a)
-    s = _sigmoid_data(a.data * RAMP_SLOPE)
-
-    def backward(g, adj):
-        d = np.float32(1.0) - s
-        d *= s
-        d *= a.data
-        d *= RAMP_SLOPE
-        d += s
-        d *= g
-        _send(adj, a, d)
-
-    return _node(a.data * s, (a,), backward)
+def _ramp(x: np.ndarray):
+    s = _sigmoid_data(x * RAMP_SLOPE)
+    return x * s, s
 
 
-NONLINEARITIES = {"gelu-like": smooth_ramp, "relu": relu, "tanh": tanh}
+def _ramp_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # d/dx of x * sigmoid(1.702 x) is s + 1.702 x s (1 - s)
+    d = np.float32(1.0) - s
+    d *= s
+    d *= x
+    d *= RAMP_SLOPE
+    d += s
+    return d
+
+
+def _relu(x: np.ndarray):
+    mask = x > 0
+    # negative inputs give -0.0, which compares equal to 0.0
+    return x * mask, mask
+
+
+def _tanh(x: np.ndarray):
+    t = np.tanh(x)
+    return t, t
+
+
+# name -> (forward, derivative) over plain arrays: ``forward(x)`` returns the
+# value and what the derivative needs, ``derivative(x, saved)`` the elementwise
+# derivative as a fresh float32 array. "gelu-like" is x * sigmoid(1.702 x).
+NONLINEARITIES = {
+    "gelu-like": (_ramp, _ramp_grad),
+    "relu": (_relu, lambda x, mask: mask.astype(DTYPE)),
+    "tanh": (_tanh, lambda x, t: np.float32(1.0) - t * t),
+}
 
 
 def _norm_axes(axis, ndim):
@@ -495,41 +472,26 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
     return (np.ones((1, rows.shape[0]), dtype=DTYPE) @ rows).reshape(-1)
 
 
-def softmax_axis(a, axis: int) -> Value:
-    """Softmax along ``axis`` with max-subtraction for stability.
-
-    Over the last axis the max is ``_max_last`` and the sums are ``_sum_last``.
-    """
-    a = _coerce(a)
-    if axis >= a.ndim or axis < -a.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for rank {a.ndim}")
-    ax = axis % a.ndim
-    x = a.data
-    if ax == x.ndim - 1:
-        top, total = _max_last, _sum_last
-    else:
-        top = partial(np.max, axis=ax, keepdims=True)
-        total = partial(np.sum, axis=ax, keepdims=True)
-    e = np.exp(x - top(x))
-    out_data = e / total(e)
-
-    def backward(g, adj):
-        _send(adj, a, out_data * (g - total(g * out_data)))
-
-    return _node(out_data, (a,), backward)
+def _softmax_last(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place: max-subtracted, the max ``_max_last``
+    and the sums ``_sum_last``."""
+    logits -= _max_last(logits)
+    np.exp(logits, out=logits)
+    logits /= _sum_last(logits)
+    return logits
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm gain/bias must have shape ({d},); got "
-            f"{gain.data.shape} and {bias.data.shape}"
-        )
-    shape = x.data.shape
-    xr = x.data.reshape(-1, d)
+def _affine_grads(adj: dict, rows: np.ndarray, g: np.ndarray, w: Value, b: Value) -> None:
+    """Send the weight and bias adjoints of ``rows w + b`` for the output adjoint ``g``."""
+    if w.requires_grad:
+        _send(adj, w, rows.T @ g)
+    if b.requires_grad:
+        _send(adj, b, _sum_rows(g))
+
+
+def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
+    """Layer norm of [R, D] rows: (output, normalized rows, 1/std [R, 1]), each a fresh buffer."""
+    d = xr.shape[1]
     mean_col = np.full((d, 1), 1.0 / d, dtype=DTYPE)
     xhat = xr - xr @ mean_col  # centred rows
     sq = xhat * xhat
@@ -537,25 +499,54 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
     var += np.float32(eps)
     inv = np.float32(1.0) / np.sqrt(var)
     xhat *= inv
-    out_data = np.multiply(xhat, gain.data, out=sq)
-    out_data += bias.data
+    out = np.multiply(xhat, gain, out=sq)
+    out += bias
+    return out, xhat, inv
+
+
+def _ln_rows_backward(adj: dict, g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Value, gain: Value,
+                      bias: Value, residual: np.ndarray | None = None) -> None:
+    """Send the adjoints of ``_ln_rows`` over the rows of ``x`` for the output
+    adjoint ``g`` [R, D]; ``residual``, the adjoint of a residual path around
+    the norm, adds to that of ``x``."""
+    gx = g * xhat
+    if gain.requires_grad:
+        _send(adj, gain, _sum_rows(gx))
+    if bias.requires_grad:
+        _send(adj, bias, _sum_rows(g))
+    if not x.requires_grad:  # raw input features need no adjoint
+        return
+    d = g.shape[1]
+    # the row means of g*gain and g*gain*xhat, the gain folded into the ones vector
+    gain_col = (gain.data * np.float32(1.0 / d)).reshape(d, 1)
+    m1 = g @ gain_col
+    m2 = gx @ gain_col
+    dx = g * gain.data
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=gx)
+    dx *= inv
+    if residual is not None:
+        dx += residual
+    _send(adj, x, dx.reshape(x.data.shape))
+
+
+def _check_shapes(what: str, **operands) -> None:
+    """Raise a ShapeError for the first operand ``name=(value, shape)`` of another shape."""
+    for name, (v, shape) in operands.items():
+        if v.data.shape != shape:
+            raise ShapeError(f"{what} {name} must have shape {shape}, got {v.data.shape}")
+
+
+def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
+    """Zero-mean unit-variance normalization over the last axis, then affine."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    shape = x.data.shape
+    d = shape[-1]
+    _check_shapes("layer_norm", gain=(gain, (d,)), bias=(bias, (d,)))
+    out_data, xhat, inv = _ln_rows(x.data.reshape(-1, d), gain.data, bias.data, eps)
 
     def backward(g, adj):
-        g = g.reshape(-1, d)
-        gx = g * xhat
-        _send(adj, gain, _sum_rows(gx))
-        if x.requires_grad:  # raw input features need no adjoint
-            # the row means of g*gain and g*gain*xhat, the gain folded into the ones vector
-            gain_col = (gain.data * np.float32(1.0 / d)).reshape(d, 1)
-            m1 = g @ gain_col
-            m2 = gx @ gain_col
-            dx = g * gain.data
-            dx -= m1
-            dx -= np.multiply(xhat, m2, out=gx)
-            dx *= inv
-            _send(adj, x, dx.reshape(shape))
-        if bias.requires_grad:
-            _send(adj, bias, _sum_rows(g))
+        _ln_rows_backward(adj, g.reshape(-1, d), xhat, inv, x, gain, bias)
 
     return _node(out_data.reshape(shape), (x, gain, bias), backward)
 
@@ -606,8 +597,7 @@ def slot_attention_step(x, q, temp: float, eps: float) -> tuple[Value, np.ndarra
         raise ShapeError(f"slot_attention_step shapes disagree: x {x.data.shape}, q {q.data.shape}")
     temp32 = np.float32(temp)
     logits = np.matmul(x.data, q.data.transpose(0, 2, 1)) * temp32
-    e = np.exp(logits - _max_last(logits))
-    attn = e / _sum_last(e)  # competition over slots
+    attn = _softmax_last(logits)  # competition over slots
     _require_finite(attn, "slot attention mask")
     col_sums = np.matmul(np.ones((1, m), dtype=DTYPE), attn)  # [B, 1, N]
     inv = np.float32(1.0) / (col_sums + np.float32(eps))
@@ -736,17 +726,155 @@ def linear(x, w, b) -> Value:
         g = g.reshape(-1, d_out)
         if x.requires_grad:
             _send(adj, x, (g @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _send(adj, w, xr.T @ g)
-        if b.requires_grad:
-            _send(adj, b, _sum_rows(g))
+        _affine_grads(adj, xr, g, w, b)
 
     return _node(out_data.reshape(*x.data.shape[:-1], d_out), (x, w, b), backward)
 
 
-def residual_mlp(x, g, b, w1, b1, w2, b2, nonlin) -> Value:
-    """Pre-norm residual feed-forward over rows: x + nonlin(LN(x) w1 + b1) w2 + b2."""
-    return add(x, linear(nonlin(linear(layer_norm(x, g, b), w1, b1)), w2, b2))
+# -- transformer blocks ------------------------------------------------------------
+# Each block is one node over [R, D] rows with an analytic backward. Its
+# forward takes the products, sums and softmaxes of the block composed from
+# the nodes above in the same order, so its values are identical to that
+# composite's (the references in ``tests/test_fused_ops.py``); its backward
+# sums in its own order.
+
+
+def residual_mlp(x, g, b, w1, b1, w2, b2, nonlinearity: str) -> Value:
+    """Pre-norm residual feed-forward over [R, D] rows, one node.
+
+    ``x + f(LN(x) w1 + b1) w2 + b2``, where ``f`` is the (forward,
+    derivative) pair named ``nonlinearity`` in ``NONLINEARITIES``.
+    """
+    x, g, b, w1, b1, w2, b2 = map(_coerce, (x, g, b, w1, b1, w2, b2))
+    f, df = NONLINEARITIES[nonlinearity]
+    d, hidden = x.data.shape[-1], w1.data.shape[-1]
+    _check_shapes("residual_mlp", x=(x, (len(x.data), d)), g=(g, (d,)), b=(b, (d,)), w1=(w1, (d, hidden)),
+                  b1=(b1, (hidden,)), w2=(w2, (hidden, d)), b2=(b2, (d,)))
+    ln, xhat, inv = _ln_rows(x.data, g.data, b.data)
+    pre = ln @ w1.data
+    pre += b1.data
+    act, saved = f(pre)
+    out_data = act @ w2.data
+    out_data += b2.data
+    out_data += x.data
+
+    def backward(gr, adj):
+        _affine_grads(adj, act, gr, w2, b2)
+        dpre = df(pre, saved)
+        dpre *= gr @ w2.data.T
+        _affine_grads(adj, ln, dpre, w1, b1)
+        _ln_rows_backward(adj, dpre @ w1.data.T, xhat, inv, x, g, b, residual=gr)
+
+    return _node(out_data, (x, g, b, w1, b1, w2, b2), backward)
+
+
+def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, np.ndarray]:
+    """Pre-norm cross-attention of query rows over sets of inputs, one node.
+
+    ``x`` holds the queries as [B*N, D_q] rows and ``inputs`` is [B, M, D_in].
+    ``wqk`` [D_q, h*D_in] maps the normalized rows to h query rows each over
+    the raw inputs (key weights and temperature folded in by the caller), so
+    the logits are [B, N*h, M], softmaxed over the inputs; the read ``attn
+    inputs`` is [B*N, h*D_in] rows, and ``wvo`` [h*D_in, D_q] with ``bo``
+    maps it back onto the residual. Returns (x plus the attention output, as
+    rows; attention [B, N*h, M] as a plain array, finite-checked).
+
+    In the backward, the softmax's ``sum_m g_attn attn`` is taken as
+    ``sum_d g_read read`` over the D_in side. The inputs' adjoint is skipped
+    when they need none.
+    """
+    x, inputs, ln_g, ln_b, wqk, wvo, bo = map(_coerce, (x, inputs, ln_g, ln_b, wqk, wvo, bo))
+    if inputs.ndim != 3:
+        raise ShapeError(f"cross_attention_block expects [B, M, D_in] inputs, got {inputs.data.shape}")
+    b, _, d_in = inputs.data.shape
+    dq, width = x.data.shape[-1], wqk.data.shape[-1]
+    _check_shapes("cross_attention_block", x=(x, (len(x.data), dq)), ln_g=(ln_g, (dq,)), ln_b=(ln_b, (dq,)),
+                  wqk=(wqk, (dq, width)), wvo=(wvo, (width, dq)), bo=(bo, (dq,)))
+    rows = x.data.shape[0]
+    if width % d_in or rows % b:
+        raise ShapeError(f"cross_attention_block: {rows} rows of width {width} do not split over {b} sets of D_in {d_in}")
+    ln, xhat, inv = _ln_rows(x.data, ln_g.data, ln_b.data)
+    q = (ln @ wqk.data).reshape(b, -1, d_in)
+    inputs_t = inputs.data.transpose(0, 2, 1)
+    attn = _softmax_last(np.matmul(q, inputs_t))
+    _require_finite(attn, "cross attention")
+    read = np.matmul(attn, inputs.data)  # [B, N*h, D_in]
+    read_rows = read.reshape(rows, width)
+    out_data = read_rows @ wvo.data
+    out_data += bo.data
+    out_data += x.data
+
+    def backward(g, adj):
+        _affine_grads(adj, read_rows, g, wvo, bo)
+        g_read = (g @ wvo.data.T).reshape(read.shape)
+        g_logits = np.matmul(g_read, inputs_t)
+        g_logits -= _sum_last(g_read * read)  # sum_m g_attn attn, over the short side
+        g_logits *= attn
+        if inputs.requires_grad:
+            gi = np.matmul(attn.transpose(0, 2, 1), g_read)
+            gi += np.matmul(g_logits.transpose(0, 2, 1), q)
+            _send(adj, inputs, gi)
+        g_q = np.matmul(g_logits, inputs.data).reshape(rows, width)
+        if wqk.requires_grad:
+            _send(adj, wqk, ln.T @ g_q)
+        _ln_rows_backward(adj, g_q @ wqk.data.T, xhat, inv, x, ln_g, ln_b, residual=g)
+
+    return _node(out_data, (x, inputs, ln_g, ln_b, wqk, wvo, bo), backward), attn
+
+
+def self_attention_block(x, sets: int, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo) -> Value:
+    """Pre-norm multi-head self-attention within sets of rows, one node.
+
+    ``x`` holds ``sets`` sets of N rows as [sets*N, D]. The normalized rows
+    meet one GEMM against the per-call concatenation ``[wq|wk|wv]``; the
+    head split of q, k and v and the merge of the heads' reads are array
+    views. Logits ``q k^T / sqrt(D/heads)`` are softmaxed over the keys, and
+    ``wo`` with ``bo`` maps the merged read onto the residual.
+    """
+    x, ln_g, ln_b, wq, wk, wv, wo, bo = map(_coerce, (x, ln_g, ln_b, wq, wk, wv, wo, bo))
+    d = x.data.shape[-1]
+    square = (d, d)
+    _check_shapes("self_attention_block", x=(x, (len(x.data), d)), ln_g=(ln_g, (d,)), ln_b=(ln_b, (d,)),
+                  wq=(wq, square), wk=(wk, square), wv=(wv, square), wo=(wo, square), bo=(bo, (d,)))
+    rows = x.data.shape[0]
+    if sets < 1 or rows % sets or d % heads:
+        raise ShapeError(f"self_attention_block: [{rows}, {d}] rows do not split into {sets} sets and {heads} heads")
+    n, dh = rows // sets, d // heads
+    temp = np.float32(1.0 / np.sqrt(dh))
+    w_qkv = np.concatenate((wq.data, wk.data, wv.data), axis=1)  # [D, 3D]
+
+    def split(a):  # [sets*N, 3D] -> q, k, v, each [sets, heads, N, dh]
+        return a.reshape(sets, n, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+
+    ln, xhat, inv = _ln_rows(x.data, ln_g.data, ln_b.data)
+    q, k, v = split(ln @ w_qkv)
+    logits = np.matmul(q, k.transpose(0, 1, 3, 2))
+    logits *= temp
+    attn = _softmax_last(logits)
+    _require_finite(attn, "self attention")
+    merged = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(rows, d)
+    out_data = merged @ wo.data
+    out_data += bo.data
+    out_data += x.data
+
+    def backward(g, adj):
+        _affine_grads(adj, merged, g, wo, bo)
+        g_ctx = (g @ wo.data.T).reshape(sets, n, heads, dh).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((rows, 3 * d), dtype=DTYPE)
+        gq, gk, gv = split(g_qkv)
+        gv[...] = np.matmul(attn.transpose(0, 1, 3, 2), g_ctx)
+        g_logits = np.matmul(g_ctx, v.transpose(0, 1, 3, 2))
+        g_logits -= _sum_last(g_logits * attn)
+        g_logits *= attn
+        g_logits *= temp
+        gq[...] = np.matmul(g_logits, k)
+        gk[...] = np.matmul(g_logits.transpose(0, 1, 3, 2), q)
+        gw = ln.T @ g_qkv
+        for i, w in enumerate((wq, wk, wv)):
+            _send(adj, w, gw[:, i * d : (i + 1) * d])
+        _ln_rows_backward(adj, g_qkv @ w_qkv.T, xhat, inv, x, ln_g, ln_b, residual=g)
+
+    return _node(out_data, (x, ln_g, ln_b, wq, wk, wv, wo, bo), backward)
 
 
 # -- pooling ---------------------------------------------------------------------

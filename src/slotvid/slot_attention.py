@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
 from .engine import (
     GruParams,
     ShapeError,
@@ -146,7 +145,6 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np
         raise ShapeError("forward_batch expects [B, M, D_in] inputs")
     b, m, _ = inputs.shape
     n, d_slot = params.slots.data.shape
-    nonlin = engine.NONLINEARITIES[params.nonlinearity]
     temp = np.float32(1.0 / np.sqrt(d_slot))
 
     xn = layer_norm(inputs, params.in_norm_g, params.in_norm_b)  # [B, M, D_in]
@@ -165,6 +163,6 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np
         updates = matmul(reshape(read, (b * n, d_in)), params.wv)
         slots = gru_step(slots, updates, params.gru)
         slots = residual_mlp(slots, params.mlp_norm_g, params.mlp_norm_b, params.mlp_w1, params.mlp_b1,
-                             params.mlp_w2, params.mlp_b2, nonlin)
+                             params.mlp_w2, params.mlp_b2, params.nonlinearity)
     return reshape(slots, (b, n, d_slot)), mask
 

@@ -249,21 +249,22 @@ def _stream(rc: RunConfig, tag: str) -> SceneStream:
     )
 
 
-def _batch(stream: SceneStream, indices) -> tuple[np.ndarray, dict, list]:
-    feats = []
+def _batch(stream: SceneStream, indices) -> tuple[list, dict, list]:
+    """(the scenes' cached [T, H, W, D] grids, probe labels per task, (spec, truth) per scene).
+
+    The grids stay unstacked: a step that reads whole grids stacks them, and
+    stage-1 slow gathers only its picked frames.
+    """
+    grids = []
     labels = {task: [] for task in TASKS}
     truths = []
     for i in indices:
         spec, video, truth = stream.scene(i)
-        feats.append(video.grid)
+        grids.append(video.grid)
         for task, label in probe_labels(spec, truth).items():
             labels[task].append(label)
         truths.append((spec, truth))
-    return (
-        np.stack(feats),
-        {task: np.asarray(vals, dtype=np.intp) for task, vals in labels.items()},
-        truths,
-    )
+    return grids, {task: np.asarray(vals, dtype=np.intp) for task, vals in labels.items()}, truths
 
 
 def majority_accuracy(labels: dict) -> float:
@@ -364,8 +365,8 @@ def _probe_step(model: Model, branch: str):
     cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
 
     def step_loss(step, batch):
-        feats_np, labels, _ = batch
-        tokens, _, _ = forward_masks(model, Value(feats_np), branch)
+        grids, labels, _ = batch
+        tokens, _, _ = forward_masks(model, Value(np.stack(grids)), branch)
         pooled = tokens.mean(axis=1)
         losses, accs = [], []
         for task in TASKS:
@@ -400,18 +401,18 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
     m_s = cfg.grid_h * cfg.grid_w
 
     def step_loss(step, batch):
-        feats_np = batch[0]
+        grids = batch[0]
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
         if stage.branch == "slow":
             chunks = []
-            for b in range(stage.batch_size):
+            for grid in grids:
                 sel = pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False)
-                chunks.append(feats_np[b][frame_idx[np.sort(sel)]].reshape(-1, m_s, cfg.feat_dim))
+                chunks.append(grid[frame_idx[np.sort(sel)]].reshape(-1, m_s, cfg.feat_dim))
             inputs_np = np.concatenate(chunks, axis=0)
             sa, dec = model.conn.slow, model.dec_slow
         else:
             with engine.no_grad():
-                series = pooled_series(Value(feats_np), cfg, model.conn.fast_pos).data  # [B*M_d, T, D]
+                series = pooled_series(Value(np.stack(grids)), cfg, model.conn.fast_pos).data  # [B*M_d, T, D]
             rows = []
             for b in range(stage.batch_size):
                 sel = np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene, replace=False))
@@ -517,9 +518,9 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     chunk = 8
     for lo in range(0, n, chunk):
         indices = heldout[lo : lo + chunk]
-        feats_np, labels, truths = _batch(stream, indices)
+        grids, labels, truths = _batch(stream, indices)
         with engine.no_grad():
-            tokens, slow_masks, fast_masks = forward_masks(model, Value(feats_np), branch)
+            tokens, slow_masks, fast_masks = forward_masks(model, Value(np.stack(grids)), branch)
             pooled = tokens.mean(axis=1)
             for task in TASKS:
                 logits = model.probe.logits(pooled, task)

@@ -1,5 +1,7 @@
 """Central finite-difference gradient checking and reference-only ops, shared by the test modules."""
 
+from functools import partial
+
 import numpy as np
 
 from slotvid import engine
@@ -53,5 +55,51 @@ def recip(a):
 
     def backward(g, adj):
         engine._send(adj, a, -g * out * out)
+
+    return engine._node(out, (a,), backward)
+
+
+# -- reference-only graph ops ---------------------------------------------------------
+# The library runs these inside its fused nodes; the composite references and
+# the op-level tests build them as graph nodes of their own.
+
+
+def _unary(fwd, deriv):
+    def op(a):
+        a = engine._coerce(a)
+        out, saved = fwd(a.data)
+
+        def backward(g, adj):
+            engine._send(adj, a, g * deriv(a.data, saved))
+
+        return engine._node(out, (a,), backward)
+
+    return op
+
+
+sigmoid = _unary(lambda x: (engine._sigmoid_data(x),) * 2, lambda x, s: s * (1.0 - s))
+exp = _unary(lambda x: (np.exp(x),) * 2, lambda x, e: e)
+# one node per library nonlinearity, from its (forward, derivative) pair
+NONLIN_NODES = {name: _unary(*pair) for name, pair in engine.NONLINEARITIES.items()}
+smooth_ramp, relu, tanh = NONLIN_NODES["gelu-like"], NONLIN_NODES["relu"], NONLIN_NODES["tanh"]
+
+
+def softmax_axis(a, axis):
+    """Softmax along ``axis`` with max-subtraction, one node; over the last
+    axis the max and sums are the library's ``_max_last`` and ``_sum_last``."""
+    a = engine._coerce(a)
+    if axis >= a.ndim or axis < -a.ndim:
+        raise engine.ShapeError(f"softmax axis {axis} out of range for rank {a.ndim}")
+    ax = axis % a.ndim
+    if ax == a.ndim - 1:
+        top, total = engine._max_last, engine._sum_last
+    else:
+        top = partial(np.max, axis=ax, keepdims=True)
+        total = partial(np.sum, axis=ax, keepdims=True)
+    e = np.exp(a.data - top(a.data))
+    out = e / total(e)
+
+    def backward(g, adj):
+        engine._send(adj, a, out * (g - total(g * out)))
 
     return engine._node(out, (a,), backward)

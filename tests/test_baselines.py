@@ -25,11 +25,12 @@ from slotvid.engine import (
     mul,
     reshape,
     scale,
-    softmax_axis,
     transpose,
 )
 from slotvid.slot_attention import forward_batch
 from slotvid.training import build_model, forward_masks
+
+from gradcheck import NONLIN_NODES, softmax_axis
 
 
 def make_video(seed, cfg, frames=None):
@@ -189,7 +190,7 @@ def _keys_values_query_transformer(inputs, p):
     nq, dq = p.queries.data.shape
     heads = p.n_heads
     temp = np.float32(1.0 / np.sqrt(dq // heads))
-    nonlin = engine.NONLINEARITIES[p.nonlinearity]
+    nonlin = NONLIN_NODES[p.nonlinearity]
 
     def split(x):
         n = x.shape[1]
@@ -262,10 +263,15 @@ def _op(node):
     return None if node._backward is None else node._backward.__qualname__.split(".")[0]
 
 
+BLOCKS = ("cross_attention_block", "self_attention_block", "residual_mlp")
+
+
 def _matmuls(nodes):
-    """The (left, right) operands of every matmul node and the (input, weight)
-    operands of every linear node, asserting there is one."""
+    """The (left, right) operands of every matmul node, the (input, weight)
+    operands of every linear node and the (rows, weight) operands of every
+    block node, asserting there is one."""
     pairs = [n._parents[:2] for n in nodes if _op(n) in ("matmul", "linear")]
+    pairs += [(n._parents[0], w) for n in nodes if _op(n) in BLOCKS for w in n._parents[1:] if w.ndim == 2]
     assert pairs
     return pairs
 
@@ -302,24 +308,37 @@ class TestRowsLayout:
 
 
 class TestFusedRowNodes:
-    """The decoder and the residual MLP run the fused row ops: no sigmoid node
-    of a composite ramp, and no bias added to a matmul output as its own node."""
+    """Each transformer block is one node: the decoder, the query transformer
+    and the residual MLP build one block node per block, and no layer norm,
+    affine map, ramp or softmax node runs inside a block, nor a bias added to
+    a matmul output as its own node."""
 
     @staticmethod
-    def _assert_fused(nodes):
-        ops = {id(n): _op(n) for n in nodes}
-        assert "sigmoid" not in ops.values()
+    def _ops(nodes):
+        ops = [_op(n) for n in nodes]
+        assert not {"smooth_ramp", "softmax_axis", "sigmoid"} & set(ops)
         for n in nodes:
-            if ops[id(n)] == "add":
+            if _op(n) == "add":
                 a, b = n._parents
                 for operand, other in ((a, b), (b, a)):
-                    assert not (ops[id(operand)] == "matmul" and other.ndim == 1), f"bias add on {operand.shape}"
-        assert {"linear", "smooth_ramp"} <= set(ops.values())
+                    assert not (_op(operand) == "matmul" and other.ndim == 1), f"bias add on {operand.shape}"
+        return ops
 
     def test_decoder(self):
         rng = engine.rng_for(16, "dec-fused")
-        p = DecoderParams.create(rng, 16, 8, 4)
-        self._assert_fused(_graph(decode_batch(Value(engine.normal(rng, (2, 3, 8)), requires_grad=True), p)))
+        p = DecoderParams.create(rng, 16, 8, 4, n_layers=2)
+        ops = self._ops(_graph(decode_batch(Value(engine.normal(rng, (2, 3, 8)), requires_grad=True), p)))
+        assert ops.count("cross_attention_block") == ops.count("residual_mlp") == 2
+        # the slots' input norm, the output norm and the head are the only row ops outside the blocks
+        assert ops.count("layer_norm") == 2 and ops.count("linear") == 1
+
+    def test_query_transformer(self):
+        rng = engine.rng_for(16, "qt-fused")
+        p = QueryTransformerParams.create(rng, 3, 5, 8, n_layers=2, n_heads=2)
+        tokens, _ = query_transformer_batch(Value(engine.normal(rng, (2, 7, 5)), requires_grad=True), p)
+        ops = self._ops(_graph(tokens))
+        assert {op: ops.count(op) for op in BLOCKS} == dict.fromkeys(BLOCKS, 2)
+        assert "layer_norm" not in ops and "linear" not in ops
 
     def test_residual_mlp(self):
         rng = engine.rng_for(16, "mlp-fused")
@@ -327,8 +346,8 @@ class TestFusedRowNodes:
         x = Value(engine.normal(rng, (5, d)), requires_grad=True)
         w1, w2 = engine.linear_param(rng, d, 2 * d), engine.linear_param(rng, 2 * d, d)
         out = engine.residual_mlp(x, engine.ones_param(d), engine.zeros_param(d), w1, engine.zeros_param(2 * d),
-                                  w2, engine.zeros_param(d), engine.smooth_ramp)
-        self._assert_fused(_graph(out))
+                                  w2, engine.zeros_param(d), "gelu-like")
+        assert [op for op in self._ops(_graph(out)) if op is not None] == ["residual_mlp"]
 
 
 class TestNormalizationDirections:

@@ -15,7 +15,7 @@ from slotvid.connector import (
 from slotvid.engine import Value
 from slotvid.slot_attention import forward_batch
 
-from gradcheck import fd_check
+from gradcheck import NONLIN_NODES, fd_check
 
 
 SMALL = ConnectorConfig(
@@ -148,7 +148,7 @@ class TestSlowBranch:
             v = engine.matmul(xn, p.wv)
             u = Value(v.data.sum(axis=0, keepdims=True) / (16.0 + p.eps))
             cur = Value(p.slots.data.copy())
-            nonlin = engine.NONLINEARITIES[p.nonlinearity]
+            nonlin = NONLIN_NODES[p.nonlinearity]
             for _ in range(p.iterations):
                 cur = engine.gru_step(cur, u, p.gru)
                 pre = engine.layer_norm(cur, p.mlp_norm_g, p.mlp_norm_b)

@@ -1,13 +1,15 @@
-"""Fused GRU, slot-attention step and row ops checked against composite references.
+"""Fused GRU, slot-attention step, row ops and transformer blocks checked against composite references.
 
 The references below build the same computations from primitive engine ops,
-one graph node per primitive. The fused GRU and attention forwards evaluate
-the same products and sums in the same order (the attention read takes its
-column sums as a GEMM against a ones vector, and so does its reference), so
-they must match bit for bit; their analytic backwards sum in a different
-order, so gradients agree within a float32 tolerance fixed before measuring.
+one graph node per primitive. The fused GRU, attention and block forwards
+evaluate the same products, sums and softmaxes in the same order (the
+attention read takes its column sums as a GEMM against a ones vector, and so
+does its reference), so they must match bit for bit; their analytic
+backwards sum in a different order, so gradients agree within a float32
+tolerance fixed before measuring.
 
-The row ops (``layer_norm``, ``smooth_ramp``, ``linear``, ``avg_pool_hw``)
+The row ops (``layer_norm``, the gelu-like ramp of ``NONLINEARITIES`` as one
+node, ``linear``, ``avg_pool_hw``)
 take their row means, column sums and block means as GEMMs, where the forms
 they replaced used numpy reductions; forwards agree within ``FWD_RTOL`` and
 gradients within ``RTOL``, each with an absolute floor of ``ATOL`` times the
@@ -28,24 +30,23 @@ from slotvid.engine import (
     add,
     avg_pool_hw,
     broadcast_to,
+    cross_attention_block,
     gru_step,
     layer_norm,
     linear,
     matmul,
     mul,
     reshape,
+    residual_mlp,
     scale,
-    sigmoid,
+    self_attention_block,
     slot_attention_step,
-    smooth_ramp,
-    softmax_axis,
     sub,
-    tanh,
     transpose,
     vmean,
 )
 
-from gradcheck import fd_check, recip
+from gradcheck import NONLIN_NODES, fd_check, recip, sigmoid, smooth_ramp, softmax_axis, tanh
 
 RTOL = 1e-5
 ATOL = 1e-6
@@ -363,3 +364,168 @@ class TestFusedRowOps:
             linear(x, w, Value(np.zeros(5, dtype=np.float32)))
         with pytest.raises(ShapeError):
             linear(x, reshape(w, (5, 3, 1)), b)
+
+
+# -- transformer blocks ---------------------------------------------------------------
+
+
+def reference_residual_mlp(x, g, b, w1, b1, w2, b2, nonlinearity):
+    return add(x, linear(NONLIN_NODES[nonlinearity](linear(layer_norm(x, g, b), w1, b1)), w2, b2))
+
+
+def reference_cross_attention(x, inputs, ln_g, ln_b, wqk, wvo, bo):
+    """Layer norm, the query rows over the inputs, softmax over the inputs, the read, its map back."""
+    b, _, d_in = inputs.shape
+    q = reshape(matmul(layer_norm(x, ln_g, ln_b), wqk), (b, -1, d_in))
+    attn = softmax_axis(matmul(q, transpose(inputs, (0, 2, 1))), axis=2)
+    read = reshape(matmul(attn, inputs), (x.shape[0], wqk.shape[1]))
+    return add(x, linear(read, wvo, bo)), attn
+
+
+def reference_self_attention(x, sets, heads, ln_g, ln_b, wq, wk, wv, wo, bo):
+    """Layer norm, per-head q, k and v split out of [sets*N, D] rows, softmax over the keys, heads merged."""
+    rows, d = x.shape
+    dh = d // heads
+
+    def split(r):
+        return transpose(reshape(r, (sets, rows // sets, heads, dh)), (0, 2, 1, 3))
+
+    xs = layer_norm(x, ln_g, ln_b)
+    q, k, v = (split(matmul(xs, w)) for w in (wq, wk, wv))
+    attn = softmax_axis(scale(matmul(q, transpose(k, (0, 1, 3, 2))), np.float32(1.0 / np.sqrt(dh))), axis=3)
+    return add(x, linear(reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (rows, d)), wo, bo))
+
+
+def _norm_leaves(rng, d):
+    return Value(engine.normal(rng, (d,), std=0.5) + np.float32(1.0), requires_grad=True), _leaf(rng, (d,), std=0.5)
+
+
+def _weight(rng, fan_in, fan_out):
+    return _leaf(rng, (fan_in, fan_out), std=fan_in**-0.5)
+
+
+def _mlp_case(rows, d, nonlinearity):
+    def build(rng):
+        x = _leaf(rng, (rows, d))
+        g, b = _norm_leaves(rng, d)
+        w1, b1, w2, b2 = _weight(rng, d, 2 * d), _leaf(rng, (2 * d,), 0.5), _weight(rng, 2 * d, d), _leaf(rng, (d,), 0.5)
+        return (x, g, b, w1, b1, w2, b2, nonlinearity), [x, g, b, w1, b1, w2, b2]
+
+    return residual_mlp, reference_residual_mlp, build
+
+
+def _cross_case(rows, inputs_shape, heads, inputs_grad):
+    def build(rng):
+        b, m, d_in = inputs_shape
+        d = 64 if rows > 64 else 8
+        x = _leaf(rng, (rows, d))
+        inputs = Value(engine.normal(rng, inputs_shape), requires_grad=inputs_grad)
+        g, bias = _norm_leaves(rng, d)
+        wqk, wvo = _weight(rng, d, heads * d_in), _weight(rng, heads * d_in, d)
+        bo = _leaf(rng, (d,), 0.5)
+        leaves = [x, g, bias, wqk, wvo, bo] + ([inputs] if inputs_grad else [])
+        return (x, inputs, g, bias, wqk, wvo, bo), leaves
+
+    return cross_attention_block, reference_cross_attention, build
+
+
+def _self_case(sets, n, d, heads):
+    def build(rng):
+        x = _leaf(rng, (sets * n, d))
+        g, b = _norm_leaves(rng, d)
+        wq, wk, wv, wo = (_weight(rng, d, d) for _ in range(4))
+        bo = _leaf(rng, (d,), 0.5)
+        return (x, sets, heads, g, b, wq, wk, wv, wo, bo), [x, g, b, wq, wk, wv, wo, bo]
+
+    return self_attention_block, reference_self_attention, build
+
+
+# (fused block, composite reference, argument maker) at the default shapes:
+# decoder rows [4096, 64] over 16 sets of 8 slots, query rows [512, 64] over
+# the slow branch's [64, 256, 32] inputs (no adjoint) and [1024, 64] over the
+# fast branch's [128, 32, 32] (with one), the query transformer's self
+# attention over 8 queries in 4 heads, and the MLP under every nonlinearity
+BLOCK_CASES = {
+    **{f"mlp-decoder-{f}": _mlp_case(4096, 64, f) for f in engine.NONLINEARITIES},
+    "mlp-query-rows": _mlp_case(512, 64, "gelu-like"),
+    "cross-decoder": _cross_case(4096, (16, 8, 64), 1, True),
+    "cross-query-slow": _cross_case(512, (64, 256, 32), 4, False),
+    "cross-query-fast": _cross_case(1024, (128, 32, 32), 4, True),
+    "self-query-slow": _self_case(64, 8, 64, 4),
+    "self-query-fast": _self_case(128, 8, 64, 4),
+}
+# the same blocks at finite-difference size
+SMALL_BLOCK_CASES = {
+    **{f"mlp-{f}": _mlp_case(5, 6, f) for f in engine.NONLINEARITIES},
+    "cross-one-head": _cross_case(6, (2, 5, 8), 1, True),
+    "cross-heads-no-input-grad": _cross_case(6, (3, 7, 4), 2, False),
+    "self": _self_case(3, 4, 8, 2),
+}
+
+
+def _block_out(op, args):
+    out = op(*args)
+    return out[0] if isinstance(out, tuple) else out
+
+
+class TestFusedBlocks:
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_forward_bit_equal_to_composite(self, case):
+        op, ref, build = BLOCK_CASES[case]
+        args, _ = build(engine.rng_for(0, "fused-block", case))
+        got, want = op(*args), ref(*args)
+        if isinstance(got, tuple):  # the attention comes back as plain data
+            assert isinstance(got[1], np.ndarray)
+            np.testing.assert_array_equal(got[1], want[1].data)
+            got, want = got[0], want[0]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_gradients_match_composite(self, case):
+        op, ref, build = BLOCK_CASES[case]
+        args, leaves = build(engine.rng_for(1, "fused-block", case))
+        probe = engine.normal(engine.rng_for(1, "block-probe", case), _block_out(op, args).shape)
+        fused = _grads(lambda: mul(_block_out(op, args), probe).sum(), leaves)
+        want = _grads(lambda: mul(_block_out(ref, args), probe).sum(), leaves)
+        for i, (got, w) in enumerate(zip(fused, want)):
+            _close(got, w, RTOL, f"{case} leaf {i}")
+
+    @pytest.mark.parametrize("case", list(SMALL_BLOCK_CASES))
+    def test_finite_differences(self, case):
+        op, _, build = SMALL_BLOCK_CASES[case]
+        args, leaves = build(engine.rng_for(5, "fd-block", case))
+        probe = engine.normal(engine.rng_for(5, "fd-block-probe", case), _block_out(op, args).shape)
+
+        def build_loss():
+            return mul(_block_out(op, args), probe).sum()
+
+        # the residual's terms dwarf the loss they sum to, so its float32
+        # noise needs a wider step than the default 1e-3; wider still, the
+        # step crosses relu's kink more often
+        ok, total = fd_check(build_loss, leaves, engine.rng_for(5, "pick", case), coords_per_param=6, h=3e-3)
+        assert ok / total >= 0.95
+
+    def test_inputs_without_grad_get_none(self):
+        _, _, build = SMALL_BLOCK_CASES["cross-heads-no-input-grad"]
+        args, leaves = build(engine.rng_for(6, "dead-inputs"))
+        engine.backward(cross_attention_block(*args)[0].sum())
+        assert args[1]._grad is None
+        assert all(np.any(p.grad != 0.0) for p in leaves)
+
+    def test_shape_checks(self):
+        (x, inputs, g, b, wqk, wvo, bo), _ = SMALL_BLOCK_CASES["cross-one-head"][2](engine.rng_for(7, "shapes"))
+        with pytest.raises(ShapeError):
+            cross_attention_block(reshape(x, (2, 3, 8)), inputs, g, b, wqk, wvo, bo)
+        with pytest.raises(ShapeError):
+            cross_attention_block(x, reshape(inputs, (10, 8)), g, b, wqk, wvo, bo)
+        with pytest.raises(ShapeError):
+            cross_attention_block(x, inputs, g, b, wqk, Value(np.zeros((8, 7), dtype=np.float32)), bo)
+        (x, _, _, g, b, wq, wk, wv, wo, bo), _ = SMALL_BLOCK_CASES["self"][2](engine.rng_for(7, "shapes"))
+        with pytest.raises(ShapeError):
+            self_attention_block(x, 5, 2, g, b, wq, wk, wv, wo, bo)  # 12 rows in 5 sets
+        with pytest.raises(ShapeError):
+            self_attention_block(x, 3, 3, g, b, wq, wk, wv, wo, bo)  # width 8 in 3 heads
+        (x, g, b, w1, b1, w2, b2, _), _ = SMALL_BLOCK_CASES["mlp-relu"][2](engine.rng_for(7, "shapes"))
+        with pytest.raises(ShapeError):
+            residual_mlp(x, g, b, w1, b1, transpose(w2, (1, 0)), b2, "relu")

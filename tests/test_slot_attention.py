@@ -15,13 +15,12 @@ from slotvid.engine import (
     mul,
     reshape,
     scale,
-    softmax_axis,
     transpose,
 )
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check, recip
+from gradcheck import NONLIN_NODES, fd_check, recip, softmax_axis
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
@@ -208,7 +207,7 @@ def _keys_values_forward(inputs, p):
     """``forward_batch`` with explicit [B, M, D_att] keys ``xn wk`` and values ``xn wv``."""
     b, _, _ = inputs.shape
     n, d = p.slots.data.shape
-    nonlin = engine.NONLINEARITIES[p.nonlinearity]
+    nonlin = NONLIN_NODES[p.nonlinearity]
     temp = np.float32(1.0 / np.sqrt(d))
     xn = layer_norm(inputs, p.in_norm_g, p.in_norm_b)
     k = matmul(xn, p.wk)
