@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .connector import ConnectorConfig
+from .engine import NONLINEARITIES
 from .synthetic import SceneRanges
 
 
@@ -31,7 +32,6 @@ class ConfigError(Exception):
 CONNECTOR_KINDS = ("slot", "pooling", "query_transformer")
 SCHEDULES = ("constant", "cosine")
 BRANCHES = ("slow", "fast", "both")
-NONLINEARITY_NAMES = ("gelu-like", "relu", "tanh")
 
 # stage-dependent defaults (applied when the user leaves the field null):
 # feature-reconstruction pretraining runs longer at a higher rate; the two
@@ -151,8 +151,8 @@ def from_dict(user: dict) -> RunConfig:
 
     conn = merged["connector"]
     _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
-    _require(conn["nonlinearity"] in NONLINEARITY_NAMES,
-             f"connector.nonlinearity must be one of {NONLINEARITY_NAMES}")
+    _require(conn["nonlinearity"] in NONLINEARITIES,
+             f"connector.nonlinearity must be one of {tuple(NONLINEARITIES)}")
     if conn["mlp_hidden"] is None and _is_int(conn["slot_dim"]):
         conn["mlp_hidden"] = 2 * conn["slot_dim"]
     # every connector field but the nonlinearity name is a positive integer

@@ -3,24 +3,27 @@
 Arrays are numpy float32 throughout; every operation checks its output for
 NaN/Inf and raises instead of propagating silently. The computation record is
 a DAG of :class:`Value` nodes; ``backward`` walks it once in reverse
-topological order and accumulates adjoints into persistent ``grad`` buffers,
-so repeated backward calls without zeroing add up.
+topological order and accumulates the leaves' adjoints into persistent
+``grad`` buffers, so repeated backward calls without zeroing add up.
 
 Hot composites are fused into single nodes with analytic backwards:
-``cross_entropy``, the gated recurrent update ``gru_step``, one
-slot-attention read ``slot_attention_step``, the row ops ``layer_norm``,
-the affine map ``linear`` (``x w + b`` over rows) and the grid pooling
-``avg_pool_hw``, and the pre-norm transformer blocks over [R, D] rows:
-``residual_mlp`` (its nonlinearity named in ``NONLINEARITIES``),
-``cross_attention_block`` and ``self_attention_block``. The GRU, the read
-and the blocks evaluate the same products, sums and softmaxes in the same
-order as the same computations composed from primitive ops (the references
-in ``tests/test_fused_ops.py``), so their values are identical; their
-backwards sum in their own order, so gradients may differ from the
-composites' in the last bits. The slot-attention read takes two operands,
-the inputs (keys and values at once, the caller applying the projections
-around the read) and the queries; the cross-attention block likewise takes
-the raw inputs and weights the caller has folded.
+``cross_entropy``, the row ops ``layer_norm``, the affine map ``linear``
+(``x w + b`` over rows) and the grid pooling ``avg_pool_hw``, the pre-norm
+transformer blocks over [R, D] rows, ``residual_mlp`` (its nonlinearity named
+in ``NONLINEARITIES``), ``cross_attention_block`` and
+``self_attention_block``, and ``slot_attention``, every iteration of slot
+attention in one node. The blocks evaluate the same products, sums and
+softmaxes in the same order as the same computations composed from primitive
+ops (the references in ``tests/test_fused_ops.py``), so their values are
+identical; their backwards sum in their own order, so gradients may differ
+from the composites' in the last bits. The attention nodes take the raw
+inputs and weights folded by the caller or once per call. Slot attention
+reads the normalized inputs slot-major, [B, N, M], with the input norm's gain
+and bias, the key weights, the slot norm's gain and the temperature folded
+into one query map and the value weights into the gated update's input
+weights, so its values differ from the unfused path's in float32 rounding;
+its backward runs the iterations in reverse and sends each weight one
+adjoint.
 
 Row means and sums over a last axis, and column sums over rows, are GEMMs
 against a ones vector (``_sum_last``, ``_sum_rows``; a mean puts 1/D in the
@@ -41,6 +44,7 @@ import math
 import zlib
 from contextlib import contextmanager
 from functools import partial
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -93,8 +97,10 @@ class Value:
     """A float32 array node in the computation record.
 
     ``data`` is the forward value; ``grad`` an adjoint buffer of identical
-    shape, zero until backward runs. Parents and the backward closure are kept
-    only while gradients are enabled and some input requires them.
+    shape, zero until backward reaches the node as a leaf (``backward`` keeps
+    no adjoint on a node it differentiates through). Parents and the backward
+    closure are kept only while gradients are enabled and some input requires
+    them.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
@@ -489,19 +495,42 @@ def _affine_grads(adj: dict, rows: np.ndarray, g: np.ndarray, w: Value, b: Value
         _send(adj, b, _sum_rows(g))
 
 
-def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
-    """Layer norm of [R, D] rows: (output, normalized rows, 1/std [R, 1]), each a fresh buffer."""
+def _norm_rows(xr: np.ndarray, eps: float = LAYER_NORM_EPS):
+    """Zero-mean unit-variance [R, D] rows: (normalized rows, 1/std [R, 1]), each a fresh buffer."""
     d = xr.shape[1]
     mean_col = np.full((d, 1), 1.0 / d, dtype=DTYPE)
     xhat = xr - xr @ mean_col  # centred rows
-    sq = xhat * xhat
-    var = sq @ mean_col
+    var = (xhat * xhat) @ mean_col
     var += np.float32(eps)
     inv = np.float32(1.0) / np.sqrt(var)
     xhat *= inv
-    out = np.multiply(xhat, gain, out=sq)
+    return xhat, inv
+
+
+def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
+    """Layer norm of [R, D] rows: (output, normalized rows, 1/std [R, 1]), each a fresh buffer."""
+    xhat, inv = _norm_rows(xr, eps)
+    out = xhat * gain
     out += bias
     return out, xhat, inv
+
+
+def _norm_rows_dx(g: np.ndarray, gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                  gain: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of the rows under ``_norm_rows`` for the adjoint ``g`` [R, D] of
+    ``xhat * gain`` (of ``xhat`` itself when ``gain`` is None); ``gx`` is
+    ``g * xhat``. Overwrites ``gx``, and ``g`` too when ``gain`` is None."""
+    d = g.shape[1]
+    # the row means of g*gain and g*gain*xhat, the gain folded into the ones vector
+    mean = np.float32(1.0 / d)
+    col = np.full((d, 1), mean, dtype=DTYPE) if gain is None else (gain * mean).reshape(d, 1)
+    m1 = g @ col
+    m2 = gx @ col
+    dx = g if gain is None else g * gain
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=gx)
+    dx *= inv
+    return dx
 
 
 def _ln_rows_backward(adj: dict, g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Value, gain: Value,
@@ -516,15 +545,7 @@ def _ln_rows_backward(adj: dict, g: np.ndarray, xhat: np.ndarray, inv: np.ndarra
         _send(adj, bias, _sum_rows(g))
     if not x.requires_grad:  # raw input features need no adjoint
         return
-    d = g.shape[1]
-    # the row means of g*gain and g*gain*xhat, the gain folded into the ones vector
-    gain_col = (gain.data * np.float32(1.0 / d)).reshape(d, 1)
-    m1 = g @ gain_col
-    m2 = gx @ gain_col
-    dx = g * gain.data
-    dx -= m1
-    dx -= np.multiply(xhat, m2, out=gx)
-    dx *= inv
+    dx = _norm_rows_dx(g, gx, xhat, inv, gain.data)
     if residual is not None:
         dx += residual
     _send(adj, x, dx.reshape(x.data.shape))
@@ -573,54 +594,10 @@ def cross_entropy(logits, labels) -> Value:
     return _node(out_data.reshape(()), (logits,), backward)
 
 
-def slot_attention_step(x, q, temp: float, eps: float) -> tuple[Value, np.ndarray]:
-    """One slot-attention read of the inputs ``x`` [B, M, D] by queries ``q`` [B, N, D].
-
-    The token-by-slot logits ``temp * x q^T`` are softmaxed over the slots,
-    each slot's column is renormalized over the tokens (``eps`` added to the
-    column sum) and the slot update is the weighted mean of the inputs
-    [B, N, D]. Key and value projections are the caller's: it folds the key
-    weights into ``q`` and applies the value weights to the update, so ``x``
-    serves as both keys and values. One node with an analytic backward, which
-    sends ``x`` one combined adjoint. Sums over the slot and token axes are
-    GEMMs against a ones vector; the forward values are identical to those of
-    the same read composed from primitive ops with its column sums taken as
-    that GEMM too (the reference in ``tests/test_fused_ops.py``). Returns
-    (updates [B, N, D], mask [B, M, N]); the mask is plain data, rows summing
-    to one over the slots.
-    """
-    x, q = _coerce(x), _coerce(q)
-    if x.ndim != 3 or q.ndim != 3:
-        raise ShapeError("slot_attention_step expects rank-3 inputs and queries")
-    b, m, d = x.data.shape
-    if q.data.shape[::2] != (b, d):
-        raise ShapeError(f"slot_attention_step shapes disagree: x {x.data.shape}, q {q.data.shape}")
-    temp32 = np.float32(temp)
-    logits = np.matmul(x.data, q.data.transpose(0, 2, 1)) * temp32
-    attn = _softmax_last(logits)  # competition over slots
-    _require_finite(attn, "slot attention mask")
-    col_sums = np.matmul(np.ones((1, m), dtype=DTYPE), attn)  # [B, 1, N]
-    inv = np.float32(1.0) / (col_sums + np.float32(eps))
-    weights = attn * inv
-    out_data = np.matmul(weights.transpose(0, 2, 1), x.data)
-
-    def backward(g, adj):
-        g_w = np.matmul(x.data, g.transpose(0, 2, 1))  # [B, M, N]
-        # column sums of g_w * weights, taken as sum_d g * out over the short side
-        g_attn = inv * (g_w - _sum_last(g * out_data).transpose(0, 2, 1))
-        g_logits = attn * (g_attn - _sum_last(g_attn * attn))
-        g_logits *= temp32
-        if x.requires_grad:
-            gx = np.matmul(weights, g)
-            gx += np.matmul(g_logits, q.data)
-            _send(adj, x, gx)
-        if q.requires_grad:
-            _send(adj, q, np.matmul(g_logits.transpose(0, 2, 1), x.data))
-
-    return _node(out_data, (x, q), backward), attn
-
-
 # -- gated recurrent update -----------------------------------------------------
+
+
+GRU_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
 
 @dataclass
@@ -643,68 +620,57 @@ class GruParams:
         return cls(w(), w(), b(), w(), w(), b(), w(), w(), b())
 
     def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.{k}": getattr(self, k)
-            for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-        }
+        return {f"{prefix}.{k}": getattr(self, k) for k in GRU_NAMES}
 
 
-def gru_step(h, x, params: GruParams) -> Value:
-    """One gated recurrent update: h' = (1-z) * h + z * tanh-candidate.
+def _gru_rows(h: np.ndarray, xw: np.ndarray, u_zr: np.ndarray, uh: np.ndarray):
+    """Gated update of the state rows ``h`` [R, D]: (h', what the backward needs).
 
-    A single fused node over the rows of the last axis. The forward forms
-    z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br) and
-    c = tanh(x Wh + (r*h) Uh + bh) with the same products and sums in the same
-    order as the update composed from primitive ops (the reference in
-    ``tests/test_fused_ops.py``), so its values are identical; the backward is
-    analytic. The x- and h-side weights are concatenated per call, so one GEMM
-    serves all gates that share an operand.
+    ``xw`` [R, 3D] holds the input side with the biases, ``x [wz|wr|wh] +
+    [bz|br|bh]``, and ``u_zr`` the state weights ``[uz|ur]``. With
+    z = sigmoid(x Wz + bz + h Uz), r = sigmoid(x Wr + br + h Ur) and
+    c = tanh(x Wh + bh + (r*h) Uh), h' = h + z * (c - h).
     """
-    h, x = _coerce(h), _coerce(x)
-    if h.data.shape != x.data.shape:
-        raise ShapeError(f"gru_step state/input shapes differ: {h.data.shape} vs {x.data.shape}")
-    p = params
-    shape = h.data.shape
-    d = shape[-1]
-    w_x = np.concatenate((p.wz.data, p.wr.data, p.wh.data), axis=1)  # [D, 3D]
-    u_zr = np.concatenate((p.uz.data, p.ur.data), axis=1)  # [D, 2D]
-    if w_x.shape != (d, 3 * d) or u_zr.shape != (d, 2 * d) or p.uh.data.shape != (d, d):
-        raise ShapeError(f"gru_step weights must be [{d}, {d}]")
-    hr = h.data.reshape(-1, d)
-    xr = x.data.reshape(-1, d)
-    xw = xr @ w_x
-    hu = hr @ u_zr
-    z = _sigmoid_data(xw[:, :d] + hu[:, :d] + p.bz.data)
-    r = _sigmoid_data(xw[:, d : 2 * d] + hu[:, d:] + p.br.data)
-    rh = r * hr
-    c = np.tanh(xw[:, 2 * d :] + rh @ p.uh.data + p.bh.data)
-    out_data = (1.0 - z) * hr + z * c
+    d = h.shape[1]
+    zr = h @ u_zr
+    zr += xw[:, : 2 * d]
+    zr = _sigmoid_data(zr)
+    z, r = zr[:, :d], zr[:, d:]
+    rh = r * h
+    c = rh @ uh
+    c += xw[:, 2 * d :]
+    np.tanh(c, out=c)
+    out = c - h
+    out *= z
+    out += h
+    return out, (zr, rh, c)
 
-    def backward(g, adj):
-        g = g.reshape(-1, d)
-        dac = g * z * (1.0 - c * c)
-        drh = dac @ p.uh.data.T
-        # adjoints of the z, r and candidate pre-activations, side by side
-        pre = np.concatenate((g * (c - hr) * z * (1.0 - z), drh * hr * r * (1.0 - r), dac), axis=1)
-        pre_zr = pre[:, : 2 * d]
-        if h.requires_grad:
-            _send(adj, h, (g * (1.0 - z) + drh * r + pre_zr @ u_zr.T).reshape(shape))
-        if x.requires_grad:
-            _send(adj, x, (pre @ w_x.T).reshape(shape))
-        gw = xr.T @ pre
-        gu = hr.T @ pre_zr
-        gb = pre.sum(axis=0)
-        for i, (w, u, b) in enumerate(((p.wz, p.uz, p.bz), (p.wr, p.ur, p.br))):
-            cols = slice(i * d, (i + 1) * d)
-            _send(adj, w, gw[:, cols])
-            _send(adj, u, gu[:, cols])
-            _send(adj, b, gb[cols])
-        _send(adj, p.wh, gw[:, 2 * d :])
-        _send(adj, p.uh, rh.T @ dac)
-        _send(adj, p.bh, gb[2 * d :])
 
-    parents = (h, x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
-    return _node(out_data.reshape(shape), parents, backward)
+def _gru_rows_backward(g: np.ndarray, h: np.ndarray, cache, u_zr: np.ndarray, uh: np.ndarray):
+    """Adjoints of ``_gru_rows`` for the output adjoint ``g``: (state rows,
+    ``xw`` [R, 3D], which are also the gates' pre-activation adjoints,
+    ``u_zr``, ``uh``, the biases)."""
+    zr, rh, c = cache
+    d = h.shape[1]
+    z, r = zr[:, :d], zr[:, d:]
+    pre = np.empty((h.shape[0], 3 * d), dtype=DTYPE)  # adjoints of the z, r and candidate pre-activations
+    pre_zr, dac = pre[:, : 2 * d], pre[:, 2 * d :]
+    dc = g * z
+    np.multiply(c, c, out=dac)
+    np.subtract(np.float32(1.0), dac, out=dac)
+    dac *= dc
+    drh = dac @ uh.T
+    np.subtract(c, h, out=pre[:, :d])
+    pre[:, :d] *= g
+    np.multiply(drh, h, out=pre[:, d : 2 * d])
+    dsig = np.float32(1.0) - zr
+    dsig *= zr
+    pre_zr *= dsig
+    dh = g - dc
+    drh *= r
+    dh += drh
+    dh += pre_zr @ u_zr.T
+    return dh, pre, h.T @ pre_zr, rh.T @ dac, _sum_rows(pre)
 
 
 def linear(x, w, b) -> Value:
@@ -739,33 +705,49 @@ def linear(x, w, b) -> Value:
 # sums in its own order.
 
 
+def _mlp_rows(x, g, b, w1, b1, w2, b2, f):
+    """``x + f(LN(x) w1 + b1) w2 + b2`` over [R, D] arrays: (output, what the backward needs)."""
+    ln, xhat, inv = _ln_rows(x, g, b)
+    pre = ln @ w1
+    pre += b1
+    act, saved = f(pre)
+    out = act @ w2
+    out += b2
+    out += x
+    return out, (ln, xhat, inv, pre, act, saved)
+
+
+def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, w1: np.ndarray, w2: np.ndarray, df) -> tuple:
+    """Adjoints (x, g, b, w1, b1, w2, b2) of ``_mlp_rows`` for the output adjoint ``gr``."""
+    ln, xhat, inv, pre, act, saved = cache
+    dpre = df(pre, saved)
+    dpre *= gr @ w2.T
+    dln = dpre @ w1.T
+    gx = dln * xhat
+    dg, db = _sum_rows(gx), _sum_rows(dln)
+    dx = _norm_rows_dx(dln, gx, xhat, inv, g)
+    dx += gr
+    return dx, dg, db, ln.T @ dpre, _sum_rows(dpre), act.T @ gr, _sum_rows(gr)
+
+
 def residual_mlp(x, g, b, w1, b1, w2, b2, nonlinearity: str) -> Value:
     """Pre-norm residual feed-forward over [R, D] rows, one node.
 
     ``x + f(LN(x) w1 + b1) w2 + b2``, where ``f`` is the (forward,
     derivative) pair named ``nonlinearity`` in ``NONLINEARITIES``.
     """
-    x, g, b, w1, b1, w2, b2 = map(_coerce, (x, g, b, w1, b1, w2, b2))
+    operands = x, g, b, w1, b1, w2, b2 = tuple(map(_coerce, (x, g, b, w1, b1, w2, b2)))
     f, df = NONLINEARITIES[nonlinearity]
     d, hidden = x.data.shape[-1], w1.data.shape[-1]
     _check_shapes("residual_mlp", x=(x, (len(x.data), d)), g=(g, (d,)), b=(b, (d,)), w1=(w1, (d, hidden)),
                   b1=(b1, (hidden,)), w2=(w2, (hidden, d)), b2=(b2, (d,)))
-    ln, xhat, inv = _ln_rows(x.data, g.data, b.data)
-    pre = ln @ w1.data
-    pre += b1.data
-    act, saved = f(pre)
-    out_data = act @ w2.data
-    out_data += b2.data
-    out_data += x.data
+    out_data, cache = _mlp_rows(*(v.data for v in operands), f)
 
     def backward(gr, adj):
-        _affine_grads(adj, act, gr, w2, b2)
-        dpre = df(pre, saved)
-        dpre *= gr @ w2.data.T
-        _affine_grads(adj, ln, dpre, w1, b1)
-        _ln_rows_backward(adj, dpre @ w1.data.T, xhat, inv, x, g, b, residual=gr)
+        for v, gv in zip(operands, _mlp_rows_backward(gr, cache, g.data, w1.data, w2.data, df)):
+            _send(adj, v, gv)
 
-    return _node(out_data, (x, g, b, w1, b1, w2, b2), backward)
+    return _node(out_data, operands, backward)
 
 
 def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, np.ndarray]:
@@ -877,6 +859,187 @@ def self_attention_block(x, sets: int, heads: int, ln_g, ln_b, wq, wk, wv, wo, b
     return _node(out_data, (x, ln_g, ln_b, wq, wk, wv, wo, bo), backward)
 
 
+# -- slot attention ----------------------------------------------------------------
+
+
+def _slot_read(q: np.ndarray, x: np.ndarray, x_t: np.ndarray, eps: float):
+    """Slot-major read of sets of inputs ``x`` [B, M, E] by queries ``q`` [B, N, E].
+
+    ``x_t`` is ``x`` transposed, contiguous [B, E, M]. The logits ``q x^T``
+    [B, N, M] are softmaxed over the slots (the max an exact chain of
+    ``np.maximum`` over contiguous [B, M] slices, the sum a GEMM of a ones row
+    against them), each slot's row of weights is renormalized over the inputs
+    (``eps`` added to its sum) and the read is the weighted mean ``w x``
+    [B, N, E]. Returns (read, (attention, 1 / (row sums + eps), weights)).
+    """
+    attn = np.matmul(q, x_t)
+    n = attn.shape[1]
+    top = attn[:, 0].copy()
+    for j in range(1, n):
+        np.maximum(top, attn[:, j], out=top)
+    attn -= top[:, None]
+    np.exp(attn, out=attn)
+    attn /= np.matmul(np.ones((1, n), dtype=DTYPE), attn)
+    _require_finite(attn, "slot attention mask")
+    inv = np.matmul(attn, np.ones((attn.shape[2], 1), dtype=DTYPE))
+    inv += np.float32(eps)
+    np.divide(np.float32(1.0), inv, out=inv)
+    weights = attn * inv
+    return np.matmul(weights, x), (attn, inv, weights)
+
+
+def _slot_read_backward(g: np.ndarray, read: np.ndarray, q: np.ndarray, x: np.ndarray, x_t: np.ndarray,
+                        cache, x_grad: bool):
+    """Adjoints of ``_slot_read`` for the read's adjoint ``g`` [B, N, E]: (queries,
+    inputs transposed as [B, E, M], or None unless ``x_grad``)."""
+    attn, inv, weights = cache
+    g_attn = np.matmul(g, x_t)  # adjoint of the weights
+    g_attn -= _sum_last(g * read)  # sum_m g_w w, taken as sum_e g read over the short side
+    g_attn *= inv
+    g_logits = g_attn * attn
+    g_logits -= attn * np.matmul(np.ones((1, attn.shape[1]), dtype=DTYPE), g_logits)
+    g_x_t = None
+    if x_grad:
+        g_x_t = np.matmul(g.transpose(0, 2, 1), weights)
+        g_x_t += np.matmul(q.transpose(0, 2, 1), g_logits)
+    return np.matmul(g_logits, x), g_x_t
+
+
+def _affine_fold(w: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``[diag(gain); bias] w`` [E+1, D]: the map of ``w`` [E, D] applied after the
+    affine ``xhat * gain + bias``, for rows ``[xhat | 1]``."""
+    return np.concatenate((w * gain[:, None], (bias @ w)[None]), axis=0)
+
+
+def _affine_fold_grads(g: np.ndarray, w: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Adjoints (w, gain, bias) of ``_affine_fold`` for its adjoint ``g`` [E+1, D]."""
+    e = w.shape[0]
+    gw = g[:e] * gain[:, None]
+    gw += bias[:, None] * g[e]
+    return gw, _sum_last(g[:e] * w).reshape(e), w @ g[e]
+
+
+def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.ndarray]:
+    """Iterative slot attention of sets of inputs ``x`` [B, M, D_in], one node.
+
+    ``init`` holds the initial slots, [N, D] shared by every set or [B, N, D]
+    per set; ``p`` holds the weights under the field names of
+    ``slot_attention.SlotAttentionParams`` (``p.gru`` a ``GruParams``, and
+    ``p.eps`` and ``p.nonlinearity``). Each of the ``iterations`` runs, over
+    the slot state as [B*N, D] rows: the slot layer norm (gain, no bias), the
+    query, the slot-major read ``_slot_read`` of the normalized inputs with
+    logits scaled by ``temp``, the gated update ``_gru_rows`` with the read as
+    input through ``wv``, and the residual MLP ``_mlp_rows``.
+
+    Weights fold once per call, so each iteration runs on plain rows. With
+    ``X = [xhat | 1]``, the normalized inputs and a ones column, the input
+    norm's affine is ``X P`` with ``P = [diag(g); b]``, so the keys ``X (P wk)``
+    fold into the query weights ``temp * diag(slot_norm_g) wq (P wk)^T`` (the
+    bias becomes a per-slot logit offset against the ones row of ``X^T``) and
+    the values ``X (P wv)`` into the GRU's input weights ``(P wv) [wz|wr|wh]``
+    (the bias scales with each slot's weight sum, the read of the ones
+    column). The backward runs the iterations in reverse, accumulates each
+    weight's adjoint over them and sends it once, and forms the inputs'
+    per-token adjoint only when they need one. Returns (slots [B, N, D], the
+    last iteration's attention as a plain C-contiguous [B, M, N] array whose
+    rows sum to one over the slots). The normalized inputs and each
+    iteration's attention and slot rows are checked for finiteness.
+    """
+    x, init = _coerce(x), _coerce(init)
+    if x.ndim != 3 or init.ndim not in (2, 3):
+        raise ShapeError(f"slot_attention expects [B, M, D_in] inputs and [N, D] or [B, N, D] slots, "
+                         f"got {x.data.shape} and {init.data.shape}")
+    b, m, d_in = x.data.shape
+    n, d = init.data.shape[-2:]
+    hidden = p.mlp_w1.data.shape[-1]
+    square, vec = (d, d), (d,)
+    shapes = {"in_norm_g": (d_in,), "in_norm_b": (d_in,), "slot_norm_g": vec, "wq": square, "wk": (d_in, d),
+              "wv": (d_in, d), **{f"gru.{k}": vec if k[0] == "b" else square for k in GRU_NAMES},
+              "mlp_norm_g": vec, "mlp_norm_b": vec, "mlp_w1": (d, hidden), "mlp_b1": (hidden,),
+              "mlp_w2": (hidden, d), "mlp_b2": vec}
+    weights = tuple(attrgetter(k)(p) for k in shapes)
+    _check_shapes("slot_attention", init=(init, (n, d) if init.ndim == 2 else (b, n, d)),
+                  **{k: (w, s) for (k, s), w in zip(shapes.items(), weights)})
+    in_g, in_b, slot_g, wq, wk, wv, wz, uz, bz, wr, ur, br, wh, uh, bh, mlp_g, mlp_b, w1, b1, w2, b2 = (
+        w.data for w in weights)
+    mlp_weights = (mlp_g, mlp_b, w1, b1, w2, b2)
+    f, df = NONLINEARITIES[p.nonlinearity]
+    rows, e = b * n, d_in + 1
+
+    xhat, inv_x = _norm_rows(x.data.reshape(-1, d_in))
+    _require_finite(xhat, "normalized slot-attention inputs")
+    xs = np.ones((b, m, e), dtype=DTYPE)  # X = [xhat | 1]
+    xs[..., :d_in] = xhat.reshape(b, m, d_in)
+    xs_t = np.ascontiguousarray(xs.transpose(0, 2, 1))
+    k_fold, v_fold = _affine_fold(wk, in_g, in_b), _affine_fold(wv, in_g, in_b)
+    q_scale = (slot_g * np.float32(temp))[:, None]
+    wqk = wq @ k_fold.T
+    q_fold = wqk * q_scale  # [D, D_in+1]
+    w_x = np.concatenate((wz, wr, wh), axis=1)
+    vx = v_fold @ w_x  # [D_in+1, 3D]
+    b_x = np.concatenate((bz, br, bh))
+    u_zr = np.concatenate((uz, ur), axis=1)
+
+    h = np.ascontiguousarray(np.broadcast_to(init.data, (b, n, d))).reshape(rows, d)
+    steps = []
+    for _ in range(iterations):
+        shat, inv_s = _norm_rows(h)
+        q = (shat @ q_fold).reshape(b, n, e)
+        read, read_cache = _slot_read(q, xs, xs_t, p.eps)
+        read = read.reshape(rows, e)
+        xw = read @ vx
+        xw += b_x
+        h_gru, gru_cache = _gru_rows(h, xw, u_zr, uh)
+        h_next, mlp_cache = _mlp_rows(h_gru, *mlp_weights, f)
+        _require_finite(h_next, "slot rows")
+        steps.append((h, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache))
+        h = h_next
+    mask = np.ascontiguousarray(read_cache[0].transpose(0, 2, 1))
+
+    def backward(g, adj):
+        gh = g.reshape(rows, d)
+        g_q_fold = np.zeros_like(q_fold)
+        g_vx = np.zeros_like(vx)
+        g_gru = [np.zeros_like(u_zr), np.zeros_like(uh), np.zeros_like(b_x)]
+        g_mlp = [np.zeros_like(w) for w in mlp_weights]
+        g_xs_t = np.zeros_like(xs_t) if x.requires_grad else None
+        for h_prev, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache in reversed(steps):
+            g_h_gru, *g_step = _mlp_rows_backward(gh, mlp_cache, mlp_g, w1, w2, df)
+            for acc, gs in zip(g_mlp, g_step):
+                acc += gs
+            gh, g_pre, *g_step = _gru_rows_backward(g_h_gru, h_prev, gru_cache, u_zr, uh)
+            for acc, gs in zip(g_gru, g_step):
+                acc += gs
+            g_vx += read.T @ g_pre
+            g_q, g_xs_t_step = _slot_read_backward((g_pre @ vx.T).reshape(b, n, e), read.reshape(b, n, e), q,
+                                                   xs, xs_t, read_cache, g_xs_t is not None)
+            if g_xs_t is not None:
+                g_xs_t += g_xs_t_step
+            g_q = g_q.reshape(rows, e)
+            g_q_fold += shat.T @ g_q
+            g_shat = g_q @ q_fold.T
+            gh += _norm_rows_dx(g_shat, g_shat * shat, shat, inv_s)
+
+        g_wqk = g_q_fold * q_scale
+        g_w_x = v_fold.T @ g_vx
+        g_wk, g_in_g, g_in_b = _affine_fold_grads(g_wqk.T @ wq, wk, in_g, in_b)
+        g_wv, g_in_g_v, g_in_b_v = _affine_fold_grads(g_vx @ w_x.T, wv, in_g, in_b)
+        g_uzr, g_uh, g_bx = g_gru
+        gate = [slice(i * d, (i + 1) * d) for i in range(3)]
+        grads = (g_in_g + g_in_g_v, g_in_b + g_in_b_v, _sum_last(g_q_fold * wqk).reshape(d) * np.float32(temp),
+                 g_wqk @ k_fold, g_wk, g_wv, g_w_x[:, gate[0]], g_uzr[:, gate[0]], g_bx[gate[0]],
+                 g_w_x[:, gate[1]], g_uzr[:, gate[1]], g_bx[gate[1]], g_w_x[:, gate[2]], g_uh, g_bx[gate[2]],
+                 *g_mlp)
+        _send(adj, init, _unbroadcast(gh.reshape(b, n, d), init.data.shape))
+        for w, gw in zip(weights, grads):
+            _send(adj, w, gw)
+        if g_xs_t is not None:
+            g_xhat = np.ascontiguousarray(g_xs_t[:, :d_in].transpose(0, 2, 1)).reshape(-1, d_in)
+            _send(adj, x, _norm_rows_dx(g_xhat, g_xhat * xhat, xhat, inv_x).reshape(x.data.shape))
+
+    return _node(h.reshape(b, n, d), (x, init) + weights, backward), mask
+
+
 # -- pooling ---------------------------------------------------------------------
 
 
@@ -909,10 +1072,13 @@ def avg_pool_hw(a, stride: int) -> Value:
 
 
 def backward(root: Value) -> None:
-    """Accumulate d(root)/d(node) into ``grad`` for every reachable node.
+    """Accumulate d(root)/d(leaf) into ``grad`` for every reachable leaf.
 
     Root must be scalar (one element). Each node's closure runs exactly once,
     in reverse topological order; repeated calls add into existing grads.
+    Only leaves, the nodes without a backward closure, keep their adjoint: an
+    intermediate node's ``grad`` stays unset, so no intermediate adjoint
+    outlives the pass.
     """
     if int(np.prod(root.data.shape)) != 1:
         raise ShapeError("backward root must be scalar")
@@ -940,8 +1106,9 @@ def backward(root: Value) -> None:
         g = adj.pop(id(node), None)
         if g is None:
             continue
-        node._grad = g if node._grad is None else node._grad + g
-        if node._backward is not None:
+        if node._backward is None:
+            node._grad = g if node._grad is None else node._grad + g
+        else:
             node._backward(g, adj)
 
 

@@ -6,23 +6,23 @@ weighted update. The returned mask is the final-iteration competition matrix
 as a plain float32 array [sets, tokens, slots], the one mask format every
 aggregator returns; each row sums to one.
 
-Inside ``forward_batch`` the slot state of the whole batch is kept as
-[B*N, D_slot] rows, so the query projection, the gated update, the MLP and
-their layer norms each run as one 2-D GEMM or row op over all slots; only the
-fused read ``engine.slot_attention_step`` sees the [B, N, ...] set structure.
+``forward_batch`` is one engine node, ``engine.slot_attention``, for the
+input norm and every iteration: the slot state of the whole batch is kept as
+[B*N, D_slot] rows, so the query, the gated update and the MLP run as 2-D
+GEMMs and row ops over all slots, and only the read sees the set structure.
 
-The read works in input space: with normalized inputs ``xn`` [B, M, D_in],
-the logits ``(xn wk) q^T`` are evaluated as ``xn (q wk^T)^T`` and the update
-``weights^T (xn wv)`` as ``(weights^T xn) wv``, so no per-token keys or values
-[B, M, D_slot] are ever built, and the inputs receive one adjoint per
-iteration instead of a key and a value adjoint. The key weights fold into the
-query weights once per call (``wq wk^T``, [D_slot, D_in]); the value weights
-apply to N read rows per set and iteration instead of M token rows once, which
-is cheaper while iterations x slots stays below the token count (3 x 8 = 24
-against 256 slow and 32 fast tokens by default). The logits and the read run
-over D_in (32) instead of D_slot (64). The mask, the parameters and
-their checkpoint names are those of the keys-and-values form; values agree
-with it to float32 rounding.
+The read works in input space and slot-major: with normalized inputs
+``xhat`` [B, M, D_in] and a ones column, ``X = [xhat | 1]``, the logits are
+``q X^T`` [B, N, M] against a transpose of ``X`` built once per call, and the
+read is ``w X`` [B, N, D_in+1], so no per-token keys or values [B, M, D_slot]
+are ever built. The input norm's affine, the key weights, the slot norm's
+gain and the temperature fold into one [D_slot, D_in+1] query map, and the
+value weights into the gated update's input weights, ``wv [wz|wr|wh]``,
+once per call; the input norm's bias becomes the ones column's share. The
+inputs get a per-token adjoint only when they need one (the fast branch
+through its position embedding; never the raw frames of the slow branch).
+The mask, the parameters and their checkpoint names are those of the
+keys-and-values form; values agree with it to float32 rounding.
 """
 
 from __future__ import annotations
@@ -31,23 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    GruParams,
-    ShapeError,
-    Value,
-    broadcast_to,
-    gru_step,
-    layer_norm,
-    linear_param,
-    matmul,
-    normal_param,
-    ones_param,
-    reshape,
-    residual_mlp,
-    slot_attention_step,
-    transpose,
-    zeros_param,
-)
+from .engine import GruParams, Value, linear_param, normal_param, ones_param, slot_attention, zeros_param
 
 ATTN_EPS = 1e-8
 
@@ -141,28 +125,5 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np
     mask [B, M, N]) where the mask is the final-iteration competition, rows
     over slots, as a plain float32 array (no gradient flows through it).
     """
-    if inputs.ndim != 3:
-        raise ShapeError("forward_batch expects [B, M, D_in] inputs")
-    b, m, _ = inputs.shape
-    n, d_slot = params.slots.data.shape
-    temp = np.float32(1.0 / np.sqrt(d_slot))
-
-    xn = layer_norm(inputs, params.in_norm_g, params.in_norm_b)  # [B, M, D_in]
-    d_in = xn.shape[-1]
-    # keys in the queries: (xn wk) q^T = xn (q wk^T)^T, so no [B, M, D_slot] keys exist
-    wqk = matmul(params.wq, transpose(params.wk, (1, 0)))  # [D_slot, D_in]
-
-    # slot state as [B*N, D_slot] rows: every slot-side op is one 2-D GEMM or row op
-    slots = reshape(broadcast_to(reshape(params.slots, (1, n, d_slot)), (b, n, d_slot)), (b * n, d_slot))
-    no_shift = np.zeros(d_slot, dtype=np.float32)
-    mask = None
-    for _ in range(params.iterations):
-        q = matmul(layer_norm(slots, params.slot_norm_g, no_shift), wqk)
-        read, mask = slot_attention_step(xn, reshape(q, (b, n, d_in)), temp, params.eps)
-        # values after the read: weights^T (xn wv) = (weights^T xn) wv
-        updates = matmul(reshape(read, (b * n, d_in)), params.wv)
-        slots = gru_step(slots, updates, params.gru)
-        slots = residual_mlp(slots, params.mlp_norm_g, params.mlp_norm_b, params.mlp_w1, params.mlp_b1,
-                             params.mlp_w2, params.mlp_b2, params.nonlinearity)
-    return reshape(slots, (b, n, d_slot)), mask
-
+    temp = np.float32(1.0 / np.sqrt(params.slots.data.shape[1]))
+    return slot_attention(inputs, params.slots, params, params.iterations, temp)

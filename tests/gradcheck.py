@@ -103,3 +103,65 @@ def softmax_axis(a, axis):
         engine._send(adj, a, out * (g - total(g * out)))
 
     return engine._node(out, (a,), backward)
+
+
+def reference_gru(h, x, p):
+    """Composite gated update h' = h + z * (c - h), z and r sigmoid gates and c the
+    tanh candidate, in the order of the slot-attention node's ``_gru_rows``."""
+    z = sigmoid(engine.add(engine.matmul(h, p.uz), engine.add(engine.matmul(x, p.wz), p.bz)))
+    r = sigmoid(engine.add(engine.matmul(h, p.ur), engine.add(engine.matmul(x, p.wr), p.br)))
+    cand = tanh(engine.add(engine.matmul(engine.mul(r, h), p.uh), engine.add(engine.matmul(x, p.wh), p.bh)))
+    return engine.add(h, engine.mul(z, engine.sub(cand, h)))
+
+
+# -- the slot-attention node's kernels as graph nodes of their own ---------------------
+# ``engine.slot_attention`` runs its gated update and its read as array
+# kernels inside one node; these wrap each kernel with its backward, so that
+# each can be checked against its composite and by finite differences.
+
+def gru_node(h, x, p):
+    """``engine._gru_rows`` over state rows ``h`` and input rows ``x`` (same shape) with
+    ``GruParams`` ``p``; the input side is one GEMM against ``[wz|wr|wh]``, as in the node."""
+    h, x = engine._coerce(h), engine._coerce(x)
+    shape = h.data.shape
+    d = shape[-1]
+    w_x = np.concatenate((p.wz.data, p.wr.data, p.wh.data), axis=1)
+    u_zr = np.concatenate((p.uz.data, p.ur.data), axis=1)
+    hr, xr = h.data.reshape(-1, d), x.data.reshape(-1, d)
+    xw = xr @ w_x
+    xw += np.concatenate((p.bz.data, p.br.data, p.bh.data))
+    out, cache = engine._gru_rows(hr, xw, u_zr, p.uh.data)
+
+    def backward(g, adj):
+        dh, dxw, du_zr, duh, db = engine._gru_rows_backward(g.reshape(-1, d), hr, cache, u_zr, p.uh.data)
+        dw = xr.T @ dxw
+        gate = [slice(i * d, (i + 1) * d) for i in range(3)]
+        grads = (dw[:, gate[0]], du_zr[:, gate[0]], db[gate[0]], dw[:, gate[1]], du_zr[:, gate[1]], db[gate[1]],
+                 dw[:, gate[2]], duh, db[gate[2]])
+        engine._send(adj, h, dh.reshape(shape))
+        if x.requires_grad:
+            engine._send(adj, x, (dxw @ w_x.T).reshape(shape))
+        for name, gw in zip(engine.GRU_NAMES, grads):
+            engine._send(adj, getattr(p, name), gw)
+
+    parents = (h, x) + tuple(getattr(p, name) for name in engine.GRU_NAMES)
+    return engine._node(out.reshape(shape), parents, backward)
+
+
+def slot_read_node(x, q, temp, eps):
+    """``engine._slot_read`` of inputs ``x`` [B, M, D] by queries ``q`` [B, N, D] with
+    logits ``(temp q) x^T``: (read [B, N, D] as a node, attention [B, N, M])."""
+    x, q = engine._coerce(x), engine._coerce(q)
+    temp32 = np.float32(temp)
+    qs = q.data * temp32
+    x_t = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+    read, cache = engine._slot_read(qs, x.data, x_t, eps)
+
+    def backward(g, adj):
+        g_q, g_x_t = engine._slot_read_backward(g, read, qs, x.data, x_t, cache, x.requires_grad)
+        if q.requires_grad:
+            engine._send(adj, q, g_q * temp32)
+        if g_x_t is not None:
+            engine._send(adj, x, g_x_t.transpose(0, 2, 1))
+
+    return engine._node(read, (x, q), backward), cache[0]

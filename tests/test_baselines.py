@@ -27,7 +27,7 @@ from slotvid.engine import (
     scale,
     transpose,
 )
-from slotvid.slot_attention import forward_batch
+from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.training import build_model, forward_masks
 
 from gradcheck import NONLIN_NODES, softmax_axis
@@ -311,7 +311,8 @@ class TestFusedRowNodes:
     """Each transformer block is one node: the decoder, the query transformer
     and the residual MLP build one block node per block, and no layer norm,
     affine map, ramp or softmax node runs inside a block, nor a bias added to
-    a matmul output as its own node."""
+    a matmul output as its own node. Slot attention is one node for all its
+    iterations."""
 
     @staticmethod
     def _ops(nodes):
@@ -348,6 +349,15 @@ class TestFusedRowNodes:
         out = engine.residual_mlp(x, engine.ones_param(d), engine.zeros_param(d), w1, engine.zeros_param(2 * d),
                                   w2, engine.zeros_param(d), "gelu-like")
         assert [op for op in self._ops(_graph(out)) if op is not None] == ["residual_mlp"]
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_slot_attention(self, x_grad):
+        # every iteration inside one node: no layer norm, GRU, read, matmul or
+        # MLP node over the slot rows or the tokens
+        rng = engine.rng_for(16, "sa-fused")
+        p = SlotAttentionParams.create(rng, 3, 5, 8, iterations=3)
+        slots, _ = forward_batch(Value(engine.normal(rng, (2, 7, 5)), requires_grad=x_grad), p)
+        assert [op for op in self._ops(_graph(slots)) if op is not None] == ["slot_attention"]
 
 
 class TestNormalizationDirections:

@@ -38,6 +38,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             from_dict({"connector": {"type": "transformer"}})
 
+    def test_nonlinearity_names_are_the_engines(self):
+        from slotvid.engine import NONLINEARITIES
+
+        for name in NONLINEARITIES:
+            assert from_dict({"connector": {"nonlinearity": name}}).connector.nonlinearity == name
+        with pytest.raises(ConfigError, match="nonlinearity"):
+            from_dict({"connector": {"nonlinearity": "swish"}})
+
     def test_bad_stride(self):
         with pytest.raises(ConfigError):
             from_dict({"connector": {"pool_stride": 5}})

@@ -15,7 +15,7 @@ from slotvid.connector import (
 from slotvid.engine import Value
 from slotvid.slot_attention import forward_batch
 
-from gradcheck import NONLIN_NODES, fd_check
+from gradcheck import NONLIN_NODES, fd_check, reference_gru
 
 
 SMALL = ConnectorConfig(
@@ -150,7 +150,7 @@ class TestSlowBranch:
             cur = Value(p.slots.data.copy())
             nonlin = NONLIN_NODES[p.nonlinearity]
             for _ in range(p.iterations):
-                cur = engine.gru_step(cur, u, p.gru)
+                cur = reference_gru(cur, u, p.gru)
                 pre = engine.layer_norm(cur, p.mlp_norm_g, p.mlp_norm_b)
                 hidden = nonlin(engine.add(engine.matmul(pre, p.mlp_w1), p.mlp_b1))
                 cur = engine.add(cur, engine.add(engine.matmul(hidden, p.mlp_w2), p.mlp_b2))

@@ -13,10 +13,11 @@ from slotvid.engine import (
     adam_update,
     avg_pool_hw,
     backward,
-    gru_step,
     layer_norm,
     matmul,
+    slot_attention,
 )
+from slotvid.slot_attention import SlotAttentionParams
 
 from gradcheck import exp, fd_check, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh
 
@@ -132,6 +133,10 @@ def _scalar_gru_oracle(h, x, p):
 
 
 class TestGru:
+    """The gated update as the slot-attention node runs it: one slot, one
+    iteration and an MLP that adds zero, so the node's output is one update of
+    the initial slot by the read of the inputs through ``wv``."""
+
     def _zero_params(self, dim):
         zeros = lambda shape: Value(np.zeros(shape, dtype=np.float32))
         return GruParams(
@@ -140,34 +145,48 @@ class TestGru:
             zeros((dim, dim)), zeros((dim, dim)), zeros(dim),
         )
 
+    @staticmethod
+    def _update(gru, h, inputs):
+        dim = gru.wz.data.shape[0]
+        p = SlotAttentionParams.create(engine.rng_for(0, "gru-node"), 1, inputs.shape[-1], dim, iterations=1)
+        p.gru, p.mlp_w2 = gru, Value(np.zeros_like(p.mlp_w2.data))
+        slots, _ = slot_attention(Value(inputs[None]), Value(h), p, 1, 1.0)
+        return slots.data[0], p
+
     def test_all_zero_params_halve_state(self):
         # sigma(0) = 0.5 and tanh(0) = 0 force h' = 0.5 h
         p = self._zero_params(3)
-        h = Value([[2.0, -4.0, 6.0]])
-        out = gru_step(h, Value(np.zeros((1, 3), dtype=np.float32)), p)
-        np.testing.assert_allclose(out.data, [[1.0, -2.0, 3.0]], atol=1e-6)
+        h = np.array([[2.0, -4.0, 6.0]], dtype=np.float32)
+        out, _ = self._update(p, h, engine.normal(engine.rng_for(1, "x"), (4, 2)))
+        np.testing.assert_allclose(out, [[1.0, -2.0, 3.0]], atol=1e-6)
 
     def test_closed_update_gate_keeps_state(self):
         p = self._zero_params(3)
         p.bz.data[:] = -30.0
-        h = Value([[0.3, -0.2, 0.9]])
-        x = Value([[5.0, 5.0, 5.0]])
-        out = gru_step(h, x, p)
-        np.testing.assert_allclose(out.data, h.data, atol=1e-6)
+        p.wh.data[:] = 1.0  # a candidate far from the state
+        h = np.array([[0.3, -0.2, 0.9]], dtype=np.float32)
+        out, _ = self._update(p, h, np.full((4, 3), 5.0, dtype=np.float32) + np.eye(4, 3, dtype=np.float32))
+        np.testing.assert_allclose(out, h, atol=1e-6)
 
     def test_random_instance_matches_scalar_oracle(self):
         rng = engine.rng_for(11, "gru")
         p = GruParams.create(rng, 2)
         h = engine.normal(rng, (1, 2))
-        x = engine.normal(rng, (1, 2))
-        out = gru_step(Value(h), Value(x), p)
-        expect = _scalar_gru_oracle([float(v) for v in h[0]], [float(v) for v in x[0]], p)
-        np.testing.assert_allclose(out.data[0], expect, atol=1e-5)
+        inputs = engine.normal(rng, (5, 3))
+        out, sa = self._update(p, h, inputs)
+        # one slot takes every token with weight one: the update is the mean of
+        # the normalized inputs, renormalized with eps, through wv
+        xn = inputs - inputs.mean(axis=1, keepdims=True)
+        xn /= np.sqrt((xn * xn).mean(axis=1, keepdims=True) + engine.LAYER_NORM_EPS)
+        x = (xn.astype(np.float64).sum(axis=0) / (5.0 + sa.eps)) @ sa.wv.data.astype(np.float64)
+        expect = _scalar_gru_oracle([float(v) for v in h[0]], [float(v) for v in x], p)
+        np.testing.assert_allclose(out[0], expect, atol=1e-5)
 
     def test_shape_mismatch(self):
         p = self._zero_params(2)
-        with pytest.raises(ShapeError):
-            gru_step(Value(np.zeros((1, 2))), Value(np.zeros((2, 2))), p)
+        p.ur = Value(np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(ShapeError, match="gru.ur"):
+            self._update(p, np.zeros((1, 2), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
 
 
 class TestAvgPool:
@@ -219,6 +238,19 @@ class TestBackward:
         y = engine.mul(engine.add(x, x), x).sum()
         backward(y)
         np.testing.assert_allclose(x.grad, [6.0], atol=1e-6)
+
+    def test_only_leaves_keep_adjoints(self):
+        rng = engine.rng_for(22, "leaves")
+        x = Value(engine.normal(rng, (3, 4)), requires_grad=True)
+        w = Value(engine.normal(rng, (4, 2)), requires_grad=True)
+        probe = engine.normal(rng, (3, 2))
+        h = matmul(x, w)
+        weighted = engine.mul(h, probe)
+        backward(weighted.sum())
+        assert h._grad is None and weighted._grad is None
+        # the leaves get the bits of the matmul backward for the adjoint probe
+        np.testing.assert_array_equal(x.grad, probe @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ probe)
 
     def test_composite_matches_finite_differences(self):
         rng = engine.rng_for(21, "fd-composite")
@@ -305,14 +337,18 @@ class TestOpGradients:
             self._check(build, params, tag, instances=8)
 
     def test_gru_gradients(self):
+        # the gated update runs inside the slot-attention node: one iteration, two slots
         rng = engine.rng_for(31, "gru-fd")
-        p = GruParams.create(rng, 3)
+        sa = SlotAttentionParams.create(rng, 2, 3, 3, iterations=1)
+        p = sa.gru
+        for name in ("bz", "br", "bh"):
+            getattr(p, name).data = engine.normal(rng, (3,), std=0.5)
         h = Value(engine.normal(rng, (2, 3)), requires_grad=True)
-        x = Value(engine.normal(rng, (2, 3)), requires_grad=True)
-        params = [h, x] + [getattr(p, k) for k in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")]
+        x = Value(engine.normal(rng, (1, 4, 3)), requires_grad=True)
+        params = [h, x] + [getattr(p, k) for k in engine.GRU_NAMES]
 
         def build():
-            return engine.mul(gru_step(h, x, p), 0.5).sum()
+            return engine.mul(slot_attention(x, h, sa, 1, 0.5)[0], 0.5).sum()
 
         ok, total = fd_check(build, params, engine.rng_for(31, "pick"), coords_per_param=4)
         assert ok / total >= 0.95

@@ -1,12 +1,16 @@
-"""Fused GRU, slot-attention step, row ops and transformer blocks checked against composite references.
+"""Fused ops checked against composite references: the slot-attention node and
+its gated-update and read kernels, the row ops and the transformer blocks.
 
 The references below build the same computations from primitive engine ops,
-one graph node per primitive. The fused GRU, attention and block forwards
-evaluate the same products, sums and softmaxes in the same order (the
-attention read takes its column sums as a GEMM against a ones vector, and so
-does its reference), so they must match bit for bit; their analytic
-backwards sum in a different order, so gradients agree within a float32
-tolerance fixed before measuring.
+one graph node per primitive. The gated-update and read kernels (each wrapped
+as a node of its own in ``gradcheck``) and the block forwards evaluate the
+same products, sums and softmaxes in the same order (the read takes its sums
+over slots and inputs as GEMMs against a ones vector, and so does its
+reference), so they must match bit for bit; their analytic backwards sum in a
+different order, so gradients agree within a float32 tolerance fixed before
+measuring. The slot-attention node folds weights the unfused path applies one
+by one, so it agrees with that path within the tolerances of the row ops
+below, the forward's floor growing with the iteration count.
 
 The row ops (``layer_norm``, the gelu-like ramp of ``NONLINEARITIES`` as one
 node, ``linear``, ``avg_pool_hw``)
@@ -18,6 +22,8 @@ and a float32 sum of R terms carries a rounding error of about
 sqrt(R) * eps32 of their scale in either order, so its floor is the larger
 of that and ``ATOL``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,7 +37,6 @@ from slotvid.engine import (
     avg_pool_hw,
     broadcast_to,
     cross_attention_block,
-    gru_step,
     layer_norm,
     linear,
     matmul,
@@ -40,35 +45,41 @@ from slotvid.engine import (
     residual_mlp,
     scale,
     self_attention_block,
-    slot_attention_step,
-    sub,
+    slot_attention,
     transpose,
     vmean,
 )
 
-from gradcheck import NONLIN_NODES, fd_check, recip, sigmoid, smooth_ramp, softmax_axis, tanh
+from slotvid.slot_attention import SlotAttentionParams
+
+from gradcheck import (
+    NONLIN_NODES, fd_check, gru_node, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
+)
 
 RTOL = 1e-5
 ATOL = 1e-6
 FWD_RTOL = 1e-6
 
 
-def reference_gru(h, x, p):
-    """Composite gated update: h' = (1-z) * h + z * tanh-candidate."""
-    z = sigmoid(add(add(matmul(x, p.wz), matmul(h, p.uz)), p.bz))
-    r = sigmoid(add(add(matmul(x, p.wr), matmul(h, p.ur)), p.br))
-    cand = tanh(add(add(matmul(x, p.wh), matmul(mul(r, h), p.uh)), p.bh))
-    return add(mul(sub(1.0, z), h), mul(z, cand))
-
-
 def reference_attention_step(x, q, temp, eps):
-    """Composite slot-attention read with keys = values = ``x``: softmax over slots,
-    column renormalization, weighted mean."""
+    """Composite slot-attention read with keys = values = ``x``, token-major as the
+    unfused path ran it: logits [B, M, N] softmaxed over slots, column
+    renormalization, weighted mean."""
     logits = scale(matmul(x, transpose(q, (0, 2, 1))), temp)
     attn = softmax_axis(logits, axis=2)
     col_sums = matmul(np.ones((1, x.shape[1]), dtype=np.float32), attn)
     weights = mul(attn, broadcast_to(recip(add(col_sums, np.float32(eps))), attn.shape))
     return matmul(transpose(weights, (0, 2, 1)), x), attn
+
+
+def reference_slot_read(x, q, temp, eps):
+    """Composite slot-major read in the order of ``engine._slot_read``: logits
+    ``(temp q) x^T`` [B, N, M] softmaxed over the slots, each slot's row
+    renormalized, weighted mean."""
+    attn = softmax_axis(matmul(scale(q, temp), transpose(x, (0, 2, 1))), axis=1)
+    row_sums = matmul(attn, np.ones((x.shape[1], 1), dtype=np.float32))
+    weights = mul(attn, broadcast_to(recip(add(row_sums, np.float32(eps))), attn.shape))
+    return matmul(weights, x), attn
 
 
 def _leaf(rng, shape, std=1.0):
@@ -104,11 +115,13 @@ ATTENTION_SHAPES = [(1, 1, 1, 3), (2, 5, 3, 4), (4, 17, 8, 6), (3, 32, 2, 7)]
 
 
 class TestFusedGru:
+    """The gated update of the slot-attention node, its kernel ``_gru_rows`` wrapped as a node of its own."""
+
     @pytest.mark.parametrize("shape", GRU_SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_forward_bit_equal_to_composite(self, seed, shape):
         p, h, x, _, _ = _gru_case(seed, shape)
-        fused = gru_step(h, x, p)
+        fused = gru_node(h, x, p)
         ref = reference_gru(h, x, p)
         assert fused.data.shape == shape
         np.testing.assert_array_equal(fused.data, ref.data)
@@ -117,7 +130,7 @@ class TestFusedGru:
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_composite(self, seed, shape):
         p, h, x, probe, leaves = _gru_case(seed, shape)
-        fused = _grads(lambda: mul(gru_step(h, x, p), probe).sum(), leaves)
+        fused = _grads(lambda: mul(gru_node(h, x, p), probe).sum(), leaves)
         ref = _grads(lambda: mul(reference_gru(h, x, p), probe).sum(), leaves)
         for got, want in zip(fused, ref):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
@@ -125,7 +138,7 @@ class TestFusedGru:
     def test_input_without_grad_gets_none(self):
         p, h, _, probe, _ = _gru_case(4, (3, 4))
         x = Value(engine.normal(engine.rng_for(4, "x"), (3, 4)))
-        engine.backward(mul(gru_step(h, x, p), probe).sum())
+        engine.backward(mul(gru_node(h, x, p), probe).sum())
         assert x._grad is None
         assert np.any(h.grad != 0.0)
 
@@ -133,30 +146,33 @@ class TestFusedGru:
         p, h, x, probe, leaves = _gru_case(7, (2, 3, 4))
 
         def build():
-            return mul(gru_step(h, x, p), probe).sum()
+            return mul(gru_node(h, x, p), probe).sum()
 
         ok, total = fd_check(build, leaves, engine.rng_for(7, "pick"), coords_per_param=4)
         assert ok / total >= 0.95
 
     def test_weight_shape_mismatch(self):
-        p, h, x, _, _ = _gru_case(0, (2, 4))
-        p.uh = Value(np.zeros((4, 3), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            gru_step(h, x, p)
+        # the node checks its GRU weights before running
+        p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
+        p.gru.uh = Value(np.zeros((6, 5), dtype=np.float32))
+        with pytest.raises(ShapeError, match="gru.uh"):
+            slot_attention(x, init, p, 1, 0.5)
 
 
 class TestFusedAttentionStep:
+    """The read of the slot-attention node, its kernel ``_slot_read`` wrapped as a node of its own."""
+
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     @pytest.mark.parametrize("dims", ATTENTION_SHAPES)
     @pytest.mark.parametrize("seed", range(3))
     def test_forward_bit_equal_to_composite(self, seed, dims, eps):
         x, q, _ = _attention_case(seed, *dims)
         temp = np.float32(1.0 / np.sqrt(dims[3]))
-        updates, mask = slot_attention_step(x, q, temp, eps)
-        ref_updates, ref_attn = reference_attention_step(x, q, temp, eps)
-        np.testing.assert_array_equal(updates.data, ref_updates.data)
-        np.testing.assert_array_equal(mask, ref_attn.data)
-        assert isinstance(mask, np.ndarray)
+        read, attn = slot_read_node(x, q, temp, eps)
+        ref_read, ref_attn = reference_slot_read(x, q, temp, eps)
+        np.testing.assert_array_equal(read.data, ref_read.data)
+        np.testing.assert_array_equal(attn, ref_attn.data)
+        assert isinstance(attn, np.ndarray)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     @pytest.mark.parametrize("dims", ATTENTION_SHAPES)
@@ -165,8 +181,8 @@ class TestFusedAttentionStep:
         x, q, probe = _attention_case(seed, *dims)
         temp = np.float32(1.0 / np.sqrt(dims[3]))
         leaves = [x, q]
-        fused = _grads(lambda: mul(slot_attention_step(x, q, temp, eps)[0], probe).sum(), leaves)
-        ref = _grads(lambda: mul(reference_attention_step(x, q, temp, eps)[0], probe).sum(), leaves)
+        fused = _grads(lambda: mul(slot_read_node(x, q, temp, eps)[0], probe).sum(), leaves)
+        ref = _grads(lambda: mul(reference_slot_read(x, q, temp, eps)[0], probe).sum(), leaves)
         for got, want in zip(fused, ref):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
@@ -175,7 +191,7 @@ class TestFusedAttentionStep:
         x, q, probe = _attention_case(9, 2, 6, 3, 4)
 
         def build():
-            return mul(slot_attention_step(x, q, 0.5, eps)[0], probe).sum()
+            return mul(slot_read_node(x, q, 0.5, eps)[0], probe).sum()
 
         ok, total = fd_check(build, [x, q], engine.rng_for(9, "pick"), coords_per_param=6)
         assert ok / total >= 0.95
@@ -188,23 +204,163 @@ class TestFusedAttentionStep:
         else:
             q = Value(q.data)
         const, live = (x, q) if constant == "x" else (q, x)
-        engine.backward(mul(slot_attention_step(x, q, 0.5, 1e-8)[0], probe).sum())
+        engine.backward(mul(slot_read_node(x, q, 0.5, 1e-8)[0], probe).sum())
         assert const._grad is None
         assert np.any(live.grad != 0.0)
 
     def test_mask_rows_sum_to_one(self):
         x, q, _ = _attention_case(3, 3, 10, 4, 4)
-        _, mask = slot_attention_step(x, q, 0.5, 1e-8)
-        np.testing.assert_allclose(mask.sum(axis=2), 1.0, atol=1e-6)
+        _, attn = slot_read_node(x, q, 0.5, 1e-8)
+        np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
     def test_shape_checks(self):
-        x, q, _ = _attention_case(0, 2, 5, 3, 4)
+        # the node refuses read operands whose widths disagree
+        p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
         with pytest.raises(ShapeError):
-            slot_attention_step(x, q.reshape((6, 4)), 0.5, 0.0)
+            slot_attention(reshape(x, (10, 4)), init, p, 1, 0.5)
+        with pytest.raises(ShapeError, match="in_norm_g"):  # inputs narrower than the weights
+            slot_attention(Value(np.zeros((2, 5, 3), dtype=np.float32)), init, p, 1, 0.5)
+        p.wk = Value(np.zeros((4, 5), dtype=np.float32))
+        with pytest.raises(ShapeError, match="wk"):
+            slot_attention(x, init, p, 1, 0.5)
+        p.wq = Value(np.zeros((6, 5), dtype=np.float32))
+        with pytest.raises(ShapeError, match="wq"):
+            slot_attention(x, init, p, 1, 0.5)
+
+
+# -- the slot-attention node ---------------------------------------------------------
+
+
+def reference_slot_attention(x, init, p, iterations, temp):
+    """The unfused path: the input layer norm, then per iteration the slot layer
+    norm, the query, the token-major read, ``wv`` on the read, the gated
+    update and the residual MLP, each its own node."""
+    b, _, d_in = x.shape
+    n, d = init.shape[-2:]
+    xn = layer_norm(x, p.in_norm_g, p.in_norm_b)
+    wqk = matmul(p.wq, transpose(p.wk, (1, 0)))
+    slots = reshape(broadcast_to(init, (b, n, d)), (b * n, d))
+    attn = None
+    for _ in range(iterations):
+        q = matmul(layer_norm(slots, p.slot_norm_g, np.zeros(d, dtype=np.float32)), wqk)
+        read, attn = reference_attention_step(xn, reshape(q, (b, n, d_in)), temp, p.eps)
+        slots = reference_gru(slots, matmul(reshape(read, (b * n, d_in)), p.wv), p.gru)
+        slots = residual_mlp(slots, p.mlp_norm_g, p.mlp_norm_b, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2,
+                             p.nonlinearity)
+    return reshape(slots, (b, n, d)), attn.data
+
+
+def _node_case(seed, shape, n, d, x_grad, per_set_init=False, spread=0.3):
+    """Slot-attention params at a generic point (norm gains off one and nonzero
+    norm shifts of scale ``spread``, nonzero biases), initial slots of half
+    unit scale, inputs and a probe."""
+    rng = engine.rng_for(seed, "slot-node", *shape)
+    p = SlotAttentionParams.create(rng, n, shape[2], d)
+    for name, v in p.named("sa").items():
+        v.data = v.data + engine.normal(rng, v.data.shape, std=spread if name.endswith((".g", ".b")) else 0.1)
+    init = _leaf(rng, (shape[0], n, d) if per_set_init else (n, d), std=0.5)
+    x = Value(engine.normal(rng, shape, std=2.0) + np.float32(0.5), requires_grad=x_grad)
+    probe = engine.normal(rng, (shape[0], n, d))
+    return p, x, init, probe
+
+
+def _node_leaves(p, x, init):
+    """(name, leaf) of every operand of the node that takes an adjoint."""
+    return [("init", init), *p.named("sa").items()] + ([("x", x)] if x.requires_grad else [])
+
+
+# (inputs [B, M, D_in], slots, slot width) of the default config: joint_tune's
+# slow branch (64 frames of 256 tokens) and fast branch (128 positions over 32
+# frames), and stage-1 slow pretraining (16 frames)
+NODE_SHAPES = {"joint-slow": ((64, 256, 32), 8, 64), "joint-fast": ((128, 32, 32), 8, 64),
+               "stage1-slow": ((16, 256, 32), 8, 64)}
+NODE_CASES = [(shape, grad, k) for shape in NODE_SHAPES for grad in (True, False) for k in (1, 3)]
+
+
+def _node_id(case):
+    shape, grad, k = case
+    return f"{shape}-{'x-grad' if grad else 'no-x-grad'}-{k}it"
+
+
+class TestSlotAttentionNode:
+    """``engine.slot_attention`` against the unfused path it replaces, whose
+    folds (the input norm's gain and bias into the query and the value
+    weights, ``wv`` into the GRU's input weights, the slot norm's gain and the
+    temperature into the query weights) change float32 rounding only."""
+
+    @pytest.mark.parametrize("case", NODE_CASES, ids=_node_id)
+    def test_forward_matches_composite(self, case):
+        name, x_grad, k = case
+        shape, n, d = NODE_SHAPES[name]
+        p, x, init, _ = _node_case(0, shape, n, d, x_grad)
+        temp = np.float32(1.0 / np.sqrt(d))
+        slots, mask = slot_attention(x, init, p, k, temp)
+        want_slots, want_mask = reference_slot_attention(x, init, p, k, temp)
+        assert slots.shape == want_slots.shape and mask.shape == want_mask.shape
+        assert mask.dtype == np.float32 and mask.flags["C_CONTIGUOUS"]
+        # each iteration carries the last one's rounding into its own, so the
+        # floor grows with the iteration count
+        _close(slots.data, want_slots.data, FWD_RTOL, "slots", passes=k)
+        _close(mask, want_mask, FWD_RTOL, "mask", passes=k)
+
+    @pytest.mark.parametrize("case", NODE_CASES, ids=_node_id)
+    def test_gradients_match_composite(self, case):
+        name, x_grad, k = case
+        shape, n, d = NODE_SHAPES[name]
+        p, x, init, probe = _node_case(1, shape, n, d, x_grad)
+        temp = np.float32(1.0 / np.sqrt(d))
+        named = _node_leaves(p, x, init)
+        leaves = [v for _, v in named]
+        got = _grads(lambda: mul(slot_attention(x, init, p, k, temp)[0], probe).sum(), leaves)
+        want = _grads(lambda: mul(reference_slot_attention(x, init, p, k, temp)[0], probe).sum(), leaves)
+        # a weight's adjoint sums over every slot row of every iteration, and
+        # those folded through the inputs over every token too
+        rows = k * shape[0] * max(shape[1], n)
+        for (leaf_name, _), g, w in zip(named, got, want):
+            _close(g, w, RTOL, leaf_name, terms=rows)
+        if not x_grad:
+            assert x._grad is None
+
+    @pytest.mark.parametrize("per_set_init", [False, True], ids=["shared-init", "per-set-init"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_finite_differences(self, eps, per_set_init):
+        # two iterations run the backward loop over a carried state; from three,
+        # many random points sit where the softmax is sharp enough that float32
+        # central differences miss at this step size (the composite's too)
+        p, x, init, probe = _node_case(5, (2, 5, 3), 3, 4, True, per_set_init, spread=0.1)
+        p.eps = eps
+        leaves = [v for _, v in _node_leaves(p, x, init)]
+
+        def build():
+            return mul(slot_attention(x, init, p, 2, 0.5)[0], probe).sum()
+
+        ok, total = fd_check(build, leaves, engine.rng_for(5, "pick", eps, per_set_init), coords_per_param=3, h=3e-3)
+        assert ok / total >= 0.95
+
+    def test_shape_checks(self):
+        p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
         with pytest.raises(ShapeError):
-            slot_attention_step(x, Value(np.zeros((2, 3, 5), dtype=np.float32)), 0.5, 0.0)
-        with pytest.raises(ShapeError):
-            slot_attention_step(x, Value(np.zeros((3, 3, 4), dtype=np.float32)), 0.5, 0.0)
+            slot_attention(x, reshape(init, (1, 3, 6)), p, 1, 0.5)  # one set's slots for two sets
+        with pytest.raises(ShapeError, match="mlp_w2"):
+            p.mlp_w2 = Value(np.zeros((6, 12), dtype=np.float32))
+            slot_attention(x, init, p, 1, 0.5)
+
+    def test_non_finite_raises(self):
+        p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
+        huge = Value(np.float32(3e38) * np.sign(engine.normal(engine.rng_for(0, "huge"), (2, 5, 4))))
+        p_huge = dataclasses.replace(p, wq=Value(np.full_like(p.wq.data, 3e38)))  # the folded query weights overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(engine.NonFiniteError, match="normalized"):
+                slot_attention(huge, init, p, 1, 0.5)
+            with pytest.raises(engine.NonFiniteError, match="attention"):
+                slot_attention(x, init, p_huge, 1, 0.5)
+
+    def test_mask_is_contiguous_rows_over_slots(self):
+        p, x, init, _ = _node_case(3, (3, 10, 4), 4, 6, False)
+        slots, mask = slot_attention(x, init, p, 2, 0.5)
+        assert type(mask) is np.ndarray and mask.shape == (3, 10, 4) and mask.flags["C_CONTIGUOUS"]
+        np.testing.assert_allclose(mask.sum(axis=2), 1.0, atol=1e-6)
+        assert slots.shape == (3, 4, 6)
 
 
 # -- row ops ----------------------------------------------------------------------
@@ -243,8 +399,8 @@ def reference_avg_pool_hw(a, stride):
     return vmean(reshape(a, (*lead, h // stride, stride, w // stride, stride, d)), axis=(-4, -2))
 
 
-def _close(got, want, rtol, what="", terms=1):
-    floor = max(ATOL, np.finfo(np.float32).eps * np.sqrt(terms))
+def _close(got, want, rtol, what="", terms=1, passes=1):
+    floor = passes * max(ATOL, np.finfo(np.float32).eps * np.sqrt(terms))
     np.testing.assert_allclose(got, want, rtol=rtol, atol=floor * np.abs(want).max(), err_msg=what)
 
 

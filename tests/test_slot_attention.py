@@ -9,7 +9,6 @@ from slotvid.engine import (
     Value,
     add,
     broadcast_to,
-    gru_step,
     layer_norm,
     matmul,
     mul,
@@ -20,7 +19,7 @@ from slotvid.engine import (
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import NONLIN_NODES, fd_check, recip, softmax_axis
+from gradcheck import NONLIN_NODES, fd_check, recip, reference_gru, softmax_axis
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
@@ -219,7 +218,7 @@ def _keys_values_forward(inputs, p):
         attn = softmax_axis(scale(matmul(k, transpose(q, (0, 2, 1))), temp), axis=2)
         col = recip(add(attn.sum(axis=1, keepdims=True), np.float32(p.eps)))
         updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
-        slots = gru_step(slots, reshape(updates, (b * n, d)), p.gru)
+        slots = reference_gru(slots, reshape(updates, (b * n, d)), p.gru)
         hidden = nonlin(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
         slots = add(slots, add(matmul(hidden, p.mlp_w2), p.mlp_b2))
     return reshape(slots, (b, n, d)), attn.data
