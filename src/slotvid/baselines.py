@@ -30,9 +30,15 @@ one adjoint per layer instead of a key and a value adjoint. Per token the
 fold costs ``h*N_q*D_in`` multiply-adds against ``D_q*(D_in + N_q)`` for the
 keys, values, logits and read of the unfolded form, so it pays while
 ``h*N_q*D_in < D_q*(D_in + N_q)``: 4*8*32 = 1024 against 64*40 = 2560 by
-default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config. The
-parameters and their checkpoint names are those of the keys-and-values form;
-values agree with it to float32 rounding. The cross-attention block is
+default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config.
+``engine.cross_attention_block`` applies the folded weights to the query
+rows or to the inputs of each set, whichever its cost rule finds cheaper:
+the inputs when ``M*D_q*(D_in + N_q) < N_q*D_in*(D_q + M)``. With 8 queries
+of width 64 over tokens of width 32 it stays on the query rows: 655,360 on
+the inputs against 81,920 on the query rows for the slow branch's 256
+tokens, and 81,920 against 24,576 for the fast branch's 32. The parameters
+and their checkpoint names are those of the keys-and-values form; values
+agree with it to float32 rounding. The cross-attention block is
 ``decoder.cross_attention``, which the stage-1 decoder runs with one head.
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
@@ -200,7 +206,11 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     wk_h^T]_h`` [D_q, h*D_in] turns the heads into N_q*h query rows over the
     raw inputs, and ``wvo = [wv_h wo_h]_h`` [h*D_in, D_q] maps the read rows
     back, so no [B, M, D_q] keys or values exist. This pays while
-    ``h*N_q*D_in < D_q*(D_in + N_q)`` (see the module docstring).
+    ``h*N_q*D_in < D_q*(D_in + N_q)`` (see the module docstring). The block
+    applies the folds on the inputs' side only when ``M*D_q*(D_in + N_q) <
+    N_q*D_in*(D_q + M)``; at the default shapes (8 queries of width 64 over
+    256 or 32 tokens of width 32: 655,360 against 81,920 and 81,920 against
+    24,576) it runs them on the query rows.
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")

@@ -13,6 +13,7 @@ so a crashed writer never leaves a loadable partial file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -62,7 +63,10 @@ def save_checkpoint(tensors: Mapping[str, np.ndarray], path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a container back; validates magic, version, CRC and name uniqueness."""
+    """Read a container back; validates magic, version, CRC and name uniqueness.
+
+    Any malformed container, including one whose CRC holds over a table that
+    does not parse, raises ``CheckpointError``."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -82,26 +86,32 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     offset = 12
     end = len(blob) - 4
+
+    def take(nbytes: int, what: str) -> int:
+        # every field is bounded against the bytes left, in Python ints
+        nonlocal offset
+        if nbytes > end - offset:
+            raise CheckpointError(f"{what} overruns container in {path}")
+        start, offset = offset, offset + nbytes
+        return start
+
     for _ in range(count):
-        if offset + 4 > end:
-            raise CheckpointError(f"truncated tensor table in {path}")
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-        offset += 8 * rank
-        size = int(np.prod(dims)) if rank else 1
-        nbytes = 4 * size
-        if offset + nbytes > end:
-            raise CheckpointError(f"tensor payload overruns container in {path}")
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(dims)
-        offset += nbytes
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "tensor table"))
+        start = take(name_len, "tensor name")
+        try:
+            name = blob[start:offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8 in {path}") from exc
+        (rank,) = struct.unpack_from("<I", blob, take(4, "tensor rank"))
+        dims = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, "tensor dims"))
+        size = math.prod(dims)
+        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=take(4 * size, "tensor payload"))
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r} in {path}")
-        out[name] = arr.astype(np.float32, copy=True)
+        try:
+            out[name] = arr.reshape(dims).astype(np.float32, copy=True)
+        except ValueError as exc:  # an empty payload whose dims numpy cannot index
+            raise CheckpointError(f"tensor {name!r} has unsupported dims {dims} in {path}") from exc
     if offset != end:
         raise CheckpointError(f"trailing bytes in {path}")
     return out

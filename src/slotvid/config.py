@@ -151,7 +151,7 @@ def from_dict(user: dict) -> RunConfig:
 
     conn = merged["connector"]
     _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
-    _require(conn["nonlinearity"] in NONLINEARITIES,
+    _require(isinstance(conn["nonlinearity"], str) and conn["nonlinearity"] in NONLINEARITIES,
              f"connector.nonlinearity must be one of {tuple(NONLINEARITIES)}")
     if conn["mlp_hidden"] is None and _is_int(conn["slot_dim"]):
         conn["mlp_hidden"] = 2 * conn["slot_dim"]

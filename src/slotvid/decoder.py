@@ -11,17 +11,24 @@ graph ops and runs the block as the one node
 ``engine.cross_attention_block``; the feed-forward is the one node
 ``engine.residual_mlp``. The position queries of the whole batch are
 [B*M, D_dec] rows, so every weight product, layer norm and the head is one
-2-D GEMM or row op; only the logits and the read see the [B, ...] sets, and
-one reshape after the head gives [B, M, D_out]. With one
-head the folds are ``wqk = wq wk^T`` [D_dec, D_slot], making the logits
-``(LN(x) wqk) s^T`` over the normalized slots ``s`` [B, N, D_slot], and
-``wvo = wv wo`` [D_slot, D_dec], mapping the read ``attn s`` back. No per-slot
-keys or values [B, N, D_dec] are built: per set the fold saves their
-2*N*D_slot*D_dec multiply-adds and runs the query and output products, the
-logits and the read over D_slot instead of D_dec, against two weight products
-per layer and call, so it always pays when D_slot <= D_dec. The decoder width
-is the slot width (64 by default). Values agree with the keys-and-values form
-to float32 rounding.
+2-D GEMM or row op, and one reshape after the head gives [B, M, D_out]. With
+one head the folds are ``wqk = wq wk^T / sqrt(D_dec)`` [D_dec, D_slot] and
+``wvo = wv wo`` [D_slot, D_dec], two weight products per layer and call.
+
+The block applies the folds to whichever side of a set costs fewer
+multiply-adds, and for the decoder that is the slots: per set it builds
+keys ``s wqk^T`` and values ``s wvo`` [N, D_dec] over the N normalized slots
+``s``, so the logits ``LN(x) keys^T`` and the output ``attn values`` are the
+only products over the M position rows. The query-side form, ``(LN(x) wqk) s^T`` then ``(attn
+s) wvo``, saves the ``2*N*D_slot*D_dec`` multiply-adds per set of the
+unfolded keys and values, but it runs two weight products on the M position
+rows, as the unfolded form does with its queries and output map. The
+block's rule compares half the multiply-adds per set of each side: here
+``N*D_dec*(D_slot + M)`` on the slots against ``M*D_slot*(D_dec + N)`` on
+the positions, 163,840 against 1,179,648 for stage-1 slow's 256 positions
+over 8 slots of width 64, and 49,152 against 147,456 for stage-1 fast's 32.
+The decoder width is the slot width. Values agree with the keys-and-values
+form to float32 rounding.
 """
 
 from __future__ import annotations
@@ -159,13 +166,18 @@ def cross_attention(x: Value, inputs: Value, layer, heads: int) -> tuple[Value, 
     ``x`` holds the queries as [B*N_q, D_q] rows and ``inputs`` is
     [B, M, D_in]. ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``,
     ``wv``, ``wo`` and ``bo``. The weight folds run here, as graph ops on the
-    weights: per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in] makes
-    the heads N_q*h query rows over the raw inputs, and ``wvo_h = wv_h wo_h``
-    [D_in, D_q] maps the [B*N_q, h*D_in] read rows back, so no keys or values
-    [B, M, D_q] exist. The softmax temperature sits in ``wqk``, scaling
-    D_q*h*D_in weights instead of the B*N_q*h*M logits. The block itself is
-    the one node ``engine.cross_attention_block``. Returns (x plus the
-    attention output, as rows; attention [B, N_q*h, M] as a plain array).
+    weights: per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in] and
+    ``wvo_h = wv_h wo_h`` [D_in, D_q], so no keys or values exist in the
+    unfolded [B, M, D_q] per-head form; the softmax temperature sits in
+    ``wqk``, scaling D_q*h*D_in weights instead of the B*N_q*h*M logits. The
+    block itself is the one node ``engine.cross_attention_block``, which
+    applies ``wqk`` and ``wvo`` to the N_q query rows or to the M inputs of
+    each set, whichever costs fewer multiply-adds: the inputs when
+    ``M*D_q*(D_in + N_q) < N_q*D_in*(D_q + M)``. The decoder (256 or 32
+    positions over 8 slots of width 64) runs on the inputs, the query
+    transformer (8 queries over 256 or 32 tokens of width 32) on the query
+    rows. Returns (x plus the attention output, as rows; attention
+    [B, N_q*h, M] as a plain array).
     """
     d_in = inputs.shape[2]
     dq = x.shape[1]

@@ -17,7 +17,9 @@ softmaxes in the same order as the same computations composed from primitive
 ops (the references in ``tests/test_fused_ops.py``), so their values are
 identical; their backwards sum in their own order, so gradients may differ
 from the composites' in the last bits. The attention nodes take the raw
-inputs and weights folded by the caller or once per call. Slot attention
+inputs and weights folded by the caller or once per call; the cross-attention
+node applies its two folded weights to the query rows or to the inputs of
+each set, whichever costs fewer multiply-adds. Slot attention
 reads the normalized inputs slot-major, [B, N, M], with the input norm's gain
 and bias, the key weights, the slot norm's gain and the temperature folded
 into one query map and the value weights into the gated update's input
@@ -284,25 +286,23 @@ def matmul(a, b) -> Value:
     return _node(np.matmul(a.data, b.data), (a, b), backward)
 
 
-def _sigmoid_data(x: np.ndarray) -> np.ndarray:
-    # stable for both signs: exp(-|x|) never overflows. The numerator is 1
-    # where x >= 0 (there z <= 1) and z elsewhere, the same values np.where
-    # would select, without evaluating both branches; in place after exp
-    z = np.abs(x)
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    num = (x >= 0).astype(DTYPE)
-    np.maximum(z, num, out=num)
-    z += np.float32(1.0)
-    num /= z
-    return num
+def _sigmoid_data(x: np.ndarray, k=np.float32(1.0)) -> np.ndarray:
+    # 1 / (1 + exp(-k x)) in four passes, the last three in place. Where
+    # exp(-k x) overflows to inf the result is the exact limit 0; where it
+    # underflows to 0, the limit 1
+    s = x * -k
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += np.float32(1.0)
+    np.reciprocal(s, out=s)
+    return s
 
 
 RAMP_SLOPE = np.float32(1.702)
 
 
 def _ramp(x: np.ndarray):
-    s = _sigmoid_data(x * RAMP_SLOPE)
+    s = _sigmoid_data(x, RAMP_SLOPE)
     return x * s, s
 
 
@@ -750,56 +750,132 @@ def residual_mlp(x, g, b, w1, b1, w2, b2, nonlinearity: str) -> Value:
     return _node(out_data, operands, backward)
 
 
+def _folds_on_inputs(n: int, m: int, d_q: int, d_in: int) -> bool:
+    """Whether ``cross_attention_block`` applies its weight folds to the M
+    inputs of a set rather than to its N query rows.
+
+    Per set and head, the input side costs ``2*M*D_q*(D_in + N)``
+    multiply-adds (keys and values, then the logits and the output over D_q)
+    and the query side ``2*N*D_in*(D_q + M)`` (the query and output products,
+    then the logits and the read over D_in).
+    """
+    return m * d_q * (d_in + n) < n * d_in * (d_q + m)
+
+
 def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, np.ndarray]:
     """Pre-norm cross-attention of query rows over sets of inputs, one node.
 
     ``x`` holds the queries as [B*N, D_q] rows and ``inputs`` is [B, M, D_in].
-    ``wqk`` [D_q, h*D_in] maps the normalized rows to h query rows each over
-    the raw inputs (key weights and temperature folded in by the caller), so
-    the logits are [B, N*h, M], softmaxed over the inputs; the read ``attn
-    inputs`` is [B*N, h*D_in] rows, and ``wvo`` [h*D_in, D_q] with ``bo``
-    maps it back onto the residual. Returns (x plus the attention output, as
-    rows; attention [B, N*h, M] as a plain array, finite-checked).
+    ``wqk`` [D_q, h*D_in] holds head h's folded query-key weights ``wqk_h``
+    (key weights and temperature folded in by the caller) and ``wvo``
+    [h*D_in, D_q] its folded value-output weights ``wvo_h``. The logits are
+    [B, N*h, M], softmaxed over the inputs. Returns (x plus the attention
+    output plus ``bo``, as rows; attention [B, N*h, M] as a plain array,
+    finite-checked).
 
-    In the backward, the softmax's ``sum_m g_attn attn`` is taken as
-    ``sum_d g_read read`` over the D_in side. The inputs' adjoint is skipped
-    when they need none.
+    The two weight products run on whichever side of a set costs fewer
+    multiply-adds, by the rule of ``_folds_on_inputs``; the counts below are
+    its ``M*D_q*(D_in + N)`` (input side) against ``N*D_in*(D_q + M)`` (query
+    side):
+
+    - query side: ``LN(x) wqk`` gives N*h query rows over the raw inputs,
+      the read ``attn inputs`` is [B*N, h*D_in] rows, and ``wvo`` maps it
+      back. The query transformer runs here: 8 queries of width 64 over 256
+      or 32 tokens of width 32, 655,360 against 81,920 and 81,920 against
+      24,576;
+    - input side: per head, keys ``inputs wqk_h^T`` and values ``inputs
+      wvo_h``, each [B, h*M, D_q]; the logits ``LN(x)_b keys^T`` [B, N, h*M]
+      are the same memory as [B, N*h, M], and ``attn values`` sums over the
+      heads. The decoder runs here: 256 or 32 positions of width 64 over 8
+      slots of width 64, 163,840 against 1,179,648 and 49,152 against
+      147,456.
+
+    Both share the layer norm, the softmax, the finite checks, the residual
+    and the backward's skeleton. On the query side the softmax's ``sum_m
+    g_attn attn`` is taken as ``sum_d g_read read`` over the D_in side. The
+    inputs' adjoint is skipped when they need none.
     """
     x, inputs, ln_g, ln_b, wqk, wvo, bo = map(_coerce, (x, inputs, ln_g, ln_b, wqk, wvo, bo))
     if inputs.ndim != 3:
         raise ShapeError(f"cross_attention_block expects [B, M, D_in] inputs, got {inputs.data.shape}")
-    b, _, d_in = inputs.data.shape
+    b, m, d_in = inputs.data.shape
     dq, width = x.data.shape[-1], wqk.data.shape[-1]
     _check_shapes("cross_attention_block", x=(x, (len(x.data), dq)), ln_g=(ln_g, (dq,)), ln_b=(ln_b, (dq,)),
                   wqk=(wqk, (dq, width)), wvo=(wvo, (width, dq)), bo=(bo, (dq,)))
     rows = x.data.shape[0]
     if width % d_in or rows % b:
         raise ShapeError(f"cross_attention_block: {rows} rows of width {width} do not split over {b} sets of D_in {d_in}")
+    n, h = rows // b, width // d_in
+    on_inputs = _folds_on_inputs(n, m, dq, d_in)
     ln, xhat, inv = _ln_rows(x.data, ln_g.data, ln_b.data)
-    q = (ln @ wqk.data).reshape(b, -1, d_in)
-    inputs_t = inputs.data.transpose(0, 2, 1)
-    attn = _softmax_last(np.matmul(q, inputs_t))
+    if on_inputs:
+        in_rows = inputs.data.reshape(b * m, d_in)
+        wk = wqk.data.reshape(dq, h, d_in).transpose(2, 1, 0).reshape(d_in, h * dq)  # [wqk_h^T]_h
+        wv = wvo.data.reshape(h, d_in, dq).transpose(1, 0, 2).reshape(d_in, h * dq)  # [wvo_h]_h
+
+        def heads_major(a):  # [B*M, h*D_q] -> [B, h*M, D_q]
+            return a.reshape(b, m, h, dq).transpose(0, 2, 1, 3).reshape(b, h * m, dq)
+
+        def rows_major(a):  # the inverse
+            return a.reshape(b, h, m, dq).transpose(0, 2, 1, 3).reshape(b * m, h * dq)
+
+        keys, values = heads_major(in_rows @ wk), heads_major(in_rows @ wv)
+        ln_sets = ln.reshape(b, n, dq)
+        logits = np.matmul(ln_sets, keys.transpose(0, 2, 1)).reshape(b, n * h, m)
+    else:
+        q = (ln @ wqk.data).reshape(b, n * h, d_in)
+        inputs_t = inputs.data.transpose(0, 2, 1)
+        logits = np.matmul(q, inputs_t)
+    attn = _softmax_last(logits)
     _require_finite(attn, "cross attention")
-    read = np.matmul(attn, inputs.data)  # [B, N*h, D_in]
-    read_rows = read.reshape(rows, width)
-    out_data = read_rows @ wvo.data
+    if on_inputs:
+        attn_sets = attn.reshape(b, n, h * m)
+        out_data = np.matmul(attn_sets, values).reshape(rows, dq)
+    else:
+        read = np.matmul(attn, inputs.data)  # [B, N*h, D_in]
+        read_rows = read.reshape(rows, width)
+        out_data = read_rows @ wvo.data
     out_data += bo.data
     out_data += x.data
 
     def backward(g, adj):
-        _affine_grads(adj, read_rows, g, wvo, bo)
-        g_read = (g @ wvo.data.T).reshape(read.shape)
-        g_logits = np.matmul(g_read, inputs_t)
-        g_logits -= _sum_last(g_read * read)  # sum_m g_attn attn, over the short side
+        if bo.requires_grad:
+            _send(adj, bo, _sum_rows(g))
+        if on_inputs:
+            g_sets = g.reshape(b, n, dq)
+            g_values = np.matmul(attn_sets.transpose(0, 2, 1), g_sets)
+            g_logits = np.matmul(g_sets, values.transpose(0, 2, 1)).reshape(attn.shape)
+            g_logits -= _sum_last(g_logits * attn)
+        else:
+            if wvo.requires_grad:
+                _send(adj, wvo, read_rows.T @ g)
+            g_read = (g @ wvo.data.T).reshape(read.shape)
+            g_logits = np.matmul(g_read, inputs_t)
+            g_logits -= _sum_last(g_read * read)  # sum_m g_attn attn, over the short side
         g_logits *= attn
-        if inputs.requires_grad:
-            gi = np.matmul(attn.transpose(0, 2, 1), g_read)
-            gi += np.matmul(g_logits.transpose(0, 2, 1), q)
-            _send(adj, inputs, gi)
-        g_q = np.matmul(g_logits, inputs.data).reshape(rows, width)
-        if wqk.requires_grad:
-            _send(adj, wqk, ln.T @ g_q)
-        _ln_rows_backward(adj, g_q @ wqk.data.T, xhat, inv, x, ln_g, ln_b, residual=g)
+        if on_inputs:
+            gl_sets = g_logits.reshape(b, n, h * m)
+            g_keys = rows_major(np.matmul(gl_sets.transpose(0, 2, 1), ln_sets))
+            g_values = rows_major(g_values)
+            if wqk.requires_grad:
+                _send(adj, wqk, (g_keys.T @ in_rows).reshape(h, dq, d_in).transpose(1, 0, 2).reshape(dq, width))
+            if wvo.requires_grad:
+                _send(adj, wvo, (in_rows.T @ g_values).reshape(d_in, h, dq).transpose(1, 0, 2).reshape(width, dq))
+            if inputs.requires_grad:
+                gi = g_keys @ wk.T
+                gi += g_values @ wv.T
+                _send(adj, inputs, gi.reshape(b, m, d_in))
+            g_ln = np.matmul(gl_sets, keys).reshape(rows, dq)
+        else:
+            if inputs.requires_grad:
+                gi = np.matmul(attn.transpose(0, 2, 1), g_read)
+                gi += np.matmul(g_logits.transpose(0, 2, 1), q)
+                _send(adj, inputs, gi)
+            g_q = np.matmul(g_logits, inputs.data).reshape(rows, width)
+            if wqk.requires_grad:
+                _send(adj, wqk, ln.T @ g_q)
+            g_ln = g_q @ wqk.data.T
+        _ln_rows_backward(adj, g_ln, xhat, inv, x, ln_g, ln_b, residual=g)
 
     return _node(out_data, (x, inputs, ln_g, ln_b, wqk, wvo, bo), backward), attn
 

@@ -193,7 +193,10 @@ def save_model(path: str, model: Model, adam: AdamState | None, step: int, stage
 def _meta_scalar(tensors: dict, key: str, default: float) -> float:
     if key not in tensors:
         return default
-    return float(np.asarray(tensors[key]).reshape(-1)[0])
+    arr = np.asarray(tensors[key])
+    if arr.size != 1 or not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint metadata {key!r} must be one finite number, got shape {arr.shape}")
+    return float(arr.reshape(-1)[0])
 
 
 def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> None:

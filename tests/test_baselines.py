@@ -277,9 +277,11 @@ def _matmuls(nodes):
 
 
 class TestRowsLayout:
-    """No weight product runs on a set-shaped operand: a 2-D right operand (a
-    weight, or a folded weight) always meets [sets*queries, .] rows, so no
-    per-input keys or values [B, M, .] exist either."""
+    """No weight product in the graph runs on a set-shaped operand: a 2-D
+    right operand (a weight, or a folded weight) always meets
+    [sets*queries, .] rows. The query transformer builds no per-token keys or
+    values [B, M, .] either; the decoder's cross-attention node builds keys
+    and values over its few slots inside the node."""
 
     def test_no_per_token_keys_values_or_set_shaped_weight_products(self):
         # default slow branch: 64 frames of 256 tokens, 8 queries of width 64, 4 heads

@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -60,9 +62,6 @@ class TestCorruption:
             load_checkpoint(path)
 
     def test_unknown_version(self, tmp_path):
-        import struct
-        import zlib
-
         path = str(tmp_path / "m.sfsl")
         body = b"SFSL" + struct.pack("<II", 99, 0)
         body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -81,6 +80,32 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "missing.sfsl"))
+
+
+def sealed(body: bytes) -> bytes:
+    """A container of one version-1 tensor table ``body`` with its CRC."""
+    blob = b"SFSL" + struct.pack("<II", 1, 1) + body
+    return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+# tensor tables that pass the CRC check but not the parser, one per field
+MALFORMED = {
+    "name-not-utf8": struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0) + b"\0" * 4,
+    "name-past-end": struct.pack("<I", 1000) + b"ab",
+    "rank-past-end": struct.pack("<I", 1) + b"w" + struct.pack("<I", 0xFFFFFFF0),
+    "dims-overflow-int64": struct.pack("<I", 1) + b"w" + struct.pack("<IQQ", 2, 2**62, 8) + b"\0" * 8,
+    "dims-past-end": struct.pack("<I", 1) + b"w" + struct.pack("<IQ", 3, 1),
+    "empty-dims-numpy-cannot-index": struct.pack("<I", 1) + b"w" + struct.pack("<IQQ", 2, 0, 2**64 - 1),
+}
+
+
+class TestMalformedTable:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_raises_checkpoint_error(self, tmp_path, case):
+        path = tmp_path / "m.sfsl"
+        path.write_bytes(sealed(MALFORMED[case]))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
 
 class TestAtomicity:

@@ -9,6 +9,8 @@ from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.cli import main
 from slotvid.metrics import DecouplingReport, parse_pgm
 
+from test_checkpoint import MALFORMED, sealed
+
 
 TINY = {
     "connector": {
@@ -99,6 +101,27 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"),
                      "--resume", broken]) == 3
         assert dropped in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("meta.connector", np.zeros(0, dtype=np.float32)),
+                                            ("meta.step", np.float32("nan"))])
+    def test_malformed_metadata_exits_3(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        broken = str(tmp_path / "broken.sfsl")
+        save_checkpoint({**tensors, key: value}, broken)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"), "--resume", broken]) == 3
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_eval_malformed_checkpoint_exits_3(self, tmp_path, capsys, case):
+        # the CRC holds, so the tensor table parser must refuse it itself
+        ckpt = tmp_path / "bad.sfsl"
+        ckpt.write_bytes(sealed(MALFORMED[case]))
+        assert main(["eval", "--config", write_config(tmp_path), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
     # what each non-float field must be; a numeric string or a boolean would
@@ -304,7 +327,7 @@ class TestGoldenOutputs:
     # transformer, both read with both branches; mask plumbing changes must
     # leave every byte in place
     VIZ = {"slot": "32ec8204ae9411a6", "query_transformer": "b40aa9cca195fc00"}
-    REPORT = {"slot": "f35e7ac3c3884d75", "query_transformer": "acfcf88c5d32206a"}
+    REPORT = {"slot": "848f50e0d3e95061", "query_transformer": "7cbd658de2393728"}
     # sha256 of checkpoint.sfsl and train-log.txt for every trainer at the
     # tiny config; the step loop's bookkeeping must leave every byte in place.
     # The query-transformer digests (qt-both, its report) date from the
@@ -322,10 +345,15 @@ class TestGoldenOutputs:
     # the rendered masks and the pooling run kept every byte. The slot-chain
     # digests (stage1-*, stage2-*, stage3, the slot report) were re-taken when
     # slot attention became one node with the input norm and the value weights
-    # folded in: float32 order, while the rendered masks kept every byte
-    TRAIN = {"stage1-slow": "c393f4e5183082ab", "stage1-fast": "a753b5f2eba0bb31",
-             "stage2-slow": "51204dc26ed518f8", "stage2-fast": "2ca43108dff36387",
-             "stage3": "e69b9144af746578", "qt-both": "0fbe8a0fa03c43ef",
+    # folded in: float32 order, while the rendered masks kept every byte. Every
+    # training digest but pooling, and both reports, were re-taken when the
+    # sigmoid became 1 / (1 + exp(-k x)) without a sign branch (last-bit
+    # values) and the decoder's cross-attention moved its weight products
+    # onto the slots (float32 order); the rendered masks and the pooling run
+    # kept every byte
+    TRAIN = {"stage1-slow": "b67e24de8d78a10c", "stage1-fast": "857369d02c9f44eb",
+             "stage2-slow": "c8ce3fd8d299e6ac", "stage2-fast": "e7ffd8adf4aa94ea",
+             "stage3": "0c00e70a5197b345", "qt-both": "3efd8cd97865f978",
              "pooling": "1bc802719ad66899"}
 
     @pytest.mark.parametrize("run", list(TRAIN))

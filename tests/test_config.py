@@ -46,6 +46,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nonlinearity"):
             from_dict({"connector": {"nonlinearity": "swish"}})
 
+    @pytest.mark.parametrize("value", [["relu"], {"relu": 1}])
+    def test_unhashable_nonlinearity_is_a_config_error(self, value):
+        # the names are a dict's keys, so a membership test alone raises TypeError
+        with pytest.raises(ConfigError, match="nonlinearity"):
+            from_dict({"connector": {"nonlinearity": value}})
+
     def test_bad_stride(self):
         with pytest.raises(ConfigError):
             from_dict({"connector": {"pool_stride": 5}})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,15 +414,23 @@ class TestFiniteness:
 
 
 class TestPrimitiveForms:
-    """Elementwise forms checked against their np.where references."""
+    """Elementwise forms checked against float64 and np.where references."""
 
-    def test_sigmoid_bit_equal_to_where_reference(self):
-        x = np.array([0.0, -0.0, 1e-3, -1e-3, 20.0, -20.0, 100.0, -100.0], dtype=np.float32)
-        z = np.exp(-np.abs(x))
-        ref = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(np.float32)
-        out = engine._sigmoid_data(x)
+    def test_sigmoid_matches_float64(self):
+        # 1 / (1 + exp(-x)) takes no branch on the sign: where exp overflows the
+        # result is the exact limit 0, silently
+        edges = [0.0, -0.0, 1e-3, -1e-3, 20.0, -20.0, 88.0, -88.0, 100.0, -100.0, 1e4, -1e4]
+        samples = engine.normal(engine.rng_for(3, "sigmoid"), (100_000,), 3.0)
+        x = np.concatenate([np.array(edges, dtype=np.float32), samples])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = engine._sigmoid_data(x)
         assert out.dtype == np.float32
-        assert out.tobytes() == ref.tobytes()
+        want = 0.5 * (1.0 + np.tanh(0.5 * x.astype(np.float64)))  # no overflow in float64 either
+        assert np.abs(out - want).max() <= 1e-7
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        assert out[0] == out[1] == 0.5
+        assert out[edges.index(-1e4)] == 0.0 and out[edges.index(1e4)] == 1.0
 
     def test_relu_equal_to_where_reference(self):
         x = engine.normal(engine.rng_for(3, "relu"), (64,))

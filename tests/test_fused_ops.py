@@ -8,9 +8,12 @@ same products, sums and softmaxes in the same order (the read takes its sums
 over slots and inputs as GEMMs against a ones vector, and so does its
 reference), so they must match bit for bit; their analytic backwards sum in a
 different order, so gradients agree within a float32 tolerance fixed before
-measuring. The slot-attention node folds weights the unfused path applies one
-by one, so it agrees with that path within the tolerances of the row ops
-below, the forward's floor growing with the iteration count.
+measuring. The cross-attention block applies its folded weights on the
+query rows or on the inputs, by a rule on the shapes; each case's reference
+is the association the block runs at its shape. The slot-attention node
+folds weights the unfused path applies one by one, so it agrees with that
+path within the tolerances of the row ops below, the forward's floor growing
+with the iteration count.
 
 The row ops (``layer_norm``, the gelu-like ramp of ``NONLINEARITIES`` as one
 node, ``linear``, ``avg_pool_hw``)
@@ -538,6 +541,26 @@ def reference_cross_attention(x, inputs, ln_g, ln_b, wqk, wvo, bo):
     return add(x, linear(read, wvo, bo)), attn
 
 
+def reference_cross_attention_inputs(x, inputs, ln_g, ln_b, wqk, wvo, bo):
+    """The input-side association: per head, keys ``inputs wqk_h^T`` and values
+    ``inputs wvo_h`` as [B, h*M, D_q]; layer norm, the rows over the keys,
+    softmax over the inputs, the output summed over the heads."""
+    b, m, d_in = inputs.shape
+    rows, dq = x.shape
+    h = wqk.shape[1] // d_in
+    in_rows = reshape(inputs, (b * m, d_in))
+
+    def heads_major(r):
+        return reshape(transpose(reshape(r, (b, m, h, dq)), (0, 2, 1, 3)), (b, h * m, dq))
+
+    keys = heads_major(matmul(in_rows, reshape(transpose(reshape(wqk, (dq, h, d_in)), (2, 1, 0)), (d_in, h * dq))))
+    values = heads_major(matmul(in_rows, reshape(transpose(reshape(wvo, (h, d_in, dq)), (1, 0, 2)), (d_in, h * dq))))
+    ln = reshape(layer_norm(x, ln_g, ln_b), (b, rows // b, dq))
+    attn = softmax_axis(reshape(matmul(ln, transpose(keys, (0, 2, 1))), (b, -1, m)), axis=2)
+    out = reshape(matmul(reshape(attn, (b, rows // b, h * m)), values), (rows, dq))
+    return add(x, add(out, bo)), attn
+
+
 def reference_self_attention(x, sets, heads, ln_g, ln_b, wq, wk, wv, wo, bo):
     """Layer norm, per-head q, k and v split out of [sets*N, D] rows, softmax over the keys, heads merged."""
     rows, d = x.shape
@@ -570,7 +593,7 @@ def _mlp_case(rows, d, nonlinearity):
     return residual_mlp, reference_residual_mlp, build
 
 
-def _cross_case(rows, inputs_shape, heads, inputs_grad):
+def _cross_case(rows, inputs_shape, heads, inputs_grad, reference=reference_cross_attention):
     def build(rng):
         b, m, d_in = inputs_shape
         d = 64 if rows > 64 else 8
@@ -582,7 +605,7 @@ def _cross_case(rows, inputs_shape, heads, inputs_grad):
         leaves = [x, g, bias, wqk, wvo, bo] + ([inputs] if inputs_grad else [])
         return (x, inputs, g, bias, wqk, wvo, bo), leaves
 
-    return cross_attention_block, reference_cross_attention, build
+    return cross_attention_block, reference, build
 
 
 def _self_case(sets, n, d, heads):
@@ -597,24 +620,31 @@ def _self_case(sets, n, d, heads):
 
 
 # (fused block, composite reference, argument maker) at the default shapes:
-# decoder rows [4096, 64] over 16 sets of 8 slots, query rows [512, 64] over
-# the slow branch's [64, 256, 32] inputs (no adjoint) and [1024, 64] over the
-# fast branch's [128, 32, 32] (with one), the query transformer's self
-# attention over 8 queries in 4 heads, and the MLP under every nonlinearity
+# the stage-1 decoder's rows [4096, 64] over 16 sets of 8 slots and [1024, 64]
+# over 32 sets (input side), query rows [512, 64] over the slow branch's
+# [64, 256, 32] inputs (no adjoint) and [1024, 64] over the fast branch's
+# [128, 32, 32] (with one; query side), the input side with 4 heads and
+# without an input adjoint, the query transformer's self attention over 8
+# queries in 4 heads, and the MLP under every nonlinearity
 BLOCK_CASES = {
     **{f"mlp-decoder-{f}": _mlp_case(4096, 64, f) for f in engine.NONLINEARITIES},
     "mlp-query-rows": _mlp_case(512, 64, "gelu-like"),
-    "cross-decoder": _cross_case(4096, (16, 8, 64), 1, True),
+    "cross-decoder": _cross_case(4096, (16, 8, 64), 1, True, reference_cross_attention_inputs),
+    "cross-decoder-fast": _cross_case(1024, (32, 8, 64), 1, True, reference_cross_attention_inputs),
+    "cross-inputs-heads-no-input-grad": _cross_case(2048, (16, 8, 32), 4, False, reference_cross_attention_inputs),
     "cross-query-slow": _cross_case(512, (64, 256, 32), 4, False),
     "cross-query-fast": _cross_case(1024, (128, 32, 32), 4, True),
     "self-query-slow": _self_case(64, 8, 64, 4),
     "self-query-fast": _self_case(128, 8, 64, 4),
 }
-# the same blocks at finite-difference size
+# the same blocks at finite-difference size; the cross-attention on both
+# sides: 3 query rows over 5 or 7 inputs, 12 over 2 or 3
 SMALL_BLOCK_CASES = {
     **{f"mlp-{f}": _mlp_case(5, 6, f) for f in engine.NONLINEARITIES},
     "cross-one-head": _cross_case(6, (2, 5, 8), 1, True),
     "cross-heads-no-input-grad": _cross_case(6, (3, 7, 4), 2, False),
+    "cross-inputs-one-head": _cross_case(24, (2, 2, 4), 1, True, reference_cross_attention_inputs),
+    "cross-inputs-heads-no-input-grad": _cross_case(24, (2, 3, 4), 2, False, reference_cross_attention_inputs),
     "self": _self_case(3, 4, 8, 2),
 }
 
@@ -663,11 +693,42 @@ class TestFusedBlocks:
         assert ok / total >= 0.95
 
     def test_inputs_without_grad_get_none(self):
-        _, _, build = SMALL_BLOCK_CASES["cross-heads-no-input-grad"]
-        args, leaves = build(engine.rng_for(6, "dead-inputs"))
-        engine.backward(cross_attention_block(*args)[0].sum())
-        assert args[1]._grad is None
-        assert all(np.any(p.grad != 0.0) for p in leaves)
+        for case in ("cross-heads-no-input-grad", "cross-inputs-heads-no-input-grad"):  # both sides
+            _, _, build = SMALL_BLOCK_CASES[case]
+            args, leaves = build(engine.rng_for(6, "dead-inputs"))
+            engine.backward(cross_attention_block(*args)[0].sum())
+            assert args[1]._grad is None
+            assert all(np.any(p.grad != 0.0) for p in leaves)
+
+    @pytest.mark.parametrize(
+        "shape, on_inputs, costs",
+        [
+            # (N query rows, M inputs, D_q, D_in) per set: the stage-1 decoder's
+            # 256 and 32 positions over 8 slots, the query transformer's 8
+            # queries over the slow branch's 256 and the fast branch's 32 tokens
+            ((256, 8, 64, 64), True, (163_840, 1_179_648)),
+            ((32, 8, 64, 64), True, (49_152, 147_456)),
+            ((8, 256, 64, 32), False, (655_360, 81_920)),
+            ((8, 32, 64, 32), False, (81_920, 24_576)),
+        ],
+    )
+    def test_cross_attention_side_rule(self, shape, on_inputs, costs):
+        n, m, dq, d_in = shape
+        assert (m * dq * (d_in + n), n * d_in * (dq + m)) == costs
+        assert engine._folds_on_inputs(n, m, dq, d_in) is on_inputs
+
+    @pytest.mark.parametrize("cases", [BLOCK_CASES, SMALL_BLOCK_CASES], ids=["default", "small"])
+    def test_cross_cases_run_their_reference_side(self, cases):
+        # each case's reference is the association the node runs at its shape, and both sides are covered
+        sides = set()
+        for name, (op, ref, build) in cases.items():
+            if op is cross_attention_block:
+                (x, inputs, *_), _ = build(engine.rng_for(0, "sides", name))
+                b, m, d_in = inputs.shape
+                on_inputs = engine._folds_on_inputs(x.shape[0] // b, m, x.shape[1], d_in)
+                assert on_inputs is (ref is reference_cross_attention_inputs), name
+                sides.add(on_inputs)
+        assert sides == {True, False}
 
     def test_shape_checks(self):
         (x, inputs, g, b, wqk, wvo, bo), _ = SMALL_BLOCK_CASES["cross-one-head"][2](engine.rng_for(7, "shapes"))
