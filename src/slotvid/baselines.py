@@ -43,7 +43,8 @@ agree with it to float32 rounding. The cross-attention block is
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
-``join_branches``): the same frame sampling, pooling, temporal embeddings and
+``join_branches``): it reads the same branch views (sampled frames and pooled
+series, ``connector.BranchViews``) and adds the same temporal embeddings and
 projections, so token counts match branch for branch and comparisons isolate
 the aggregation mechanism.
 """
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
+from .connector import BranchViews, ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
 from .decoder import cross_attention
 from .engine import (
     ShapeError,
@@ -256,16 +257,16 @@ class WrapParams(ConnectorParams):
         )
 
 
-def wrap_slow_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
-    """Per-frame query aggregation; masks [B, t, M_s, N_s]."""
-    return slow_tokens(feats, cfg, params, query_transformer_batch)
+def wrap_slow_batch(frames: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
+    """Per-frame query aggregation of slow frames [B, t, H*W, D]; masks [B, t, M_s, N_s]."""
+    return slow_tokens(frames, cfg, params, query_transformer_batch)
 
 
-def wrap_fast_batch(feats: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
-    """Per-position temporal query aggregation; masks [B, M_d, T, N_f]."""
-    return fast_tokens(feats, cfg, params, query_transformer_batch)
+def wrap_fast_batch(series: Value, cfg: ConnectorConfig, params: WrapParams) -> tuple[Value, np.ndarray]:
+    """Per-position temporal query aggregation of pooled series [B, M_d, T, D]; masks [B, M_d, T, N_f]."""
+    return fast_tokens(series, cfg, params, query_transformer_batch)
 
 
-def slowfast_wrap(features, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
-    """Token-count-parity baseline forward; mode selects slow, fast or both branches."""
-    return join_branches(features, cfg, params, mode, wrap_slow_batch, wrap_fast_batch)
+def slowfast_wrap(views: BranchViews, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
+    """Token-count-parity baseline forward over a batch's views; mode selects slow, fast or both branches."""
+    return join_branches(views, cfg, params, mode, wrap_slow_batch, wrap_fast_batch)

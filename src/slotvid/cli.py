@@ -140,7 +140,7 @@ def _cmd_eval(args) -> int:
 def _cmd_viz(args) -> int:
     from .checkpoint import load_checkpoint
     from .config import write_effective_config
-    from .engine import Value, no_grad
+    from .engine import no_grad
     from .metrics import render_masks
     from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors
 
@@ -156,7 +156,7 @@ def _cmd_viz(args) -> int:
     branch = rc.stage.branch
     cfg = rc.connector
     with no_grad():
-        _, slow_masks, fast_masks = forward_masks(model, Value(video.grid[None, ...]), branch)
+        _, slow_masks, fast_masks = forward_masks(model, [video], branch)
     # slow masks render as the H x W frame, fast masks as a T x 1 time strip
     entries = []
     if slow_masks is not None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, fields
@@ -131,11 +132,20 @@ def _positive_ints(section: dict, where: str, keys) -> None:
 
 
 def _number(section: dict, where: str, key: str) -> float:
-    """``float`` of a config value, as a ConfigError when it is not a number."""
+    """``float`` of a config value, as a ConfigError when it is not a finite number.
+
+    JSON reads ``NaN`` and ``Infinity``, and ``1e400`` as inf; none of them
+    would survive the effective config, which must be valid JSON again.
+    """
     value = section[key]
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
              f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), f"{where}.{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _build(cls, section: dict, **typed):
@@ -228,7 +238,9 @@ def load_config(path: str | None, seed: int | None = None, out: str | None = Non
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long integers, deep nesting
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if seed is not None:
         raw = {**raw, "seed": seed}

@@ -15,6 +15,17 @@ produces the downstream token width. The output token count is
 ``slow_frames * slots_per_frame + pooled_positions * slots_per_position``
 regardless of T.
 
+The connector's input is the two branch views of a clip, not its grid
+(``BranchViews``): the sampled slow frames [B, slow_frames, H*W, D] and the
+pooled fast series in position-major layout [B, positions, T, D], before the
+learned frame embedding is added. ``derive_views`` derives both from
+[T, H, W, D] or [B, T, H, W, D] features with engine ops (``take``,
+``avg_pool_hw``, a transpose), so a gradient still reaches the features.
+Both views are fixed functions of the frozen features, so every clip's
+``VideoFeatures`` memoizes its own, read-only (``VideoFeatures.views``), and
+a step stacks only those (``stack_views``): 2.5 MB for a default batch of 8
+clips against the 8 MB of their grids, with no pooling in the step.
+
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
 the query transformer in ``baselines``, so both comparators differ only in
@@ -25,8 +36,8 @@ a plain float32 array [sets, tokens, slots]; the branches regroup it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,12 +110,38 @@ class ConnectorConfig:
         return self.n_slow_tokens + self.n_fast_tokens
 
 
+class BranchViews(NamedTuple):
+    """The connector's two inputs; a view is None where its branch does not run.
+
+    As ``Value``s with a batch axis (``derive_views``, ``stack_views``), or as
+    one clip's read-only arrays without it (``VideoFeatures.views``).
+    """
+
+    slow: object  # the sampled frames [B, slow_frames, H*W, D]
+    fast: object  # the pooled series [B, positions, T, D], before the frame embedding
+
+
+# the views each branch selection reads: (slow, fast)
+_BRANCH_VIEWS = {"slow": (True, False), "fast": (False, True), "both": (True, True)}
+
+
+def _wanted_views(branch: str) -> tuple:
+    if branch not in _BRANCH_VIEWS:
+        raise ValueError(f"unknown branch {branch!r}")
+    return _BRANCH_VIEWS[branch]
+
+
 @dataclass
 class VideoFeatures:
-    """A T x H x W x D feature grid extracted at a fixed frame rate."""
+    """A T x H x W x D feature grid extracted at a fixed frame rate.
+
+    The grid is a frozen encoder's output, so the branch views derived from it
+    are fixed too: ``views`` derives each once and keeps it with the clip.
+    """
 
     grid: np.ndarray
     fps: float = 1.0
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.grid = np.ascontiguousarray(self.grid, dtype=np.float32)
@@ -116,6 +153,24 @@ class VideoFeatures:
     @property
     def n_frames(self) -> int:
         return self.grid.shape[0]
+
+    def views(self, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
+        """This clip's ``derive_views`` as read-only arrays without the batch axis.
+
+        Each view is derived on first request, under ``no_grad``, and kept
+        with the clip, keyed by the config fields that shape it.
+        """
+        keys = {"slow": ("slow", cfg.slow_frames), "fast": ("fast", cfg.pool_stride)}
+        wanted = [name for name, want in zip(BranchViews._fields, _wanted_views(branch)) if want]
+        missing = [name for name in wanted if keys[name] not in self._views]
+        if missing:
+            with engine.no_grad():  # one call, so the grid is read and checked once
+                derived = derive_views(self.grid, cfg, missing[0] if len(missing) == 1 else "both")
+            for name in missing:
+                arr = np.ascontiguousarray(getattr(derived, name).data[0])
+                arr.flags.writeable = False
+                self._views[keys[name]] = arr
+        return BranchViews(*(self._views[keys[name]] if name in wanted else None for name in BranchViews._fields))
 
 
 @dataclass
@@ -207,6 +262,33 @@ def _as_batch_value(features) -> Value:
     return val
 
 
+def derive_views(features, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
+    """The branch views of [T, H, W, D] or [B, T, H, W, D] features, each with a batch axis.
+
+    Slow: the uniformly sampled frames as [B, slow_frames, H*W, D]. Fast: the
+    stride-pooled grid as position-major series [B, positions, T, D]. Only
+    the views ``branch`` reads are built; the ops are differentiable.
+    """
+    want_slow, want_fast = _wanted_views(branch)
+    feats = _as_batch_value(features)
+    b, t, h, w, d = feats.shape
+    slow = fast = None
+    if want_slow:
+        frames = take(feats, uniform_sample_frames(t, cfg.slow_frames), axis=1)  # [B, t_d, H, W, D]
+        slow = reshape(frames, (b, cfg.slow_frames, h * w, d))
+    if want_fast:
+        pooled = reshape(avg_pool_hw(feats, cfg.pool_stride), (b, t, cfg.n_positions, d))
+        fast = transpose(pooled, (0, 2, 1, 3))
+    return BranchViews(slow, fast)
+
+
+def stack_views(videos, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
+    """The views ``branch`` reads of a batch of ``VideoFeatures``: each clip's
+    memoized views, stacked along a new batch axis."""
+    per_clip = [video.views(cfg, branch) for video in videos]
+    return BranchViews(*(None if part[0] is None else Value(np.stack(part)) for part in zip(*per_clip)))
+
+
 # -- the two-branch frame -----------------------------------------------------------
 # The helpers below take the aggregator as a function of ([B', M, D] inputs,
 # aggregator params) -> (tokens [B', N, slot_dim], mask [B', M, N]), the mask a
@@ -214,16 +296,13 @@ def _as_batch_value(features) -> Value:
 # so a wrapper installed on the module global sees every call.
 
 
-def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
-    """Sample frames, aggregate each, add the frame embedding and project.
+def slow_tokens(frames: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
+    """Aggregate each sampled frame [B, slow_frames, H*W, D], add the frame embedding and project.
 
     Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, slow_frames, H*W, N_s]).
     """
-    b, t, h, w, d = feats.shape
-    idx = uniform_sample_frames(t, cfg.slow_frames)
-    frames = take(feats, idx, axis=1)  # [B, t_d, H, W, D]
-    flat = reshape(frames, (b * cfg.slow_frames, h * w, d))
-    slots, masks = aggregate(flat, params.slow)
+    b, t_d, m, d = frames.shape
+    slots, masks = aggregate(reshape(frames, (b * t_d, m, d)), params.slow)
     slots = reshape(slots, (b, cfg.slow_frames, cfg.slots_per_frame, cfg.slot_dim))
     pos = reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim))
     slots = add(slots, broadcast_to(pos, slots.shape))
@@ -232,69 +311,68 @@ def slow_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, agg
     return tokens, masks.reshape((b, cfg.slow_frames) + masks.shape[1:])
 
 
-def pooled_series(feats: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value:
-    """Pooled features plus the frame embedding as [B * positions, T, D] time series."""
-    b, t, h, w, d = feats.shape
+def pooled_series(series: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value:
+    """The pooled series [B, positions, T, D] plus the frame embedding, as [B * positions, T, D]."""
+    b, m_d, t, d = series.shape
     if t > cfg.max_frames:
         raise ConnectorError(
             f"clip has {t} frames but the temporal embedding table holds {cfg.max_frames}"
         )
-    pooled = avg_pool_hw(feats, cfg.pool_stride)  # [B, T, h_d, w_d, D]
-    m_d = cfg.n_positions
-    pooled = reshape(pooled, (b, t, m_d, d))
     emb = take(fast_pos, np.arange(t, dtype=np.intp))  # [T, D]
-    pooled = add(pooled, broadcast_to(reshape(emb, (1, t, 1, d)), pooled.shape))
-    return reshape(transpose(pooled, (0, 2, 1, 3)), (b * m_d, t, d))
+    series = add(series, broadcast_to(reshape(emb, (1, 1, t, d)), series.shape))
+    return reshape(series, (b * m_d, t, d))
 
 
-def fast_tokens(feats: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
-    """Aggregate each pooled position's time series and project.
+def fast_tokens(series: Value, cfg: ConnectorConfig, params: ConnectorParams, aggregate) -> tuple[Value, np.ndarray]:
+    """Aggregate each pooled position's time series [B, positions, T, D] and project.
 
     Returns (tokens [B, positions * N_f, slot_dim], masks [B, positions, T, N_f]).
     """
-    b = feats.shape[0]
-    slots, masks = aggregate(pooled_series(feats, cfg, params.fast_pos), params.fast)
+    b = series.shape[0]
+    slots, masks = aggregate(pooled_series(series, cfg, params.fast_pos), params.fast)
     tokens = reshape(slots, (b, cfg.n_fast_tokens, cfg.slot_dim))
     tokens = linear(tokens, params.f_proj_w, params.f_proj_b)
     return tokens, masks.reshape((b, cfg.n_positions) + masks.shape[1:])
 
 
-def join_branches(features, cfg: ConnectorConfig, params: ConnectorParams, branch: str, slow_fn, fast_fn):
-    """Run the selected branches, concatenate slow-first and apply the final map.
+def join_branches(views: BranchViews, cfg: ConnectorConfig, params: ConnectorParams, branch: str,
+                  slow_fn, fast_fn):
+    """Run the selected branches on their views, concatenate slow-first and apply the final map.
 
     Returns (tokens [B, N, out_dim], slow_masks, fast_masks) with the masks as
     arrays [B, groups, M, N]; the masks of a branch that did not run are None.
     """
-    if branch not in ("slow", "fast", "both"):
-        raise ValueError(f"unknown branch {branch!r}")
+    wanted = _wanted_views(branch)
     cfg.validate()
-    feats = _as_batch_value(features)
+    for name, want, view in zip(BranchViews._fields, wanted, views):
+        if want and (not isinstance(view, Value) or view.ndim != 4):
+            raise ShapeError(f"the {name} branch needs its view as a [B, groups, tokens, D] Value")
     parts = []
     slow_masks = fast_masks = None
-    if branch != "fast":
-        tokens, slow_masks = slow_fn(feats, cfg, params)
+    if wanted[0]:
+        tokens, slow_masks = slow_fn(views.slow, cfg, params)
         parts.append(tokens)
-    if branch != "slow":
-        tokens, fast_masks = fast_fn(feats, cfg, params)
+    if wanted[1]:
+        tokens, fast_masks = fast_fn(views.fast, cfg, params)
         parts.append(tokens)
     joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
     return linear(joined, params.proj_w, params.proj_b), slow_masks, fast_masks
 
 
-def slow_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
-    """Returns (tokens [B, slow_frames * N_s, slot_dim], masks [B, t, M_s, N_s])."""
-    return slow_tokens(feats, cfg, params, forward_batch)
+def slow_branch_batch(frames: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
+    """Slow frames [B, t, H*W, D] -> (tokens [B, slow_frames * N_s, slot_dim], masks [B, t, M_s, N_s])."""
+    return slow_tokens(frames, cfg, params, forward_batch)
 
 
-def fast_branch_batch(feats: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
-    """Returns (tokens [B, positions * N_f, slot_dim], masks [B, M_d, T, N_f])."""
-    return fast_tokens(feats, cfg, params, forward_batch)
+def fast_branch_batch(series: Value, cfg: ConnectorConfig, params: ConnectorParams) -> tuple[Value, np.ndarray]:
+    """Pooled series [B, M_d, T, D] -> (tokens [B, positions * N_f, slot_dim], masks [B, M_d, T, N_f])."""
+    return fast_tokens(series, cfg, params, forward_batch)
 
 
-def connect_batch(feats, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
-    """Differentiable forward over a batch; returns (tokens, slow_masks, fast_masks).
+def connect_batch(views: BranchViews, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
+    """Differentiable forward over a batch's views; returns (tokens, slow_masks, fast_masks).
 
-    ``branch`` selects slow, fast or both branches; an unused branch's
-    masks are None.
+    ``branch`` selects slow, fast or both branches; an unused branch's view
+    may be None and its masks are None.
     """
-    return join_branches(feats, cfg, params, branch, slow_branch_batch, fast_branch_batch)
+    return join_branches(views, cfg, params, branch, slow_branch_batch, fast_branch_batch)

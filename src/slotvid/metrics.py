@@ -237,8 +237,12 @@ class DecouplingReport:
 
     @classmethod
     def load(cls, path: str) -> "DecouplingReport":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MetricsError(f"report {path} is not ASCII text: {exc}") from exc
+        return cls.from_text(text)
 
 
 def compare_table(reports) -> str:

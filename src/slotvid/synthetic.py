@@ -12,7 +12,9 @@ Everything is a pure function of (seed, index); streams restart at any point.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -95,11 +97,13 @@ class SceneSpec:
 
 @dataclass
 class SceneTruth:
-    """Oracle labels: per-patch object indices and per-position event segments."""
+    """Oracle labels: per-patch object indices, per-position event segments and
+    the scene's ``probe_labels``, read-only, which ``gen_scene`` fills in."""
 
     object_labels: np.ndarray  # [T, H, W] ints, 0 = background, else 1..K
     segment_labels: np.ndarray  # [M_d, T] ints, content class per pooled position
     object_ids: tuple  # local index i+1 -> global id object_ids[i]
+    probe: Mapping = field(default_factory=dict)  # task -> probe label
 
 
 def embedding_for_id(obj_id: int, d: int) -> np.ndarray:
@@ -238,6 +242,7 @@ def gen_scene(spec: SceneSpec) -> tuple[VideoFeatures, SceneTruth]:
             seg_labels[pos, t] = seen[key]
 
     truth = SceneTruth(object_labels=labels, segment_labels=seg_labels, object_ids=spec.object_ids)
+    truth.probe = MappingProxyType(probe_labels(spec, truth))
     return VideoFeatures(feats), truth
 
 
@@ -270,7 +275,12 @@ class SceneStream:
 
     ``cache_entries`` keeps that many rendered scenes in memory (training
     cycles through a fixed index set, so steady state is all hits); 0 disables
-    caching. Cached arrays are shared read-only.
+    caching. Cached arrays are shared read-only. An entry also carries what
+    each step reads of its scene and would otherwise recompute: the probe
+    labels (``SceneTruth.probe``) and the connector's branch views, which its
+    ``VideoFeatures`` derives on first request (``VideoFeatures.views``).
+    Both live and die with the entry; with caching disabled, nothing derived
+    outlives the caller's reference to the scene.
     """
 
     seed: int

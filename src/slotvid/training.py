@@ -15,8 +15,10 @@ other tensor that moves during the stage is a ``TrainingError``.
 
 Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
-``connector`` and differ only in their aggregator; both return their masks
-as plain arrays [B, groups, tokens, slots], which the metrics read directly.
+``connector`` and differ only in their aggregator; both read the batch's
+stacked branch views, which each cached scene memoizes, and both return their
+masks as plain arrays [B, groups, tokens, slots], which the metrics read
+directly.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from .baselines import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageConfig, config_hash
-from .connector import ConnectorParams, connect_batch, pooled_series, uniform_sample_frames
+from .connector import ConnectorParams, connect_batch, pooled_series, stack_views, uniform_sample_frames
 from .decoder import DecoderParams, decode_batch, recon_loss
 from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
 from .metrics import DecouplingReport, ari, hard_assign, mask_entropy, slot_overlap
 from .slot_attention import forward_batch
-from .synthetic import TASKS, SceneStream, probe_class_counts, probe_labels
+from .synthetic import TASKS, SceneStream, probe_class_counts
 
 # not called here: the benchmark tracer requires these traced names to be bound
 # in this module too, so that its wrappers provably see every call
@@ -236,8 +238,10 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
 
 def _stream(rc: RunConfig, tag: str) -> SceneStream:
     cfg = rc.connector
-    # cap the scene cache at ~512 MB worth of default-size grids
-    bytes_per = cfg.frames * cfg.grid_h * cfg.grid_w * cfg.feat_dim * 4
+    # cap the scene cache at ~512 MB: an entry holds its float32 grid and the
+    # two branch views derived from it, the sampled frames and the pooled series
+    m_s = cfg.grid_h * cfg.grid_w
+    bytes_per = 4 * cfg.feat_dim * (cfg.frames * m_s + cfg.slow_frames * m_s + cfg.frames * cfg.n_positions)
     cache = min(rc.data.n_train_scenes, max(1, (512 << 20) // max(bytes_per, 1)))
     return SceneStream(
         seed=rc.seed,
@@ -253,21 +257,24 @@ def _stream(rc: RunConfig, tag: str) -> SceneStream:
 
 
 def _batch(stream: SceneStream, indices) -> tuple[list, dict, list]:
-    """(the scenes' cached [T, H, W, D] grids, probe labels per task, (spec, truth) per scene).
+    """(the scenes' cached ``VideoFeatures``, probe labels per task, (spec, truth) per scene).
 
-    The grids stay unstacked: a step that reads whole grids stacks them, and
-    stage-1 slow gathers only its picked frames.
+    Nothing is stacked here. Each step stacks only what it reads: the branch
+    views each scene's ``VideoFeatures`` memoizes (``stack_views``), or a
+    stage-1 step's picks from them; only the pooling connector, which reads
+    whole grids, stacks the grids. The labels are the scenes' memoized
+    ``SceneTruth.probe``.
     """
-    grids = []
+    videos = []
     labels = {task: [] for task in TASKS}
     truths = []
     for i in indices:
         spec, video, truth = stream.scene(i)
-        grids.append(video.grid)
-        for task, label in probe_labels(spec, truth).items():
-            labels[task].append(label)
+        videos.append(video)
+        for task in TASKS:
+            labels[task].append(truth.probe[task])
         truths.append((spec, truth))
-    return grids, {task: np.asarray(vals, dtype=np.intp) for task, vals in labels.items()}, truths
+    return videos, {task: np.asarray(vals, dtype=np.intp) for task, vals in labels.items()}, truths
 
 
 def majority_accuracy(labels: dict) -> float:
@@ -282,19 +289,23 @@ def majority_accuracy(labels: dict) -> float:
 # -- forward paths ----------------------------------------------------------------
 
 
-def forward_masks(model: Model, feats: Value, branch: str):
-    """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector.
+def forward_masks(model: Model, videos: list, branch: str):
+    """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector
+    over a batch of ``VideoFeatures``.
 
-    The one forward of probe training, evaluation and mask rendering. Masks
-    are plain arrays [B, groups, M, N]; they are None for a branch that did
-    not run and for the pooling connector.
+    The one forward of probe training, evaluation and mask rendering. The
+    two-branch connectors read the stacked views of ``branch``; the pooling
+    connector reads the stacked grids. Masks are plain arrays [B, groups, M,
+    N]; they are None for a branch that did not run and for the pooling
+    connector.
     """
     cfg = model.rc.connector
-    if model.kind == "slot":
-        return connect_batch(feats, cfg, model.conn, branch)
     if model.kind == "pooling":
-        return pooling_connector_batch(feats, model.conn), None, None
-    return slowfast_wrap(feats, cfg, model.conn, branch)
+        return pooling_connector_batch(Value(np.stack([video.grid for video in videos])), model.conn), None, None
+    views = stack_views(videos, cfg, branch)
+    if model.kind == "slot":
+        return connect_batch(views, cfg, model.conn, branch)
+    return slowfast_wrap(views, cfg, model.conn, branch)
 
 
 # -- training ----------------------------------------------------------------
@@ -305,7 +316,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
     """The one step loop of every trainer.
 
     ``step_loss(step, batch)`` builds the step's scalar loss from the batch
-    ``(features, labels, truths)`` and returns it with the extra fields of the
+    ``(videos, labels, truths)`` of ``_batch`` and returns it with the extra fields of the
     step's log record. Each step zeroes, back-propagates and clips the
     gradients of the stage's trainable group, then makes exactly one
     ``adam_update`` call; every other tensor must end the stage bit-identical.
@@ -368,8 +379,8 @@ def _probe_step(model: Model, branch: str):
     cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
 
     def step_loss(step, batch):
-        grids, labels, _ = batch
-        tokens, _, _ = forward_masks(model, Value(np.stack(grids)), branch)
+        videos, labels, _ = batch
+        tokens, _, _ = forward_masks(model, videos, branch)
         pooled = tokens.mean(axis=1)
         losses, accs = [], []
         for task in TASKS:
@@ -400,22 +411,20 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
     cfg = rc.connector
     model = build_model(rc)
-    frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
-    m_s = cfg.grid_h * cfg.grid_w
 
     def step_loss(step, batch):
-        grids = batch[0]
+        videos = batch[0]
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
         if stage.branch == "slow":
             chunks = []
-            for grid in grids:
+            for video in videos:
                 sel = pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False)
-                chunks.append(grid[frame_idx[np.sort(sel)]].reshape(-1, m_s, cfg.feat_dim))
+                chunks.append(video.views(cfg, "slow").slow[np.sort(sel)])  # [picked, H*W, D]
             inputs_np = np.concatenate(chunks, axis=0)
             sa, dec = model.conn.slow, model.dec_slow
         else:
             with engine.no_grad():
-                series = pooled_series(Value(np.stack(grids)), cfg, model.conn.fast_pos).data  # [B*M_d, T, D]
+                series = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, model.conn.fast_pos).data
             rows = []
             for b in range(stage.batch_size):
                 sel = np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene, replace=False))
@@ -521,9 +530,9 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     chunk = 8
     for lo in range(0, n, chunk):
         indices = heldout[lo : lo + chunk]
-        grids, labels, truths = _batch(stream, indices)
+        videos, labels, truths = _batch(stream, indices)
         with engine.no_grad():
-            tokens, slow_masks, fast_masks = forward_masks(model, Value(np.stack(grids)), branch)
+            tokens, slow_masks, fast_masks = forward_masks(model, videos, branch)
             pooled = tokens.mean(axis=1)
             for task in TASKS:
                 logits = model.probe.logits(pooled, task)

@@ -3,7 +3,7 @@
 Derandomized, so every run of the suite draws the same examples and the
 tier-1 run stays deterministic; no deadline, because a single-threaded
 parse or validation can stall on a loaded host; a bounded example count
-keeps the property tests to about a second together. No example database
+keeps the property tests to a few seconds together. No example database
 is kept; hypothesis still caches under ``.hypothesis/``, which git ignores.
 """
 

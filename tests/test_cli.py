@@ -154,6 +154,30 @@ class TestConfigErrors:
         assert f"{where} must be {self.MUST_BE.get(key, 'a number')}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    # JSON spells inf as Infinity, and 1e400 parses to inf; either would make
+    # the effective config invalid JSON, and a non-finite sigma would only fail
+    # later, as a training error
+    @pytest.mark.parametrize("section,key,literal", [
+        ("stage", "grad_clip", "1e400"), ("data", "sigma", "1e400"), ("stage", "lr_max", "NaN"),
+        ("stage", "head_lr", "-Infinity"), ("stage", "lr_min", "1" + "0" * 400),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, literal):
+        cfg = write_config(tmp_path, **{section: {key: "LITERAL"}})
+        with open(cfg, encoding="utf-8") as fh:
+            text = fh.read().replace('"LITERAL"', literal)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{section}.{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": 1, "out": "caf\xe9"}')
+        assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command,stage", [("pretrain", 2), ("tune", 3), ("joint", 1)])
     def test_stage_of_another_runner_exits_3(self, tmp_path, capsys, command, stage):
         # each runner trains its own stage's group, whatever stage.stage names
@@ -185,6 +209,14 @@ class TestConfigErrors:
         (tmp_path / "bad.txt").write_text(bad)
         assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "good.txt")]) == 0
         assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]) == 3
+
+
+    def test_compare_non_ascii_report_exits_3(self, tmp_path, capsys):
+        good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\n"
+        (tmp_path / "good.txt").write_text(good)
+        (tmp_path / "bad.txt").write_bytes(good.replace("slot", "sl\xf6t").encode("latin-1"))
+        assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]) == 3
+        assert "is not ASCII text" in capsys.readouterr().err
 
 
 class TestPipelineCommands:

@@ -8,6 +8,7 @@ from slotvid.connector import (
     ConnectorParams,
     VideoFeatures,
     connect_batch,
+    derive_views,
     fast_branch_batch,
     slow_branch_batch,
     uniform_sample_frames,
@@ -98,7 +99,8 @@ class TestTokenCounts:
             expect = t_d * n_s + (8 // stride) * (8 // stride) * n_f
             assert cfg.n_tokens == expect
             with engine.no_grad():
-                tokens, _, _ = connect_batch(make_video(t_d * 100 + n_f, cfg), cfg, make_params(1, cfg))
+                tokens, _, _ = connect_batch(derive_views(make_video(t_d * 100 + n_f, cfg), cfg), cfg,
+                                             make_params(1, cfg))
             assert tokens.shape == (1, expect, cfg.out_dim)
 
     def test_count_independent_of_clip_length(self):
@@ -106,7 +108,7 @@ class TestTokenCounts:
         params = make_params(2, cfg)
         for t in (cfg.slow_frames, cfg.frames, cfg.max_frames):
             with engine.no_grad():
-                tokens, _, _ = connect_batch(make_video(3, cfg, frames=t), cfg, params)
+                tokens, _, _ = connect_batch(derive_views(make_video(3, cfg, frames=t), cfg), cfg, params)
             assert tokens.shape[1] == cfg.n_tokens
 
     def test_doubling_slots_doubles_each_term(self):
@@ -119,14 +121,14 @@ class TestSlowBranch:
     def test_token_shape(self):
         cfg = SMALL
         feats = Value(make_video(4, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, masks = slow_branch_batch(feats, cfg, make_params(4, cfg))
+        tokens, masks = slow_branch_batch(derive_views(feats, cfg).slow, cfg, make_params(4, cfg))
         assert tokens.shape == (1, cfg.n_slow_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.slow_frames, 64, cfg.slots_per_frame)
 
     def test_mask_rows_sum_to_one(self):
         cfg = SMALL
         feats = Value(make_video(5, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        _, masks = slow_branch_batch(feats, cfg, make_params(5, cfg))
+        _, masks = slow_branch_batch(derive_views(feats, cfg).slow, cfg, make_params(5, cfg))
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_single_slot_constant_frame_is_transformed_mean(self):
@@ -169,7 +171,7 @@ class TestSlowBranch:
 
         def branch(v):
             feats = Value(v.grid.reshape(1, 3, 4, 4, 4))
-            return slow_branch_batch(feats, cfg, params)[0].data[0]
+            return slow_branch_batch(derive_views(feats, cfg).slow, cfg, params)[0].data[0]
 
         tokens_a, tokens_b = branch(video), branch(permuted)
         # recompute directly: frame i of the permuted clip is frame perm[i] of
@@ -199,7 +201,7 @@ class TestFastBranch:
     def test_token_shape(self):
         cfg = SMALL
         feats = Value(make_video(8, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, masks = fast_branch_batch(feats, cfg, make_params(8, cfg))
+        tokens, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, make_params(8, cfg))
         assert tokens.shape == (1, cfg.n_fast_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
@@ -212,7 +214,7 @@ class TestFastBranch:
         )
         params = make_params(9, cfg)
         feats = Value(make_video(9, cfg, frames=1).grid.reshape(1, 1, 4, 4, 3))
-        _, masks = fast_branch_batch(feats, cfg, params)
+        _, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, params)
         np.testing.assert_allclose(masks, 1.0, atol=1e-7)
 
     def test_static_position_has_constant_mask_rows(self):
@@ -226,7 +228,7 @@ class TestFastBranch:
         frame = engine.normal(engine.rng_for(10, "frame"), (4, 4, 5))
         grid = np.tile(frame, (6, 1, 1, 1))
         feats = Value(grid.reshape(1, 6, 4, 4, 5))
-        _, masks = fast_branch_batch(feats, cfg, params)
+        _, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, params)
         rows = masks[0, 0]  # [T, N_f] for the single position
         np.testing.assert_allclose(rows, np.tile(rows[0], (6, 1)), atol=1e-4)
 
@@ -234,7 +236,7 @@ class TestFastBranch:
         cfg = SMALL
         video = make_video(11, cfg, frames=cfg.max_frames + 1)
         with pytest.raises(ConnectorError):
-            connect_batch(video, cfg, make_params(11, cfg))
+            connect_batch(derive_views(video, cfg), cfg, make_params(11, cfg))
 
 
 class TestPooling:
@@ -265,7 +267,7 @@ class TestConnect:
 
         def tokens(g):
             with engine.no_grad():
-                return connect_batch(VideoFeatures(g), cfg, params)[0].data[0]
+                return connect_batch(derive_views(VideoFeatures(g), cfg), cfg, params)[0].data[0]
 
         base = tokens(grid)
         frame = uniform_sample_frames(cfg.frames, cfg.slow_frames)[1]
@@ -285,7 +287,7 @@ class TestConnect:
         # one [T, H, W, D] clip in, a batch of one out, masks in branch layout
         cfg = SMALL
         with engine.no_grad():
-            tokens, slow, fast = connect_batch(make_video(13, cfg), cfg, make_params(13, cfg))
+            tokens, slow, fast = connect_batch(derive_views(make_video(13, cfg), cfg), cfg, make_params(13, cfg))
         assert tokens.shape == (1, cfg.n_tokens, cfg.out_dim)
         assert slow.shape == (1, cfg.slow_frames, cfg.grid_h * cfg.grid_w, cfg.slots_per_frame)
         assert fast.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
@@ -296,10 +298,10 @@ class TestConnect:
     def test_single_branch_is_branch_then_proj(self, branch):
         cfg = SMALL
         params = make_params(16, cfg)
-        feats = Value(make_video(16, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, slow, fast = connect_batch(feats, cfg, params, branch=branch)
+        views = derive_views(make_video(16, cfg).grid.reshape(1, cfg.frames, 8, 8, 6), cfg, branch)
+        tokens, slow, fast = connect_batch(views, cfg, params, branch=branch)
         branch_fn = slow_branch_batch if branch == "slow" else fast_branch_batch
-        raw, masks = branch_fn(feats, cfg, params)
+        raw, masks = branch_fn(views.slow if branch == "slow" else views.fast, cfg, params)
         expect = engine.add(engine.matmul(raw, params.proj_w), params.proj_b)
         assert np.array_equal(tokens.data, expect.data)
         assert np.array_equal(slow if branch == "slow" else fast, masks)
@@ -308,9 +310,9 @@ class TestConnect:
     def test_proj_applied_after_concat(self):
         cfg = SMALL
         params = make_params(14, cfg)
-        feats = Value(make_video(14, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, _, _ = connect_batch(feats, cfg, params)
-        slow_tokens, _ = slow_branch_batch(feats, cfg, params)
+        views = derive_views(make_video(14, cfg).grid.reshape(1, cfg.frames, 8, 8, 6), cfg)
+        tokens, _, _ = connect_batch(views, cfg, params)
+        slow_tokens, _ = slow_branch_batch(views.slow, cfg, params)
         with engine.no_grad():
             expect = engine.add(engine.matmul(slow_tokens, params.proj_w), params.proj_b)
         np.testing.assert_allclose(tokens.data[:, : cfg.n_slow_tokens], expect.data, atol=1e-5)
@@ -340,7 +342,7 @@ class TestConnect:
         ]
 
         def build():
-            tokens, _, _ = connect_batch(x, cfg, params)
+            tokens, _, _ = connect_batch(derive_views(x, cfg), cfg, params)
             return engine.mul(tokens.reshape(probe.shape), probe).mean()
 
         ok, total = fd_check(build, checked, engine.rng_for(15, "pick"), coords_per_param=4)

@@ -1,8 +1,10 @@
-"""Property tests of the two parsers of outside input: the checkpoint
-container and the config document. Whatever bytes or JSON values they are
-given, the only exception that may escape is the module's own error type,
-which the CLI maps to exit code 3 or 2."""
+"""Property tests of the parsers of outside input: the checkpoint container,
+the config file and document, and the report file. Whatever bytes, text or
+JSON values they are given, the only exception that may escape is the
+module's own error type, which the CLI maps to exit code 3 or 2."""
 
+import json
+import math
 import os
 import struct
 import tempfile
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 import numpy as np
 
 from slotvid.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from slotvid.config import ConfigError, default_config_dict, from_dict
+from slotvid.config import ConfigError, default_config_dict, from_dict, load_config
+from slotvid.metrics import DecouplingReport, MetricsError
 
 
 def _valid_container() -> bytes:
@@ -103,4 +106,69 @@ def test_from_dict_any_json_root(doc):
     try:
         from_dict(doc)
     except ConfigError:
+        pass
+
+
+# every field of the document, as (section, key), the top-level ones with key None
+_FIELDS = [(name, key) for name, fields in default_config_dict().items() if isinstance(fields, dict)
+           for key in fields] + [(name, None) for name, fields in default_config_dict().items()
+                                 if not isinstance(fields, dict)]
+
+
+@given(where=st.sampled_from(_FIELDS), value=st.sampled_from([math.nan, math.inf, -math.inf, 1e400]))
+def test_from_dict_refuses_non_finite_numbers(where, value):
+    section, key = where
+    try:
+        from_dict({section: value if key is None else {key: value}})
+    except ConfigError:
+        return
+    raise AssertionError(f"{section}.{key} = {value} was accepted")
+
+
+def _write_read(data: bytes, read):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return read(path)
+
+
+# a valid document's JSON (NaN and Infinity as JSON spells them), arbitrary
+# bytes, or the two spliced, so the decoder, the parser and the validation
+# are each reached
+_doc_bytes = _doc.map(lambda doc: json.dumps(doc).encode("utf-8"))
+_file_bytes = st.binary(max_size=64) | _doc_bytes | st.tuples(_doc_bytes, st.binary(min_size=1, max_size=8),
+                                                                st.integers(0, 200)).map(
+    lambda t: t[0][: t[2]] + t[1] + t[0][t[2]:])
+
+
+@given(data=_file_bytes)
+def test_load_config_raises_only_config_error(data):
+    try:
+        _write_read(data, load_config)
+    except ConfigError:
+        pass
+
+
+# report text: lines of the report's own keys (or other words) and values
+_REPORT_KEYS = ["connector", "seed", "config_hash", "n_tokens", "scenes", "spatial_ari", "probe_acc",
+                "probe_acc.occupancy"]
+_report_line = st.tuples(st.sampled_from(_REPORT_KEYS) | st.text(max_size=6),
+                         st.sampled_from(["1", "0.5", "nan", "slot", ""]) | st.text(max_size=6)).map(" ".join)
+_report_text = st.text(max_size=40) | st.lists(_report_line, max_size=8).map("\n".join)
+
+
+@given(text=_report_text)
+def test_report_from_text_raises_only_metrics_error(text):
+    try:
+        DecouplingReport.from_text(text)
+    except MetricsError:
+        pass
+
+
+@given(data=st.binary(max_size=64) | _report_text.map(lambda text: text.encode("utf-8")))
+def test_report_load_raises_only_metrics_error(data):
+    try:
+        _write_read(data, DecouplingReport.load)
+    except MetricsError:
         pass

@@ -2,11 +2,16 @@ import hashlib
 import json
 import math
 import os
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from slotvid import engine, training
+from slotvid.baselines import slowfast_wrap
+from slotvid.connector import connect_batch, derive_views, pooled_series, stack_views, uniform_sample_frames
+from slotvid.synthetic import SceneStream
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.config import from_dict
 from slotvid.training import (
@@ -264,14 +269,130 @@ class TestStage3:
     def test_token_count_constant_during_joint_training(self, tmp_path):
         rc = tiny_config()
         model = build_model(rc)
-        from slotvid.engine import Value
         from slotvid.training import forward_masks, _stream
 
         stream = _stream(rc, "train")
-        feats = np.stack([stream.scene(i)[1].grid for i in range(2)])
         with engine.no_grad():
-            tokens, _, _ = forward_masks(model, Value(feats), "both")
+            tokens, _, _ = forward_masks(model, [stream.scene(i)[1] for i in range(2)], "both")
         assert tokens.shape[1] == rc.connector.n_tokens
+
+
+class TestSceneViews:
+    """Each cached scene carries its branch views, and a step stacks only those."""
+
+    @staticmethod
+    def _videos(rc, n=3):
+        return training._batch(training._stream(rc, "train"), range(n))[0]
+
+    def test_stacked_scene_views_equal_views_of_stacked_grid(self):
+        rc = tiny_config()
+        cfg = rc.connector
+        videos = self._videos(rc)
+        grids = np.stack([video.grid for video in videos])
+        stacked, whole = stack_views(videos, cfg), derive_views(grids, cfg)
+        for part, want in zip(stacked, whole):
+            assert part.shape == want.shape and np.array_equal(part.data, want.data)
+        # the sampled frames, and the pooled grid in position-major layout
+        b, t, h, w, d = grids.shape
+        frames = grids[:, uniform_sample_frames(t, cfg.slow_frames)].reshape(b, cfg.slow_frames, h * w, d)
+        assert np.array_equal(stacked.slow.data, frames)
+        pooled = engine.avg_pool_hw(engine.Value(grids), cfg.pool_stride).data
+        assert np.array_equal(stacked.fast.data, pooled.reshape(b, t, cfg.n_positions, d).transpose(0, 2, 1, 3))
+
+    def test_stage1_fast_series_unchanged(self):
+        # the series stage-1 fast reads: the pooled grid plus the frame
+        # embedding, transposed to position-major time series
+        rc = tiny_config()
+        cfg = rc.connector
+        model = build_model(rc)
+        videos = self._videos(rc)
+        grids = engine.Value(np.stack([video.grid for video in videos]))
+        b, t = grids.shape[:2]
+        with engine.no_grad():
+            got = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, model.conn.fast_pos)
+            pooled = engine.reshape(engine.avg_pool_hw(grids, cfg.pool_stride), (b, t, cfg.n_positions, -1))
+            emb = engine.reshape(engine.take(model.conn.fast_pos, np.arange(t)), (1, t, 1, -1))
+            pooled = engine.add(pooled, engine.broadcast_to(emb, pooled.shape))
+            want = engine.reshape(engine.transpose(pooled, (0, 2, 1, 3)), (b * cfg.n_positions, t, -1))
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
+    @pytest.mark.parametrize("branch", ["slow", "fast", "both"])
+    def test_forward_on_scene_views_equals_forward_on_stacked_grid(self, kind, branch):
+        rc = tiny_config(connector={"type": kind})
+        model = build_model(rc)
+        videos = self._videos(rc)
+        forward = connect_batch if kind == "slot" else slowfast_wrap
+        with engine.no_grad():
+            got = training.forward_masks(model, videos, branch)
+            want = forward(derive_views(np.stack([video.grid for video in videos]), rc.connector),
+                           rc.connector, model.conn, branch)
+        assert np.array_equal(got[0].data, want[0].data)
+        assert (got[1] is None) == (branch == "fast") and (got[2] is None) == (branch == "slow")
+        for masks, expect in zip(got[1:], want[1:]):
+            assert (masks is None and expect is None) or np.array_equal(masks, expect)
+
+    def test_cached_views_are_read_only_and_derived_once(self):
+        rc = tiny_config()
+        cfg = rc.connector
+        stream = training._stream(rc, "train")
+        video = stream.scene(0)[1]
+        views = video.views(cfg)
+        assert stream.scene(0)[1].views(cfg)[0] is views[0] and video.views(cfg, "fast")[1] is views[1]
+        for arr in views:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    @pytest.mark.parametrize("kind,branch", [("slot", "slow"), ("slot", "fast"), ("slot", "both"),
+                                             ("query_transformer", "both")])
+    def test_probe_step_never_reads_a_clip_grid(self, kind, branch, monkeypatch):
+        # once the scenes' views exist, a probe step gathers, pools and checks
+        # no [B, T, H, W, D] array
+        rc = tiny_config(connector={"type": kind})
+        model = build_model(rc)
+        stream = training._stream(rc, "train")
+        step = training._probe_step(model, branch)
+        step(0, training._batch(stream, range(2)))  # warm: derive each scene's views
+        seen = []
+
+        def spy(fn):
+            def wrapper(a, *args, **kwargs):
+                seen.append((fn.__name__, np.ndim(getattr(a, "data", a))))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("take", "avg_pool_hw", "_require_finite"):
+            original = getattr(engine, name)
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "slotvid"]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy(original))
+        loss, _ = step(1, training._batch(stream, range(2)))
+        engine.backward(loss)
+        assert ("_require_finite", 4) in seen  # the spies saw the step
+        assert [op for op, ndim in seen if ndim == 5] == []
+
+    def test_uncached_stream_keeps_no_view(self):
+        rc = tiny_config()
+        cfg = rc.connector
+        cached = training._stream(rc, "train")
+        stream = SceneStream(seed=cached.seed, t=cached.t, h=cached.h, w=cached.w, d=cached.d,
+                             pool_stride=cached.pool_stride, ranges=cached.ranges, tag=cached.tag,
+                             cache_entries=0)
+        videos = training._batch(stream, range(2))[0]
+        stack_views(videos, cfg)
+        refs = [weakref.ref(arr) for video in videos for arr in video.views(cfg)]
+        assert stream._cache == {}
+        del videos
+        assert [ref() for ref in refs] == [None] * 4
+
+    def test_cache_budget_counts_the_views(self):
+        # at the default shapes, 512 MB hold 390 entries of grid and views, not 512 grids
+        rc = from_dict({"data": {"n_train_scenes": 10**6}})
+        stream = training._stream(rc, "train")
+        _, video, _ = stream.scene(0)
+        entry = video.grid.nbytes + sum(arr.nbytes for arr in video.views(rc.connector))
+        assert stream.cache_entries == (512 << 20) // entry == 390
 
 
 class TestModelLayout:
