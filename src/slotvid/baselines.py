@@ -149,7 +149,6 @@ class QueryTransformerParams:
     queries: Value  # [N_q, D_q]
     layers: list
     n_heads: int = 4
-    nonlinearity: str = "gelu-like"
 
     @classmethod
     def create(
@@ -160,7 +159,6 @@ class QueryTransformerParams:
         d_q: int,
         n_layers: int = 2,
         n_heads: int = 4,
-        nonlinearity: str = "gelu-like",
     ) -> "QueryTransformerParams":
         if n_queries < 1:
             raise ValueError("need at least one query")
@@ -185,7 +183,6 @@ class QueryTransformerParams:
             queries=normal_param(rng, (n_queries, d), 0.5),
             layers=layers,
             n_heads=n_heads,
-            nonlinearity=nonlinearity,
         )
 
     def named(self, prefix: str) -> dict:
@@ -225,8 +222,7 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
         x, cross = cross_attention(x, inputs, layer, heads)
         x = self_attention_block(x, b, heads, layer.ln_s_g, layer.ln_s_b, layer.s_wq, layer.s_wk, layer.s_wv,
                                  layer.s_wo, layer.s_bo)
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2,
-                         params.nonlinearity)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
 
     mask = cross.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
     return reshape(x, (b, nq, dq)), mask
@@ -249,11 +245,8 @@ class WrapParams(ConnectorParams):
         rng: np.random.Generator, cfg: ConnectorConfig, n_layers: int = 2, n_heads: int = 4
     ) -> tuple:
         return tuple(
-            QueryTransformerParams.create(
-                rng, n_queries, cfg.feat_dim, cfg.slot_dim,
-                n_layers=n_layers, n_heads=n_heads, nonlinearity=cfg.nonlinearity,
-            )
-            for n_queries in (cfg.slots_per_frame, cfg.slots_per_position)
+            QueryTransformerParams.create(rng, n, cfg.feat_dim, cfg.slot_dim, n_layers=n_layers, n_heads=n_heads)
+            for n in (cfg.slots_per_frame, cfg.slots_per_position)
         )
 
 

@@ -21,8 +21,9 @@ import numbers
 import os
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .connector import ConnectorConfig
-from .engine import NONLINEARITIES
 from .synthetic import SceneRanges
 
 
@@ -135,7 +136,9 @@ def _number(section: dict, where: str, key: str) -> float:
     """``float`` of a config value, as a ConfigError when it is not a finite number.
 
     JSON reads ``NaN`` and ``Infinity``, and ``1e400`` as inf; none of them
-    would survive the effective config, which must be valid JSON again.
+    would survive the effective config, which must be valid JSON again. The
+    run computes in float32, so a value whose float32 cast overflows, such as
+    ``1e39``, is refused too.
     """
     value = section[key]
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
@@ -144,7 +147,9 @@ def _number(section: dict, where: str, key: str) -> float:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    _require(math.isfinite(number), f"{where}.{key} must be a finite number, got {value!r}")
+    with np.errstate(over="ignore"):
+        finite = bool(np.isfinite(np.float32(number)))
+    _require(finite, f"{where}.{key} must be a finite number, got {value!r}")
     return number
 
 
@@ -161,13 +166,7 @@ def from_dict(user: dict) -> RunConfig:
 
     conn = merged["connector"]
     _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
-    _require(isinstance(conn["nonlinearity"], str) and conn["nonlinearity"] in NONLINEARITIES,
-             f"connector.nonlinearity must be one of {tuple(NONLINEARITIES)}")
-    if conn["mlp_hidden"] is None and _is_int(conn["slot_dim"]):
-        conn["mlp_hidden"] = 2 * conn["slot_dim"]
-    # every connector field but the nonlinearity name is a positive integer
-    int_keys = [f.name for f in fields(ConnectorConfig) if f.name != "nonlinearity"]
-    _positive_ints(conn, "connector", int_keys + ["qt_layers", "qt_heads"])
+    _positive_ints(conn, "connector", [f.name for f in fields(ConnectorConfig)] + ["qt_layers", "qt_heads"])
     _require(conn["slot_dim"] % conn["qt_heads"] == 0,
              "connector.slot_dim must be divisible by connector.qt_heads")
 

@@ -21,10 +21,12 @@ pooled fast series in position-major layout [B, positions, T, D], before the
 learned frame embedding is added. ``derive_views`` derives both from
 [T, H, W, D] or [B, T, H, W, D] features with engine ops (``take``,
 ``avg_pool_hw``, a transpose), so a gradient still reaches the features.
-Both views are fixed functions of the frozen features, so every clip's
-``VideoFeatures`` memoizes its own, read-only (``VideoFeatures.views``), and
-a step stacks only those (``stack_views``): 2.5 MB for a default batch of 8
-clips against the 8 MB of their grids, with no pooling in the step.
+Both views are fixed functions of the frozen features. A step builds only
+the batch views it reads (``stack_views``): it gathers each clip's sampled
+frames from its grid straight into the batch array, and stacks the pooled
+series each clip's ``VideoFeatures`` memoizes, read-only
+(``VideoFeatures.fast_series``). That is 2.5 MB for a default batch of 8 clips
+against the 8 MB of their grids, with no pooling in the step.
 
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
@@ -37,7 +39,7 @@ a plain float32 array [sets, tokens, slots]; the branches regroup it to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +69,6 @@ class ConnectorConfig:
     max_frames: int = 256
     iters_slow: int = 3
     iters_fast: int = 3
-    mlp_hidden: Optional[int] = None
-    nonlinearity: str = "gelu-like"
 
     def validate(self) -> None:
         if self.pool_stride <= 0 or self.grid_h % self.pool_stride or self.grid_w % self.pool_stride:
@@ -111,11 +111,8 @@ class ConnectorConfig:
 
 
 class BranchViews(NamedTuple):
-    """The connector's two inputs; a view is None where its branch does not run.
-
-    As ``Value``s with a batch axis (``derive_views``, ``stack_views``), or as
-    one clip's read-only arrays without it (``VideoFeatures.views``).
-    """
+    """The connector's two inputs as ``Value``s with a batch axis; a view is
+    None where its branch does not run."""
 
     slow: object  # the sampled frames [B, slow_frames, H*W, D]
     fast: object  # the pooled series [B, positions, T, D], before the frame embedding
@@ -135,13 +132,13 @@ def _wanted_views(branch: str) -> tuple:
 class VideoFeatures:
     """A T x H x W x D feature grid extracted at a fixed frame rate.
 
-    The grid is a frozen encoder's output, so the branch views derived from it
-    are fixed too: ``views`` derives each once and keeps it with the clip.
+    The grid is a frozen encoder's output, so the pooled fast series derived
+    from it is fixed too: ``fast_series`` derives it once and keeps it with
+    the clip.
     """
 
     grid: np.ndarray
-    fps: float = 1.0
-    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.grid = np.ascontiguousarray(self.grid, dtype=np.float32)
@@ -154,23 +151,19 @@ class VideoFeatures:
     def n_frames(self) -> int:
         return self.grid.shape[0]
 
-    def views(self, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
-        """This clip's ``derive_views`` as read-only arrays without the batch axis.
+    def fast_series(self, cfg: ConnectorConfig) -> np.ndarray:
+        """This clip's fast view of ``derive_views``, [positions, T, D], as a read-only array.
 
-        Each view is derived on first request, under ``no_grad``, and kept
-        with the clip, keyed by the config fields that shape it.
+        Derived on first request, under ``no_grad``, and kept with the clip,
+        keyed by the pool stride that shapes it.
         """
-        keys = {"slow": ("slow", cfg.slow_frames), "fast": ("fast", cfg.pool_stride)}
-        wanted = [name for name, want in zip(BranchViews._fields, _wanted_views(branch)) if want]
-        missing = [name for name in wanted if keys[name] not in self._views]
-        if missing:
-            with engine.no_grad():  # one call, so the grid is read and checked once
-                derived = derive_views(self.grid, cfg, missing[0] if len(missing) == 1 else "both")
-            for name in missing:
-                arr = np.ascontiguousarray(getattr(derived, name).data[0])
-                arr.flags.writeable = False
-                self._views[keys[name]] = arr
-        return BranchViews(*(self._views[keys[name]] if name in wanted else None for name in BranchViews._fields))
+        series = self._series.get(cfg.pool_stride)
+        if series is None:
+            with engine.no_grad():
+                series = np.ascontiguousarray(derive_views(self.grid, cfg, "fast").fast.data[0])
+            series.flags.writeable = False
+            self._series[cfg.pool_stride] = series
+        return series
 
 
 @dataclass
@@ -200,10 +193,7 @@ class ConnectorParams:
     def create_aggregators(rng: np.random.Generator, cfg: ConnectorConfig) -> tuple:
         """(slow, fast) slot-attention params, created in that order."""
         return tuple(
-            SlotAttentionParams.create(
-                rng, n_slots, cfg.feat_dim, cfg.slot_dim,
-                mlp_hidden=cfg.mlp_hidden, iterations=iters, nonlinearity=cfg.nonlinearity,
-            )
+            SlotAttentionParams.create(rng, n_slots, cfg.feat_dim, cfg.slot_dim, iterations=iters)
             for n_slots, iters in ((cfg.slots_per_frame, cfg.iters_slow), (cfg.slots_per_position, cfg.iters_fast))
         )
 
@@ -283,10 +273,26 @@ def derive_views(features, cfg: ConnectorConfig, branch: str = "both") -> Branch
 
 
 def stack_views(videos, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
-    """The views ``branch`` reads of a batch of ``VideoFeatures``: each clip's
-    memoized views, stacked along a new batch axis."""
-    per_clip = [video.views(cfg, branch) for video in videos]
-    return BranchViews(*(None if part[0] is None else Value(np.stack(part)) for part in zip(*per_clip)))
+    """The views ``branch`` reads of a batch of ``VideoFeatures``, equal to
+    ``derive_views`` of their stacked grids.
+
+    Each clip's sampled frames are gathered from its grid straight into the
+    batch array, and each clip's memoized fast series is stacked: one copy of
+    each view.
+    """
+    want_slow, want_fast = _wanted_views(branch)
+    slow = fast = None
+    if want_slow:
+        _, h, w, d = videos[0].grid.shape
+        frames = np.empty((len(videos), cfg.slow_frames, h, w, d), dtype=np.float32)
+        for video, out in zip(videos, frames):
+            sampled = uniform_sample_frames(video.n_frames, cfg.slow_frames)
+            # the indices are in range; "clip" lets take write into out unbuffered
+            np.take(video.grid, sampled, axis=0, out=out, mode="clip")
+        slow = Value(frames.reshape(len(videos), cfg.slow_frames, h * w, d))
+    if want_fast:
+        fast = Value(np.stack([video.fast_series(cfg) for video in videos]))
+    return BranchViews(slow, fast)
 
 
 # -- the two-branch frame -----------------------------------------------------------

@@ -103,7 +103,6 @@ class DecoderParams:
     out_norm_b: Value
     head_w: Value  # [D_dec, D_out]
     head_b: Value
-    nonlinearity: str = "gelu-like"
 
     @classmethod
     def create(
@@ -113,7 +112,6 @@ class DecoderParams:
         d_slot: int,
         d_out: int,
         n_layers: int = 2,
-        nonlinearity: str = "gelu-like",
     ) -> "DecoderParams":
         d = d_slot
         layers = [
@@ -136,7 +134,6 @@ class DecoderParams:
             out_norm_b=zeros_param(d),
             head_w=linear_param(rng, d, d_out),
             head_b=zeros_param(d_out),
-            nonlinearity=nonlinearity,
         )
 
     def named(self, prefix: str) -> dict:
@@ -200,8 +197,7 @@ def decode_batch(slots: Value, params: DecoderParams) -> Value:
     x = reshape(broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec)), (b * m, d_dec))
     for layer in params.layers:
         x, _ = cross_attention(x, sn, layer, heads=1)
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2,
-                         params.nonlinearity)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
     out = linear(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w, params.head_b)
     return reshape(out, (b, m, out.shape[1]))
 

@@ -9,8 +9,8 @@ topological order and accumulates the leaves' adjoints into persistent
 Hot composites are fused into single nodes with analytic backwards:
 ``cross_entropy``, the row ops ``layer_norm``, the affine map ``linear``
 (``x w + b`` over rows) and the grid pooling ``avg_pool_hw``, the pre-norm
-transformer blocks over [R, D] rows, ``residual_mlp`` (its nonlinearity named
-in ``NONLINEARITIES``), ``cross_attention_block`` and
+transformer blocks over [R, D] rows, ``residual_mlp`` (one MLP form, the ramp
+``z * sigmoid(1.702 z)``), ``cross_attention_block`` and
 ``self_attention_block``, and ``slot_attention``, every iteration of slot
 attention in one node. The blocks evaluate the same products, sums and
 softmaxes in the same order as the same computations composed from primitive
@@ -314,27 +314,6 @@ def _ramp_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     d *= RAMP_SLOPE
     d += s
     return d
-
-
-def _relu(x: np.ndarray):
-    mask = x > 0
-    # negative inputs give -0.0, which compares equal to 0.0
-    return x * mask, mask
-
-
-def _tanh(x: np.ndarray):
-    t = np.tanh(x)
-    return t, t
-
-
-# name -> (forward, derivative) over plain arrays: ``forward(x)`` returns the
-# value and what the derivative needs, ``derivative(x, saved)`` the elementwise
-# derivative as a fresh float32 array. "gelu-like" is x * sigmoid(1.702 x).
-NONLINEARITIES = {
-    "gelu-like": (_ramp, _ramp_grad),
-    "relu": (_relu, lambda x, mask: mask.astype(DTYPE)),
-    "tanh": (_tanh, lambda x, t: np.float32(1.0) - t * t),
-}
 
 
 def _norm_axes(axis, ndim):
@@ -705,22 +684,22 @@ def linear(x, w, b) -> Value:
 # sums in its own order.
 
 
-def _mlp_rows(x, g, b, w1, b1, w2, b2, f):
-    """``x + f(LN(x) w1 + b1) w2 + b2`` over [R, D] arrays: (output, what the backward needs)."""
+def _mlp_rows(x, g, b, w1, b1, w2, b2):
+    """``x + ramp(LN(x) w1 + b1) w2 + b2`` over [R, D] arrays: (output, what the backward needs)."""
     ln, xhat, inv = _ln_rows(x, g, b)
     pre = ln @ w1
     pre += b1
-    act, saved = f(pre)
+    act, saved = _ramp(pre)
     out = act @ w2
     out += b2
     out += x
     return out, (ln, xhat, inv, pre, act, saved)
 
 
-def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, w1: np.ndarray, w2: np.ndarray, df) -> tuple:
+def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple:
     """Adjoints (x, g, b, w1, b1, w2, b2) of ``_mlp_rows`` for the output adjoint ``gr``."""
     ln, xhat, inv, pre, act, saved = cache
-    dpre = df(pre, saved)
+    dpre = _ramp_grad(pre, saved)
     dpre *= gr @ w2.T
     dln = dpre @ w1.T
     gx = dln * xhat
@@ -730,21 +709,17 @@ def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, w1: np.ndarray, w2:
     return dx, dg, db, ln.T @ dpre, _sum_rows(dpre), act.T @ gr, _sum_rows(gr)
 
 
-def residual_mlp(x, g, b, w1, b1, w2, b2, nonlinearity: str) -> Value:
-    """Pre-norm residual feed-forward over [R, D] rows, one node.
-
-    ``x + f(LN(x) w1 + b1) w2 + b2``, where ``f`` is the (forward,
-    derivative) pair named ``nonlinearity`` in ``NONLINEARITIES``.
-    """
+def residual_mlp(x, g, b, w1, b1, w2, b2) -> Value:
+    """Pre-norm residual feed-forward over [R, D] rows, one node:
+    ``x + ramp(LN(x) w1 + b1) w2 + b2`` with ``ramp(z) = z * sigmoid(1.702 z)``."""
     operands = x, g, b, w1, b1, w2, b2 = tuple(map(_coerce, (x, g, b, w1, b1, w2, b2)))
-    f, df = NONLINEARITIES[nonlinearity]
     d, hidden = x.data.shape[-1], w1.data.shape[-1]
     _check_shapes("residual_mlp", x=(x, (len(x.data), d)), g=(g, (d,)), b=(b, (d,)), w1=(w1, (d, hidden)),
                   b1=(b1, (hidden,)), w2=(w2, (hidden, d)), b2=(b2, (d,)))
-    out_data, cache = _mlp_rows(*(v.data for v in operands), f)
+    out_data, cache = _mlp_rows(*(v.data for v in operands))
 
     def backward(gr, adj):
-        for v, gv in zip(operands, _mlp_rows_backward(gr, cache, g.data, w1.data, w2.data, df)):
+        for v, gv in zip(operands, _mlp_rows_backward(gr, cache, g.data, w1.data, w2.data)):
             _send(adj, v, gv)
 
     return _node(out_data, operands, backward)
@@ -1001,11 +976,11 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
     ``init`` holds the initial slots, [N, D] shared by every set or [B, N, D]
     per set; ``p`` holds the weights under the field names of
     ``slot_attention.SlotAttentionParams`` (``p.gru`` a ``GruParams``, and
-    ``p.eps`` and ``p.nonlinearity``). Each of the ``iterations`` runs, over
-    the slot state as [B*N, D] rows: the slot layer norm (gain, no bias), the
-    query, the slot-major read ``_slot_read`` of the normalized inputs with
-    logits scaled by ``temp``, the gated update ``_gru_rows`` with the read as
-    input through ``wv``, and the residual MLP ``_mlp_rows``.
+    ``p.eps``). Each of the ``iterations`` runs, over the slot state as
+    [B*N, D] rows: the slot layer norm (gain, no bias), the query, the
+    slot-major read ``_slot_read`` of the normalized inputs with logits scaled
+    by ``temp``, the gated update ``_gru_rows`` with the read as input through
+    ``wv``, and the residual MLP ``_mlp_rows``.
 
     Weights fold once per call, so each iteration runs on plain rows. With
     ``X = [xhat | 1]``, the normalized inputs and a ones column, the input
@@ -1039,7 +1014,6 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
     in_g, in_b, slot_g, wq, wk, wv, wz, uz, bz, wr, ur, br, wh, uh, bh, mlp_g, mlp_b, w1, b1, w2, b2 = (
         w.data for w in weights)
     mlp_weights = (mlp_g, mlp_b, w1, b1, w2, b2)
-    f, df = NONLINEARITIES[p.nonlinearity]
     rows, e = b * n, d_in + 1
 
     xhat, inv_x = _norm_rows(x.data.reshape(-1, d_in))
@@ -1066,7 +1040,7 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
         xw = read @ vx
         xw += b_x
         h_gru, gru_cache = _gru_rows(h, xw, u_zr, uh)
-        h_next, mlp_cache = _mlp_rows(h_gru, *mlp_weights, f)
+        h_next, mlp_cache = _mlp_rows(h_gru, *mlp_weights)
         _require_finite(h_next, "slot rows")
         steps.append((h, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache))
         h = h_next
@@ -1080,7 +1054,7 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
         g_mlp = [np.zeros_like(w) for w in mlp_weights]
         g_xs_t = np.zeros_like(xs_t) if x.requires_grad else None
         for h_prev, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache in reversed(steps):
-            g_h_gru, *g_step = _mlp_rows_backward(gh, mlp_cache, mlp_g, w1, w2, df)
+            g_h_gru, *g_step = _mlp_rows_backward(gh, mlp_cache, mlp_g, w1, w2)
             for acc, gs in zip(g_mlp, g_step):
                 acc += gs
             gh, g_pre, *g_step = _gru_rows_backward(g_h_gru, h_prev, gru_cache, u_zr, uh)

@@ -10,6 +10,7 @@ and how concentrated each token's assignment is.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -164,9 +165,12 @@ _REPORT_SCALARS = (
 
 def _number(kind, key: str, text: str):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise MetricsError(f"report value of {key} is not a number: {text!r}") from None
+    if kind is float and not math.isfinite(value):  # float() reads nan and inf
+        raise MetricsError(f"report value of {key} is not finite: {text!r}")
+    return value
 
 
 @dataclass

@@ -63,7 +63,6 @@ class SlotAttentionParams:
     mlp_b2: Value
     iterations: int = 3
     eps: float = ATTN_EPS
-    nonlinearity: str = "gelu-like"
 
     @classmethod
     def create(
@@ -72,13 +71,11 @@ class SlotAttentionParams:
         n_slots: int,
         d_in: int,
         d_slot: int,
-        mlp_hidden: int | None = None,
         iterations: int = 3,
-        nonlinearity: str = "gelu-like",
     ) -> "SlotAttentionParams":
         if n_slots < 1 or iterations < 1:
             raise ValueError("need at least one slot and one iteration")
-        hidden = 2 * d_slot if mlp_hidden is None else mlp_hidden
+        hidden = 2 * d_slot
         return cls(
             slots=normal_param(rng, (n_slots, d_slot), 0.02),
             in_norm_g=ones_param(d_in),
@@ -95,7 +92,6 @@ class SlotAttentionParams:
             mlp_w2=linear_param(rng, hidden, d_slot),
             mlp_b2=zeros_param(d_slot),
             iterations=iterations,
-            nonlinearity=nonlinearity,
         )
 
     def named(self, prefix: str) -> dict:

@@ -277,8 +277,8 @@ class SceneStream:
     cycles through a fixed index set, so steady state is all hits); 0 disables
     caching. Cached arrays are shared read-only. An entry also carries what
     each step reads of its scene and would otherwise recompute: the probe
-    labels (``SceneTruth.probe``) and the connector's branch views, which its
-    ``VideoFeatures`` derives on first request (``VideoFeatures.views``).
+    labels (``SceneTruth.probe``) and the pooled fast series, which its
+    ``VideoFeatures`` derives on first request (``VideoFeatures.fast_series``).
     Both live and die with the entry; with caching disabled, nothing derived
     outlives the caller's reference to the scene.
     """

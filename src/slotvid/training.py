@@ -16,9 +16,8 @@ other tensor that moves during the stage is a ``TrainingError``.
 Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
 ``connector`` and differ only in their aggregator; both read the batch's
-stacked branch views, which each cached scene memoizes, and both return their
-masks as plain arrays [B, groups, tokens, slots], which the metrics read
-directly.
+branch views (``connector.stack_views``), and both return their masks as
+plain arrays [B, groups, tokens, slots], which the metrics read directly.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class TrainingError(Exception):
     """Divergence, missing checkpoints or stage misuse."""
 
 
-_NONLIN_CODES = {"gelu-like": 0.0, "relu": 1.0, "tanh": 2.0}
 _KIND_CODES = {"slot": 0.0, "pooling": 1.0, "query_transformer": 2.0}
 
 
@@ -131,12 +129,8 @@ def build_model(rc: RunConfig) -> Model:
     dec_slow = dec_fast = None
     if rc.connector_kind == "slot":
         conn = ConnectorParams.create(rng, cfg)
-        dec_slow = DecoderParams.create(
-            rng, cfg.grid_h * cfg.grid_w, cfg.slot_dim, cfg.feat_dim, nonlinearity=cfg.nonlinearity
-        )
-        dec_fast = DecoderParams.create(
-            rng, cfg.frames, cfg.slot_dim, cfg.feat_dim, nonlinearity=cfg.nonlinearity
-        )
+        dec_slow = DecoderParams.create(rng, cfg.grid_h * cfg.grid_w, cfg.slot_dim, cfg.feat_dim)
+        dec_fast = DecoderParams.create(rng, cfg.frames, cfg.slot_dim, cfg.feat_dim)
     elif rc.connector_kind == "pooling":
         conn = PoolingParams.create(rng, cfg)
     elif rc.connector_kind == "query_transformer":
@@ -178,8 +172,6 @@ def model_state(model: Model, adam: AdamState | None = None, step: int = 0, stag
     tensors["meta.step"] = np.float32(step)
     tensors["meta.stage"] = np.float32(stage)
     tensors["meta.connector"] = np.float32(_KIND_CODES[model.kind])
-    tensors["meta.nonlinearity"] = np.float32(_NONLIN_CODES[model.rc.connector.nonlinearity])
-    tensors["meta.decoder_kind"] = np.float32(0.0)  # parallel position-query decoder
     if adam is not None:
         tensors["meta.adam_t"] = np.float32(adam.t)
         for name in sorted(adam.m):
@@ -207,6 +199,9 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
     kind_code = _meta_scalar(tensors, "meta.connector", -1.0)
     if kind_code >= 0.0 and kind_code != _KIND_CODES[model.kind]:
         raise CheckpointError("checkpoint was written by a different connector kind")
+    # older checkpoints name their MLP nonlinearity; 0 is the one MLP form there is
+    if _meta_scalar(tensors, "meta.nonlinearity", 0.0) != 0.0:
+        raise CheckpointError("checkpoint was written with an MLP nonlinearity other than the ramp")
     for name, val in model.named().items():
         if not name.startswith(prefixes):
             continue
@@ -239,9 +234,8 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
 def _stream(rc: RunConfig, tag: str) -> SceneStream:
     cfg = rc.connector
     # cap the scene cache at ~512 MB: an entry holds its float32 grid and the
-    # two branch views derived from it, the sampled frames and the pooled series
-    m_s = cfg.grid_h * cfg.grid_w
-    bytes_per = 4 * cfg.feat_dim * (cfg.frames * m_s + cfg.slow_frames * m_s + cfg.frames * cfg.n_positions)
+    # pooled fast series derived from it
+    bytes_per = 4 * cfg.feat_dim * cfg.frames * (cfg.grid_h * cfg.grid_w + cfg.n_positions)
     cache = min(rc.data.n_train_scenes, max(1, (512 << 20) // max(bytes_per, 1)))
     return SceneStream(
         seed=rc.seed,
@@ -260,9 +254,9 @@ def _batch(stream: SceneStream, indices) -> tuple[list, dict, list]:
     """(the scenes' cached ``VideoFeatures``, probe labels per task, (spec, truth) per scene).
 
     Nothing is stacked here. Each step stacks only what it reads: the branch
-    views each scene's ``VideoFeatures`` memoizes (``stack_views``), or a
-    stage-1 step's picks from them; only the pooling connector, which reads
-    whole grids, stacks the grids. The labels are the scenes' memoized
+    views of ``stack_views``, or a stage-1 step's picks of sampled frames or
+    pooled series; only the pooling connector, which reads whole grids,
+    stacks the grids. The labels are the scenes' memoized
     ``SceneTruth.probe``.
     """
     videos = []
@@ -411,6 +405,7 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
     cfg = rc.connector
     model = build_model(rc)
+    sampled = uniform_sample_frames(cfg.frames, cfg.slow_frames)
 
     def step_loss(step, batch):
         videos = batch[0]
@@ -419,8 +414,8 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
             chunks = []
             for video in videos:
                 sel = pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False)
-                chunks.append(video.views(cfg, "slow").slow[np.sort(sel)])  # [picked, H*W, D]
-            inputs_np = np.concatenate(chunks, axis=0)
+                chunks.append(video.grid[sampled[np.sort(sel)]])  # [picked, H, W, D]
+            inputs_np = np.concatenate(chunks, axis=0).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
             sa, dec = model.conn.slow, model.dec_slow
         else:
             with engine.no_grad():

@@ -79,9 +79,12 @@ def _unary(fwd, deriv):
 
 sigmoid = _unary(lambda x: (engine._sigmoid_data(x),) * 2, lambda x, s: s * (1.0 - s))
 exp = _unary(lambda x: (np.exp(x),) * 2, lambda x, e: e)
-# one node per library nonlinearity, from its (forward, derivative) pair
-NONLIN_NODES = {name: _unary(*pair) for name, pair in engine.NONLINEARITIES.items()}
-smooth_ramp, relu, tanh = NONLIN_NODES["gelu-like"], NONLIN_NODES["relu"], NONLIN_NODES["tanh"]
+# the library's one MLP nonlinearity, x * sigmoid(1.702 x), from its (forward, derivative) pair
+smooth_ramp = _unary(engine._ramp, engine._ramp_grad)
+# two more (forward, derivative) pairs, which the engine tests exercise ``backward`` with;
+# relu's negative inputs give -0.0, which compares equal to 0.0
+relu = _unary(lambda x: (x * (x > 0), x > 0), lambda x, mask: mask.astype(np.float32))
+tanh = _unary(lambda x: (np.tanh(x),) * 2, lambda x, t: np.float32(1.0) - t * t)
 
 
 def softmax_axis(a, axis):

@@ -30,7 +30,7 @@ from slotvid.engine import (
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.training import build_model, forward_masks
 
-from gradcheck import NONLIN_NODES, softmax_axis
+from gradcheck import smooth_ramp, softmax_axis
 
 
 def make_video(seed, cfg, frames=None):
@@ -189,7 +189,6 @@ def _keys_values_query_transformer(inputs, p):
     nq, dq = p.queries.data.shape
     heads = p.n_heads
     temp = np.float32(1.0 / np.sqrt(dq // heads))
-    nonlin = NONLIN_NODES[p.nonlinearity]
 
     def split(x):
         n = x.shape[1]
@@ -211,7 +210,7 @@ def _keys_values_query_transformer(inputs, p):
         xs = layer_norm(x, layer.ln_s_g, layer.ln_s_b)
         ctx, _ = attend(split(matmul(xs, layer.s_wq)), split(matmul(xs, layer.s_wk)), split(matmul(xs, layer.s_wv)))
         x = add(x, add(matmul(ctx, layer.s_wo), layer.s_bo))
-        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
+        hidden = smooth_ramp(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
         x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
     return x, cross.data.mean(axis=1).transpose(0, 2, 1)
 
@@ -348,7 +347,7 @@ class TestFusedRowNodes:
         x = Value(engine.normal(rng, (5, d)), requires_grad=True)
         w1, w2 = engine.linear_param(rng, d, 2 * d), engine.linear_param(rng, 2 * d, d)
         out = engine.residual_mlp(x, engine.ones_param(d), engine.zeros_param(d), w1, engine.zeros_param(2 * d),
-                                  w2, engine.zeros_param(d), "gelu-like")
+                                  w2, engine.zeros_param(d))
         assert [op for op in self._ops(_graph(out)) if op is not None] == ["residual_mlp"]
 
     @pytest.mark.parametrize("x_grad", [True, False])

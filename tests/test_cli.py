@@ -114,6 +114,19 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"), "--resume", broken]) == 3
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("code", [1.0, 2.0])
+    def test_eval_checkpoint_of_another_nonlinearity_exits_3(self, tmp_path, capsys, code):
+        # the codes older checkpoints gave the deleted relu and tanh MLPs
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        old = str(tmp_path / "old.sfsl")
+        save_checkpoint({**tensors, "meta.nonlinearity": np.float32(code), "meta.decoder_kind": np.float32(0.0)}, old)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg, "--ckpt", old, "--out", str(tmp_path / "eval")]) == 3
+        err = capsys.readouterr().err
+        assert "nonlinearity" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_eval_malformed_checkpoint_exits_3(self, tmp_path, capsys, case):
         # the CRC holds, so the tensor table parser must refuse it itself
@@ -156,10 +169,12 @@ class TestConfigErrors:
 
     # JSON spells inf as Infinity, and 1e400 parses to inf; either would make
     # the effective config invalid JSON, and a non-finite sigma would only fail
-    # later, as a training error
+    # later, as a training error. 1e39 is finite, but inf in float32, where
+    # the run computes; as sigma it failed at step 0 as "training diverged"
     @pytest.mark.parametrize("section,key,literal", [
         ("stage", "grad_clip", "1e400"), ("data", "sigma", "1e400"), ("stage", "lr_max", "NaN"),
-        ("stage", "head_lr", "-Infinity"), ("stage", "lr_min", "1" + "0" * 400),
+        ("stage", "head_lr", "-Infinity"), ("stage", "lr_min", "1" + "0" * 400), ("data", "sigma", "1e39"),
+        ("stage", "lr_max", "3.5e38"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, literal):
         cfg = write_config(tmp_path, **{section: {key: "LITERAL"}})
@@ -168,7 +183,8 @@ class TestConfigErrors:
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert f"{section}.{key} must be a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be a finite number" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
@@ -200,7 +216,7 @@ class TestConfigErrors:
                      "--scenes", scenes]) == 3
         assert "at least one scene" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?"])
+    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?", "probe_acc nan", "probe_acc inf"])
     def test_compare_non_numeric_report_exits_3(self, tmp_path, line):
         good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\nprobe_acc 0.5\n"
         key = line.split()[0]
@@ -359,7 +375,7 @@ class TestGoldenOutputs:
     # transformer, both read with both branches; mask plumbing changes must
     # leave every byte in place
     VIZ = {"slot": "32ec8204ae9411a6", "query_transformer": "b40aa9cca195fc00"}
-    REPORT = {"slot": "848f50e0d3e95061", "query_transformer": "7cbd658de2393728"}
+    REPORT = {"slot": "93b4295724285b5d", "query_transformer": "a9ea7bedf1eafd3c"}
     # sha256 of checkpoint.sfsl and train-log.txt for every trainer at the
     # tiny config; the step loop's bookkeeping must leave every byte in place.
     # The query-transformer digests (qt-both, its report) date from the
@@ -382,11 +398,15 @@ class TestGoldenOutputs:
     # sigmoid became 1 / (1 + exp(-k x)) without a sign branch (last-bit
     # values) and the decoder's cross-attention moved its weight products
     # onto the slots (float32 order); the rendered masks and the pooling run
-    # kept every byte
-    TRAIN = {"stage1-slow": "b67e24de8d78a10c", "stage1-fast": "857369d02c9f44eb",
-             "stage2-slow": "c8ce3fd8d299e6ac", "stage2-fast": "e7ffd8adf4aa94ea",
-             "stage3": "0c00e70a5197b345", "qt-both": "3efd8cd97865f978",
-             "pooling": "1bc802719ad66899"}
+    # kept every byte. Every training digest and both reports were re-taken
+    # when the constant checkpoint entries meta.nonlinearity and
+    # meta.decoder_kind were dropped and the deleted MLP keys left the config
+    # hash; every other tensor, every log and every other report line kept
+    # every byte
+    TRAIN = {"stage1-slow": "bcaf10750e1e20ff", "stage1-fast": "53b9305be1fbefa1",
+             "stage2-slow": "e48ee705d8454fa3", "stage2-fast": "8ae8b1c7d4e0c629",
+             "stage3": "33eadbfe80f6d2a1", "qt-both": "5094812b88fe1916",
+             "pooling": "950949bcfd27bbc9"}
 
     @pytest.mark.parametrize("run", list(TRAIN))
     def test_training_bytes_unchanged(self, train_digests, run):

@@ -38,19 +38,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             from_dict({"connector": {"type": "transformer"}})
 
-    def test_nonlinearity_names_are_the_engines(self):
-        from slotvid.engine import NONLINEARITIES
-
-        for name in NONLINEARITIES:
-            assert from_dict({"connector": {"nonlinearity": name}}).connector.nonlinearity == name
-        with pytest.raises(ConfigError, match="nonlinearity"):
-            from_dict({"connector": {"nonlinearity": "swish"}})
-
-    @pytest.mark.parametrize("value", [["relu"], {"relu": 1}])
-    def test_unhashable_nonlinearity_is_a_config_error(self, value):
-        # the names are a dict's keys, so a membership test alone raises TypeError
-        with pytest.raises(ConfigError, match="nonlinearity"):
-            from_dict({"connector": {"nonlinearity": value}})
+    @pytest.mark.parametrize("key, value", [("nonlinearity", "gelu-like"), ("nonlinearity", ["relu"]),
+                                            ("mlp_hidden", 64)])
+    def test_deleted_mlp_keys_are_unknown(self, key, value):
+        # the MLP has one form, with hidden width 2 * slot_dim, and no key to set either
+        with pytest.raises(ConfigError, match=f"unknown config key: connector.{key}"):
+            from_dict({"connector": {key: value}})
 
     def test_bad_stride(self):
         with pytest.raises(ConfigError):
@@ -59,10 +52,6 @@ class TestValidation:
     def test_bad_stage(self):
         with pytest.raises(ConfigError):
             from_dict({"stage": {"stage": 4}})
-
-    def test_mlp_hidden_materialized(self):
-        rc = from_dict({"connector": {"slot_dim": 32}})
-        assert rc.effective["connector"]["mlp_hidden"] == 64
 
     def test_every_default_materialized(self):
         rc = from_dict({})

@@ -16,7 +16,7 @@ from slotvid.connector import (
 from slotvid.engine import Value
 from slotvid.slot_attention import forward_batch
 
-from gradcheck import NONLIN_NODES, fd_check, reference_gru
+from gradcheck import fd_check, reference_gru, smooth_ramp
 
 
 SMALL = ConnectorConfig(
@@ -150,11 +150,10 @@ class TestSlowBranch:
             v = engine.matmul(xn, p.wv)
             u = Value(v.data.sum(axis=0, keepdims=True) / (16.0 + p.eps))
             cur = Value(p.slots.data.copy())
-            nonlin = NONLIN_NODES[p.nonlinearity]
             for _ in range(p.iterations):
                 cur = reference_gru(cur, u, p.gru)
                 pre = engine.layer_norm(cur, p.mlp_norm_g, p.mlp_norm_b)
-                hidden = nonlin(engine.add(engine.matmul(pre, p.mlp_w1), p.mlp_b1))
+                hidden = smooth_ramp(engine.add(engine.matmul(pre, p.mlp_w1), p.mlp_b1))
                 cur = engine.add(cur, engine.add(engine.matmul(hidden, p.mlp_w2), p.mlp_b2))
         np.testing.assert_allclose(slots.data, cur.data, atol=1e-5)
 

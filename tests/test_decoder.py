@@ -18,7 +18,7 @@ from slotvid.engine import (
 )
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import NONLIN_NODES, fd_check, softmax_axis
+from gradcheck import fd_check, smooth_ramp, softmax_axis
 
 
 def make_params(seed, n_positions, d_slot, d_out, n_layers=1):
@@ -172,7 +172,6 @@ def _keys_values_decode(slots, p):
     ``LN(slots) wv``, and the position queries as [B, M, D_dec] sets."""
     b = slots.shape[0]
     m, d_dec = p.pos_queries.data.shape
-    nonlin = NONLIN_NODES[p.nonlinearity]
     temp = np.float32(1.0 / np.sqrt(d_dec))
     kv = layer_norm(slots, p.in_norm_g, p.in_norm_b)
     x = broadcast_to(reshape(p.pos_queries, (1, m, d_dec)), (b, m, d_dec))
@@ -182,7 +181,7 @@ def _keys_values_decode(slots, p):
         v = matmul(kv, layer.wv)
         attn = softmax_axis(scale(matmul(q, transpose(k, (0, 2, 1))), temp), axis=2)
         x = add(x, add(matmul(matmul(attn, v), layer.wo), layer.bo))
-        hidden = nonlin(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
+        hidden = smooth_ramp(add(matmul(layer_norm(x, layer.ln_f_g, layer.ln_f_b), layer.ff_w1), layer.ff_b1))
         x = add(x, add(matmul(hidden, layer.ff_w2), layer.ff_b2))
     return add(matmul(layer_norm(x, p.out_norm_g, p.out_norm_b), p.head_w), p.head_b)
 

@@ -264,7 +264,8 @@ class TestReports:
         with pytest.raises(MetricsError):
             DecouplingReport.from_text("connector slot\nseed\n")
 
-    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?", "probe_acc.occupancy x", "scenes 2.5"])
+    @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?", "probe_acc.occupancy x", "scenes 2.5",
+                                      "probe_acc nan", "spatial_ari inf", "probe_acc.occupancy -inf"])
     def test_non_numeric_value_rejected(self, line):
         key = line.split()[0]
         lines = [ln for ln in self._report().to_text().splitlines() if ln.split()[0] != key]

@@ -19,7 +19,7 @@ from slotvid.engine import (
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import NONLIN_NODES, fd_check, recip, reference_gru, softmax_axis
+from gradcheck import fd_check, recip, reference_gru, smooth_ramp, softmax_axis
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
@@ -206,7 +206,6 @@ def _keys_values_forward(inputs, p):
     """``forward_batch`` with explicit [B, M, D_att] keys ``xn wk`` and values ``xn wv``."""
     b, _, _ = inputs.shape
     n, d = p.slots.data.shape
-    nonlin = NONLIN_NODES[p.nonlinearity]
     temp = np.float32(1.0 / np.sqrt(d))
     xn = layer_norm(inputs, p.in_norm_g, p.in_norm_b)
     k = matmul(xn, p.wk)
@@ -219,7 +218,7 @@ def _keys_values_forward(inputs, p):
         col = recip(add(attn.sum(axis=1, keepdims=True), np.float32(p.eps)))
         updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
         slots = reference_gru(slots, reshape(updates, (b * n, d)), p.gru)
-        hidden = nonlin(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
+        hidden = smooth_ramp(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
         slots = add(slots, add(matmul(hidden, p.mlp_w2), p.mlp_b2))
     return reshape(slots, (b, n, d)), attn.data
 

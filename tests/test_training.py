@@ -162,6 +162,19 @@ class TestStage1:
         full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
         assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
 
+    def test_checkpoint_with_constant_mlp_metadata_resumes(self, tmp_path):
+        # checkpoints written while the MLP nonlinearity was a setting carry
+        # meta.nonlinearity and meta.decoder_kind, both 0 for the one form
+        short = run_stage1(tiny_config(stage={"steps": 2}), out_dir=str(tmp_path / "short"))
+        tensors = load_checkpoint(short["checkpoint"])
+        assert "meta.nonlinearity" not in tensors and "meta.decoder_kind" not in tensors
+        old = str(tmp_path / "old.sfsl")
+        save_checkpoint({**tensors, "meta.nonlinearity": np.float32(0.0), "meta.decoder_kind": np.float32(0.0)}, old)
+        rc_full = tiny_config(stage={"steps": 5})
+        resumed = run_stage1(rc_full, out_dir=str(tmp_path / "resumed"), resume=old)
+        full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
+        assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
+
     def test_resume_appends_to_log(self, tmp_path):
         log = tmp_path / "train-log.txt"
         short = run_stage1(tiny_config(stage={"steps": 2}), out_dir=str(tmp_path))
@@ -278,7 +291,8 @@ class TestStage3:
 
 
 class TestSceneViews:
-    """Each cached scene carries its branch views, and a step stacks only those."""
+    """Each cached scene carries its pooled fast series; a step gathers the
+    sampled slow frames from the grids and stacks only the views it reads."""
 
     @staticmethod
     def _videos(rc, n=3):
@@ -333,16 +347,18 @@ class TestSceneViews:
             assert (masks is None and expect is None) or np.array_equal(masks, expect)
 
     def test_cached_views_are_read_only_and_derived_once(self):
+        # a clip caches its pooled fast series only; its slow frames are
+        # gathered from the grid each step
         rc = tiny_config()
         cfg = rc.connector
         stream = training._stream(rc, "train")
         video = stream.scene(0)[1]
-        views = video.views(cfg)
-        assert stream.scene(0)[1].views(cfg)[0] is views[0] and video.views(cfg, "fast")[1] is views[1]
-        for arr in views:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[...] = 0.0
+        stack_views([video], cfg)
+        series = video.fast_series(cfg)
+        assert stream.scene(0)[1].fast_series(cfg) is series and list(video._series) == [cfg.pool_stride]
+        assert not series.flags.writeable
+        with pytest.raises(ValueError):
+            series[...] = 0.0
 
     @pytest.mark.parametrize("kind,branch", [("slot", "slow"), ("slot", "fast"), ("slot", "both"),
                                              ("query_transformer", "both")])
@@ -381,18 +397,18 @@ class TestSceneViews:
                              cache_entries=0)
         videos = training._batch(stream, range(2))[0]
         stack_views(videos, cfg)
-        refs = [weakref.ref(arr) for video in videos for arr in video.views(cfg)]
+        refs = [weakref.ref(video.fast_series(cfg)) for video in videos]
         assert stream._cache == {}
         del videos
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 2
 
     def test_cache_budget_counts_the_views(self):
-        # at the default shapes, 512 MB hold 390 entries of grid and views, not 512 grids
+        # at the default shapes, 512 MB hold 481 entries of grid and pooled series, not 512 grids
         rc = from_dict({"data": {"n_train_scenes": 10**6}})
         stream = training._stream(rc, "train")
         _, video, _ = stream.scene(0)
-        entry = video.grid.nbytes + sum(arr.nbytes for arr in video.views(rc.connector))
-        assert stream.cache_entries == (512 << 20) // entry == 390
+        entry = video.grid.nbytes + video.fast_series(rc.connector).nbytes
+        assert stream.cache_entries == (512 << 20) // entry == 481
 
 
 class TestModelLayout:
