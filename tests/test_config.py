@@ -38,12 +38,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             from_dict({"connector": {"type": "transformer"}})
 
-    @pytest.mark.parametrize("key, value", [("nonlinearity", "gelu-like"), ("nonlinearity", ["relu"]),
-                                            ("mlp_hidden", 64)])
+    @pytest.mark.parametrize("key, value", [("nonlinearity", "gelu-like"), ("mlp_hidden", 64)])
     def test_deleted_mlp_keys_are_unknown(self, key, value):
         # the MLP has one form, with hidden width 2 * slot_dim, and no key to set either
         with pytest.raises(ConfigError, match=f"unknown config key: connector.{key}"):
             from_dict({"connector": {key: value}})
+
+    @pytest.mark.parametrize("value", [["relu"], {"relu": 1}])
+    def test_unhashable_nonlinearity_is_a_config_error(self, value):
+        # the deleted key is refused by name, whatever its value, never with a TypeError
+        with pytest.raises(ConfigError, match="unknown config key: connector.nonlinearity"):
+            from_dict({"connector": {"nonlinearity": value}})
 
     def test_bad_stride(self):
         with pytest.raises(ConfigError):
