@@ -32,11 +32,8 @@ keys, values, logits and read of the unfolded form, so it pays while
 ``h*N_q*D_in < D_q*(D_in + N_q)``: 4*8*32 = 1024 against 64*40 = 2560 by
 default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config.
 ``engine.cross_attention_block`` applies the folded weights to the query
-rows or to the inputs of each set, whichever its cost rule finds cheaper:
-the inputs when ``M*D_q*(D_in + N_q) < N_q*D_in*(D_q + M)``. With 8 queries
-of width 64 over tokens of width 32 it stays on the query rows: 655,360 on
-the inputs against 81,920 on the query rows for the slow branch's 256
-tokens, and 81,920 against 24,576 for the fast branch's 32. The parameters
+rows or to the inputs of each set, whichever its cost rule (stated there)
+finds cheaper; at the default shapes that is the query rows. The parameters
 and their checkpoint names are those of the keys-and-values form; values
 agree with it to float32 rounding. The cross-attention block is
 ``decoder.cross_attention``, which the stage-1 decoder runs with one head.
@@ -148,17 +145,11 @@ class QueryTransformerParams:
 
     queries: Value  # [N_q, D_q]
     layers: list
-    n_heads: int = 4
+    n_heads: int
 
     @classmethod
     def create(
-        cls,
-        rng: np.random.Generator,
-        n_queries: int,
-        d_in: int,
-        d_q: int,
-        n_layers: int = 2,
-        n_heads: int = 4,
+        cls, rng: np.random.Generator, n_queries: int, d_in: int, d_q: int, n_layers: int, n_heads: int
     ) -> "QueryTransformerParams":
         if n_queries < 1:
             raise ValueError("need at least one query")
@@ -205,10 +196,8 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     raw inputs, and ``wvo = [wv_h wo_h]_h`` [h*D_in, D_q] maps the read rows
     back, so no [B, M, D_q] keys or values exist. This pays while
     ``h*N_q*D_in < D_q*(D_in + N_q)`` (see the module docstring). The block
-    applies the folds on the inputs' side only when ``M*D_q*(D_in + N_q) <
-    N_q*D_in*(D_q + M)``; at the default shapes (8 queries of width 64 over
-    256 or 32 tokens of width 32: 655,360 against 81,920 and 81,920 against
-    24,576) it runs them on the query rows.
+    applies the folds on the side its rule (``engine.cross_attention_block``)
+    finds cheaper: the query rows at the default shapes.
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
@@ -234,18 +223,17 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
 class WrapParams(ConnectorParams):
     """The two-branch connector's state with a query transformer per branch.
 
-    Only the aggregators differ from ``ConnectorParams``: two query stacks,
-    named ``qt_slow.*`` and ``qt_fast.*``, created before the shared tensors.
+    Only the aggregators differ from ``ConnectorParams``: two query stacks of
+    ``cfg.qt_layers`` layers with ``cfg.qt_heads`` heads, named ``qt_slow.*``
+    and ``qt_fast.*``, created before the shared tensors.
     """
 
     prefix = "qt_"
 
     @staticmethod
-    def create_aggregators(
-        rng: np.random.Generator, cfg: ConnectorConfig, n_layers: int = 2, n_heads: int = 4
-    ) -> tuple:
+    def create_aggregators(rng: np.random.Generator, cfg: ConnectorConfig) -> tuple:
         return tuple(
-            QueryTransformerParams.create(rng, n, cfg.feat_dim, cfg.slot_dim, n_layers=n_layers, n_heads=n_heads)
+            QueryTransformerParams.create(rng, n, cfg.feat_dim, cfg.slot_dim, cfg.qt_layers, cfg.qt_heads)
             for n in (cfg.slots_per_frame, cfg.slots_per_position)
         )
 

@@ -130,8 +130,7 @@ def _cmd_eval(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         write_effective_config(rc, args.out)
         path = os.path.join(args.out, "report.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        report.save(path)
         print(f"report: {path}")
     sys.stdout.write(text)
     return 0

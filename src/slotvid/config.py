@@ -77,8 +77,6 @@ class DataConfig:
 class RunConfig:
     connector_kind: str
     connector: ConnectorConfig
-    qt_layers: int
-    qt_heads: int
     data: DataConfig
     stage: StageConfig
     out: str | None
@@ -94,7 +92,7 @@ def _defaults(cls, skip: tuple = ()) -> dict:
 
 def default_config_dict() -> dict:
     return {
-        "connector": {"type": "slot", **_defaults(ConnectorConfig), "qt_layers": 2, "qt_heads": 4},
+        "connector": {"type": "slot", **_defaults(ConnectorConfig)},
         "data": {**_defaults(DataConfig, skip=("ranges",)), **_defaults(SceneRanges)},
         "stage": _defaults(StageConfig),
         "out": None,
@@ -166,7 +164,7 @@ def from_dict(user: dict) -> RunConfig:
 
     conn = merged["connector"]
     _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
-    _positive_ints(conn, "connector", [f.name for f in fields(ConnectorConfig)] + ["qt_layers", "qt_heads"])
+    _positive_ints(conn, "connector", [f.name for f in fields(ConnectorConfig)])
     _require(conn["slot_dim"] % conn["qt_heads"] == 0,
              "connector.slot_dim must be divisible by connector.qt_heads")
 
@@ -218,8 +216,6 @@ def from_dict(user: dict) -> RunConfig:
     return RunConfig(
         connector_kind=conn["type"],
         connector=connector_cfg,
-        qt_layers=conn["qt_layers"],
-        qt_heads=conn["qt_heads"],
         data=_build(DataConfig, data, ranges=ranges),
         stage=_build(StageConfig, stage, **floats),
         out=merged["out"],

@@ -15,18 +15,18 @@ produces the downstream token width. The output token count is
 ``slow_frames * slots_per_frame + pooled_positions * slots_per_position``
 regardless of T.
 
-The connector's input is the two branch views of a clip, not its grid
-(``BranchViews``): the sampled slow frames [B, slow_frames, H*W, D] and the
-pooled fast series in position-major layout [B, positions, T, D], before the
-learned frame embedding is added. ``derive_views`` derives both from
-[T, H, W, D] or [B, T, H, W, D] features with engine ops (``take``,
-``avg_pool_hw``, a transpose), so a gradient still reaches the features.
-Both views are fixed functions of the frozen features. A step builds only
-the batch views it reads (``stack_views``): it gathers each clip's sampled
-frames from its grid straight into the batch array, and stacks the pooled
-series each clip's ``VideoFeatures`` memoizes, read-only
-(``VideoFeatures.fast_series``). That is 2.5 MB for a default batch of 8 clips
-against the 8 MB of their grids, with no pooling in the step.
+The connector's input is the two branch views of a batch of clips, not their
+grids (``BranchViews``): the sampled slow frames [B, slow_frames, H*W, D] and
+the pooled fast series in position-major layout [B, positions, T, D], before
+the learned frame embedding is added. The grid is a frozen encoder's output,
+so both views are fixed arrays that take no gradient, and each is built from
+the clips' ``VideoFeatures`` in one way. ``gather_frames`` takes each clip's
+picked frames from its grid straight into one batch array; ``stack_views``
+picks the uniform samples. ``VideoFeatures.fast_series`` pools a clip's grid
+once, one GEMM per frame with a constant block-mean matrix, and keeps the
+series read-only with the clip; ``stack_views`` stacks those series. A
+default batch of 8 clips then holds 2.5 MB of views against the 8 MB of its
+grids, with no pooling in the step.
 
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
-from .engine import ShapeError, Value, add, avg_pool_hw, broadcast_to, linear, reshape, take, transpose
+from .engine import ShapeError, Value, add, broadcast_to, linear, reshape, take
 from .slot_attention import SlotAttentionParams, forward_batch
 
 
@@ -69,6 +69,8 @@ class ConnectorConfig:
     max_frames: int = 256
     iters_slow: int = 3
     iters_fast: int = 3
+    qt_layers: int = 2  # query-transformer comparator: layers and heads per branch
+    qt_heads: int = 4
 
     def validate(self) -> None:
         if self.pool_stride <= 0 or self.grid_h % self.pool_stride or self.grid_w % self.pool_stride:
@@ -133,8 +135,8 @@ class VideoFeatures:
     """A T x H x W x D feature grid extracted at a fixed frame rate.
 
     The grid is a frozen encoder's output, so the pooled fast series derived
-    from it is fixed too: ``fast_series`` derives it once and keeps it with
-    the clip.
+    from it is fixed too: ``fast_series`` pools it once and keeps it with the
+    clip.
     """
 
     grid: np.ndarray
@@ -152,15 +154,25 @@ class VideoFeatures:
         return self.grid.shape[0]
 
     def fast_series(self, cfg: ConnectorConfig) -> np.ndarray:
-        """This clip's fast view of ``derive_views``, [positions, T, D], as a read-only array.
+        """This clip's fast view, the stride-pooled grid as position-major
+        series [positions, T, D], as a read-only array.
 
-        Derived on first request, under ``no_grad``, and kept with the clip,
-        keyed by the pool stride that shapes it.
+        Pooled on first request and kept with the clip, keyed by the pool
+        stride that shapes it.
         """
         series = self._series.get(cfg.pool_stride)
         if series is None:
-            with engine.no_grad():
-                series = np.ascontiguousarray(derive_views(self.grid, cfg, "fast").fast.data[0])
+            t, h, w, d = self.grid.shape
+            stride = cfg.pool_stride
+            if stride <= 0 or h % stride or w % stride:
+                raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
+            # row c of the pooling matrix weighs the cells of block c by 1/stride^2
+            block = ((np.arange(h) // stride)[:, None] * (w // stride) + np.arange(w) // stride).reshape(-1)
+            pool = np.zeros(((h // stride) * (w // stride), h * w), dtype=np.float32)
+            pool[block, np.arange(h * w)] = np.float32(1.0 / (stride * stride))
+            series = np.ascontiguousarray(np.matmul(pool, self.grid.reshape(t, h * w, d)).transpose(1, 0, 2))
+            if not np.all(np.isfinite(series)):
+                raise engine.NonFiniteError("non-finite pooled series")
             series.flags.writeable = False
             self._series[cfg.pool_stride] = series
         return series
@@ -198,10 +210,10 @@ class ConnectorParams:
         )
 
     @classmethod
-    def create(cls, rng: np.random.Generator, cfg: ConnectorConfig, **aggregator_kw) -> "ConnectorParams":
+    def create(cls, rng: np.random.Generator, cfg: ConnectorConfig) -> "ConnectorParams":
         cfg.validate()
 
-        slow, fast = cls.create_aggregators(rng, cfg, **aggregator_kw)
+        slow, fast = cls.create_aggregators(rng, cfg)
         return cls(
             slow=slow,
             fast=fast,
@@ -237,59 +249,27 @@ def uniform_sample_frames(total: int, count: int) -> np.ndarray:
     return np.array([((2 * i + 1) * total) // (2 * count) for i in range(count)], dtype=np.intp)
 
 
-def _as_batch_value(features) -> Value:
-    if isinstance(features, Value):
-        val = features
-    elif isinstance(features, VideoFeatures):
-        val = Value(features.grid)
-    else:
-        val = Value(features)
-    if val.ndim == 4:
-        t, h, w, d = val.shape
-        val = reshape(val, (1, t, h, w, d))
-    if val.ndim != 5:
-        raise ShapeError("expected [T, H, W, D] or [B, T, H, W, D] features")
-    return val
+def gather_frames(videos, picks) -> np.ndarray:
+    """Frames ``picks[i]`` of each clip ``videos[i]``, as one [B, k, H*W, D] array.
 
-
-def derive_views(features, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
-    """The branch views of [T, H, W, D] or [B, T, H, W, D] features, each with a batch axis.
-
-    Slow: the uniformly sampled frames as [B, slow_frames, H*W, D]. Fast: the
-    stride-pooled grid as position-major series [B, positions, T, D]. Only
-    the views ``branch`` reads are built; the ops are differentiable.
+    Each clip's frames are taken from its grid straight into the batch
+    array: one copy.
     """
-    want_slow, want_fast = _wanted_views(branch)
-    feats = _as_batch_value(features)
-    b, t, h, w, d = feats.shape
-    slow = fast = None
-    if want_slow:
-        frames = take(feats, uniform_sample_frames(t, cfg.slow_frames), axis=1)  # [B, t_d, H, W, D]
-        slow = reshape(frames, (b, cfg.slow_frames, h * w, d))
-    if want_fast:
-        pooled = reshape(avg_pool_hw(feats, cfg.pool_stride), (b, t, cfg.n_positions, d))
-        fast = transpose(pooled, (0, 2, 1, 3))
-    return BranchViews(slow, fast)
+    _, h, w, d = videos[0].grid.shape
+    frames = np.empty((len(videos), len(picks[0]), h, w, d), dtype=np.float32)
+    for video, idx, out in zip(videos, picks, frames):
+        # the indices are in range; "clip" lets take write into out unbuffered
+        np.take(video.grid, idx, axis=0, out=out, mode="clip")
+    return frames.reshape(len(videos), -1, h * w, d)
 
 
 def stack_views(videos, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
-    """The views ``branch`` reads of a batch of ``VideoFeatures``, equal to
-    ``derive_views`` of their stacked grids.
-
-    Each clip's sampled frames are gathered from its grid straight into the
-    batch array, and each clip's memoized fast series is stacked: one copy of
-    each view.
-    """
+    """The views ``branch`` reads of a batch of ``VideoFeatures``: each clip's
+    uniformly sampled frames, and each clip's memoized fast series stacked."""
     want_slow, want_fast = _wanted_views(branch)
     slow = fast = None
     if want_slow:
-        _, h, w, d = videos[0].grid.shape
-        frames = np.empty((len(videos), cfg.slow_frames, h, w, d), dtype=np.float32)
-        for video, out in zip(videos, frames):
-            sampled = uniform_sample_frames(video.n_frames, cfg.slow_frames)
-            # the indices are in range; "clip" lets take write into out unbuffered
-            np.take(video.grid, sampled, axis=0, out=out, mode="clip")
-        slow = Value(frames.reshape(len(videos), cfg.slow_frames, h * w, d))
+        slow = Value(gather_frames(videos, [uniform_sample_frames(v.n_frames, cfg.slow_frames) for v in videos]))
     if want_fast:
         fast = Value(np.stack([video.fast_series(cfg) for video in videos]))
     return BranchViews(slow, fast)

@@ -15,20 +15,13 @@ graph ops and runs the block as the one node
 one head the folds are ``wqk = wq wk^T / sqrt(D_dec)`` [D_dec, D_slot] and
 ``wvo = wv wo`` [D_slot, D_dec], two weight products per layer and call.
 
-The block applies the folds to whichever side of a set costs fewer
-multiply-adds, and for the decoder that is the slots: per set it builds
-keys ``s wqk^T`` and values ``s wvo`` [N, D_dec] over the N normalized slots
-``s``, so the logits ``LN(x) keys^T`` and the output ``attn values`` are the
-only products over the M position rows. The query-side form, ``(LN(x) wqk) s^T`` then ``(attn
-s) wvo``, saves the ``2*N*D_slot*D_dec`` multiply-adds per set of the
-unfolded keys and values, but it runs two weight products on the M position
-rows, as the unfolded form does with its queries and output map. The
-block's rule compares half the multiply-adds per set of each side: here
-``N*D_dec*(D_slot + M)`` on the slots against ``M*D_slot*(D_dec + N)`` on
-the positions, 163,840 against 1,179,648 for stage-1 slow's 256 positions
-over 8 slots of width 64, and 49,152 against 147,456 for stage-1 fast's 32.
-The decoder width is the slot width. Values agree with the keys-and-values
-form to float32 rounding.
+The block applies the folds on the cheaper side of each set, by the rule
+that ``engine.cross_attention_block`` states with its default-shape counts.
+For the decoder that is the slots: per set it builds keys ``s wqk^T`` and
+values ``s wvo`` [N, D_dec] over the N normalized slots ``s``, so the logits
+``LN(x) keys^T`` and the output ``attn values`` are the only products over
+the M position rows. The decoder width is the slot width. Values agree with
+the keys-and-values form to float32 rounding.
 """
 
 from __future__ import annotations
@@ -169,12 +162,10 @@ def cross_attention(x: Value, inputs: Value, layer, heads: int) -> tuple[Value, 
     ``wqk``, scaling D_q*h*D_in weights instead of the B*N_q*h*M logits. The
     block itself is the one node ``engine.cross_attention_block``, which
     applies ``wqk`` and ``wvo`` to the N_q query rows or to the M inputs of
-    each set, whichever costs fewer multiply-adds: the inputs when
-    ``M*D_q*(D_in + N_q) < N_q*D_in*(D_q + M)``. The decoder (256 or 32
-    positions over 8 slots of width 64) runs on the inputs, the query
-    transformer (8 queries over 256 or 32 tokens of width 32) on the query
-    rows. Returns (x plus the attention output, as rows; attention
-    [B, N_q*h, M] as a plain array).
+    each set, whichever its rule (stated there) finds cheaper: the decoder
+    runs on the inputs, the query transformer on the query rows. Returns (x
+    plus the attention output, as rows; attention [B, N_q*h, M] as a plain
+    array).
     """
     d_in = inputs.shape[2]
     dq = x.shape[1]

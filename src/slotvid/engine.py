@@ -7,34 +7,36 @@ topological order and accumulates the leaves' adjoints into persistent
 ``grad`` buffers, so repeated backward calls without zeroing add up.
 
 Hot composites are fused into single nodes with analytic backwards:
-``cross_entropy``, the row ops ``layer_norm``, the affine map ``linear``
-(``x w + b`` over rows) and the grid pooling ``avg_pool_hw``, the pre-norm
-transformer blocks over [R, D] rows, ``residual_mlp`` (one MLP form, the ramp
-``z * sigmoid(1.702 z)``), ``cross_attention_block`` and
-``self_attention_block``, and ``slot_attention``, every iteration of slot
-attention in one node. The blocks evaluate the same products, sums and
-softmaxes in the same order as the same computations composed from primitive
-ops (the references in ``tests/test_fused_ops.py``), so their values are
-identical; their backwards sum in their own order, so gradients may differ
-from the composites' in the last bits. The attention nodes take the raw
-inputs and weights folded by the caller or once per call; the cross-attention
-node applies its two folded weights to the query rows or to the inputs of
-each set, whichever costs fewer multiply-adds. Slot attention
-reads the normalized inputs slot-major, [B, N, M], with the input norm's gain
-and bias, the key weights, the slot norm's gain and the temperature folded
-into one query map and the value weights into the gated update's input
-weights, so its values differ from the unfused path's in float32 rounding;
-its backward runs the iterations in reverse and sends each weight one
-adjoint.
+``cross_entropy``, the row ops ``layer_norm`` and the affine map ``linear``
+(``x w + b`` over rows), the pre-norm transformer blocks over [R, D] rows,
+``residual_mlp`` (one MLP form, the ramp ``z * sigmoid(1.702 z)``),
+``cross_attention_block`` and ``self_attention_block``, and
+``slot_attention``, every iteration of slot attention in one node. The
+blocks evaluate the same products, sums and softmaxes in the same order as
+the same computations composed from primitive ops (the references in
+``tests/test_fused_ops.py``), so their values are identical; their
+backwards sum in their own order, so gradients may differ from the
+composites' in the last bits. The attention nodes take the raw inputs and
+weights folded by the caller or once per call; the cross-attention node
+applies its two folded weights on the cheaper side of each set, by the rule
+stated in ``cross_attention_block``. Slot attention reads the normalized
+inputs slot-major, [B, N, M], with the input norm's gain and bias, the key
+weights, the slot norm's gain and the temperature folded into one query map
+and the value weights into the gated update's input weights, so its values
+differ from the unfused path's in float32 rounding; its backward runs the
+iterations in reverse and sends each weight one adjoint.
+
+A model's inputs enter the graph as constant leaves: the connector builds
+its branch views from the frozen features in plain numpy
+(``connector.stack_views``), so no node gathers or pools a feature grid.
 
 Row means and sums over a last axis, and column sums over rows, are GEMMs
 against a ones vector (``_sum_last``, ``_sum_rows``; a mean puts 1/D in the
 vector), never numpy reductions, which pay a per-row loop over the short
-axes these ops reduce; grid pooling is one GEMM with a constant block-mean
-matrix. These sums round differently from numpy's reductions, so values
-equal a composite's only when that takes the same sums. Fusing drops
-intermediate nodes, never the finite check on an op's output; the attention
-nodes check their attention too.
+axes these ops reduce. These sums round differently from numpy's
+reductions, so values equal a composite's only when that takes the same
+sums. Fusing drops intermediate nodes, never the finite check on an op's
+output; the attention nodes check their attention too.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -727,13 +729,8 @@ def residual_mlp(x, g, b, w1, b1, w2, b2) -> Value:
 
 def _folds_on_inputs(n: int, m: int, d_q: int, d_in: int) -> bool:
     """Whether ``cross_attention_block`` applies its weight folds to the M
-    inputs of a set rather than to its N query rows.
-
-    Per set and head, the input side costs ``2*M*D_q*(D_in + N)``
-    multiply-adds (keys and values, then the logits and the output over D_q)
-    and the query side ``2*N*D_in*(D_q + M)`` (the query and output products,
-    then the logits and the read over D_in).
-    """
+    inputs of a set rather than to its N query rows; the block's docstring
+    states the rule."""
     return m * d_q * (d_in + n) < n * d_in * (d_q + m)
 
 
@@ -749,9 +746,13 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
     finite-checked).
 
     The two weight products run on whichever side of a set costs fewer
-    multiply-adds, by the rule of ``_folds_on_inputs``; the counts below are
-    its ``M*D_q*(D_in + N)`` (input side) against ``N*D_in*(D_q + M)`` (query
-    side):
+    multiply-adds (``_folds_on_inputs``). Per set and head, the input side
+    costs ``2*M*D_q*(D_in + N)`` (keys and values, then the logits and the
+    output over D_q) and the query side ``2*N*D_in*(D_q + M)`` (the query and
+    output products, then the logits and the read over D_in). The rule
+    compares the halves and picks the inputs when ``M*D_q*(D_in + N) <
+    N*D_in*(D_q + M)``; the counts below are those halves, input side first,
+    at the default shapes:
 
     - query side: ``LN(x) wqk`` gives N*h query rows over the raw inputs,
       the read ``attn inputs`` is [B*N, h*D_in] rows, and ``wvo`` maps it
@@ -1088,34 +1089,6 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
             _send(adj, x, _norm_rows_dx(g_xhat, g_xhat * xhat, xhat, inv_x).reshape(x.data.shape))
 
     return _node(h.reshape(b, n, d), (x, init) + weights, backward), mask
-
-
-# -- pooling ---------------------------------------------------------------------
-
-
-def avg_pool_hw(a, stride: int) -> Value:
-    """Mean-pool the trailing [..., H, W, D] axes in fixed summation order.
-
-    One node: each [H*W, D] grid is multiplied by a constant pooling matrix
-    [H*W/stride^2, H*W], and the adjoint by its transpose.
-    """
-    a = _coerce(a)
-    if a.ndim < 3:
-        raise ShapeError("avg_pool_hw expects at least [H, W, D]")
-    *lead, h, w, d = a.data.shape
-    if stride <= 0 or h % stride or w % stride:
-        raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
-    hd, wd = h // stride, w // stride
-    # row c of the pooling matrix weighs the cells of block c by 1/stride^2
-    block = ((np.arange(h) // stride)[:, None] * wd + np.arange(w) // stride).reshape(-1)
-    pool = np.zeros((hd * wd, h * w), dtype=DTYPE)
-    pool[block, np.arange(h * w)] = np.float32(1.0 / (stride * stride))
-    out_data = np.matmul(pool, a.data.reshape(-1, h * w, d))
-
-    def backward(g, adj):
-        _send(adj, a, np.matmul(pool.T, g.reshape(-1, hd * wd, d)).reshape(a.data.shape))
-
-    return _node(out_data.reshape(*lead, hd, wd, d), (a,), backward)
 
 
 # -- reverse pass -----------------------------------------------------------------

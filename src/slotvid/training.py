@@ -37,7 +37,7 @@ from .baselines import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageConfig, config_hash
-from .connector import ConnectorParams, connect_batch, pooled_series, stack_views, uniform_sample_frames
+from .connector import ConnectorParams, connect_batch, gather_frames, pooled_series, stack_views, uniform_sample_frames
 from .decoder import DecoderParams, decode_batch, recon_loss
 from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
 from .metrics import DecouplingReport, ari, hard_assign, mask_entropy, slot_overlap
@@ -134,7 +134,7 @@ def build_model(rc: RunConfig) -> Model:
     elif rc.connector_kind == "pooling":
         conn = PoolingParams.create(rng, cfg)
     elif rc.connector_kind == "query_transformer":
-        conn = WrapParams.create(rng, cfg, n_layers=rc.qt_layers, n_heads=rc.qt_heads)
+        conn = WrapParams.create(rng, cfg)
     else:
         raise TrainingError(f"unknown connector kind {rc.connector_kind!r}")
     probe = ProbeParams.create(cfg.out_dim, probe_class_counts(rc.data.ranges))
@@ -411,20 +411,18 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         videos = batch[0]
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
         if stage.branch == "slow":
-            chunks = []
-            for video in videos:
-                sel = pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False)
-                chunks.append(video.grid[sampled[np.sort(sel)]])  # [picked, H, W, D]
-            inputs_np = np.concatenate(chunks, axis=0).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
+            picks = [sampled[np.sort(pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False))]
+                     for _ in videos]
+            inputs_np = gather_frames(videos, picks).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
             sa, dec = model.conn.slow, model.dec_slow
         else:
+            series = np.stack([
+                video.fast_series(cfg)[np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene,
+                                                           replace=False))]
+                for video in videos
+            ])  # [B, p, T, D]
             with engine.no_grad():
-                series = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, model.conn.fast_pos).data
-            rows = []
-            for b in range(stage.batch_size):
-                sel = np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene, replace=False))
-                rows.append(b * cfg.n_positions + sel)
-            inputs_np = series[np.concatenate(rows)]  # [B*p, T, D]
+                inputs_np = pooled_series(Value(series), cfg, model.conn.fast_pos).data  # [B*p, T, D]
             sa, dec = model.conn.fast, model.dec_fast
         inputs = Value(inputs_np)
         slots, _ = forward_batch(inputs, sa)
@@ -484,23 +482,8 @@ def _connector_label(rc: RunConfig, branch: str) -> str:
     return f"{rc.connector_kind}-{branch}"
 
 
-def _heldout_indices(stream: SceneStream, n: int, k_objects: int | None) -> list:
-    """First n stream indices, optionally keeping only K-object scenes."""
-    if k_objects is None:
-        return list(range(n))
-    out = []
-    index = 0
-    while len(out) < n:
-        if stream.spec(index).k_objects == k_objects:
-            out.append(index)
-        index += 1
-        if index > 100 * max(n, 1):
-            raise TrainingError(f"could not find {n} scenes with {k_objects} objects")
-    return out
-
-
 def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
-                   tag: str = "heldout", k_objects: int | None = None) -> DecouplingReport:
+                   tag: str = "heldout") -> DecouplingReport:
     """Decoupling metrics and probe accuracy over a held-out scene stream."""
     cfg = rc.connector
     branch = "both" if rc.connector_kind == "pooling" else rc.stage.branch
@@ -509,7 +492,6 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     if n < 1:
         raise TrainingError(f"evaluation needs at least one scene, got {n}")
     frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
-    heldout = _heldout_indices(stream, n, k_objects)
 
     # each branch's masks are scored against its own ground truth: the object
     # map of each sampled frame (slow) or the event segments of each pooled
@@ -524,8 +506,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
 
     chunk = 8
     for lo in range(0, n, chunk):
-        indices = heldout[lo : lo + chunk]
-        videos, labels, truths = _batch(stream, indices)
+        videos, labels, truths = _batch(stream, range(lo, min(lo + chunk, n)))
         with engine.no_grad():
             tokens, slow_masks, fast_masks = forward_masks(model, videos, branch)
             pooled = tokens.mean(axis=1)
@@ -568,8 +549,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     )
 
 
-def evaluate_checkpoint(rc: RunConfig, ckpt_path: str, n_scenes: int | None = None,
-                        k_objects: int | None = None) -> DecouplingReport:
+def evaluate_checkpoint(rc: RunConfig, ckpt_path: str, n_scenes: int | None = None) -> DecouplingReport:
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(ckpt_path))
-    return evaluate_model(rc, model, n_scenes=n_scenes, k_objects=k_objects)
+    return evaluate_model(rc, model, n_scenes=n_scenes)

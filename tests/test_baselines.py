@@ -14,7 +14,7 @@ from slotvid.baselines import (
     slowfast_wrap,
 )
 from slotvid.config import from_dict
-from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch, derive_views
+from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch, stack_views
 from slotvid.decoder import DecoderParams, decode_batch
 from slotvid.engine import (
     Value,
@@ -386,7 +386,7 @@ class TestWrap:
     def test_token_count_parity(self):
         cfg = self.CFG
         params = WrapParams.create(engine.rng_for(8, "wrap"), cfg)
-        video = derive_views(make_video(8, cfg, frames=16), cfg)
+        video = stack_views([make_video(8, cfg, frames=16)], cfg)
         with engine.no_grad():
             slow, sm, fm = slowfast_wrap(video, cfg, params, mode="slow")
             assert slow.shape == (1, 64, cfg.out_dim) and fm is None
@@ -401,7 +401,7 @@ class TestWrap:
         cfg = ConnectorConfig(frames=6, grid_h=8, grid_w=8, feat_dim=6, slow_frames=3,
                               pool_stride=4, slots_per_frame=2, slots_per_position=2,
                               slot_dim=8, out_dim=5, max_frames=16, iters_slow=1, iters_fast=1)
-        video = derive_views(make_video(9, cfg), cfg)
+        video = stack_views([make_video(9, cfg)], cfg)
         with engine.no_grad():
             slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg))
             wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg))
@@ -411,4 +411,4 @@ class TestWrap:
         cfg = self.CFG
         params = WrapParams.create(engine.rng_for(10, "wrap"), cfg)
         with pytest.raises(ValueError):
-            slowfast_wrap(derive_views(make_video(10, cfg, frames=8), cfg), cfg, params, mode="sideways")
+            slowfast_wrap(stack_views([make_video(10, cfg, frames=8)], cfg), cfg, params, mode="sideways")

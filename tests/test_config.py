@@ -10,6 +10,7 @@ from slotvid.config import (
     load_config,
     write_effective_config,
 )
+from slotvid.connector import ConnectorConfig
 
 
 class TestValidation:
@@ -49,6 +50,20 @@ class TestValidation:
         # the deleted key is refused by name, whatever its value, never with a TypeError
         with pytest.raises(ConfigError, match="unknown config key: connector.nonlinearity"):
             from_dict({"connector": {"nonlinearity": value}})
+
+    def test_query_transformer_shape_is_a_connector_field(self):
+        # qt_layers and qt_heads are declared once, with their defaults, in
+        # ConnectorConfig; the default config and its hash are unchanged
+        rc = from_dict({"connector": {"qt_layers": 1, "qt_heads": 2}})
+        assert (rc.connector.qt_layers, rc.connector.qt_heads) == (1, 2)
+        assert {k: default_config_dict()["connector"][k] for k in ("qt_layers", "qt_heads")} == {
+            "qt_layers": 2, "qt_heads": 4}
+        assert config_hash(from_dict({})) == "0b832f4202bd"
+        # the run config checks the heads against the slot width; a slot-only
+        # ConnectorConfig whose width the default heads do not divide still validates
+        with pytest.raises(ConfigError, match="divisible by connector.qt_heads"):
+            from_dict({"connector": {"slot_dim": 6}})
+        ConnectorConfig(slot_dim=6).validate()
 
     def test_bad_stride(self):
         with pytest.raises(ConfigError):

@@ -8,12 +8,12 @@ from slotvid.connector import (
     ConnectorParams,
     VideoFeatures,
     connect_batch,
-    derive_views,
     fast_branch_batch,
     slow_branch_batch,
+    stack_views,
     uniform_sample_frames,
 )
-from slotvid.engine import Value
+from slotvid.engine import ShapeError, Value
 from slotvid.slot_attention import forward_batch
 
 from gradcheck import fd_check, reference_gru, smooth_ramp
@@ -99,7 +99,7 @@ class TestTokenCounts:
             expect = t_d * n_s + (8 // stride) * (8 // stride) * n_f
             assert cfg.n_tokens == expect
             with engine.no_grad():
-                tokens, _, _ = connect_batch(derive_views(make_video(t_d * 100 + n_f, cfg), cfg), cfg,
+                tokens, _, _ = connect_batch(stack_views([make_video(t_d * 100 + n_f, cfg)], cfg), cfg,
                                              make_params(1, cfg))
             assert tokens.shape == (1, expect, cfg.out_dim)
 
@@ -108,7 +108,7 @@ class TestTokenCounts:
         params = make_params(2, cfg)
         for t in (cfg.slow_frames, cfg.frames, cfg.max_frames):
             with engine.no_grad():
-                tokens, _, _ = connect_batch(derive_views(make_video(3, cfg, frames=t), cfg), cfg, params)
+                tokens, _, _ = connect_batch(stack_views([make_video(3, cfg, frames=t)], cfg), cfg, params)
             assert tokens.shape[1] == cfg.n_tokens
 
     def test_doubling_slots_doubles_each_term(self):
@@ -120,15 +120,13 @@ class TestTokenCounts:
 class TestSlowBranch:
     def test_token_shape(self):
         cfg = SMALL
-        feats = Value(make_video(4, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, masks = slow_branch_batch(derive_views(feats, cfg).slow, cfg, make_params(4, cfg))
+        tokens, masks = slow_branch_batch(stack_views([make_video(4, cfg)], cfg).slow, cfg, make_params(4, cfg))
         assert tokens.shape == (1, cfg.n_slow_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.slow_frames, 64, cfg.slots_per_frame)
 
     def test_mask_rows_sum_to_one(self):
         cfg = SMALL
-        feats = Value(make_video(5, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        _, masks = slow_branch_batch(derive_views(feats, cfg).slow, cfg, make_params(5, cfg))
+        _, masks = slow_branch_batch(stack_views([make_video(5, cfg)], cfg).slow, cfg, make_params(5, cfg))
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_single_slot_constant_frame_is_transformed_mean(self):
@@ -169,8 +167,7 @@ class TestSlowBranch:
         permuted = VideoFeatures(video.grid[perm].copy())
 
         def branch(v):
-            feats = Value(v.grid.reshape(1, 3, 4, 4, 4))
-            return slow_branch_batch(derive_views(feats, cfg).slow, cfg, params)[0].data[0]
+            return slow_branch_batch(stack_views([v], cfg).slow, cfg, params)[0].data[0]
 
         tokens_a, tokens_b = branch(video), branch(permuted)
         # recompute directly: frame i of the permuted clip is frame perm[i] of
@@ -199,8 +196,7 @@ class TestSlowBranch:
 class TestFastBranch:
     def test_token_shape(self):
         cfg = SMALL
-        feats = Value(make_video(8, cfg).grid.reshape(1, cfg.frames, 8, 8, 6))
-        tokens, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, make_params(8, cfg))
+        tokens, masks = fast_branch_batch(stack_views([make_video(8, cfg)], cfg).fast, cfg, make_params(8, cfg))
         assert tokens.shape == (1, cfg.n_fast_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
@@ -212,8 +208,7 @@ class TestFastBranch:
             max_frames=4, iters_slow=1, iters_fast=2,
         )
         params = make_params(9, cfg)
-        feats = Value(make_video(9, cfg, frames=1).grid.reshape(1, 1, 4, 4, 3))
-        _, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, params)
+        _, masks = fast_branch_batch(stack_views([make_video(9, cfg, frames=1)], cfg).fast, cfg, params)
         np.testing.assert_allclose(masks, 1.0, atol=1e-7)
 
     def test_static_position_has_constant_mask_rows(self):
@@ -226,8 +221,7 @@ class TestFastBranch:
         params.fast_pos.data[:] = 0.0  # no temporal cue => nothing to separate
         frame = engine.normal(engine.rng_for(10, "frame"), (4, 4, 5))
         grid = np.tile(frame, (6, 1, 1, 1))
-        feats = Value(grid.reshape(1, 6, 4, 4, 5))
-        _, masks = fast_branch_batch(derive_views(feats, cfg).fast, cfg, params)
+        _, masks = fast_branch_batch(stack_views([VideoFeatures(grid)], cfg).fast, cfg, params)
         rows = masks[0, 0]  # [T, N_f] for the single position
         np.testing.assert_allclose(rows, np.tile(rows[0], (6, 1)), atol=1e-4)
 
@@ -235,23 +229,44 @@ class TestFastBranch:
         cfg = SMALL
         video = make_video(11, cfg, frames=cfg.max_frames + 1)
         with pytest.raises(ConnectorError):
-            connect_batch(derive_views(video, cfg), cfg, make_params(11, cfg))
+            connect_batch(stack_views([video], cfg), cfg, make_params(11, cfg))
 
 
 class TestPooling:
+    """``VideoFeatures.fast_series``: the stride-pooled grid as position-major series."""
+
+    @staticmethod
+    def _series(grid, stride):
+        return VideoFeatures(grid).fast_series(ConnectorConfig(pool_stride=stride))
+
     def test_block_means_exact_on_integer_features(self):
         # integer-valued features make the block mean exact in float32 for
         # power-of-two block sizes, independent of summation order
         rng = engine.rng_for(12, "pool")
         grid = rng.integers(-8, 9, size=(2, 8, 8, 3)).astype(np.float32)
-        pooled = engine.avg_pool_hw(Value(grid), 4).data
+        series = self._series(grid, 4)
         for t in range(2):
             for bi in range(2):
                 for bj in range(2):
                     for c in range(3):
                         block = grid[t, bi * 4 : bi * 4 + 4, bj * 4 : bj * 4 + 4, c]
                         want = float(block.astype(np.float64).sum()) / 16.0
-                        assert pooled[t, bi, bj, c] == np.float32(want)
+                        assert series[bi * 2 + bj, t, c] == np.float32(want)
+
+    def test_16_grid_stride_4_shape(self):
+        grid = engine.normal(engine.rng_for(7, "pool"), (3, 16, 16, 5))
+        assert self._series(grid, 4).shape == (16, 3, 5)
+
+    def test_constant_preserved(self):
+        np.testing.assert_allclose(self._series(np.full((2, 8, 8, 2), 1.25, dtype=np.float32), 2), 1.25, atol=1e-7)
+
+    def test_block_mean_oracle(self):
+        grid = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(1, 2, 2, 1)
+        np.testing.assert_allclose(self._series(grid, 2), [[[2.5]]])
+
+    def test_non_divisible(self):
+        with pytest.raises(ShapeError):
+            self._series(np.zeros((1, 6, 6, 1)), 4)
 
 
 class TestConnect:
@@ -266,7 +281,7 @@ class TestConnect:
 
         def tokens(g):
             with engine.no_grad():
-                return connect_batch(derive_views(VideoFeatures(g), cfg), cfg, params)[0].data[0]
+                return connect_batch(stack_views([VideoFeatures(g)], cfg), cfg, params)[0].data[0]
 
         base = tokens(grid)
         frame = uniform_sample_frames(cfg.frames, cfg.slow_frames)[1]
@@ -286,7 +301,7 @@ class TestConnect:
         # one [T, H, W, D] clip in, a batch of one out, masks in branch layout
         cfg = SMALL
         with engine.no_grad():
-            tokens, slow, fast = connect_batch(derive_views(make_video(13, cfg), cfg), cfg, make_params(13, cfg))
+            tokens, slow, fast = connect_batch(stack_views([make_video(13, cfg)], cfg), cfg, make_params(13, cfg))
         assert tokens.shape == (1, cfg.n_tokens, cfg.out_dim)
         assert slow.shape == (1, cfg.slow_frames, cfg.grid_h * cfg.grid_w, cfg.slots_per_frame)
         assert fast.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
@@ -297,7 +312,7 @@ class TestConnect:
     def test_single_branch_is_branch_then_proj(self, branch):
         cfg = SMALL
         params = make_params(16, cfg)
-        views = derive_views(make_video(16, cfg).grid.reshape(1, cfg.frames, 8, 8, 6), cfg, branch)
+        views = stack_views([make_video(16, cfg)], cfg, branch)
         tokens, slow, fast = connect_batch(views, cfg, params, branch=branch)
         branch_fn = slow_branch_batch if branch == "slow" else fast_branch_batch
         raw, masks = branch_fn(views.slow if branch == "slow" else views.fast, cfg, params)
@@ -309,7 +324,7 @@ class TestConnect:
     def test_proj_applied_after_concat(self):
         cfg = SMALL
         params = make_params(14, cfg)
-        views = derive_views(make_video(14, cfg).grid.reshape(1, cfg.frames, 8, 8, 6), cfg)
+        views = stack_views([make_video(14, cfg)], cfg)
         tokens, _, _ = connect_batch(views, cfg, params)
         slow_tokens, _ = slow_branch_batch(views.slow, cfg, params)
         with engine.no_grad():
@@ -325,10 +340,14 @@ class TestConnect:
         params = make_params(15, cfg)
         params.slow.slots.data = engine.normal(engine.rng_for(15, "s1"), params.slow.slots.data.shape, std=0.5)
         params.fast.slots.data = engine.normal(engine.rng_for(15, "s2"), params.fast.slots.data.shape, std=0.5)
-        x = Value(engine.normal(engine.rng_for(15, "x"), (1, 2, 4, 4, 3)), requires_grad=True)
+        # the views are fixed arrays of the frozen features; as leaves they
+        # check the adjoints the connector sends its inputs
+        views = stack_views([VideoFeatures(engine.normal(engine.rng_for(15, "x"), (2, 4, 4, 3)))], cfg)
+        for view in views:
+            view.requires_grad = True
         probe = engine.normal(engine.rng_for(15, "probe"), (cfg.n_tokens, cfg.out_dim))
         checked = [
-            x,
+            *views,
             params.slow.slots,
             params.fast.slots,
             params.slow.wv,
@@ -341,7 +360,7 @@ class TestConnect:
         ]
 
         def build():
-            tokens, _, _ = connect_batch(derive_views(x, cfg), cfg, params)
+            tokens, _, _ = connect_batch(views, cfg, params)
             return engine.mul(tokens.reshape(probe.shape), probe).mean()
 
         ok, total = fd_check(build, checked, engine.rng_for(15, "pick"), coords_per_param=4)

@@ -12,7 +12,6 @@ from slotvid.engine import (
     ShapeError,
     Value,
     adam_update,
-    avg_pool_hw,
     backward,
     layer_norm,
     matmul,
@@ -190,26 +189,6 @@ class TestGru:
             self._update(p, np.zeros((1, 2), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
 
 
-class TestAvgPool:
-    def test_16_grid_stride_4_shape(self):
-        rng = engine.rng_for(7, "pool")
-        out = avg_pool_hw(Value(engine.normal(rng, (16, 16, 3))), 4)
-        assert out.data.shape == (4, 4, 3)
-
-    def test_constant_preserved(self):
-        out = avg_pool_hw(Value(np.full((8, 8, 2), 1.25, dtype=np.float32)), 2)
-        np.testing.assert_allclose(out.data, 1.25, atol=1e-7)
-
-    def test_block_mean_oracle(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32).reshape(2, 2, 1)
-        out = avg_pool_hw(Value(x), 2)
-        np.testing.assert_allclose(out.data, [[[2.5]]])
-
-    def test_non_divisible(self):
-        with pytest.raises(ShapeError):
-            avg_pool_hw(Value(np.zeros((6, 6, 1))), 4)
-
-
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Value(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
@@ -300,7 +279,6 @@ class TestOpGradients:
     def test_structural_ops(self):
         a = Value(np.zeros((3, 4, 2), dtype=np.float32), requires_grad=True)
         b = Value(np.zeros((2, 4, 2), dtype=np.float32), requires_grad=True)
-        c = Value(np.zeros((4, 4, 2), dtype=np.float32), requires_grad=True)
         w = Value(np.zeros((3, 5), dtype=np.float32), requires_grad=True)
         idx = np.array([2, 0, 0], dtype=np.intp)
         cases = {
@@ -309,7 +287,6 @@ class TestOpGradients:
             "concat": (lambda: engine.mul(engine.concat([a, b], axis=0), engine.concat([a, b], axis=0)).sum(), [a, b]),
             "take": (lambda: engine.mul(engine.take(a, idx, axis=0), engine.take(a, idx, axis=0)).sum(), [a]),
             "broadcast": (lambda: engine.mul(engine.broadcast_to(a.reshape((1, 3, 4, 2)), (5, 3, 4, 2)), 0.3).sum(), [a]),
-            "pool": (lambda: engine.mul(engine.avg_pool_hw(c, 2), 1.7).sum(), [c]),
             "matmul_flat": (lambda: tanh(matmul(a.reshape((8, 3)), w)).sum(), [a, w]),
         }
         for tag, (build, params) in cases.items():

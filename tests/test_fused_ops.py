@@ -16,8 +16,7 @@ path within the tolerances of the row ops below, the forward's floor growing
 with the iteration count.
 
 The row ops (``layer_norm``, the MLP's gelu-like ramp as one node,
-``linear``, ``avg_pool_hw``) take their row means, column sums and block
-means as GEMMs, where the forms they replaced used numpy reductions;
+``linear``) take their row means and column sums as GEMMs, where the forms they replaced used numpy reductions;
 forwards agree within ``FWD_RTOL`` and gradients within ``RTOL``, each with
 an absolute floor of ``ATOL`` times the tensor's largest entry. A parameter adjoint sums its terms over all R rows,
 and a float32 sum of R terms carries a rounding error of about
@@ -36,7 +35,6 @@ from slotvid.engine import (
     ShapeError,
     Value,
     add,
-    avg_pool_hw,
     broadcast_to,
     cross_attention_block,
     layer_norm,
@@ -49,7 +47,6 @@ from slotvid.engine import (
     self_attention_block,
     slot_attention,
     transpose,
-    vmean,
 )
 
 from slotvid.slot_attention import SlotAttentionParams
@@ -395,11 +392,6 @@ def reference_linear(x, w, b):
     return add(matmul(x, w), b)
 
 
-def reference_avg_pool_hw(a, stride):
-    *lead, h, w, d = a.shape
-    return vmean(reshape(a, (*lead, h // stride, stride, w // stride, stride, d)), axis=(-4, -2))
-
-
 def _close(got, want, rtol, what="", terms=1, passes=1):
     floor = passes * max(ATOL, np.finfo(np.float32).eps * np.sqrt(terms))
     np.testing.assert_allclose(got, want, rtol=rtol, atol=floor * np.abs(want).max(), err_msg=what)
@@ -443,18 +435,10 @@ def _linear_leaves(shape, d_out):
     return build
 
 
-def _pool_leaves(shape):
-    def build(rng):
-        x = _leaf(rng, shape)
-        return (x,), [x], [1]
-
-    return build
-
-
 # (fused op, composite reference, leaf maker) at the shapes the default
 # config runs: decoder rows [4096, 64] (16 sets of 256 positions), slot-branch
 # inputs [64, 256, 32] that need no adjoint, query-transformer hidden rows
-# [1024, 128], connector tokens [8, 64, 64] and the fast branch's grid
+# [1024, 128] and connector tokens [8, 64, 64]
 ROW_CASES = {
     "layer_norm-decoder-rows": (layer_norm, reference_layer_norm, _layer_norm_leaves((4096, 64), True)),
     "layer_norm-inputs-no-grad": (layer_norm, reference_layer_norm, _layer_norm_leaves((64, 256, 32), False)),
@@ -464,8 +448,6 @@ ROW_CASES = {
     "linear-decoder-rows": (linear, reference_linear, _linear_leaves((4096, 64), 128)),
     "linear-hidden": (linear, reference_linear, _linear_leaves((1024, 128), 64)),
     "linear-tokens-3d": (linear, reference_linear, _linear_leaves((8, 64, 64), 64)),
-    "avg_pool_hw-fast-grid": (lambda a: avg_pool_hw(a, 4), lambda a: reference_avg_pool_hw(a, 4),
-                              _pool_leaves((8, 32, 16, 16, 32))),
 }
 
 
@@ -488,13 +470,12 @@ class TestFusedRowOps:
         for i, (got, w, n) in enumerate(zip(fused, want, terms)):
             _close(got, w, RTOL, f"{case} leaf {i}", terms=n)
 
-    @pytest.mark.parametrize("op", ["layer_norm", "smooth_ramp", "linear", "avg_pool_hw"])
+    @pytest.mark.parametrize("op", ["layer_norm", "smooth_ramp", "linear"])
     def test_finite_differences(self, op):
         small = {
             "layer_norm": (layer_norm, _layer_norm_leaves((3, 4, 6), True)),
             "smooth_ramp": (smooth_ramp, _ramp_leaves((5, 7))),
             "linear": (linear, _linear_leaves((2, 3, 5), 4)),
-            "avg_pool_hw": (lambda a: avg_pool_hw(a, 2), _pool_leaves((2, 4, 6, 3))),
         }
         fn, leaves = small[op]
         args, trained, _ = _row_case(5, leaves)

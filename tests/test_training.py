@@ -10,7 +10,7 @@ import pytest
 
 from slotvid import engine, training
 from slotvid.baselines import slowfast_wrap
-from slotvid.connector import connect_batch, derive_views, pooled_series, stack_views, uniform_sample_frames
+from slotvid.connector import BranchViews, connect_batch, pooled_series, stack_views, uniform_sample_frames
 from slotvid.synthetic import SceneStream
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.config import from_dict
@@ -298,20 +298,33 @@ class TestSceneViews:
     def _videos(rc, n=3):
         return training._batch(training._stream(rc, "train"), range(n))[0]
 
+    @staticmethod
+    def _grid_views(videos, cfg):
+        """Reference views of the stacked grids: the sampled frames by fancy
+        indexing [B, t_s, H*W, D], and the pooled grid [B, T, positions, D] as
+        one float32 GEMM with a block-mean matrix built by ``np.kron``."""
+        grids = np.stack([video.grid for video in videos])
+        b, t, h, w, d = grids.shape
+        s = cfg.pool_stride
+        frames = grids[:, uniform_sample_frames(t, cfg.slow_frames)].reshape(b, cfg.slow_frames, h * w, d)
+        pool = np.kron(np.kron(np.eye(h // s), np.ones(s)), np.kron(np.eye(w // s), np.ones(s))) / (s * s)
+        pooled = np.matmul(pool.astype(np.float32), grids.reshape(b * t, h * w, d))
+        return frames, pooled.reshape(b, t, cfg.n_positions, d)
+
     def test_stacked_scene_views_equal_views_of_stacked_grid(self):
         rc = tiny_config()
         cfg = rc.connector
         videos = self._videos(rc)
-        grids = np.stack([video.grid for video in videos])
-        stacked, whole = stack_views(videos, cfg), derive_views(grids, cfg)
-        for part, want in zip(stacked, whole):
-            assert part.shape == want.shape and np.array_equal(part.data, want.data)
-        # the sampled frames, and the pooled grid in position-major layout
+        views = stack_views(videos, cfg)
+        frames, pooled = self._grid_views(videos, cfg)
+        assert np.array_equal(views.slow.data, frames)
+        assert np.array_equal(views.fast.data, pooled.transpose(0, 2, 1, 3))
+        # the pooled series are the grids' block means, position-major
+        grids = np.stack([video.grid for video in videos]).astype(np.float64)
         b, t, h, w, d = grids.shape
-        frames = grids[:, uniform_sample_frames(t, cfg.slow_frames)].reshape(b, cfg.slow_frames, h * w, d)
-        assert np.array_equal(stacked.slow.data, frames)
-        pooled = engine.avg_pool_hw(engine.Value(grids), cfg.pool_stride).data
-        assert np.array_equal(stacked.fast.data, pooled.reshape(b, t, cfg.n_positions, d).transpose(0, 2, 1, 3))
+        s = cfg.pool_stride
+        means = grids.reshape(b, t, h // s, s, w // s, s, d).mean(axis=(3, 5)).reshape(b, t, cfg.n_positions, d)
+        np.testing.assert_allclose(views.fast.data, means.transpose(0, 2, 1, 3), rtol=1e-6, atol=1e-6)
 
     def test_stage1_fast_series_unchanged(self):
         # the series stage-1 fast reads: the pooled grid plus the frame
@@ -320,15 +333,47 @@ class TestSceneViews:
         cfg = rc.connector
         model = build_model(rc)
         videos = self._videos(rc)
-        grids = engine.Value(np.stack([video.grid for video in videos]))
-        b, t = grids.shape[:2]
+        _, pooled = self._grid_views(videos, cfg)
+        b, t = pooled.shape[:2]
         with engine.no_grad():
             got = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, model.conn.fast_pos)
-            pooled = engine.reshape(engine.avg_pool_hw(grids, cfg.pool_stride), (b, t, cfg.n_positions, -1))
-            emb = engine.reshape(engine.take(model.conn.fast_pos, np.arange(t)), (1, t, 1, -1))
-            pooled = engine.add(pooled, engine.broadcast_to(emb, pooled.shape))
-            want = engine.reshape(engine.transpose(pooled, (0, 2, 1, 3)), (b * cfg.n_positions, t, -1))
-        assert np.array_equal(got.data, want.data)
+        want = (pooled + model.conn.fast_pos.data[None, :t, None]).transpose(0, 2, 1, 3)
+        assert np.array_equal(got.data, want.reshape(b * cfg.n_positions, t, -1))
+
+    @pytest.mark.parametrize("branch", ["slow", "fast"])
+    def test_stage1_inputs_equal_the_whole_batch_forms(self, branch, monkeypatch):
+        # stage 1 gathers its picks from each clip's grid or memoized fast
+        # series; its inputs equal the picked sampled frames of each grid, and
+        # the picked rows of the whole batch's series plus frame embedding
+        rc = tiny_config(stage={"branch": branch, "steps": 3})
+        cfg, stage = rc.connector, rc.stage
+        seen, original = [], training.forward_batch
+
+        def spy(inputs, params):
+            seen.append(inputs.data.copy())
+            return original(inputs, params)
+
+        monkeypatch.setattr(training, "forward_batch", spy)
+        fast_pos = run_stage1(rc)["model"].conn.fast_pos  # not in stage 1's group
+        monkeypatch.undo()
+        stream = training._stream(rc, "train")
+        sampled = uniform_sample_frames(cfg.frames, cfg.slow_frames)
+        assert len(seen) == stage.steps
+        for step, got in enumerate(seen):
+            indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes for j in range(stage.batch_size)]
+            videos = training._batch(stream, indices)[0]
+            pick = engine.rng_for(rc.seed, "stage1", branch, step)
+            if branch == "slow":
+                chunks = [video.grid[sampled[np.sort(pick.choice(cfg.slow_frames, size=stage.frames_per_scene,
+                                                                 replace=False))]] for video in videos]
+                want = np.concatenate(chunks).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
+            else:
+                with engine.no_grad():
+                    series = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, fast_pos).data
+                rows = [b * cfg.n_positions + np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene,
+                                                                  replace=False)) for b in range(len(videos))]
+                want = series[np.concatenate(rows)]
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
     @pytest.mark.parametrize("branch", ["slow", "fast", "both"])
@@ -339,8 +384,9 @@ class TestSceneViews:
         forward = connect_batch if kind == "slot" else slowfast_wrap
         with engine.no_grad():
             got = training.forward_masks(model, videos, branch)
-            want = forward(derive_views(np.stack([video.grid for video in videos]), rc.connector),
-                           rc.connector, model.conn, branch)
+            frames, pooled = self._grid_views(videos, rc.connector)
+            views = BranchViews(engine.Value(frames), engine.Value(pooled.transpose(0, 2, 1, 3)))
+            want = forward(views, rc.connector, model.conn, branch)
         assert np.array_equal(got[0].data, want[0].data)
         assert (got[1] is None) == (branch == "fast") and (got[2] is None) == (branch == "slow")
         for masks, expect in zip(got[1:], want[1:]):
@@ -378,7 +424,7 @@ class TestSceneViews:
                 return fn(a, *args, **kwargs)
             return wrapper
 
-        for name in ("take", "avg_pool_hw", "_require_finite"):
+        for name in ("take", "_require_finite"):
             original = getattr(engine, name)
             for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "slotvid"]:
                 if getattr(module, name, None) is original:
