@@ -10,33 +10,15 @@ rows, sum to one.
 
 Inside ``query_transformer_batch`` the query state of the whole batch is kept
 as [B*N_q, D_q] rows, and each layer is three engine nodes over them:
-``decoder.cross_attention`` (its weight folds, then
-``engine.cross_attention_block``), ``engine.self_attention_block`` and
+``engine.cross_attention_block``, ``engine.self_attention_block`` and
 ``engine.residual_mlp``. Every weight product is one 2-D GEMM over all
-queries; the self-attention splits its heads and merges them as array views
-inside its node, and only the attention logits and reads see the
-[B, N_q, ...] set structure.
-
-The cross-attention read works in input space, with two folds per layer and
-call. Head h's key weights fold into its query weights, ``wqk_h = wq_h
-wk_h^T`` [D_q, D_in], so the logits ``(q wq_h)(x wk_h)^T`` are evaluated as
-``(q wqk_h) x^T``: the heads become N_q*h query rows over the raw [B, M, D_in]
-inputs, logits [B, N_q*h, M], softmax over the inputs, then the read
-``attn x``. The value and output weights fold after the read, ``wvo_h = wv_h
-wo_h`` [D_in, D_q], so ``sum_h (attn_h x wv_h) wo_h`` is one GEMM of the
-[B*N_q, h*D_in] read rows against the stacked ``wvo`` [h*D_in, D_q]. No
-per-token keys or values [B, M, D_q] are ever built, and the inputs receive
-one adjoint per layer instead of a key and a value adjoint. Per token the
-fold costs ``h*N_q*D_in`` multiply-adds against ``D_q*(D_in + N_q)`` for the
-keys, values, logits and read of the unfolded form, so it pays while
-``h*N_q*D_in < D_q*(D_in + N_q)``: 4*8*32 = 1024 against 64*40 = 2560 by
-default, 2*2*8 = 32 against 8*10 = 80 at a tiny 2-head, 8-wide config.
-``engine.cross_attention_block`` applies the folded weights to the query
-rows or to the inputs of each set, whichever its cost rule (stated there)
-finds cheaper; at the default shapes that is the query rows. The parameters
-and their checkpoint names are those of the keys-and-values form; values
-agree with it to float32 rounding. The cross-attention block is
-``decoder.cross_attention``, which the stage-1 decoder runs with one head.
+queries; the attention nodes split their heads and merge them as array views
+inside the node, and only the attention logits and reads see the
+[B, N_q, ...] set structure. The cross-attention node folds each head's key
+weights into its query weights and its value weights into the output
+weights, so no per-token keys or values [B, M, D_q] are built; it states the
+fold algebra, when the fold pays, and which side of each set it applies the
+folds to (the query rows at the default shapes).
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
@@ -54,11 +36,11 @@ import numpy as np
 
 from . import engine
 from .connector import BranchViews, ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
-from .decoder import cross_attention
 from .engine import (
     ShapeError,
     Value,
     broadcast_to,
+    cross_attention_block,
     linear,
     linear_param,
     normal_param,
@@ -191,13 +173,9 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     input-by-query, as a plain float32 array: each column is one query's
     softmax distribution over the inputs and sums to one; rows do not.
 
-    The query state runs as [B*N_q, D_q] rows. Per layer, ``wqk = [wq_h
-    wk_h^T]_h`` [D_q, h*D_in] turns the heads into N_q*h query rows over the
-    raw inputs, and ``wvo = [wv_h wo_h]_h`` [h*D_in, D_q] maps the read rows
-    back, so no [B, M, D_q] keys or values exist. This pays while
-    ``h*N_q*D_in < D_q*(D_in + N_q)`` (see the module docstring). The block
-    applies the folds on the side its rule (``engine.cross_attention_block``)
-    finds cheaper: the query rows at the default shapes.
+    The query state runs as [B*N_q, D_q] rows; the cross-attention is the
+    one node ``engine.cross_attention_block``, whose docstring states its
+    weight folds and the side it applies them to.
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
@@ -208,7 +186,8 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     x = reshape(broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq)), (b * nq, dq))
     cross = None
     for layer in params.layers:
-        x, cross = cross_attention(x, inputs, layer, heads)
+        x, cross = cross_attention_block(x, inputs, heads, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv,
+                                         layer.wo, layer.bo)
         x = self_attention_block(x, b, heads, layer.ln_s_g, layer.ln_s_b, layer.s_wq, layer.s_wk, layer.s_wv,
                                  layer.s_wo, layer.s_bo)
         x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)

@@ -190,7 +190,7 @@ def from_dict(user: dict) -> RunConfig:
                  f"stage.{key} must be a string path or null, got {stage[key]!r}")
 
     data = merged["data"]
-    _positive_ints(data, "data", ("n_train_scenes", "n_heldout_scenes", "n_object_ids", "align"))
+    _positive_ints(data, "data", ("n_train_scenes", "n_heldout_scenes", "n_object_ids"))
     pairs = {}
     for key in ("k_objects", "k_events", "extent"):
         val = data[key]

@@ -5,23 +5,14 @@ the normalized slots through a stack of pre-norm attention + feed-forward
 blocks, then an affine head maps back to the feature width. Decoding is
 invariant to slot order because the slots enter only as an unordered set.
 
-The attention block is ``cross_attention``, shared with the query transformer
-in ``baselines``; the decoder runs it with one head. It folds the weights as
-graph ops and runs the block as the one node
-``engine.cross_attention_block``; the feed-forward is the one node
-``engine.residual_mlp``. The position queries of the whole batch are
+Each block is two engine nodes: ``engine.cross_attention_block`` with one
+head, the attention block the query transformer in ``baselines`` shares,
+and ``engine.residual_mlp``. The position queries of the whole batch are
 [B*M, D_dec] rows, so every weight product, layer norm and the head is one
-2-D GEMM or row op, and one reshape after the head gives [B, M, D_out]. With
-one head the folds are ``wqk = wq wk^T / sqrt(D_dec)`` [D_dec, D_slot] and
-``wvo = wv wo`` [D_slot, D_dec], two weight products per layer and call.
-
-The block applies the folds on the cheaper side of each set, by the rule
-that ``engine.cross_attention_block`` states with its default-shape counts.
-For the decoder that is the slots: per set it builds keys ``s wqk^T`` and
-values ``s wvo`` [N, D_dec] over the N normalized slots ``s``, so the logits
-``LN(x) keys^T`` and the output ``attn values`` are the only products over
-the M position rows. The decoder width is the slot width. Values agree with
-the keys-and-values form to float32 rounding.
+2-D GEMM or row op, and one reshape after the head gives [B, M, D_out]. The
+decoder width is the slot width. The attention node folds the layer's
+weights and applies the folds to the N slots of each set rather than to the
+M position rows, by the rule and at the cost it states.
 """
 
 from __future__ import annotations
@@ -39,13 +30,10 @@ from .engine import (
     layer_norm,
     linear,
     linear_param,
-    matmul,
     normal_param,
     ones_param,
     reshape,
     residual_mlp,
-    scale,
-    transpose,
     zeros_param,
 )
 
@@ -144,39 +132,6 @@ class DecoderParams:
         return out
 
 
-def _head_blocks(w: Value, heads: int) -> Value:
-    """[D, heads*dh] weight columns as per-head blocks [heads, D, dh]."""
-    d, width = w.shape
-    return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
-
-
-def cross_attention(x: Value, inputs: Value, layer, heads: int) -> tuple[Value, np.ndarray]:
-    """One pre-norm cross-attention block of query rows over a set of inputs.
-
-    ``x`` holds the queries as [B*N_q, D_q] rows and ``inputs`` is
-    [B, M, D_in]. ``layer`` carries ``ln_q_g``, ``ln_q_b``, ``wq``, ``wk``,
-    ``wv``, ``wo`` and ``bo``. The weight folds run here, as graph ops on the
-    weights: per head h, ``wqk_h = wq_h wk_h^T / sqrt(dh)`` [D_q, D_in] and
-    ``wvo_h = wv_h wo_h`` [D_in, D_q], so no keys or values exist in the
-    unfolded [B, M, D_q] per-head form; the softmax temperature sits in
-    ``wqk``, scaling D_q*h*D_in weights instead of the B*N_q*h*M logits. The
-    block itself is the one node ``engine.cross_attention_block``, which
-    applies ``wqk`` and ``wvo`` to the N_q query rows or to the M inputs of
-    each set, whichever its rule (stated there) finds cheaper: the decoder
-    runs on the inputs, the query transformer on the query rows. Returns (x
-    plus the attention output, as rows; attention [B, N_q*h, M] as a plain
-    array).
-    """
-    d_in = inputs.shape[2]
-    dq = x.shape[1]
-    dh = dq // heads
-    temp = np.float32(1.0 / np.sqrt(dh))
-    wk_t = transpose(_head_blocks(layer.wk, heads), (0, 2, 1))  # [h, dh, D_in]
-    wqk = reshape(transpose(matmul(_head_blocks(layer.wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
-    wvo = reshape(matmul(_head_blocks(layer.wv, heads), reshape(layer.wo, (heads, dh, dq))), (heads * d_in, dq))
-    return cross_attention_block(x, inputs, layer.ln_q_g, layer.ln_q_b, scale(wqk, temp), wvo, layer.bo)
-
-
 def decode_batch(slots: Value, params: DecoderParams) -> Value:
     """Decode [B, N, D_slot] slot sets into [B, M, D_out] feature grids."""
     if slots.ndim != 3:
@@ -187,7 +142,8 @@ def decode_batch(slots: Value, params: DecoderParams) -> Value:
     sn = layer_norm(slots, params.in_norm_g, params.in_norm_b)
     x = reshape(broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec)), (b * m, d_dec))
     for layer in params.layers:
-        x, _ = cross_attention(x, sn, layer, heads=1)
+        x, _ = cross_attention_block(x, sn, 1, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv, layer.wo,
+                                     layer.bo)
         x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
     out = linear(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w, params.head_b)
     return reshape(out, (b, m, out.shape[1]))

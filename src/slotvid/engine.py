@@ -17,9 +17,9 @@ the same computations composed from primitive ops (the references in
 ``tests/test_fused_ops.py``), so their values are identical; their
 backwards sum in their own order, so gradients may differ from the
 composites' in the last bits. The attention nodes take the raw inputs and
-weights folded by the caller or once per call; the cross-attention node
-applies its two folded weights on the cheaper side of each set, by the rule
-stated in ``cross_attention_block``. Slot attention reads the normalized
+a layer's raw weights, and fold the weights once per call; the
+cross-attention node applies its two folds on the cheaper side of each set,
+by the rule stated in ``cross_attention_block``. Slot attention reads the normalized
 inputs slot-major, [B, N, M], with the input norm's gain and bias, the key
 weights, the slot norm's gain and the temperature folded into one query map
 and the value weights into the gated update's input weights, so its values
@@ -734,18 +734,66 @@ def _folds_on_inputs(n: int, m: int, d_q: int, d_in: int) -> bool:
     return m * d_q * (d_in + n) < n * d_in * (d_q + m)
 
 
-def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, np.ndarray]:
-    """Pre-norm cross-attention of query rows over sets of inputs, one node.
+def _head_blocks(w: np.ndarray, heads: int) -> np.ndarray:
+    """[D, h*dh] weight columns as per-head blocks [h, D, dh], a view."""
+    return w.reshape(len(w), heads, -1).transpose(1, 0, 2)
 
-    ``x`` holds the queries as [B*N, D_q] rows and ``inputs`` is [B, M, D_in].
-    ``wqk`` [D_q, h*D_in] holds head h's folded query-key weights ``wqk_h``
-    (key weights and temperature folded in by the caller) and ``wvo``
-    [h*D_in, D_q] its folded value-output weights ``wvo_h``. The logits are
-    [B, N*h, M], softmaxed over the inputs. Returns (x plus the attention
-    output plus ``bo``, as rows; attention [B, N*h, M] as a plain array,
-    finite-checked).
 
-    The two weight products run on whichever side of a set costs fewer
+def _head_folds(heads: int, wq, wk, wv, wo):
+    """``cross_attention_block``'s folds of raw weight arrays: ``wqk`` [D_q, h*D_in]
+    (temperature in) and ``wvo`` [h*D_in, D_q]."""
+    (d_in, dq), dh = wk.shape, wq.shape[0] // heads
+    wqk = np.matmul(_head_blocks(wq, heads), _head_blocks(wk, heads).transpose(0, 2, 1))  # [h, D_q, D_in]
+    wqk = wqk.transpose(1, 0, 2).reshape(dq, heads * d_in) * np.float32(1.0 / np.sqrt(dh))
+    wvo = np.matmul(_head_blocks(wv, heads), wo.reshape(heads, dh, dq)).reshape(heads * d_in, dq)
+    return wqk, wvo
+
+
+def _head_fold_grads(g_wqk, g_wvo, heads: int, wq, wk, wv, wo) -> tuple:
+    """Adjoints of ``wq``, ``wk``, ``wv`` and ``wo`` from those of the folds
+    (None for a fold without one). Each product and layout is that of the
+    primitive ops' backwards (``scale``, ``reshape``, ``transpose``,
+    ``matmul``) over the same fold, so the adjoints equal theirs bit for bit."""
+    (d_in, dq), dh = wk.shape, wq.shape[0] // heads
+    g_wq = g_wk = g_wv = g_wo = None
+    if g_wqk is not None:
+        g_qk = (g_wqk * np.float32(1.0 / np.sqrt(dh))).reshape(dq, heads, d_in).transpose(1, 0, 2)
+        g_wq = np.matmul(g_qk, _head_blocks(wk, heads)).transpose(1, 0, 2).reshape(dq, dq)
+        g_wk = np.matmul(_head_blocks(wq, heads).transpose(0, 2, 1), g_qk).transpose(2, 0, 1).reshape(d_in, dq)
+    if g_wvo is not None:
+        g_vo = g_wvo.reshape(heads, d_in, dq)
+        g_wv = np.matmul(g_vo, wo.reshape(heads, dh, dq).transpose(0, 2, 1)).transpose(1, 0, 2).reshape(d_in, dq)
+        g_wo = np.matmul(_head_blocks(wv, heads).transpose(0, 2, 1), g_vo).reshape(dq, dq)
+    return g_wq, g_wk, g_wv, g_wo
+
+
+def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo) -> tuple[Value, np.ndarray]:
+    """Pre-norm multi-head cross-attention of query rows over sets of inputs, one node.
+
+    ``x`` holds the queries as [B*N, D_q] rows and ``inputs`` is [B, M, D_in];
+    ``wq`` [D_q, D_q], ``wk`` and ``wv`` [D_in, D_q], ``wo`` [D_q, D_q] and
+    ``bo`` are the layer's raw weights, split into ``heads`` heads of width
+    ``dh = D_q/heads``. Returns (x plus the attention output plus ``bo``, as
+    rows; attention [B, N*h, M] as a plain array, finite-checked), each head's
+    logits softmaxed over the inputs.
+
+    The node folds the weights once per call, per head h: ``wqk_h = wq_h
+    wk_h^T / sqrt(dh)`` [D_q, D_in] and ``wvo_h = wv_h wo_h`` [D_in, D_q],
+    stacked as ``wqk`` [D_q, h*D_in] and ``wvo`` [h*D_in, D_q]. With ``q =
+    LN(x)``, the logits ``(q wq_h)(inputs wk_h)^T / sqrt(dh)`` are ``(q
+    wqk_h) inputs^T``, and ``sum_h (attn_h inputs wv_h) wo_h`` is ``sum_h
+    attn_h inputs wvo_h``, so no per-token keys or values [B, M, D_q] are
+    built, the temperature scales D_q*h*D_in weights instead of the logits,
+    and the inputs take one adjoint instead of a key and a value adjoint. Per input token, the folded read costs ``h*N*D_in``
+    multiply-adds against ``D_q*(D_in + N)`` for the keys, values, logits and
+    read of the unfolded form, so it pays while ``h*N*D_in < D_q*(D_in + N)``:
+    4*8*32 = 1024 against 64*40 = 2560 for the query transformer's default
+    layer. The folds and their backward (``_head_folds``, ``_head_fold_grads``)
+    take the products and layouts of the same folds composed from primitive
+    ops, so the folded weights, and the raw weights' adjoints given the
+    folds', equal theirs bit for bit.
+
+    The two folded weights are applied on whichever side of a set costs fewer
     multiply-adds (``_folds_on_inputs``). Per set and head, the input side
     costs ``2*M*D_q*(D_in + N)`` (keys and values, then the logits and the
     output over D_q) and the query side ``2*N*D_in*(D_q + M)`` (the query and
@@ -762,32 +810,36 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
     - input side: per head, keys ``inputs wqk_h^T`` and values ``inputs
       wvo_h``, each [B, h*M, D_q]; the logits ``LN(x)_b keys^T`` [B, N, h*M]
       are the same memory as [B, N*h, M], and ``attn values`` sums over the
-      heads. The decoder runs here: 256 or 32 positions of width 64 over 8
-      slots of width 64, 163,840 against 1,179,648 and 49,152 against
-      147,456.
+      heads. The decoder runs here, with one head: 256 or 32 positions of
+      width 64 over 8 slots of width 64, 163,840 against 1,179,648 and
+      49,152 against 147,456.
 
     Both share the layer norm, the softmax, the finite checks, the residual
     and the backward's skeleton. On the query side the softmax's ``sum_m
     g_attn attn`` is taken as ``sum_d g_read read`` over the D_in side. The
-    inputs' adjoint is skipped when they need none.
+    inputs' adjoint is skipped when they need none, and so is a fold's when
+    neither of its weights needs one.
     """
-    x, inputs, ln_g, ln_b, wqk, wvo, bo = map(_coerce, (x, inputs, ln_g, ln_b, wqk, wvo, bo))
+    x, inputs, ln_g, ln_b, wq, wk, wv, wo, bo = map(_coerce, (x, inputs, ln_g, ln_b, wq, wk, wv, wo, bo))
     if inputs.ndim != 3:
         raise ShapeError(f"cross_attention_block expects [B, M, D_in] inputs, got {inputs.data.shape}")
     b, m, d_in = inputs.data.shape
-    dq, width = x.data.shape[-1], wqk.data.shape[-1]
+    dq = x.data.shape[-1]
     _check_shapes("cross_attention_block", x=(x, (len(x.data), dq)), ln_g=(ln_g, (dq,)), ln_b=(ln_b, (dq,)),
-                  wqk=(wqk, (dq, width)), wvo=(wvo, (width, dq)), bo=(bo, (dq,)))
+                  wq=(wq, (dq, dq)), wk=(wk, (d_in, dq)), wv=(wv, (d_in, dq)), wo=(wo, (dq, dq)), bo=(bo, (dq,)))
     rows = x.data.shape[0]
-    if width % d_in or rows % b:
-        raise ShapeError(f"cross_attention_block: {rows} rows of width {width} do not split over {b} sets of D_in {d_in}")
-    n, h = rows // b, width // d_in
+    if heads < 1 or dq % heads or rows % b:
+        raise ShapeError(f"cross_attention_block: [{rows}, {dq}] rows do not split over {b} sets and {heads} heads")
+    n, h, width = rows // b, heads, heads * d_in
+    weights = (wq.data, wk.data, wv.data, wo.data)
+    wqk, wvo = _head_folds(h, *weights)
+    fold_qk, fold_vo = wq.requires_grad or wk.requires_grad, wv.requires_grad or wo.requires_grad
     on_inputs = _folds_on_inputs(n, m, dq, d_in)
     ln, xhat, inv = _ln_rows(x.data, ln_g.data, ln_b.data)
     if on_inputs:
         in_rows = inputs.data.reshape(b * m, d_in)
-        wk = wqk.data.reshape(dq, h, d_in).transpose(2, 1, 0).reshape(d_in, h * dq)  # [wqk_h^T]_h
-        wv = wvo.data.reshape(h, d_in, dq).transpose(1, 0, 2).reshape(d_in, h * dq)  # [wvo_h]_h
+        keys_w = wqk.reshape(dq, h, d_in).transpose(2, 1, 0).reshape(d_in, h * dq)  # [wqk_h^T]_h
+        values_w = wvo.reshape(h, d_in, dq).transpose(1, 0, 2).reshape(d_in, h * dq)  # [wvo_h]_h
 
         def heads_major(a):  # [B*M, h*D_q] -> [B, h*M, D_q]
             return a.reshape(b, m, h, dq).transpose(0, 2, 1, 3).reshape(b, h * m, dq)
@@ -795,11 +847,11 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
         def rows_major(a):  # the inverse
             return a.reshape(b, h, m, dq).transpose(0, 2, 1, 3).reshape(b * m, h * dq)
 
-        keys, values = heads_major(in_rows @ wk), heads_major(in_rows @ wv)
+        keys, values = heads_major(in_rows @ keys_w), heads_major(in_rows @ values_w)
         ln_sets = ln.reshape(b, n, dq)
         logits = np.matmul(ln_sets, keys.transpose(0, 2, 1)).reshape(b, n * h, m)
     else:
-        q = (ln @ wqk.data).reshape(b, n * h, d_in)
+        q = (ln @ wqk).reshape(b, n * h, d_in)
         inputs_t = inputs.data.transpose(0, 2, 1)
         logits = np.matmul(q, inputs_t)
     attn = _softmax_last(logits)
@@ -810,11 +862,12 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
     else:
         read = np.matmul(attn, inputs.data)  # [B, N*h, D_in]
         read_rows = read.reshape(rows, width)
-        out_data = read_rows @ wvo.data
+        out_data = read_rows @ wvo
     out_data += bo.data
     out_data += x.data
 
     def backward(g, adj):
+        g_wqk = g_wvo = None
         if bo.requires_grad:
             _send(adj, bo, _sum_rows(g))
         if on_inputs:
@@ -823,9 +876,9 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
             g_logits = np.matmul(g_sets, values.transpose(0, 2, 1)).reshape(attn.shape)
             g_logits -= _sum_last(g_logits * attn)
         else:
-            if wvo.requires_grad:
-                _send(adj, wvo, read_rows.T @ g)
-            g_read = (g @ wvo.data.T).reshape(read.shape)
+            if fold_vo:
+                g_wvo = read_rows.T @ g
+            g_read = (g @ wvo.T).reshape(read.shape)
             g_logits = np.matmul(g_read, inputs_t)
             g_logits -= _sum_last(g_read * read)  # sum_m g_attn attn, over the short side
         g_logits *= attn
@@ -833,13 +886,13 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
             gl_sets = g_logits.reshape(b, n, h * m)
             g_keys = rows_major(np.matmul(gl_sets.transpose(0, 2, 1), ln_sets))
             g_values = rows_major(g_values)
-            if wqk.requires_grad:
-                _send(adj, wqk, (g_keys.T @ in_rows).reshape(h, dq, d_in).transpose(1, 0, 2).reshape(dq, width))
-            if wvo.requires_grad:
-                _send(adj, wvo, (in_rows.T @ g_values).reshape(d_in, h, dq).transpose(1, 0, 2).reshape(width, dq))
+            if fold_qk:
+                g_wqk = (g_keys.T @ in_rows).reshape(h, dq, d_in).transpose(1, 0, 2).reshape(dq, width)
+            if fold_vo:
+                g_wvo = (in_rows.T @ g_values).reshape(d_in, h, dq).transpose(1, 0, 2).reshape(width, dq)
             if inputs.requires_grad:
-                gi = g_keys @ wk.T
-                gi += g_values @ wv.T
+                gi = g_keys @ keys_w.T
+                gi += g_values @ values_w.T
                 _send(adj, inputs, gi.reshape(b, m, d_in))
             g_ln = np.matmul(gl_sets, keys).reshape(rows, dq)
         else:
@@ -848,12 +901,15 @@ def cross_attention_block(x, inputs, ln_g, ln_b, wqk, wvo, bo) -> tuple[Value, n
                 gi += np.matmul(g_logits.transpose(0, 2, 1), q)
                 _send(adj, inputs, gi)
             g_q = np.matmul(g_logits, inputs.data).reshape(rows, width)
-            if wqk.requires_grad:
-                _send(adj, wqk, ln.T @ g_q)
-            g_ln = g_q @ wqk.data.T
+            if fold_qk:
+                g_wqk = ln.T @ g_q
+            g_ln = g_q @ wqk.T
         _ln_rows_backward(adj, g_ln, xhat, inv, x, ln_g, ln_b, residual=g)
+        for w, gw in zip((wq, wk, wv, wo), _head_fold_grads(g_wqk, g_wvo, h, *weights)):
+            if gw is not None:
+                _send(adj, w, gw)
 
-    return _node(out_data, (x, inputs, ln_g, ln_b, wqk, wvo, bo), backward), attn
+    return _node(out_data, (x, inputs, ln_g, ln_b, wq, wk, wv, wo, bo), backward), attn
 
 
 def self_attention_block(x, sets: int, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo) -> Value:

@@ -21,8 +21,6 @@ value weights into the gated update's input weights, ``wv [wz|wr|wh]``,
 once per call; the input norm's bias becomes the ones column's share. The
 inputs get a per-token adjoint only when they need one (the fast branch
 through its position embedding; never the raw frames of the slow branch).
-The mask, the parameters and their checkpoint names are those of the
-keys-and-values form; values agree with it to float32 rounding.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ class SceneRanges:
     sigma: float = 0.05
     n_object_ids: int = 6
     extent: tuple = (3, 5)  # object side lengths, clipped to the grid
-    align: int = 1  # object anchors snap to this lattice (1 = free placement)
 
     def validate(self) -> None:
         if not (1 <= self.k_objects[0] <= self.k_objects[1] <= self.n_object_ids):
@@ -51,8 +50,6 @@ class SceneRanges:
             raise SceneError(f"bad event count range {self.k_events}")
         if not (1 <= self.extent[0] <= self.extent[1]):
             raise SceneError(f"bad extent range {self.extent}")
-        if self.align < 1:
-            raise SceneError("align must be >= 1")
         if self.sigma < 0:
             raise SceneError("noise sigma must be >= 0")
 
@@ -155,11 +152,8 @@ def make_scene_spec(
     else:
         boundaries = (0,)
 
-    align = ranges.align
-
     def draw_anchor(span: int, ext: int) -> int:
-        options = np.arange(0, span - ext + 1, align)
-        return int(rng.choice(options))
+        return int(rng.choice(np.arange(0, span - ext + 1)))
 
     positions = []
     for seg in range(n_seg):

@@ -193,6 +193,14 @@ def _meta_scalar(tensors: dict, key: str, default: float) -> float:
     return float(arr.reshape(-1)[0])
 
 
+def _meta_count(tensors: dict, key: str) -> int:
+    """A counter of the checkpoint's metadata, 0 when absent: a whole number >= 0."""
+    value = _meta_scalar(tensors, key, 0.0)
+    if value < 0.0 or not value.is_integer():
+        raise CheckpointError(f"checkpoint metadata {key!r} must be a whole number >= 0, got {value:g}")
+    return int(value)
+
+
 def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> None:
     """Strict load of every model tensor whose name starts with one of ``prefixes``
     (all of them by default): each must be present with its shape."""
@@ -218,7 +226,7 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
 def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
     if "meta.adam_t" not in tensors:
         return
-    state.t = int(_meta_scalar(tensors, "meta.adam_t", 0.0))
+    state.t = _meta_count(tensors, "meta.adam_t")
     for name in trainable:
         mk, vk = f"adam.m.{name}", f"adam.v.{name}"
         if mk in tensors:
@@ -325,7 +333,9 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         tensors = load_checkpoint(resume)
         load_model_tensors(model, tensors)
         _load_adam(tensors, adam, train_names)
-        start = int(_meta_scalar(tensors, "meta.step", 0.0))
+        start = _meta_count(tensors, "meta.step")
+        if start > stage.steps:
+            raise CheckpointError(f"checkpoint is at step {start}, past the stage's {stage.steps} steps")
     frozen = {n: v.data.copy() for n, v in named.items() if n not in train}
     # the probe head may learn at its own rate: it stands in for the frozen
     # LLM reader, which is not part of the connector's tuning recipe

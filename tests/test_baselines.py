@@ -311,13 +311,14 @@ class TestFusedRowNodes:
     """Each transformer block is one node: the decoder, the query transformer
     and the residual MLP build one block node per block, and no layer norm,
     affine map, ramp or softmax node runs inside a block, nor a bias added to
-    a matmul output as its own node. Slot attention is one node for all its
-    iterations."""
+    a matmul output as its own node. The attention nodes fold their weights
+    themselves, so no matmul, transpose or scale node is left in these
+    graphs. Slot attention is one node for all its iterations."""
 
     @staticmethod
     def _ops(nodes):
         ops = [_op(n) for n in nodes]
-        assert not {"smooth_ramp", "softmax_axis", "sigmoid"} & set(ops)
+        assert not {"smooth_ramp", "softmax_axis", "sigmoid", "matmul", "transpose", "scale"} & set(ops)
         for n in nodes:
             if _op(n) == "add":
                 a, b = n._parents

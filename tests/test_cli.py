@@ -114,6 +114,33 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"), "--resume", broken]) == 3
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("meta.step", -3.0), ("meta.step", 2.5), ("meta.adam_t", -1.0),
+                                            ("meta.adam_t", 0.5)])
+    def test_resume_counter_not_a_whole_number_exits_3(self, tmp_path, capsys, key, value):
+        # a negative step trained extra steps, a fractional one was truncated,
+        # and a negative Adam count diverged on a division by zero
+        cfg = write_config(tmp_path, stage={"steps": 3})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        broken = str(tmp_path / "broken.sfsl")
+        save_checkpoint({**tensors, key: np.float32(value)}, broken)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"), "--resume", broken]) == 3
+        assert f"{key!r} must be a whole number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_resume_past_the_stage_exits_3(self, tmp_path, capsys):
+        # a 6-step checkpoint resumed for 3 steps trained nothing and wrote its
+        # step-6 weights stamped meta.step = 3
+        long_cfg = write_config(tmp_path, name="long.json", stage={"steps": 6})
+        assert main(["pretrain", "--config", long_cfg, "--out", str(tmp_path / "a")]) == 0
+        short_cfg = write_config(tmp_path, name="short.json", stage={"steps": 3})
+        capsys.readouterr()
+        assert main(["pretrain", "--config", short_cfg, "--out", str(tmp_path / "b"),
+                     "--resume", str(tmp_path / "a" / "checkpoint.sfsl")]) == 3
+        assert "at step 6, past the stage's 3 steps" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("code", [1.0, 2.0])
     def test_eval_checkpoint_of_another_nonlinearity_exits_3(self, tmp_path, capsys, code):
         # the codes older checkpoints gave the deleted relu and tanh MLPs
@@ -375,7 +402,7 @@ class TestGoldenOutputs:
     # transformer, both read with both branches; mask plumbing changes must
     # leave every byte in place
     VIZ = {"slot": "32ec8204ae9411a6", "query_transformer": "b40aa9cca195fc00"}
-    REPORT = {"slot": "93b4295724285b5d", "query_transformer": "a9ea7bedf1eafd3c"}
+    REPORT = {"slot": "d17b384f658173f9", "query_transformer": "7347cd809658c529"}
     # sha256 of checkpoint.sfsl and train-log.txt for every trainer at the
     # tiny config; the step loop's bookkeeping must leave every byte in place.
     # The query-transformer digests (qt-both, its report) date from the
@@ -402,7 +429,8 @@ class TestGoldenOutputs:
     # when the constant checkpoint entries meta.nonlinearity and
     # meta.decoder_kind were dropped and the deleted MLP keys left the config
     # hash; every other tensor, every log and every other report line kept
-    # every byte
+    # every byte. Both reports were re-taken when the unused data.align key
+    # left the config hash; only their config_hash line changed
     TRAIN = {"stage1-slow": "bcaf10750e1e20ff", "stage1-fast": "53b9305be1fbefa1",
              "stage2-slow": "e48ee705d8454fa3", "stage2-fast": "8ae8b1c7d4e0c629",
              "stage3": "33eadbfe80f6d2a1", "qt-both": "5094812b88fe1916",

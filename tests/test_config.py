@@ -51,14 +51,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown config key: connector.nonlinearity"):
             from_dict({"connector": {"nonlinearity": value}})
 
+    def test_deleted_align_key_is_unknown(self):
+        # object anchors are drawn from every cell that fits; no lattice to set
+        with pytest.raises(ConfigError, match="unknown config key: data.align"):
+            from_dict({"data": {"align": 1}})
+
     def test_query_transformer_shape_is_a_connector_field(self):
         # qt_layers and qt_heads are declared once, with their defaults, in
-        # ConnectorConfig; the default config and its hash are unchanged
+        # ConnectorConfig; the default config and its hash are those of the
+        # field set (the hash moved only when data.align was deleted)
         rc = from_dict({"connector": {"qt_layers": 1, "qt_heads": 2}})
         assert (rc.connector.qt_layers, rc.connector.qt_heads) == (1, 2)
         assert {k: default_config_dict()["connector"][k] for k in ("qt_layers", "qt_heads")} == {
             "qt_layers": 2, "qt_heads": 4}
-        assert config_hash(from_dict({})) == "0b832f4202bd"
+        assert config_hash(from_dict({})) == "99aae8bca17f"
         # the run config checks the heads against the slot width; a slot-only
         # ConnectorConfig whose width the default heads do not divide still validates
         with pytest.raises(ConfigError, match="divisible by connector.qt_heads"):

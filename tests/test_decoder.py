@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from slotvid import engine
-from slotvid.decoder import DecoderParams, cross_attention, decode_batch, recon_loss
+from slotvid.decoder import DecoderParams, decode_batch, recon_loss
 from slotvid.engine import (
     Value,
     add,
     broadcast_to,
+    cross_attention_block,
     layer_norm,
     matmul,
     mul,
@@ -68,13 +69,15 @@ class TestDecode:
         np.testing.assert_allclose(out.data, np.tile([0.5, -1.0, 2.0], (3, 5, 1)), atol=1e-6)
 
     def test_single_slot_gets_full_attention(self):
-        # the shared cross-attention layer as the decoder runs it: one head,
+        # the shared cross-attention node as the decoder runs it: one head,
         # 2 sets of 4 position rows over a set of one slot each
         p = make_params(2, n_positions=4, d_slot=4, d_out=3)
+        layer = p.layers[0]
         rng = engine.rng_for(2, "slots")
         rows = Value(engine.normal(rng, (2 * 4, 4)))
         slots = Value(engine.normal(rng, (2, 1, 4)))
-        _, attn = cross_attention(rows, slots, p.layers[0], heads=1)
+        _, attn = cross_attention_block(rows, slots, 1, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv,
+                                        layer.wo, layer.bo)
         assert attn.shape == (2, 4, 1)
         np.testing.assert_allclose(attn, 1.0, atol=1e-7)
 

@@ -511,8 +511,27 @@ def reference_residual_mlp(x, g, b, w1, b1, w2, b2):
     return add(x, linear(smooth_ramp(linear(layer_norm(x, g, b), w1, b1)), w2, b2))
 
 
-def reference_cross_attention(x, inputs, ln_g, ln_b, wqk, wvo, bo):
-    """Layer norm, the query rows over the inputs, softmax over the inputs, the read, its map back."""
+def _head_blocks(w, heads):
+    """[D, heads*dh] weight columns as per-head blocks [heads, D, dh]."""
+    d, width = w.shape
+    return transpose(reshape(w, (d, heads, width // heads)), (1, 0, 2))
+
+
+def reference_folds(heads, wq, wk, wv, wo):
+    """The cross-attention's per-head weight folds as primitive ops: ``wqk =
+    [wq_h wk_h^T / sqrt(dh)]_h`` [D_q, h*D_in] and ``wvo = [wv_h wo_h]_h``
+    [h*D_in, D_q]."""
+    d_in, dq = wk.shape
+    dh = dq // heads
+    wk_t = transpose(_head_blocks(wk, heads), (0, 2, 1))  # [h, dh, D_in]
+    wqk = reshape(transpose(matmul(_head_blocks(wq, heads), wk_t), (1, 0, 2)), (dq, heads * d_in))
+    wvo = reshape(matmul(_head_blocks(wv, heads), reshape(wo, (heads, dh, dq))), (heads * d_in, dq))
+    return scale(wqk, np.float32(1.0 / np.sqrt(dh))), wvo
+
+
+def reference_cross_attention(x, inputs, heads, ln_g, ln_b, wq, wk, wv, wo, bo):
+    """The folds, then layer norm, the query rows over the inputs, softmax over the inputs, the read, its map back."""
+    wqk, wvo = reference_folds(heads, wq, wk, wv, wo)
     b, _, d_in = inputs.shape
     q = reshape(matmul(layer_norm(x, ln_g, ln_b), wqk), (b, -1, d_in))
     attn = softmax_axis(matmul(q, transpose(inputs, (0, 2, 1))), axis=2)
@@ -520,13 +539,15 @@ def reference_cross_attention(x, inputs, ln_g, ln_b, wqk, wvo, bo):
     return add(x, linear(read, wvo, bo)), attn
 
 
-def reference_cross_attention_inputs(x, inputs, ln_g, ln_b, wqk, wvo, bo):
-    """The input-side association: per head, keys ``inputs wqk_h^T`` and values
-    ``inputs wvo_h`` as [B, h*M, D_q]; layer norm, the rows over the keys,
-    softmax over the inputs, the output summed over the heads."""
+def reference_cross_attention_inputs(x, inputs, heads, ln_g, ln_b, wq, wk, wv, wo, bo):
+    """The folds, then the input-side association: per head, keys ``inputs
+    wqk_h^T`` and values ``inputs wvo_h`` as [B, h*M, D_q]; layer norm, the
+    rows over the keys, softmax over the inputs, the output summed over the
+    heads."""
+    wqk, wvo = reference_folds(heads, wq, wk, wv, wo)
     b, m, d_in = inputs.shape
     rows, dq = x.shape
-    h = wqk.shape[1] // d_in
+    h = heads
     in_rows = reshape(inputs, (b * m, d_in))
 
     def heads_major(r):
@@ -579,10 +600,10 @@ def _cross_case(rows, inputs_shape, heads, inputs_grad, reference=reference_cros
         x = _leaf(rng, (rows, d))
         inputs = Value(engine.normal(rng, inputs_shape), requires_grad=inputs_grad)
         g, bias = _norm_leaves(rng, d)
-        wqk, wvo = _weight(rng, d, heads * d_in), _weight(rng, heads * d_in, d)
+        wq, wk, wv, wo = _weight(rng, d, d), _weight(rng, d_in, d), _weight(rng, d_in, d), _weight(rng, d, d)
         bo = _leaf(rng, (d,), 0.5)
-        leaves = [x, g, bias, wqk, wvo, bo] + ([inputs] if inputs_grad else [])
-        return (x, inputs, g, bias, wqk, wvo, bo), leaves
+        leaves = [x, g, bias, wq, wk, wv, wo, bo] + ([inputs] if inputs_grad else [])
+        return (x, inputs, heads, g, bias, wq, wk, wv, wo, bo), leaves
 
     return cross_attention_block, reference, build
 
@@ -708,14 +729,56 @@ class TestFusedBlocks:
                 sides.add(on_inputs)
         assert sides == {True, False}
 
+    # the decoder's 1 head on the inputs, the query transformer's 4 on the
+    # queries, and a head width of 8, whose temperature 1/sqrt(8) is not a
+    # power of two and so rounds wherever it is applied
+    @pytest.mark.parametrize("case", ["cross-decoder", "cross-query-slow", "cross-one-head"])
+    def test_weight_adjoints_bit_equal_to_graph_folds(self, case, monkeypatch):
+        # the node hands the adjoints of its folds to ``_head_fold_grads``; fed
+        # those, the folds' primitive graph gives the four raw weights the
+        # same bits as the node
+        op, _, build = BLOCK_CASES.get(case) or SMALL_BLOCK_CASES[case]
+        args, _ = build(engine.rng_for(2, "fold-grads", case))
+        heads, weights = args[2], list(args[5:9])
+        seen, real = [], engine._head_fold_grads
+
+        def spy(g_wqk, g_wvo, *rest):
+            seen.append((g_wqk, g_wvo))
+            return real(g_wqk, g_wvo, *rest)
+
+        monkeypatch.setattr(engine, "_head_fold_grads", spy)
+        probe = engine.normal(engine.rng_for(2, "fold-probe", case), _block_out(op, args).shape)
+        got = _grads(lambda: mul(_block_out(op, args), probe).sum(), weights)
+        [(g_wqk, g_wvo)] = seen
+        copies = [Value(w.data.copy(), requires_grad=True) for w in weights]
+        wqk, wvo = reference_folds(heads, *copies)
+        want = _grads(lambda: add(mul(wqk, g_wqk).sum(), mul(wvo, g_wvo).sum()), copies)
+        for name, g, w in zip(("wq", "wk", "wv", "wo"), got, want):
+            assert np.any(g != 0.0), name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
     def test_shape_checks(self):
-        (x, inputs, g, b, wqk, wvo, bo), _ = SMALL_BLOCK_CASES["cross-one-head"][2](engine.rng_for(7, "shapes"))
-        with pytest.raises(ShapeError):
-            cross_attention_block(reshape(x, (2, 3, 8)), inputs, g, b, wqk, wvo, bo)
-        with pytest.raises(ShapeError):
-            cross_attention_block(x, reshape(inputs, (10, 8)), g, b, wqk, wvo, bo)
-        with pytest.raises(ShapeError):
-            cross_attention_block(x, inputs, g, b, wqk, Value(np.zeros((8, 7), dtype=np.float32)), bo)
+        # 6 query rows of width 8 over 3 sets of 7 inputs of width 4, 2 heads
+        args, _ = SMALL_BLOCK_CASES["cross-heads-no-input-grad"][2](engine.rng_for(7, "shapes"))
+        x, inputs, heads, g, b, wq, wk, wv, wo, bo = args
+        cross_attention_block(*args)
+
+        def bad(i, value):
+            return tuple(value if j == i else a for j, a in enumerate(args))
+
+        for i, value in [
+            (0, reshape(x, (2, 3, 8))),  # query rows not 2-D
+            (0, Value(np.zeros((5, 8), dtype=np.float32))),  # 5 rows in 3 sets
+            (1, reshape(inputs, (21, 4))),  # inputs not sets
+            (2, 3),  # width 8 in 3 heads
+            (2, 0),
+            (5, Value(np.zeros((8, 4), dtype=np.float32))),  # wq not [D_q, D_q]
+            (6, transpose(wk, (1, 0))),  # wk not [D_in, D_q]
+            (7, transpose(wv, (1, 0))),
+            (8, Value(np.zeros((8, 7), dtype=np.float32))),  # wo not [D_q, D_q]
+        ]:
+            with pytest.raises(ShapeError):
+                cross_attention_block(*bad(i, value))
         (x, _, _, g, b, wq, wk, wv, wo, bo), _ = SMALL_BLOCK_CASES["self"][2](engine.rng_for(7, "shapes"))
         with pytest.raises(ShapeError):
             self_attention_block(x, 5, 2, g, b, wq, wk, wv, wo, bo)  # 12 rows in 5 sets
