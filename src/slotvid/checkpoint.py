@@ -47,7 +47,7 @@ def save_checkpoint(tensors: Mapping[str, np.ndarray], path: str) -> None:
         for dim in arr.shape:
             blob += struct.pack("<Q", dim)
         blob += arr.tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
 
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -77,7 +77,7 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic in {path}")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"CRC mismatch in {path}")
     version, count = struct.unpack_from("<II", blob, 4)
     if version != VERSION:

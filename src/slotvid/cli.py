@@ -84,7 +84,7 @@ def _cmd_gen_data(args) -> int:
     out_dir = _require_out(args)
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(rc, out_dir)
-    stream = _stream(rc, args.split)
+    stream = _stream(rc, args.split, cached=False)
     import numpy as np
 
     for i in range(count):
@@ -150,7 +150,7 @@ def _cmd_viz(args) -> int:
         raise TrainingError("the pooling connector has no attention masks to render")
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
-    stream = _stream(rc, "heldout")
+    stream = _stream(rc, "heldout", cached=False)
     _, video, _ = stream.scene(scene)
     branch = rc.stage.branch
     cfg = rc.connector

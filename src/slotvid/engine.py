@@ -3,8 +3,10 @@
 Arrays are numpy float32 throughout; every operation checks its output for
 NaN/Inf and raises instead of propagating silently. The computation record is
 a DAG of :class:`Value` nodes; ``backward`` walks it once in reverse
-topological order and accumulates the leaves' adjoints into persistent
-``grad`` buffers, so repeated backward calls without zeroing add up.
+topological order, frees each node's closure, caches and parent edges as it
+goes, and accumulates the leaves' adjoints into persistent ``grad`` buffers,
+so the backward passes of separately built graphs add up in shared leaves.
+A graph is back-propagated once; a second pass through it raises.
 
 Hot composites are fused into single nodes with analytic backwards:
 ``cross_entropy``, the row ops ``layer_norm`` and the affine map ``linear``
@@ -104,7 +106,8 @@ class Value:
     shape, zero until backward reaches the node as a leaf (``backward`` keeps
     no adjoint on a node it differentiates through). Parents and the backward
     closure are kept only while gradients are enabled and some input requires
-    them.
+    them, and only until ``backward`` has passed the node: it then drops both,
+    so one graph is back-propagated once.
     """
 
     __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward")
@@ -1150,12 +1153,20 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
 # -- reverse pass -----------------------------------------------------------------
 
 
+def _consumed(g, adj):
+    raise EngineError("graph already back-propagated")
+
+
 def backward(root: Value) -> None:
     """Accumulate d(root)/d(leaf) into ``grad`` for every reachable leaf.
 
     Root must be scalar (one element). Each node's closure runs exactly once,
-    in reverse topological order; repeated calls add into existing grads.
-    Only leaves, the nodes without a backward closure, keep their adjoint: an
+    in reverse topological order, and the graph is freed as the walk goes:
+    once a node's closure has run, the node drops it and its parents, so its
+    caches go at once and its data as soon as no consumer is left. Calling
+    ``backward`` again on a root, or on a new root through any node already
+    passed, raises ``EngineError``. Only leaves, the nodes without a backward
+    closure, keep their adjoint, and they add into it across graphs: an
     intermediate node's ``grad`` stays unset, so no intermediate adjoint
     outlives the pass.
     """
@@ -1181,7 +1192,8 @@ def backward(root: Value) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
     adj = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = adj.pop(id(node), None)
         if g is None:
             continue
@@ -1189,6 +1201,10 @@ def backward(root: Value) -> None:
             node._grad = g if node._grad is None else node._grad + g
         else:
             node._backward(g, adj)
+            # drop the closure, its caches and the edges to the parents: once
+            # every consumer has run, nothing holds the node's data either
+            node._backward = _consumed
+            node._parents = ()
 
 
 def zero_grads(params) -> None:

@@ -239,12 +239,17 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
 # -- data plumbing ----------------------------------------------------------------
 
 
-def _stream(rc: RunConfig, tag: str) -> SceneStream:
+def _stream(rc: RunConfig, tag: str, cached: bool = True) -> SceneStream:
+    """The scenes of ``tag``; ``cached=False`` for a stream that reads each scene once.
+
+    Only the training loop revisits scenes: it cycles through the
+    ``n_train_scenes`` indices, so its stream keeps them.
+    """
     cfg = rc.connector
     # cap the scene cache at ~512 MB: an entry holds its float32 grid and the
     # pooled fast series derived from it
     bytes_per = 4 * cfg.feat_dim * cfg.frames * (cfg.grid_h * cfg.grid_w + cfg.n_positions)
-    cache = min(rc.data.n_train_scenes, max(1, (512 << 20) // max(bytes_per, 1)))
+    cache = min(rc.data.n_train_scenes, max(1, (512 << 20) // max(bytes_per, 1))) if cached else 0
     return SceneStream(
         seed=rc.seed,
         t=cfg.frames,
@@ -497,7 +502,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     """Decoupling metrics and probe accuracy over a held-out scene stream."""
     cfg = rc.connector
     branch = "both" if rc.connector_kind == "pooling" else rc.stage.branch
-    stream = _stream(rc, tag)
+    stream = _stream(rc, tag, cached=False)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
     if n < 1:
         raise TrainingError(f"evaluation needs at least one scene, got {n}")

@@ -333,6 +333,31 @@ class TestGenData:
         assert os.listdir(tmp_path / "data") == ["effective-config.json"]
 
 
+class TestSceneCache:
+    def test_only_the_training_stream_caches(self, tmp_path, monkeypatch):
+        # training cycles through n_train_scenes indices; eval, viz and
+        # gen-data read each scene once, so their streams keep none
+        from slotvid import training
+
+        streams, original = [], training.SceneStream
+
+        def recording(**fields):
+            streams.append(original(**fields))
+            return streams[-1]
+
+        monkeypatch.setattr(training, "SceneStream", recording)
+        cfg = write_config(tmp_path)
+        ckpt = str(tmp_path / "s1" / "checkpoint.sfsl")
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        both = write_config(tmp_path, name="both.json", stage={"branch": "both"})
+        assert main(["eval", "--config", both, "--ckpt", ckpt]) == 0
+        assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "2"]) == 0
+        seen = [(s.tag, s.cache_entries, len(s._cache)) for s in streams]
+        # 3 steps of 2 scenes visit all 6 training scenes
+        assert seen == [("train", 6, 6), ("heldout", 0, 0), ("heldout", 0, 0), ("train", 0, 0)]
+
+
 class TestViz:
     def test_renders_masks_with_index(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from slotvid import engine
 from slotvid.engine import (
     AdamState,
+    EngineError,
     GruParams,
     NonFiniteError,
     ShapeError,
@@ -205,12 +207,46 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(engine.mul(x, x))
 
-    def test_repeated_calls_accumulate(self):
+    def test_separate_graphs_accumulate_into_shared_leaves(self):
+        x = Value([3.0], requires_grad=True)
+        backward(engine.mul(x, x).sum())
+        backward(engine.mul(x, x).sum())
+        np.testing.assert_allclose(x.grad, [12.0], atol=1e-5)
+
+    def test_second_backward_on_same_root_raises(self):
         x = Value([3.0], requires_grad=True)
         loss = engine.mul(x, x).sum()
         backward(loss)
+        with pytest.raises(EngineError, match="already back-propagated"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_second_root_through_consumed_node_raises(self):
+        x = Value([3.0], requires_grad=True)
+        y = engine.mul(x, x)
+        backward(y.sum())
+        with pytest.raises(EngineError, match="already back-propagated"):
+            backward(engine.scale(y, 2.0).sum())
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_backward_releases_the_graph(self):
+        # Value has __slots__ and no weakref slot, so the test watches the
+        # intermediate nodes' arrays; the caller still holds the root
+        rng = engine.rng_for(23, "release")
+        d = 4
+        x = Value(engine.normal(rng, (3, d)), requires_grad=True)
+        w = Value(engine.normal(rng, (d, d)), requires_grad=True)
+        mlp = [Value(engine.normal(rng, shape, std=0.5), requires_grad=True)
+               for shape in ((d,), (d,), (d, 2 * d), (2 * d,), (2 * d, d), (d,))]
+        h = matmul(x, w)
+        r = engine.residual_mlp(h, *mlp)
+        loss = engine.mul(r, r).sum()
+        refs = [weakref.ref(h.data), weakref.ref(r.data)]
+        del h, r
+        assert all(ref() is not None for ref in refs)  # the graph holds them until backward
         backward(loss)
-        np.testing.assert_allclose(x.grad, [12.0], atol=1e-5)
+        assert [ref() for ref in refs] == [None, None]
+        assert loss._parents == () and x.grad.any() and mlp[2].grad.any()
 
     def test_diamond_graph_single_visit(self):
         # y = (x + x) * x => dy/dx = 4x; a double-visit scheme would overcount
