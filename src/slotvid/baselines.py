@@ -1,7 +1,8 @@
 """Comparator connectors: mean pooling and a learnable-query transformer.
 
-The pooling path averages over space per frame and over time per cell, then
-projects. The query transformer reads the inputs through multi-head
+The pooling path projects the clip's "pooling" view
+(``connector.clip_views``): its means over space per frame and over time per
+cell. The query transformer reads the inputs through multi-head
 cross-attention whose softmax runs over the *input* axis (one distribution
 per query), the opposite normalization direction from slot attention. Its
 mask is the last cross-attention averaged over heads, returned like slot
@@ -23,9 +24,9 @@ folds to (the query rows at the default shapes).
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
 ``join_branches``): it reads the same branch views (sampled frames and pooled
-series, ``connector.BranchViews``) and adds the same temporal embeddings and
-projections, so token counts match branch for branch and comparisons isolate
-the aggregation mechanism.
+series) and adds the same temporal embeddings and projections, so token
+counts match branch for branch and comparisons isolate the aggregation
+mechanism.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .connector import BranchViews, ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
+from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
 from .engine import (
     ShapeError,
     Value,
@@ -71,18 +71,10 @@ class PoolingParams:
         return {"proj.w": self.proj_w, "proj.b": self.proj_b}
 
 
-def pooling_tokens_batch(feats: Value) -> Value:
-    """Pre-projection pooled tokens: T frame means then H*W cell means."""
-    if feats.ndim != 5:
-        raise ShapeError("expected [B, T, H, W, D] features")
-    b, t, h, w, d = feats.shape
-    spatial = feats.mean(axis=(2, 3))  # [B, T, D]
-    temporal = reshape(feats.mean(axis=1), (b, h * w, d))  # [B, H*W, D]
-    return engine.concat([spatial, temporal], axis=1)
-
-
-def pooling_connector_batch(feats: Value, params: PoolingParams) -> Value:
-    tokens = pooling_tokens_batch(feats)
+def pooling_connector_batch(tokens: Value, params: PoolingParams) -> Value:
+    """Project the pooling view [B, T + H*W, D] to [B, T + H*W, out_dim]."""
+    if tokens.ndim != 3:
+        raise ShapeError("expected [B, T + H*W, D] pooled tokens")
     return linear(tokens, params.proj_w, params.proj_b)
 
 
@@ -227,6 +219,6 @@ def wrap_fast_batch(series: Value, cfg: ConnectorConfig, params: WrapParams) -> 
     return fast_tokens(series, cfg, params, query_transformer_batch)
 
 
-def slowfast_wrap(views: BranchViews, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
+def slowfast_wrap(views, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
     """Token-count-parity baseline forward over a batch's views; mode selects slow, fast or both branches."""
     return join_branches(views, cfg, params, mode, wrap_slow_batch, wrap_fast_batch)

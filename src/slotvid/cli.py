@@ -84,7 +84,7 @@ def _cmd_gen_data(args) -> int:
     out_dir = _require_out(args)
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(rc, out_dir)
-    stream = _stream(rc, args.split, cached=False)
+    stream = _stream(rc, args.split)
     import numpy as np
 
     for i in range(count):
@@ -141,7 +141,8 @@ def _cmd_viz(args) -> int:
     from .config import write_effective_config
     from .engine import no_grad
     from .metrics import render_masks
-    from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors
+    from .connector import stack_views
+    from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors, view_names
 
     scene = _non_negative(args, "scene")
     rc = _load(args)
@@ -150,12 +151,12 @@ def _cmd_viz(args) -> int:
         raise TrainingError("the pooling connector has no attention masks to render")
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
-    stream = _stream(rc, "heldout", cached=False)
-    _, video, _ = stream.scene(scene)
+    _, video, _ = _stream(rc, "heldout").scene(scene)
     branch = rc.stage.branch
     cfg = rc.connector
     with no_grad():
-        _, slow_masks, fast_masks = forward_masks(model, [video], branch)
+        views = stack_views([video], cfg, view_names(model, branch))
+        _, slow_masks, fast_masks = forward_masks(model, views, branch)
     # slow masks render as the H x W frame, fast masks as a T x 1 time strip
     entries = []
     if slow_masks is not None:

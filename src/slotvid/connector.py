@@ -15,18 +15,17 @@ produces the downstream token width. The output token count is
 ``slow_frames * slots_per_frame + pooled_positions * slots_per_position``
 regardless of T.
 
-The connector's input is the two branch views of a batch of clips, not their
-grids (``BranchViews``): the sampled slow frames [B, slow_frames, H*W, D] and
-the pooled fast series in position-major layout [B, positions, T, D], before
-the learned frame embedding is added. The grid is a frozen encoder's output,
-so both views are fixed arrays that take no gradient, and each is built from
-the clips' ``VideoFeatures`` in one way. ``gather_frames`` takes each clip's
-picked frames from its grid straight into one batch array; ``stack_views``
-picks the uniform samples. ``VideoFeatures.fast_series`` pools a clip's grid
-once, one GEMM per frame with a constant block-mean matrix, and keeps the
-series read-only with the clip; ``stack_views`` stacks those series. A
-default batch of 8 clips then holds 2.5 MB of views against the 8 MB of its
-grids, with no pooling in the step.
+The connector's input is the branch views of a batch of clips, not their
+grids: the sampled slow frames [B, slow_frames, H*W, D] and the pooled fast
+series in position-major layout [B, positions, T, D], before the learned
+frame embedding is added, as plain float32 arrays keyed by view name. The
+grid is a frozen encoder's output, so every view is a fixed array that takes
+no gradient. ``clip_views`` is the one derivation of a clip's views, the
+pooling comparator's pre-projection tokens among them: a training stream
+keeps its scenes' views in blocks and gathers each batch from them
+(``synthetic.SceneStream``), and ``stack_views`` stacks the views of fresh
+clips. A default batch of 8 clips reads 2.5 MB of views against the 8 MB of
+its grids, with no sampling or pooling in the step.
 
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
@@ -38,8 +37,7 @@ a plain float32 array [sets, tokens, slots]; the branches regroup it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,19 +110,12 @@ class ConnectorConfig:
         return self.n_slow_tokens + self.n_fast_tokens
 
 
-class BranchViews(NamedTuple):
-    """The connector's two inputs as ``Value``s with a batch axis; a view is
-    None where its branch does not run."""
-
-    slow: object  # the sampled frames [B, slow_frames, H*W, D]
-    fast: object  # the pooled series [B, positions, T, D], before the frame embedding
+# the views each branch selection reads
+_BRANCH_VIEWS = {"slow": ("slow",), "fast": ("fast",), "both": ("slow", "fast")}
 
 
-# the views each branch selection reads: (slow, fast)
-_BRANCH_VIEWS = {"slow": (True, False), "fast": (False, True), "both": (True, True)}
-
-
-def _wanted_views(branch: str) -> tuple:
+def branch_views(branch: str) -> tuple:
+    """The names of the views ``branch`` reads, slow first."""
     if branch not in _BRANCH_VIEWS:
         raise ValueError(f"unknown branch {branch!r}")
     return _BRANCH_VIEWS[branch]
@@ -134,13 +125,11 @@ def _wanted_views(branch: str) -> tuple:
 class VideoFeatures:
     """A T x H x W x D feature grid extracted at a fixed frame rate.
 
-    The grid is a frozen encoder's output, so the pooled fast series derived
-    from it is fixed too: ``fast_series`` pools it once and keeps it with the
-    clip.
+    A clip is read through its views (``clip_views``); nothing derived is
+    kept with it.
     """
 
     grid: np.ndarray
-    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.grid = np.ascontiguousarray(self.grid, dtype=np.float32)
@@ -152,30 +141,6 @@ class VideoFeatures:
     @property
     def n_frames(self) -> int:
         return self.grid.shape[0]
-
-    def fast_series(self, cfg: ConnectorConfig) -> np.ndarray:
-        """This clip's fast view, the stride-pooled grid as position-major
-        series [positions, T, D], as a read-only array.
-
-        Pooled on first request and kept with the clip, keyed by the pool
-        stride that shapes it.
-        """
-        series = self._series.get(cfg.pool_stride)
-        if series is None:
-            t, h, w, d = self.grid.shape
-            stride = cfg.pool_stride
-            if stride <= 0 or h % stride or w % stride:
-                raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
-            # row c of the pooling matrix weighs the cells of block c by 1/stride^2
-            block = ((np.arange(h) // stride)[:, None] * (w // stride) + np.arange(w) // stride).reshape(-1)
-            pool = np.zeros(((h // stride) * (w // stride), h * w), dtype=np.float32)
-            pool[block, np.arange(h * w)] = np.float32(1.0 / (stride * stride))
-            series = np.ascontiguousarray(np.matmul(pool, self.grid.reshape(t, h * w, d)).transpose(1, 0, 2))
-            if not np.all(np.isfinite(series)):
-                raise engine.NonFiniteError("non-finite pooled series")
-            series.flags.writeable = False
-            self._series[cfg.pool_stride] = series
-        return series
 
 
 @dataclass
@@ -249,30 +214,52 @@ def uniform_sample_frames(total: int, count: int) -> np.ndarray:
     return np.array([((2 * i + 1) * total) // (2 * count) for i in range(count)], dtype=np.intp)
 
 
-def gather_frames(videos, picks) -> np.ndarray:
-    """Frames ``picks[i]`` of each clip ``videos[i]``, as one [B, k, H*W, D] array.
+def clip_views(video: VideoFeatures, cfg: ConnectorConfig, names) -> dict:
+    """The views ``names`` of one clip, each a float32 array, by name:
 
-    Each clip's frames are taken from its grid straight into the batch
-    array: one copy.
+    * "slow": its uniformly sampled frames [slow_frames, H*W, D];
+    * "fast": its stride-pooled grid as position-major series [positions, T, D],
+      one GEMM per frame with a constant block-mean matrix;
+    * "pooling": the pooling comparator's pre-projection tokens [T + H*W, D],
+      the T frame means then the H*W cell means.
+
+    The one derivation of every view a connector reads.
     """
-    _, h, w, d = videos[0].grid.shape
-    frames = np.empty((len(videos), len(picks[0]), h, w, d), dtype=np.float32)
-    for video, idx, out in zip(videos, picks, frames):
-        # the indices are in range; "clip" lets take write into out unbuffered
-        np.take(video.grid, idx, axis=0, out=out, mode="clip")
-    return frames.reshape(len(videos), -1, h * w, d)
+    grid = video.grid
+    t, h, w, d = grid.shape
+    out = {}
+    for name in names:
+        if name == "slow":
+            view = grid[uniform_sample_frames(t, cfg.slow_frames)].reshape(cfg.slow_frames, h * w, d)
+        elif name == "fast":
+            stride = cfg.pool_stride
+            if stride <= 0 or h % stride or w % stride:
+                raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
+            # row c of the pooling matrix weighs the cells of block c by 1/stride^2
+            block = ((np.arange(h) // stride)[:, None] * (w // stride) + np.arange(w) // stride).reshape(-1)
+            pool = np.zeros(((h // stride) * (w // stride), h * w), dtype=np.float32)
+            pool[block, np.arange(h * w)] = np.float32(1.0 / (stride * stride))
+            view = np.matmul(pool, grid.reshape(t, h * w, d)).transpose(1, 0, 2)
+        elif name == "pooling":
+            view = np.concatenate([grid.mean(axis=(1, 2), dtype=np.float32),
+                                   grid.mean(axis=0, dtype=np.float32).reshape(h * w, d)])
+        else:
+            raise ValueError(f"unknown view {name!r}")
+        out[name] = view
+    return out
 
 
-def stack_views(videos, cfg: ConnectorConfig, branch: str = "both") -> BranchViews:
-    """The views ``branch`` reads of a batch of ``VideoFeatures``: each clip's
-    uniformly sampled frames, and each clip's memoized fast series stacked."""
-    want_slow, want_fast = _wanted_views(branch)
-    slow = fast = None
-    if want_slow:
-        slow = Value(gather_frames(videos, [uniform_sample_frames(v.n_frames, cfg.slow_frames) for v in videos]))
-    if want_fast:
-        fast = Value(np.stack([video.fast_series(cfg) for video in videos]))
-    return BranchViews(slow, fast)
+def view_shape(cfg: ConnectorConfig, name: str) -> tuple:
+    """The shape of view ``name`` of a clip of ``cfg.frames`` frames (``clip_views``)."""
+    hw = cfg.grid_h * cfg.grid_w
+    shapes = {"slow": (cfg.slow_frames, hw), "fast": (cfg.n_positions, cfg.frames), "pooling": (cfg.frames + hw,)}
+    return shapes[name] + (cfg.feat_dim,)
+
+
+def stack_views(videos, cfg: ConnectorConfig, names=("slow", "fast")) -> dict:
+    """The views ``names`` of a batch of fresh ``VideoFeatures``, each stacked into one [B, ...] array."""
+    per_clip = [clip_views(video, cfg, names) for video in videos]
+    return {name: np.stack([views[name] for views in per_clip]) for name in names}
 
 
 # -- the two-branch frame -----------------------------------------------------------
@@ -321,25 +308,27 @@ def fast_tokens(series: Value, cfg: ConnectorConfig, params: ConnectorParams, ag
     return tokens, masks.reshape((b, cfg.n_positions) + masks.shape[1:])
 
 
-def join_branches(views: BranchViews, cfg: ConnectorConfig, params: ConnectorParams, branch: str,
-                  slow_fn, fast_fn):
+def join_branches(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str, slow_fn, fast_fn):
     """Run the selected branches on their views, concatenate slow-first and apply the final map.
 
-    Returns (tokens [B, N, out_dim], slow_masks, fast_masks) with the masks as
-    arrays [B, groups, M, N]; the masks of a branch that did not run are None.
+    ``views`` maps view names to batch arrays [B, groups, tokens, D] (or to
+    ``Value`` leaves, to take their adjoints); a view the branch selection
+    does not read may be absent. Returns (tokens [B, N, out_dim], slow_masks,
+    fast_masks) with the masks as arrays [B, groups, M, N]; the masks of a
+    branch that did not run are None.
     """
-    wanted = _wanted_views(branch)
+    names = branch_views(branch)
     cfg.validate()
-    for name, want, view in zip(BranchViews._fields, wanted, views):
-        if want and (not isinstance(view, Value) or view.ndim != 4):
-            raise ShapeError(f"the {name} branch needs its view as a [B, groups, tokens, D] Value")
+    for name in names:
+        if np.ndim(views.get(name)) != 4:
+            raise ShapeError(f"the {name} branch needs its view as a [B, groups, tokens, D] array")
     parts = []
     slow_masks = fast_masks = None
-    if wanted[0]:
-        tokens, slow_masks = slow_fn(views.slow, cfg, params)
+    if "slow" in names:
+        tokens, slow_masks = slow_fn(views["slow"], cfg, params)
         parts.append(tokens)
-    if wanted[1]:
-        tokens, fast_masks = fast_fn(views.fast, cfg, params)
+    if "fast" in names:
+        tokens, fast_masks = fast_fn(views["fast"], cfg, params)
         parts.append(tokens)
     joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
     return linear(joined, params.proj_w, params.proj_b), slow_masks, fast_masks
@@ -355,10 +344,10 @@ def fast_branch_batch(series: Value, cfg: ConnectorConfig, params: ConnectorPara
     return fast_tokens(series, cfg, params, forward_batch)
 
 
-def connect_batch(views: BranchViews, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
+def connect_batch(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
     """Differentiable forward over a batch's views; returns (tokens, slow_masks, fast_masks).
 
-    ``branch`` selects slow, fast or both branches; an unused branch's view
-    may be None and its masks are None.
+    ``views`` maps view names to batch arrays; ``branch`` selects slow, fast
+    or both branches, and an unused branch's masks are None.
     """
     return join_branches(views, cfg, params, branch, slow_branch_batch, fast_branch_batch)

@@ -28,9 +28,9 @@ and the value weights into the gated update's input weights, so its values
 differ from the unfused path's in float32 rounding; its backward runs the
 iterations in reverse and sends each weight one adjoint.
 
-A model's inputs enter the graph as constant leaves: the connector builds
-its branch views from the frozen features in plain numpy
-(``connector.stack_views``), so no node gathers or pools a feature grid.
+A model's inputs enter the graph as constant leaves: every connector reads
+views derived from the frozen features in plain numpy
+(``connector.clip_views``), so no node gathers or pools a feature grid.
 
 Row means and sums over a last axis, and column sums over rows, are GEMMs
 against a ones vector (``_sum_last``, ``_sum_rows``; a mean puts 1/D in the

@@ -12,9 +12,10 @@ Everything is a pure function of (seed, index); streams restart at any point.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -263,18 +264,31 @@ def probe_class_counts(ranges: SceneRanges) -> dict:
     }
 
 
+class SceneViews(NamedTuple):
+    """One scene as a stream with views returns it."""
+
+    row: int  # its row in every view block; -1 past the cache budget
+    views: dict | None  # its views past the cache budget, else None
+    probe: Mapping  # its ``SceneTruth.probe``
+
+
 @dataclass
 class SceneStream:
     """Deterministic scene sequence: item i depends only on (seed, tag, i).
 
-    ``cache_entries`` keeps that many rendered scenes in memory (training
-    cycles through a fixed index set, so steady state is all hits); 0 disables
-    caching. Cached arrays are shared read-only. An entry also carries what
-    each step reads of its scene and would otherwise recompute: the probe
-    labels (``SceneTruth.probe``) and the pooled fast series, which its
-    ``VideoFeatures`` derives on first request (``VideoFeatures.fast_series``).
-    Both live and die with the entry; with caching disabled, nothing derived
-    outlives the caller's reference to the scene.
+    Without ``views``, ``scene`` renders each scene afresh and returns
+    (spec, features, truth); nothing outlives the caller's reference.
+
+    With ``views``, a function of a clip's ``VideoFeatures`` to its views by
+    name (``connector.clip_views``), the stream keeps what a training step
+    reads and nothing else. The first ``cache_entries`` scenes it renders go
+    into one preallocated scene-major block per view, each [cache_entries,
+    ...], one row per scene; their grids, noise and label maps are then
+    dropped, and each scene keeps only its row and probe labels. Training
+    cycles through a fixed index set, so the steady state is all hits.
+    ``scene`` returns ``SceneViews``; a scene past the budget is rendered
+    again on every request and carries its own views. ``gather`` reads a
+    batch's view from the blocks.
     """
 
     seed: int
@@ -286,7 +300,9 @@ class SceneStream:
     ranges: SceneRanges
     tag: str = "train"
     cache_entries: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    views: Callable | None = field(default=None, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def spec(self, index: int) -> SceneSpec:
         rng = engine.rng_for(self.seed, "scene", self.tag, index)
@@ -295,14 +311,42 @@ class SceneStream:
             rng, self.t, self.h, self.w, self.d, self.pool_stride, self.ranges, seed=scene_seed
         )
 
-    def scene(self, index: int) -> tuple[SceneSpec, VideoFeatures, SceneTruth]:
+    def scene(self, index: int):
+        """Scene ``index``: (spec, VideoFeatures, SceneTruth), or its ``SceneViews`` with ``views``."""
         hit = self._cache.get(index)
         if hit is not None:
             return hit
         spec = self.spec(index)
         feats, truth = gen_scene(spec)
-        out = (spec, feats, truth)
-        if len(self._cache) < self.cache_entries:
-            self._cache[index] = out
-        return out
+        if self.views is None:
+            return spec, feats, truth
+        views = self.views(feats)
+        row = len(self._cache)
+        if row >= self.cache_entries:
+            return SceneViews(-1, views, truth.probe)
+        if not self._blocks:
+            self._blocks = {name: np.empty((self.cache_entries,) + view.shape, dtype=np.float32)
+                            for name, view in views.items()}
+        for name, view in views.items():
+            self._blocks[name][row] = view
+        entry = self._cache[index] = SceneViews(row, None, truth.probe)
+        return entry
 
+    def gather(self, scenes, name: str, picks=None) -> np.ndarray:
+        """View ``name`` of ``scenes``, this stream's ``SceneViews``, as one [B, ...] array.
+
+        With ``picks`` [B, p], only the rows picks[b] of scene b's view, as
+        [B, p, ...]. Where every scene has a row, this is one ``np.take`` from
+        the view's block; otherwise each scene's view is stacked.
+        """
+        rows = np.array([scene.row for scene in scenes], dtype=np.intp)
+        block = self._blocks.get(name)
+        if rows.min() >= 0:
+            if picks is None:
+                return np.take(block, rows, axis=0)
+            rows_of = block.reshape((-1,) + block.shape[2:])  # [cache_entries * groups, ...]
+            return np.take(rows_of, rows[:, None] * block.shape[1] + picks, axis=0)
+        views = [block[scene.row] if scene.row >= 0 else scene.views[name] for scene in scenes]
+        if picks is not None:
+            views = [view[pick] for view, pick in zip(views, picks)]
+        return np.stack(views)

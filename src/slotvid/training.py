@@ -16,28 +16,39 @@ other tensor that moves during the stage is a ``TrainingError``.
 Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
 ``connector`` and differ only in their aggregator; both read the batch's
-branch views (``connector.stack_views``), and both return their masks as
-plain arrays [B, groups, tokens, slots], which the metrics read directly.
+branch views, the pooling connector its pooling view (``view_names``), and
+the two-branch connectors return their masks as plain arrays [B, groups,
+tokens, slots], which the metrics read directly. A training step gathers its
+views from the training stream's blocks (``_stream``); evaluation and mask
+rendering derive them from fresh clips (``connector.stack_views``), through
+the same ``connector.clip_views``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
-from .baselines import (
-    PoolingParams,
-    WrapParams,
-    pooling_connector_batch,
-    slowfast_wrap,
-)
+from .baselines import PoolingParams, WrapParams, pooling_connector_batch, slowfast_wrap
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageConfig, config_hash
-from .connector import ConnectorParams, connect_batch, gather_frames, pooled_series, stack_views, uniform_sample_frames
+from .connector import (
+    ConnectorParams,
+    branch_views,
+    clip_views,
+    connect_batch,
+    pooled_series,
+    stack_views,
+    uniform_sample_frames,
+    view_shape,
+)
 from .decoder import DecoderParams, decode_batch, recon_loss
 from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
 from .metrics import DecouplingReport, ari, hard_assign, mask_entropy, slot_overlap
@@ -239,17 +250,23 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
 # -- data plumbing ----------------------------------------------------------------
 
 
-def _stream(rc: RunConfig, tag: str, cached: bool = True) -> SceneStream:
-    """The scenes of ``tag``; ``cached=False`` for a stream that reads each scene once.
+def _stream(rc: RunConfig, tag: str, views: tuple | None = None) -> SceneStream:
+    """The scenes of ``tag``.
 
     Only the training loop revisits scenes: it cycles through the
-    ``n_train_scenes`` indices, so its stream keeps them.
+    ``n_train_scenes`` indices. Its stream is given ``views``, the names of
+    the views its steps read, and keeps those views of each scene in
+    scene-major blocks, and its probe labels, but no grid or label map
+    (``SceneStream``). Without ``views`` the stream renders each scene
+    afresh, for evaluation, viz and gen-data, which read each scene once.
     """
     cfg = rc.connector
-    # cap the scene cache at ~512 MB: an entry holds its float32 grid and the
-    # pooled fast series derived from it
-    bytes_per = 4 * cfg.feat_dim * cfg.frames * (cfg.grid_h * cfg.grid_w + cfg.n_positions)
-    cache = min(rc.data.n_train_scenes, max(1, (512 << 20) // max(bytes_per, 1))) if cached else 0
+    cache, derive = 0, None
+    if views is not None:
+        # cap the view blocks at ~512 MB of float32
+        bytes_per = sum(4 * math.prod(view_shape(cfg, name)) for name in views)
+        cache = min(rc.data.n_train_scenes, (512 << 20) // bytes_per)
+        derive = functools.partial(clip_views, cfg=cfg, names=views)
     return SceneStream(
         seed=rc.seed,
         t=cfg.frames,
@@ -260,28 +277,30 @@ def _stream(rc: RunConfig, tag: str, cached: bool = True) -> SceneStream:
         ranges=rc.data.ranges,
         tag=tag,
         cache_entries=cache,
+        views=derive,
     )
 
 
-def _batch(stream: SceneStream, indices) -> tuple[list, dict, list]:
-    """(the scenes' cached ``VideoFeatures``, probe labels per task, (spec, truth) per scene).
+def _labels(probes) -> dict:
+    """Probe labels per task of a batch of scenes' ``SceneTruth.probe``."""
+    return {task: np.asarray([probe[task] for probe in probes], dtype=np.intp) for task in TASKS}
 
-    Nothing is stacked here. Each step stacks only what it reads: the branch
-    views of ``stack_views``, or a stage-1 step's picks of sampled frames or
-    pooled series; only the pooling connector, which reads whole grids,
-    stacks the grids. The labels are the scenes' memoized
-    ``SceneTruth.probe``.
-    """
-    videos = []
-    labels = {task: [] for task in TASKS}
-    truths = []
-    for i in indices:
-        spec, video, truth = stream.scene(i)
-        videos.append(video)
-        for task in TASKS:
-            labels[task].append(truth.probe[task])
-        truths.append((spec, truth))
-    return videos, {task: np.asarray(vals, dtype=np.intp) for task, vals in labels.items()}, truths
+
+class _Batch(NamedTuple):
+    """One training step's scenes, as records of the training stream, and their probe labels."""
+
+    stream: SceneStream
+    scenes: list
+    labels: dict
+
+    def view(self, name: str, picks=None) -> np.ndarray:
+        """The batch's view ``name`` [B, ...], or its rows ``picks`` [B, p, ...] (``SceneStream.gather``)."""
+        return self.stream.gather(self.scenes, name, picks)
+
+
+def _batch(stream: SceneStream, indices) -> _Batch:
+    scenes = [stream.scene(i) for i in indices]
+    return _Batch(stream, scenes, _labels([scene.probe for scene in scenes]))
 
 
 def majority_accuracy(labels: dict) -> float:
@@ -296,36 +315,39 @@ def majority_accuracy(labels: dict) -> float:
 # -- forward paths ----------------------------------------------------------------
 
 
-def forward_masks(model: Model, videos: list, branch: str):
+def view_names(model: Model, branch: str) -> tuple:
+    """The names of the views the model's connector reads for ``branch``."""
+    return ("pooling",) if model.kind == "pooling" else branch_views(branch)
+
+
+def forward_masks(model: Model, views: dict, branch: str):
     """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector
-    over a batch of ``VideoFeatures``.
+    over a batch's views, by name (``view_names``).
 
     The one forward of probe training, evaluation and mask rendering. The
-    two-branch connectors read the stacked views of ``branch``; the pooling
-    connector reads the stacked grids. Masks are plain arrays [B, groups, M,
+    two-branch connectors read the views of ``branch``; the pooling
+    connector reads its pooling view. Masks are plain arrays [B, groups, M,
     N]; they are None for a branch that did not run and for the pooling
     connector.
     """
-    cfg = model.rc.connector
     if model.kind == "pooling":
-        return pooling_connector_batch(Value(np.stack([video.grid for video in videos])), model.conn), None, None
-    views = stack_views(videos, cfg, branch)
-    if model.kind == "slot":
-        return connect_batch(views, cfg, model.conn, branch)
-    return slowfast_wrap(views, cfg, model.conn, branch)
+        return pooling_connector_batch(Value(views["pooling"]), model.conn), None, None
+    forward = connect_batch if model.kind == "slot" else slowfast_wrap
+    return forward(views, model.rc.connector, model.conn, branch)
 
 
 # -- training ----------------------------------------------------------------
 
 
 def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resume: str | None,
-           step_loss: Callable[[int, tuple], tuple[Value, dict]]) -> dict:
+           views: tuple, step_loss: Callable[[int, _Batch], tuple[Value, dict]]) -> dict:
     """The one step loop of every trainer.
 
-    ``step_loss(step, batch)`` builds the step's scalar loss from the batch
-    ``(videos, labels, truths)`` of ``_batch`` and returns it with the extra fields of the
-    step's log record. Each step zeroes, back-propagates and clips the
-    gradients of the stage's trainable group, then makes exactly one
+    ``step_loss(step, batch)`` builds the step's scalar loss from the
+    ``_Batch``, which holds the views named in ``views``, and returns it with
+    the extra fields of the step's log record. Each step zeroes,
+    back-propagates and clips the gradients of the stage's trainable group,
+    then makes exactly one
     ``adam_update`` call; every other tensor must end the stage bit-identical.
     """
     stage = rc.stage
@@ -349,7 +371,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         else {n: stage.head_lr for n in train_names if n.startswith("probe.")}
     )
 
-    stream = _stream(rc, "train")
+    stream = _stream(rc, "train", views)
     records = []
     for step in range(start, stage.steps):
         indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
@@ -386,16 +408,16 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
 def _probe_step(model: Model, branch: str):
     """Step loss of the probe protocol: the mean over tasks of each head's
     cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
+    names = view_names(model, branch)
 
     def step_loss(step, batch):
-        videos, labels, _ = batch
-        tokens, _, _ = forward_masks(model, videos, branch)
+        tokens, _, _ = forward_masks(model, {name: batch.view(name) for name in names}, branch)
         pooled = tokens.mean(axis=1)
         losses, accs = [], []
         for task in TASKS:
             logits = model.probe.logits(pooled, task)
-            losses.append(engine.cross_entropy(logits, labels[task]))
-            accs.append(float((np.argmax(logits.data, axis=1) == labels[task]).mean()))
+            losses.append(engine.cross_entropy(logits, batch.labels[task]))
+            accs.append(float((np.argmax(logits.data, axis=1) == batch.labels[task]).mean()))
         total = losses[0]
         for extra in losses[1:]:
             total = engine.add(total, extra)
@@ -420,30 +442,26 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
     cfg = rc.connector
     model = build_model(rc)
-    sampled = uniform_sample_frames(cfg.frames, cfg.slow_frames)
+    # each scene gives some of its sampled frames (slow) or pooled positions (fast)
+    if stage.branch == "slow":
+        groups, per_scene, sa, dec = cfg.slow_frames, stage.frames_per_scene, model.conn.slow, model.dec_slow
+    else:
+        groups, per_scene, sa, dec = cfg.n_positions, stage.positions_per_scene, model.conn.fast, model.dec_fast
 
     def step_loss(step, batch):
-        videos = batch[0]
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
+        picks = np.stack([np.sort(pick.choice(groups, size=per_scene, replace=False)) for _ in batch.scenes])
+        view = batch.view(stage.branch, picks)  # [B, p, H*W, D] frames or [B, p, T, D] series
         if stage.branch == "slow":
-            picks = [sampled[np.sort(pick.choice(cfg.slow_frames, size=stage.frames_per_scene, replace=False))]
-                     for _ in videos]
-            inputs_np = gather_frames(videos, picks).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
-            sa, dec = model.conn.slow, model.dec_slow
+            inputs_np = view.reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
         else:
-            series = np.stack([
-                video.fast_series(cfg)[np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene,
-                                                           replace=False))]
-                for video in videos
-            ])  # [B, p, T, D]
             with engine.no_grad():
-                inputs_np = pooled_series(Value(series), cfg, model.conn.fast_pos).data  # [B*p, T, D]
-            sa, dec = model.conn.fast, model.dec_fast
+                inputs_np = pooled_series(Value(view), cfg, model.conn.fast_pos).data  # [B*p, T, D]
         inputs = Value(inputs_np)
         slots, _ = forward_batch(inputs, sa)
         return recon_loss(decode_batch(slots, dec), inputs), {}
 
-    return _train(rc, model, 1, out_dir, resume, step_loss)
+    return _train(rc, model, 1, out_dir, resume, (stage.branch,), step_loss)
 
 
 def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -457,7 +475,7 @@ def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         if stage.init_checkpoint is None:
             raise TrainingError("stage 2 needs stage.init_checkpoint (a stage-1 checkpoint)")
         load_model_tensors(model, load_checkpoint(stage.init_checkpoint))
-    return _train(rc, model, 2, out_dir, resume, _probe_step(model, stage.branch))
+    return _train(rc, model, 2, out_dir, resume, view_names(model, stage.branch), _probe_step(model, stage.branch))
 
 
 def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -474,7 +492,7 @@ def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
                            _BRANCH_GROUPS["slow"] + ("dec_slow.",) + _SHARED_GROUP)
         load_model_tensors(model, load_checkpoint(stage.init_fast_checkpoint),
                            _BRANCH_GROUPS["fast"] + ("dec_fast.",))
-    return _train(rc, model, 3, out_dir, resume, _probe_step(model, "both"))
+    return _train(rc, model, 3, out_dir, resume, view_names(model, "both"), _probe_step(model, "both"))
 
 
 def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -485,7 +503,7 @@ def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None =
     model = build_model(rc)
     if resume is None and rc.stage.init_checkpoint is not None:
         load_model_tensors(model, load_checkpoint(rc.stage.init_checkpoint))
-    return _train(rc, model, rc.stage.stage, out_dir, resume, _probe_step(model, branch))
+    return _train(rc, model, rc.stage.stage, out_dir, resume, view_names(model, branch), _probe_step(model, branch))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -502,7 +520,8 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     """Decoupling metrics and probe accuracy over a held-out scene stream."""
     cfg = rc.connector
     branch = "both" if rc.connector_kind == "pooling" else rc.stage.branch
-    stream = _stream(rc, tag, cached=False)
+    stream = _stream(rc, tag)
+    names = view_names(model, branch)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
     if n < 1:
         raise TrainingError(f"evaluation needs at least one scene, got {n}")
@@ -521,9 +540,11 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
 
     chunk = 8
     for lo in range(0, n, chunk):
-        videos, labels, truths = _batch(stream, range(lo, min(lo + chunk, n)))
+        scenes = [stream.scene(i) for i in range(lo, min(lo + chunk, n))]
+        views = stack_views([video for _, video, _ in scenes], cfg, names)
+        labels = _labels([truth.probe for _, _, truth in scenes])
         with engine.no_grad():
-            tokens, slow_masks, fast_masks = forward_masks(model, videos, branch)
+            tokens, slow_masks, fast_masks = forward_masks(model, views, branch)
             pooled = tokens.mean(axis=1)
             for task in TASKS:
                 logits = model.probe.logits(pooled, task)
@@ -533,7 +554,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
             if masks is None:
                 continue
             score = scores[br]
-            for (_, truth), set_masks in zip(truths, masks):
+            for (_, _, truth), set_masks in zip(scenes, masks):
                 per_set_ari = []
                 for i, mask in enumerate(set_masks):
                     per_set_ari.append(ari(hard_assign(mask), truth_of[br](truth, i)))

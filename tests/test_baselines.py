@@ -9,12 +9,11 @@ from slotvid.baselines import (
     QueryTransformerParams,
     WrapParams,
     pooling_connector_batch,
-    pooling_tokens_batch,
     query_transformer_batch,
     slowfast_wrap,
 )
 from slotvid.config import from_dict
-from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, connect_batch, stack_views
+from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, clip_views, connect_batch, stack_views
 from slotvid.decoder import DecoderParams, decode_batch
 from slotvid.engine import (
     Value,
@@ -43,20 +42,21 @@ class TestPooling:
     def test_356_tokens_for_100_frames(self):
         cfg = ConnectorConfig(frames=100, max_frames=256)
         params = PoolingParams.create(engine.rng_for(1, "pool"), cfg)
-        grid = make_video(1, cfg).grid
+        views = stack_views([make_video(1, cfg)], cfg, ("pooling",))
         with engine.no_grad():
-            tokens = pooling_connector_batch(Value(grid[None]), params)
+            tokens = pooling_connector_batch(Value(views["pooling"]), params)
         assert tokens.shape == (1, 356, cfg.out_dim)  # T frame means + H*W cell means
 
     def test_constant_input_pools_to_constant(self):
         grid = np.full((3, 4, 4, 2), 0.75, dtype=np.float32)
-        tokens = pooling_tokens_batch(Value(grid.reshape(1, 3, 4, 4, 2)))
-        np.testing.assert_allclose(tokens.data, 0.75, atol=1e-6)
+        tokens = clip_views(VideoFeatures(grid), ConnectorConfig(), ("pooling",))["pooling"]
+        assert tokens.shape == (3 + 16, 2)
+        np.testing.assert_allclose(tokens, 0.75, atol=1e-6)
 
     def test_temporal_mean_oracle(self):
         # two frames on a 1x1 grid, values 1 and 3 -> temporal-pooled token 2
         grid = np.array([1.0, 3.0], dtype=np.float32).reshape(2, 1, 1, 1)
-        tokens = pooling_tokens_batch(Value(grid.reshape(1, 2, 1, 1, 1))).data[0]
+        tokens = clip_views(VideoFeatures(grid), ConnectorConfig(), ("pooling",))["pooling"]
         assert tokens.shape == (3, 1)  # 2 frame means + 1 cell mean
         np.testing.assert_allclose(tokens[:2, 0], [1.0, 3.0], atol=1e-7)
         assert tokens[2, 0] == 2.0
@@ -176,7 +176,7 @@ class TestQueryTransformer:
         })
         model = build_model(rc)
         with engine.no_grad():
-            _, slow, fast = forward_masks(model, [make_video(11, rc.connector)], "both")
+            _, slow, fast = forward_masks(model, stack_views([make_video(11, rc.connector)], rc.connector), "both")
         assert slow.shape == (1, 2, 16, 2) and fast.shape == (1, 4, 4, 2)
         np.testing.assert_allclose(slow.sum(axis=2), 1.0, atol=1e-5)
         np.testing.assert_allclose(fast.sum(axis=2), 1.0, atol=1e-5)

@@ -1,6 +1,7 @@
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,25 +40,25 @@ class TestRoundTrip:
         a, b = str(tmp_path / "a.sfsl"), str(tmp_path / "b.sfsl")
         save_checkpoint(sample_tensors(), a)
         save_checkpoint(sample_tensors(), b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestCorruption:
     def test_payload_bit_flip_detected(self, tmp_path):
         path = str(tmp_path / "m.sfsl")
         save_checkpoint(sample_tensors(), path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[len(blob) // 2] ^= 0x40
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(blob)
         with pytest.raises(CheckpointError, match="CRC"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "m.sfsl")
         save_checkpoint({}, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[0] = ord("X")
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(blob)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
@@ -65,15 +66,15 @@ class TestCorruption:
         path = str(tmp_path / "m.sfsl")
         body = b"SFSL" + struct.pack("<II", 99, 0)
         body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-        open(path, "wb").write(body)
+        Path(path).write_bytes(body)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "m.sfsl")
         save_checkpoint(sample_tensors(), path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -118,7 +119,7 @@ class TestAtomicity:
     def test_overwrite_keeps_old_on_failure(self, tmp_path):
         path = str(tmp_path / "m.sfsl")
         save_checkpoint(sample_tensors(1), path)
-        good = open(path, "rb").read()
+        good = Path(path).read_bytes()
 
         class Boom:
             def keys(self):
@@ -129,4 +130,4 @@ class TestAtomicity:
 
         with pytest.raises(RuntimeError):
             save_checkpoint(Boom(), path)
-        assert open(path, "rb").read() == good
+        assert Path(path).read_bytes() == good

@@ -353,9 +353,12 @@ class TestSceneCache:
         assert main(["eval", "--config", both, "--ckpt", ckpt]) == 0
         assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "2"]) == 0
-        seen = [(s.tag, s.cache_entries, len(s._cache)) for s in streams]
-        # 3 steps of 2 scenes visit all 6 training scenes
-        assert seen == [("train", 6, 6), ("heldout", 0, 0), ("heldout", 0, 0), ("train", 0, 0)]
+        seen = [(s.tag, s.cache_entries, len(s._cache), {n: b.shape for n, b in s._blocks.items()}) for s in streams]
+        # 3 steps of 2 scenes visit all 6 training scenes; the stage-1 slow
+        # stream keeps the 2 sampled frames of each, [6, 2, 4 * 4, 8], and
+        # nothing else
+        assert seen == [("train", 6, 6, {"slow": (6, 2, 16, 8)}), ("heldout", 0, 0, {}), ("heldout", 0, 0, {}),
+                        ("train", 0, 0, {})]
 
 
 class TestViz:

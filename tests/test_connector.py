@@ -7,6 +7,8 @@ from slotvid.connector import (
     ConnectorError,
     ConnectorParams,
     VideoFeatures,
+    branch_views,
+    clip_views,
     connect_batch,
     fast_branch_batch,
     slow_branch_batch,
@@ -120,13 +122,13 @@ class TestTokenCounts:
 class TestSlowBranch:
     def test_token_shape(self):
         cfg = SMALL
-        tokens, masks = slow_branch_batch(stack_views([make_video(4, cfg)], cfg).slow, cfg, make_params(4, cfg))
+        tokens, masks = slow_branch_batch(stack_views([make_video(4, cfg)], cfg)["slow"], cfg, make_params(4, cfg))
         assert tokens.shape == (1, cfg.n_slow_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.slow_frames, 64, cfg.slots_per_frame)
 
     def test_mask_rows_sum_to_one(self):
         cfg = SMALL
-        _, masks = slow_branch_batch(stack_views([make_video(5, cfg)], cfg).slow, cfg, make_params(5, cfg))
+        _, masks = slow_branch_batch(stack_views([make_video(5, cfg)], cfg)["slow"], cfg, make_params(5, cfg))
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_single_slot_constant_frame_is_transformed_mean(self):
@@ -167,7 +169,7 @@ class TestSlowBranch:
         permuted = VideoFeatures(video.grid[perm].copy())
 
         def branch(v):
-            return slow_branch_batch(stack_views([v], cfg).slow, cfg, params)[0].data[0]
+            return slow_branch_batch(stack_views([v], cfg)["slow"], cfg, params)[0].data[0]
 
         tokens_a, tokens_b = branch(video), branch(permuted)
         # recompute directly: frame i of the permuted clip is frame perm[i] of
@@ -196,7 +198,7 @@ class TestSlowBranch:
 class TestFastBranch:
     def test_token_shape(self):
         cfg = SMALL
-        tokens, masks = fast_branch_batch(stack_views([make_video(8, cfg)], cfg).fast, cfg, make_params(8, cfg))
+        tokens, masks = fast_branch_batch(stack_views([make_video(8, cfg)], cfg)["fast"], cfg, make_params(8, cfg))
         assert tokens.shape == (1, cfg.n_fast_tokens, cfg.slot_dim)
         assert masks.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
         np.testing.assert_allclose(masks.sum(axis=-1), 1.0, atol=1e-5)
@@ -208,7 +210,7 @@ class TestFastBranch:
             max_frames=4, iters_slow=1, iters_fast=2,
         )
         params = make_params(9, cfg)
-        _, masks = fast_branch_batch(stack_views([make_video(9, cfg, frames=1)], cfg).fast, cfg, params)
+        _, masks = fast_branch_batch(stack_views([make_video(9, cfg, frames=1)], cfg)["fast"], cfg, params)
         np.testing.assert_allclose(masks, 1.0, atol=1e-7)
 
     def test_static_position_has_constant_mask_rows(self):
@@ -221,7 +223,7 @@ class TestFastBranch:
         params.fast_pos.data[:] = 0.0  # no temporal cue => nothing to separate
         frame = engine.normal(engine.rng_for(10, "frame"), (4, 4, 5))
         grid = np.tile(frame, (6, 1, 1, 1))
-        _, masks = fast_branch_batch(stack_views([VideoFeatures(grid)], cfg).fast, cfg, params)
+        _, masks = fast_branch_batch(stack_views([VideoFeatures(grid)], cfg)["fast"], cfg, params)
         rows = masks[0, 0]  # [T, N_f] for the single position
         np.testing.assert_allclose(rows, np.tile(rows[0], (6, 1)), atol=1e-4)
 
@@ -233,11 +235,11 @@ class TestFastBranch:
 
 
 class TestPooling:
-    """``VideoFeatures.fast_series``: the stride-pooled grid as position-major series."""
+    """A clip's fast view (``clip_views``): the stride-pooled grid as position-major series."""
 
     @staticmethod
     def _series(grid, stride):
-        return VideoFeatures(grid).fast_series(ConnectorConfig(pool_stride=stride))
+        return clip_views(VideoFeatures(grid), ConnectorConfig(pool_stride=stride), ("fast",))["fast"]
 
     def test_block_means_exact_on_integer_features(self):
         # integer-valued features make the block mean exact in float32 for
@@ -312,10 +314,10 @@ class TestConnect:
     def test_single_branch_is_branch_then_proj(self, branch):
         cfg = SMALL
         params = make_params(16, cfg)
-        views = stack_views([make_video(16, cfg)], cfg, branch)
+        views = stack_views([make_video(16, cfg)], cfg, branch_views(branch))
         tokens, slow, fast = connect_batch(views, cfg, params, branch=branch)
         branch_fn = slow_branch_batch if branch == "slow" else fast_branch_batch
-        raw, masks = branch_fn(views.slow if branch == "slow" else views.fast, cfg, params)
+        raw, masks = branch_fn(views[branch], cfg, params)
         expect = engine.add(engine.matmul(raw, params.proj_w), params.proj_b)
         assert np.array_equal(tokens.data, expect.data)
         assert np.array_equal(slow if branch == "slow" else fast, masks)
@@ -326,7 +328,7 @@ class TestConnect:
         params = make_params(14, cfg)
         views = stack_views([make_video(14, cfg)], cfg)
         tokens, _, _ = connect_batch(views, cfg, params)
-        slow_tokens, _ = slow_branch_batch(views.slow, cfg, params)
+        slow_tokens, _ = slow_branch_batch(views["slow"], cfg, params)
         with engine.no_grad():
             expect = engine.add(engine.matmul(slow_tokens, params.proj_w), params.proj_b)
         np.testing.assert_allclose(tokens.data[:, : cfg.n_slow_tokens], expect.data, atol=1e-5)
@@ -342,12 +344,11 @@ class TestConnect:
         params.fast.slots.data = engine.normal(engine.rng_for(15, "s2"), params.fast.slots.data.shape, std=0.5)
         # the views are fixed arrays of the frozen features; as leaves they
         # check the adjoints the connector sends its inputs
-        views = stack_views([VideoFeatures(engine.normal(engine.rng_for(15, "x"), (2, 4, 4, 3)))], cfg)
-        for view in views:
-            view.requires_grad = True
+        views = {name: Value(view, requires_grad=True) for name, view in
+                 stack_views([VideoFeatures(engine.normal(engine.rng_for(15, "x"), (2, 4, 4, 3)))], cfg).items()}
         probe = engine.normal(engine.rng_for(15, "probe"), (cfg.n_tokens, cfg.out_dim))
         checked = [
-            *views,
+            *views.values(),
             params.slow.slots,
             params.fast.slots,
             params.slow.wv,

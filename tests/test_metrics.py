@@ -164,7 +164,7 @@ class TestRendering:
     def test_raster_order_matches_grid(self, tmp_path):
         weights = (np.arange(16, dtype=np.float32) / 15.0).reshape(16, 1)
         (name,) = render_masks([("slow", 1, weights, (4, 4))], str(tmp_path))
-        raw = open(os.path.join(tmp_path, name), "rb").read()
+        raw = (tmp_path / name).read_bytes()
         header = f"P5\n4 4\n255\n".encode()
         assert raw.startswith(header)
         payload = raw[len(header):]
@@ -187,7 +187,7 @@ class TestRendering:
             ("fast", 5, np.full((3, 2), 0.5, dtype=np.float32), (3, 1)),
         ]
         names = render_masks(masks, str(tmp_path))
-        lines = open(os.path.join(tmp_path, "index.txt")).read().splitlines()
+        lines = (tmp_path / "index.txt").read_text().splitlines()
         assert len(lines) == len(names) == 4
         assert lines[0].split() == ["slow", "0", "0", "slow_000_slot00.pgm"]
         assert lines[-1].split() == ["fast", "5", "1", "fast_005_slot01.pgm"]
@@ -200,7 +200,7 @@ class TestRendering:
         b = render_masks([("slow", 0, mask, (2, 2))], str(tmp_path / "b"))
         assert a == b
         for name in a:
-            assert open(tmp_path / "a" / name, "rb").read() == open(tmp_path / "b" / name, "rb").read()
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_image_shape_must_match_rows(self, tmp_path):
         weights = np.full((4, 2), 0.5, dtype=np.float32)

@@ -1,16 +1,18 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slotvid import engine, training
+from slotvid import engine, synthetic, training
 from slotvid.baselines import slowfast_wrap
-from slotvid.connector import BranchViews, connect_batch, pooled_series, stack_views, uniform_sample_frames
+from slotvid.connector import branch_views, connect_batch, pooled_series, stack_views, uniform_sample_frames
 from slotvid.synthetic import SceneStream
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.config import from_dict
@@ -120,7 +122,7 @@ class TestStage1:
         rc = tiny_config()
         a = run_stage1(rc, out_dir=str(tmp_path / "a"))
         b = run_stage1(rc, out_dir=str(tmp_path / "b"))
-        assert open(a["checkpoint"], "rb").read() == open(b["checkpoint"], "rb").read()
+        assert Path(a["checkpoint"]).read_bytes() == Path(b["checkpoint"]).read_bytes()
 
     def test_frozen_groups_do_not_move(self, tmp_path):
         rc = tiny_config()
@@ -144,7 +146,7 @@ class TestStage1:
         rc_full = tiny_config(stage={"steps": 5})
         resumed = run_stage1(rc_full, out_dir=str(tmp_path / "resumed"), resume=short["checkpoint"])
         full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
-        assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
+        assert Path(resumed["checkpoint"]).read_bytes() == Path(full["checkpoint"]).read_bytes()
 
     def test_checkpoint_with_slot_norm_bias_resumes(self, tmp_path):
         # checkpoints written before the slot norm lost its bias still hold
@@ -160,7 +162,7 @@ class TestStage1:
         rc_full = tiny_config(stage={"steps": 5})
         resumed = run_stage1(rc_full, out_dir=str(tmp_path / "resumed"), resume=old)
         full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
-        assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
+        assert Path(resumed["checkpoint"]).read_bytes() == Path(full["checkpoint"]).read_bytes()
 
     def test_checkpoint_with_constant_mlp_metadata_resumes(self, tmp_path):
         # checkpoints written while the MLP nonlinearity was a setting carry
@@ -173,7 +175,7 @@ class TestStage1:
         rc_full = tiny_config(stage={"steps": 5})
         resumed = run_stage1(rc_full, out_dir=str(tmp_path / "resumed"), resume=old)
         full = run_stage1(rc_full, out_dir=str(tmp_path / "full"))
-        assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
+        assert Path(resumed["checkpoint"]).read_bytes() == Path(full["checkpoint"]).read_bytes()
 
     def test_resume_appends_to_log(self, tmp_path):
         log = tmp_path / "train-log.txt"
@@ -245,7 +247,7 @@ class TestStage2:
         resumed = run_stage2(tiny_config(stage=cfg_full), out_dir=str(tmp_path / "resumed"),
                              resume=short["checkpoint"])
         full = run_stage2(tiny_config(stage=cfg_full), out_dir=str(tmp_path / "full"))
-        assert open(resumed["checkpoint"], "rb").read() == open(full["checkpoint"], "rb").read()
+        assert Path(resumed["checkpoint"]).read_bytes() == Path(full["checkpoint"]).read_bytes()
 
 
 class TestStage3:
@@ -286,17 +288,21 @@ class TestStage3:
 
         stream = _stream(rc, "train")
         with engine.no_grad():
-            tokens, _, _ = forward_masks(model, [stream.scene(i)[1] for i in range(2)], "both")
+            views = stack_views([stream.scene(i)[1] for i in range(2)], rc.connector)
+            tokens, _, _ = forward_masks(model, views, "both")
         assert tokens.shape[1] == rc.connector.n_tokens
 
 
 class TestSceneViews:
-    """Each cached scene carries its pooled fast series; a step gathers the
-    sampled slow frames from the grids and stacks only the views it reads."""
+    """The training stream keeps each scene's views in scene-major blocks, and
+    every cache reader gets inputs bit-equal to the views of a freshly
+    generated clip."""
 
     @staticmethod
-    def _videos(rc, n=3):
-        return training._batch(training._stream(rc, "train"), range(n))[0]
+    def _fresh(rc, indices):
+        """The clips ``indices`` of the training scenes, rendered afresh."""
+        stream = training._stream(rc, "train")
+        return [stream.scene(i)[1] for i in indices]
 
     @staticmethod
     def _grid_views(videos, cfg):
@@ -311,20 +317,31 @@ class TestSceneViews:
         pooled = np.matmul(pool.astype(np.float32), grids.reshape(b * t, h * w, d))
         return frames, pooled.reshape(b, t, cfg.n_positions, d)
 
+    @staticmethod
+    def _spy_forward(monkeypatch):
+        seen, original = [], training.forward_masks
+
+        def spy(model, views, branch):
+            seen.append({name: np.array(view) for name, view in views.items()})
+            return original(model, views, branch)
+
+        monkeypatch.setattr(training, "forward_masks", spy)
+        return seen
+
     def test_stacked_scene_views_equal_views_of_stacked_grid(self):
         rc = tiny_config()
         cfg = rc.connector
-        videos = self._videos(rc)
+        videos = self._fresh(rc, range(3))
         views = stack_views(videos, cfg)
         frames, pooled = self._grid_views(videos, cfg)
-        assert np.array_equal(views.slow.data, frames)
-        assert np.array_equal(views.fast.data, pooled.transpose(0, 2, 1, 3))
+        assert np.array_equal(views["slow"], frames)
+        assert np.array_equal(views["fast"], pooled.transpose(0, 2, 1, 3))
         # the pooled series are the grids' block means, position-major
         grids = np.stack([video.grid for video in videos]).astype(np.float64)
         b, t, h, w, d = grids.shape
         s = cfg.pool_stride
         means = grids.reshape(b, t, h // s, s, w // s, s, d).mean(axis=(3, 5)).reshape(b, t, cfg.n_positions, d)
-        np.testing.assert_allclose(views.fast.data, means.transpose(0, 2, 1, 3), rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(views["fast"], means.transpose(0, 2, 1, 3), rtol=1e-6, atol=1e-6)
 
     def test_stage1_fast_series_unchanged(self):
         # the series stage-1 fast reads: the pooled grid plus the frame
@@ -332,20 +349,20 @@ class TestSceneViews:
         rc = tiny_config()
         cfg = rc.connector
         model = build_model(rc)
-        videos = self._videos(rc)
+        videos = self._fresh(rc, range(3))
         _, pooled = self._grid_views(videos, cfg)
         b, t = pooled.shape[:2]
         with engine.no_grad():
-            got = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, model.conn.fast_pos)
+            got = pooled_series(stack_views(videos, cfg, ("fast",))["fast"], cfg, model.conn.fast_pos)
         want = (pooled + model.conn.fast_pos.data[None, :t, None]).transpose(0, 2, 1, 3)
         assert np.array_equal(got.data, want.reshape(b * cfg.n_positions, t, -1))
 
     @pytest.mark.parametrize("branch", ["slow", "fast"])
     def test_stage1_inputs_equal_the_whole_batch_forms(self, branch, monkeypatch):
-        # stage 1 gathers its picks from each clip's grid or memoized fast
-        # series; its inputs equal the picked sampled frames of each grid, and
-        # the picked rows of the whole batch's series plus frame embedding
-        rc = tiny_config(stage={"branch": branch, "steps": 3})
+        # stage 1 takes its frame or position picks from the cached rows; its
+        # inputs equal the picked sampled frames of each fresh clip's grid,
+        # and the picked rows of the fresh batch's series plus frame embedding
+        rc = tiny_config(stage={"branch": branch, "steps": 8})
         cfg, stage = rc.connector, rc.stage
         seen, original = [], training.forward_batch
 
@@ -356,12 +373,11 @@ class TestSceneViews:
         monkeypatch.setattr(training, "forward_batch", spy)
         fast_pos = run_stage1(rc)["model"].conn.fast_pos  # not in stage 1's group
         monkeypatch.undo()
-        stream = training._stream(rc, "train")
         sampled = uniform_sample_frames(cfg.frames, cfg.slow_frames)
-        assert len(seen) == stage.steps
+        assert len(seen) == stage.steps  # two passes over the 8 scenes: misses, then hits
         for step, got in enumerate(seen):
             indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes for j in range(stage.batch_size)]
-            videos = training._batch(stream, indices)[0]
+            videos = self._fresh(rc, indices)
             pick = engine.rng_for(rc.seed, "stage1", branch, step)
             if branch == "slow":
                 chunks = [video.grid[sampled[np.sort(pick.choice(cfg.slow_frames, size=stage.frames_per_scene,
@@ -369,7 +385,7 @@ class TestSceneViews:
                 want = np.concatenate(chunks).reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
             else:
                 with engine.no_grad():
-                    series = pooled_series(stack_views(videos, cfg, "fast").fast, cfg, fast_pos).data
+                    series = pooled_series(stack_views(videos, cfg, ("fast",))["fast"], cfg, fast_pos).data
                 rows = [b * cfg.n_positions + np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene,
                                                                   replace=False)) for b in range(len(videos))]
                 want = series[np.concatenate(rows)]
@@ -380,42 +396,75 @@ class TestSceneViews:
     def test_forward_on_scene_views_equals_forward_on_stacked_grid(self, kind, branch):
         rc = tiny_config(connector={"type": kind})
         model = build_model(rc)
-        videos = self._videos(rc)
+        stream = training._stream(rc, "train", training.view_names(model, branch))
+        batch = training._batch(stream, range(3))
         forward = connect_batch if kind == "slot" else slowfast_wrap
         with engine.no_grad():
-            got = training.forward_masks(model, videos, branch)
-            frames, pooled = self._grid_views(videos, rc.connector)
-            views = BranchViews(engine.Value(frames), engine.Value(pooled.transpose(0, 2, 1, 3)))
+            got = training.forward_masks(model, {name: batch.view(name) for name in branch_views(branch)}, branch)
+            frames, pooled = self._grid_views(self._fresh(rc, range(3)), rc.connector)
+            views = {"slow": frames, "fast": pooled.transpose(0, 2, 1, 3)}
             want = forward(views, rc.connector, model.conn, branch)
         assert np.array_equal(got[0].data, want[0].data)
         assert (got[1] is None) == (branch == "fast") and (got[2] is None) == (branch == "slow")
         for masks, expect in zip(got[1:], want[1:]):
             assert (masks is None and expect is None) or np.array_equal(masks, expect)
 
-    def test_cached_views_are_read_only_and_derived_once(self):
-        # a clip caches its pooled fast series only; its slow frames are
-        # gathered from the grid each step
+    @pytest.mark.parametrize("kind,branch", [("slot", "slow"), ("slot", "fast"), ("slot", "both"),
+                                             ("query_transformer", "slow"), ("query_transformer", "fast"),
+                                             ("query_transformer", "both"), ("pooling", "both")])
+    def test_probe_step_reads_the_views_of_fresh_clips(self, kind, branch, monkeypatch):
+        # two passes over the 8 scenes: the first renders each scene into its
+        # block rows, the second reads only the blocks
+        rc = tiny_config(connector={"type": kind})
+        model = build_model(rc)
+        names = training.view_names(model, branch)
+        stream = training._stream(rc, "train", names)
+        seen = self._spy_forward(monkeypatch)
+        step = training._probe_step(model, branch)
+        batches = [list(range(lo, lo + 4)) for lo in (0, 4, 0, 4)]
+        for i, indices in enumerate(batches):
+            step(i, training._batch(stream, indices))
+        assert len(stream._cache) == 8 and sorted(stream._blocks) == sorted(names)
+        for indices, views in zip(batches, seen):
+            want = stack_views(self._fresh(rc, indices), rc.connector, names)
+            assert sorted(views) == sorted(names)
+            for name in names:
+                assert views[name].dtype == np.float32 and np.array_equal(views[name], want[name])
+
+    def test_cached_views_are_read_only_and_derived_once(self, monkeypatch):
+        # each scene is rendered and its views derived once; a step reads a
+        # copy of the blocks, so nothing it does to its views reaches the cache
         rc = tiny_config()
-        cfg = rc.connector
-        stream = training._stream(rc, "train")
-        video = stream.scene(0)[1]
-        stack_views([video], cfg)
-        series = video.fast_series(cfg)
-        assert stream.scene(0)[1].fast_series(cfg) is series and list(video._series) == [cfg.pool_stride]
-        assert not series.flags.writeable
-        with pytest.raises(ValueError):
-            series[...] = 0.0
+        stream = training._stream(rc, "train", ("slow", "fast"))
+        rendered, derive = [], stream.views
+
+        def counting(video):
+            rendered.append(video.n_frames)
+            return derive(video)
+
+        stream.views = counting
+        first = training._batch(stream, range(4))
+        views = [first.view(name) for name in ("slow", "fast")]
+        picked = first.view("fast", np.zeros((4, 1), dtype=np.intp))
+        for view in views + [picked]:
+            assert not any(np.shares_memory(view, block) for block in stream._blocks.values())
+            view[...] = 0.0
+        again = training._batch(stream, range(4))
+        assert len(rendered) == 4
+        want = stack_views(self._fresh(rc, range(4)), rc.connector)
+        for name in ("slow", "fast"):
+            assert np.array_equal(again.view(name), want[name])
 
     @pytest.mark.parametrize("kind,branch", [("slot", "slow"), ("slot", "fast"), ("slot", "both"),
                                              ("query_transformer", "both")])
     def test_probe_step_never_reads_a_clip_grid(self, kind, branch, monkeypatch):
-        # once the scenes' views exist, a probe step gathers, pools and checks
-        # no [B, T, H, W, D] array
+        # once the scenes' views are cached, a probe step gathers, pools and
+        # checks no [B, T, H, W, D] array
         rc = tiny_config(connector={"type": kind})
         model = build_model(rc)
-        stream = training._stream(rc, "train")
+        stream = training._stream(rc, "train", training.view_names(model, branch))
         step = training._probe_step(model, branch)
-        step(0, training._batch(stream, range(2)))  # warm: derive each scene's views
+        step(0, training._batch(stream, range(2)))  # warm: cache each scene's views
         seen = []
 
         def spy(fn):
@@ -436,25 +485,92 @@ class TestSceneViews:
 
     def test_uncached_stream_keeps_no_view(self):
         rc = tiny_config()
-        cfg = rc.connector
-        cached = training._stream(rc, "train")
-        stream = SceneStream(seed=cached.seed, t=cached.t, h=cached.h, w=cached.w, d=cached.d,
-                             pool_stride=cached.pool_stride, ranges=cached.ranges, tag=cached.tag,
-                             cache_entries=0)
-        videos = training._batch(stream, range(2))[0]
-        stack_views(videos, cfg)
-        refs = [weakref.ref(video.fast_series(cfg)) for video in videos]
-        assert stream._cache == {}
+        stream = training._stream(rc, "heldout")
+        videos = [stream.scene(i)[1] for i in range(2)]
+        stack_views(videos, rc.connector)
+        refs = [weakref.ref(video.grid) for video in videos]
+        assert stream.cache_entries == 0 and stream._cache == {} and stream._blocks == {}
         del videos
         assert [ref() for ref in refs] == [None] * 2
 
     def test_cache_budget_counts_the_views(self):
-        # at the default shapes, 512 MB hold 481 entries of grid and pooled series, not 512 grids
+        # an entry's bytes are its views' bytes, not its grid's: 512 MB hold
+        # 1638 both-branch entries of 327,680 B at the default shapes
         rc = from_dict({"data": {"n_train_scenes": 10**6}})
-        stream = training._stream(rc, "train")
-        _, video, _ = stream.scene(0)
-        entry = video.grid.nbytes + video.fast_series(rc.connector).nbytes
-        assert stream.cache_entries == (512 << 20) // entry == 481
+        for names, entry in ((("slow", "fast"), 327_680), (("slow",), 262_144), (("fast",), 65_536),
+                             (("pooling",), 36_864)):
+            stream = training._stream(rc, "train", names)
+            stream.scene(0)
+            assert sum(block[0].nbytes for block in stream._blocks.values()) == entry
+            assert stream.cache_entries == (512 << 20) // entry
+
+    @pytest.mark.parametrize("kind,branch", [("slot", "both"), ("slot", "slow"), ("slot", "fast"),
+                                             ("pooling", "both")])
+    def test_default_config_caches_every_training_scene(self, kind, branch):
+        rc = from_dict({"connector": {"type": kind}})
+        names = training.view_names(build_model(rc), branch)
+        assert training._stream(rc, "train", names).cache_entries == rc.data.n_train_scenes == 512
+
+    def test_cached_entries_hold_no_grid_or_label_map(self, monkeypatch):
+        # with the cyclic collector off, every grid and label map gen_scene
+        # made is freed as soon as the scene's views are in their blocks
+        rc = tiny_config()
+        made, original = [], synthetic.gen_scene
+
+        def recording(spec):
+            video, truth = original(spec)
+            made.extend(weakref.ref(a) for a in (video.grid, truth.object_labels, truth.segment_labels))
+            return video, truth
+
+        monkeypatch.setattr(synthetic, "gen_scene", recording)
+        stream = training._stream(rc, "train", ("slow", "fast"))
+        gc.disable()
+        try:
+            batch = training._batch(stream, range(rc.data.n_train_scenes))
+            assert len(made) == 3 * rc.data.n_train_scenes and len(stream._cache) == rc.data.n_train_scenes
+            assert [ref() for ref in made] == [None] * len(made)
+        finally:
+            gc.enable()
+        assert all(scene.views is None for scene in batch.scenes)
+
+    @pytest.mark.parametrize("cached", [0, 3])
+    @pytest.mark.parametrize("name", ["slow", "fast", "query_transformer", "pooling"])
+    def test_scenes_past_the_cache_budget_train_identically(self, tmp_path, monkeypatch, name, cached):
+        # scenes past the budget carry their own views, which are stacked
+        # instead of gathered from the blocks: two passes over the scenes
+        # write the same checkpoint
+        if name in ("slow", "fast"):
+            runner, rc = run_stage1, tiny_config(stage={"branch": name, "steps": 8})
+        else:
+            runner, rc = run_baseline, tiny_config(connector={"type": name}, stage={"branch": "both", "steps": 8})
+        full = Path(runner(rc, str(tmp_path / "full"))["checkpoint"]).read_bytes()
+        original = training.SceneStream
+        monkeypatch.setattr(training, "SceneStream", lambda **fields: original(**{**fields, "cache_entries": cached}))
+        assert Path(runner(rc, str(tmp_path / "capped"))["checkpoint"]).read_bytes() == full
+
+    def test_training_stream_dies_when_run_stage1_returns(self, monkeypatch):
+        # nothing keeps a run's stream or its blocks alive through a
+        # reference cycle: with the cyclic collector off they die with the run
+        refs, original, gather = [], training.SceneStream, SceneStream.gather
+
+        def recording(**fields):
+            stream = original(**fields)
+            refs.append(weakref.ref(stream))
+            return stream
+
+        def gather_spy(self, scenes, name, picks=None):
+            refs.append(weakref.ref(self._blocks[name]))
+            return gather(self, scenes, name, picks)
+
+        monkeypatch.setattr(training, "SceneStream", recording)
+        monkeypatch.setattr(SceneStream, "gather", gather_spy)
+        gc.disable()
+        try:
+            result = run_stage1(tiny_config(stage={"steps": 3}))
+            assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
+        assert result["records"]
 
 
 class TestModelLayout:
