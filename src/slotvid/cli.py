@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/training error.
 All randomness flows from the single config seed; SFSL_THREADS (default 1)
-caps BLAS parallelism so repeated runs are bit-identical.
+caps BLAS parallelism so repeated runs are bit-identical. The package's
+``__init__`` sets the cap, and Python runs it before this module's imports
+load numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +12,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
+
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import ConfigError, load_config, write_effective_config
+from .connector import ConnectorError, stack_views
+from .engine import EngineError, no_grad
+from .metrics import DecouplingReport, MetricsError, compare_table, render_masks
+from .synthetic import SceneError
+from .training import (
+    TrainingError,
+    _stream,
+    build_model,
+    evaluate_checkpoint,
+    forward_masks,
+    load_model_tensors,
+    run_baseline,
+    run_branch,
+    run_stage1,
+    run_stage2,
+    run_stage3,
+    view_names,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _require_out(args) -> str:
     if not args.out:
-        from .config import ConfigError
-
         raise ConfigError(f"{args.command} needs --out DIR")
     return args.out
 
@@ -62,31 +85,21 @@ def _require_out(args) -> str:
 def _non_negative(args, name: str) -> int:
     value = getattr(args, name)
     if value < 0:
-        from .config import ConfigError
-
         raise ConfigError(f"--{name} must be >= 0, got {value}")
     return value
 
 
 def _load(args):
-    from .config import load_config
-
     return load_config(args.config, seed=args.seed, out=getattr(args, "out", None))
 
 
 def _cmd_gen_data(args) -> int:
-    from .checkpoint import save_checkpoint
-    from .config import write_effective_config
-    from .training import _stream
-
     count = _non_negative(args, "count")
     rc = _load(args)
     out_dir = _require_out(args)
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(rc, out_dir)
     stream = _stream(rc, args.split)
-    import numpy as np
-
     for i in range(count):
         spec, video, truth = stream.scene(i)
         tensors = {
@@ -101,13 +114,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_train(args, runner_name: str) -> int:
-    from .config import write_effective_config
-    from . import training
-
+def _cmd_train(args, runner) -> int:
     rc = _load(args)
     out_dir = _require_out(args)
-    runner = getattr(training, runner_name)
     result = runner(rc, out_dir=out_dir, resume=args.resume)
     # written once the run has succeeded, so a refused run leaves no directory
     write_effective_config(rc, out_dir)
@@ -120,9 +129,6 @@ def _cmd_train(args, runner_name: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .config import write_effective_config
-    from .training import evaluate_checkpoint
-
     rc = _load(args)
     report = evaluate_checkpoint(rc, args.ckpt, n_scenes=args.scenes)
     text = report.to_text()
@@ -137,13 +143,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_viz(args) -> int:
-    from .checkpoint import load_checkpoint
-    from .config import write_effective_config
-    from .engine import no_grad
-    from .metrics import render_masks
-    from .connector import stack_views
-    from .training import TrainingError, _stream, build_model, forward_masks, load_model_tensors, view_names
-
     scene = _non_negative(args, "scene")
     rc = _load(args)
     out_dir = _require_out(args)
@@ -152,7 +151,7 @@ def _cmd_viz(args) -> int:
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
     _, video, _ = _stream(rc, "heldout").scene(scene)
-    branch = rc.stage.branch
+    branch = run_branch(rc)
     cfg = rc.connector
     with no_grad():
         views = stack_views([video], cfg, view_names(model, branch))
@@ -171,32 +170,19 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .metrics import DecouplingReport, compare_table
-
     reports = [DecouplingReport.load(path) for path in args.reports]
     sys.stdout.write(compare_table(reports))
     return 0
 
 
 def main(argv=None) -> int:
-    # the thread cap must be in place before numpy loads its BLAS backend
-    import slotvid  # noqa: F401
-
     args = _build_parser().parse_args(argv)
-    from .checkpoint import CheckpointError
-    from .config import ConfigError
-    from .connector import ConnectorError
-    from .engine import EngineError
-    from .metrics import MetricsError
-    from .synthetic import SceneError
-    from .training import TrainingError
-
     handler = {
         "gen-data": _cmd_gen_data,
-        "pretrain": lambda a: _cmd_train(a, "run_stage1"),
-        "tune": lambda a: _cmd_train(a, "run_stage2"),
-        "joint": lambda a: _cmd_train(a, "run_stage3"),
-        "train-baseline": lambda a: _cmd_train(a, "run_baseline"),
+        "pretrain": lambda a: _cmd_train(a, run_stage1),
+        "tune": lambda a: _cmd_train(a, run_stage2),
+        "joint": lambda a: _cmd_train(a, run_stage3),
+        "train-baseline": lambda a: _cmd_train(a, run_baseline),
         "eval": _cmd_eval,
         "viz": _cmd_viz,
         "compare": _cmd_compare,

@@ -21,11 +21,11 @@ series in position-major layout [B, positions, T, D], before the learned
 frame embedding is added, as plain float32 arrays keyed by view name. The
 grid is a frozen encoder's output, so every view is a fixed array that takes
 no gradient. ``clip_views`` is the one derivation of a clip's views, the
-pooling comparator's pre-projection tokens among them: a training stream
-keeps its scenes' views in blocks and gathers each batch from them
-(``synthetic.SceneStream``), and ``stack_views`` stacks the views of fresh
-clips. A default batch of 8 clips reads 2.5 MB of views against the 8 MB of
-its grids, with no sampling or pooling in the step.
+pooling comparator's pre-projection tokens among them. A training stream
+keeps each scene's views (``synthetic.SceneStream``) and a step stacks its
+scenes' views; ``stack_views`` stacks the views of fresh clips. A default
+batch of 8 clips reads 2.5 MB of views against the 8 MB of its grids, with
+no sampling or pooling in the step.
 
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,
@@ -247,13 +247,6 @@ def clip_views(video: VideoFeatures, cfg: ConnectorConfig, names) -> dict:
             raise ValueError(f"unknown view {name!r}")
         out[name] = view
     return out
-
-
-def view_shape(cfg: ConnectorConfig, name: str) -> tuple:
-    """The shape of view ``name`` of a clip of ``cfg.frames`` frames (``clip_views``)."""
-    hw = cfg.grid_h * cfg.grid_w
-    shapes = {"slow": (cfg.slow_frames, hw), "fast": (cfg.n_positions, cfg.frames), "pooling": (cfg.frames + hw,)}
-    return shapes[name] + (cfg.feat_dim,)
 
 
 def stack_views(videos, cfg: ConnectorConfig, names=("slow", "fast")) -> dict:

@@ -264,11 +264,14 @@ def probe_class_counts(ranges: SceneRanges) -> dict:
     }
 
 
+# the most bytes of views a stream keeps in its blocks
+CACHE_BYTES = 512 << 20
+
+
 class SceneViews(NamedTuple):
     """One scene as a stream with views returns it."""
 
-    row: int  # its row in every view block; -1 past the cache budget
-    views: dict | None  # its views past the cache budget, else None
+    views: dict  # its views by name: read-only rows of the stream's blocks while it is cached
     probe: Mapping  # its ``SceneTruth.probe``
 
 
@@ -280,15 +283,15 @@ class SceneStream:
     (spec, features, truth); nothing outlives the caller's reference.
 
     With ``views``, a function of a clip's ``VideoFeatures`` to its views by
-    name (``connector.clip_views``), the stream keeps what a training step
-    reads and nothing else. The first ``cache_entries`` scenes it renders go
-    into one preallocated scene-major block per view, each [cache_entries,
-    ...], one row per scene; their grids, noise and label maps are then
-    dropped, and each scene keeps only its row and probe labels. Training
-    cycles through a fixed index set, so the steady state is all hits.
-    ``scene`` returns ``SceneViews``; a scene past the budget is rendered
-    again on every request and carries its own views. ``gather`` reads a
-    batch's view from the blocks.
+    name (``connector.clip_views``), ``scene`` returns ``SceneViews`` and the
+    stream keeps what a training step reads and nothing else. The first
+    scene sizes one preallocated scene-major block per view, one row per
+    scene: as many rows as ``CACHE_BYTES`` of that scene's views hold, at
+    most ``cache_scenes``. Each new scene's views are written into the next
+    row, its grid, noise and label maps are dropped, and its record holds
+    read-only views of its rows. Training cycles through a fixed index set,
+    so the steady state is all hits. A scene past the budget is rendered
+    again on every request and carries views of its own.
     """
 
     seed: int
@@ -299,7 +302,7 @@ class SceneStream:
     pool_stride: int
     ranges: SceneRanges
     tag: str = "train"
-    cache_entries: int = 0
+    cache_scenes: int = 0
     views: Callable | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -321,32 +324,16 @@ class SceneStream:
         if self.views is None:
             return spec, feats, truth
         views = self.views(feats)
-        row = len(self._cache)
-        if row >= self.cache_entries:
-            return SceneViews(-1, views, truth.probe)
         if not self._blocks:
-            self._blocks = {name: np.empty((self.cache_entries,) + view.shape, dtype=np.float32)
-                            for name, view in views.items()}
-        for name, view in views.items():
-            self._blocks[name][row] = view
-        entry = self._cache[index] = SceneViews(row, None, truth.probe)
+            rows = min(self.cache_scenes, CACHE_BYTES // sum(view.nbytes for view in views.values()))
+            self._blocks = {name: np.empty((rows,) + view.shape, dtype=np.float32) for name, view in views.items()}
+        row = len(self._cache)
+        if row == len(next(iter(self._blocks.values()))):
+            return SceneViews(views, truth.probe)  # past the budget
+        cached = {}
+        for name, block in self._blocks.items():
+            block[row] = views[name]
+            cached[name] = block[row]
+            cached[name].flags.writeable = False
+        entry = self._cache[index] = SceneViews(cached, truth.probe)
         return entry
-
-    def gather(self, scenes, name: str, picks=None) -> np.ndarray:
-        """View ``name`` of ``scenes``, this stream's ``SceneViews``, as one [B, ...] array.
-
-        With ``picks`` [B, p], only the rows picks[b] of scene b's view, as
-        [B, p, ...]. Where every scene has a row, this is one ``np.take`` from
-        the view's block; otherwise each scene's view is stacked.
-        """
-        rows = np.array([scene.row for scene in scenes], dtype=np.intp)
-        block = self._blocks.get(name)
-        if rows.min() >= 0:
-            if picks is None:
-                return np.take(block, rows, axis=0)
-            rows_of = block.reshape((-1,) + block.shape[2:])  # [cache_entries * groups, ...]
-            return np.take(rows_of, rows[:, None] * block.shape[1] + picks, axis=0)
-        views = [block[scene.row] if scene.row >= 0 else scene.views[name] for scene in scenes]
-        if picks is not None:
-            views = [view[pick] for view, pick in zip(views, picks)]
-        return np.stack(views)

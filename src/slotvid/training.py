@@ -18,16 +18,16 @@ connector and the query-transformer wrapper share the two-branch frame of
 ``connector`` and differ only in their aggregator; both read the batch's
 branch views, the pooling connector its pooling view (``view_names``), and
 the two-branch connectors return their masks as plain arrays [B, groups,
-tokens, slots], which the metrics read directly. A training step gathers its
-views from the training stream's blocks (``_stream``); evaluation and mask
-rendering derive them from fresh clips (``connector.stack_views``), through
-the same ``connector.clip_views``.
+tokens, slots], which the metrics read directly. A training step stacks the
+views its scenes' records hold (``_stream``, ``_Batch``); evaluation and
+mask rendering derive them from fresh clips (``connector.stack_views``),
+through the same ``connector.clip_views``. Every probe loss and accuracy
+reads the one readout, ``ProbeParams.logits``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -47,7 +47,6 @@ from .connector import (
     pooled_series,
     stack_views,
     uniform_sample_frames,
-    view_shape,
 )
 from .decoder import DecoderParams, decode_batch, recon_loss
 from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
@@ -87,7 +86,7 @@ def _lr_at(stage: StageConfig, step: int) -> float:
 
 @dataclass
 class ProbeParams:
-    """One zero-initialized affine head per task over the mean-pooled tokens."""
+    """One zero-initialized affine head per task over the mean-pooled tokens: the probe readout."""
 
     heads: dict
 
@@ -98,9 +97,10 @@ class ProbeParams:
             heads[task] = (engine.zeros_param((d_in, class_counts[task])), engine.zeros_param(class_counts[task]))
         return cls(heads)
 
-    def logits(self, pooled: Value, task: str) -> Value:
-        w, b = self.heads[task]
-        return engine.linear(pooled, w, b)
+    def logits(self, tokens: Value) -> dict:
+        """Each task's logits [B, classes] from the tokens [B, N, D], by task."""
+        pooled = tokens.mean(axis=1)
+        return {task: engine.linear(pooled, w, b) for task, (w, b) in self.heads.items()}
 
     def named(self) -> dict:
         out = {}
@@ -212,9 +212,17 @@ def _meta_count(tensors: dict, key: str) -> int:
     return int(value)
 
 
+def _finite_copy(tensors: dict, key: str) -> np.ndarray:
+    """A float32 copy of checkpoint tensor ``key``; a non-finite value is a ``CheckpointError``."""
+    arr = np.ascontiguousarray(tensors[key], dtype=np.float32)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint tensor {key!r} holds non-finite values")
+    return arr.copy()
+
+
 def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> None:
     """Strict load of every model tensor whose name starts with one of ``prefixes``
-    (all of them by default): each must be present with its shape."""
+    (all of them by default): each must be present with its shape, and finite."""
     kind_code = _meta_scalar(tensors, "meta.connector", -1.0)
     if kind_code >= 0.0 and kind_code != _KIND_CODES[model.kind]:
         raise CheckpointError("checkpoint was written by a different connector kind")
@@ -231,7 +239,7 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape} vs model {val.data.shape}"
             )
-        val.data = np.ascontiguousarray(arr, dtype=np.float32).copy()
+        val.data = _finite_copy(tensors, name)
 
 
 def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
@@ -240,11 +248,12 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
     state.t = _meta_count(tensors, "meta.adam_t")
     for name in trainable:
         mk, vk = f"adam.m.{name}", f"adam.v.{name}"
+        if (mk in tensors) != (vk in tensors):
+            have, missing = (mk, vk) if mk in tensors else (vk, mk)
+            raise CheckpointError(f"checkpoint has {have!r} but is missing {missing!r}")
         if mk in tensors:
-            if vk not in tensors:
-                raise CheckpointError(f"checkpoint has {mk!r} but is missing {vk!r}")
-            state.m[name] = np.ascontiguousarray(tensors[mk], dtype=np.float32).copy()
-            state.v[name] = np.ascontiguousarray(tensors[vk], dtype=np.float32).copy()
+            state.m[name] = _finite_copy(tensors, mk)
+            state.v[name] = _finite_copy(tensors, vk)
 
 
 # -- data plumbing ----------------------------------------------------------------
@@ -255,18 +264,12 @@ def _stream(rc: RunConfig, tag: str, views: tuple | None = None) -> SceneStream:
 
     Only the training loop revisits scenes: it cycles through the
     ``n_train_scenes`` indices. Its stream is given ``views``, the names of
-    the views its steps read, and keeps those views of each scene in
-    scene-major blocks, and its probe labels, but no grid or label map
-    (``SceneStream``). Without ``views`` the stream renders each scene
-    afresh, for evaluation, viz and gen-data, which read each scene once.
+    the views its steps read, and keeps those views of each of its scenes,
+    and its probe labels, but no grid or label map (``SceneStream``).
+    Without ``views`` the stream renders each scene afresh, for evaluation,
+    viz and gen-data, which read each scene once.
     """
     cfg = rc.connector
-    cache, derive = 0, None
-    if views is not None:
-        # cap the view blocks at ~512 MB of float32
-        bytes_per = sum(4 * math.prod(view_shape(cfg, name)) for name in views)
-        cache = min(rc.data.n_train_scenes, (512 << 20) // bytes_per)
-        derive = functools.partial(clip_views, cfg=cfg, names=views)
     return SceneStream(
         seed=rc.seed,
         t=cfg.frames,
@@ -276,8 +279,8 @@ def _stream(rc: RunConfig, tag: str, views: tuple | None = None) -> SceneStream:
         pool_stride=cfg.pool_stride,
         ranges=rc.data.ranges,
         tag=tag,
-        cache_entries=cache,
-        views=derive,
+        cache_scenes=0 if views is None else rc.data.n_train_scenes,
+        views=None if views is None else functools.partial(clip_views, cfg=cfg, names=views),
     )
 
 
@@ -287,20 +290,22 @@ def _labels(probes) -> dict:
 
 
 class _Batch(NamedTuple):
-    """One training step's scenes, as records of the training stream, and their probe labels."""
+    """One training step's scenes, as ``SceneViews`` of the training stream, and their probe labels."""
 
-    stream: SceneStream
     scenes: list
     labels: dict
 
     def view(self, name: str, picks=None) -> np.ndarray:
-        """The batch's view ``name`` [B, ...], or its rows ``picks`` [B, p, ...] (``SceneStream.gather``)."""
-        return self.stream.gather(self.scenes, name, picks)
+        """The scenes' views ``name`` stacked [B, ...], or each scene's rows ``picks[b]`` [B, p, ...]."""
+        views = [scene.views[name] for scene in self.scenes]
+        if picks is not None:
+            views = [view[pick] for view, pick in zip(views, picks)]
+        return np.stack(views)
 
 
 def _batch(stream: SceneStream, indices) -> _Batch:
     scenes = [stream.scene(i) for i in indices]
-    return _Batch(stream, scenes, _labels([scene.probe for scene in scenes]))
+    return _Batch(scenes, _labels([scene.probe for scene in scenes]))
 
 
 def majority_accuracy(labels: dict) -> float:
@@ -313,6 +318,11 @@ def majority_accuracy(labels: dict) -> float:
 
 
 # -- forward paths ----------------------------------------------------------------
+
+
+def run_branch(rc: RunConfig) -> str:
+    """The branch selection a run's connector reads: both for pooling, else ``stage.branch``."""
+    return "both" if rc.connector_kind == "pooling" else rc.stage.branch
 
 
 def view_names(model: Model, branch: str) -> tuple:
@@ -412,12 +422,9 @@ def _probe_step(model: Model, branch: str):
 
     def step_loss(step, batch):
         tokens, _, _ = forward_masks(model, {name: batch.view(name) for name in names}, branch)
-        pooled = tokens.mean(axis=1)
-        losses, accs = [], []
-        for task in TASKS:
-            logits = model.probe.logits(pooled, task)
-            losses.append(engine.cross_entropy(logits, batch.labels[task]))
-            accs.append(float((np.argmax(logits.data, axis=1) == batch.labels[task]).mean()))
+        logits = model.probe.logits(tokens)
+        losses = [engine.cross_entropy(logits[task], batch.labels[task]) for task in TASKS]
+        accs = [float((np.argmax(logits[task].data, axis=1) == batch.labels[task]).mean()) for task in TASKS]
         total = losses[0]
         for extra in losses[1:]:
             total = engine.add(total, extra)
@@ -499,7 +506,7 @@ def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None =
     """Train a comparator connector under the identical probe protocol."""
     if rc.connector_kind == "slot":
         raise TrainingError("run_baseline expects connector.type pooling or query_transformer")
-    branch = rc.stage.branch if rc.connector_kind == "query_transformer" else "both"
+    branch = run_branch(rc)
     model = build_model(rc)
     if resume is None and rc.stage.init_checkpoint is not None:
         load_model_tensors(model, load_checkpoint(rc.stage.init_checkpoint))
@@ -519,7 +526,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
                    tag: str = "heldout") -> DecouplingReport:
     """Decoupling metrics and probe accuracy over a held-out scene stream."""
     cfg = rc.connector
-    branch = "both" if rc.connector_kind == "pooling" else rc.stage.branch
+    branch = run_branch(rc)
     stream = _stream(rc, tag)
     names = view_names(model, branch)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
@@ -545,9 +552,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
         labels = _labels([truth.probe for _, _, truth in scenes])
         with engine.no_grad():
             tokens, slow_masks, fast_masks = forward_masks(model, views, branch)
-            pooled = tokens.mean(axis=1)
-            for task in TASKS:
-                logits = model.probe.logits(pooled, task)
+            for task, logits in model.probe.logits(tokens).items():
                 task_hits[task] += int((np.argmax(logits.data, axis=1) == labels[task]).sum())
         n_tokens = tokens.data.shape[1]
         for br, masks in (("slow", slow_masks), ("fast", fast_masks)):

@@ -88,19 +88,47 @@ class TestConfigErrors:
                                             "init_checkpoint": str(tmp_path / "no.sfsl")})
         assert main(["tune", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
 
-    def test_resume_missing_adam_second_moment_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dropped, kept", [("adam.v.", "adam.m."), ("adam.m.", "adam.v.")],
+                             ids=["second", "first"])
+    def test_resume_missing_adam_moment_exits_3(self, tmp_path, capsys, dropped, kept):
+        # either moment without the other is refused; a lone second moment
+        # once resumed with fresh moments and exit 0
         cfg = write_config(tmp_path, stage={"steps": 1})
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
-        dropped = sorted(name for name in tensors if name.startswith("adam.v."))[0]
-        assert f"adam.m.{dropped[len('adam.v.'):]}" in tensors
-        del tensors[dropped]
+        name = sorted(name for name in tensors if name.startswith(dropped))[0]
+        assert kept + name[len(dropped):] in tensors
+        del tensors[name]
         broken = str(tmp_path / "broken.sfsl")
         save_checkpoint(tensors, broken)
         capsys.readouterr()
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"),
                      "--resume", broken]) == 3
-        assert dropped in capsys.readouterr().err
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [("pretrain", "slow.wq", np.nan), ("eval", "slow.wq", np.nan),
+                                                     ("pretrain", "adam.m.slow.wq", np.nan),
+                                                     ("pretrain", "adam.v.slow.wq", np.inf)])
+    def test_non_finite_checkpoint_tensor_exits_3(self, tmp_path, capsys, command, key, value):
+        # one NaN in slow.wq resumed into "training diverged at step 2:
+        # non-finite values in slot attention mask", and eval failed alike
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        tensors[key] = tensors[key].copy()
+        tensors[key].flat[0] = value
+        broken = str(tmp_path / "broken.sfsl")
+        save_checkpoint(tensors, broken)
+        long_cfg = write_config(tmp_path, name="long.json", stage={"steps": 3})
+        capsys.readouterr()
+        if command == "pretrain":
+            argv = ["pretrain", "--config", long_cfg, "--out", str(tmp_path / "b"), "--resume", broken]
+        else:
+            argv = ["eval", "--config", long_cfg, "--ckpt", broken]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert repr(key) in err and "non-finite" in err
+        assert "diverged" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [("meta.connector", np.zeros(0, dtype=np.float32)),
                                             ("meta.step", np.float32("nan"))])
@@ -353,7 +381,7 @@ class TestSceneCache:
         assert main(["eval", "--config", both, "--ckpt", ckpt]) == 0
         assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "2"]) == 0
-        seen = [(s.tag, s.cache_entries, len(s._cache), {n: b.shape for n, b in s._blocks.items()}) for s in streams]
+        seen = [(s.tag, s.cache_scenes, len(s._cache), {n: b.shape for n, b in s._blocks.items()}) for s in streams]
         # 3 steps of 2 scenes visit all 6 training scenes; the stage-1 slow
         # stream keeps the 2 sampled frames of each, [6, 2, 4 * 4, 8], and
         # nothing else

@@ -3,8 +3,7 @@
 A deletion that leaves an import behind, such as an engine op the module no
 longer calls, fails here. ``ALLOWED`` holds the bindings kept on purpose:
 the traced branch functions that the benchmark tracer requires ``training``
-to hold, and the ``import slotvid`` in ``cli.main`` that puts the thread cap
-in place before numpy loads.
+to hold.
 """
 
 import ast
@@ -14,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "slotvid"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
-ALLOWED = {("training", "fast_branch_batch"), ("training", "slow_branch_batch"), ("cli", "slotvid")}
+ALLOWED = {("training", "fast_branch_batch"), ("training", "slow_branch_batch")}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -294,9 +294,9 @@ class TestStage3:
 
 
 class TestSceneViews:
-    """The training stream keeps each scene's views in scene-major blocks, and
-    every cache reader gets inputs bit-equal to the views of a freshly
-    generated clip."""
+    """The training stream keeps each scene's views as read-only rows of
+    scene-major blocks, and every step gets inputs bit-equal to the views of
+    a freshly generated clip."""
 
     @staticmethod
     def _fresh(rc, indices):
@@ -432,8 +432,9 @@ class TestSceneViews:
                 assert views[name].dtype == np.float32 and np.array_equal(views[name], want[name])
 
     def test_cached_views_are_read_only_and_derived_once(self, monkeypatch):
-        # each scene is rendered and its views derived once; a step reads a
-        # copy of the blocks, so nothing it does to its views reaches the cache
+        # each scene is rendered and its views derived once; its record holds
+        # read-only views of its block rows, and a step stacks a copy of them,
+        # so nothing it does to its views reaches the cache
         rc = tiny_config()
         stream = training._stream(rc, "train", ("slow", "fast"))
         rendered, derive = [], stream.views
@@ -444,6 +445,11 @@ class TestSceneViews:
 
         stream.views = counting
         first = training._batch(stream, range(4))
+        for row, scene in enumerate(first.scenes):
+            for name, view in scene.views.items():
+                assert view.base is stream._blocks[name] and np.shares_memory(view, stream._blocks[name][row])
+                with pytest.raises(ValueError, match="read-only"):
+                    view[...] = 0.0
         views = [first.view(name) for name in ("slow", "fast")]
         picked = first.view("fast", np.zeros((4, 1), dtype=np.intp))
         for view in views + [picked]:
@@ -489,27 +495,27 @@ class TestSceneViews:
         videos = [stream.scene(i)[1] for i in range(2)]
         stack_views(videos, rc.connector)
         refs = [weakref.ref(video.grid) for video in videos]
-        assert stream.cache_entries == 0 and stream._cache == {} and stream._blocks == {}
+        assert stream.cache_scenes == 0 and stream._cache == {} and stream._blocks == {}
         del videos
         assert [ref() for ref in refs] == [None] * 2
 
     def test_cache_budget_counts_the_views(self):
-        # an entry's bytes are its views' bytes, not its grid's: 512 MB hold
-        # 1638 both-branch entries of 327,680 B at the default shapes
+        # the first scene's views size the blocks: 512 MB hold 1638
+        # both-branch scenes of 327,680 B at the default shapes
         rc = from_dict({"data": {"n_train_scenes": 10**6}})
         for names, entry in ((("slow", "fast"), 327_680), (("slow",), 262_144), (("fast",), 65_536),
                              (("pooling",), 36_864)):
             stream = training._stream(rc, "train", names)
-            stream.scene(0)
-            assert sum(block[0].nbytes for block in stream._blocks.values()) == entry
-            assert stream.cache_entries == (512 << 20) // entry
+            assert sum(view.nbytes for view in stream.scene(0).views.values()) == entry
+            assert {len(block) for block in stream._blocks.values()} == {(512 << 20) // entry}
 
     @pytest.mark.parametrize("kind,branch", [("slot", "both"), ("slot", "slow"), ("slot", "fast"),
                                              ("pooling", "both")])
     def test_default_config_caches_every_training_scene(self, kind, branch):
         rc = from_dict({"connector": {"type": kind}})
-        names = training.view_names(build_model(rc), branch)
-        assert training._stream(rc, "train", names).cache_entries == rc.data.n_train_scenes == 512
+        stream = training._stream(rc, "train", training.view_names(build_model(rc), branch))
+        stream.scene(0)
+        assert {len(block) for block in stream._blocks.values()} == {rc.data.n_train_scenes} == {512}
 
     def test_cached_entries_hold_no_grid_or_label_map(self, monkeypatch):
         # with the cyclic collector off, every grid and label map gen_scene
@@ -531,43 +537,45 @@ class TestSceneViews:
             assert [ref() for ref in made] == [None] * len(made)
         finally:
             gc.enable()
-        assert all(scene.views is None for scene in batch.scenes)
+        assert all(view.base is stream._blocks[name] for scene in batch.scenes for name, view in scene.views.items())
 
     @pytest.mark.parametrize("cached", [0, 3])
     @pytest.mark.parametrize("name", ["slow", "fast", "query_transformer", "pooling"])
     def test_scenes_past_the_cache_budget_train_identically(self, tmp_path, monkeypatch, name, cached):
-        # scenes past the budget carry their own views, which are stacked
-        # instead of gathered from the blocks: two passes over the scenes
-        # write the same checkpoint
+        # scenes past the budget are rendered again at every visit and carry
+        # their own views: two passes over the scenes write the same
+        # checkpoint
         if name in ("slow", "fast"):
             runner, rc = run_stage1, tiny_config(stage={"branch": name, "steps": 8})
         else:
             runner, rc = run_baseline, tiny_config(connector={"type": name}, stage={"branch": "both", "steps": 8})
         full = Path(runner(rc, str(tmp_path / "full"))["checkpoint"]).read_bytes()
         original = training.SceneStream
-        monkeypatch.setattr(training, "SceneStream", lambda **fields: original(**{**fields, "cache_entries": cached}))
+        monkeypatch.setattr(training, "SceneStream", lambda **fields: original(**{**fields, "cache_scenes": cached}))
         assert Path(runner(rc, str(tmp_path / "capped"))["checkpoint"]).read_bytes() == full
 
     def test_training_stream_dies_when_run_stage1_returns(self, monkeypatch):
         # nothing keeps a run's stream or its blocks alive through a
         # reference cycle: with the cyclic collector off they die with the run
-        refs, original, gather = [], training.SceneStream, SceneStream.gather
+        refs, original, scene = [], training.SceneStream, SceneStream.scene
 
         def recording(**fields):
             stream = original(**fields)
             refs.append(weakref.ref(stream))
             return stream
 
-        def gather_spy(self, scenes, name, picks=None):
-            refs.append(weakref.ref(self._blocks[name]))
-            return gather(self, scenes, name, picks)
+        def scene_spy(self, index):
+            record = scene(self, index)
+            refs.extend(weakref.ref(block) for block in self._blocks.values())
+            return record
 
         monkeypatch.setattr(training, "SceneStream", recording)
-        monkeypatch.setattr(SceneStream, "gather", gather_spy)
+        monkeypatch.setattr(SceneStream, "scene", scene_spy)
         gc.disable()
         try:
             result = run_stage1(tiny_config(stage={"steps": 3}))
-            assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
+            # the stream and the one block of each of its 6 scene calls
+            assert len(refs) == 7 and [ref() for ref in refs] == [None] * 7
         finally:
             gc.enable()
         assert result["records"]
