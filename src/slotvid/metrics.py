@@ -1,11 +1,11 @@
 """Decoupling metrics over attention masks, plus mask rendering and reports.
 
-A mask is one set's [tokens, slots] weight matrix, a 2-D array sliced from
-an aggregator's [sets, tokens, slots] output. Masks are read the way the eye
-reads them: each input token goes to its strongest slot (argmax), and the
-resulting partition is scored against ground truth with the adjusted Rand
-index. Column overlap and row entropy quantify how much slots share tokens
-and how concentrated each token's assignment is.
+A mask is one set's [tokens, slots] weight matrix; each metric scores a stack
+of them, an aggregator's [sets, tokens, slots] output, and returns one value
+per set. Each input token goes to its strongest slot (argmax), and each set's
+partition is scored against its row of the [sets, tokens] ground truth with
+the adjusted Rand index. Column overlap and row entropy quantify how much
+slots share tokens and how concentrated each token's assignment is.
 """
 
 from __future__ import annotations
@@ -21,73 +21,66 @@ class MetricsError(Exception):
     """Invalid metric input or unreadable artifact."""
 
 
-def _weights(mask) -> np.ndarray:
-    arr = np.asarray(mask, dtype=np.float32)
-    if arr.ndim != 2:
-        raise MetricsError("mask must be a [tokens, slots] matrix")
+def _stack(masks) -> np.ndarray:
+    arr = np.asarray(masks, dtype=np.float32)
+    if arr.ndim != 3:
+        raise MetricsError(f"masks must be a [sets, tokens, slots] stack, got shape {arr.shape}")
     return arr
 
 
-def hard_assign(mask) -> np.ndarray:
-    """Argmax slot per input token; ties break toward the lowest slot index."""
-    return np.argmax(_weights(mask), axis=1)
+def hard_assign(masks) -> np.ndarray:
+    """Argmax slot per input token [sets, tokens]; ties break toward the lowest slot index."""
+    return np.argmax(_stack(masks), axis=2)
 
 
-def _comb2(x: int) -> int:
+def _comb2(x):
     return x * (x - 1) // 2
 
 
-def ari(pred, truth) -> float:
-    """Adjusted Rand index from the contingency table of two labelings."""
-    pred = [int(x) for x in np.asarray(pred).reshape(-1)]
-    truth = [int(x) for x in np.asarray(truth).reshape(-1)]
-    n = len(pred)
-    if n != len(truth):
-        raise MetricsError("label vectors differ in length")
-    if n < 2:
+def ari(pred, truth) -> np.ndarray:
+    """Adjusted Rand index of each set's two labelings, rows of [sets, tokens],
+    from its contingency table. The pair sums are exact integers, and their
+    product sum_rows * sum_cols stays exact in float64 up to 13,000 tokens."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.ndim != 2 or pred.shape != truth.shape:
+        raise MetricsError(f"labels must be two [sets, tokens] stacks of one shape, got {pred.shape} and {truth.shape}")
+    s, m = pred.shape
+    if m < 2:
         raise MetricsError("need at least two items")
-    cells: dict = {}
-    rows: dict = {}
-    cols: dict = {}
-    for p, t in zip(pred, truth):
-        cells[(p, t)] = cells.get((p, t), 0) + 1
-        rows[p] = rows.get(p, 0) + 1
-        cols[t] = cols.get(t, 0) + 1
-    index = sum(_comb2(c) for c in cells.values())
-    sum_rows = sum(_comb2(c) for c in rows.values())
-    sum_cols = sum(_comb2(c) for c in cols.values())
-    expected = sum_rows * sum_cols / _comb2(n)
+    p_vals, p = np.unique(pred, return_inverse=True)
+    t_vals, t = np.unique(truth, return_inverse=True)
+    n_p, n_t = len(p_vals), len(t_vals)
+    cells = (np.arange(s)[:, None] * n_p + p.reshape(s, m)) * n_t + t.reshape(s, m)
+    table = np.bincount(cells.ravel(), minlength=s * n_p * n_t).reshape(s, n_p, n_t)
+    index = _comb2(table).sum(axis=(1, 2))
+    sum_rows = _comb2(table.sum(axis=2)).sum(axis=1).astype(np.float64)
+    sum_cols = _comb2(table.sum(axis=1)).sum(axis=1).astype(np.float64)
+    expected = sum_rows * sum_cols / _comb2(m)
     max_index = 0.5 * (sum_rows + sum_cols)
-    if max_index == expected:
-        # both partitions trivial in the same way (all-singletons or one lump)
-        return 1.0
-    return float((index - expected) / (max_index - expected))
+    # both partitions trivial in the same way (all-singletons or one lump) score 1
+    return np.divide(index - expected, max_index - expected, out=np.ones(s), where=max_index != expected)
 
 
-def slot_overlap(mask) -> float:
-    """Mean pairwise cosine similarity between mask columns."""
-    w = _weights(mask)
-    n = w.shape[1]
+def slot_overlap(masks) -> np.ndarray:
+    """Mean pairwise cosine similarity between each set's mask columns; a pair
+    with a zero column scores 0."""
+    w = _stack(masks).astype(np.float64)
+    n = w.shape[2]
     if n < 2:
         raise MetricsError("slot overlap needs at least two slots")
-    cols = w.astype(np.float64).T
-    norms = np.linalg.norm(cols, axis=1)
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = norms[i] * norms[j]
-            total += float(cols[i] @ cols[j] / denom) if denom > 0 else 0.0
-            pairs += 1
-    return total / pairs
+    gram = np.matmul(w.transpose(0, 2, 1), w)
+    norms = np.linalg.norm(w, axis=1)
+    i, j = np.triu_indices(n, 1)
+    denom = norms[:, i] * norms[:, j]
+    return np.divide(gram[:, i, j], denom, out=np.zeros_like(denom), where=denom > 0).mean(axis=1)
 
 
-def mask_entropy(mask) -> float:
-    """Mean over rows of the natural-log entropy of the slot distribution."""
-    w = _weights(mask).astype(np.float64)
+def mask_entropy(masks) -> np.ndarray:
+    """Mean over each set's rows of the natural-log entropy of the slot distribution."""
+    w = _stack(masks).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(w > 0, -w * np.log(w), 0.0)
-    return float(terms.sum(axis=1).mean())
+    return terms.sum(axis=2).mean(axis=1)
 
 
 # -- mask rendering -------------------------------------------------------------------
@@ -135,7 +128,9 @@ def render_masks(masks, out_dir: str) -> list:
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     for branch, group, mask, image_shape in masks:
-        weights = _weights(mask)
+        weights = np.asarray(mask, dtype=np.float32)
+        if weights.ndim != 2:
+            raise MetricsError("mask must be a [tokens, slots] matrix")
         if int(np.prod(image_shape)) != weights.shape[0]:
             raise MetricsError(f"image shape {tuple(image_shape)} does not match {weights.shape[0]} mask rows")
         for slot in range(weights.shape[1]):
@@ -161,6 +156,7 @@ _REPORT_SCALARS = (
     "mask_entropy_fast",
     "probe_acc",
 )
+_REPORT_KEYS = ("connector", "seed", "config_hash", "n_tokens", "scenes") + _REPORT_SCALARS
 
 
 def _number(kind, key: str, text: str):
@@ -210,7 +206,6 @@ class DecouplingReport:
     @classmethod
     def from_text(cls, text: str) -> "DecouplingReport":
         fields: dict = {}
-        per_task: dict = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -218,10 +213,12 @@ class DecouplingReport:
             key, _, value = line.partition(" ")
             if not value:
                 raise MetricsError(f"malformed report line: {line!r}")
-            if key.startswith("probe_acc."):
-                per_task[key.split(".", 1)[1]] = _number(float, key, value)
-            else:
-                fields[key] = value
+            if key not in _REPORT_KEYS and not key.startswith("probe_acc."):
+                raise MetricsError(f"unknown report key: {key!r}")
+            if key in fields:
+                raise MetricsError(f"repeated report key: {key!r}")
+            fields[key] = value
+        per_task = {k.split(".", 1)[1]: _number(float, k, v) for k, v in fields.items() if k.startswith("probe_acc.")}
         try:
             return cls(
                 connector=fields["connector"],

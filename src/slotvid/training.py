@@ -18,7 +18,7 @@ connector and the query-transformer wrapper share the two-branch frame of
 ``connector`` and differ only in their aggregator; both read the batch's
 branch views, the pooling connector its pooling view (``view_names``), and
 the two-branch connectors return their masks as plain arrays [B, groups,
-tokens, slots], which the metrics read directly. A training step stacks the
+tokens, slots], which the metrics score as stacks. A training step stacks the
 views its scenes' records hold (``_stream``, ``_Batch``); evaluation and
 mask rendering derive them from fresh clips (``connector.stack_views``),
 through the same ``connector.clip_views``. Every probe loss and accuracy
@@ -244,6 +244,8 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
 
 def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
     if "meta.adam_t" not in tensors:
+        if any(name.startswith("adam.") for name in tensors):
+            raise CheckpointError("checkpoint has Adam moments but is missing 'meta.adam_t'")
         return
     state.t = _meta_count(tensors, "meta.adam_t")
     for name in trainable:
@@ -524,7 +526,8 @@ def _connector_label(rc: RunConfig, branch: str) -> str:
 
 def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
                    tag: str = "heldout") -> DecouplingReport:
-    """Decoupling metrics and probe accuracy over a held-out scene stream."""
+    """Decoupling metrics and probe accuracy over a held-out scene stream; each
+    metric scores one [sets, tokens, slots] stack per chunk of 8 scenes and branch."""
     cfg = rc.connector
     branch = run_branch(rc)
     stream = _stream(rc, tag)
@@ -534,12 +537,11 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
         raise TrainingError(f"evaluation needs at least one scene, got {n}")
     frame_idx = uniform_sample_frames(cfg.frames, cfg.slow_frames)
 
-    # each branch's masks are scored against its own ground truth: the object
-    # map of each sampled frame (slow) or the event segments of each pooled
-    # position (fast)
+    # each set's mask is scored against its own truth: the object map of its
+    # sampled frame (slow) or the event segments of its pooled position (fast)
     truth_of = {
-        "slow": lambda truth, i: truth.object_labels[frame_idx[i]].reshape(-1),
-        "fast": lambda truth, k: truth.segment_labels[k],
+        "slow": lambda truth: truth.object_labels[frame_idx].reshape(len(frame_idx), -1),
+        "fast": lambda truth: truth.segment_labels,
     }
     scores = {br: {"ari": [], "overlap": [], "entropy": []} for br in truth_of}
     task_hits = {task: 0 for task in TASKS}
@@ -558,19 +560,17 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
         for br, masks in (("slow", slow_masks), ("fast", fast_masks)):
             if masks is None:
                 continue
+            stack = masks.reshape(-1, *masks.shape[2:])  # [scenes·groups, tokens, slots]
+            truth = np.concatenate([truth_of[br](scene_truth) for _, _, scene_truth in scenes])
             score = scores[br]
-            for (_, _, truth), set_masks in zip(scenes, masks):
-                per_set_ari = []
-                for i, mask in enumerate(set_masks):
-                    per_set_ari.append(ari(hard_assign(mask), truth_of[br](truth, i)))
-                    if mask.shape[1] >= 2:
-                        score["overlap"].append(slot_overlap(mask))
-                    score["entropy"].append(mask_entropy(mask))
-                score["ari"].append(float(np.mean(per_set_ari)))
+            score["ari"].append(ari(hard_assign(stack), truth).reshape(len(scenes), -1).mean(axis=1))
+            if stack.shape[2] >= 2:
+                score["overlap"].append(slot_overlap(stack))
+            score["entropy"].append(mask_entropy(stack))
 
     def mean_opt(br, key):
         vals = scores[br][key]
-        return float(np.mean(vals)) if vals else None
+        return float(np.mean(np.concatenate(vals))) if vals else None
 
     per_task = {task: task_hits[task] / n for task in TASKS}
     return DecouplingReport(

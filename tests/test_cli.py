@@ -106,6 +106,24 @@ class TestConfigErrors:
                      "--resume", broken]) == 3
         assert name in capsys.readouterr().err
 
+    def test_resume_adam_moments_without_count_exits_3(self, tmp_path, capsys):
+        # moments without their step count once resumed with fresh moments
+        # and an Adam count of 0, and exit 0
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        tensors = load_checkpoint(str(tmp_path / "a" / "checkpoint.sfsl"))
+        assert any(name.startswith("adam.m.") for name in tensors)
+        del tensors["meta.adam_t"]
+        broken = str(tmp_path / "broken.sfsl")
+        save_checkpoint(tensors, broken)
+        capsys.readouterr()
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "b"),
+                     "--resume", broken]) == 3
+        assert "meta.adam_t" in capsys.readouterr().err
+        # a checkpoint with neither moments nor count resumes with fresh ones
+        save_checkpoint({k: v for k, v in tensors.items() if not k.startswith("adam.")}, broken)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "c"), "--resume", broken]) == 0
+
     @pytest.mark.parametrize("command, key, value", [("pretrain", "slow.wq", np.nan), ("eval", "slow.wq", np.nan),
                                                      ("pretrain", "adam.m.slow.wq", np.nan),
                                                      ("pretrain", "adam.v.slow.wq", np.inf)])

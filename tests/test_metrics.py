@@ -55,92 +55,210 @@ def canonical_partitions(n, max_labels):
     return out
 
 
+def ari_reference(pred, truth):
+    """One set's ARI by the single-set formula: a dict contingency table and
+    exact integer pair sums."""
+    cells, rows, cols = {}, {}, {}
+    for p, t in zip(pred.tolist(), truth.tolist()):
+        cells[(p, t)] = cells.get((p, t), 0) + 1
+        rows[p] = rows.get(p, 0) + 1
+        cols[t] = cols.get(t, 0) + 1
+    index = sum(c * (c - 1) // 2 for c in cells.values())
+    sum_rows = sum(c * (c - 1) // 2 for c in rows.values())
+    sum_cols = sum(c * (c - 1) // 2 for c in cols.values())
+    n = len(pred)
+    expected = sum_rows * sum_cols / (n * (n - 1) // 2)
+    max_index = 0.5 * (sum_rows + sum_cols)
+    if max_index == expected:
+        return 1.0
+    return float((index - expected) / (max_index - expected))
+
+
+def overlap_reference(mask):
+    """One set's mean pairwise column cosine, pair by pair."""
+    cols = mask.astype(np.float64).T
+    norms = np.linalg.norm(cols, axis=1)
+    total, pairs = 0.0, 0
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            denom = norms[i] * norms[j]
+            total += float(cols[i] @ cols[j] / denom) if denom > 0 else 0.0
+            pairs += 1
+    return total / pairs
+
+
+def entropy_reference(mask):
+    w = mask.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0, -w * np.log(w), 0.0)
+    return float(terms.sum(axis=1).mean())
+
+
+def random_masks(rng, sets, tokens, slots):
+    w = rng.random((sets, tokens, slots)).astype(np.float32) ** 4
+    return (w / w.sum(axis=2, keepdims=True)).astype(np.float32)
+
+
 class TestHardAssign:
     def test_one_hot_rows(self):
-        mask = np.eye(3, dtype=np.float32)[[2, 0, 1, 1]]
-        np.testing.assert_array_equal(hard_assign(mask), [2, 0, 1, 1])
+        masks = np.eye(3, dtype=np.float32)[[[2, 0, 1, 1], [0, 0, 2, 1]]]
+        np.testing.assert_array_equal(hard_assign(masks), [[2, 0, 1, 1], [0, 0, 2, 1]])
 
     def test_uniform_row_ties_to_lowest(self):
-        assert hard_assign(np.full((1, 4), 0.25, dtype=np.float32))[0] == 0
+        assert hard_assign(np.full((2, 1, 4), 0.25, dtype=np.float32)).tolist() == [[0], [0]]
 
     def test_simple_argmax(self):
-        assert hard_assign(np.array([[0.2, 0.5, 0.3]], dtype=np.float32))[0] == 1
+        assert hard_assign(np.array([[[0.2, 0.5, 0.3]]], dtype=np.float32)).tolist() == [[1]]
+
+    def test_matches_per_set_argmax(self):
+        masks = random_masks(np.random.default_rng(1), 7, 12, 5)
+        want = np.stack([np.argmax(mask, axis=1) for mask in masks])
+        np.testing.assert_array_equal(hard_assign(masks), want)
 
 
 class TestAri:
     def test_identical_labels(self):
-        assert ari([0, 0, 1, 1, 2], [0, 0, 1, 1, 2]) == 1.0
+        assert ari([[0, 0, 1, 1, 2]], [[0, 0, 1, 1, 2]]).tolist() == [1.0]
 
     def test_single_cluster_vs_multi_is_zero(self):
-        assert ari([0, 0, 0, 0], [0, 0, 1, 1]) == 0.0
+        assert ari([[0, 0, 0, 0]], [[0, 0, 1, 1]]).tolist() == [0.0]
 
     def test_label_permutation_invariance(self):
-        assert ari([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
+        assert ari([[0, 0, 1, 1]], [[1, 1, 0, 0]]).tolist() == [1.0]
         assert pair_ari_oracle([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
 
     def test_matches_pair_oracle_on_canonical_partitions(self):
-        # exhaustive over canonical label strings; raw vectors reduce to these
-        # by the relabeling invariance checked separately
+        # exhaustive over canonical label strings, one stack per length;
+        # raw vectors reduce to these by the relabeling invariance checked
+        # separately
         for n in range(2, 7):
-            parts = canonical_partitions(n, 3)
-            for p in parts:
-                for t in parts:
-                    assert ari(p, t) == pytest.approx(pair_ari_oracle(p, t), abs=1e-12)
+            pairs = [(p, t) for p in canonical_partitions(n, 3) for t in canonical_partitions(n, 3)]
+            scores = ari([p for p, _ in pairs], [t for _, t in pairs])
+            want = [pair_ari_oracle(p, t) for p, t in pairs]
+            np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
 
     def test_relabeling_never_changes_score(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(2, 9))
-            pred = rng.integers(0, 3, size=n)
-            truth = rng.integers(0, 3, size=n)
+            pred = rng.integers(0, 3, size=(4, n))
+            truth = rng.integers(0, 3, size=(4, n))
             relabel = rng.permutation(3)
-            assert ari(pred, truth) == pytest.approx(ari(relabel[pred], truth), abs=1e-12)
+            np.testing.assert_allclose(ari(pred, truth), ari(relabel[pred], truth), rtol=0, atol=1e-12)
 
     def test_range_bound(self):
         rng = np.random.default_rng(6)
-        for _ in range(200):
+        for _ in range(20):
             n = int(rng.integers(2, 10))
-            score = ari(rng.integers(0, 3, size=n), rng.integers(0, 3, size=n))
-            assert -0.5 - 1e-9 <= score <= 1.0 + 1e-9
+            scores = ari(rng.integers(0, 3, size=(10, n)), rng.integers(0, 3, size=(10, n)))
+            assert ((-0.5 - 1e-9 <= scores) & (scores <= 1.0 + 1e-9)).all()
+
+    def test_sets_with_their_own_alphabets_match_the_oracle(self):
+        # a label present in one set must not enter another set's table
+        pred = np.array([[0, 0, 1, 1, 2, 2], [7, 7, 7, -4, -4, 9], [0, 1, 0, 1, 0, 1]])
+        truth = np.array([[5, 5, 6, 6, 6, 6], [0, 0, 0, 1, 1, 1], [2**40, 2**40, 3, 3, -1, -1]])
+        want = [pair_ari_oracle(p.tolist(), t.tolist()) for p, t in zip(pred, truth)]
+        np.testing.assert_allclose(ari(pred, truth), want, rtol=0, atol=1e-12)
+        for k in range(len(pred)):
+            assert ari(pred[k:k + 1], truth[k:k + 1])[0] == ari(pred, truth)[k]
+
+    @pytest.mark.parametrize("pred, truth, want", [
+        ([0, 0, 0, 0], [3, 3, 3, 3], 1.0),  # one lump against one lump
+        ([0, 1, 2, 3], [9, 8, 7, 6], 1.0),  # all singletons against all singletons
+        ([0, 0, 0, 0], [0, 1, 2, 3], 0.0),  # one lump against all singletons
+        ([0, 1, 2, 3], [5, 5, 5, 5], 0.0),  # a single truth class
+        ([0, 0], [1, 2], 0.0),  # two tokens
+        ([0, 1], [1, 0], 1.0),
+        ([-3, -3, 2**50, 2**50], [-(2**40), -(2**40), 0, 0], 1.0),  # negative and large ids
+    ], ids=["lump", "singletons", "lump-singletons", "one-truth-class", "two-tokens-0", "two-tokens-1",
+            "negative-large-ids"])
+    def test_degenerate_sets(self, pred, truth, want):
+        assert pair_ari_oracle(pred, truth) == want
+        # alone and beside a set with other labels
+        assert ari([pred], [truth]).tolist() == [want]
+        other = list(range(len(pred)))
+        assert ari([other, pred], [[0] * len(pred), truth])[1] == want
+
+    def test_bit_equal_to_the_per_set_formula(self):
+        rng = np.random.default_rng(11)
+        for sets, tokens, slots in ((64, 256, 8), (128, 32, 4), (5, 2, 2), (9, 17, 3)):
+            pred = hard_assign(random_masks(rng, sets, tokens, slots))
+            truth = rng.integers(-2, int(rng.integers(1, 6)), size=(sets, tokens))
+            want = [ari_reference(p, t) for p, t in zip(pred, truth)]
+            assert ari(pred, truth).tolist() == want
 
     def test_length_mismatch(self):
         with pytest.raises(MetricsError):
-            ari([0, 1], [0, 1, 2])
+            ari([[0, 1]], [[0, 1, 2]])
+        with pytest.raises(MetricsError):
+            ari([[0, 1], [1, 0]], [[0, 1]])
+
+    def test_labels_must_be_a_stack(self):
+        with pytest.raises(MetricsError):
+            ari([0, 1, 1], [0, 1, 1])
+        with pytest.raises(MetricsError):
+            ari(np.zeros((2, 2, 3), int), np.zeros((2, 2, 3), int))
 
     def test_too_short(self):
         with pytest.raises(MetricsError):
-            ari([0], [0])
+            ari([[0]], [[0]])
 
 
 class TestSlotOverlap:
     def test_orthogonal_one_hot_columns(self):
-        assert slot_overlap(np.eye(3, dtype=np.float32)) == 0.0
+        assert slot_overlap(np.eye(3, dtype=np.float32)[None]).tolist() == [0.0]
 
     def test_identical_columns(self):
         mask = np.tile(np.array([[0.5], [0.25]], dtype=np.float32), (1, 3))
-        assert slot_overlap(mask) == pytest.approx(1.0, abs=1e-6)
+        np.testing.assert_allclose(slot_overlap(np.stack([mask, mask])), [1.0, 1.0], atol=1e-6)
 
     def test_cosine_formula_oracle(self):
-        mask = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.float32)
-        assert slot_overlap(mask) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+        mask = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=np.float32)
+        np.testing.assert_allclose(slot_overlap(mask), [1.0 / math.sqrt(2.0)], atol=1e-6)
+
+    def test_zero_column_pairs_score_zero(self):
+        # slot 2 takes no token: its two pairs score 0, the third pair 1
+        mask = np.array([[[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]], dtype=np.float32)
+        np.testing.assert_allclose(slot_overlap(mask), [1.0 / 3.0], rtol=1e-15)
+
+    def test_agrees_with_the_per_set_formula(self):
+        rng = np.random.default_rng(12)
+        for sets, tokens, slots in ((64, 256, 8), (128, 32, 4), (3, 5, 2)):
+            masks = random_masks(rng, sets, tokens, slots)
+            want = [overlap_reference(mask) for mask in masks]
+            np.testing.assert_allclose(slot_overlap(masks), want, rtol=0, atol=1e-15)
 
     def test_needs_two_slots(self):
         with pytest.raises(MetricsError):
-            slot_overlap(np.ones((3, 1), dtype=np.float32))
+            slot_overlap(np.ones((2, 3, 1), dtype=np.float32))
 
 
 class TestMaskEntropy:
     def test_one_hot_rows_zero(self):
-        assert mask_entropy(np.eye(4, dtype=np.float32)) == 0.0
+        assert mask_entropy(np.eye(4, dtype=np.float32)[None]).tolist() == [0.0]
 
     def test_uniform_rows_log_n(self):
         for n in (2, 3, 8):
-            mask = np.full((5, n), 1.0 / n, dtype=np.float32)
-            assert mask_entropy(mask) == pytest.approx(math.log(n), abs=1e-6)
+            masks = np.full((3, 5, n), 1.0 / n, dtype=np.float32)
+            np.testing.assert_allclose(mask_entropy(masks), [math.log(n)] * 3, atol=1e-6)
 
     def test_half_half_closed_form(self):
-        val = mask_entropy(np.array([[0.5, 0.5]], dtype=np.float64))
-        assert val == pytest.approx(math.log(2.0), abs=1e-9)
+        val = mask_entropy(np.array([[[0.5, 0.5]]], dtype=np.float64))
+        np.testing.assert_allclose(val, [math.log(2.0)], atol=1e-9)
+
+    def test_bit_equal_to_the_per_set_formula(self):
+        rng = np.random.default_rng(13)
+        for sets, tokens, slots in ((64, 256, 8), (128, 32, 4), (3, 5, 1)):
+            masks = random_masks(rng, sets, tokens, slots)
+            masks[0, 0] = 0.0
+            assert mask_entropy(masks).tolist() == [entropy_reference(mask) for mask in masks]
+
+
+@pytest.mark.parametrize("metric", [hard_assign, slot_overlap, mask_entropy])
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4, 2, 2), (4,)])
+def test_masks_must_be_a_stack(metric, shape):
+    with pytest.raises(MetricsError, match="sets, tokens, slots"):
+        metric(np.full(shape, 0.5, dtype=np.float32))
 
 
 class TestRendering:
@@ -271,3 +389,20 @@ class TestReports:
         lines = [ln for ln in self._report().to_text().splitlines() if ln.split()[0] != key]
         with pytest.raises(MetricsError, match=key.replace(".", r"\.")):
             DecouplingReport.from_text("\n".join(lines + [line]) + "\n")
+
+    @pytest.mark.parametrize("line", ["spatial_arii 0.9", "probe_ac 0.5", "Seed 7"])
+    def test_unknown_key_rejected(self, line):
+        # a typo once vanished and `slotvid compare` printed the rest as whole
+        with pytest.raises(MetricsError, match=line.split()[0]):
+            DecouplingReport.from_text(self._report().to_text() + line + "\n")
+
+    @pytest.mark.parametrize("line", ["spatial_ari 0.7", "seed 8", "probe_acc.occupancy 0.1"])
+    def test_repeated_key_rejected(self, line):
+        # a second line once overwrote the first
+        key = line.split()[0]
+        with pytest.raises(MetricsError, match=key.replace(".", r"\.")):
+            DecouplingReport.from_text(self._report().to_text() + line + "\n")
+
+    def test_any_task_name_allowed(self):
+        rep = self._report(probe_acc_per_task={"new_task": 0.25, "occupancy": 0.5})
+        assert DecouplingReport.from_text(rep.to_text()) == rep

@@ -247,14 +247,14 @@ class TestInputSpaceRead:
 
 
 class TestMaskTypes:
-    def test_mask_must_be_2d(self):
-        # forward_batch returns a plain [B, M, N] array; metrics read one set at a time
+    def test_mask_is_a_metric_stack(self):
+        # forward_batch returns a plain [B, M, N] array, the stack the metrics score
         p = make_params(13, n_slots=2, d_in=3, d_slot=4)
         _, mask = forward_batch(Value(engine.normal(engine.rng_for(13, "inputs"), (2, 5, 3))), p)
         assert type(mask) is np.ndarray and mask.dtype == np.float32 and mask.shape == (2, 5, 2)
-        assert hard_assign(mask[0]).shape == (5,)
+        assert hard_assign(mask).shape == (2, 5)
         with pytest.raises(MetricsError):
-            hard_assign(mask)
+            hard_assign(mask[0])
 
     def test_initial_slots_distinct(self):
         p = make_params(13, n_slots=8, d_in=3, d_slot=16)

@@ -184,6 +184,6 @@ class TestJointInvariants:
 
         spec = static_spec(k=3)
         _, truth = gen_scene(spec)
-        labels = truth.object_labels[0].reshape(-1)
+        labels = truth.object_labels.reshape(len(truth.object_labels), -1)
         onehot = np.eye(4, dtype=np.float32)[labels]
-        assert ari(hard_assign(onehot), labels) == 1.0
+        assert ari(hard_assign(onehot), labels).tolist() == [1.0] * len(labels)

@@ -633,6 +633,22 @@ class TestEvaluate:
         assert 0.0 <= report.probe_acc <= 1.0
         assert set(report.probe_acc_per_task) == {"object_count", "event_count", "occupancy"}
 
+    def test_each_metric_scores_one_stack_per_chunk_and_branch(self, monkeypatch):
+        # 9 scenes run as chunks of 8 and 1; the benchmark tracer's span
+        # predictions for eval read these names in this module
+        rc = tiny_config(data={"n_heldout_scenes": 9},
+                         stage={"stage": 3, "branch": "both", "steps": 0,
+                                "init_slow_checkpoint": None, "init_fast_checkpoint": None})
+        calls = {}
+        for name in ("ari", "hard_assign", "slot_overlap", "mask_entropy"):
+            def counted(*args, _name=name, _fn=getattr(training, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(training, name, counted)
+        report = evaluate_model(rc, build_model(rc))
+        assert report.scenes == 9 and report.spatial_ari is not None and report.temporal_ari is not None
+        assert calls == {"ari": 4, "hard_assign": 4, "slot_overlap": 4, "mask_entropy": 4}
+
     def test_checkpoint_eval_round_trip(self, tmp_path):
         rc = tiny_config(stage={"steps": 2})
         result = run_stage1(rc, out_dir=str(tmp_path))
