@@ -1,4 +1,4 @@
-"""Command-line surface: data generation, training stages, evaluation, viz.
+"""Command-line surface: training stages, evaluation, viz.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/training error.
 All randomness flows from the single config seed; SFSL_THREADS (default 1)
@@ -13,9 +13,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, load_config, write_effective_config
 from .connector import ConnectorError, stack_views
 from .engine import EngineError, no_grad
@@ -49,10 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory" + (" (required)" if needs_out else ""))
         return p
-
-    p = common(sub.add_parser("gen-data", help="export scenes as tensor containers"))
-    p.add_argument("--count", type=int, default=8, help="number of scenes to export")
-    p.add_argument("--split", default="train", choices=("train", "heldout"))
 
     for name, help_text in (
         ("pretrain", "stage 1: feature-reconstruction pretraining of one branch"),
@@ -91,27 +85,6 @@ def _non_negative(args, name: str) -> int:
 
 def _load(args):
     return load_config(args.config, seed=args.seed, out=getattr(args, "out", None))
-
-
-def _cmd_gen_data(args) -> int:
-    count = _non_negative(args, "count")
-    rc = _load(args)
-    out_dir = _require_out(args)
-    os.makedirs(out_dir, exist_ok=True)
-    write_effective_config(rc, out_dir)
-    stream = _stream(rc, args.split)
-    for i in range(count):
-        spec, video, truth = stream.scene(i)
-        tensors = {
-            "features": video.grid,
-            "object_labels": truth.object_labels.astype(np.float32),
-            "segment_labels": truth.segment_labels.astype(np.float32),
-            "object_ids": np.asarray(spec.object_ids, dtype=np.float32),
-            "meta.k_objects": np.float32(spec.k_objects),
-        }
-        save_checkpoint(tensors, os.path.join(out_dir, f"scene_{i:05d}.sfsl"))
-    print(f"wrote {count} scene containers to {out_dir}")
-    return 0
 
 
 def _cmd_train(args, runner) -> int:
@@ -178,7 +151,6 @@ def _cmd_compare(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {
-        "gen-data": _cmd_gen_data,
         "pretrain": lambda a: _cmd_train(a, run_stage1),
         "tune": lambda a: _cmd_train(a, run_stage2),
         "joint": lambda a: _cmd_train(a, run_stage3),

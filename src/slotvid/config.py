@@ -200,7 +200,8 @@ def from_dict(user: dict) -> RunConfig:
     sigma = _number(data, "data", "sigma")
     _require(sigma >= 0.0, "data.sigma must be >= 0")
 
-    _require(_is_int(merged["seed"]), "seed must be an integer")
+    _require(_is_int(merged["seed"]) and 0 <= merged["seed"] < 2**64,
+             f"seed must be an integer in [0, 2**64), got {merged['seed']!r}")
     _require(merged["out"] is None or isinstance(merged["out"], str), "out must be a string path")
 
     connector_cfg = _build(ConnectorConfig, conn)
@@ -210,6 +211,8 @@ def from_dict(user: dict) -> RunConfig:
         ranges.validate()
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
+    _require(ranges.k_events[0] <= connector_cfg.frames, f"data.k_events starts at {ranges.k_events[0]}"
+             f" events, more than connector.frames ({connector_cfg.frames}) can hold")
     stage["frames_per_scene"] = min(stage["frames_per_scene"], connector_cfg.slow_frames)
     stage["positions_per_scene"] = min(stage["positions_per_scene"], connector_cfg.n_positions)
 

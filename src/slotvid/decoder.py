@@ -158,4 +158,4 @@ def recon_loss(predicted: Value, target: Value) -> Value:
             f"recon_loss shapes differ: {predicted.data.shape} vs {target.data.shape}"
         )
     diff = engine.sub(predicted, target)
-    return engine.mul(diff, diff).mean()
+    return engine.vmean(engine.mul(diff, diff))

@@ -15,7 +15,7 @@ Hot composites are fused into single nodes with analytic backwards:
 ``cross_attention_block`` and ``self_attention_block``, and
 ``slot_attention``, every iteration of slot attention in one node. The
 blocks evaluate the same products, sums and softmaxes in the same order as
-the same computations composed from primitive ops (the references in
+the same computations composed from graph ops (the references in
 ``tests/test_fused_ops.py``), so their values are identical; their
 backwards sum in their own order, so gradients may differ from the
 composites' in the last bits. The attention nodes take the raw inputs and
@@ -39,6 +39,10 @@ axes these ops reduce. These sums round differently from numpy's
 reductions, so values equal a composite's only when that takes the same
 sums. Fusing drops intermediate nodes, never the finite check on an op's
 output; the attention nodes check their attention too.
+
+Each op has one spelling, its function; ``Value`` has no operator forms.
+Graph ops that only the tests build (``matmul``, ``transpose``, ``vsum``,
+the softmax and the nonlinearities) live in ``tests/gradcheck.py``.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -144,43 +148,6 @@ class Value:
     def zero_grad(self) -> None:
         self._grad = None
 
-    # -- convenience operators ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return vmean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         return f"Value(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -271,26 +238,6 @@ def scale(a, c: float) -> Value:
     return _node(a.data * c32, (a,), backward)
 
 
-def matmul(a, b) -> Value:
-    """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}"
-        )
-
-    def backward(g, adj):
-        # a constant operand's adjoint would be dropped by _send: skip the product
-        if a.requires_grad:
-            _send(adj, a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            _send(adj, b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-
-    return _node(np.matmul(a.data, b.data), (a, b), backward)
-
-
 def _sigmoid_data(x: np.ndarray, k=np.float32(1.0)) -> np.ndarray:
     # 1 / (1 + exp(-k x)) in four passes, the last three in place. Where
     # exp(-k x) overflows to inf the result is the exact limit 0; where it
@@ -329,23 +276,6 @@ def _norm_axes(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
-def vsum(a, axis=None, keepdims=False) -> Value:
-    a = _coerce(a)
-    axes = _norm_axes(axis, a.ndim)
-    out_data = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def backward(g, adj):
-        gg = g
-        if not keepdims:
-            shp = list(a.data.shape)
-            for ax in axes:
-                shp[ax] = 1
-            gg = g.reshape(shp)
-        _send(adj, a, np.broadcast_to(gg, a.data.shape).astype(DTYPE, copy=False))
-
-    return _node(out_data, (a,), backward)
-
-
 def vmean(a, axis=None, keepdims=False) -> Value:
     a = _coerce(a)
     axes = _norm_axes(axis, a.ndim)
@@ -375,17 +305,6 @@ def reshape(a, shape) -> Value:
         _send(adj, a, g.reshape(a.data.shape))
 
     return _node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a, axes) -> Value:
-    a = _coerce(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward(g, adj):
-        _send(adj, a, g.transpose(inv))
-
-    return _node(a.data.transpose(axes), (a,), backward)
 
 
 def concat(values, axis=0) -> Value:
@@ -755,8 +674,9 @@ def _head_folds(heads: int, wq, wk, wv, wo):
 def _head_fold_grads(g_wqk, g_wvo, heads: int, wq, wk, wv, wo) -> tuple:
     """Adjoints of ``wq``, ``wk``, ``wv`` and ``wo`` from those of the folds
     (None for a fold without one). Each product and layout is that of the
-    primitive ops' backwards (``scale``, ``reshape``, ``transpose``,
-    ``matmul``) over the same fold, so the adjoints equal theirs bit for bit."""
+    graph ops' backwards over the same fold (``scale`` and ``reshape`` here,
+    ``transpose`` and ``matmul`` in ``tests/gradcheck.py``), so the adjoints
+    equal theirs bit for bit."""
     (d_in, dq), dh = wk.shape, wq.shape[0] // heads
     g_wq = g_wk = g_wv = g_wo = None
     if g_wqk is not None:
@@ -1294,15 +1214,13 @@ def clip_global_norm(params: Mapping[str, Value], max_norm: float) -> float:
 
 
 def rng_for(seed: int, *path) -> np.random.Generator:
-    """Counter-based generator for ``(seed, path)``; independent per path."""
-    keys = [int(seed) & 0xFFFFFFFFFFFFFFFF]
-    for part in path:
-        if isinstance(part, str):
-            keys.append(zlib.crc32(part.encode("utf-8")))
-        else:
-            keys.append(int(part) & 0xFFFFFFFFFFFFFFFF)
-    ss = np.random.SeedSequence(keys)
-    return np.random.Generator(np.random.Philox(ss))
+    """Counter-based generator for ``(seed, path)``; independent per path. Each integer
+    key is one word of the seed sequence, so one outside [0, 2**64) raises."""
+    keys = [int(seed)] + [zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p) for p in path]
+    for key in keys:
+        if not 0 <= key < 2**64:
+            raise EngineError(f"random key {key} is outside [0, 2**64)")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
 
 
 def normal(rng: np.random.Generator, shape, std: float = 1.0) -> np.ndarray:

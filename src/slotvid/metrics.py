@@ -102,20 +102,6 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
-def parse_pgm(path: str) -> np.ndarray:
-    """Read back a binary PGM written by :func:`write_pgm`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise MetricsError(f"not a maxval-255 P5 file: {path}")
-    w, h = (int(x) for x in parts[1].split())
-    payload = parts[3]
-    if len(payload) != w * h:
-        raise MetricsError(f"truncated PGM payload in {path}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-
-
 def render_masks(masks, out_dir: str) -> list:
     """Write one PGM per slot per mask group plus a plain-text index.
 

@@ -138,6 +138,8 @@ def make_scene_spec(
 ) -> SceneSpec:
     """Draw one scene specification; all K objects stay visible in every segment."""
     ranges.validate()
+    if t < ranges.k_events[0]:
+        raise SceneError(f"{t} frames cannot hold {ranges.k_events[0]} events")
     k = int(rng.integers(ranges.k_objects[0], ranges.k_objects[1] + 1))
     ids = tuple(int(x) for x in rng.choice(np.arange(1, ranges.n_object_ids + 1), size=k, replace=False))
     ext_hi = min(ranges.extent[1], min(h, w))

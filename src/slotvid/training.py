@@ -99,7 +99,7 @@ class ProbeParams:
 
     def logits(self, tokens: Value) -> dict:
         """Each task's logits [B, classes] from the tokens [B, N, D], by task."""
-        pooled = tokens.mean(axis=1)
+        pooled = engine.vmean(tokens, axis=1)
         return {task: engine.linear(pooled, w, b) for task, (w, b) in self.heads.items()}
 
     def named(self) -> dict:
@@ -268,8 +268,8 @@ def _stream(rc: RunConfig, tag: str, views: tuple | None = None) -> SceneStream:
     ``n_train_scenes`` indices. Its stream is given ``views``, the names of
     the views its steps read, and keeps those views of each of its scenes,
     and its probe labels, but no grid or label map (``SceneStream``).
-    Without ``views`` the stream renders each scene afresh, for evaluation,
-    viz and gen-data, which read each scene once.
+    Without ``views`` the stream renders each scene afresh, for evaluation
+    and viz, which read each scene once.
     """
     cfg = rc.connector
     return SceneStream(

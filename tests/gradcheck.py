@@ -1,4 +1,16 @@
-"""Central finite-difference gradient checking and reference-only ops, shared by the test modules."""
+"""Central finite-difference gradient checking and reference-only graph ops, shared by the test modules.
+
+The library computes these ops inside its fused nodes and never builds them
+as nodes of their own: ``matmul``, ``transpose`` and ``vsum``, the
+elementwise ``sigmoid``, ``exp``, ``smooth_ramp``, ``relu``, ``tanh`` and
+``recip``, and ``softmax_axis``. They are built on the engine's ``_node``,
+``_send``, ``_unbroadcast``, ``_coerce`` and ``_norm_axes``, and they keep
+the arithmetic of the library's own forms, so the composite references built
+from them (``reference_gru`` here, the rest in ``test_fused_ops.py``) equal
+the fused nodes bit for bit where those take the same sums. ``gru_node`` and
+``slot_read_node`` wrap the slot-attention node's kernels as nodes of their
+own.
+"""
 
 from functools import partial
 
@@ -64,6 +76,52 @@ def recip(a):
 # the op-level tests build them as graph nodes of their own.
 
 
+def matmul(a, b):
+    """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
+    a, b = engine._coerce(a), engine._coerce(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise engine.ShapeError("matmul operands must have rank >= 2")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise engine.ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
+
+    def backward(g, adj):
+        # a constant operand's adjoint would be dropped by _send: skip the product
+        if a.requires_grad:
+            engine._send(adj, a, engine._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            engine._send(adj, b, engine._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+
+    return engine._node(np.matmul(a.data, b.data), (a, b), backward)
+
+
+def transpose(a, axes):
+    a = engine._coerce(a)
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+
+    def backward(g, adj):
+        engine._send(adj, a, g.transpose(inv))
+
+    return engine._node(a.data.transpose(axes), (a,), backward)
+
+
+def vsum(a, axis=None, keepdims=False):
+    a = engine._coerce(a)
+    axes = engine._norm_axes(axis, a.ndim)
+    out_data = a.data.sum(axis=axes, keepdims=keepdims)
+
+    def backward(g, adj):
+        gg = g
+        if not keepdims:
+            shp = list(a.data.shape)
+            for ax in axes:
+                shp[ax] = 1
+            gg = g.reshape(shp)
+        engine._send(adj, a, np.broadcast_to(gg, a.data.shape).astype(engine.DTYPE, copy=False))
+
+    return engine._node(out_data, (a,), backward)
+
+
 def _unary(fwd, deriv):
     def op(a):
         a = engine._coerce(a)
@@ -111,9 +169,9 @@ def softmax_axis(a, axis):
 def reference_gru(h, x, p):
     """Composite gated update h' = h + z * (c - h), z and r sigmoid gates and c the
     tanh candidate, in the order of the slot-attention node's ``_gru_rows``."""
-    z = sigmoid(engine.add(engine.matmul(h, p.uz), engine.add(engine.matmul(x, p.wz), p.bz)))
-    r = sigmoid(engine.add(engine.matmul(h, p.ur), engine.add(engine.matmul(x, p.wr), p.br)))
-    cand = tanh(engine.add(engine.matmul(engine.mul(r, h), p.uh), engine.add(engine.matmul(x, p.wh), p.bh)))
+    z = sigmoid(engine.add(matmul(h, p.uz), engine.add(matmul(x, p.wz), p.bz)))
+    r = sigmoid(engine.add(matmul(h, p.ur), engine.add(matmul(x, p.wr), p.br)))
+    cand = tanh(engine.add(matmul(engine.mul(r, h), p.uh), engine.add(matmul(x, p.wh), p.bh)))
     return engine.add(h, engine.mul(z, engine.sub(cand, h)))
 
 

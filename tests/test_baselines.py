@@ -20,16 +20,14 @@ from slotvid.engine import (
     add,
     broadcast_to,
     layer_norm,
-    matmul,
     mul,
     reshape,
     scale,
-    transpose,
 )
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.training import build_model, forward_masks
 
-from gradcheck import smooth_ramp, softmax_axis
+from gradcheck import matmul, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_video(seed, cfg, frames=None):
@@ -235,7 +233,7 @@ class TestInputSpaceRead:
         for fwd in (query_transformer_batch, _keys_values_query_transformer):
             engine.zero_grads(leaves)
             tokens, mask = fwd(inputs, p)
-            engine.backward(mul(tokens, probe).sum())
+            engine.backward(vsum(mul(tokens, probe)))
             runs.append((tokens.data, mask, {k: v.grad.copy() for k, v in leaves.items()}))
         (tokens, mask, grads), (want_tokens, want_mask, want_grads) = runs
         assert mask.dtype == np.float32 and mask.shape == want_mask.shape == (b, m, nq)

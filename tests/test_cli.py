@@ -7,9 +7,10 @@ import pytest
 
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.cli import main
-from slotvid.metrics import DecouplingReport, parse_pgm
+from slotvid.metrics import DecouplingReport
 
 from test_checkpoint import MALFORMED, sealed
+from test_metrics import parse_pgm
 
 
 TINY = {
@@ -229,7 +230,9 @@ class TestConfigErrors:
         ("stage", "batch_size", True), ("stage", "log_every", 2.0), ("data", "n_train_scenes", "6"),
         ("data", "k_objects", [2, 4.5]), ("data", "k_events", ["2", 2]), ("data", "extent", [True, 2]),
         ("connector", "slot_dim", "8"), ("connector", "qt_heads", True),
-        ("seed", None, True), ("seed", None, "11"), ("stage", "init_checkpoint", 0),
+        # a seed is one 64-bit word of every generator's key, so -1 and 2**64 would alias others
+        ("seed", None, True), ("seed", None, "11"), ("seed", None, -1), ("seed", None, 2**64),
+        ("stage", "init_checkpoint", 0),
         ("stage", "init_slow_checkpoint", 5), ("stage", "init_fast_checkpoint", ["a.sfsl"]),
     ])
     def test_non_numeric_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -238,6 +241,13 @@ class TestConfigErrors:
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         where = section if key is None else f"{section}.{key}"
         assert f"{where} must be {self.MUST_BE.get(key, 'a number')}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_more_events_than_frames_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, connector={"frames": 3}, data={"k_events": [4, 5]})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "data.k_events" in err and "connector.frames" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     # JSON spells inf as Infinity, and 1e400 parses to inf; either would make
@@ -353,36 +363,10 @@ class TestPipelineCommands:
         ).read_bytes()
 
 
-class TestGenData:
-    def test_writes_loadable_scene_containers(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"),
-                     "--count", "3"]) == 0
-        files = sorted(os.listdir(tmp_path / "data"))
-        scene_files = [f for f in files if f.startswith("scene_")]
-        assert scene_files == ["scene_00000.sfsl", "scene_00001.sfsl", "scene_00002.sfsl"]
-        tensors = load_checkpoint(str(tmp_path / "data" / "scene_00000.sfsl"))
-        assert tensors["features"].shape == (6, 4, 4, 8)
-        assert tensors["object_labels"].shape == (6, 4, 4)
-        assert tensors["segment_labels"].shape == (4, 6)
-
-
-    def test_negative_count_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "-2"]) == 2
-        assert "--count must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "data").exists()
-
-    def test_zero_count_writes_no_scenes(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "0"]) == 0
-        assert os.listdir(tmp_path / "data") == ["effective-config.json"]
-
-
 class TestSceneCache:
     def test_only_the_training_stream_caches(self, tmp_path, monkeypatch):
-        # training cycles through n_train_scenes indices; eval, viz and
-        # gen-data read each scene once, so their streams keep none
+        # training cycles through n_train_scenes indices; eval and viz read
+        # each scene once, so their streams keep none
         from slotvid import training
 
         streams, original = [], training.SceneStream
@@ -398,13 +382,11 @@ class TestSceneCache:
         both = write_config(tmp_path, name="both.json", stage={"branch": "both"})
         assert main(["eval", "--config", both, "--ckpt", ckpt]) == 0
         assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
-        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data"), "--count", "2"]) == 0
         seen = [(s.tag, s.cache_scenes, len(s._cache), {n: b.shape for n, b in s._blocks.items()}) for s in streams]
         # 3 steps of 2 scenes visit all 6 training scenes; the stage-1 slow
         # stream keeps the 2 sampled frames of each, [6, 2, 4 * 4, 8], and
         # nothing else
-        assert seen == [("train", 6, 6, {"slow": (6, 2, 16, 8)}), ("heldout", 0, 0, {}), ("heldout", 0, 0, {}),
-                        ("train", 0, 0, {})]
+        assert seen == [("train", 6, 6, {"slow": (6, 2, 16, 8)}), ("heldout", 0, 0, {}), ("heldout", 0, 0, {})]
 
 
 class TestViz:
@@ -429,6 +411,17 @@ class TestViz:
         assert main(["viz", "--config", cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl"),
                      "--scene", "-1", "--out", str(tmp_path / "viz")]) == 2
         assert "--scene must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "viz").exists()
+
+    def test_scene_beyond_64_bits_exits_3(self, tmp_path, capsys):
+        # the index is one 64-bit word of the scene generator's key
+        cfg = write_config(tmp_path)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        capsys.readouterr()
+        assert main(["viz", "--config", cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl"),
+                     "--scene", str(2**64), "--out", str(tmp_path / "viz")]) == 3
+        err = capsys.readouterr().err
+        assert "outside [0, 2**64)" in err and "Traceback" not in err
         assert not (tmp_path / "viz").exists()
 
     def test_pooling_has_no_masks(self, tmp_path):

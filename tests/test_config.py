@@ -79,6 +79,24 @@ class TestValidation:
         with pytest.raises(ConfigError):
             from_dict({"stage": {"stage": 4}})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits(self, seed):
+        # the generators take a seed as one 64-bit word: -1 would draw what
+        # 2**64 - 1 draws, and 2**70 what 0 draws
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_accepted(self, seed):
+        assert from_dict({"seed": seed}).seed == seed
+
+    def test_more_events_than_frames(self):
+        # each event after the first is a cut between two of the clip's frames
+        with pytest.raises(ConfigError, match=r"data.k_events .*connector.frames \(3\)"):
+            from_dict({"connector": {"frames": 3, "slow_frames": 2}, "data": {"k_events": [4, 5]}})
+        rc = from_dict({"connector": {"frames": 4, "slow_frames": 2}, "data": {"k_events": [4, 5]}})
+        assert rc.data.ranges.k_events == (4, 5)
+
     def test_every_default_materialized(self):
         rc = from_dict({})
         def no_nulls(node, path=""):

@@ -18,7 +18,7 @@ from slotvid.connector import (
 from slotvid.engine import ShapeError, Value
 from slotvid.slot_attention import forward_batch
 
-from gradcheck import fd_check, reference_gru, smooth_ramp
+from gradcheck import fd_check, matmul, reference_gru, smooth_ramp
 
 
 SMALL = ConnectorConfig(
@@ -147,14 +147,14 @@ class TestSlowBranch:
         p = params.slow
         with engine.no_grad():
             xn = engine.layer_norm(Value(frame), p.in_norm_g, p.in_norm_b)
-            v = engine.matmul(xn, p.wv)
+            v = matmul(xn, p.wv)
             u = Value(v.data.sum(axis=0, keepdims=True) / (16.0 + p.eps))
             cur = Value(p.slots.data.copy())
             for _ in range(p.iterations):
                 cur = reference_gru(cur, u, p.gru)
                 pre = engine.layer_norm(cur, p.mlp_norm_g, p.mlp_norm_b)
-                hidden = smooth_ramp(engine.add(engine.matmul(pre, p.mlp_w1), p.mlp_b1))
-                cur = engine.add(cur, engine.add(engine.matmul(hidden, p.mlp_w2), p.mlp_b2))
+                hidden = smooth_ramp(engine.add(matmul(pre, p.mlp_w1), p.mlp_b1))
+                cur = engine.add(cur, engine.add(matmul(hidden, p.mlp_w2), p.mlp_b2))
         np.testing.assert_allclose(slots.data, cur.data, atol=1e-5)
 
     def test_frame_order_moves_provenance_not_content(self):
@@ -181,7 +181,7 @@ class TestSlowBranch:
             slots = Value(slots.data[0])
             with engine.no_grad():
                 expect = engine.add(
-                    engine.matmul(
+                    matmul(
                         engine.add(slots, Value(params.slow_pos.data[i : i + 1])),
                         params.s_proj_w,
                     ),
@@ -318,7 +318,7 @@ class TestConnect:
         tokens, slow, fast = connect_batch(views, cfg, params, branch=branch)
         branch_fn = slow_branch_batch if branch == "slow" else fast_branch_batch
         raw, masks = branch_fn(views[branch], cfg, params)
-        expect = engine.add(engine.matmul(raw, params.proj_w), params.proj_b)
+        expect = engine.add(matmul(raw, params.proj_w), params.proj_b)
         assert np.array_equal(tokens.data, expect.data)
         assert np.array_equal(slow if branch == "slow" else fast, masks)
         assert (fast if branch == "slow" else slow) is None
@@ -330,7 +330,7 @@ class TestConnect:
         tokens, _, _ = connect_batch(views, cfg, params)
         slow_tokens, _ = slow_branch_batch(views["slow"], cfg, params)
         with engine.no_grad():
-            expect = engine.add(engine.matmul(slow_tokens, params.proj_w), params.proj_b)
+            expect = engine.add(matmul(slow_tokens, params.proj_w), params.proj_b)
         np.testing.assert_allclose(tokens.data[:, : cfg.n_slow_tokens], expect.data, atol=1e-5)
 
     def test_end_to_end_finite_differences(self):
@@ -362,7 +362,7 @@ class TestConnect:
 
         def build():
             tokens, _, _ = connect_batch(views, cfg, params)
-            return engine.mul(tokens.reshape(probe.shape), probe).mean()
+            return engine.vmean(engine.mul(engine.reshape(tokens, probe.shape), probe))
 
         ok, total = fd_check(build, checked, engine.rng_for(15, "pick"), coords_per_param=4)
         assert ok / total >= 0.95

@@ -11,15 +11,13 @@ from slotvid.engine import (
     broadcast_to,
     cross_attention_block,
     layer_norm,
-    matmul,
     mul,
     reshape,
     scale,
-    transpose,
 )
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check, smooth_ramp, softmax_axis
+from gradcheck import fd_check, matmul, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_params(seed, n_positions, d_slot, d_out, n_layers=1):
@@ -164,7 +162,7 @@ class TestGradientFlow:
         params = [slots, p.pos_queries, p.head_w] + [p.layers[0].wk, p.layers[0].wv, p.layers[0].ff_w1]
 
         def build():
-            return engine.mul(decode_batch(slots, p), probe).mean()
+            return engine.vmean(engine.mul(decode_batch(slots, p), probe))
 
         ok, total = fd_check(build, params, engine.rng_for(13, "pick"), coords_per_param=5)
         assert ok / total >= 0.95
@@ -208,7 +206,7 @@ class TestInputSpaceRead:
         for fwd in (decode_batch, _keys_values_decode):
             engine.zero_grads(leaves)
             out = fwd(slots, p)
-            engine.backward(mul(out, probe).sum())
+            engine.backward(vsum(mul(out, probe)))
             runs.append((out.data, {k: v.grad.copy() for k, v in leaves.items()}))
         (out, grads), (want_out, want_grads) = runs
         assert out.shape == want_out.shape == (b, m, d_out)

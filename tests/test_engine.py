@@ -1,6 +1,7 @@
 import math
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from slotvid.engine import (
     adam_update,
     backward,
     layer_norm,
-    matmul,
     slot_attention,
 )
 from slotvid.slot_attention import SlotAttentionParams
 
-from gradcheck import exp, fd_check, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh
+from gradcheck import (
+    exp, fd_check, matmul, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh, transpose, vsum,
+)
 
 
 class TestMatmul:
@@ -194,12 +196,12 @@ class TestGru:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Value(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-        backward(x.sum())
+        backward(vsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_sum_analytic(self):
         x = Value([1.0, 2.0], requires_grad=True)
-        backward(engine.mul(x, x).sum())
+        backward(vsum(engine.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-6)
 
     def test_non_scalar_root(self):
@@ -209,13 +211,13 @@ class TestBackward:
 
     def test_separate_graphs_accumulate_into_shared_leaves(self):
         x = Value([3.0], requires_grad=True)
-        backward(engine.mul(x, x).sum())
-        backward(engine.mul(x, x).sum())
+        backward(vsum(engine.mul(x, x)))
+        backward(vsum(engine.mul(x, x)))
         np.testing.assert_allclose(x.grad, [12.0], atol=1e-5)
 
     def test_second_backward_on_same_root_raises(self):
         x = Value([3.0], requires_grad=True)
-        loss = engine.mul(x, x).sum()
+        loss = vsum(engine.mul(x, x))
         backward(loss)
         with pytest.raises(EngineError, match="already back-propagated"):
             backward(loss)
@@ -224,9 +226,9 @@ class TestBackward:
     def test_second_root_through_consumed_node_raises(self):
         x = Value([3.0], requires_grad=True)
         y = engine.mul(x, x)
-        backward(y.sum())
+        backward(vsum(y))
         with pytest.raises(EngineError, match="already back-propagated"):
-            backward(engine.scale(y, 2.0).sum())
+            backward(vsum(engine.scale(y, 2.0)))
         np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_backward_releases_the_graph(self):
@@ -240,7 +242,7 @@ class TestBackward:
                for shape in ((d,), (d,), (d, 2 * d), (2 * d,), (2 * d, d), (d,))]
         h = matmul(x, w)
         r = engine.residual_mlp(h, *mlp)
-        loss = engine.mul(r, r).sum()
+        loss = vsum(engine.mul(r, r))
         refs = [weakref.ref(h.data), weakref.ref(r.data)]
         del h, r
         assert all(ref() is not None for ref in refs)  # the graph holds them until backward
@@ -251,7 +253,7 @@ class TestBackward:
     def test_diamond_graph_single_visit(self):
         # y = (x + x) * x => dy/dx = 4x; a double-visit scheme would overcount
         x = Value([1.5], requires_grad=True)
-        y = engine.mul(engine.add(x, x), x).sum()
+        y = vsum(engine.mul(engine.add(x, x), x))
         backward(y)
         np.testing.assert_allclose(x.grad, [6.0], atol=1e-6)
 
@@ -262,7 +264,7 @@ class TestBackward:
         probe = engine.normal(rng, (3, 2))
         h = matmul(x, w)
         weighted = engine.mul(h, probe)
-        backward(weighted.sum())
+        backward(vsum(weighted))
         assert h._grad is None and weighted._grad is None
         # the leaves get the bits of the matmul backward for the adjoint probe
         np.testing.assert_array_equal(x.grad, probe @ w.data.T)
@@ -276,7 +278,7 @@ class TestBackward:
         def build():
             h = tanh(matmul(x, w))
             s = softmax_axis(h, axis=1)
-            return engine.mul(s, s).sum()
+            return vsum(engine.mul(s, s))
 
         ok, total = fd_check(build, [x, w], engine.rng_for(21, "pick"), coords_per_param=10)
         assert ok / total >= 0.95
@@ -299,15 +301,16 @@ class TestOpGradients:
         a = Value(np.zeros((4, 5), dtype=np.float32), requires_grad=True)
         b = Value(np.zeros((4, 5), dtype=np.float32), requires_grad=True)
         cases = {
-            "add": lambda: engine.add(a, b).sum(),
-            "sub": lambda: engine.sub(a, b).sum(),
-            "mul": lambda: engine.mul(a, b).sum(),
-            "sigmoid": lambda: engine.mul(sigmoid(a), b).sum(),
-            "tanh": lambda: engine.mul(tanh(a), b).sum(),
-            "relu": lambda: engine.mul(relu(a), b).sum(),
-            "ramp": lambda: engine.mul(smooth_ramp(a), b).sum(),
-            "exp": lambda: engine.mul(exp(engine.scale(a, 0.5)), b).sum(),
-            "mean": lambda: engine.mul(a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)).sum(),
+            "add": lambda: vsum(engine.add(a, b)),
+            "sub": lambda: vsum(engine.sub(a, b)),
+            "mul": lambda: vsum(engine.mul(a, b)),
+            "sigmoid": lambda: vsum(engine.mul(sigmoid(a), b)),
+            "tanh": lambda: vsum(engine.mul(tanh(a), b)),
+            "relu": lambda: vsum(engine.mul(relu(a), b)),
+            "ramp": lambda: vsum(engine.mul(smooth_ramp(a), b)),
+            "exp": lambda: vsum(engine.mul(exp(engine.scale(a, 0.5)), b)),
+            "mean": lambda: vsum(engine.mul(engine.vmean(a, axis=1, keepdims=True),
+                                            engine.vmean(b, axis=1, keepdims=True))),
         }
         for tag, build in cases.items():
             self._check(build, [a, b], tag, instances=6)
@@ -318,12 +321,13 @@ class TestOpGradients:
         w = Value(np.zeros((3, 5), dtype=np.float32), requires_grad=True)
         idx = np.array([2, 0, 0], dtype=np.intp)
         cases = {
-            "reshape": (lambda: engine.mul(a.reshape((6, 4)), a.reshape((6, 4))).sum(), [a]),
-            "transpose": (lambda: engine.mul(a.transpose((1, 0, 2)), a.transpose((1, 0, 2))).sum(), [a]),
-            "concat": (lambda: engine.mul(engine.concat([a, b], axis=0), engine.concat([a, b], axis=0)).sum(), [a, b]),
-            "take": (lambda: engine.mul(engine.take(a, idx, axis=0), engine.take(a, idx, axis=0)).sum(), [a]),
-            "broadcast": (lambda: engine.mul(engine.broadcast_to(a.reshape((1, 3, 4, 2)), (5, 3, 4, 2)), 0.3).sum(), [a]),
-            "matmul_flat": (lambda: tanh(matmul(a.reshape((8, 3)), w)).sum(), [a, w]),
+            "reshape": (lambda: vsum(engine.mul(engine.reshape(a, (6, 4)), engine.reshape(a, (6, 4)))), [a]),
+            "transpose": (lambda: vsum(engine.mul(transpose(a, (1, 0, 2)), transpose(a, (1, 0, 2)))), [a]),
+            "concat": (lambda: vsum(engine.mul(engine.concat([a, b], axis=0), engine.concat([a, b], axis=0))), [a, b]),
+            "take": (lambda: vsum(engine.mul(engine.take(a, idx, axis=0), engine.take(a, idx, axis=0))), [a]),
+            "broadcast": (
+                lambda: vsum(engine.mul(engine.broadcast_to(engine.reshape(a, (1, 3, 4, 2)), (5, 3, 4, 2)), 0.3)), [a]),
+            "matmul_flat": (lambda: vsum(tanh(matmul(engine.reshape(a, (8, 3)), w))), [a, w]),
         }
         for tag, (build, params) in cases.items():
             self._check(build, params, tag, instances=6)
@@ -333,7 +337,7 @@ class TestOpGradients:
         w = Value(np.zeros((2, 5), dtype=np.float32), requires_grad=True)
 
         def build():
-            return tanh(matmul(a, w)).sum()
+            return vsum(tanh(matmul(a, w)))
 
         self._check(build, [a, w], "matmul_batched", instances=8)
 
@@ -343,8 +347,8 @@ class TestOpGradients:
         b = Value(np.zeros(6, dtype=np.float32), requires_grad=True)
         labels = np.array([1, 0, 2, 1], dtype=np.intp)
         cases = {
-            "softmax": (lambda: engine.mul(softmax_axis(x, axis=1), tanh(x)).sum(), [x]),
-            "layer_norm": (lambda: engine.mul(layer_norm(x, g, b), sigmoid(x)).sum(), [x, g, b]),
+            "softmax": (lambda: vsum(engine.mul(softmax_axis(x, axis=1), tanh(x))), [x]),
+            "layer_norm": (lambda: vsum(engine.mul(layer_norm(x, g, b), sigmoid(x))), [x, g, b]),
             "cross_entropy": (lambda: engine.cross_entropy(x, labels), [x]),
         }
         for tag, (build, params) in cases.items():
@@ -362,7 +366,7 @@ class TestOpGradients:
         params = [h, x] + [getattr(p, k) for k in engine.GRU_NAMES]
 
         def build():
-            return engine.mul(slot_attention(x, h, sa, 1, 0.5)[0], 0.5).sum()
+            return vsum(engine.mul(slot_attention(x, h, sa, 1, 0.5)[0], 0.5))
 
         ok, total = fd_check(build, params, engine.rng_for(31, "pick"), coords_per_param=4)
         assert ok / total >= 0.95
@@ -389,7 +393,7 @@ class TestAdam:
             p = Value(engine.normal(rng, (4, 4)), requires_grad=True)
             state = AdamState(lr=1e-2)
             for step in range(20):
-                loss = engine.mul(p, p).sum()
+                loss = vsum(engine.mul(p, p))
                 engine.zero_grads([p])
                 backward(loss)
                 adam_update({"p": p}, state)
@@ -461,7 +465,7 @@ class TestPrimitiveForms:
 
         def param_grads(x):
             engine.zero_grads([g, b])
-            backward(engine.mul(layer_norm(x, g, b), probe).sum())
+            backward(vsum(engine.mul(layer_norm(x, g, b), probe)))
             return g.grad.copy(), b.grad.copy()
 
         with_input = Value(data, requires_grad=True)
@@ -481,11 +485,11 @@ class TestPrimitiveForms:
         shapes = {"matmul": ((4, 5, 3), (3, 2)), "mul": ((4, 5, 3), (3,))}[op]
         data = [engine.normal(rng, shp) for shp in shapes]
         probe = engine.normal(rng, (4, 5, 2) if op == "matmul" else (4, 5, 3))
-        fn = getattr(engine, op)
+        fn = {"matmul": matmul, "mul": engine.mul}[op]
         live_side = 1 - constant_side
 
         def live_grad(operands):
-            backward(engine.mul(fn(*operands), probe).sum())
+            backward(vsum(engine.mul(fn(*operands), probe)))
             return operands[live_side].grad.copy()
 
         both = live_grad([Value(d, requires_grad=True) for d in data])
@@ -523,7 +527,7 @@ class TestShortAxisReductions:
         e = np.exp(x64 - x64.max(axis=-1, keepdims=True))
         want = e / e.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-7)
-        backward(engine.mul(out, probe).sum())
+        backward(vsum(engine.mul(out, probe)))
         want_grad = want * (probe - (probe * want).sum(axis=-1, keepdims=True))
         np.testing.assert_allclose(x.grad, want_grad, rtol=1e-4, atol=1e-6)
 
@@ -538,6 +542,22 @@ class TestDeterminism:
             return y.data.tobytes()
 
         assert run() == run()
+
+    @pytest.mark.parametrize("key", [-1, 2**64, 2**70])
+    def test_rng_key_outside_64_bits_raises(self, key):
+        # a key is one 64-bit word; folded into one, -1 would draw what
+        # 2**64 - 1 draws and 2**70 what 0 draws
+        with pytest.raises(EngineError, match="outside"):
+            engine.rng_for(key)
+        with pytest.raises(EngineError, match="outside"):
+            engine.rng_for(5, "x", key)
+
+    def test_rng_keys_are_the_seed_sequence_words(self):
+        # the keys enter the seed sequence as given, so every digest built on them holds
+        for seed, index in ((0, 0), (2**64 - 1, 2**64 - 1), (11, 3)):
+            want = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, zlib.crc32(b"x"), index])))
+            got = engine.rng_for(seed, "x", index)
+            np.testing.assert_array_equal(got.standard_normal(4), want.standard_normal(4))
 
     def test_rng_paths_independent(self):
         a = engine.rng_for(5, "x", 0).standard_normal(4)

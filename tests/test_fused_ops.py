@@ -39,20 +39,19 @@ from slotvid.engine import (
     cross_attention_block,
     layer_norm,
     linear,
-    matmul,
     mul,
     reshape,
     residual_mlp,
     scale,
     self_attention_block,
     slot_attention,
-    transpose,
 )
 
 from slotvid.slot_attention import SlotAttentionParams
 
 from gradcheck import (
-    fd_check, gru_node, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
+    fd_check, gru_node, matmul, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
+    transpose, vsum,
 )
 
 RTOL = 1e-5
@@ -129,15 +128,15 @@ class TestFusedGru:
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_composite(self, seed, shape):
         p, h, x, probe, leaves = _gru_case(seed, shape)
-        fused = _grads(lambda: mul(gru_node(h, x, p), probe).sum(), leaves)
-        ref = _grads(lambda: mul(reference_gru(h, x, p), probe).sum(), leaves)
+        fused = _grads(lambda: vsum(mul(gru_node(h, x, p), probe)), leaves)
+        ref = _grads(lambda: vsum(mul(reference_gru(h, x, p), probe)), leaves)
         for got, want in zip(fused, ref):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
     def test_input_without_grad_gets_none(self):
         p, h, _, probe, _ = _gru_case(4, (3, 4))
         x = Value(engine.normal(engine.rng_for(4, "x"), (3, 4)))
-        engine.backward(mul(gru_node(h, x, p), probe).sum())
+        engine.backward(vsum(mul(gru_node(h, x, p), probe)))
         assert x._grad is None
         assert np.any(h.grad != 0.0)
 
@@ -145,7 +144,7 @@ class TestFusedGru:
         p, h, x, probe, leaves = _gru_case(7, (2, 3, 4))
 
         def build():
-            return mul(gru_node(h, x, p), probe).sum()
+            return vsum(mul(gru_node(h, x, p), probe))
 
         ok, total = fd_check(build, leaves, engine.rng_for(7, "pick"), coords_per_param=4)
         assert ok / total >= 0.95
@@ -180,8 +179,8 @@ class TestFusedAttentionStep:
         x, q, probe = _attention_case(seed, *dims)
         temp = np.float32(1.0 / np.sqrt(dims[3]))
         leaves = [x, q]
-        fused = _grads(lambda: mul(slot_read_node(x, q, temp, eps)[0], probe).sum(), leaves)
-        ref = _grads(lambda: mul(reference_slot_read(x, q, temp, eps)[0], probe).sum(), leaves)
+        fused = _grads(lambda: vsum(mul(slot_read_node(x, q, temp, eps)[0], probe)), leaves)
+        ref = _grads(lambda: vsum(mul(reference_slot_read(x, q, temp, eps)[0], probe)), leaves)
         for got, want in zip(fused, ref):
             np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
@@ -190,7 +189,7 @@ class TestFusedAttentionStep:
         x, q, probe = _attention_case(9, 2, 6, 3, 4)
 
         def build():
-            return mul(slot_read_node(x, q, 0.5, eps)[0], probe).sum()
+            return vsum(mul(slot_read_node(x, q, 0.5, eps)[0], probe))
 
         ok, total = fd_check(build, [x, q], engine.rng_for(9, "pick"), coords_per_param=6)
         assert ok / total >= 0.95
@@ -203,7 +202,7 @@ class TestFusedAttentionStep:
         else:
             q = Value(q.data)
         const, live = (x, q) if constant == "x" else (q, x)
-        engine.backward(mul(slot_read_node(x, q, 0.5, 1e-8)[0], probe).sum())
+        engine.backward(vsum(mul(slot_read_node(x, q, 0.5, 1e-8)[0], probe)))
         assert const._grad is None
         assert np.any(live.grad != 0.0)
 
@@ -309,8 +308,8 @@ class TestSlotAttentionNode:
         temp = np.float32(1.0 / np.sqrt(d))
         named = _node_leaves(p, x, init)
         leaves = [v for _, v in named]
-        got = _grads(lambda: mul(slot_attention(x, init, p, k, temp)[0], probe).sum(), leaves)
-        want = _grads(lambda: mul(reference_slot_attention(x, init, p, k, temp)[0], probe).sum(), leaves)
+        got = _grads(lambda: vsum(mul(slot_attention(x, init, p, k, temp)[0], probe)), leaves)
+        want = _grads(lambda: vsum(mul(reference_slot_attention(x, init, p, k, temp)[0], probe)), leaves)
         # a weight's adjoint sums over every slot row of every iteration, and
         # those folded through the inputs over every token too
         rows = k * shape[0] * max(shape[1], n)
@@ -330,7 +329,7 @@ class TestSlotAttentionNode:
         leaves = [v for _, v in _node_leaves(p, x, init)]
 
         def build():
-            return mul(slot_attention(x, init, p, 2, 0.5)[0], probe).sum()
+            return vsum(mul(slot_attention(x, init, p, 2, 0.5)[0], probe))
 
         ok, total = fd_check(build, leaves, engine.rng_for(5, "pick", eps, per_set_init), coords_per_param=3, h=3e-3)
         assert ok / total >= 0.95
@@ -465,8 +464,8 @@ class TestFusedRowOps:
         op, ref, leaves = ROW_CASES[case]
         args, trained, terms = _row_case(1, leaves)
         probe = engine.normal(engine.rng_for(1, "row-probe", case), op(*args).shape)
-        fused = _grads(lambda: mul(op(*args), probe).sum(), trained)
-        want = _grads(lambda: mul(ref(*args), probe).sum(), trained)
+        fused = _grads(lambda: vsum(mul(op(*args), probe)), trained)
+        want = _grads(lambda: vsum(mul(ref(*args), probe)), trained)
         for i, (got, w, n) in enumerate(zip(fused, want, terms)):
             _close(got, w, RTOL, f"{case} leaf {i}", terms=n)
 
@@ -482,7 +481,7 @@ class TestFusedRowOps:
         probe = engine.normal(engine.rng_for(5, "fd-probe", op), fn(*args).shape)
 
         def build():
-            return mul(fn(*args), probe).sum()
+            return vsum(mul(fn(*args), probe))
 
         ok, total = fd_check(build, trained, engine.rng_for(5, "pick", op), coords_per_param=6)
         assert ok / total >= 0.95
@@ -490,7 +489,7 @@ class TestFusedRowOps:
     def test_linear_constant_operands_get_none(self):
         (x, w, b), _, _ = _row_case(3, _linear_leaves((4, 5), 3))
         x, b = Value(x.data), Value(b.data)
-        engine.backward(linear(x, w, b).sum())
+        engine.backward(vsum(linear(x, w, b)))
         assert x._grad is None and b._grad is None
         np.testing.assert_allclose(w.grad, np.broadcast_to(x.data.sum(axis=0)[:, None], (5, 3)), rtol=1e-6)
 
@@ -672,8 +671,8 @@ class TestFusedBlocks:
         op, ref, build = BLOCK_CASES[case]
         args, leaves = build(engine.rng_for(1, "fused-block", case))
         probe = engine.normal(engine.rng_for(1, "block-probe", case), _block_out(op, args).shape)
-        fused = _grads(lambda: mul(_block_out(op, args), probe).sum(), leaves)
-        want = _grads(lambda: mul(_block_out(ref, args), probe).sum(), leaves)
+        fused = _grads(lambda: vsum(mul(_block_out(op, args), probe)), leaves)
+        want = _grads(lambda: vsum(mul(_block_out(ref, args), probe)), leaves)
         for i, (got, w) in enumerate(zip(fused, want)):
             _close(got, w, RTOL, f"{case} leaf {i}")
 
@@ -684,7 +683,7 @@ class TestFusedBlocks:
         probe = engine.normal(engine.rng_for(5, "fd-block-probe", case), _block_out(op, args).shape)
 
         def build_loss():
-            return mul(_block_out(op, args), probe).sum()
+            return vsum(mul(_block_out(op, args), probe))
 
         # the residual's terms dwarf the loss they sum to, so its float32
         # noise needs a wider step than the default 1e-3
@@ -695,7 +694,7 @@ class TestFusedBlocks:
         for case in ("cross-heads-no-input-grad", "cross-inputs-heads-no-input-grad"):  # both sides
             _, _, build = SMALL_BLOCK_CASES[case]
             args, leaves = build(engine.rng_for(6, "dead-inputs"))
-            engine.backward(cross_attention_block(*args)[0].sum())
+            engine.backward(vsum(cross_attention_block(*args)[0]))
             assert args[1]._grad is None
             assert all(np.any(p.grad != 0.0) for p in leaves)
 
@@ -748,11 +747,11 @@ class TestFusedBlocks:
 
         monkeypatch.setattr(engine, "_head_fold_grads", spy)
         probe = engine.normal(engine.rng_for(2, "fold-probe", case), _block_out(op, args).shape)
-        got = _grads(lambda: mul(_block_out(op, args), probe).sum(), weights)
+        got = _grads(lambda: vsum(mul(_block_out(op, args), probe)), weights)
         [(g_wqk, g_wvo)] = seen
         copies = [Value(w.data.copy(), requires_grad=True) for w in weights]
         wqk, wvo = reference_folds(heads, *copies)
-        want = _grads(lambda: add(mul(wqk, g_wqk).sum(), mul(wvo, g_wvo).sum()), copies)
+        want = _grads(lambda: add(vsum(mul(wqk, g_wqk)), vsum(mul(wvo, g_wvo))), copies)
         for name, g, w in zip(("wq", "wk", "wv", "wo"), got, want):
             assert np.any(g != 0.0), name
             np.testing.assert_array_equal(g, w, err_msg=name)

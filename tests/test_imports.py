@@ -1,9 +1,14 @@
-"""Every name a ``slotvid`` module imports is used in that module.
+"""Every name a ``slotvid`` module imports is used in that module, and every
+function and class it defines is named by some ``slotvid`` code.
 
 A deletion that leaves an import behind, such as an engine op the module no
 longer calls, fails here. ``ALLOWED`` holds the bindings kept on purpose:
 the traced branch functions that the benchmark tracer requires ``training``
 to hold.
+
+Code that only tests run belongs with the tests, so a module-level function
+or class that no ``src/`` code names outside its own definition fails too.
+``UNCALLED`` holds the ones kept on purpose, each with its reason.
 """
 
 import ast
@@ -14,6 +19,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "slotvid"
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 ALLOWED = {("training", "fast_branch_batch"), ("training", "slow_branch_batch")}
+UNCALLED = {
+    # the chance level that ROADMAP item 2(c)'s probe gate compares probe accuracy against
+    ("training", "majority_accuracy"),
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +47,53 @@ def test_checker_flags_a_leftover():
 def test_no_unused_imports(module):
     names = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert [name for name in names if (module, name) not in ALLOWED] == []
+
+
+def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier that code in ``tree`` names, outside the subtree ``skip``:
+    as a ``Name``, as the attribute of an ``Attribute`` or as an imported name."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """The ``module.name`` of each module-level function and class in ``sources``
+    (module name to text) that no code in them names outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = {module: _named(tree) for module, tree in trees.items()}
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in named.items() if other != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name not in elsewhere and node.name not in _named(tree, skip=node):
+                    dead.append(f"{module}.{node.name}")
+    return sorted(dead)
+
+
+def test_dead_code_checker_flags_a_leftover():
+    # named by a call (take), an attribute (read), an import alone (traced)
+    # or only inside its own definition (vsum), or not at all (Spare)
+    sources = {
+        "engine": "def take(a):\n    return a\n\n\ndef traced(a):\n    return a\n\n\n"
+                  "def vsum(a):\n    return vsum(a)\n\n\nclass Spare:\n    pass\n",
+        "connector": "from .engine import take, traced\n\n\ndef read(a):\n    return take(a)\n",
+        "cli": "from . import connector\n\n\ndef main():\n    return connector.read(0)\n\n\nmain()\n",
+    }
+    assert unreferenced(sources) == ["engine.Spare", "engine.vsum"]
+
+
+def test_every_definition_is_named():
+    sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in MODULES}
+    assert unreferenced(sources) == sorted(f"{module}.{name}" for module, name in UNCALLED)

@@ -11,11 +11,24 @@ from slotvid.metrics import (
     compare_table,
     hard_assign,
     mask_entropy,
-    parse_pgm,
     render_masks,
     slot_overlap,
     write_pgm,
 )
+
+
+def parse_pgm(path: str) -> np.ndarray:
+    """Read back a binary PGM written by ``metrics.write_pgm``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parts = data.split(b"\n", 3)
+    if len(parts) < 4 or parts[0] != b"P5" or parts[2] != b"255":
+        raise MetricsError(f"not a maxval-255 P5 file: {path}")
+    w, h = (int(x) for x in parts[1].split())
+    payload = parts[3]
+    if len(payload) != w * h:
+        raise MetricsError(f"truncated PGM payload in {path}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
 
 
 def pair_ari_oracle(pred, truth):

@@ -10,16 +10,14 @@ from slotvid.engine import (
     add,
     broadcast_to,
     layer_norm,
-    matmul,
     mul,
     reshape,
     scale,
-    transpose,
 )
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check, recip, reference_gru, smooth_ramp, softmax_axis
+from gradcheck import fd_check, matmul, recip, reference_gru, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
@@ -183,8 +181,8 @@ class TestGradients:
         params = [x, p.slots, p.wq, p.wk, p.wv, p.gru.wz, p.gru.uh, p.mlp_w1, p.mlp_w2, p.in_norm_g]
 
         def build():
-            slots, _ = forward_batch(x.reshape((1, 5, 3)), p)
-            return engine.mul(slots.reshape((2, 4)), probe).mean()
+            slots, _ = forward_batch(reshape(x, (1, 5, 3)), p)
+            return engine.vmean(engine.mul(reshape(slots, (2, 4)), probe))
 
         ok, total = fd_check(build, params, engine.rng_for(11, "pick"), coords_per_param=5)
         assert ok / total >= 0.95
@@ -215,7 +213,7 @@ def _keys_values_forward(inputs, p):
     for _ in range(p.iterations):
         q = reshape(matmul(layer_norm(slots, p.slot_norm_g, np.zeros(d, np.float32)), p.wq), (b, n, d))
         attn = softmax_axis(scale(matmul(k, transpose(q, (0, 2, 1))), temp), axis=2)
-        col = recip(add(attn.sum(axis=1, keepdims=True), np.float32(p.eps)))
+        col = recip(add(vsum(attn, axis=1, keepdims=True), np.float32(p.eps)))
         updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
         slots = reference_gru(slots, reshape(updates, (b * n, d)), p.gru)
         hidden = smooth_ramp(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))
@@ -237,7 +235,7 @@ class TestInputSpaceRead:
         for fwd in (forward_batch, _keys_values_forward):
             engine.zero_grads(leaves)
             slots, attn = fwd(inputs, p)
-            engine.backward(mul(slots, probe).sum())
+            engine.backward(vsum(mul(slots, probe)))
             runs.append((slots.data, attn, {k: v.grad.copy() for k, v in leaves.items()}))
         (slots, attn, grads), (want_slots, want_attn, want_grads) = runs
         np.testing.assert_allclose(slots, want_slots, rtol=1e-5, atol=1e-5 * np.abs(want_slots).max())

@@ -103,6 +103,13 @@ class TestGenScene:
             bad.validate()
 
 
+    def test_more_events_than_frames_rejected(self):
+        ranges = SceneRanges(k_events=(4, 5))
+        with pytest.raises(SceneError, match="3 frames cannot hold 4 events"):
+            make_scene_spec(engine.rng_for(0, "spec"), 3, 8, 8, 16, 4, ranges)
+        assert make_scene_spec(engine.rng_for(0, "spec"), 4, 8, 8, 16, 4, ranges).n_segments == 4
+
+
 class TestProbeTasks:
     def test_object_count_equals_spec_field(self):
         spec = static_spec(k=2)
