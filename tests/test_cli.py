@@ -230,10 +230,10 @@ class TestConfigErrors:
         ("stage", "batch_size", True), ("stage", "log_every", 2.0), ("data", "n_train_scenes", "6"),
         ("data", "k_objects", [2, 4.5]), ("data", "k_events", ["2", 2]), ("data", "extent", [True, 2]),
         ("connector", "slot_dim", "8"), ("connector", "qt_heads", True),
-        # a seed is one 64-bit word of every generator's key, so -1 and 2**64 would alias others
-        ("seed", None, True), ("seed", None, "11"), ("seed", None, -1), ("seed", None, 2**64),
-        ("stage", "init_checkpoint", 0),
+        ("seed", None, True), ("seed", None, "11"), ("stage", "init_checkpoint", 0),
         ("stage", "init_slow_checkpoint", 5), ("stage", "init_fast_checkpoint", ["a.sfsl"]),
+        # a seed is one 64-bit word of every generator's key, so -1 and 2**64 would alias others
+        ("seed", None, -1), ("seed", None, 2**64),
     ])
     def test_non_numeric_value_exits_2(self, tmp_path, capsys, section, key, value):
         # key None: the value replaces the whole top-level field
