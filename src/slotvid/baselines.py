@@ -9,17 +9,9 @@ mask is the last cross-attention averaged over heads, returned like slot
 attention's as a plain float32 array [sets, inputs, queries]; columns, not
 rows, sum to one.
 
-Inside ``query_transformer_batch`` the query state of the whole batch is kept
-as [B*N_q, D_q] rows, and each layer is three engine nodes over them:
-``engine.cross_attention_block``, ``engine.self_attention_block`` and
-``engine.residual_mlp``. Every weight product is one 2-D GEMM over all
-queries; the attention nodes split their heads and merge them as array views
-inside the node, and only the attention logits and reads see the
-[B, N_q, ...] set structure. The cross-attention node folds each head's key
-weights into its query weights and its value weights into the output
-weights, so no per-token keys or values [B, M, D_q] are built; it states the
-fold algebra, when the fold pays, and which side of each set it applies the
-folds to (the query rows at the default shapes).
+The query transformer is a learned-query stack (``decoder.query_stack``)
+whose layers have self-attention and ``n_heads`` heads; the ``decoder``
+module states the stack's row layout and its engine nodes per layer.
 
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
@@ -36,20 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
-from .engine import (
-    ShapeError,
-    Value,
-    broadcast_to,
-    cross_attention_block,
-    linear,
-    linear_param,
-    normal_param,
-    ones_param,
-    reshape,
-    residual_mlp,
-    self_attention_block,
-    zeros_param,
-)
+from .decoder import QueryLayerParams, query_stack
+from .engine import ShapeError, Value, linear, linear_param, normal_param, reshape, zeros_param
 
 
 # -- pooling connector -----------------------------------------------------------
@@ -82,38 +62,6 @@ def pooling_connector_batch(tokens: Value, params: PoolingParams) -> Value:
 
 
 @dataclass
-class QTLayerParams:
-    ln_q_g: Value
-    ln_q_b: Value
-    wq: Value
-    wk: Value
-    wv: Value
-    wo: Value
-    bo: Value
-    ln_s_g: Value
-    ln_s_b: Value
-    s_wq: Value
-    s_wk: Value
-    s_wv: Value
-    s_wo: Value
-    s_bo: Value
-    ln_f_g: Value
-    ln_f_b: Value
-    ff_w1: Value
-    ff_b1: Value
-    ff_w2: Value
-    ff_b2: Value
-
-    def named(self, prefix: str) -> dict:
-        names = (
-            "ln_q_g", "ln_q_b", "wq", "wk", "wv", "wo", "bo",
-            "ln_s_g", "ln_s_b", "s_wq", "s_wk", "s_wv", "s_wo", "s_bo",
-            "ln_f_g", "ln_f_b", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
-        )
-        return {f"{prefix}.{n}": getattr(self, n) for n in names}
-
-
-@dataclass
 class QueryTransformerParams:
     """Learnable queries plus cross/self-attention blocks over them."""
 
@@ -129,23 +77,9 @@ class QueryTransformerParams:
             raise ValueError("need at least one query")
         if d_q % n_heads:
             raise ValueError(f"query width {d_q} not divisible by {n_heads} heads")
-        d = d_q
-        layers = [
-            QTLayerParams(
-                ln_q_g=ones_param(d), ln_q_b=zeros_param(d),
-                wq=linear_param(rng, d, d), wk=linear_param(rng, d_in, d), wv=linear_param(rng, d_in, d),
-                wo=linear_param(rng, d, d), bo=zeros_param(d),
-                ln_s_g=ones_param(d), ln_s_b=zeros_param(d),
-                s_wq=linear_param(rng, d, d), s_wk=linear_param(rng, d, d), s_wv=linear_param(rng, d, d),
-                s_wo=linear_param(rng, d, d), s_bo=zeros_param(d),
-                ln_f_g=ones_param(d), ln_f_b=zeros_param(d),
-                ff_w1=linear_param(rng, d, 2 * d), ff_b1=zeros_param(2 * d),
-                ff_w2=linear_param(rng, 2 * d, d), ff_b2=zeros_param(d),
-            )
-            for _ in range(n_layers)
-        ]
+        layers = [QueryLayerParams.create(rng, d_in, d_q, self_attention=True) for _ in range(n_layers)]
         return cls(
-            queries=normal_param(rng, (n_queries, d), 0.5),
+            queries=normal_param(rng, (n_queries, d_q), 0.5),
             layers=layers,
             n_heads=n_heads,
         )
@@ -165,26 +99,14 @@ def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tu
     input-by-query, as a plain float32 array: each column is one query's
     softmax distribution over the inputs and sums to one; rows do not.
 
-    The query state runs as [B*N_q, D_q] rows; the cross-attention is the
-    one node ``engine.cross_attention_block``, whose docstring states its
-    weight folds and the side it applies them to.
+    The stack and its row layout are ``decoder.query_stack``'s.
     """
     if inputs.ndim != 3:
         raise ShapeError("query_transformer_batch expects [B, M, D_in]")
     b, m, _ = inputs.shape
-    nq, dq = params.queries.data.shape
-    heads = params.n_heads
-
-    x = reshape(broadcast_to(reshape(params.queries, (1, nq, dq)), (b, nq, dq)), (b * nq, dq))
-    cross = None
-    for layer in params.layers:
-        x, cross = cross_attention_block(x, inputs, heads, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv,
-                                         layer.wo, layer.bo)
-        x = self_attention_block(x, b, heads, layer.ln_s_g, layer.ln_s_b, layer.s_wq, layer.s_wk, layer.s_wv,
-                                 layer.s_wo, layer.s_bo)
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
-
-    mask = cross.reshape(b, nq, heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
+    nq, dq = params.queries.shape
+    x, cross = query_stack(params.queries, inputs, params.layers, params.n_heads)
+    mask = cross.reshape(b, nq, params.n_heads, m).mean(axis=2).transpose(0, 2, 1)  # head mean, [B, M, N_q]
     return reshape(x, (b, nq, dq)), mask
 
 

@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = common(sub.add_parser(name, help=help_text))
         p.add_argument("--resume", help="continue from a mid-stage checkpoint")
 
-    p = common(sub.add_parser("eval", help="decoupling report on held-out scenes"))
+    p = common(sub.add_parser("eval", help="decoupling report on held-out scenes"), needs_out=False)
     p.add_argument("--ckpt", required=True, help="checkpoint to evaluate")
     p.add_argument("--scenes", type=int, help="override held-out scene count")
 
@@ -118,6 +118,9 @@ def _cmd_eval(args) -> int:
 def _cmd_viz(args) -> int:
     scene = _non_negative(args, "scene")
     rc = _load(args)
+    if scene >= rc.data.n_heldout_scenes:
+        raise ConfigError(f"--scene {scene} is past the {rc.data.n_heldout_scenes} held-out scenes "
+                          "(data.n_heldout_scenes) that eval scores")
     out_dir = _require_out(args)
     if rc.connector_kind == "pooling":
         raise TrainingError("the pooling connector has no attention masks to render")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import ShapeError, Value, add, broadcast_to, linear, reshape, take
+from .engine import ShapeError, Value, add, linear, reshape, take
 from .slot_attention import SlotAttentionParams, forward_batch
 
 
@@ -270,8 +270,7 @@ def slow_tokens(frames: Value, cfg: ConnectorConfig, params: ConnectorParams, ag
     b, t_d, m, d = frames.shape
     slots, masks = aggregate(reshape(frames, (b * t_d, m, d)), params.slow)
     slots = reshape(slots, (b, cfg.slow_frames, cfg.slots_per_frame, cfg.slot_dim))
-    pos = reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim))
-    slots = add(slots, broadcast_to(pos, slots.shape))
+    slots = add(slots, reshape(params.slow_pos, (1, cfg.slow_frames, 1, cfg.slot_dim)))
     tokens = reshape(slots, (b, cfg.n_slow_tokens, cfg.slot_dim))
     tokens = linear(tokens, params.s_proj_w, params.s_proj_b)
     return tokens, masks.reshape((b, cfg.slow_frames) + masks.shape[1:])
@@ -284,8 +283,7 @@ def pooled_series(series: Value, cfg: ConnectorConfig, fast_pos: Value) -> Value
         raise ConnectorError(
             f"clip has {t} frames but the temporal embedding table holds {cfg.max_frames}"
         )
-    emb = take(fast_pos, np.arange(t, dtype=np.intp))  # [T, D]
-    series = add(series, broadcast_to(reshape(emb, (1, 1, t, d)), series.shape))
+    series = add(series, take(fast_pos, np.arange(t, dtype=np.intp)))  # plus the [T, D] embedding
     return reshape(series, (b * m_d, t, d))
 
 

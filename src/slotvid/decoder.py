@@ -1,23 +1,30 @@
-"""Transformer decoder that reconstructs token features from a slot set.
+"""Learned-query stacks, and the decoder that reconstructs token features from a slot set.
 
-Non-autoregressive: one learned query per output position cross-attends to
-the normalized slots through a stack of pre-norm attention + feed-forward
-blocks, then an affine head maps back to the feature width. Decoding is
-invariant to slot order because the slots enter only as an unordered set.
+A learned-query stack runs learned queries [N_q, D] over each set of a batch
+of inputs [B, M, D_in]. ``query_stack`` keeps the queries of the whole batch
+as [B*N_q, D] rows, so every weight product and layer norm is one 2-D GEMM or
+row op over all queries, and only the attention logits and reads see the
+[B, N_q, ...] set structure. Each ``QueryLayerParams`` layer is two or three
+engine nodes over the rows: ``engine.cross_attention_block``, then
+``engine.self_attention_block`` when the layer has self-attention weights,
+then ``engine.residual_mlp``. The attention nodes split their heads and merge
+them as array views inside the node. The cross-attention node folds the
+layer's weights, so no per-token keys or values [B, M, D] are built; it
+states the fold algebra, when the fold pays, and the side of each set it
+applies the folds to (the slots for the decoder, the query rows for the
+query transformer in ``baselines`` at the default shapes).
 
-Each block is two engine nodes: ``engine.cross_attention_block`` with one
-head, the attention block the query transformer in ``baselines`` shares,
-and ``engine.residual_mlp``. The position queries of the whole batch are
-[B*M, D_dec] rows, so every weight product, layer norm and the head is one
-2-D GEMM or row op, and one reshape after the head gives [B, M, D_out]. The
-decoder width is the slot width. The attention node folds the layer's
-weights and applies the folds to the N slots of each set rather than to the
-M position rows, by the rule and at the cost it states.
+The decoder is such a stack with one head and no self-attention: one learned
+query per output position cross-attends to the normalized slots, then an
+output norm and an affine head map the rows back to the feature width, and
+one reshape gives [B, M, D_out]. It is non-autoregressive, and invariant to
+slot order because the slots enter only as an unordered set. The decoder
+width is the slot width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,42 +41,78 @@ from .engine import (
     ones_param,
     reshape,
     residual_mlp,
+    self_attention_block,
     zeros_param,
 )
 
 
 @dataclass
-class DecoderLayerParams:
+class QueryLayerParams:
+    """One layer of a learned-query stack: the cross-attention weights, the
+    self-attention weights (None in a layer without), then the MLP weights."""
+
     ln_q_g: Value
     ln_q_b: Value
-    wq: Value
-    wk: Value
-    wv: Value
+    wq: Value  # [D, D]
+    wk: Value  # [D_in, D]
+    wv: Value  # [D_in, D]
     wo: Value
     bo: Value
+    ln_s_g: Value | None
+    ln_s_b: Value | None
+    s_wq: Value | None
+    s_wk: Value | None
+    s_wv: Value | None
+    s_wo: Value | None
+    s_bo: Value | None
     ln_f_g: Value
     ln_f_b: Value
-    ff_w1: Value
+    ff_w1: Value  # [D, 2D]
     ff_b1: Value
     ff_w2: Value
     ff_b2: Value
 
-    def named(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.ln_q.g": self.ln_q_g,
-            f"{prefix}.ln_q.b": self.ln_q_b,
-            f"{prefix}.wq": self.wq,
-            f"{prefix}.wk": self.wk,
-            f"{prefix}.wv": self.wv,
-            f"{prefix}.wo": self.wo,
-            f"{prefix}.bo": self.bo,
-            f"{prefix}.ln_f.g": self.ln_f_g,
-            f"{prefix}.ln_f.b": self.ln_f_b,
-            f"{prefix}.ff.w1": self.ff_w1,
-            f"{prefix}.ff.b1": self.ff_b1,
-            f"{prefix}.ff.w2": self.ff_w2,
-            f"{prefix}.ff.b2": self.ff_b2,
-        }
+    @classmethod
+    def create(cls, rng: np.random.Generator, d_in: int, d: int, self_attention: bool) -> "QueryLayerParams":
+        def attention(d_kv):
+            return (ones_param(d), zeros_param(d), linear_param(rng, d, d), linear_param(rng, d_kv, d),
+                    linear_param(rng, d_kv, d), linear_param(rng, d, d), zeros_param(d))
+
+        cross = attention(d_in)
+        attend = attention(d) if self_attention else (None,) * 7
+        return cls(*cross, *attend, ones_param(d), zeros_param(d), linear_param(rng, d, 2 * d), zeros_param(2 * d),
+                   linear_param(rng, 2 * d, d), zeros_param(d))
+
+    def named(self, prefix: str, sep: str = "_") -> dict:
+        """The present tensors in field order, ``sep`` joining a norm's or the
+        MLP's name to the tensor's: ``ln_q_g`` and ``ff_w1``, or ``ln_q.g`` and
+        ``ff.w1`` with ``"."``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                group, _, tensor = f.name.rpartition("_")
+                out[f"{prefix}.{group}{sep}{tensor}" if group else f"{prefix}.{tensor}"] = value
+        return out
+
+
+def query_stack(queries: Value, inputs: Value, layers: list, heads: int) -> tuple[Value, np.ndarray]:
+    """Run ``layers`` from the learned ``queries`` [N_q, D] over each set of ``inputs`` [B, M, D_in].
+
+    Returns (the query rows [B*N_q, D], the last layer's cross attention
+    [B, N_q*heads, M] as a plain array).
+    """
+    b = inputs.shape[0]
+    nq, d = queries.shape
+    x = reshape(broadcast_to(reshape(queries, (1, nq, d)), (b, nq, d)), (b * nq, d))
+    for layer in layers:
+        x, cross = cross_attention_block(x, inputs, heads, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv,
+                                         layer.wo, layer.bo)
+        if layer.s_wq is not None:
+            x = self_attention_block(x, b, heads, layer.ln_s_g, layer.ln_s_b, layer.s_wq, layer.s_wk, layer.s_wv,
+                                     layer.s_wo, layer.s_bo)
+        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
+    return x, cross
 
 
 @dataclass
@@ -95,17 +138,7 @@ class DecoderParams:
         n_layers: int = 2,
     ) -> "DecoderParams":
         d = d_slot
-        layers = [
-            DecoderLayerParams(
-                ln_q_g=ones_param(d), ln_q_b=zeros_param(d),
-                wq=linear_param(rng, d, d), wk=linear_param(rng, d, d), wv=linear_param(rng, d, d),
-                wo=linear_param(rng, d, d), bo=zeros_param(d),
-                ln_f_g=ones_param(d), ln_f_b=zeros_param(d),
-                ff_w1=linear_param(rng, d, 2 * d), ff_b1=zeros_param(2 * d),
-                ff_w2=linear_param(rng, 2 * d, d), ff_b2=zeros_param(d),
-            )
-            for _ in range(n_layers)
-        ]
+        layers = [QueryLayerParams.create(rng, d, d, self_attention=False) for _ in range(n_layers)]
         return cls(
             pos_queries=normal_param(rng, (n_positions, d), 0.5),
             in_norm_g=ones_param(d),
@@ -128,7 +161,7 @@ class DecoderParams:
             f"{prefix}.head.b": self.head_b,
         }
         for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"{prefix}.layer{i}"))
+            out.update(layer.named(f"{prefix}.layer{i}", "."))
         return out
 
 
@@ -137,14 +170,8 @@ def decode_batch(slots: Value, params: DecoderParams) -> Value:
     if slots.ndim != 3:
         raise ShapeError("decode_batch expects [B, N, D_slot] slots")
     b = slots.shape[0]
-    m, d_dec = params.pos_queries.data.shape
-
-    sn = layer_norm(slots, params.in_norm_g, params.in_norm_b)
-    x = reshape(broadcast_to(reshape(params.pos_queries, (1, m, d_dec)), (b, m, d_dec)), (b * m, d_dec))
-    for layer in params.layers:
-        x, _ = cross_attention_block(x, sn, 1, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv, layer.wo,
-                                     layer.bo)
-        x = residual_mlp(x, layer.ln_f_g, layer.ln_f_b, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
+    m = params.pos_queries.shape[0]
+    x, _ = query_stack(params.pos_queries, layer_norm(slots, params.in_norm_g, params.in_norm_b), params.layers, 1)
     out = linear(layer_norm(x, params.out_norm_g, params.out_norm_b), params.head_w, params.head_b)
     return reshape(out, (b, m, out.shape[1]))
 

@@ -276,23 +276,20 @@ def _norm_axes(axis, ndim):
     return tuple(ax % ndim for ax in axis)
 
 
-def vmean(a, axis=None, keepdims=False) -> Value:
+def vmean(a, axis=None) -> Value:
     a = _coerce(a)
     axes = _norm_axes(axis, a.ndim)
     count = 1
     for ax in axes:
         count *= a.data.shape[ax]
-    out_data = a.data.mean(axis=axes, keepdims=keepdims, dtype=DTYPE)
+    out_data = a.data.mean(axis=axes, dtype=DTYPE)
     inv = np.float32(1.0 / count)
 
     def backward(g, adj):
-        gg = g
-        if not keepdims:
-            shp = list(a.data.shape)
-            for ax in axes:
-                shp[ax] = 1
-            gg = g.reshape(shp)
-        _send(adj, a, np.broadcast_to(gg * inv, a.data.shape).astype(DTYPE, copy=False))
+        shp = list(a.data.shape)
+        for ax in axes:
+            shp[ax] = 1
+        _send(adj, a, np.broadcast_to(g.reshape(shp) * inv, a.data.shape).astype(DTYPE, copy=False))
 
     return _node(out_data, (a,), backward)
 
@@ -323,20 +320,18 @@ def concat(values, axis=0) -> Value:
     return _node(np.concatenate([v.data for v in values], axis=axis), tuple(values), backward)
 
 
-def take(a, indices, axis=0) -> Value:
-    """Gather along ``axis`` with an integer index array (backward scatter-adds)."""
+def take(a, indices) -> Value:
+    """Gather along the first axis with an integer index array (backward scatter-adds)."""
     a = _coerce(a)
     idx = np.asarray(indices, dtype=np.intp)
-    axis = axis % a.ndim
-    sel = (slice(None),) * axis + (idx,)
 
     def backward(g, adj):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            np.add.at(buf, sel, g)
+            np.add.at(buf, idx, g)
             _send(adj, a, buf)
 
-    return _node(a.data[sel], (a,), backward)
+    return _node(a.data[idx], (a,), backward)
 
 
 def broadcast_to(a, shape) -> Value:
@@ -398,21 +393,21 @@ def _affine_grads(adj: dict, rows: np.ndarray, g: np.ndarray, w: Value, b: Value
         _send(adj, b, _sum_rows(g))
 
 
-def _norm_rows(xr: np.ndarray, eps: float = LAYER_NORM_EPS):
+def _norm_rows(xr: np.ndarray):
     """Zero-mean unit-variance [R, D] rows: (normalized rows, 1/std [R, 1]), each a fresh buffer."""
     d = xr.shape[1]
     mean_col = np.full((d, 1), 1.0 / d, dtype=DTYPE)
     xhat = xr - xr @ mean_col  # centred rows
     var = (xhat * xhat) @ mean_col
-    var += np.float32(eps)
+    var += np.float32(LAYER_NORM_EPS)
     inv = np.float32(1.0) / np.sqrt(var)
     xhat *= inv
     return xhat, inv
 
 
-def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
+def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of [R, D] rows: (output, normalized rows, 1/std [R, 1]), each a fresh buffer."""
-    xhat, inv = _norm_rows(xr, eps)
+    xhat, inv = _norm_rows(xr)
     out = xhat * gain
     out += bias
     return out, xhat, inv
@@ -461,13 +456,13 @@ def _check_shapes(what: str, **operands) -> None:
             raise ShapeError(f"{what} {name} must have shape {shape}, got {v.data.shape}")
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS) -> Value:
+def layer_norm(x, gain, bias) -> Value:
     """Zero-mean unit-variance normalization over the last axis, then affine."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     shape = x.data.shape
     d = shape[-1]
     _check_shapes("layer_norm", gain=(gain, (d,)), bias=(bias, (d,)))
-    out_data, xhat, inv = _ln_rows(x.data.reshape(-1, d), gain.data, bias.data, eps)
+    out_data, xhat, inv = _ln_rows(x.data.reshape(-1, d), gain.data, bias.data)
 
     def backward(g, adj):
         _ln_rows_backward(adj, g.reshape(-1, d), xhat, inv, x, gain, bias)

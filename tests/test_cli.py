@@ -72,6 +72,13 @@ class TestPretrainCommand:
         cfg = write_config(tmp_path)
         assert main(["pretrain", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command, required", [("pretrain", True), ("viz", True), ("eval", False)])
+    def test_out_help_says_whether_it_is_required(self, capsys, command, required):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("output directory (required)" in text) == required
+
 
 class TestConfigErrors:
     def test_unknown_key_exits_2(self, tmp_path):
@@ -413,10 +420,23 @@ class TestViz:
         assert "--scene must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "viz").exists()
 
-    def test_scene_beyond_64_bits_exits_3(self, tmp_path, capsys):
-        # the index is one 64-bit word of the scene generator's key
+    def test_scene_past_the_heldout_scenes_exits_2(self, tmp_path, capsys):
+        # eval scores scenes 0..n_heldout_scenes-1; viz renders no other
         cfg = write_config(tmp_path)
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        capsys.readouterr()
+        assert main(["viz", "--config", cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl"),
+                     "--scene", "3", "--out", str(tmp_path / "viz")]) == 2
+        err = capsys.readouterr().err
+        assert "--scene 3" in err and "3 held-out scenes" in err
+        assert not (tmp_path / "viz").exists()
+
+    def test_scene_beyond_64_bits_exits_3(self, tmp_path, capsys):
+        # the index is one 64-bit word of the scene generator's key, checked
+        # once it is within a held-out stream that long
+        cfg = write_config(tmp_path)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        cfg = write_config(tmp_path, name="long.json", data={"n_heldout_scenes": 2**65})
         capsys.readouterr()
         assert main(["viz", "--config", cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl"),
                      "--scene", str(2**64), "--out", str(tmp_path / "viz")]) == 3

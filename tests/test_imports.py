@@ -9,6 +9,10 @@ to hold.
 Code that only tests run belongs with the tests, so a module-level function
 or class that no ``src/`` code names outside its own definition fails too.
 ``UNCALLED`` holds the ones kept on purpose, each with its reason.
+
+An engine option that no run sets is test-only code too: every defaulted
+parameter of an ``engine`` function, and of ``Value.__init__``, must be
+passed by some ``src/`` call, by keyword or by position.
 """
 
 import ast
@@ -97,3 +101,79 @@ def test_dead_code_checker_flags_a_leftover():
 def test_every_definition_is_named():
     sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in MODULES}
     assert unreferenced(sources) == sorted(f"{module}.{name}" for module, name in UNCALLED)
+
+
+def _engine_bindings(module: str, tree: ast.AST) -> tuple[dict[str, str], set[str]]:
+    """The names by which ``module`` calls engine code: (local name to engine
+    name, for names imported from the engine or defined in it; the names the
+    engine module itself is bound to)."""
+    if module == "engine":
+        return {node.name: node.name for node in tree.body if hasattr(node, "name")}, set()
+    names, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "engine":
+            names.update({alias.asname or alias.name: alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "engine")
+    return names, modules
+
+
+def unset_options(sources: dict[str, str]) -> list[str]:
+    """The ``function(parameter)`` of each defaulted parameter of a module-level
+    ``engine`` function, or of ``Value.__init__``, that no call in ``sources``
+    (module name to text) passes, by keyword or by position."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    options = {}  # callee -> {parameter: its position among the positional ones, None if keyword-only}
+    for node in trees["engine"].body:
+        if isinstance(node, ast.ClassDef) and node.name == "Value":
+            init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            if not init:
+                continue
+            args, skip = init[0].args, 1  # self
+        elif isinstance(node, ast.FunctionDef):
+            args, skip = node.args, 0
+        else:
+            continue
+        positional = (args.posonlyargs + args.args)[skip:]
+        first = len(positional) - len(args.defaults)
+        params = {a.arg: i for i, a in enumerate(positional) if i >= first}
+        params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+        if params:
+            options[node.name] = params
+    passed = set()
+    for module, tree in trees.items():
+        names, modules = _engine_bindings(module, tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                callee = names.get(func.id)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+                callee = func.attr
+            else:
+                continue
+            for param, pos in options.get(callee, {}).items():
+                if any(k.arg == param for k in call.keywords) or (pos is not None and pos < len(call.args)):
+                    passed.add((callee, param))
+    return sorted(f"{f}({p})" for f, params in options.items() for p in params if (f, p) not in passed)
+
+
+def test_options_checker_flags_a_leftover():
+    # passed by position (take's indices), by keyword (vmean's axis), to the
+    # class (Value's requires_grad), or only to another module's function of
+    # the same name (checkpoint's take), or not at all
+    sources = {
+        "engine": "class Value:\n    def __init__(self, data, requires_grad=False):\n        self.data = data\n\n\n"
+                  "def take(a, indices=0, axis=0):\n    return a\n\n\n"
+                  "def vmean(a, axis=None, keepdims=False):\n    return take(a, 1)\n",
+        "connector": "from . import engine\nfrom .engine import Value\n\n\n"
+                     "def read(a):\n    return engine.vmean(Value(a, True), axis=1)\n",
+        "checkpoint": "def take(n, what, axis):\n    return n\n\n\ntake(4, 'table', axis=0)\n",
+    }
+    assert unset_options(sources) == ["take(axis)", "vmean(keepdims)"]
+
+
+def test_every_engine_option_is_set():
+    sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in MODULES}
+    assert unset_options(sources) == []
