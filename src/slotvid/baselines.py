@@ -47,9 +47,6 @@ class PoolingParams:
             proj_b=zeros_param(cfg.out_dim),
         )
 
-    def named(self) -> dict:
-        return {"proj.w": self.proj_w, "proj.b": self.proj_b}
-
 
 def pooling_connector_batch(tokens: Value, params: PoolingParams) -> Value:
     """Project the pooling view [B, T + H*W, D] to [B, T + H*W, out_dim]."""
@@ -69,6 +66,8 @@ class QueryTransformerParams:
     layers: list
     n_heads: int
 
+    sep = "_"  # its layers' checkpoint names keep their field names: layer0.ln_q_g
+
     @classmethod
     def create(
         cls, rng: np.random.Generator, n_queries: int, d_in: int, d_q: int, n_layers: int, n_heads: int
@@ -83,12 +82,6 @@ class QueryTransformerParams:
             layers=layers,
             n_heads=n_heads,
         )
-
-    def named(self, prefix: str) -> dict:
-        out = {f"{prefix}.queries": self.queries}
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"{prefix}.layer{i}"))
-        return out
 
 
 def query_transformer_batch(inputs: Value, params: QueryTransformerParams) -> tuple[Value, np.ndarray]:
@@ -117,8 +110,8 @@ class WrapParams(ConnectorParams):
     """The two-branch connector's state with a query transformer per branch.
 
     Only the aggregators differ from ``ConnectorParams``: two query stacks of
-    ``cfg.qt_layers`` layers with ``cfg.qt_heads`` heads, named ``qt_slow.*``
-    and ``qt_fast.*``, created before the shared tensors.
+    ``cfg.qt_layers`` layers with ``cfg.qt_heads`` heads, created before the
+    shared tensors and named under ``prefix`` by ``engine.named_params``.
     """
 
     prefix = "qt_"
@@ -141,6 +134,6 @@ def wrap_fast_batch(series: Value, cfg: ConnectorConfig, params: WrapParams) -> 
     return fast_tokens(series, cfg, params, query_transformer_batch)
 
 
-def slowfast_wrap(views, cfg: ConnectorConfig, params: WrapParams, mode: str = "both"):
-    """Token-count-parity baseline forward over a batch's views; mode selects slow, fast or both branches."""
-    return join_branches(views, cfg, params, mode, wrap_slow_batch, wrap_fast_batch)
+def slowfast_wrap(views, cfg: ConnectorConfig, params: WrapParams, branch: str):
+    """Token-count-parity baseline forward over a batch's views; ``branch`` selects slow, fast or both branches."""
+    return join_branches(views, cfg, params, branch, wrap_slow_batch, wrap_fast_batch)

@@ -66,14 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", type=int, default=0, help="held-out scene index")
 
     p = sub.add_parser("compare", help="side-by-side table from report files")
-    p.add_argument("reports", nargs="+", help="two or more report files")
+    p.add_argument("reports", nargs="+", help="one or more report files")
     return parser
 
 
-def _require_out(args) -> str:
-    if not args.out:
-        raise ConfigError(f"{args.command} needs --out DIR")
-    return args.out
+def _require_out(args, rc) -> str:
+    if not rc.out:
+        raise ConfigError(f"{args.command} needs --out DIR or an out in its config")
+    return rc.out
 
 
 def _non_negative(args, name: str) -> int:
@@ -89,7 +89,7 @@ def _load(args):
 
 def _cmd_train(args, runner) -> int:
     rc = _load(args)
-    out_dir = _require_out(args)
+    out_dir = _require_out(args, rc)
     result = runner(rc, out_dir=out_dir, resume=args.resume)
     # written once the run has succeeded, so a refused run leaves no directory
     write_effective_config(rc, out_dir)
@@ -105,10 +105,10 @@ def _cmd_eval(args) -> int:
     rc = _load(args)
     report = evaluate_checkpoint(rc, args.ckpt, n_scenes=args.scenes)
     text = report.to_text()
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_effective_config(rc, args.out)
-        path = os.path.join(args.out, "report.txt")
+    if rc.out:
+        os.makedirs(rc.out, exist_ok=True)
+        write_effective_config(rc, rc.out)
+        path = os.path.join(rc.out, "report.txt")
         report.save(path)
         print(f"report: {path}")
     sys.stdout.write(text)
@@ -121,7 +121,7 @@ def _cmd_viz(args) -> int:
     if scene >= rc.data.n_heldout_scenes:
         raise ConfigError(f"--scene {scene} is past the {rc.data.n_heldout_scenes} held-out scenes "
                           "(data.n_heldout_scenes) that eval scores")
-    out_dir = _require_out(args)
+    out_dir = _require_out(args, rc)
     if rc.connector_kind == "pooling":
         raise TrainingError("the pooling connector has no attention masks to render")
     model = build_model(rc)

@@ -149,8 +149,9 @@ class ConnectorParams:
 
     The slot connector aggregates with slot attention. A subclass swaps in
     other aggregator params by overriding ``create_aggregators`` and names
-    them under its own ``prefix``; every other tensor and its checkpoint name
-    is shared.
+    them under its own ``prefix``; every other tensor is shared. Checkpoint
+    names follow ``engine.named_params``: ``slow.in_norm.g``, ``slow_pos``,
+    ``proj.w``.
     """
 
     slow: object  # aggregator params of the slow branch
@@ -191,20 +192,6 @@ class ConnectorParams:
             proj_w=engine.linear_param(rng, cfg.slot_dim, cfg.out_dim),
             proj_b=engine.zeros_param(cfg.out_dim),
         )
-
-    def named(self) -> dict:
-        out = {}
-        out.update(self.slow.named(self.prefix + "slow"))
-        out.update(self.fast.named(self.prefix + "fast"))
-        out["slow_pos"] = self.slow_pos
-        out["fast_pos"] = self.fast_pos
-        out["s_proj.w"] = self.s_proj_w
-        out["s_proj.b"] = self.s_proj_b
-        out["f_proj.w"] = self.f_proj_w
-        out["f_proj.b"] = self.f_proj_b
-        out["proj.w"] = self.proj_w
-        out["proj.b"] = self.proj_b
-        return out
 
 
 def uniform_sample_frames(total: int, count: int) -> np.ndarray:
@@ -335,7 +322,7 @@ def fast_branch_batch(series: Value, cfg: ConnectorConfig, params: ConnectorPara
     return fast_tokens(series, cfg, params, forward_batch)
 
 
-def connect_batch(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str = "both"):
+def connect_batch(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str):
     """Differentiable forward over a batch's views; returns (tokens, slow_masks, fast_masks).
 
     ``views`` maps view names to batch arrays; ``branch`` selects slow, fast

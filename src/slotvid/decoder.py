@@ -24,7 +24,7 @@ width is the slot width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,9 @@ from .engine import (
 @dataclass
 class QueryLayerParams:
     """One layer of a learned-query stack: the cross-attention weights, the
-    self-attention weights (None in a layer without), then the MLP weights."""
+    self-attention weights (None in a layer without), then the MLP weights,
+    named by ``engine.named_params`` (``layer0.ln_q.g``; ``layer0.ln_q_g`` in
+    the query transformer)."""
 
     ln_q_g: Value
     ln_q_b: Value
@@ -83,18 +85,6 @@ class QueryLayerParams:
         return cls(*cross, *attend, ones_param(d), zeros_param(d), linear_param(rng, d, 2 * d), zeros_param(2 * d),
                    linear_param(rng, 2 * d, d), zeros_param(d))
 
-    def named(self, prefix: str, sep: str = "_") -> dict:
-        """The present tensors in field order, ``sep`` joining a norm's or the
-        MLP's name to the tensor's: ``ln_q_g`` and ``ff_w1``, or ``ln_q.g`` and
-        ``ff.w1`` with ``"."``."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                group, _, tensor = f.name.rpartition("_")
-                out[f"{prefix}.{group}{sep}{tensor}" if group else f"{prefix}.{tensor}"] = value
-        return out
-
 
 def query_stack(queries: Value, inputs: Value, layers: list, heads: int) -> tuple[Value, np.ndarray]:
     """Run ``layers`` from the learned ``queries`` [N_q, D] over each set of ``inputs`` [B, M, D_in].
@@ -122,11 +112,11 @@ class DecoderParams:
     pos_queries: Value  # [M, D_dec]
     in_norm_g: Value  # applied to incoming slots
     in_norm_b: Value
-    layers: list
     out_norm_g: Value
     out_norm_b: Value
     head_w: Value  # [D_dec, D_out]
     head_b: Value
+    layers: list
 
     @classmethod
     def create(
@@ -149,20 +139,6 @@ class DecoderParams:
             head_w=linear_param(rng, d, d_out),
             head_b=zeros_param(d_out),
         )
-
-    def named(self, prefix: str) -> dict:
-        out = {
-            f"{prefix}.pos_queries": self.pos_queries,
-            f"{prefix}.in_norm.g": self.in_norm_g,
-            f"{prefix}.in_norm.b": self.in_norm_b,
-            f"{prefix}.out_norm.g": self.out_norm_g,
-            f"{prefix}.out_norm.b": self.out_norm_b,
-            f"{prefix}.head.w": self.head_w,
-            f"{prefix}.head.b": self.head_b,
-        }
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"{prefix}.layer{i}", "."))
-        return out
 
 
 def decode_batch(slots: Value, params: DecoderParams) -> Value:

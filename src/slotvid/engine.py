@@ -55,7 +55,7 @@ import zlib
 from contextlib import contextmanager
 from functools import partial
 from operator import attrgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Mapping
 
 import numpy as np
@@ -495,9 +495,6 @@ def cross_entropy(logits, labels) -> Value:
 # -- gated recurrent update -----------------------------------------------------
 
 
-GRU_NAMES = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-
-
 @dataclass
 class GruParams:
     """Weights of a single gated recurrent update over row vectors."""
@@ -517,8 +514,8 @@ class GruParams:
         w, b = partial(linear_param, rng, dim, dim), partial(zeros_param, dim)
         return cls(w(), w(), b(), w(), w(), b(), w(), w(), b())
 
-    def named(self, prefix: str) -> dict:
-        return {f"{prefix}.{k}": getattr(self, k) for k in GRU_NAMES}
+
+GRU_NAMES = tuple(f.name for f in fields(GruParams))
 
 
 def _gru_rows(h: np.ndarray, xw: np.ndarray, u_zr: np.ndarray, uh: np.ndarray):
@@ -1245,3 +1242,44 @@ def normal_param(rng: np.random.Generator, shape, std: float) -> Value:
 def linear_param(rng: np.random.Generator, fan_in: int, fan_out: int) -> Value:
     """A [fan_in, fan_out] weight with entries of standard deviation fan_in**-0.5."""
     return normal_param(rng, (fan_in, fan_out), fan_in**-0.5)
+
+
+
+def named_params(params, prefix: str = "", sep: str = ".") -> dict:
+    """The tensors of the params dataclass ``params`` by checkpoint name, in field order.
+
+    The one naming rule of every checkpoint tensor, each name under ``prefix.``
+    (under nothing for an empty ``prefix``): a ``Value`` field ``<group>_<tag>``
+    with a norm's or an affine map's tag, ``g``, ``b``, ``w``, ``w1``, ``b1``,
+    ``w2`` or ``b2``, is named ``<group><sep><tag>`` (``in_norm.g``); any other
+    keeps its field name (``wq``, ``s_wq``, ``slow_pos``). A nested params field
+    recurses under its field name after the container's ``prefix`` class
+    attribute, if any (``qt_slow`` in ``baselines.WrapParams``); entry ``i`` of
+    a list recurses under ``layer<i>``; ``None`` and settings (``iterations``,
+    ``n_heads``) name nothing. ``sep`` is ``"."`` unless a container declares
+    its own, which holds below it (``layer0.ln_q_g`` in
+    ``baselines.QueryTransformerParams``). A name given twice is an
+    ``EngineError``, not a tensor dropped from every checkpoint. Field order is
+    checkpoint order and the order of ``clip_global_norm``'s sum.
+    """
+    sep = getattr(params, "sep", sep)
+    at = f"{prefix}." if prefix else ""
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        group, _, tag = f.name.rpartition("_")
+        if isinstance(value, Value):
+            affine = group and tag in ("g", "b", "w", "w1", "b1", "w2", "b2")
+            named = [(at + (f"{group}{sep}{tag}" if affine else f.name), value)]
+        elif is_dataclass(value):
+            named = named_params(value, at + getattr(params, "prefix", "") + f.name, sep).items()
+        elif isinstance(value, list):
+            named = [item for i, layer in enumerate(value)
+                     for item in named_params(layer, f"{at}layer{i}", sep).items()]
+        else:
+            continue
+        for name, tensor in named:
+            if name in out:
+                raise EngineError(f"two tensors of {type(params).__name__} are named {name!r}")
+            out[name] = tensor
+    return out

@@ -143,6 +143,8 @@ _REPORT_SCALARS = (
     "probe_acc",
 )
 _REPORT_KEYS = ("connector", "seed", "config_hash", "n_tokens", "scenes") + _REPORT_SCALARS
+# the closed range of each bounded report value, by key; probe_acc covers every probe_acc.<task>
+_REPORT_RANGES = {"n_tokens": (1, math.inf), "scenes": (1, math.inf), "probe_acc": (0.0, 1.0)}
 
 
 def _number(kind, key: str, text: str):
@@ -152,6 +154,9 @@ def _number(kind, key: str, text: str):
         raise MetricsError(f"report value of {key} is not a number: {text!r}") from None
     if kind is float and not math.isfinite(value):  # float() reads nan and inf
         raise MetricsError(f"report value of {key} is not finite: {text!r}")
+    low, high = _REPORT_RANGES.get(key.split(".")[0], (-math.inf, math.inf))
+    if not low <= value <= high:
+        raise MetricsError(f"report value of {key} is outside [{low:g}, {high:g}]: {text!r}")
     return value
 
 
@@ -201,6 +206,8 @@ class DecouplingReport:
                 raise MetricsError(f"malformed report line: {line!r}")
             if key not in _REPORT_KEYS and not key.startswith("probe_acc."):
                 raise MetricsError(f"unknown report key: {key!r}")
+            if key == "probe_acc.":
+                raise MetricsError(f"report key {key!r} names no task")
             if key in fields:
                 raise MetricsError(f"repeated report key: {key!r}")
             fields[key] = value

@@ -54,11 +54,11 @@ class SlotAttentionParams:
     wq: Value  # [D_slot, D_slot]
     wk: Value  # [D_in, D_slot]
     wv: Value  # [D_in, D_slot]
-    gru: GruParams
     mlp_w1: Value
     mlp_b1: Value
     mlp_w2: Value
     mlp_b2: Value
+    gru: GruParams
     iterations: int = 3
     eps: float = ATTN_EPS
 
@@ -91,25 +91,6 @@ class SlotAttentionParams:
             mlp_b2=zeros_param(d_slot),
             iterations=iterations,
         )
-
-    def named(self, prefix: str) -> dict:
-        out = {
-            f"{prefix}.slots": self.slots,
-            f"{prefix}.in_norm.g": self.in_norm_g,
-            f"{prefix}.in_norm.b": self.in_norm_b,
-            f"{prefix}.slot_norm.g": self.slot_norm_g,
-            f"{prefix}.mlp_norm.g": self.mlp_norm_g,
-            f"{prefix}.mlp_norm.b": self.mlp_norm_b,
-            f"{prefix}.wq": self.wq,
-            f"{prefix}.wk": self.wk,
-            f"{prefix}.wv": self.wv,
-            f"{prefix}.mlp.w1": self.mlp_w1,
-            f"{prefix}.mlp.b1": self.mlp_b1,
-            f"{prefix}.mlp.w2": self.mlp_w2,
-            f"{prefix}.mlp.b2": self.mlp_b2,
-        }
-        out.update(self.gru.named(f"{prefix}.gru"))
-        return out
 
 
 def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np.ndarray]:

@@ -49,7 +49,7 @@ from .connector import (
     uniform_sample_frames,
 )
 from .decoder import DecoderParams, decode_batch, recon_loss
-from .engine import AdamState, Value, adam_update, backward, clip_global_norm, zero_grads
+from .engine import AdamState, Value, adam_update, backward, clip_global_norm, named_params, zero_grads
 from .metrics import DecouplingReport, ari, hard_assign, mask_entropy, slot_overlap
 from .slot_attention import forward_batch
 from .synthetic import TASKS, SceneStream, probe_class_counts
@@ -123,12 +123,11 @@ class Model:
     probe: ProbeParams
 
     def named(self) -> dict:
-        out = {}
-        out.update(self.conn.named())
-        if self.dec_slow is not None:
-            out.update(self.dec_slow.named("dec_slow"))
-        if self.dec_fast is not None:
-            out.update(self.dec_fast.named("dec_fast"))
+        """Every tensor by checkpoint name (``engine.named_params``): connector, decoders, probe."""
+        out = named_params(self.conn)
+        for prefix in ("dec_slow", "dec_fast"):
+            if getattr(self, prefix) is not None:
+                out.update(named_params(getattr(self, prefix), prefix))
         out.update(self.probe.named())
         return out
 

@@ -228,7 +228,7 @@ class TestInputSpaceRead:
         # inputs take gradients, as the fast branch's do through fast_pos
         inputs = Value(engine.normal(rng, (b, m, d_in)), requires_grad=True)
         probe = engine.normal(rng, (b, nq, dq))
-        leaves = dict(p.named("qt"), inputs=inputs)
+        leaves = dict(engine.named_params(p, "qt"), inputs=inputs)
         runs = []
         for fwd in (query_transformer_batch, _keys_values_query_transformer):
             engine.zero_grads(leaves)
@@ -387,11 +387,11 @@ class TestWrap:
         params = WrapParams.create(engine.rng_for(8, "wrap"), cfg)
         video = stack_views([make_video(8, cfg, frames=16)], cfg)
         with engine.no_grad():
-            slow, sm, fm = slowfast_wrap(video, cfg, params, mode="slow")
+            slow, sm, fm = slowfast_wrap(video, cfg, params, branch="slow")
             assert slow.shape == (1, 64, cfg.out_dim) and fm is None
-            fast, _, fmasks = slowfast_wrap(video, cfg, params, mode="fast")
+            fast, _, fmasks = slowfast_wrap(video, cfg, params, branch="fast")
             assert fast.shape == (1, 128, cfg.out_dim)
-            both, _, _ = slowfast_wrap(video, cfg, params, mode="both")
+            both, _, _ = slowfast_wrap(video, cfg, params, branch="both")
             assert both.shape == (1, 192, cfg.out_dim)
         assert sm.shape == (1, 8, 256, 8)
         assert fmasks.shape == (1, 16, 16, 8)
@@ -402,12 +402,12 @@ class TestWrap:
                               slot_dim=8, out_dim=5, max_frames=16, iters_slow=1, iters_fast=1)
         video = stack_views([make_video(9, cfg)], cfg)
         with engine.no_grad():
-            slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg))
-            wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg))
+            slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg), "both")
+            wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg), "both")
         assert slot_out.shape == wrap_out.shape
 
     def test_rejects_unknown_mode(self):
         cfg = self.CFG
         params = WrapParams.create(engine.rng_for(10, "wrap"), cfg)
         with pytest.raises(ValueError):
-            slowfast_wrap(stack_views([make_video(10, cfg, frames=8)], cfg), cfg, params, mode="sideways")
+            slowfast_wrap(stack_views([make_video(10, cfg, frames=8)], cfg), cfg, params, branch="sideways")

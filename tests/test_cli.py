@@ -72,6 +72,16 @@ class TestPretrainCommand:
         cfg = write_config(tmp_path)
         assert main(["pretrain", "--config", cfg]) == 2
 
+    def test_out_from_the_config_alone(self, tmp_path):
+        cfg = write_config(tmp_path, out=str(tmp_path / "a"))
+        assert main(["pretrain", "--config", cfg]) == 0
+        eff = tmp_path / "a" / "effective-config.json"
+        assert json.loads(eff.read_text())["out"] == str(tmp_path / "a")
+        # the run's own effective config reproduces it, output directory included
+        (tmp_path / "a" / "checkpoint.sfsl").rename(tmp_path / "first.sfsl")
+        assert main(["pretrain", "--config", str(eff)]) == 0
+        assert (tmp_path / "a" / "checkpoint.sfsl").read_bytes() == (tmp_path / "first.sfsl").read_bytes()
+
     @pytest.mark.parametrize("command, required", [("pretrain", True), ("viz", True), ("eval", False)])
     def test_out_help_says_whether_it_is_required(self, capsys, command, required):
         with pytest.raises(SystemExit):
@@ -317,6 +327,23 @@ class TestConfigErrors:
         assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]) == 3
 
 
+    @pytest.mark.parametrize("line", ["probe_acc. 0.5", "n_tokens -12", "scenes 0", "probe_acc 7.5"])
+    def test_compare_out_of_range_report_exits_3(self, tmp_path, capsys, line):
+        good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\nprobe_acc 0.5\n"
+        key = line.split()[0]
+        (tmp_path / "bad.txt").write_text("".join(ln + "\n" for ln in good.splitlines() if ln.split()[0] != key)
+                                          + line + "\n")
+        assert main(["compare", str(tmp_path / "bad.txt")]) == 3
+        assert key in capsys.readouterr().err
+
+    def test_compare_takes_one_or_more_reports(self, tmp_path, capsys):
+        (tmp_path / "good.txt").write_text("connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\n")
+        assert main(["compare", str(tmp_path / "good.txt")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        assert "one or more report files" in " ".join(capsys.readouterr().out.split())
+
     def test_compare_non_ascii_report_exits_3(self, tmp_path, capsys):
         good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\n"
         (tmp_path / "good.txt").write_text(good)
@@ -410,6 +437,13 @@ class TestViz:
         first = index[0].split()
         img = parse_pgm(str(tmp_path / "viz" / first[3]))
         assert img.shape == (4, 4)
+
+    def test_out_from_the_config_alone(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        viz_cfg = write_config(tmp_path, name="viz.json", out=str(tmp_path / "viz"))
+        assert main(["viz", "--config", viz_cfg, "--ckpt", str(tmp_path / "s1" / "checkpoint.sfsl")]) == 0
+        assert (tmp_path / "viz" / "index.txt").read_text().splitlines()
 
     def test_negative_scene_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

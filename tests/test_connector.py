@@ -102,7 +102,7 @@ class TestTokenCounts:
             assert cfg.n_tokens == expect
             with engine.no_grad():
                 tokens, _, _ = connect_batch(stack_views([make_video(t_d * 100 + n_f, cfg)], cfg), cfg,
-                                             make_params(1, cfg))
+                                             make_params(1, cfg), "both")
             assert tokens.shape == (1, expect, cfg.out_dim)
 
     def test_count_independent_of_clip_length(self):
@@ -110,7 +110,7 @@ class TestTokenCounts:
         params = make_params(2, cfg)
         for t in (cfg.slow_frames, cfg.frames, cfg.max_frames):
             with engine.no_grad():
-                tokens, _, _ = connect_batch(stack_views([make_video(3, cfg, frames=t)], cfg), cfg, params)
+                tokens, _, _ = connect_batch(stack_views([make_video(3, cfg, frames=t)], cfg), cfg, params, "both")
             assert tokens.shape[1] == cfg.n_tokens
 
     def test_doubling_slots_doubles_each_term(self):
@@ -231,7 +231,7 @@ class TestFastBranch:
         cfg = SMALL
         video = make_video(11, cfg, frames=cfg.max_frames + 1)
         with pytest.raises(ConnectorError):
-            connect_batch(stack_views([video], cfg), cfg, make_params(11, cfg))
+            connect_batch(stack_views([video], cfg), cfg, make_params(11, cfg), "both")
 
 
 class TestPooling:
@@ -283,7 +283,7 @@ class TestConnect:
 
         def tokens(g):
             with engine.no_grad():
-                return connect_batch(stack_views([VideoFeatures(g)], cfg), cfg, params)[0].data[0]
+                return connect_batch(stack_views([VideoFeatures(g)], cfg), cfg, params, "both")[0].data[0]
 
         base = tokens(grid)
         frame = uniform_sample_frames(cfg.frames, cfg.slow_frames)[1]
@@ -303,7 +303,8 @@ class TestConnect:
         # one [T, H, W, D] clip in, a batch of one out, masks in branch layout
         cfg = SMALL
         with engine.no_grad():
-            tokens, slow, fast = connect_batch(stack_views([make_video(13, cfg)], cfg), cfg, make_params(13, cfg))
+            views = stack_views([make_video(13, cfg)], cfg)
+            tokens, slow, fast = connect_batch(views, cfg, make_params(13, cfg), "both")
         assert tokens.shape == (1, cfg.n_tokens, cfg.out_dim)
         assert slow.shape == (1, cfg.slow_frames, cfg.grid_h * cfg.grid_w, cfg.slots_per_frame)
         assert fast.shape == (1, cfg.n_positions, cfg.frames, cfg.slots_per_position)
@@ -327,7 +328,7 @@ class TestConnect:
         cfg = SMALL
         params = make_params(14, cfg)
         views = stack_views([make_video(14, cfg)], cfg)
-        tokens, _, _ = connect_batch(views, cfg, params)
+        tokens, _, _ = connect_batch(views, cfg, params, "both")
         slow_tokens, _ = slow_branch_batch(views["slow"], cfg, params)
         with engine.no_grad():
             expect = engine.add(matmul(slow_tokens, params.proj_w), params.proj_b)
@@ -361,7 +362,7 @@ class TestConnect:
         ]
 
         def build():
-            tokens, _, _ = connect_batch(views, cfg, params)
+            tokens, _, _ = connect_batch(views, cfg, params, "both")
             return engine.vmean(engine.mul(engine.reshape(tokens, probe.shape), probe))
 
         ok, total = fd_check(build, checked, engine.rng_for(15, "pick"), coords_per_param=4)

@@ -201,7 +201,7 @@ class TestInputSpaceRead:
         p = DecoderParams.create(rng, m, d, d_out)
         slots = Value(engine.normal(rng, (b, n, d)), requires_grad=True)
         probe = engine.normal(rng, (b, m, d_out))
-        leaves = dict(p.named("dec"), slots=slots)
+        leaves = dict(engine.named_params(p, "dec"), slots=slots)
         runs = []
         for fwd in (decode_batch, _keys_values_decode):
             engine.zero_grads(leaves)

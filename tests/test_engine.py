@@ -2,6 +2,7 @@ import math
 import warnings
 import weakref
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from slotvid.engine import (
     adam_update,
     backward,
     layer_norm,
+    named_params,
     slot_attention,
 )
 from slotvid.slot_attention import SlotAttentionParams
@@ -191,6 +193,78 @@ class TestGru:
         p.ur = Value(np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ShapeError, match="gru.ur"):
             self._update(p, np.zeros((1, 2), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
+
+
+def _leaf():
+    return Value(np.zeros(1, dtype=np.float32))
+
+
+@dataclass
+class _Layer:
+    ln_q_g: Value
+    s_wq: Value
+    ff_w1: Value | None
+
+
+@dataclass
+class _Block:
+    slots: Value
+    in_norm_b: Value
+    layers: list
+    iterations: int = 3
+
+
+@dataclass
+class _Frame:
+    left: _Block
+    slow_pos: Value
+    proj_w: Value
+
+    prefix = "qt_"
+
+
+@dataclass
+class _Underscored:
+    layers: list
+
+    sep = "_"
+
+
+@dataclass
+class _Norm:
+    g: Value
+
+
+@dataclass
+class _Clash:
+    ln_q: _Norm
+    ln_q_g: Value
+
+
+class TestNamedParams:
+    """``named_params``'s one naming rule on toy params dataclasses."""
+
+    def test_rule(self):
+        block = _Block(_leaf(), _leaf(), [_Layer(_leaf(), _leaf(), None), _Layer(_leaf(), _leaf(), _leaf())])
+        frame = _Frame(block, _leaf(), _leaf())
+        named = named_params(frame, "conn")
+        assert list(named) == [
+            "conn.qt_left.slots", "conn.qt_left.in_norm.b",
+            "conn.qt_left.layer0.ln_q.g", "conn.qt_left.layer0.s_wq",
+            "conn.qt_left.layer1.ln_q.g", "conn.qt_left.layer1.s_wq", "conn.qt_left.layer1.ff.w1",
+            "conn.slow_pos", "conn.proj.w",
+        ]
+        assert named["conn.qt_left.layer1.ff.w1"] is block.layers[1].ff_w1
+        assert list(named_params(frame.left.layers[0])) == ["ln_q.g", "s_wq"]  # no prefix, no leading dot
+
+    def test_declared_sep_holds_below_its_container(self):
+        named = named_params(_Underscored([_Layer(_leaf(), _leaf(), _leaf())]), "qt")
+        assert list(named) == ["qt.layer0.ln_q_g", "qt.layer0.s_wq", "qt.layer0.ff_w1"]
+
+    def test_two_tensors_under_one_name_raise(self):
+        # the nested norm's g and the outer ln_q_g would both be x.ln_q.g, and one would drop out
+        with pytest.raises(EngineError, match="x.ln_q.g"):
+            named_params(_Clash(_Norm(_leaf()), _leaf()), "x")
 
 
 class TestBackward:

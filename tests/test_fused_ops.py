@@ -97,7 +97,7 @@ def _gru_case(seed, shape):
         getattr(p, name).data = engine.normal(rng, (shape[-1],), std=0.5)
     h, x = _leaf(rng, shape), _leaf(rng, shape)
     probe = engine.normal(rng, shape)
-    leaves = [h, x] + list(p.named("gru").values())
+    leaves = [h, x] + list(engine.named_params(p, "gru").values())
     return p, h, x, probe, leaves
 
 
@@ -253,7 +253,7 @@ def _node_case(seed, shape, n, d, x_grad, per_set_init=False, spread=0.3):
     unit scale, inputs and a probe."""
     rng = engine.rng_for(seed, "slot-node", *shape)
     p = SlotAttentionParams.create(rng, n, shape[2], d)
-    for name, v in p.named("sa").items():
+    for name, v in engine.named_params(p, "sa").items():
         v.data = v.data + engine.normal(rng, v.data.shape, std=spread if name.endswith((".g", ".b")) else 0.1)
     init = _leaf(rng, (shape[0], n, d) if per_set_init else (n, d), std=0.5)
     x = Value(engine.normal(rng, shape, std=2.0) + np.float32(0.5), requires_grad=x_grad)
@@ -263,7 +263,7 @@ def _node_case(seed, shape, n, d, x_grad, per_set_init=False, spread=0.3):
 
 def _node_leaves(p, x, init):
     """(name, leaf) of every operand of the node that takes an adjoint."""
-    return [("init", init), *p.named("sa").items()] + ([("x", x)] if x.requires_grad else [])
+    return [("init", init), *engine.named_params(p, "sa").items()] + ([("x", x)] if x.requires_grad else [])
 
 
 # (inputs [B, M, D_in], slots, slot width) of the default config: joint_tune's

@@ -10,9 +10,10 @@ Code that only tests run belongs with the tests, so a module-level function
 or class that no ``src/`` code names outside its own definition fails too.
 ``UNCALLED`` holds the ones kept on purpose, each with its reason.
 
-An engine option that no run sets is test-only code too: every defaulted
-parameter of an ``engine`` function, and of ``Value.__init__``, must be
-passed by some ``src/`` call, by keyword or by position.
+An option that no run sets is test-only code too: every defaulted parameter
+of a module-level function, and of ``Value.__init__``, must be passed by
+some ``src/`` call, by keyword or by position. ``SET_OUTSIDE`` holds the
+ones that only a caller outside ``src/`` sets, each with its reason.
 """
 
 import ast
@@ -26,6 +27,15 @@ ALLOWED = {("training", "fast_branch_batch"), ("training", "slow_branch_batch")}
 UNCALLED = {
     # the chance level that ROADMAP item 2(c)'s probe gate compares probe accuracy against
     ("training", "majority_accuracy"),
+}
+SET_OUTSIDE = {
+    # the CLI calls each trainer through a variable, runner(rc, out_dir=..., resume=...)
+    *(f"training.{runner}({param})" for runner in ("run_stage1", "run_stage2", "run_stage3", "run_baseline")
+      for param in ("out_dir", "resume")),
+    # tests pass argv; the console script leaves it None, so argparse reads sys.argv
+    "cli.main(argv)",
+    # the benchmark harness tags each held-out request's scenes
+    "training.evaluate_model(tag)",
 }
 
 
@@ -103,29 +113,28 @@ def test_every_definition_is_named():
     assert unreferenced(sources) == sorted(f"{module}.{name}" for module, name in UNCALLED)
 
 
-def _engine_bindings(module: str, tree: ast.AST) -> tuple[dict[str, str], set[str]]:
-    """The names by which ``module`` calls engine code: (local name to engine
-    name, for names imported from the engine or defined in it; the names the
-    engine module itself is bound to)."""
-    if module == "engine":
-        return {node.name: node.name for node in tree.body if hasattr(node, "name")}, set()
-    names, modules = {}, set()
+def _bindings(module: str, tree: ast.AST) -> tuple[dict[str, tuple[str, str]], dict[str, str]]:
+    """The names by which ``module`` calls ``slotvid`` functions: (local name to
+    (module, function), for its own module-level definitions and the names it
+    imports by ``from .x import y``; local name to module, for the modules it
+    binds by ``from . import x``)."""
+    names = {node.name: (module, node.name) for node in tree.body if hasattr(node, "name")}
+    modules = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "engine":
-            names.update({alias.asname or alias.name: alias.name for alias in node.names})
-        elif isinstance(node, ast.ImportFrom) and node.module is None:
-            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "engine")
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+            names.update({alias.asname or alias.name: (node.module, alias.name) for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names})
     return names, modules
 
 
-def unset_options(sources: dict[str, str]) -> list[str]:
-    """The ``function(parameter)`` of each defaulted parameter of a module-level
-    ``engine`` function, or of ``Value.__init__``, that no call in ``sources``
-    (module name to text) passes, by keyword or by position."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    options = {}  # callee -> {parameter: its position among the positional ones, None if keyword-only}
-    for node in trees["engine"].body:
-        if isinstance(node, ast.ClassDef) and node.name == "Value":
+def _options(module: str, tree: ast.AST) -> dict:
+    """(module, callee) to {defaulted parameter: its position among the positional
+    ones, None if keyword-only}, for each module-level function of ``tree`` and
+    each module-level class with its own ``__init__``."""
+    options = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
             init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
             if not init:
                 continue
@@ -139,10 +148,24 @@ def unset_options(sources: dict[str, str]) -> list[str]:
         params = {a.arg: i for i, a in enumerate(positional) if i >= first}
         params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
         if params:
-            options[node.name] = params
+            options[(module, node.name)] = params
+    return options
+
+
+def unset_options(sources: dict[str, str]) -> list[str]:
+    """The ``module.function(parameter)`` of each defaulted parameter of a
+    module-level function, or of a module-level class's ``__init__``, that no
+    call in ``sources`` (module name to text) passes, by keyword or by
+    position. A call is resolved through the calling module's own definitions,
+    ``from .x import y`` and ``from . import x``; a ``**`` argument passes
+    every parameter."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    options = {}
+    for module, tree in trees.items():
+        options.update(_options(module, tree))
     passed = set()
     for module, tree in trees.items():
-        names, modules = _engine_bindings(module, tree)
+        names, modules = _bindings(module, tree)
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
@@ -150,30 +173,36 @@ def unset_options(sources: dict[str, str]) -> list[str]:
             if isinstance(func, ast.Name):
                 callee = names.get(func.id)
             elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
-                callee = func.attr
+                callee = (modules[func.value.id], func.attr)
             else:
                 continue
+            spread = any(k.arg is None for k in call.keywords)
             for param, pos in options.get(callee, {}).items():
-                if any(k.arg == param for k in call.keywords) or (pos is not None and pos < len(call.args)):
+                if spread or any(k.arg == param for k in call.keywords) or (pos is not None and pos < len(call.args)):
                     passed.add((callee, param))
-    return sorted(f"{f}({p})" for f, params in options.items() for p in params if (f, p) not in passed)
+    return sorted(f"{m}.{f}({p})" for (m, f), params in options.items() for p in params
+                  if ((m, f), p) not in passed)
 
 
 def test_options_checker_flags_a_leftover():
     # passed by position (take's indices), by keyword (vmean's axis), to the
-    # class (Value's requires_grad), or only to another module's function of
-    # the same name (checkpoint's take), or not at all
+    # class (Value's requires_grad), through a module binding (connector's
+    # read), by ** (checkpoint's seal), or only to another module's function
+    # of the same name (checkpoint's take), or not at all
     sources = {
         "engine": "class Value:\n    def __init__(self, data, requires_grad=False):\n        self.data = data\n\n\n"
                   "def take(a, indices=0, axis=0):\n    return a\n\n\n"
                   "def vmean(a, axis=None, keepdims=False):\n    return take(a, 1)\n",
         "connector": "from . import engine\nfrom .engine import Value\n\n\n"
-                     "def read(a):\n    return engine.vmean(Value(a, True), axis=1)\n",
-        "checkpoint": "def take(n, what, axis):\n    return n\n\n\ntake(4, 'table', axis=0)\n",
+                     "def read(a, branch='both', scale=1):\n    return engine.vmean(Value(a, True), axis=1)\n",
+        "checkpoint": "from . import connector as conn\n\n\n"
+                      "def take(n, what, axis=0):\n    return n\n\n\n"
+                      "def seal(n, what=None):\n    return n\n\n\n"
+                      "take(4, 'table', axis=0)\nconn.read(0, 'slow')\nseal(1, **{})\n",
     }
-    assert unset_options(sources) == ["take(axis)", "vmean(keepdims)"]
+    assert unset_options(sources) == ["connector.read(scale)", "engine.take(axis)", "engine.vmean(keepdims)"]
 
 
-def test_every_engine_option_is_set():
+def test_every_option_is_set():
     sources = {module: (SRC / f"{module}.py").read_text(encoding="utf-8") for module in MODULES}
-    assert unset_options(sources) == []
+    assert unset_options(sources) == sorted(SET_OUTSIDE)

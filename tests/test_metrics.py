@@ -403,6 +403,19 @@ class TestReports:
         with pytest.raises(MetricsError, match=key.replace(".", r"\.")):
             DecouplingReport.from_text("\n".join(lines + [line]) + "\n")
 
+    @pytest.mark.parametrize("line", ["probe_acc. 0.5", "n_tokens -12", "n_tokens 0", "scenes 0", "probe_acc 7.5",
+                                      "probe_acc -0.01", "probe_acc.occupancy 1.5"])
+    def test_out_of_range_value_rejected(self, line):
+        # each was once read and printed by `slotvid compare`
+        key = line.split()[0]
+        lines = [ln for ln in self._report().to_text().splitlines() if ln.split()[0] != key]
+        with pytest.raises(MetricsError, match=key.replace(".", r"\.")):
+            DecouplingReport.from_text("\n".join(lines + [line]) + "\n")
+
+    def test_range_ends_accepted(self):
+        rep = self._report(n_tokens=1, scenes=1, probe_acc=0.0, probe_acc_per_task={"occupancy": 1.0})
+        assert DecouplingReport.from_text(rep.to_text()) == rep
+
     @pytest.mark.parametrize("line", ["spatial_arii 0.9", "probe_ac 0.5", "Seed 7"])
     def test_unknown_key_rejected(self, line):
         # a typo once vanished and `slotvid compare` printed the rest as whole

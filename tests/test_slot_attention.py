@@ -230,7 +230,7 @@ class TestInputSpaceRead:
         p = SlotAttentionParams.create(rng, 8, shape[2], 64)
         inputs = Value(engine.normal(rng, shape), requires_grad=True)
         probe = engine.normal(rng, (shape[0], 8, 64))
-        leaves = dict(p.named("sa"), inputs=inputs)
+        leaves = dict(engine.named_params(p, "sa"), inputs=inputs)
         runs = []
         for fwd in (forward_batch, _keys_values_forward):
             engine.zero_grads(leaves)
