@@ -63,10 +63,11 @@ def save_checkpoint(tensors: Mapping[str, np.ndarray], path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a container back; validates magic, version, CRC and name uniqueness.
+    """Read a container back; validates magic, version, CRC, name uniqueness
+    and that every value is finite.
 
     Any malformed container, including one whose CRC holds over a table that
-    does not parse, raises ``CheckpointError``."""
+    does not parse or over a NaN or infinite value, raises ``CheckpointError``."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -108,6 +109,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         arr = np.frombuffer(blob, dtype="<f4", count=size, offset=take(4 * size, "tensor payload"))
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r} in {path}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values in {path}")
         try:
             out[name] = arr.reshape(dims).astype(np.float32, copy=True)
         except ValueError as exc:  # an empty payload whose dims numpy cannot index

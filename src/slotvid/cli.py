@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("eval", help="decoupling report on held-out scenes"), needs_out=False)
     p.add_argument("--ckpt", required=True, help="checkpoint to evaluate")
-    p.add_argument("--scenes", type=int, help="override held-out scene count")
+    p.add_argument("--scenes", type=int, help="override the held-out scene count (data.n_heldout_scenes)")
 
     p = common(sub.add_parser("viz", help="render attention masks as PGM images"))
     p.add_argument("--ckpt", required=True, help="checkpoint to visualize")
@@ -84,7 +84,11 @@ def _non_negative(args, name: str) -> int:
 
 
 def _load(args):
-    return load_config(args.config, seed=args.seed, out=getattr(args, "out", None))
+    """The run config: the ``--config`` file or the defaults, with each flag given folded in."""
+    overrides = {key: value for key, value in (("seed", args.seed), ("out", args.out)) if value is not None}
+    if getattr(args, "scenes", None) is not None:
+        overrides["data"] = {"n_heldout_scenes": args.scenes}
+    return load_config(args.config, overrides)
 
 
 def _cmd_train(args, runner) -> int:
@@ -103,7 +107,7 @@ def _cmd_train(args, runner) -> int:
 
 def _cmd_eval(args) -> int:
     rc = _load(args)
-    report = evaluate_checkpoint(rc, args.ckpt, n_scenes=args.scenes)
+    report = evaluate_checkpoint(rc, args.ckpt)
     text = report.to_text()
     if rc.out:
         os.makedirs(rc.out, exist_ok=True)

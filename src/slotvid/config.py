@@ -100,18 +100,16 @@ def default_config_dict() -> dict:
     }
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
+def _merge(defaults: dict, user, path: str = "") -> dict:
+    """``user`` merged over ``defaults``, object by object; a key that ``defaults`` lacks is a ConfigError."""
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object")
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         where = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be an object")
-            out[key] = _merge(defaults[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
+        out[key] = _merge(defaults[key], value, where) if isinstance(defaults[key], dict) else copy.deepcopy(value)
     return out
 
 
@@ -158,8 +156,6 @@ def _build(cls, section: dict, **typed):
 
 def from_dict(user: dict) -> RunConfig:
     """Validate a raw config dict and materialize every default."""
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be an object")
     merged = _merge(default_config_dict(), user)
 
     conn = merged["connector"]
@@ -227,8 +223,9 @@ def from_dict(user: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | None, seed: int | None = None, out: str | None = None) -> RunConfig:
-    """Read a config file (or use defaults) with optional CLI overrides."""
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Read a config file (or use defaults) with ``overrides``, a partial config
+    document such as the CLI's flags, merged over it."""
     raw: dict = {}
     if path is not None:
         try:
@@ -240,11 +237,7 @@ def load_config(path: str | None, seed: int | None = None, out: str | None = Non
             raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long integers, deep nesting
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if seed is not None:
-        raw = {**raw, "seed": seed}
-    if out is not None:
-        raw = {**raw, "out": out}
-    return from_dict(raw)
+    return from_dict(_merge(_merge(default_config_dict(), raw), overrides or {}))
 
 
 def config_hash(rc: RunConfig) -> str:

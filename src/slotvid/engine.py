@@ -1133,14 +1133,13 @@ def _iter_params(params):
 # -- optimizer --------------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment tensors plus step counter."""
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -1149,7 +1148,7 @@ class AdamState:
 def adam_update(
     params: Mapping[str, Value],
     state: AdamState,
-    lr: float | None = None,
+    lr: float,
     lr_overrides: Mapping[str, float] | None = None,
 ) -> None:
     """Apply one bias-corrected Adam step in place, reading each param's grad.
@@ -1158,12 +1157,12 @@ def adam_update(
     estimates and step counter are shared either way).
     """
     state.t += 1
-    base_lr = np.float32(state.lr if lr is None else lr)
-    b1 = np.float32(state.beta1)
-    b2 = np.float32(state.beta2)
-    c1 = np.float32(1.0 - state.beta1**state.t)
-    c2 = np.float32(1.0 - state.beta2**state.t)
-    eps = np.float32(state.eps)
+    base_lr = np.float32(lr)
+    b1 = np.float32(ADAM_BETA1)
+    b2 = np.float32(ADAM_BETA2)
+    c1 = np.float32(1.0 - ADAM_BETA1**state.t)
+    c2 = np.float32(1.0 - ADAM_BETA2**state.t)
+    eps = np.float32(ADAM_EPS)
     for name, p in params.items():
         g = p.grad
         if g.shape != p.data.shape:

@@ -6,13 +6,16 @@ per set. Each input token goes to its strongest slot (argmax), and each set's
 partition is scored against its row of the [sets, tokens] ground truth with
 the adjusted Rand index. Column overlap and row entropy quantify how much
 slots share tokens and how concentrated each token's assignment is.
+
+``DecouplingReport`` aggregates them per trained connector; its docstring
+states the report's text format, which its fields declare.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -72,7 +75,10 @@ def slot_overlap(masks) -> np.ndarray:
     norms = np.linalg.norm(w, axis=1)
     i, j = np.triu_indices(n, 1)
     denom = norms[:, i] * norms[:, j]
-    return np.divide(gram[:, i, j], denom, out=np.zeros_like(denom), where=denom > 0).mean(axis=1)
+    cosine = np.divide(gram[:, i, j], denom, out=np.zeros_like(denom), where=denom > 0)
+    # equal columns can read a rounding step above 1 (1.0000000000000002),
+    # which a report, whose overlap lies in [0, 1], would refuse to read back
+    return np.minimum(cosine, 1.0).mean(axis=1)
 
 
 def mask_entropy(masks) -> np.ndarray:
@@ -133,70 +139,73 @@ def render_masks(masks, out_dir: str) -> list:
 # -- aggregate reports -------------------------------------------------------------------
 
 
-_REPORT_SCALARS = (
-    "spatial_ari",
-    "temporal_ari",
-    "slot_overlap_slow",
-    "slot_overlap_fast",
-    "mask_entropy_slow",
-    "mask_entropy_fast",
-    "probe_acc",
-)
-_REPORT_KEYS = ("connector", "seed", "config_hash", "n_tokens", "scenes") + _REPORT_SCALARS
-# the closed range of each bounded report value, by key; probe_acc covers every probe_acc.<task>
-_REPORT_RANGES = {"n_tokens": (1, math.inf), "scenes": (1, math.inf), "probe_acc": (0.0, 1.0)}
+def _line(kind, low=-math.inf, high=math.inf, **default):
+    """A report field whose text reads as ``kind`` (``str``, ``int`` or
+    ``float``) and whose number lies in the closed range [low, high]."""
+    return field(metadata={"line": (kind, low, high)}, **default)
 
 
-def _number(kind, key: str, text: str):
+def _read(f, key: str, text: str):
+    """The value of report line ``key`` by its field ``f``'s declaration."""
+    kind, low, high = f.metadata["line"]
+    if kind is str:
+        return text
     try:
         value = kind(text)
     except ValueError:
         raise MetricsError(f"report value of {key} is not a number: {text!r}") from None
     if kind is float and not math.isfinite(value):  # float() reads nan and inf
         raise MetricsError(f"report value of {key} is not finite: {text!r}")
-    low, high = _REPORT_RANGES.get(key.split(".")[0], (-math.inf, math.inf))
     if not low <= value <= high:
         raise MetricsError(f"report value of {key} is outside [{low:g}, {high:g}]: {text!r}")
     return value
 
 
+# the field whose entries are the report's probe_acc.<task> lines
+_PER_TASK, _TASK_KEY = "probe_acc_per_task", "probe_acc."
+
+
 @dataclass
 class DecouplingReport:
-    """Aggregate decoupling and probe numbers for one trained connector."""
+    """Aggregate decoupling and probe numbers for one trained connector.
 
-    connector: str
-    seed: int
-    config_hash: str
-    n_tokens: int
-    scenes: int
-    spatial_ari: float | None = None
-    temporal_ari: float | None = None
-    slot_overlap_slow: float | None = None
-    slot_overlap_fast: float | None = None
-    mask_entropy_slow: float | None = None
-    mask_entropy_fast: float | None = None
-    probe_acc: float | None = None
-    probe_acc_per_task: dict = field(default_factory=dict)
+    The report text is one ``<field> <value>`` line per field, in field order,
+    with no line for a None value, and one ``probe_acc.<task> <value>`` line
+    per entry of ``probe_acc_per_task``, tasks sorted. A value prints as its
+    ``str``, a float's ``repr``. Each field declares how its text reads and
+    the closed range of its value (``_line``); every task line reads by
+    ``probe_acc_per_task``'s declaration.
+    """
+
+    connector: str = _line(str)
+    seed: int = _line(int, 0, 2**64 - 1)  # the config's seed range
+    config_hash: str = _line(str)
+    n_tokens: int = _line(int, 1)
+    scenes: int = _line(int, 1)
+    spatial_ari: float | None = _line(float, -1.0, 1.0, default=None)
+    temporal_ari: float | None = _line(float, -1.0, 1.0, default=None)
+    slot_overlap_slow: float | None = _line(float, 0.0, 1.0, default=None)
+    slot_overlap_fast: float | None = _line(float, 0.0, 1.0, default=None)
+    mask_entropy_slow: float | None = _line(float, 0.0, default=None)
+    mask_entropy_fast: float | None = _line(float, 0.0, default=None)
+    probe_acc: float | None = _line(float, 0.0, 1.0, default=None)
+    probe_acc_per_task: dict = _line(float, 0.0, 1.0, default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [
-            f"connector {self.connector}",
-            f"seed {self.seed}",
-            f"config_hash {self.config_hash}",
-            f"n_tokens {self.n_tokens}",
-            f"scenes {self.scenes}",
-        ]
-        for key in _REPORT_SCALARS:
-            val = getattr(self, key)
-            if val is not None:
-                lines.append(f"{key} {val!r}")
-        for task in sorted(self.probe_acc_per_task):
-            lines.append(f"probe_acc.{task} {self.probe_acc_per_task[task]!r}")
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == _PER_TASK:
+                lines += [f"{_TASK_KEY}{task} {value[task]}" for task in sorted(value)]
+            elif value is not None:
+                lines.append(f"{f.name} {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DecouplingReport":
-        fields: dict = {}
+        declared = {f.name: f for f in fields(cls)}
+        per_task = declared.pop(_PER_TASK)
+        read: dict = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -204,26 +213,19 @@ class DecouplingReport:
             key, _, value = line.partition(" ")
             if not value:
                 raise MetricsError(f"malformed report line: {line!r}")
-            if key not in _REPORT_KEYS and not key.startswith("probe_acc."):
+            is_task = key.startswith(_TASK_KEY)
+            if not is_task and key not in declared:
                 raise MetricsError(f"unknown report key: {key!r}")
-            if key == "probe_acc.":
+            if key == _TASK_KEY:
                 raise MetricsError(f"report key {key!r} names no task")
-            if key in fields:
+            if key in read:
                 raise MetricsError(f"repeated report key: {key!r}")
-            fields[key] = value
-        per_task = {k.split(".", 1)[1]: _number(float, k, v) for k, v in fields.items() if k.startswith("probe_acc.")}
-        try:
-            return cls(
-                connector=fields["connector"],
-                seed=_number(int, "seed", fields["seed"]),
-                config_hash=fields["config_hash"],
-                n_tokens=_number(int, "n_tokens", fields["n_tokens"]),
-                scenes=_number(int, "scenes", fields["scenes"]),
-                probe_acc_per_task=per_task,
-                **{key: _number(float, key, fields[key]) for key in _REPORT_SCALARS if key in fields},
-            )
-        except KeyError as exc:
-            raise MetricsError(f"report missing required key: {exc}") from exc
+            read[key] = _read(per_task if is_task else declared[key], key, value)
+        for name, f in declared.items():
+            if name not in read and f.default is MISSING:
+                raise MetricsError(f"report missing required key: {name!r}")
+        tasks = {key[len(_TASK_KEY):]: value for key, value in read.items() if key not in declared}
+        return cls(**{key: value for key, value in read.items() if key in declared}, probe_acc_per_task=tasks)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:

@@ -198,8 +198,8 @@ def _meta_scalar(tensors: dict, key: str, default: float) -> float:
     if key not in tensors:
         return default
     arr = np.asarray(tensors[key])
-    if arr.size != 1 or not np.isfinite(arr).all():
-        raise CheckpointError(f"checkpoint metadata {key!r} must be one finite number, got shape {arr.shape}")
+    if arr.size != 1:
+        raise CheckpointError(f"checkpoint metadata {key!r} must be one number, got shape {arr.shape}")
     return float(arr.reshape(-1)[0])
 
 
@@ -211,17 +211,10 @@ def _meta_count(tensors: dict, key: str) -> int:
     return int(value)
 
 
-def _finite_copy(tensors: dict, key: str) -> np.ndarray:
-    """A float32 copy of checkpoint tensor ``key``; a non-finite value is a ``CheckpointError``."""
-    arr = np.ascontiguousarray(tensors[key], dtype=np.float32)
-    if not np.isfinite(arr).all():
-        raise CheckpointError(f"checkpoint tensor {key!r} holds non-finite values")
-    return arr.copy()
-
-
 def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> None:
     """Strict load of every model tensor whose name starts with one of ``prefixes``
-    (all of them by default): each must be present with its shape, and finite."""
+    (all of them by default): each must be present with its shape. Each is
+    copied, so two models loaded from one checkpoint share no array."""
     kind_code = _meta_scalar(tensors, "meta.connector", -1.0)
     if kind_code >= 0.0 and kind_code != _KIND_CODES[model.kind]:
         raise CheckpointError("checkpoint was written by a different connector kind")
@@ -238,7 +231,7 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape} vs model {val.data.shape}"
             )
-        val.data = _finite_copy(tensors, name)
+        val.data = np.array(arr, dtype=np.float32, order="C")
 
 
 def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
@@ -253,8 +246,8 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
             have, missing = (mk, vk) if mk in tensors else (vk, mk)
             raise CheckpointError(f"checkpoint has {have!r} but is missing {missing!r}")
         if mk in tensors:
-            state.m[name] = _finite_copy(tensors, mk)
-            state.v[name] = _finite_copy(tensors, vk)
+            state.m[name] = np.array(tensors[mk], dtype=np.float32, order="C")
+            state.v[name] = np.array(tensors[vk], dtype=np.float32, order="C")
 
 
 # -- data plumbing ----------------------------------------------------------------
@@ -365,7 +358,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
     named = model.named()
     train_names = trainable_names(model, stage)
     train = {n: named[n] for n in train_names}
-    adam = AdamState(lr=stage.lr_max)
+    adam = AdamState()
     start = 0
     if resume is not None:
         tensors = load_checkpoint(resume)
@@ -589,7 +582,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     )
 
 
-def evaluate_checkpoint(rc: RunConfig, ckpt_path: str, n_scenes: int | None = None) -> DecouplingReport:
+def evaluate_checkpoint(rc: RunConfig, ckpt_path: str) -> DecouplingReport:
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(ckpt_path))
-    return evaluate_model(rc, model, n_scenes=n_scenes)
+    return evaluate_model(rc, model)

@@ -78,6 +78,14 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_refused(self, tmp_path, value):
+        # the CRC holds over a NaN as over any value, so the reader checks the values
+        path = str(tmp_path / "m.sfsl")
+        save_checkpoint({**sample_tensors(), "a.bias": np.array([0.5, value, 1.0], dtype=np.float32)}, path)
+        with pytest.raises(CheckpointError, match="'a.bias' holds non-finite"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(str(tmp_path / "missing.sfsl"))

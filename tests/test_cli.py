@@ -308,13 +308,15 @@ class TestConfigErrors:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("scenes", ["0", "-2"])
-    def test_eval_without_scenes_exits_3(self, tmp_path, capsys, scenes):
+    def test_eval_without_scenes_exits_2(self, tmp_path, capsys, scenes):
+        # --scenes sets data.n_heldout_scenes, so the config check refuses it;
+        # it once reached evaluation and exited 3
         cfg = write_config(tmp_path, stage={"steps": 1})
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         capsys.readouterr()
         assert main(["eval", "--config", cfg, "--ckpt", str(tmp_path / "a" / "checkpoint.sfsl"),
-                     "--scenes", scenes]) == 3
-        assert "at least one scene" in capsys.readouterr().err
+                     "--scenes", scenes]) == 2
+        assert "data.n_heldout_scenes must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["seed abc", "probe_acc nan?", "probe_acc nan", "probe_acc inf"])
     def test_compare_non_numeric_report_exits_3(self, tmp_path, line):
@@ -327,7 +329,8 @@ class TestConfigErrors:
         assert main(["compare", str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")]) == 3
 
 
-    @pytest.mark.parametrize("line", ["probe_acc. 0.5", "n_tokens -12", "scenes 0", "probe_acc 7.5"])
+    @pytest.mark.parametrize("line", ["probe_acc. 0.5", "n_tokens -12", "scenes 0", "probe_acc 7.5", "spatial_ari 3",
+                                      "slot_overlap_slow 7.5", "mask_entropy_fast -2", "seed -5"])
     def test_compare_out_of_range_report_exits_3(self, tmp_path, capsys, line):
         good = "connector slot\nseed 1\nconfig_hash abc\nn_tokens 12\nscenes 3\nprobe_acc 0.5\n"
         key = line.split()[0]
@@ -384,6 +387,19 @@ class TestPipelineCommands:
         assert lines[0].split()[0] == "connector"
         assert any(line.startswith("slot-slow") for line in lines)
         assert any(line.startswith("pooling") for line in lines)
+
+    def test_eval_reproduces_from_its_effective_config(self, tmp_path):
+        # --scenes once reached the report but not effective-config.json, so a
+        # re-run from that file scored the config's 3 scenes, not 2
+        cfg = write_config(tmp_path, stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        ckpt = str(tmp_path / "run" / "checkpoint.sfsl")
+        assert main(["eval", "--config", cfg, "--ckpt", ckpt, "--scenes", "2", "--out", str(tmp_path / "a")]) == 0
+        eff = str(tmp_path / "a" / "effective-config.json")
+        assert main(["eval", "--config", eff, "--ckpt", ckpt, "--out", str(tmp_path / "b")]) == 0
+        report = (tmp_path / "a" / "report.txt").read_text()
+        assert "\nscenes 2\n" in report
+        assert (tmp_path / "b" / "report.txt").read_text() == report
 
     def test_resume_flag(self, tmp_path):
         cfg_short = write_config(tmp_path, name="short.json", stage={"steps": 1})

@@ -114,10 +114,14 @@ class TestValidation:
 class TestLoadAndHash:
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"seed": 5}))
-        rc = load_config(str(path), seed=9, out="runs/x")
+        path.write_text(json.dumps({"seed": 5, "data": {"n_train_scenes": 7}}))
+        rc = load_config(str(path), {"seed": 9, "out": "runs/x", "data": {"n_heldout_scenes": 2}})
         assert rc.seed == 9
         assert rc.out == "runs/x"
+        # an override merges into its section, keeping the file's other values
+        assert (rc.data.n_train_scenes, rc.data.n_heldout_scenes) == (7, 2)
+        with pytest.raises(ConfigError, match="data.n_heldout"):
+            load_config(str(path), {"data": {"n_heldout": 2}})
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"

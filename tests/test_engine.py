@@ -448,8 +448,8 @@ class TestOpGradients:
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         p = Value([1.0, -2.0], requires_grad=True)
-        state = AdamState(lr=0.1)
-        adam_update({"p": p}, state)
+        state = AdamState()
+        adam_update({"p": p}, state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert state.t == 1
 
@@ -457,19 +457,19 @@ class TestAdam:
         # bias correction makes the first step exactly lr * g / (|g| + eps)
         p = Value([1.0], requires_grad=True)
         p.grad = np.array([1.0], dtype=np.float32)
-        adam_update({"p": p}, AdamState(lr=0.1))
+        adam_update({"p": p}, AdamState(), lr=0.1)
         assert abs((1.0 - float(p.data[0])) - 0.1) < 1e-6
 
     def test_determinism(self):
         def run():
             rng = engine.rng_for(17, "adam")
             p = Value(engine.normal(rng, (4, 4)), requires_grad=True)
-            state = AdamState(lr=1e-2)
+            state = AdamState()
             for step in range(20):
                 loss = vsum(engine.mul(p, p))
                 engine.zero_grads([p])
                 backward(loss)
-                adam_update({"p": p}, state)
+                adam_update({"p": p}, state, lr=1e-2)
             return p.data.tobytes()
 
         assert run() == run()

@@ -9,6 +9,7 @@ import os
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -151,10 +152,9 @@ def test_load_config_raises_only_config_error(data):
         pass
 
 
-# report text: lines of the report's own keys (or other words) and values
-_REPORT_KEYS = ["connector", "seed", "config_hash", "n_tokens", "scenes", "spatial_ari", "probe_acc",
-                "probe_acc.occupancy"]
-_report_line = st.tuples(st.sampled_from(_REPORT_KEYS) | st.text(max_size=6),
+# report text: lines of every key the report's fields declare (or other words) and values
+_report_keys = [f.name for f in fields(DecouplingReport)] + ["probe_acc.occupancy", "probe_acc."]
+_report_line = st.tuples(st.sampled_from(_report_keys) | st.text(max_size=6),
                          st.sampled_from(["1", "0.5", "nan", "slot", ""]) | st.text(max_size=6)).map(" ".join)
 _report_text = st.text(max_size=40) | st.lists(_report_line, max_size=8).map("\n".join)
 

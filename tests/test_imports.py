@@ -34,8 +34,10 @@ SET_OUTSIDE = {
       for param in ("out_dir", "resume")),
     # tests pass argv; the console script leaves it None, so argparse reads sys.argv
     "cli.main(argv)",
-    # the benchmark harness tags each held-out request's scenes
+    # the benchmark harness tags each held-out request's scenes and scores one
+    # scene per request; a run scores data.n_heldout_scenes
     "training.evaluate_model(tag)",
+    "training.evaluate_model(n_scenes)",
 }
 
 

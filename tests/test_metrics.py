@@ -225,6 +225,13 @@ class TestSlotOverlap:
         mask = np.tile(np.array([[0.5], [0.25]], dtype=np.float32), (1, 3))
         np.testing.assert_allclose(slot_overlap(np.stack([mask, mask])), [1.0, 1.0], atol=1e-6)
 
+    def test_equal_columns_read_at_most_one(self):
+        # unclamped, the cosine of equal random columns can round to
+        # 1.0000000000000002, which a report would refuse to read back
+        rng = np.random.default_rng(3)
+        masks = np.repeat(rng.random((200, 7, 1), dtype=np.float32), 3, axis=2)
+        assert slot_overlap(masks).max() <= 1.0
+
     def test_cosine_formula_oracle(self):
         mask = np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=np.float32)
         np.testing.assert_allclose(slot_overlap(mask), [1.0 / math.sqrt(2.0)], atol=1e-6)
@@ -404,7 +411,9 @@ class TestReports:
             DecouplingReport.from_text("\n".join(lines + [line]) + "\n")
 
     @pytest.mark.parametrize("line", ["probe_acc. 0.5", "n_tokens -12", "n_tokens 0", "scenes 0", "probe_acc 7.5",
-                                      "probe_acc -0.01", "probe_acc.occupancy 1.5"])
+                                      "probe_acc -0.01", "probe_acc.occupancy 1.5", "spatial_ari 3",
+                                      "slot_overlap_slow 7.5", "mask_entropy_fast -2", "seed -5",
+                                      "temporal_ari -1.5", "slot_overlap_fast -0.1"])
     def test_out_of_range_value_rejected(self, line):
         # each was once read and printed by `slotvid compare`
         key = line.split()[0]
@@ -414,6 +423,9 @@ class TestReports:
 
     def test_range_ends_accepted(self):
         rep = self._report(n_tokens=1, scenes=1, probe_acc=0.0, probe_acc_per_task={"occupancy": 1.0})
+        assert DecouplingReport.from_text(rep.to_text()) == rep
+        rep = self._report(seed=2**64 - 1, spatial_ari=-1.0, temporal_ari=1.0, slot_overlap_slow=0.0,
+                           slot_overlap_fast=1.0, mask_entropy_slow=0.0)
         assert DecouplingReport.from_text(rep.to_text()) == rep
 
     @pytest.mark.parametrize("line", ["spatial_arii 0.9", "probe_ac 0.5", "Seed 7"])

@@ -16,6 +16,7 @@ from slotvid.connector import branch_views, connect_batch, pooled_series, stack_
 from slotvid.synthetic import SceneStream
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.config import from_dict
+from slotvid.metrics import DecouplingReport
 from slotvid.training import (
     TrainingError,
     build_model,
@@ -632,6 +633,8 @@ class TestEvaluate:
         assert report.temporal_ari is not None
         assert 0.0 <= report.probe_acc <= 1.0
         assert set(report.probe_acc_per_task) == {"object_count", "event_count", "occupancy"}
+        # every report the program writes reads back, each value in its field's range
+        assert DecouplingReport.from_text(report.to_text()) == report
 
     def test_each_metric_scores_one_stack_per_chunk_and_branch(self, monkeypatch):
         # 9 scenes run as chunks of 8 and 1; the benchmark tracer's span
@@ -650,9 +653,9 @@ class TestEvaluate:
         assert calls == {"ari": 4, "hard_assign": 4, "slot_overlap": 4, "mask_entropy": 4}
 
     def test_checkpoint_eval_round_trip(self, tmp_path):
-        rc = tiny_config(stage={"steps": 2})
+        rc = tiny_config(data={"n_heldout_scenes": 2}, stage={"steps": 2})
         result = run_stage1(rc, out_dir=str(tmp_path))
-        report = evaluate_checkpoint(rc, result["checkpoint"], n_scenes=2)
+        report = evaluate_checkpoint(rc, result["checkpoint"])
         assert report.scenes == 2
         assert report.connector == "slot-slow"
 
