@@ -171,7 +171,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingError, CheckpointError, ConnectorError, EngineError, MetricsError, SceneError, OSError) as exc:
+    except (TrainingError, CheckpointError, ConnectorError, EngineError, MetricsError, SceneError, OSError,
+            MemoryError) as exc:
+        # a size the config allows but the machine cannot hold, such as a
+        # huge connector.max_frames, fails at its first allocation
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -4,7 +4,8 @@ A learned-query stack runs learned queries [N_q, D] over each set of a batch
 of inputs [B, M, D_in]. ``query_stack`` keeps the queries of the whole batch
 as [B*N_q, D] rows, so every weight product and layer norm is one 2-D GEMM or
 row op over all queries, and only the attention logits and reads see the
-[B, N_q, ...] set structure. Each ``QueryLayerParams`` layer is two or three
+[B, N_q, ...] set structure; the first layer reads the N_q queries once,
+shared by every set. Each ``QueryLayerParams`` layer is two or three
 engine nodes over the rows: ``engine.cross_attention_block``, then
 ``engine.self_attention_block`` when the layer has self-attention weights,
 then ``engine.residual_mlp``. The attention nodes split their heads and merge
@@ -32,7 +33,6 @@ from . import engine
 from .engine import (
     ShapeError,
     Value,
-    broadcast_to,
     cross_attention_block,
     layer_norm,
     linear,
@@ -89,12 +89,15 @@ class QueryLayerParams:
 def query_stack(queries: Value, inputs: Value, layers: list, heads: int) -> tuple[Value, np.ndarray]:
     """Run ``layers`` from the learned ``queries`` [N_q, D] over each set of ``inputs`` [B, M, D_in].
 
+    The queries enter the first layer's cross-attention node once, as
+    [1, N_q, D] rows shared by every set: it normalizes the N_q rows once and
+    returns [B*N_q, D] rows, so no B-fold copy of the queries is made, and
+    the queries' adjoint is the per-set adjoints summed inside the node.
     Returns (the query rows [B*N_q, D], the last layer's cross attention
     [B, N_q*heads, M] as a plain array).
     """
     b = inputs.shape[0]
-    nq, d = queries.shape
-    x = reshape(broadcast_to(reshape(queries, (1, nq, d)), (b, nq, d)), (b * nq, d))
+    x = reshape(queries, (1,) + queries.shape)
     for layer in layers:
         x, cross = cross_attention_block(x, inputs, heads, layer.ln_q_g, layer.ln_q_b, layer.wq, layer.wk, layer.wv,
                                          layer.wo, layer.bo)

@@ -28,6 +28,16 @@ and the value weights into the gated update's input weights, so its values
 differ from the unfused path's in float32 rounding; its backward runs the
 iterations in reverse and sends each weight one adjoint.
 
+A node's closure keeps only the arrays its backward reads, and only for the
+operands that need an adjoint. A layer norm inside a block keeps its
+normalized rows and 1/std, never its output: the backward takes a product
+``LN(x)^T G`` as ``gain ⊙ (xhat^T G) + bias ⊗ colsum(G)`` (``_ln_t_matmul``).
+The ramp keeps its activation and sigmoid and reads its derivative from
+the activation, not from the pre-activation. The attention nodes keep their
+queries, and slot attention its renormalized read weights, only when the
+inputs take an adjoint. ``tests/test_node_memory.py`` pins the bytes each
+block keeps at a fixed shape.
+
 A model's inputs enter the graph as constant leaves: every connector reads
 views derived from the frozen features in plain numpy
 (``connector.clip_views``), so no node gathers or pools a feature grid.
@@ -42,7 +52,8 @@ output; the attention nodes check their attention too.
 
 Each op has one spelling, its function; ``Value`` has no operator forms.
 Graph ops that only the tests build (``matmul``, ``transpose``, ``vsum``,
-the softmax and the nonlinearities) live in ``tests/gradcheck.py``.
+``broadcast_to``, the softmax and the nonlinearities) live in
+``tests/gradcheck.py``.
 
 Single-threaded by design: a graph must not be mutated from two threads.
 Plain arrays are immutable by convention once wrapped in a Value.
@@ -258,11 +269,11 @@ def _ramp(x: np.ndarray):
     return x * s, s
 
 
-def _ramp_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # d/dx of x * sigmoid(1.702 x) is s + 1.702 x s (1 - s)
+def _ramp_grad(act: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # d/dz of z * sigmoid(1.702 z) is s + 1.702 z s (1 - s), and z s is the
+    # activation, so the backward needs no pre-activation
     d = np.float32(1.0) - s
-    d *= s
-    d *= x
+    d *= act
     d *= RAMP_SLOPE
     d += s
     return d
@@ -334,16 +345,6 @@ def take(a, indices) -> Value:
     return _node(a.data[idx], (a,), backward)
 
 
-def broadcast_to(a, shape) -> Value:
-    a = _coerce(a)
-    shape = tuple(shape)
-
-    def backward(g, adj):
-        _send(adj, a, _unbroadcast(g, a.data.shape))
-
-    return _node(np.broadcast_to(a.data, shape), (a,), backward)
-
-
 # -- fused neural-network operations -------------------------------------------
 
 
@@ -411,6 +412,18 @@ def _ln_rows(xr: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     out = xhat * gain
     out += bias
     return out, xhat, inv
+
+
+def _ln_t_matmul(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, g: np.ndarray,
+                 g_sum: np.ndarray) -> np.ndarray:
+    """``LN^T g`` [D, K] for the layer norm ``xhat * gain + bias`` of [R, D] rows
+    and [R, K] rows ``g`` with column sums ``g_sum`` [K], read from the
+    normalized rows as ``gain ⊙ (xhat^T g) + bias ⊗ g_sum``, so no node keeps
+    its norm's output."""
+    out = xhat.T @ g
+    out *= gain[:, None]
+    out += bias[:, None] * g_sum
+    return out
 
 
 def _norm_rows_dx(g: np.ndarray, gx: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
@@ -601,28 +614,31 @@ def linear(x, w, b) -> Value:
 
 
 def _mlp_rows(x, g, b, w1, b1, w2, b2):
-    """``x + ramp(LN(x) w1 + b1) w2 + b2`` over [R, D] arrays: (output, what the backward needs)."""
+    """``x + ramp(LN(x) w1 + b1) w2 + b2`` over [R, D] arrays: (output, what the
+    backward needs: the normalized rows, 1/std, the activation and its sigmoid)."""
     ln, xhat, inv = _ln_rows(x, g, b)
     pre = ln @ w1
     pre += b1
-    act, saved = _ramp(pre)
+    act, s = _ramp(pre)
     out = act @ w2
     out += b2
     out += x
-    return out, (ln, xhat, inv, pre, act, saved)
+    return out, (xhat, inv, act, s)
 
 
-def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> tuple:
+def _mlp_rows_backward(gr: np.ndarray, cache, g: np.ndarray, b: np.ndarray, w1: np.ndarray,
+                       w2: np.ndarray) -> tuple:
     """Adjoints (x, g, b, w1, b1, w2, b2) of ``_mlp_rows`` for the output adjoint ``gr``."""
-    ln, xhat, inv, pre, act, saved = cache
-    dpre = _ramp_grad(pre, saved)
+    xhat, inv, act, s = cache
+    dpre = _ramp_grad(act, s)
     dpre *= gr @ w2.T
+    db1 = _sum_rows(dpre)
     dln = dpre @ w1.T
     gx = dln * xhat
     dg, db = _sum_rows(gx), _sum_rows(dln)
     dx = _norm_rows_dx(dln, gx, xhat, inv, g)
     dx += gr
-    return dx, dg, db, ln.T @ dpre, _sum_rows(dpre), act.T @ gr, _sum_rows(gr)
+    return dx, dg, db, _ln_t_matmul(xhat, g, b, dpre, db1), db1, act.T @ gr, _sum_rows(gr)
 
 
 def residual_mlp(x, g, b, w1, b1, w2, b2) -> Value:
@@ -635,7 +651,7 @@ def residual_mlp(x, g, b, w1, b1, w2, b2) -> Value:
     out_data, cache = _mlp_rows(*(v.data for v in operands))
 
     def backward(gr, adj):
-        for v, gv in zip(operands, _mlp_rows_backward(gr, cache, g.data, w1.data, w2.data)):
+        for v, gv in zip(operands, _mlp_rows_backward(gr, cache, g.data, b.data, w1.data, w2.data)):
             _send(adj, v, gv)
 
     return _node(out_data, operands, backward)
@@ -685,12 +701,17 @@ def _head_fold_grads(g_wqk, g_wvo, heads: int, wq, wk, wv, wo) -> tuple:
 def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo) -> tuple[Value, np.ndarray]:
     """Pre-norm multi-head cross-attention of query rows over sets of inputs, one node.
 
-    ``x`` holds the queries as [B*N, D_q] rows and ``inputs`` is [B, M, D_in];
+    ``inputs`` is [B, M, D_in], and ``x`` holds the queries either as [B*N, D_q]
+    rows, one set of N per input set, or as [1, N, D_q], one set of N rows
+    shared by every input set (the learned queries of a stack's first layer,
+    read from the operand's shape as the leading set axis of one broadcasts).
     ``wq`` [D_q, D_q], ``wk`` and ``wv`` [D_in, D_q], ``wo`` [D_q, D_q] and
     ``bo`` are the layer's raw weights, split into ``heads`` heads of width
     ``dh = D_q/heads``. Returns (x plus the attention output plus ``bo``, as
-    rows; attention [B, N*h, M] as a plain array, finite-checked), each head's
-    logits softmaxed over the inputs.
+    [B*N, D_q] rows; attention [B, N*h, M] as a plain array, finite-checked),
+    each head's logits softmaxed over the inputs. Shared rows are normalized
+    once, as N rows; their norm's and residual's adjoints run on the N rows
+    summed over the sets, so no B-fold copy of the queries is made.
 
     The node folds the weights once per call, per head h: ``wqk_h = wq_h
     wk_h^T / sqrt(dh)`` [D_q, D_in] and ``wvo_h = wv_h wo_h`` [D_in, D_q],
@@ -733,16 +754,21 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
     and the backward's skeleton. On the query side the softmax's ``sum_m
     g_attn attn`` is taken as ``sum_d g_read read`` over the D_in side. The
     inputs' adjoint is skipped when they need none, and so is a fold's when
-    neither of its weights needs one.
+    neither of its weights needs one. The node keeps the normalized rows, not
+    the norm's output: the products of ``LN(x)`` in the backward are taken as
+    ``gain ⊙ (xhat^T G) + bias ⊗ colsum(G)``, and the query-side queries are
+    kept only for the inputs' adjoint.
     """
     x, inputs, ln_g, ln_b, wq, wk, wv, wo, bo = map(_coerce, (x, inputs, ln_g, ln_b, wq, wk, wv, wo, bo))
     if inputs.ndim != 3:
         raise ShapeError(f"cross_attention_block expects [B, M, D_in] inputs, got {inputs.data.shape}")
     b, m, d_in = inputs.data.shape
     dq = x.data.shape[-1]
-    _check_shapes("cross_attention_block", x=(x, (len(x.data), dq)), ln_g=(ln_g, (dq,)), ln_b=(ln_b, (dq,)),
-                  wq=(wq, (dq, dq)), wk=(wk, (d_in, dq)), wv=(wv, (d_in, dq)), wo=(wo, (dq, dq)), bo=(bo, (dq,)))
-    rows = x.data.shape[0]
+    shared = x.ndim == 3
+    rows = b * x.data.shape[1] if shared else len(x.data)
+    _check_shapes("cross_attention_block", x=(x, (1, rows // b, dq) if shared else (rows, dq)),
+                  ln_g=(ln_g, (dq,)), ln_b=(ln_b, (dq,)), wq=(wq, (dq, dq)), wk=(wk, (d_in, dq)),
+                  wv=(wv, (d_in, dq)), wo=(wo, (dq, dq)), bo=(bo, (dq,)))
     if heads < 1 or dq % heads or rows % b:
         raise ShapeError(f"cross_attention_block: [{rows}, {dq}] rows do not split over {b} sets and {heads} heads")
     n, h, width = rows // b, heads, heads * d_in
@@ -750,7 +776,7 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
     wqk, wvo = _head_folds(h, *weights)
     fold_qk, fold_vo = wq.requires_grad or wk.requires_grad, wv.requires_grad or wo.requires_grad
     on_inputs = _folds_on_inputs(n, m, dq, d_in)
-    ln, xhat, inv = _ln_rows(x.data, ln_g.data, ln_b.data)
+    ln, xhat, inv = _ln_rows(x.data.reshape(-1, dq), ln_g.data, ln_b.data)  # [N or B*N, D_q]
     if on_inputs:
         in_rows = inputs.data.reshape(b * m, d_in)
         keys_w = wqk.reshape(dq, h, d_in).transpose(2, 1, 0).reshape(d_in, h * dq)  # [wqk_h^T]_h
@@ -763,12 +789,14 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
             return a.reshape(b, h, m, dq).transpose(0, 2, 1, 3).reshape(b * m, h * dq)
 
         keys, values = heads_major(in_rows @ keys_w), heads_major(in_rows @ values_w)
-        ln_sets = ln.reshape(b, n, dq)
-        logits = np.matmul(ln_sets, keys.transpose(0, 2, 1)).reshape(b, n * h, m)
+        wqk = wvo = None  # this side's backward reads the folds as keys_w and values_w
+        logits = np.matmul(ln.reshape(-1, n, dq), keys.transpose(0, 2, 1)).reshape(b, n * h, m)
     else:
-        q = (ln @ wqk).reshape(b, n * h, d_in)
+        q = (ln @ wqk).reshape(-1, n * h, d_in)
         inputs_t = inputs.data.transpose(0, 2, 1)
         logits = np.matmul(q, inputs_t)
+        if not inputs.requires_grad:  # only the inputs' adjoint reads the queries
+            q = None
     attn = _softmax_last(logits)
     _require_finite(attn, "cross attention")
     if on_inputs:
@@ -779,7 +807,11 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
         read_rows = read.reshape(rows, width)
         out_data = read_rows @ wvo
     out_data += bo.data
-    out_data += x.data
+    out_sets = out_data.reshape(b, n, dq)
+    out_sets += x.data.reshape(-1, n, dq)
+
+    def over_sets(a):  # the adjoint of shared rows: [B*N, K] summed over the sets
+        return _sum_rows(a.reshape(b, -1)).reshape(n, -1) if shared else a
 
     def backward(g, adj):
         g_wqk = g_wvo = None
@@ -799,7 +831,11 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
         g_logits *= attn
         if on_inputs:
             gl_sets = g_logits.reshape(b, n, h * m)
-            g_keys = rows_major(np.matmul(gl_sets.transpose(0, 2, 1), ln_sets))
+            # the keys' adjoint gl^T LN(x), as (gl^T xhat) * gain + colsum(gl) ⊗ bias per set
+            g_keys = np.matmul(gl_sets.transpose(0, 2, 1), xhat.reshape(-1, n, dq))
+            g_keys *= ln_g.data
+            g_keys += np.matmul(np.ones((1, n), dtype=DTYPE), gl_sets).transpose(0, 2, 1) * ln_b.data
+            g_keys = rows_major(g_keys)
             g_values = rows_major(g_values)
             if fold_qk:
                 g_wqk = (g_keys.T @ in_rows).reshape(h, dq, d_in).transpose(1, 0, 2).reshape(dq, width)
@@ -809,17 +845,17 @@ def cross_attention_block(x, inputs, heads: int, ln_g, ln_b, wq, wk, wv, wo, bo)
                 gi = g_keys @ keys_w.T
                 gi += g_values @ values_w.T
                 _send(adj, inputs, gi.reshape(b, m, d_in))
-            g_ln = np.matmul(gl_sets, keys).reshape(rows, dq)
+            g_ln = over_sets(np.matmul(gl_sets, keys).reshape(rows, dq))
         else:
             if inputs.requires_grad:
                 gi = np.matmul(attn.transpose(0, 2, 1), g_read)
                 gi += np.matmul(g_logits.transpose(0, 2, 1), q)
                 _send(adj, inputs, gi)
-            g_q = np.matmul(g_logits, inputs.data).reshape(rows, width)
+            g_q = over_sets(np.matmul(g_logits, inputs.data).reshape(rows, width))
             if fold_qk:
-                g_wqk = ln.T @ g_q
+                g_wqk = _ln_t_matmul(xhat, ln_g.data, ln_b.data, g_q, _sum_rows(g_q))
             g_ln = g_q @ wqk.T
-        _ln_rows_backward(adj, g_ln, xhat, inv, x, ln_g, ln_b, residual=g)
+        _ln_rows_backward(adj, g_ln, xhat, inv, x, ln_g, ln_b, residual=over_sets(g))
         for w, gw in zip((wq, wk, wv, wo), _head_fold_grads(g_wqk, g_wvo, h, *weights)):
             if gw is not None:
                 _send(adj, w, gw)
@@ -874,7 +910,7 @@ def self_attention_block(x, sets: int, heads: int, ln_g, ln_b, wq, wk, wv, wo, b
         g_logits *= temp
         gq[...] = np.matmul(g_logits, k)
         gk[...] = np.matmul(g_logits.transpose(0, 1, 3, 2), q)
-        gw = ln.T @ g_qkv
+        gw = _ln_t_matmul(xhat, ln_g.data, ln_b.data, g_qkv, _sum_rows(g_qkv))
         for i, w in enumerate((wq, wk, wv)):
             _send(adj, w, gw[:, i * d : (i + 1) * d])
         _ln_rows_backward(adj, g_qkv @ w_qkv.T, xhat, inv, x, ln_g, ln_b, residual=g)
@@ -963,10 +999,12 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
     (the bias scales with each slot's weight sum, the read of the ones
     column). The backward runs the iterations in reverse, accumulates each
     weight's adjoint over them and sends it once, and forms the inputs'
-    per-token adjoint only when they need one. Returns (slots [B, N, D], the
-    last iteration's attention as a plain C-contiguous [B, M, N] array whose
-    rows sum to one over the slots). The normalized inputs and each
-    iteration's attention and slot rows are checked for finiteness.
+    per-token adjoint only when they need one; only then does the node keep
+    each iteration's queries and read weights, which only that adjoint reads.
+    Returns (slots [B, N, D], the last iteration's attention as a plain
+    C-contiguous [B, M, N] array whose rows sum to one over the slots). The
+    normalized inputs and each iteration's attention and slot rows are
+    checked for finiteness.
     """
     x, init = _coerce(x), _coerce(init)
     if x.ndim != 3 or init.ndim not in (2, 3):
@@ -1007,16 +1045,18 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
     for _ in range(iterations):
         shat, inv_s = _norm_rows(h)
         q = (shat @ q_fold).reshape(b, n, e)
-        read, read_cache = _slot_read(q, xs, xs_t, p.eps)
+        read, (attn, inv_w, w_read) = _slot_read(q, xs, xs_t, p.eps)
         read = read.reshape(rows, e)
+        if not x.requires_grad:  # only the inputs' adjoint reads the queries and the weights
+            q = w_read = None
         xw = read @ vx
         xw += b_x
         h_gru, gru_cache = _gru_rows(h, xw, u_zr, uh)
         h_next, mlp_cache = _mlp_rows(h_gru, *mlp_weights)
         _require_finite(h_next, "slot rows")
-        steps.append((h, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache))
+        steps.append((h, shat, inv_s, q, read, (attn, inv_w, w_read), gru_cache, mlp_cache))
         h = h_next
-    mask = np.ascontiguousarray(read_cache[0].transpose(0, 2, 1))
+    mask = np.ascontiguousarray(attn.transpose(0, 2, 1))
 
     def backward(g, adj):
         gh = g.reshape(rows, d)
@@ -1026,7 +1066,7 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
         g_mlp = [np.zeros_like(w) for w in mlp_weights]
         g_xs_t = np.zeros_like(xs_t) if x.requires_grad else None
         for h_prev, shat, inv_s, q, read, read_cache, gru_cache, mlp_cache in reversed(steps):
-            g_h_gru, *g_step = _mlp_rows_backward(gh, mlp_cache, mlp_g, w1, w2)
+            g_h_gru, *g_step = _mlp_rows_backward(gh, mlp_cache, mlp_g, mlp_b, w1, w2)
             for acc, gs in zip(g_mlp, g_step):
                 acc += gs
             gh, g_pre, *g_step = _gru_rows_backward(g_h_gru, h_prev, gru_cache, u_zr, uh)
@@ -1057,7 +1097,8 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
             _send(adj, w, gw)
         if g_xs_t is not None:
             g_xhat = np.ascontiguousarray(g_xs_t[:, :d_in].transpose(0, 2, 1)).reshape(-1, d_in)
-            _send(adj, x, _norm_rows_dx(g_xhat, g_xhat * xhat, xhat, inv_x).reshape(x.data.shape))
+            xn = xs[..., :d_in].reshape(-1, d_in)  # the normalized inputs, a view of X
+            _send(adj, x, _norm_rows_dx(g_xhat, g_xhat * xn, xn, inv_x).reshape(x.data.shape))
 
     return _node(h.reshape(b, n, d), (x, init) + weights, backward), mask
 

@@ -365,6 +365,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         load_model_tensors(model, tensors)
         _load_adam(tensors, adam, train_names)
         start = _meta_count(tensors, "meta.step")
+        del tensors  # the model and Adam hold copies: the dict need not live through the stage
         if start > stage.steps:
             raise CheckpointError(f"checkpoint is at step {start}, past the stage's {stage.steps} steps")
     frozen = {n: v.data.copy() for n, v in named.items() if n not in train}

@@ -1,15 +1,15 @@
 """Central finite-difference gradient checking and reference-only graph ops, shared by the test modules.
 
 The library computes these ops inside its fused nodes and never builds them
-as nodes of their own: ``matmul``, ``transpose`` and ``vsum``, the
-elementwise ``sigmoid``, ``exp``, ``smooth_ramp``, ``relu``, ``tanh`` and
-``recip``, and ``softmax_axis``. They are built on the engine's ``_node``,
-``_send``, ``_unbroadcast``, ``_coerce`` and ``_norm_axes``, and they keep
-the arithmetic of the library's own forms, so the composite references built
-from them (``reference_gru`` here, the rest in ``test_fused_ops.py``) equal
-the fused nodes bit for bit where those take the same sums. ``gru_node`` and
-``slot_read_node`` wrap the slot-attention node's kernels as nodes of their
-own.
+as nodes of their own: ``matmul``, ``transpose``, ``vsum`` and
+``broadcast_to``, the elementwise ``sigmoid``, ``exp``, ``smooth_ramp``,
+``relu``, ``tanh`` and ``recip``, and ``softmax_axis``. They are built on the
+engine's ``_node``, ``_send``, ``_unbroadcast``, ``_coerce`` and
+``_norm_axes``, and they keep the arithmetic of the library's own forms, so
+the composite references built from them (``reference_gru`` here, the rest
+in ``test_fused_ops.py``) equal the fused nodes bit for bit where those take
+the same sums. ``gru_node`` and ``slot_read_node`` wrap the slot-attention
+node's kernels as nodes of their own.
 """
 
 from functools import partial
@@ -105,6 +105,16 @@ def transpose(a, axes):
     return engine._node(a.data.transpose(axes), (a,), backward)
 
 
+def broadcast_to(a, shape):
+    a = engine._coerce(a)
+    shape = tuple(shape)
+
+    def backward(g, adj):
+        engine._send(adj, a, engine._unbroadcast(g, a.data.shape))
+
+    return engine._node(np.broadcast_to(a.data, shape), (a,), backward)
+
+
 def vsum(a, axis=None, keepdims=False):
     a = engine._coerce(a)
     axes = engine._norm_axes(axis, a.ndim)
@@ -137,8 +147,10 @@ def _unary(fwd, deriv):
 
 sigmoid = _unary(lambda x: (engine._sigmoid_data(x),) * 2, lambda x, s: s * (1.0 - s))
 exp = _unary(lambda x: (np.exp(x),) * 2, lambda x, e: e)
-# the library's one MLP nonlinearity, x * sigmoid(1.702 x), from its (forward, derivative) pair
-smooth_ramp = _unary(engine._ramp, engine._ramp_grad)
+# the library's one MLP nonlinearity, x * sigmoid(1.702 x), from the library's forward; its
+# derivative s + 1.702 x s (1 - s) is written out in x, so the reference does not call the
+# kernel it checks (``engine._ramp_grad`` reads the activation x s)
+smooth_ramp = _unary(engine._ramp, lambda x, s: s + engine.RAMP_SLOPE * x * s * (np.float32(1.0) - s))
 # two more (forward, derivative) pairs, which the engine tests exercise ``backward`` with;
 # relu's negative inputs give -0.0, which compares equal to 0.0
 relu = _unary(lambda x: (x * (x > 0), x > 0), lambda x, mask: mask.astype(np.float32))

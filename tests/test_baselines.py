@@ -18,7 +18,6 @@ from slotvid.decoder import DecoderParams, decode_batch
 from slotvid.engine import (
     Value,
     add,
-    broadcast_to,
     layer_norm,
     mul,
     reshape,
@@ -27,7 +26,7 @@ from slotvid.engine import (
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.training import build_model, forward_masks
 
-from gradcheck import matmul, smooth_ramp, softmax_axis, transpose, vsum
+from gradcheck import broadcast_to, matmul, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_video(seed, cfg, frames=None):
@@ -272,12 +271,23 @@ def _matmuls(nodes):
     return pairs
 
 
+def _shared_queries(nodes, queries):
+    """Assert that ``queries`` [N_q, D] enter the graph once, as the [1, N_q, D]
+    rows of the first cross-attention node, shared by every set."""
+    firsts = [n for n in nodes if _op(n) == "cross_attention_block" and n._parents[0].ndim == 3]
+    assert len(firsts) == 1
+    rows = firsts[0]._parents[0]
+    assert rows.shape == (1,) + queries.shape and rows._parents == (queries,)
+
+
 class TestRowsLayout:
     """No weight product in the graph runs on a set-shaped operand: a 2-D
     right operand (a weight, or a folded weight) always meets
-    [sets*queries, .] rows. The query transformer builds no per-token keys or
-    values [B, M, .] either; the decoder's cross-attention node builds keys
-    and values over its few slots inside the node."""
+    [sets*queries, .] rows, or, in the first layer, the learned queries once
+    as [1, queries, .] rows shared by every set, never a B-fold copy. The
+    query transformer builds no per-token keys or values [B, M, .] either;
+    the decoder's cross-attention node builds keys and values over its few
+    slots inside the node."""
 
     def test_no_per_token_keys_values_or_set_shaped_weight_products(self):
         # default slow branch: 64 frames of 256 tokens, 8 queries of width 64, 4 heads
@@ -291,8 +301,9 @@ class TestRowsLayout:
         assert (b, heads, m, dq // heads) not in shapes  # ... split into heads
         for a, w in _matmuls(nodes):
             if w.ndim == 2:
-                assert a.ndim == 2, f"{a.shape} @ {w.shape}"
+                assert a.ndim == 2 or a.shape[:2] == (1, nq), f"{a.shape} @ {w.shape}"
             assert not (a.ndim == 3 and a.shape[:2] == (b, nq)), f"{a.shape} @ {w.shape}"
+        _shared_queries(nodes, p.queries)
 
     def test_decoder_position_rows(self):
         # stage-1 slow: 16 sets of 8 slots of width 64 decoded to 256 positions
@@ -300,9 +311,11 @@ class TestRowsLayout:
         rng = engine.rng_for(16, "dec-layout")
         p = DecoderParams.create(rng, m, d, d_out)
         out = decode_batch(Value(engine.normal(rng, (b, n, d)), requires_grad=True), p)
-        for a, w in _matmuls(_graph(out)):
+        nodes = _graph(out)
+        for a, w in _matmuls(nodes):
             if w.ndim == 2:
-                assert a.ndim == 2, f"{a.shape} @ {w.shape}"
+                assert a.ndim == 2 or a.shape[:2] == (1, m), f"{a.shape} @ {w.shape}"
+        _shared_queries(nodes, p.pos_queries)
 
 
 class TestFusedRowNodes:

@@ -8,7 +8,6 @@ from slotvid.decoder import DecoderParams, decode_batch, recon_loss
 from slotvid.engine import (
     Value,
     add,
-    broadcast_to,
     cross_attention_block,
     layer_norm,
     mul,
@@ -17,7 +16,7 @@ from slotvid.engine import (
 )
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check, matmul, smooth_ramp, softmax_axis, transpose, vsum
+from gradcheck import broadcast_to, fd_check, matmul, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_params(seed, n_positions, d_slot, d_out, n_layers=1):

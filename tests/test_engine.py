@@ -24,7 +24,7 @@ from slotvid.engine import (
 from slotvid.slot_attention import SlotAttentionParams
 
 from gradcheck import (
-    exp, fd_check, matmul, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh, transpose, vsum,
+    broadcast_to, exp, fd_check, matmul, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh, transpose, vsum,
 )
 
 
@@ -399,7 +399,7 @@ class TestOpGradients:
             "concat": (lambda: vsum(engine.mul(engine.concat([a, b], axis=0), engine.concat([a, b], axis=0))), [a, b]),
             "take": (lambda: vsum(engine.mul(engine.take(a, idx), engine.take(a, idx))), [a]),
             "broadcast": (
-                lambda: vsum(engine.mul(engine.broadcast_to(engine.reshape(a, (1, 3, 4, 2)), (5, 3, 4, 2)), 0.3)), [a]),
+                lambda: vsum(engine.mul(broadcast_to(engine.reshape(a, (1, 3, 4, 2)), (5, 3, 4, 2)), 0.3)), [a]),
             "matmul_flat": (lambda: vsum(tanh(matmul(engine.reshape(a, (8, 3)), w))), [a, w]),
         }
         for tag, (build, params) in cases.items():

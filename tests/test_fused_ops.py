@@ -35,7 +35,6 @@ from slotvid.engine import (
     ShapeError,
     Value,
     add,
-    broadcast_to,
     cross_attention_block,
     layer_norm,
     linear,
@@ -50,7 +49,7 @@ from slotvid.engine import (
 from slotvid.slot_attention import SlotAttentionParams
 
 from gradcheck import (
-    fd_check, gru_node, matmul, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
+    broadcast_to, fd_check, gru_node, matmul, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
     transpose, vsum,
 )
 
@@ -786,3 +785,81 @@ class TestFusedBlocks:
         (x, g, b, w1, b1, w2, b2), _ = SMALL_BLOCK_CASES["mlp-gelu-like"][2](engine.rng_for(7, "shapes"))
         with pytest.raises(ShapeError):
             residual_mlp(x, g, b, w1, b1, transpose(w2, (1, 0)), b2)
+
+
+# -- query rows shared by every set -----------------------------------------------------
+
+
+def _shared_case(n, d, inputs_shape, heads, inputs_grad):
+    """A stack's first cross-attention: learned queries [1, N, D] shared by every set of the inputs."""
+    def build(rng):
+        d_in = inputs_shape[2]
+        queries = _leaf(rng, (1, n, d))
+        inputs = Value(engine.normal(rng, inputs_shape), requires_grad=inputs_grad)
+        g, bias = _norm_leaves(rng, d)
+        wq, wk, wv, wo = _weight(rng, d, d), _weight(rng, d_in, d), _weight(rng, d_in, d), _weight(rng, d, d)
+        bo = _leaf(rng, (d,), 0.5)
+        leaves = [queries, g, bias, wq, wk, wv, wo, bo] + ([inputs] if inputs_grad else [])
+        return (queries, inputs, heads, g, bias, wq, wk, wv, wo, bo), leaves
+
+    return build
+
+
+def _copied_rows(queries, inputs, *rest):
+    """The same block over a B-fold copy of the shared rows, as [B*N, D] rows."""
+    b, (_, n, d) = inputs.shape[0], queries.shape
+    return cross_attention_block(reshape(broadcast_to(queries, (b, n, d)), (b * n, d)), inputs, *rest)
+
+
+# the decoder's 256 positions over 16 sets of 8 slots (input side), the query
+# transformer's 8 queries over the slow and the fast branch (query side)
+SHARED_CASES = {
+    "decoder": _shared_case(256, 64, (16, 8, 64), 1, True),
+    "query-slow": _shared_case(8, 64, (64, 256, 32), 4, False),
+    "query-fast": _shared_case(8, 64, (128, 32, 32), 4, True),
+}
+# at finite-difference size, both sides: 3 queries over 5 inputs, 12 over 2
+SMALL_SHARED_CASES = {
+    "query-side": _shared_case(3, 8, (2, 5, 8), 2, True),
+    "inputs-side": _shared_case(12, 8, (3, 2, 4), 1, True),
+}
+
+
+class TestSharedQueryRows:
+    """Rows [1, N, D] shared by every set give the values of their B-fold copy
+    [B*N, D], and the copy's adjoints summed over the sets."""
+
+    @pytest.mark.parametrize("case", list(SHARED_CASES))
+    def test_forward_bit_equal_to_copied_rows(self, case):
+        # at these row counts the norm's row sums round as over the copy
+        args, _ = SHARED_CASES[case](engine.rng_for(0, "shared-rows", case))
+        (got, got_attn), (want, want_attn) = cross_attention_block(*args), _copied_rows(*args)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got_attn, want_attn)
+
+    @pytest.mark.parametrize("cases, case", [(SHARED_CASES, c) for c in SHARED_CASES]
+                             + [(SMALL_SHARED_CASES, c) for c in SMALL_SHARED_CASES])
+    def test_gradients_match_copied_rows(self, cases, case):
+        args, leaves = cases[case](engine.rng_for(1, "shared-rows", case))
+        probe = engine.normal(engine.rng_for(1, "shared-probe", case), cross_attention_block(*args)[0].shape)
+        shared = _grads(lambda: vsum(mul(cross_attention_block(*args)[0], probe)), leaves)
+        copied = _grads(lambda: vsum(mul(_copied_rows(*args)[0], probe)), leaves)
+        for i, (got, want) in enumerate(zip(shared, copied)):
+            _close(got, want, RTOL, f"{case} leaf {i}")
+
+    @pytest.mark.parametrize("case", list(SMALL_SHARED_CASES))
+    def test_finite_differences(self, case):
+        args, leaves = SMALL_SHARED_CASES[case](engine.rng_for(5, "fd-shared", case))
+        probe = engine.normal(engine.rng_for(5, "fd-shared-probe", case), cross_attention_block(*args)[0].shape)
+        ok, total = fd_check(lambda: vsum(mul(cross_attention_block(*args)[0], probe)), leaves,
+                             engine.rng_for(5, "pick-shared", case), coords_per_param=6, h=3e-3)
+        assert ok / total >= 0.95
+
+    def test_cases_cover_both_sides(self):
+        on_inputs = {"decoder": True, "query-slow": False, "query-fast": False, "query-side": False,
+                     "inputs-side": True}
+        for name, build in {**SHARED_CASES, **SMALL_SHARED_CASES}.items():
+            (queries, inputs, *_), _ = build(engine.rng_for(0, "shared-sides"))
+            (_, n, d), (_, m, d_in) = queries.shape, inputs.shape
+            assert engine._folds_on_inputs(n, m, d, d_in) is on_inputs[name], name

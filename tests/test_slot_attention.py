@@ -8,7 +8,6 @@ from slotvid import engine
 from slotvid.engine import (
     Value,
     add,
-    broadcast_to,
     layer_norm,
     mul,
     reshape,
@@ -17,7 +16,7 @@ from slotvid.engine import (
 from slotvid.metrics import MetricsError, hard_assign
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 
-from gradcheck import fd_check, matmul, recip, reference_gru, smooth_ramp, softmax_axis, transpose, vsum
+from gradcheck import broadcast_to, fd_check, matmul, recip, reference_gru, smooth_ramp, softmax_axis, transpose, vsum
 
 
 def make_params(seed, n_slots, d_in, d_slot, iterations=3, **kw):
