@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,3 +151,48 @@ class TestLoadAndHash:
     def test_default_dict_is_self_consistent(self):
         rc = from_dict(default_config_dict())
         assert rc.connector_kind == "slot"
+
+
+# each config's effective-config.json sha256 and config_hash, taken before
+# the config fields declared their own rules; the declarations must give
+# every existing config the same document and the same identity, byte for byte
+IDENTITY = {
+    "defaults": ({}, "135d10f63745f5bce275032beda9d892e670f0b00f791ad12399110dba01ffa1", "99aae8bca17f"),
+    "stage-1": ({"stage": {"stage": 1}},
+                "135d10f63745f5bce275032beda9d892e670f0b00f791ad12399110dba01ffa1", "99aae8bca17f"),
+    "stage-2": ({"stage": {"stage": 2, "branch": "fast", "init_checkpoint": "s1.sfsl"}},
+                "dbc27bea50c9258aa4933370720cdbbd5f7aa976b75d8fee16bb444b38a0f67a", "a2c49f8060ef"),
+    "stage-3": ({"stage": {"stage": 3, "branch": "both"}},
+                "15e0d22eac43acb9dda439cad410bae43cfbc55aae469de370a9e0316740ed44", "7cf95e233695"),
+    "slot": ({"connector": {"type": "slot"}},
+             "135d10f63745f5bce275032beda9d892e670f0b00f791ad12399110dba01ffa1", "99aae8bca17f"),
+    "pooling": ({"connector": {"type": "pooling"}},
+                "75d4c4f013fdd0c563446cbd86d5fd8d98a8aec12f6f544123f2626910f0598b", "6442e9819288"),
+    "query_transformer": ({"connector": {"type": "query_transformer"}},
+                          "4505eb6bc02b385c1ade16e674997521c43023696e4167fb2e5c31cef44b88c9", "6533fc8c06b3"),
+    # an integer where a float is declared stays an integer in the document
+    "int-for-float": ({"stage": {"lr_max": 1}, "data": {"sigma": 0}},
+                      "159658ab4908ad045914d605484f15e09fc98e8a47440ad888aefef2b65a36cb", "b2d0fd7bdecf"),
+    "head-lr": ({"stage": {"head_lr": 0.003}},
+                "ddce5db530257650ad87b76a6c1f6a9eb25d5bc535d97688dd3c3763340a49e3", "07868babf00e"),
+    "init-paths": ({"stage": {"stage": 3, "branch": "both", "init_checkpoint": "j.sfsl",
+                              "init_slow_checkpoint": "s.sfsl", "init_fast_checkpoint": "f.sfsl"}},
+                   "293365c51254f1213bdfa45bb6fb909985fc0dc9afca569c2b45e44faf45f8fe", "712a9f4d61b5"),
+    "pairs": ({"data": {"k_objects": [1, 6], "k_events": [1, 1], "extent": [2, 7]}},
+              "c866787e954351c14cb41a4575800b5b16f890c9be5baf483f48692d1dd495c5", "03dfcb15f084"),
+    # seed and out enter the document but not the hash; the per-scene counts clamp
+    "seed-out-clamps": ({"seed": 7, "out": "runs/x",
+                         "connector": {"frames": 4, "slow_frames": 1, "grid_h": 8, "grid_w": 8},
+                         "stage": {"frames_per_scene": 5, "positions_per_scene": 9}},
+                        "4435f683d5f5384834d50b532ff46e6d88720c521dfd6cb3a6695ebdfe5829b5", "059c6bb2db3e"),
+}
+
+
+class TestConfigIdentity:
+    @pytest.mark.parametrize("name", sorted(IDENTITY))
+    def test_effective_config_and_hash_unchanged(self, tmp_path, name):
+        doc, digest, short = IDENTITY[name]
+        rc = from_dict(doc)
+        with open(write_effective_config(rc, str(tmp_path)), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+        assert config_hash(rc) == short
