@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connector import ConnectorConfig, ConnectorParams, fast_tokens, join_branches, slow_tokens
+from .config import ConnectorConfig
+from .connector import ConnectorParams, fast_tokens, join_branches, slow_tokens
 from .decoder import QueryLayerParams, query_stack
 from .engine import ShapeError, Value, linear, linear_param, normal_param, reshape, zeros_param
 

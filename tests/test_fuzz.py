@@ -1,7 +1,8 @@
 """Property tests of the parsers of outside input: the checkpoint container,
-the config file and document, and the report file. Whatever bytes, text or
-JSON values they are given, the only exception that may escape is the
-module's own error type, which the CLI maps to exit code 3 or 2."""
+the config file and document, the config dataclasses, and the report file.
+Whatever bytes, text or JSON values they are given, the only exception that
+may escape is the module's own error type, which the CLI maps to exit code 3
+or 2."""
 
 import json
 import math
@@ -15,9 +16,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import numpy as np
+import pytest
 
 from slotvid.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from slotvid.config import ConfigError, default_config_dict, from_dict, load_config
+from slotvid.config import (
+    ConfigError,
+    ConnectorConfig,
+    DataConfig,
+    SceneRanges,
+    StageConfig,
+    default_config_dict,
+    from_dict,
+    load_config,
+)
 from slotvid.metrics import DecouplingReport, MetricsError
 
 
@@ -125,6 +136,54 @@ def test_from_dict_refuses_non_finite_numbers(where, value):
     except ConfigError:
         return
     raise AssertionError(f"{section}.{key} = {value} was accepted")
+
+
+def _holds_kind(f, value) -> bool:
+    """Whether ``value`` is of the kind that config field ``f`` declares, exactly:
+    a float field holds a finite float, a pair a tuple of two integers."""
+    kind = f.metadata["kind"]
+    if value is None:
+        return f.default is None and f.metadata["by_stage"] is None
+    if isinstance(kind, tuple):
+        return any(type(value) is type(choice) and value == choice for choice in kind)
+    if kind is tuple:
+        return type(value) is tuple and len(value) == 2 and all(type(v) is int for v in value)
+    return type(value) is kind and (kind is not float or math.isfinite(value))
+
+
+def _declared(cls):
+    return [f for f in fields(cls) if "kind" in f.metadata]
+
+
+# each config dataclass built directly, from any subset of its declared fields
+# with arbitrary JSON values, or with near-valid ones so that some builds pass:
+# the default, small numbers of either type, a bool and a pair given as a list
+_near = st.sampled_from([1, 2, 4, 0, 0.5, 2.0, True, [1, 3]])
+
+
+@pytest.mark.parametrize("cls", [ConnectorConfig, SceneRanges, StageConfig, DataConfig])
+@given(data=st.data())
+def test_config_dataclass_built_valid_or_refused(cls, data):
+    kw = data.draw(st.fixed_dictionaries({}, optional={f.name: _json | _near | st.just(f.default)
+                                                        for f in _declared(cls)}))
+    try:
+        cfg = cls(**kw)
+    except ConfigError:
+        return
+    for f in _declared(cls):
+        assert _holds_kind(f, getattr(cfg, f.name)), (f.name, getattr(cfg, f.name))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConnectorConfig(qt_layers=True),  # a bool is not a layer count
+    lambda: ConnectorConfig(iters_slow="3"),
+    lambda: SceneRanges(sigma=float("nan")),
+    lambda: StageConfig(stage=2, steps=-1),
+    lambda: DataConfig(n_heldout_scenes=0),
+], ids=["qt_layers-bool", "iters_slow-str", "sigma-nan", "steps-negative", "heldout-zero"])
+def test_config_dataclass_refuses_invalid_field(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def _write_read(data: bytes, read):
