@@ -28,6 +28,7 @@ reads the one readout, ``ProbeParams.logits``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -341,6 +342,11 @@ def forward_masks(model: Model, views: dict, branch: str):
 # -- training ----------------------------------------------------------------
 
 
+def _fingerprint(arr: np.ndarray) -> tuple:
+    """A tensor's shape and the blake2b digest of its bytes, which changes whenever a bit of it does."""
+    return arr.shape, hashlib.blake2b(np.ascontiguousarray(arr)).digest()
+
+
 def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resume: str | None,
            views: tuple, step_loss: Callable[[int, _Batch], tuple[Value, dict]]) -> dict:
     """The one step loop of every trainer.
@@ -366,7 +372,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         del tensors  # the model and Adam hold copies: the dict need not live through the stage
         if start > stage.steps:
             raise CheckpointError(f"checkpoint is at step {start}, past the stage's {stage.steps} steps")
-    frozen = {n: v.data.copy() for n, v in named.items() if n not in train}
+    frozen = {n: _fingerprint(v.data) for n, v in named.items() if n not in train}
     # the probe head may learn at its own rate: it stands in for the frozen
     # LLM reader, which is not part of the connector's tuning recipe
     lr_overrides = (
@@ -391,7 +397,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         if step % stage.log_every == 0 or step == stage.steps - 1:
             records.append({"step": step, "lr": lr, "loss": float(loss.item()), **fields})
     for name, before in frozen.items():
-        if not np.array_equal(before, named[name].data):
+        if before != _fingerprint(named[name].data):
             raise TrainingError(f"frozen parameter {name!r} moved during stage {stage_no}")
 
     ckpt_path = None
