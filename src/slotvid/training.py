@@ -155,6 +155,9 @@ def build_model(rc: RunConfig) -> Model:
 # checkpoint; both stages also tune the shared projection and the probe
 _BRANCH_GROUPS = {"slow": ("slow.", "slow_pos", "s_proj."), "fast": ("fast.", "fast_pos", "f_proj.")}
 _SHARED_GROUP = ("proj.", "probe.")
+# stage 1 trains a branch's slot attention and decoder, and the fast branch's
+# frame embedding, which its slot attention reads
+_STAGE1_GROUPS = {"slow": ("slow.", "dec_slow."), "fast": ("fast.", "fast_pos", "dec_fast.")}
 
 
 def trainable_names(model: Model, stage: StageConfig) -> list[str]:
@@ -162,8 +165,8 @@ def trainable_names(model: Model, stage: StageConfig) -> list[str]:
     names = list(model.named().keys())
     if model.kind != "slot":
         return names  # baselines: aggregator + projection + probe under one budget
-    if stage.stage == 1 and stage.branch in _BRANCH_GROUPS:
-        keep = (f"{stage.branch}.", f"dec_{stage.branch}.")
+    if stage.stage == 1 and stage.branch in _STAGE1_GROUPS:
+        keep = _STAGE1_GROUPS[stage.branch]
     elif stage.stage == 2 and stage.branch in _BRANCH_GROUPS:
         keep = _BRANCH_GROUPS[stage.branch] + _SHARED_GROUP
     elif stage.stage == 3:
@@ -458,14 +461,11 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         pick = engine.rng_for(rc.seed, "stage1", stage.branch, step)
         picks = np.stack([np.sort(pick.choice(groups, size=per_scene, replace=False)) for _ in batch.scenes])
         view = batch.view(stage.branch, picks)  # [B, p, H*W, D] frames or [B, p, T, D] series
-        if stage.branch == "slow":
-            inputs_np = view.reshape(-1, cfg.grid_h * cfg.grid_w, cfg.feat_dim)
-        else:
-            with engine.no_grad():
-                inputs_np = pooled_series(Value(view), cfg, model.conn.fast_pos).data  # [B*p, T, D]
-        inputs = Value(inputs_np)
+        target = Value(view.reshape((-1,) + view.shape[2:]))  # the raw frames or series [B*p, M, D]
+        # the fast input adds the frame embedding with its gradient; the target stays raw
+        inputs = target if stage.branch == "slow" else pooled_series(Value(view), cfg, model.conn.fast_pos)
         slots, _ = forward_batch(inputs, sa)
-        return recon_loss(decode_batch(slots, dec), inputs), {}
+        return recon_loss(decode_batch(slots, dec), target), {}
 
     return _train(rc, model, 1, out_dir, resume, (stage.branch,), step_loss)
 

@@ -294,6 +294,42 @@ class TestStage3:
         assert tokens.shape[1] == rc.connector.n_tokens
 
 
+class TestStage1Fast:
+    """Stage 1 fast trains the frame embedding its slot attention reads, and
+    reconstructs the raw pooled series, which no parameter moves."""
+
+    def test_trains_fast_pos(self):
+        rc = tiny_config(stage={"branch": "fast", "steps": 3})
+        before = build_model(rc).conn.fast_pos.data.copy()
+        after = run_stage1(rc)["model"].conn.fast_pos.data
+        t = rc.connector.frames
+        assert "fast_pos" in trainable_names(build_model(rc), rc.stage)
+        assert not np.array_equal(after[:t], before[:t])
+        assert np.array_equal(after[t:], before[t:])  # rows past the clip length get no gradient
+
+    def test_target_is_the_raw_series(self, monkeypatch):
+        rc = tiny_config(stage={"branch": "fast", "steps": 3})
+        cfg, stage = rc.connector, rc.stage
+        targets, original = [], training.recon_loss
+
+        def spy(predicted, target):
+            targets.append(target.data.copy())
+            return original(predicted, target)
+
+        monkeypatch.setattr(training, "recon_loss", spy)
+        run_stage1(rc)
+        monkeypatch.undo()
+        stream = training._stream(rc, "train")
+        assert len(targets) == stage.steps
+        for step, got in enumerate(targets):
+            indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes for j in range(stage.batch_size)]
+            series = stack_views([stream.scene(i)[1] for i in indices], cfg, ("fast",))["fast"]
+            pick = engine.rng_for(rc.seed, "stage1", "fast", step)
+            rows = [series[b, np.sort(pick.choice(cfg.n_positions, size=stage.positions_per_scene, replace=False))]
+                    for b in range(len(indices))]
+            assert np.array_equal(got, np.concatenate(rows))
+
+
 class TestSceneViews:
     """The training stream keeps each scene's views as read-only rows of
     scene-major blocks, and every step gets inputs bit-equal to the views of
@@ -362,21 +398,29 @@ class TestSceneViews:
     def test_stage1_inputs_equal_the_whole_batch_forms(self, branch, monkeypatch):
         # stage 1 takes its frame or position picks from the cached rows; its
         # inputs equal the picked sampled frames of each fresh clip's grid,
-        # and the picked rows of the fresh batch's series plus frame embedding
+        # and the picked rows of the fresh batch's series plus the frame
+        # embedding as it stands at that step (stage 1 fast trains it)
         rc = tiny_config(stage={"branch": branch, "steps": 8})
         cfg, stage = rc.connector, rc.stage
-        seen, original = [], training.forward_batch
+        seen, poses, models = [], [], []
+        original, build = training.forward_batch, training.build_model
+
+        def capturing(config):
+            models.append(build(config))
+            return models[-1]
 
         def spy(inputs, params):
             seen.append(inputs.data.copy())
+            poses.append(engine.Value(models[0].conn.fast_pos.data.copy()))
             return original(inputs, params)
 
+        monkeypatch.setattr(training, "build_model", capturing)
         monkeypatch.setattr(training, "forward_batch", spy)
-        fast_pos = run_stage1(rc)["model"].conn.fast_pos  # not in stage 1's group
+        run_stage1(rc)
         monkeypatch.undo()
         sampled = uniform_sample_frames(cfg.frames, cfg.slow_frames)
         assert len(seen) == stage.steps  # two passes over the 8 scenes: misses, then hits
-        for step, got in enumerate(seen):
+        for step, (got, fast_pos) in enumerate(zip(seen, poses)):
             indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes for j in range(stage.batch_size)]
             videos = self._fresh(rc, indices)
             pick = engine.rng_for(rc.seed, "stage1", branch, step)
