@@ -189,8 +189,7 @@ class DataConfig:
     n_heldout_scenes: int = _field(50, int, ge=1)
     ranges: SceneRanges = SceneRanges()
 
-    def __post_init__(self):
-        _check(self)
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,7 @@ class StageConfig:
     init_slow_checkpoint: str | None = _field(None, str)
     init_fast_checkpoint: str | None = _field(None, str)
 
-    def __post_init__(self):
-        _check(self)
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -238,8 +236,7 @@ class RunConfig:
     # the generators take a seed as one 64-bit word: -1 would draw what 2**64 - 1 draws
     seed: int = _field(0, int, ge=0, bits=64, hashed=False)
 
-    def __post_init__(self):
-        _check(self)
+    __post_init__ = _check
 
     @property
     def connector_kind(self) -> str:

@@ -1,7 +1,8 @@
 """Three-stage training recipe plus baseline training and held-out evaluation.
 
-Stage 1 pretrains one branch's slot attention by reconstructing its own
-inputs with a transformer decoder. Stage 2 loads those weights and tunes the
+Stage 1 pretrains one branch's slot attention by reconstructing its raw
+views with a transformer decoder; the fast branch also learns the frame
+embedding its input adds. Stage 2 loads those weights and tunes the
 branch, its projections and a linear probe on synthetic classification tasks.
 Stage 3 loads both tuned branches and tunes them jointly. Baselines train
 under the identical probe protocol. Every run is a pure function of its

@@ -300,10 +300,11 @@ class TestStage1Fast:
 
     def test_trains_fast_pos(self):
         rc = tiny_config(stage={"branch": "fast", "steps": 3})
-        before = build_model(rc).conn.fast_pos.data.copy()
+        model = build_model(rc)
+        assert "fast_pos" in trainable_names(model, rc.stage)
+        before = model.conn.fast_pos.data.copy()
         after = run_stage1(rc)["model"].conn.fast_pos.data
         t = rc.connector.frames
-        assert "fast_pos" in trainable_names(build_model(rc), rc.stage)
         assert not np.array_equal(after[:t], before[:t])
         assert np.array_equal(after[t:], before[t:])  # rows past the clip length get no gradient
 
