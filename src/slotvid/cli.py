@@ -18,10 +18,9 @@ from .config import ConfigError, load_config, write_effective_config
 from .connector import ConnectorError, stack_views
 from .engine import EngineError, no_grad
 from .metrics import DecouplingReport, MetricsError, compare_table, render_masks
-from .synthetic import SceneError
+from .synthetic import SceneError, SceneStream
 from .training import (
     TrainingError,
-    _stream,
     build_model,
     evaluate_checkpoint,
     forward_masks,
@@ -130,7 +129,7 @@ def _cmd_viz(args) -> int:
         raise TrainingError("the pooling connector has no attention masks to render")
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
-    _, video, _ = _stream(rc, "heldout").scene(scene)
+    _, video, _ = SceneStream(rc, "heldout").scene(scene)
     branch = run_branch(rc)
     cfg = rc.connector
     with no_grad():

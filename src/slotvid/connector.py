@@ -22,10 +22,10 @@ frame embedding is added, as plain float32 arrays keyed by view name. The
 grid is a frozen encoder's output, so every view is a fixed array that takes
 no gradient. ``clip_views`` is the one derivation of a clip's views, the
 pooling comparator's pre-projection tokens among them. A training stream
-keeps each scene's views (``synthetic.SceneStream``) and a step stacks its
-scenes' views; ``stack_views`` stacks the views of fresh clips. A default
-batch of 8 clips reads 2.5 MB of views against the 8 MB of its grids, with
-no sampling or pooling in the step.
+(``synthetic.SceneStream``) calls it once per scene and keeps the views it
+returns, and a step stacks its scenes' views; ``stack_views`` stacks the
+views of fresh clips. A default batch of 8 clips reads 2.5 MB of views
+against the 8 MB of its grids, with no sampling or pooling in the step.
 
 This module is the one home of that frame (sampling, pooling, embeddings,
 projections). The aggregator is a function passed in: slot attention here,

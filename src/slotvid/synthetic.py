@@ -12,7 +12,7 @@ Everything is a pure function of (seed, index); streams restart at any point.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import engine
-from .config import SceneRanges
-from .connector import VideoFeatures
+from .config import RunConfig, SceneRanges
+from .connector import VideoFeatures, clip_views
 
 # namespace seed for the global id -> embedding table; fixed so identities
 # mean the same thing across datasets and runs
@@ -245,55 +245,47 @@ def probe_class_counts(ranges: SceneRanges) -> dict:
     }
 
 
-# the most bytes of views a stream keeps in its blocks
+# the most bytes of views a stream keeps
 CACHE_BYTES = 512 << 20
 
 
 class SceneViews(NamedTuple):
     """One scene as a stream with views returns it."""
 
-    views: dict  # its views by name: read-only rows of the stream's blocks while it is cached
+    views: dict  # its views by name, as ``connector.clip_views`` returns them: read-only while it is cached
     probe: Mapping  # its ``SceneTruth.probe``
 
 
 @dataclass
 class SceneStream:
-    """Deterministic scene sequence: item i depends only on (seed, tag, i).
+    """The scenes ``tag`` of the run ``rc``: item i depends only on (rc.seed, tag, i)
+    and the scene fields of ``rc`` (the connector's clip shape and ``rc.data``).
 
     Without ``views``, ``scene`` renders each scene afresh and returns
-    (spec, features, truth); nothing outlives the caller's reference.
+    (spec, features, truth); nothing outlives the caller's reference. So
+    evaluation and viz read their scenes, each once.
 
-    With ``views``, a function of a clip's ``VideoFeatures`` to its views by
-    name (``connector.clip_views``), ``scene`` returns ``SceneViews`` and the
-    stream keeps what a training step reads and nothing else. The first
-    scene sizes one preallocated scene-major block per view, one row per
-    scene: as many rows as ``CACHE_BYTES`` of that scene's views hold, at
-    most ``cache_scenes``. Each new scene's views are written into the next
-    row, its grid, noise and label maps are dropped, and its record holds
-    read-only views of its rows. Training cycles through a fixed index set,
-    so the steady state is all hits. A scene past the budget is rendered
-    again on every request and carries views of its own.
+    With ``views``, the names of the views a training step reads,
+    ``scene`` returns ``SceneViews`` and the stream keeps what a step reads
+    and nothing else: each scene's views as ``connector.clip_views`` derives
+    them, made read-only, and its probe labels. Its grid, noise and label
+    maps are dropped. It keeps as many scenes as ``CACHE_BYTES`` of their
+    views hold, at most ``data.n_train_scenes``. Training cycles through
+    those indices, so the steady state is all hits. A scene past the budget
+    is rendered again on every request.
     """
 
-    seed: int
-    t: int
-    h: int
-    w: int
-    d: int
-    pool_stride: int
-    ranges: SceneRanges
-    tag: str = "train"
-    cache_scenes: int = 0
-    views: Callable | None = field(default=None, repr=False, compare=False)
+    rc: RunConfig
+    tag: str
+    views: tuple = ()
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def spec(self, index: int) -> SceneSpec:
-        rng = engine.rng_for(self.seed, "scene", self.tag, index)
+        cfg = self.rc.connector
+        rng = engine.rng_for(self.rc.seed, "scene", self.tag, index)
         scene_seed = int(rng.integers(0, 2**63 - 1))
-        return make_scene_spec(
-            rng, self.t, self.h, self.w, self.d, self.pool_stride, self.ranges, seed=scene_seed
-        )
+        return make_scene_spec(rng, cfg.frames, cfg.grid_h, cfg.grid_w, cfg.feat_dim, cfg.pool_stride,
+                               self.rc.data.ranges, seed=scene_seed)
 
     def scene(self, index: int):
         """Scene ``index``: (spec, VideoFeatures, SceneTruth), or its ``SceneViews`` with ``views``."""
@@ -302,19 +294,14 @@ class SceneStream:
             return hit
         spec = self.spec(index)
         feats, truth = gen_scene(spec)
-        if self.views is None:
+        if not self.views:
             return spec, feats, truth
-        views = self.views(feats)
-        if not self._blocks:
-            rows = min(self.cache_scenes, CACHE_BYTES // sum(view.nbytes for view in views.values()))
-            self._blocks = {name: np.empty((rows,) + view.shape, dtype=np.float32) for name, view in views.items()}
-        row = len(self._cache)
-        if row == len(next(iter(self._blocks.values()))):
+        views = clip_views(feats, self.rc.connector, self.views)
+        # every scene's views have the first scene's shapes, so this is the first scene's budget
+        budget = min(self.rc.data.n_train_scenes, CACHE_BYTES // sum(view.nbytes for view in views.values()))
+        if len(self._cache) == budget:
             return SceneViews(views, truth.probe)  # past the budget
-        cached = {}
-        for name, block in self._blocks.items():
-            block[row] = views[name]
-            cached[name] = block[row]
-            cached[name].flags.writeable = False
-        entry = self._cache[index] = SceneViews(cached, truth.probe)
+        for view in views.values():
+            view.flags.writeable = False
+        entry = self._cache[index] = SceneViews(views, truth.probe)
         return entry

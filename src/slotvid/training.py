@@ -19,8 +19,9 @@ connector and the query-transformer wrapper share the two-branch frame of
 ``connector`` and differ only in their aggregator; both read the batch's
 branch views, the pooling connector its pooling view (``view_names``), and
 the two-branch connectors return their masks as plain arrays [B, groups,
-tokens, slots], which the metrics score as stacks. A training step stacks the
-views its scenes' records hold (``_stream``, ``_Batch``); evaluation and
+tokens, slots], which the metrics score as stacks. Every run reads its
+scenes from one ``SceneStream`` of its config. A training step stacks the
+views the training stream keeps for its scenes (``_Batch``); evaluation and
 mask rendering derive them from fresh clips (``connector.stack_views``),
 through the same ``connector.clip_views``. Every probe loss and accuracy
 reads the one readout, ``ProbeParams.logits``.
@@ -28,7 +29,6 @@ reads the one readout, ``ProbeParams.logits``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 from collections.abc import Callable
@@ -44,7 +44,6 @@ from .config import RunConfig, StageConfig, config_hash
 from .connector import (
     ConnectorParams,
     branch_views,
-    clip_views,
     connect_batch,
     pooled_series,
     stack_views,
@@ -256,31 +255,6 @@ def _load_adam(tensors: dict, state: AdamState, trainable: list) -> None:
 # -- data plumbing ----------------------------------------------------------------
 
 
-def _stream(rc: RunConfig, tag: str, views: tuple | None = None) -> SceneStream:
-    """The scenes of ``tag``.
-
-    Only the training loop revisits scenes: it cycles through the
-    ``n_train_scenes`` indices. Its stream is given ``views``, the names of
-    the views its steps read, and keeps those views of each of its scenes,
-    and its probe labels, but no grid or label map (``SceneStream``).
-    Without ``views`` the stream renders each scene afresh, for evaluation
-    and viz, which read each scene once.
-    """
-    cfg = rc.connector
-    return SceneStream(
-        seed=rc.seed,
-        t=cfg.frames,
-        h=cfg.grid_h,
-        w=cfg.grid_w,
-        d=cfg.feat_dim,
-        pool_stride=cfg.pool_stride,
-        ranges=rc.data.ranges,
-        tag=tag,
-        cache_scenes=0 if views is None else rc.data.n_train_scenes,
-        views=None if views is None else functools.partial(clip_views, cfg=cfg, names=views),
-    )
-
-
 def _labels(probes) -> dict:
     """Probe labels per task of a batch of scenes' ``SceneTruth.probe``."""
     return {task: np.asarray([probe[task] for probe in probes], dtype=np.intp) for task in TASKS}
@@ -384,7 +358,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         else {n: stage.head_lr for n in train_names if n.startswith("probe.")}
     )
 
-    stream = _stream(rc, "train", views)
+    stream = SceneStream(rc, "train", views)
     records = []
     for step in range(start, stage.steps):
         indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
@@ -528,7 +502,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     metric scores one [sets, tokens, slots] stack per chunk of 8 scenes and branch."""
     cfg = rc.connector
     branch = run_branch(rc)
-    stream = _stream(rc, tag)
+    stream = SceneStream(rc, tag)
     names = view_names(model, branch)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
     if n < 1:

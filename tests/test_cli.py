@@ -426,26 +426,30 @@ class TestSceneCache:
     def test_only_the_training_stream_caches(self, tmp_path, monkeypatch):
         # training cycles through n_train_scenes indices; eval and viz read
         # each scene once, so their streams keep none
-        from slotvid import training
+        from slotvid.synthetic import SceneStream
 
-        streams, original = [], training.SceneStream
+        streams, scene = [], SceneStream.scene
 
-        def recording(**fields):
-            streams.append(original(**fields))
-            return streams[-1]
+        def recording(self, index):
+            if not any(stream is self for stream in streams):
+                streams.append(self)
+            return scene(self, index)
 
-        monkeypatch.setattr(training, "SceneStream", recording)
+        monkeypatch.setattr(SceneStream, "scene", recording)
         cfg = write_config(tmp_path)
         ckpt = str(tmp_path / "s1" / "checkpoint.sfsl")
         assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
         both = write_config(tmp_path, name="both.json", stage={"branch": "both"})
         assert main(["eval", "--config", both, "--ckpt", ckpt]) == 0
         assert main(["viz", "--config", both, "--ckpt", ckpt, "--out", str(tmp_path / "viz")]) == 0
-        seen = [(s.tag, s.cache_scenes, len(s._cache), {n: b.shape for n, b in s._blocks.items()}) for s in streams]
+        seen = [(s.tag, s.views, len(s._cache),
+                 {(name, view.shape) for entry in s._cache.values() for name, view in entry.views.items()})
+                for s in streams]
         # 3 steps of 2 scenes visit all 6 training scenes; the stage-1 slow
-        # stream keeps the 2 sampled frames of each, [6, 2, 4 * 4, 8], and
+        # stream keeps the 2 sampled frames of each, [2, 4 * 4, 8], and
         # nothing else
-        assert seen == [("train", 6, 6, {"slow": (6, 2, 16, 8)}), ("heldout", 0, 0, {}), ("heldout", 0, 0, {})]
+        assert seen == [("train", ("slow",), 6, {("slow", (2, 16, 8))}), ("heldout", (), 0, set()),
+                        ("heldout", (), 0, set())]
 
 
 class TestViz:

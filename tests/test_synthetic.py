@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slotvid import engine
+from slotvid.config import from_dict
 from slotvid.engine import Value
 from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from slotvid.synthetic import (
@@ -19,16 +20,12 @@ from slotvid.synthetic import (
 
 
 def small_stream(seed=0, tag="train", sigma=0.05, k_objects=(2, 4)):
-    return SceneStream(
-        seed=seed,
-        t=12,
-        h=8,
-        w=8,
-        d=16,
-        pool_stride=4,
-        ranges=SceneRanges(k_objects=k_objects, k_events=(2, 3), sigma=sigma, extent=(2, 2)),
-        tag=tag,
-    )
+    rc = from_dict({
+        "connector": {"frames": 12, "grid_h": 8, "grid_w": 8, "feat_dim": 16, "pool_stride": 4},
+        "data": {"k_objects": list(k_objects), "k_events": [2, 3], "sigma": sigma, "extent": [2, 2]},
+        "seed": seed,
+    })
+    return SceneStream(rc, tag)
 
 
 def static_spec(k=2, sigma=0.0):

@@ -285,9 +285,9 @@ class TestStage3:
     def test_token_count_constant_during_joint_training(self, tmp_path):
         rc = tiny_config()
         model = build_model(rc)
-        from slotvid.training import forward_masks, _stream
+        from slotvid.training import forward_masks
 
-        stream = _stream(rc, "train")
+        stream = SceneStream(rc, "train")
         with engine.no_grad():
             views = stack_views([stream.scene(i)[1] for i in range(2)], rc.connector)
             tokens, _, _ = forward_masks(model, views, "both")
@@ -320,7 +320,7 @@ class TestStage1Fast:
         monkeypatch.setattr(training, "recon_loss", spy)
         run_stage1(rc)
         monkeypatch.undo()
-        stream = training._stream(rc, "train")
+        stream = SceneStream(rc, "train")
         assert len(targets) == stage.steps
         for step, got in enumerate(targets):
             indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes for j in range(stage.batch_size)]
@@ -332,14 +332,14 @@ class TestStage1Fast:
 
 
 class TestSceneViews:
-    """The training stream keeps each scene's views as read-only rows of
-    scene-major blocks, and every step gets inputs bit-equal to the views of
-    a freshly generated clip."""
+    """The training stream keeps each scene's views read-only, as
+    ``connector.clip_views`` derived them, and every step gets inputs
+    bit-equal to the views of a freshly generated clip."""
 
     @staticmethod
     def _fresh(rc, indices):
         """The clips ``indices`` of the training scenes, rendered afresh."""
-        stream = training._stream(rc, "train")
+        stream = SceneStream(rc, "train")
         return [stream.scene(i)[1] for i in indices]
 
     @staticmethod
@@ -442,7 +442,7 @@ class TestSceneViews:
     def test_forward_on_scene_views_equals_forward_on_stacked_grid(self, kind, branch):
         rc = tiny_config(connector={"type": kind})
         model = build_model(rc)
-        stream = training._stream(rc, "train", training.view_names(model, branch))
+        stream = SceneStream(rc, "train", training.view_names(model, branch))
         batch = training._batch(stream, range(3))
         forward = connect_batch if kind == "slot" else slowfast_wrap
         with engine.no_grad():
@@ -459,18 +459,18 @@ class TestSceneViews:
                                              ("query_transformer", "slow"), ("query_transformer", "fast"),
                                              ("query_transformer", "both"), ("pooling", "both")])
     def test_probe_step_reads_the_views_of_fresh_clips(self, kind, branch, monkeypatch):
-        # two passes over the 8 scenes: the first renders each scene into its
-        # block rows, the second reads only the blocks
+        # two passes over the 8 scenes: the first renders each scene and keeps
+        # its views, the second reads only the kept views
         rc = tiny_config(connector={"type": kind})
         model = build_model(rc)
         names = training.view_names(model, branch)
-        stream = training._stream(rc, "train", names)
+        stream = SceneStream(rc, "train", names)
         seen = self._spy_forward(monkeypatch)
         step = training._probe_step(model, branch)
         batches = [list(range(lo, lo + 4)) for lo in (0, 4, 0, 4)]
         for i, indices in enumerate(batches):
             step(i, training._batch(stream, indices))
-        assert len(stream._cache) == 8 and sorted(stream._blocks) == sorted(names)
+        assert len(stream._cache) == 8 and all(sorted(scene.views) == sorted(names) for scene in stream._cache.values())
         for indices, views in zip(batches, seen):
             want = stack_views(self._fresh(rc, indices), rc.connector, names)
             assert sorted(views) == sorted(names)
@@ -479,30 +479,30 @@ class TestSceneViews:
 
     def test_cached_views_are_read_only_and_derived_once(self, monkeypatch):
         # each scene is rendered and its views derived once; its record holds
-        # read-only views of its block rows, and a step stacks a copy of them,
-        # so nothing it does to its views reaches the cache
+        # the views clip_views returned, read-only, and a step stacks a copy
+        # of them, so nothing it does to its views reaches the cache
         rc = tiny_config()
-        stream = training._stream(rc, "train", ("slow", "fast"))
-        rendered, derive = [], stream.views
+        derived, derive = [], synthetic.clip_views
 
-        def counting(video):
-            rendered.append(video.n_frames)
-            return derive(video)
+        def counting(video, cfg, names):
+            derived.append(derive(video, cfg, names))
+            return derived[-1]
 
-        stream.views = counting
+        monkeypatch.setattr(synthetic, "clip_views", counting)
+        stream = SceneStream(rc, "train", ("slow", "fast"))
         first = training._batch(stream, range(4))
-        for row, scene in enumerate(first.scenes):
-            for name, view in scene.views.items():
-                assert view.base is stream._blocks[name] and np.shares_memory(view, stream._blocks[name][row])
-                with pytest.raises(ValueError, match="read-only"):
-                    view[...] = 0.0
+        assert len(derived) == 4 and all(scene.views is views for scene, views in zip(first.scenes, derived))
+        kept = [view for views in derived for view in views.values()]
+        for view in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                view[...] = 0.0
         views = [first.view(name) for name in ("slow", "fast")]
         picked = first.view("fast", np.zeros((4, 1), dtype=np.intp))
         for view in views + [picked]:
-            assert not any(np.shares_memory(view, block) for block in stream._blocks.values())
+            assert not any(np.shares_memory(view, other) for other in kept)
             view[...] = 0.0
         again = training._batch(stream, range(4))
-        assert len(rendered) == 4
+        assert len(derived) == 4
         want = stack_views(self._fresh(rc, range(4)), rc.connector)
         for name in ("slow", "fast"):
             assert np.array_equal(again.view(name), want[name])
@@ -514,7 +514,7 @@ class TestSceneViews:
         # checks no [B, T, H, W, D] array
         rc = tiny_config(connector={"type": kind})
         model = build_model(rc)
-        stream = training._stream(rc, "train", training.view_names(model, branch))
+        stream = SceneStream(rc, "train", training.view_names(model, branch))
         step = training._probe_step(model, branch)
         step(0, training._batch(stream, range(2)))  # warm: cache each scene's views
         seen = []
@@ -537,35 +537,57 @@ class TestSceneViews:
 
     def test_uncached_stream_keeps_no_view(self):
         rc = tiny_config()
-        stream = training._stream(rc, "heldout")
+        stream = SceneStream(rc, "heldout")
         videos = [stream.scene(i)[1] for i in range(2)]
         stack_views(videos, rc.connector)
         refs = [weakref.ref(video.grid) for video in videos]
-        assert stream.cache_scenes == 0 and stream._cache == {} and stream._blocks == {}
+        assert stream.views == () and stream._cache == {}
         del videos
         assert [ref() for ref in refs] == [None] * 2
 
+    @staticmethod
+    def _keeps(stream, held) -> bool:
+        """Whether ``stream``, once it holds ``held`` scenes, keeps the views of another."""
+        stream._cache = dict.fromkeys(range(1, held + 1), "held")
+        stream.scene(0)
+        return 0 in stream._cache
+
     def test_cache_budget_counts_the_views(self):
-        # the first scene's views size the blocks: 512 MB hold 1638
+        # the first scene's views size the budget: 512 MB hold 1638
         # both-branch scenes of 327,680 B at the default shapes
         rc = from_dict({"data": {"n_train_scenes": 10**6}})
         for names, entry in ((("slow", "fast"), 327_680), (("slow",), 262_144), (("fast",), 65_536),
                              (("pooling",), 36_864)):
-            stream = training._stream(rc, "train", names)
+            stream = SceneStream(rc, "train", names)
             assert sum(view.nbytes for view in stream.scene(0).views.values()) == entry
-            assert {len(block) for block in stream._blocks.values()} == {(512 << 20) // entry}
+            budget = (512 << 20) // entry
+            assert self._keeps(stream, budget - 1) and not self._keeps(stream, budget)
 
     @pytest.mark.parametrize("kind,branch", [("slot", "both"), ("slot", "slow"), ("slot", "fast"),
                                              ("pooling", "both")])
     def test_default_config_caches_every_training_scene(self, kind, branch):
         rc = from_dict({"connector": {"type": kind}})
-        stream = training._stream(rc, "train", training.view_names(build_model(rc), branch))
-        stream.scene(0)
-        assert {len(block) for block in stream._blocks.values()} == {rc.data.n_train_scenes} == {512}
+        stream = SceneStream(rc, "train", training.view_names(build_model(rc), branch))
+        assert rc.data.n_train_scenes == 512
+        assert self._keeps(stream, 511) and not self._keeps(stream, 512)
+
+    def test_fields_outside_the_scene_leave_its_views(self):
+        # a stream reads the seed, the clip shape and the data section of its
+        # config: configs that differ elsewhere stream identical views
+        rc = tiny_config()
+        other = tiny_config(connector={"type": "pooling", "slot_dim": 16, "iters_slow": 3},
+                            stage={"stage": 2, "batch_size": 4, "frames_per_scene": 1})
+        names = ("slow", "fast", "pooling")
+        streams = [SceneStream(config, "train", names) for config in (rc, other)]
+        for i in range(rc.data.n_train_scenes):
+            a, b = (stream.scene(i) for stream in streams)
+            assert dict(a.probe) == dict(b.probe)
+            for name in names:
+                assert np.array_equal(a.views[name], b.views[name])
 
     def test_cached_entries_hold_no_grid_or_label_map(self, monkeypatch):
         # with the cyclic collector off, every grid and label map gen_scene
-        # made is freed as soon as the scene's views are in their blocks
+        # made is freed as soon as the scene's views are derived
         rc = tiny_config()
         made, original = [], synthetic.gen_scene
 
@@ -575,7 +597,7 @@ class TestSceneViews:
             return video, truth
 
         monkeypatch.setattr(synthetic, "gen_scene", recording)
-        stream = training._stream(rc, "train", ("slow", "fast"))
+        stream = SceneStream(rc, "train", ("slow", "fast"))
         gc.disable()
         try:
             batch = training._batch(stream, range(rc.data.n_train_scenes))
@@ -583,44 +605,50 @@ class TestSceneViews:
             assert [ref() for ref in made] == [None] * len(made)
         finally:
             gc.enable()
-        assert all(view.base is stream._blocks[name] for scene in batch.scenes for name, view in scene.views.items())
+        assert all(scene is stream._cache[i] for i, scene in enumerate(batch.scenes))
 
     @pytest.mark.parametrize("cached", [0, 3])
     @pytest.mark.parametrize("name", ["slow", "fast", "query_transformer", "pooling"])
     def test_scenes_past_the_cache_budget_train_identically(self, tmp_path, monkeypatch, name, cached):
         # scenes past the budget are rendered again at every visit and carry
         # their own views: two passes over the scenes write the same
-        # checkpoint
+        # checkpoint when CACHE_BYTES holds the views of only ``cached`` scenes
         if name in ("slow", "fast"):
-            runner, rc = run_stage1, tiny_config(stage={"branch": name, "steps": 8})
+            runner, rc, names = run_stage1, tiny_config(stage={"branch": name, "steps": 8}), (name,)
         else:
-            runner, rc = run_baseline, tiny_config(connector={"type": name}, stage={"branch": "both", "steps": 8})
+            rc = tiny_config(connector={"type": name}, stage={"branch": "both", "steps": 8})
+            runner, names = run_baseline, training.view_names(build_model(rc), "both")
         full = Path(runner(rc, str(tmp_path / "full"))["checkpoint"]).read_bytes()
-        original = training.SceneStream
-        monkeypatch.setattr(training, "SceneStream", lambda **fields: original(**{**fields, "cache_scenes": cached}))
-        assert Path(runner(rc, str(tmp_path / "capped"))["checkpoint"]).read_bytes() == full
-
-    def test_training_stream_dies_when_run_stage1_returns(self, monkeypatch):
-        # nothing keeps a run's stream or its blocks alive through a
-        # reference cycle: with the cyclic collector off they die with the run
-        refs, original, scene = [], training.SceneStream, SceneStream.scene
-
-        def recording(**fields):
-            stream = original(**fields)
-            refs.append(weakref.ref(stream))
-            return stream
+        entry = sum(view.nbytes for view in SceneStream(rc, "train", names).scene(0).views.values())
+        monkeypatch.setattr(synthetic, "CACHE_BYTES", (cached + 1) * entry - 1)
+        held, scene = [], SceneStream.scene
 
         def scene_spy(self, index):
             record = scene(self, index)
-            refs.extend(weakref.ref(block) for block in self._blocks.values())
+            held.append(len(self._cache))
             return record
 
-        monkeypatch.setattr(training, "SceneStream", recording)
+        monkeypatch.setattr(SceneStream, "scene", scene_spy)
+        assert Path(runner(rc, str(tmp_path / "capped"))["checkpoint"]).read_bytes() == full
+        assert max(held) == cached and len(held) == 8 * rc.stage.batch_size
+
+    def test_training_stream_dies_when_run_stage1_returns(self, monkeypatch):
+        # nothing keeps a run's stream or its views alive through a reference
+        # cycle: with the cyclic collector off they die with the run
+        refs, scene = [], SceneStream.scene
+
+        def scene_spy(self, index):
+            if not any(ref() is self for ref in refs):
+                refs.append(weakref.ref(self))
+            record = scene(self, index)
+            refs.extend(weakref.ref(view) for view in record.views.values())
+            return record
+
         monkeypatch.setattr(SceneStream, "scene", scene_spy)
         gc.disable()
         try:
             result = run_stage1(tiny_config(stage={"steps": 3}))
-            # the stream and the one block of each of its 6 scene calls
+            # the stream and the one view of each of its 6 scene calls
             assert len(refs) == 7 and [ref() for ref in refs] == [None] * 7
         finally:
             gc.enable()
