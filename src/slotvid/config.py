@@ -101,7 +101,7 @@ def _value(where: str, rule, value):
 def _check(cfg) -> None:
     """Check each declared field of the config dataclass ``cfg``, storing it as ``_value`` returns it."""
     for f in fields(cfg):
-        if "kind" not in f.metadata:  # a nested config or the effective document
+        if "kind" not in f.metadata:  # a nested config
             continue
         value = getattr(cfg, f.name)
         if value is None and f.metadata["by_stage"]:
@@ -223,15 +223,14 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A checked run: its three sections, its effective document, and the
-    output directory and seed, which do not change what the run computes."""
+    """A checked run: its three sections, and the output directory and seed,
+    which do not change what the run computes."""
 
     section = ""
 
     connector: ConnectorConfig
     data: DataConfig
     stage: StageConfig
-    effective: dict
     out: str | None = _field(None, str, hashed=False)
     # the generators take a seed as one 64-bit word: -1 would draw what 2**64 - 1 draws
     seed: int = _field(0, int, ge=0, bits=64, hashed=False)
@@ -242,6 +241,11 @@ class RunConfig:
     def connector_kind(self) -> str:
         return self.connector.type
 
+    @property
+    def effective(self) -> dict:
+        """The effective document, read off the checked fields: equal configs have one document and one hash."""
+        return _document(self)
+
 
 # the document's sections, by name
 _SECTIONS = {"connector": ConnectorConfig, "data": DataConfig, "stage": StageConfig}
@@ -251,6 +255,20 @@ def _declared(cls) -> list:
     """The declared fields of config class ``cls`` in its document order, a nested config's in its place."""
     return [g for f in fields(cls) if f.default is not dataclasses.MISSING
             for g in ([f] if "kind" in f.metadata else _declared(type(f.default)))]
+
+
+def _document(cfg, hashed: bool = False) -> dict:
+    """The document of config object ``cfg``: its declared fields by name (a pair as a list), a section
+    under its name and a nested config's fields in its place; with ``hashed``, those that enter ``config_hash``."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "kind" not in f.metadata:
+            nested = _document(value, hashed)
+            out.update({f.name: nested} if f.default is dataclasses.MISSING else nested)
+        elif f.metadata["hashed"] or not hashed:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def default_config_dict() -> dict:
@@ -293,8 +311,7 @@ def from_dict(user: dict) -> RunConfig:
     # a scene gives at most its sampled frames and its pooled positions
     clamped = {"frames_per_scene": min(stage.frames_per_scene, connector.slow_frames),
                "positions_per_scene": min(stage.positions_per_scene, connector.n_positions)}
-    doc["stage"].update({key: getattr(stage, key) for key, value in doc["stage"].items() if value is None}, **clamped)
-    return RunConfig(connector, data, dataclasses.replace(stage, **clamped), doc, doc["out"], doc["seed"])
+    return RunConfig(connector, data, dataclasses.replace(stage, **clamped), doc["out"], doc["seed"])
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -315,11 +332,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def config_hash(rc: RunConfig) -> str:
-    """Digest of the effective configuration without the fields declared ``hashed=False``."""
-    def hashed(cls, section):
-        return {f.name: section[f.name] for f in _declared(cls) if f.metadata["hashed"]}
-    doc = {**{name: hashed(cls, rc.effective[name]) for name, cls in _SECTIONS.items()}, **hashed(RunConfig, rc.effective)}
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Digest of the effective document (``RunConfig.effective``) without the fields declared ``hashed=False``."""
+    blob = json.dumps(_document(rc, hashed=True), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -170,9 +171,10 @@ IDENTITY = {
                 "75d4c4f013fdd0c563446cbd86d5fd8d98a8aec12f6f544123f2626910f0598b", "6442e9819288"),
     "query_transformer": ({"connector": {"type": "query_transformer"}},
                           "4505eb6bc02b385c1ade16e674997521c43023696e4167fb2e5c31cef44b88c9", "6533fc8c06b3"),
-    # an integer where a float is declared stays an integer in the document
+    # an integer where a float is declared is the float in the document: the
+    # document of {"lr_max": 1.0, "sigma": 0.0}, whose row this is
     "int-for-float": ({"stage": {"lr_max": 1}, "data": {"sigma": 0}},
-                      "159658ab4908ad045914d605484f15e09fc98e8a47440ad888aefef2b65a36cb", "b2d0fd7bdecf"),
+                      "aea368d93486a988c17d1925ebfeb621d3e6e600f2fcc464b1e4e8c7819bdfb6", "3fd28d2be9c0"),
     "head-lr": ({"stage": {"head_lr": 0.003}},
                 "ddce5db530257650ad87b76a6c1f6a9eb25d5bc535d97688dd3c3763340a49e3", "07868babf00e"),
     "init-paths": ({"stage": {"stage": 3, "branch": "both", "init_checkpoint": "j.sfsl",
@@ -196,3 +198,13 @@ class TestConfigIdentity:
         with open(write_effective_config(rc, str(tmp_path)), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
         assert config_hash(rc) == short
+
+    def test_spelling_of_a_number_leaves_the_identity(self, tmp_path):
+        # equal configs are one config: 1 and 1.0 give one document and one hash
+        docs = [{"stage": {"lr_max": 1, "grad_clip": 2}, "data": {"sigma": 0}},
+                {"stage": {"lr_max": 1.0, "grad_clip": 2.0}, "data": {"sigma": 0.0}}]
+        configs = [from_dict(doc) for doc in docs]
+        assert configs[0] == configs[1]
+        files = [Path(write_effective_config(rc, str(tmp_path / str(i)))).read_bytes() for i, rc in enumerate(configs)]
+        assert files[0] == files[1] and configs[0].effective == configs[1].effective
+        assert config_hash(configs[0]) == config_hash(configs[1])
