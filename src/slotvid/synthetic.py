@@ -37,7 +37,7 @@ class SceneError(Exception):
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Fully determined description of one scene."""
+    """Fully determined description of one scene, checked when it is built."""
 
     seed: int
     t: int
@@ -46,13 +46,13 @@ class SceneSpec:
     d: int
     pool_stride: int
     k_objects: int
-    object_ids: tuple  # K global ids, distinct, >= 1
+    object_ids: tuple  # K global ids, distinct, >= 1: local label i+1 is object_ids[i]
     extents: tuple  # K (eh, ew) pairs
     boundaries: tuple  # segment start times, boundaries[0] == 0
     positions: tuple  # positions[seg][obj] = (row, col) top-left
     sigma: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.t < 1 or self.h < 1 or self.w < 1 or self.d < 1:
             raise SceneError("degenerate scene dims")
         if self.h % self.pool_stride or self.w % self.pool_stride:
@@ -80,7 +80,6 @@ class SceneTruth:
 
     object_labels: np.ndarray  # [T, H, W] ints, 0 = background, else 1..K
     segment_labels: np.ndarray  # [M_d, T] ints, content class per pooled position
-    object_ids: tuple  # local index i+1 -> global id object_ids[i]
     probe: Mapping = field(default_factory=dict)  # task -> probe label
 
 
@@ -164,7 +163,7 @@ def make_scene_spec(
             )
         positions.append(placed)
 
-    spec = SceneSpec(
+    return SceneSpec(
         seed=seed,
         t=t,
         h=h,
@@ -178,13 +177,10 @@ def make_scene_spec(
         positions=tuple(positions),
         sigma=ranges.sigma,
     )
-    spec.validate()
-    return spec
 
 
 def gen_scene(spec: SceneSpec) -> tuple[VideoFeatures, SceneTruth]:
     """Render features and exact truth for one scene specification."""
-    spec.validate()
     seg_of = _segment_of_frame(spec)
     patterns = [_paint_pattern(spec, s) for s in range(spec.n_segments)]
     labels = np.stack([patterns[seg_of[t]] for t in range(spec.t)])  # [T, H, W]
@@ -217,7 +213,7 @@ def gen_scene(spec: SceneSpec) -> tuple[VideoFeatures, SceneTruth]:
                 seen[key] = len(seen)
             seg_labels[pos, t] = seen[key]
 
-    truth = SceneTruth(object_labels=labels, segment_labels=seg_labels, object_ids=spec.object_ids)
+    truth = SceneTruth(object_labels=labels, segment_labels=seg_labels)
     truth.probe = MappingProxyType(probe_labels(spec, truth))
     return VideoFeatures(feats), truth
 

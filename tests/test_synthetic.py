@@ -95,9 +95,8 @@ class TestGenScene:
 
     def test_invalid_spec_rejected(self):
         spec = static_spec(k=2)
-        bad = SceneSpec(**{**spec.__dict__, "boundaries": (0, 99)})
         with pytest.raises(SceneError):
-            bad.validate()
+            SceneSpec(**{**spec.__dict__, "boundaries": (0, 99)})
 
 
     def test_more_events_than_frames_rejected(self):
