@@ -11,9 +11,11 @@ or class that no ``src/`` code names outside its own definition fails too.
 ``UNCALLED`` holds the ones kept on purpose, each with its reason.
 
 An option that no run sets is test-only code too: every defaulted parameter
-of a module-level function, and of ``Value.__init__``, must be passed by
-some ``src/`` call, by keyword or by position. ``SET_OUTSIDE`` holds the
-ones that only a caller outside ``src/`` sets, each with its reason.
+of a module-level function, of a module-level class's ``__init__`` (such as
+``Value.__init__``) and of its classmethods and staticmethods (such as
+``DecoderParams.create``) must be passed by some ``src/`` call, by keyword
+or by position. ``SET_OUTSIDE`` holds the ones that only a caller outside
+``src/`` sets, each with its reason.
 """
 
 import ast
@@ -38,6 +40,9 @@ SET_OUTSIDE = {
     # scene per request; a run scores data.n_heldout_scenes
     "training.evaluate_model(tag)",
     "training.evaluate_model(n_scenes)",
+    # the tests build 1-layer decoders and every run takes the default;
+    # ROADMAP item 4 removes the option
+    "decoder.DecoderParams.create(n_layers)",
 }
 
 
@@ -132,35 +137,42 @@ def _bindings(module: str, tree: ast.AST) -> tuple[dict[str, tuple[str, str]], d
 
 def _options(module: str, tree: ast.AST) -> dict:
     """(module, callee) to {defaulted parameter: its position among the positional
-    ones, None if keyword-only}, for each module-level function of ``tree`` and
-    each module-level class with its own ``__init__``."""
-    options = {}
+    ones, None if keyword-only}, for each module-level function of ``tree``, each
+    module-level class with its own ``__init__`` (the callee is the class) and
+    each classmethod and staticmethod of such a class (``Class.method``)."""
+    callees = []  # (callee, arguments, leading parameters the call does not pass)
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
-            if not init:
-                continue
-            args, skip = init[0].args, 1  # self
-        elif isinstance(node, ast.FunctionDef):
-            args, skip = node.args, 0
-        else:
-            continue
+        if isinstance(node, ast.FunctionDef):
+            callees.append((node.name, node.args, 0))
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                decorators = {d.id for d in f.decorator_list if isinstance(d, ast.Name)}
+                if f.name == "__init__":
+                    callees.append((node.name, f.args, 1))  # self
+                elif decorators & {"classmethod", "staticmethod"}:
+                    callees.append((f"{node.name}.{f.name}", f.args, int("classmethod" in decorators)))  # cls
+    options = {}
+    for name, args, skip in callees:
         positional = (args.posonlyargs + args.args)[skip:]
         first = len(positional) - len(args.defaults)
         params = {a.arg: i for i, a in enumerate(positional) if i >= first}
         params.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
         if params:
-            options[(module, node.name)] = params
+            options[(module, name)] = params
     return options
 
 
 def unset_options(sources: dict[str, str]) -> list[str]:
     """The ``module.function(parameter)`` of each defaulted parameter of a
-    module-level function, or of a module-level class's ``__init__``, that no
-    call in ``sources`` (module name to text) passes, by keyword or by
+    module-level function, or of a module-level class's ``__init__``,
+    classmethods and staticmethods (``module.Class.method(parameter)``), that
+    no call in ``sources`` (module name to text) passes, by keyword or by
     position. A call is resolved through the calling module's own definitions,
-    ``from .x import y`` and ``from . import x``; a ``**`` argument passes
-    every parameter."""
+    ``from .x import y`` and ``from . import x``, and ``Class.method(...)``
+    through the binding of ``Class``; a ``**`` argument passes every
+    parameter."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     options = {}
     for module, tree in trees.items():
@@ -176,6 +188,9 @@ def unset_options(sources: dict[str, str]) -> list[str]:
                 callee = names.get(func.id)
             elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
                 callee = (modules[func.value.id], func.attr)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in names:
+                owner, cls = names[func.value.id]
+                callee = (owner, f"{cls}.{func.attr}")
             else:
                 continue
             spread = any(k.arg is None for k in call.keywords)
@@ -188,21 +203,27 @@ def unset_options(sources: dict[str, str]) -> list[str]:
 
 def test_options_checker_flags_a_leftover():
     # passed by position (take's indices), by keyword (vmean's axis), to the
-    # class (Value's requires_grad), through a module binding (connector's
-    # read), by ** (checkpoint's seal), or only to another module's function
-    # of the same name (checkpoint's take), or not at all
+    # class (Value's requires_grad), to a classmethod (Params.create's scale)
+    # or a staticmethod (Params.norm's eps) through the class's binding,
+    # through a module binding (connector's read), by ** (checkpoint's seal),
+    # or only to another module's function of the same name (checkpoint's
+    # take), or not at all
     sources = {
         "engine": "class Value:\n    def __init__(self, data, requires_grad=False):\n        self.data = data\n\n\n"
+                  "class Params:\n    @classmethod\n    def create(cls, n, scale=1.0, layers=2):\n        return cls()\n\n"
+                  "    @staticmethod\n    def norm(a, eps=1e-5):\n        return a\n\n\n"
                   "def take(a, indices=0, axis=0):\n    return a\n\n\n"
                   "def vmean(a, axis=None, keepdims=False):\n    return take(a, 1)\n",
-        "connector": "from . import engine\nfrom .engine import Value\n\n\n"
-                     "def read(a, branch='both', scale=1):\n    return engine.vmean(Value(a, True), axis=1)\n",
+        "connector": "from . import engine\nfrom .engine import Params, Value\n\n\n"
+                     "def read(a, branch='both', scale=1):\n    Params.create(4, 0.5)\n    Params.norm(a, eps=0.1)\n"
+                     "    return engine.vmean(Value(a, True), axis=1)\n",
         "checkpoint": "from . import connector as conn\n\n\n"
                       "def take(n, what, axis=0):\n    return n\n\n\n"
                       "def seal(n, what=None):\n    return n\n\n\n"
                       "take(4, 'table', axis=0)\nconn.read(0, 'slow')\nseal(1, **{})\n",
     }
-    assert unset_options(sources) == ["connector.read(scale)", "engine.take(axis)", "engine.vmean(keepdims)"]
+    assert unset_options(sources) == ["connector.read(scale)", "engine.Params.create(layers)", "engine.take(axis)",
+                                      "engine.vmean(keepdims)"]
 
 
 def test_every_option_is_set():
