@@ -254,12 +254,12 @@ class SceneViews(NamedTuple):
 
 @dataclass
 class SceneStream:
-    """The scenes ``tag`` of the run ``rc``: item i depends only on (rc.seed, tag, i)
-    and the scene fields of ``rc`` (the connector's clip shape and ``rc.data``).
+    """The scenes ``tag`` of the run ``rc``: item i depends only on the seed,
+    the tag, i, the connector's clip shape and the data section's ranges.
 
     Without ``views``, ``scene`` renders each scene afresh and returns
-    (spec, features, truth); nothing outlives the caller's reference. So
-    evaluation and viz read their scenes, each once.
+    (spec, features, truth); nothing outlives the caller's reference.
+    Evaluation and viz read their scenes so, each once.
 
     With ``views``, the names of the views a training step reads,
     ``scene`` returns ``SceneViews`` and the stream keeps what a step reads
