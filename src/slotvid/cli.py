@@ -125,7 +125,7 @@ def _cmd_viz(args) -> int:
         raise ConfigError(f"--scene {scene} is past the {rc.data.n_heldout_scenes} held-out scenes "
                           "(data.n_heldout_scenes) that eval scores")
     out_dir = _require_out(args, rc)
-    if rc.connector_kind == "pooling":
+    if rc.connector.type == "pooling":
         raise TrainingError("the pooling connector has no attention masks to render")
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
@@ -133,7 +133,7 @@ def _cmd_viz(args) -> int:
     branch = run_branch(rc)
     cfg = rc.connector
     with no_grad():
-        views = stack_views([video], cfg, view_names(model, branch))
+        views = stack_views([video], cfg, view_names(rc))
         _, slow_masks, fast_masks = forward_masks(model, views, branch)
     # slow masks render as the H x W frame, fast masks as a T x 1 time strip
     entries = []

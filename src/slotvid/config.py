@@ -238,10 +238,6 @@ class RunConfig:
     __post_init__ = _check
 
     @property
-    def connector_kind(self) -> str:
-        return self.connector.type
-
-    @property
     def effective(self) -> dict:
         """The effective document, read off the checked fields: equal configs have one document and one hash."""
         return _document(self)

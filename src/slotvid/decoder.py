@@ -15,12 +15,12 @@ states the fold algebra, when the fold pays, and the side of each set it
 applies the folds to (the slots for the decoder, the query rows for the
 query transformer in ``baselines`` at the default shapes).
 
-The decoder is such a stack with one head and no self-attention: one learned
-query per output position cross-attends to the normalized slots, then an
-output norm and an affine head map the rows back to the feature width, and
-one reshape gives [B, M, D_out]. It is non-autoregressive, and invariant to
-slot order because the slots enter only as an unordered set. The decoder
-width is the slot width.
+The decoder is such a stack of ``DECODER_LAYERS`` layers with one head and
+no self-attention: one learned query per output position cross-attends to
+the normalized slots, then an output norm and an affine head map the rows
+back to the feature width, and one reshape gives [B, M, D_out]. It is
+non-autoregressive, and invariant to slot order because the slots enter only
+as an unordered set. The decoder width is the slot width.
 """
 
 from __future__ import annotations
@@ -108,6 +108,9 @@ def query_stack(queries: Value, inputs: Value, layers: list, heads: int) -> tupl
     return x, cross
 
 
+DECODER_LAYERS = 2
+
+
 @dataclass
 class DecoderParams:
     """Learned position queries, attention blocks and the output head."""
@@ -122,16 +125,9 @@ class DecoderParams:
     layers: list
 
     @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        n_positions: int,
-        d_slot: int,
-        d_out: int,
-        n_layers: int = 2,
-    ) -> "DecoderParams":
+    def create(cls, rng: np.random.Generator, n_positions: int, d_slot: int, d_out: int) -> "DecoderParams":
         d = d_slot
-        layers = [QueryLayerParams.create(rng, d, d, self_attention=False) for _ in range(n_layers)]
+        layers = [QueryLayerParams.create(rng, d, d, self_attention=False) for _ in range(DECODER_LAYERS)]
         return cls(
             pos_queries=normal_param(rng, (n_positions, d), 0.5),
             in_norm_g=ones_param(d),

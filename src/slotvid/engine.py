@@ -978,16 +978,16 @@ def _affine_fold_grads(g: np.ndarray, w: np.ndarray, gain: np.ndarray, bias: np.
     return gw, _sum_last(g[:e] * w).reshape(e), w @ g[e]
 
 
-def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.ndarray]:
+def slot_attention(x, init, p, iterations: int, temp: float, eps: float) -> tuple[Value, np.ndarray]:
     """Iterative slot attention of sets of inputs ``x`` [B, M, D_in], one node.
 
     ``init`` holds the initial slots, [N, D] shared by every set or [B, N, D]
     per set; ``p`` holds the weights under the field names of
-    ``slot_attention.SlotAttentionParams`` (``p.gru`` a ``GruParams``, and
-    ``p.eps``). Each of the ``iterations`` runs, over the slot state as
-    [B*N, D] rows: the slot layer norm (gain, no bias), the query, the
-    slot-major read ``_slot_read`` of the normalized inputs with logits scaled
-    by ``temp``, the gated update ``_gru_rows`` with the read as input through
+    ``slot_attention.SlotAttentionParams`` (``p.gru`` a ``GruParams``). Each
+    of the ``iterations`` runs, over the slot state as [B*N, D] rows: the slot
+    layer norm (gain, no bias), the query, the slot-major read ``_slot_read``
+    of the normalized inputs with logits scaled by ``temp`` and ``eps`` added
+    to each slot's weight sum, the gated update ``_gru_rows`` with the read as input through
     ``wv``, and the residual MLP ``_mlp_rows``.
 
     Weights fold once per call, so each iteration runs on plain rows. With
@@ -1045,7 +1045,7 @@ def slot_attention(x, init, p, iterations: int, temp: float) -> tuple[Value, np.
     for _ in range(iterations):
         shat, inv_s = _norm_rows(h)
         q = (shat @ q_fold).reshape(b, n, e)
-        read, (attn, inv_w, w_read) = _slot_read(q, xs, xs_t, p.eps)
+        read, (attn, inv_w, w_read) = _slot_read(q, xs, xs_t, eps)
         read = read.reshape(rows, e)
         if not x.requires_grad:  # only the inputs' adjoint reads the queries and the weights
             q = w_read = None

@@ -60,7 +60,6 @@ class SlotAttentionParams:
     mlp_b2: Value
     gru: GruParams
     iterations: int = 3
-    eps: float = ATTN_EPS
 
     @classmethod
     def create(
@@ -101,4 +100,4 @@ def forward_batch(inputs: Value, params: SlotAttentionParams) -> tuple[Value, np
     over slots, as a plain float32 array (no gradient flows through it).
     """
     temp = np.float32(1.0 / np.sqrt(params.slots.data.shape[1]))
-    return slot_attention(inputs, params.slots, params, params.iterations, temp)
+    return slot_attention(inputs, params.slots, params, params.iterations, temp, ATTN_EPS)

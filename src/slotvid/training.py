@@ -8,11 +8,15 @@ Stage 3 loads both tuned branches and tunes them jointly. Baselines train
 under the identical probe protocol. Every run is a pure function of its
 config and seed, so checkpoints are bit-reproducible.
 
-Every trainer runs the one step loop ``_train`` and supplies only its
-per-step loss. The loop owns resume, the lr schedule, the divergence error,
-the log and the final checkpoint. Each step updates the stage's trainable
-group (``trainable_names``) with exactly one ``adam_update`` call, and any
-other tensor that moves during the stage is a ``TrainingError``.
+A run's stage, branch, views and connector kind are read from one place,
+its config, the model's ``rc``. Each slot runner checks that the config
+names its stage and a branch that stage trains (``_GROUPS``). Every trainer
+runs the one step loop ``_train`` and supplies only its per-step loss. The
+loop owns resume, which takes only a checkpoint of the run's stage, the lr
+schedule, the divergence error, the log and the final checkpoint. Each step
+updates the trainable group (``trainable_names``) with exactly one
+``adam_update`` call, and any other tensor that moves during the stage is a
+``TrainingError``.
 
 Every connector kind runs through one dispatch, ``forward_masks``. The slot
 connector and the query-transformer wrapper share the two-branch frame of
@@ -116,8 +120,7 @@ class ProbeParams:
 
 @dataclass
 class Model:
-    kind: str  # "slot" | "pooling" | "query_transformer"
-    rc: RunConfig
+    rc: RunConfig  # the run config: the connector kind is its connector.type
     conn: object  # ConnectorParams | PoolingParams | WrapParams
     dec_slow: DecoderParams | None
     dec_fast: DecoderParams | None
@@ -138,16 +141,16 @@ def build_model(rc: RunConfig) -> Model:
     cfg = rc.connector
     rng = engine.rng_for(rc.seed, "init")
     dec_slow = dec_fast = None
-    if rc.connector_kind == "slot":
+    if cfg.type == "slot":
         conn = ConnectorParams.create(rng, cfg)
         dec_slow = DecoderParams.create(rng, cfg.grid_h * cfg.grid_w, cfg.slot_dim, cfg.feat_dim)
         dec_fast = DecoderParams.create(rng, cfg.frames, cfg.slot_dim, cfg.feat_dim)
-    elif rc.connector_kind == "pooling":
+    elif cfg.type == "pooling":
         conn = PoolingParams.create(rng, cfg)
     else:
         conn = WrapParams.create(rng, cfg)
     probe = ProbeParams.create(cfg.out_dim, probe_class_counts(rc.data.ranges))
-    return Model(rc.connector_kind, rc, conn, dec_slow, dec_fast, probe)
+    return Model(rc, conn, dec_slow, dec_fast, probe)
 
 
 # each slot branch's group in stages 2 and 3: its slot attention, positional
@@ -155,25 +158,24 @@ def build_model(rc: RunConfig) -> Model:
 # checkpoint; both stages also tune the shared projection and the probe
 _BRANCH_GROUPS = {"slow": ("slow.", "slow_pos", "s_proj."), "fast": ("fast.", "fast_pos", "f_proj.")}
 _SHARED_GROUP = ("proj.", "probe.")
+# the slot connector's trainable group of each (stage, branch) a run may name:
 # stage 1 trains a branch's slot attention and decoder, and the fast branch's
-# frame embedding, which its slot attention reads
-_STAGE1_GROUPS = {"slow": ("slow.", "dec_slow."), "fast": ("fast.", "fast_pos", "dec_fast.")}
+# frame embedding, which its slot attention reads; stage 3 tunes both branches
+_GROUPS = {
+    (1, "slow"): ("slow.", "dec_slow."),
+    (1, "fast"): ("fast.", "fast_pos", "dec_fast."),
+    (2, "slow"): _BRANCH_GROUPS["slow"] + _SHARED_GROUP,
+    (2, "fast"): _BRANCH_GROUPS["fast"] + _SHARED_GROUP,
+    (3, "both"): _BRANCH_GROUPS["slow"] + _BRANCH_GROUPS["fast"] + _SHARED_GROUP,
+}
 
 
-def trainable_names(model: Model, stage: StageConfig) -> list[str]:
-    """Stage-dependent trainable parameter group; everything else stays frozen."""
-    names = list(model.named().keys())
-    if model.kind != "slot":
+def trainable_names(model: Model) -> list[str]:
+    """The trainable group of the model's run (``_GROUPS``); everything else stays frozen."""
+    names, stage = list(model.named()), model.rc.stage
+    if model.rc.connector.type != "slot":
         return names  # baselines: aggregator + projection + probe under one budget
-    if stage.stage == 1 and stage.branch in _STAGE1_GROUPS:
-        keep = _STAGE1_GROUPS[stage.branch]
-    elif stage.stage == 2 and stage.branch in _BRANCH_GROUPS:
-        keep = _BRANCH_GROUPS[stage.branch] + _SHARED_GROUP
-    elif stage.stage == 3:
-        keep = _BRANCH_GROUPS["slow"] + _BRANCH_GROUPS["fast"] + _SHARED_GROUP
-    else:
-        raise TrainingError(f"unsupported stage/branch combination {stage.stage}/{stage.branch}")
-    return [n for n in names if n.startswith(keep)]
+    return [n for n in names if n.startswith(_GROUPS[stage.stage, stage.branch])]
 
 
 # -- checkpoint plumbing ----------------------------------------------------------------
@@ -183,7 +185,7 @@ def model_state(model: Model, adam: AdamState | None = None, step: int = 0, stag
     tensors = {name: v.data for name, v in model.named().items()}
     tensors["meta.step"] = np.float32(step)
     tensors["meta.stage"] = np.float32(stage)
-    tensors["meta.connector"] = np.float32(_KIND_CODES[model.kind])
+    tensors["meta.connector"] = np.float32(_KIND_CODES[model.rc.connector.type])
     if adam is not None:
         tensors["meta.adam_t"] = np.float32(adam.t)
         for name in sorted(adam.m):
@@ -218,7 +220,7 @@ def load_model_tensors(model: Model, tensors: dict, prefixes: tuple = ("",)) -> 
     (all of them by default): each must be present with its shape. Each is
     copied, so two models loaded from one checkpoint share no array."""
     kind_code = _meta_scalar(tensors, "meta.connector", -1.0)
-    if kind_code >= 0.0 and kind_code != _KIND_CODES[model.kind]:
+    if kind_code >= 0.0 and kind_code != _KIND_CODES[model.rc.connector.type]:
         raise CheckpointError("checkpoint was written by a different connector kind")
     # older checkpoints name their MLP nonlinearity; 0 is the one MLP form there is
     if _meta_scalar(tensors, "meta.nonlinearity", 0.0) != 0.0:
@@ -293,12 +295,12 @@ def majority_accuracy(labels: dict) -> float:
 
 def run_branch(rc: RunConfig) -> str:
     """The branch selection a run's connector reads: both for pooling, else ``stage.branch``."""
-    return "both" if rc.connector_kind == "pooling" else rc.stage.branch
+    return "both" if rc.connector.type == "pooling" else rc.stage.branch
 
 
-def view_names(model: Model, branch: str) -> tuple:
-    """The names of the views the model's connector reads for ``branch``."""
-    return ("pooling",) if model.kind == "pooling" else branch_views(branch)
+def view_names(rc: RunConfig) -> tuple:
+    """The names of the views the run's connector reads for its branch (``run_branch``)."""
+    return ("pooling",) if rc.connector.type == "pooling" else branch_views(rc.stage.branch)
 
 
 def forward_masks(model: Model, views: dict, branch: str):
@@ -311,9 +313,9 @@ def forward_masks(model: Model, views: dict, branch: str):
     N]; they are None for a branch that did not run and for the pooling
     connector.
     """
-    if model.kind == "pooling":
+    if model.rc.connector.type == "pooling":
         return pooling_connector_batch(Value(views["pooling"]), model.conn), None, None
-    forward = connect_batch if model.kind == "slot" else slowfast_wrap
+    forward = connect_batch if model.rc.connector.type == "slot" else slowfast_wrap
     return forward(views, model.rc.connector, model.conn, branch)
 
 
@@ -325,25 +327,31 @@ def _fingerprint(arr: np.ndarray) -> tuple:
     return arr.shape, hashlib.blake2b(np.ascontiguousarray(arr)).digest()
 
 
-def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resume: str | None,
-           views: tuple, step_loss: Callable[[int, _Batch], tuple[Value, dict]]) -> dict:
-    """The one step loop of every trainer.
+def _train(model: Model, out_dir: str | None, resume: str | None,
+           step_loss: Callable[[int, _Batch], tuple[Value, dict]]) -> dict:
+    """The one step loop of every trainer, which reads its run from the config ``model.rc``.
 
+    The stage, its trainable group (``trainable_names``) and the views of
+    the training stream (``view_names``) all come from that config.
     ``step_loss(step, batch)`` builds the step's scalar loss from the
-    ``_Batch``, which holds the views named in ``views``, and returns it with
-    the extra fields of the step's log record. Each step zeroes,
-    back-propagates and clips the gradients of the stage's trainable group,
-    then makes exactly one
-    ``adam_update`` call; every other tensor must end the stage bit-identical.
+    ``_Batch`` and returns it with the extra fields of the step's log record.
+    A ``resume`` checkpoint must carry the run's stage in ``meta.stage``, when
+    it has one. Each step zeroes, back-propagates and clips the gradients of
+    the trainable group, then makes exactly one ``adam_update`` call; every
+    other tensor must end the stage bit-identical.
     """
-    stage = rc.stage
+    rc, stage = model.rc, model.rc.stage
     named = model.named()
-    train_names = trainable_names(model, stage)
+    train_names = trainable_names(model)
     train = {n: named[n] for n in train_names}
     adam = AdamState()
     start = 0
     if resume is not None:
         tensors = load_checkpoint(resume)
+        written = _meta_scalar(tensors, "meta.stage", stage.stage)
+        if written != stage.stage:
+            raise CheckpointError(f"checkpoint was written by stage {written:g}, "
+                                  f"but this run trains stage {stage.stage}")
         load_model_tensors(model, tensors)
         _load_adam(tensors, adam, train_names)
         start = _meta_count(tensors, "meta.step")
@@ -358,7 +366,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
         else {n: stage.head_lr for n in train_names if n.startswith("probe.")}
     )
 
-    stream = SceneStream(rc, "train", views)
+    stream = SceneStream(rc, "train", view_names(rc))
     records = []
     for step in range(start, stage.steps):
         indices = [(step * stage.batch_size + j) % rc.data.n_train_scenes
@@ -376,7 +384,7 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
             records.append({"step": step, "lr": lr, "loss": float(loss.item()), **fields})
     for name, before in frozen.items():
         if before != _fingerprint(named[name].data):
-            raise TrainingError(f"frozen parameter {name!r} moved during stage {stage_no}")
+            raise TrainingError(f"frozen parameter {name!r} moved during stage {stage.stage}")
 
     ckpt_path = None
     if out_dir is not None:
@@ -388,14 +396,14 @@ def _train(rc: RunConfig, model: Model, stage_no: int, out_dir: str | None, resu
                 fh.write(" ".join(f"{k}={v:.8g}" if isinstance(v, float) else f"{k}={v}"
                                   for k, v in rec.items()) + "\n")
         ckpt_path = os.path.join(out_dir, "checkpoint.sfsl")
-        save_model(ckpt_path, model, adam, stage.steps, stage_no)
+        save_model(ckpt_path, model, adam, stage.steps, stage.stage)
     return {"checkpoint": ckpt_path, "records": records, "model": model}
 
 
-def _probe_step(model: Model, branch: str):
-    """Step loss of the probe protocol: the mean over tasks of each head's
-    cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
-    names = view_names(model, branch)
+def _probe_step(model: Model):
+    """Step loss of the probe protocol over the views of the model's run: the mean
+    over tasks of each head's cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
+    names, branch = view_names(model.rc), run_branch(model.rc)
 
     def step_loss(step, batch):
         tokens, _, _ = forward_masks(model, {name: batch.view(name) for name in names}, branch)
@@ -411,20 +419,21 @@ def _probe_step(model: Model, branch: str):
 
 
 def _require_stage(rc: RunConfig, stage_no: int) -> None:
-    """Each runner trains its own stage's group: ``trainable_names`` keys off ``stage.stage``."""
-    if rc.connector_kind != "slot":
+    """Each runner trains its own stage, and the branch must be one that stage trains (``_GROUPS``)."""
+    stage = rc.stage
+    if rc.connector.type != "slot":
         raise TrainingError(f"stage {stage_no} applies to the slot connector")
-    if rc.stage.stage != stage_no:
-        raise TrainingError(f"stage.stage is {rc.stage.stage}, but this runner trains stage {stage_no}")
+    if stage.stage != stage_no:
+        raise TrainingError(f"stage.stage is {stage.stage}, but this runner trains stage {stage_no}")
+    if (stage_no, stage.branch) not in _GROUPS:
+        branches = " or ".join(branch for no, branch in _GROUPS if no == stage_no)
+        raise TrainingError(f"stage {stage_no} trains stage.branch {branches}, not {stage.branch}")
 
 
 def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Feature-reconstruction pretraining of one branch's slot attention."""
     _require_stage(rc, 1)
-    stage = rc.stage
-    if stage.branch not in ("slow", "fast"):
-        raise TrainingError("stage 1 trains one branch: set stage.branch to slow or fast")
-    cfg = rc.connector
+    stage, cfg = rc.stage, rc.connector
     model = build_model(rc)
     # each scene gives some of its sampled frames (slow) or pooled positions (fast)
     if stage.branch == "slow":
@@ -442,21 +451,19 @@ def run_stage1(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
         slots, _ = forward_batch(inputs, sa)
         return recon_loss(decode_batch(slots, dec), target), {}
 
-    return _train(rc, model, 1, out_dir, resume, (stage.branch,), step_loss)
+    return _train(model, out_dir, resume, step_loss)
 
 
 def run_stage2(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Single-branch probe tuning, warm-started from a stage-1 checkpoint."""
     _require_stage(rc, 2)
     stage = rc.stage
-    if stage.branch not in ("slow", "fast"):
-        raise TrainingError("stage 2 tunes one branch: set stage.branch to slow or fast")
     model = build_model(rc)
     if resume is None:
         if stage.init_checkpoint is None:
             raise TrainingError("stage 2 needs stage.init_checkpoint (a stage-1 checkpoint)")
         load_model_tensors(model, load_checkpoint(stage.init_checkpoint))
-    return _train(rc, model, 2, out_dir, resume, view_names(model, stage.branch), _probe_step(model, stage.branch))
+    return _train(model, out_dir, resume, _probe_step(model))
 
 
 def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
@@ -473,18 +480,17 @@ def run_stage3(rc: RunConfig, out_dir: str | None = None, resume: str | None = N
                            _BRANCH_GROUPS["slow"] + ("dec_slow.",) + _SHARED_GROUP)
         load_model_tensors(model, load_checkpoint(stage.init_fast_checkpoint),
                            _BRANCH_GROUPS["fast"] + ("dec_fast.",))
-    return _train(rc, model, 3, out_dir, resume, view_names(model, "both"), _probe_step(model, "both"))
+    return _train(model, out_dir, resume, _probe_step(model))
 
 
 def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None = None) -> dict:
     """Train a comparator connector under the identical probe protocol."""
-    if rc.connector_kind == "slot":
+    if rc.connector.type == "slot":
         raise TrainingError("run_baseline expects connector.type pooling or query_transformer")
-    branch = run_branch(rc)
     model = build_model(rc)
     if resume is None and rc.stage.init_checkpoint is not None:
         load_model_tensors(model, load_checkpoint(rc.stage.init_checkpoint))
-    return _train(rc, model, rc.stage.stage, out_dir, resume, view_names(model, branch), _probe_step(model, branch))
+    return _train(model, out_dir, resume, _probe_step(model))
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -492,8 +498,8 @@ def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None =
 
 def _connector_label(rc: RunConfig, branch: str) -> str:
     if branch == "both":
-        return rc.connector_kind
-    return f"{rc.connector_kind}-{branch}"
+        return rc.connector.type
+    return f"{rc.connector.type}-{branch}"
 
 
 def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
@@ -503,7 +509,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     cfg = rc.connector
     branch = run_branch(rc)
     stream = SceneStream(rc, tag)
-    names = view_names(model, branch)
+    names = view_names(rc)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
     if n < 1:
         raise TrainingError(f"evaluation needs at least one scene, got {n}")

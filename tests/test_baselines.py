@@ -339,7 +339,7 @@ class TestFusedRowNodes:
 
     def test_decoder(self):
         rng = engine.rng_for(16, "dec-fused")
-        p = DecoderParams.create(rng, 16, 8, 4, n_layers=2)
+        p = DecoderParams.create(rng, 16, 8, 4)
         ops = self._ops(_graph(decode_batch(Value(engine.normal(rng, (2, 3, 8)), requires_grad=True), p)))
         assert ops.count("cross_attention_block") == ops.count("residual_mlp") == 2
         # the slots' input norm, the output norm and the head are the only row ops outside the blocks

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from slotvid import training
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.cli import main
 from slotvid.metrics import DecouplingReport
@@ -315,6 +316,56 @@ class TestConfigErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         assert f"stage.stage is {stage}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_joint_of_one_branch_exits_3(self, tmp_path, capsys):
+        # stage 3 once trained both branches whatever stage.branch named, and
+        # its effective config kept the default "slow", so eval scored the
+        # run as slot-slow over the slow tokens alone
+        init = write_config(tmp_path, name="init.json", stage={"steps": 1})
+        assert main(["pretrain", "--config", init, "--out", str(tmp_path / "init")]) == 0
+        ckpt = str(tmp_path / "init" / "checkpoint.sfsl")
+        cfg = write_config(tmp_path, stage={"stage": 3, "init_slow_checkpoint": ckpt, "init_fast_checkpoint": ckpt})
+        capsys.readouterr()
+        assert main(["joint", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        assert "stage 3 trains stage.branch both, not slow" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_resume_from_another_stage_exits_3(self, tmp_path, capsys):
+        # a stage-1 checkpoint once resumed stage 2 at its step count, with
+        # the decoder's Adam moments; a checkpoint that names no stage resumes
+        cfg1 = write_config(tmp_path, name="s1.json", stage={"steps": 1})
+        assert main(["pretrain", "--config", cfg1, "--out", str(tmp_path / "s1")]) == 0
+        ckpt = str(tmp_path / "s1" / "checkpoint.sfsl")
+        cfg2 = write_config(tmp_path, name="s2.json", stage={"stage": 2, "branch": "slow", "init_checkpoint": ckpt})
+        capsys.readouterr()
+        assert main(["tune", "--config", cfg2, "--out", str(tmp_path / "x"), "--resume", ckpt]) == 3
+        assert "checkpoint was written by stage 1, but this run trains stage 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        unstaged = str(tmp_path / "unstaged.sfsl")
+        save_checkpoint({k: v for k, v in load_checkpoint(ckpt).items() if k != "meta.stage"}, unstaged)
+        assert main(["tune", "--config", cfg2, "--out", str(tmp_path / "y"), "--resume", unstaged]) == 0
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    @pytest.mark.parametrize("branch", ["slow", "fast", "both"])
+    def test_each_stage_trains_only_its_branches(self, tmp_path, capsys, monkeypatch, stage, branch):
+        # stages 1 and 2 train one branch and stage 3 both; any other pair is
+        # refused before a checkpoint is read
+        init = write_config(tmp_path, name="init.json", stage={"steps": 1})
+        assert main(["pretrain", "--config", init, "--out", str(tmp_path / "init")]) == 0
+        ckpt = str(tmp_path / "init" / "checkpoint.sfsl")
+        read, load = [], training.load_checkpoint
+        monkeypatch.setattr(training, "load_checkpoint", lambda path: read.append(path) or load(path))
+        cfg = write_config(tmp_path, stage={"stage": stage, "branch": branch, "steps": 1, "init_checkpoint": ckpt,
+                                            "init_slow_checkpoint": ckpt, "init_fast_checkpoint": ckpt})
+        command = {1: "pretrain", 2: "tune", 3: "joint"}[stage]
+        capsys.readouterr()
+        valid = (branch == "both") == (stage == 3)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == (0 if valid else 3)
+        if valid:
+            assert len(read) == stage - 1  # stage 2 reads its init checkpoint, stage 3 one per branch
+        else:
+            assert f"stage {stage} trains stage.branch" in capsys.readouterr().err
+            assert read == [] and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("scenes", ["0", "-2"])
     def test_eval_without_scenes_exits_2(self, tmp_path, capsys, scenes):

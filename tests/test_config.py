@@ -151,7 +151,7 @@ class TestLoadAndHash:
 
     def test_default_dict_is_self_consistent(self):
         rc = from_dict(default_config_dict())
-        assert rc.connector_kind == "slot"
+        assert rc.connector.type == "slot"
 
 
 # each config's effective-config.json sha256 and config_hash, taken before

@@ -17,7 +17,7 @@ from slotvid.connector import (
     uniform_sample_frames,
 )
 from slotvid.engine import ShapeError, Value
-from slotvid.slot_attention import forward_batch
+from slotvid.slot_attention import ATTN_EPS, forward_batch
 
 from gradcheck import fd_check, matmul, reference_gru, smooth_ramp
 
@@ -149,7 +149,7 @@ class TestSlowBranch:
         with engine.no_grad():
             xn = engine.layer_norm(Value(frame), p.in_norm_g, p.in_norm_b)
             v = matmul(xn, p.wv)
-            u = Value(v.data.sum(axis=0, keepdims=True) / (16.0 + p.eps))
+            u = Value(v.data.sum(axis=0, keepdims=True) / (16.0 + ATTN_EPS))
             cur = Value(p.slots.data.copy())
             for _ in range(p.iterations):
                 cur = reference_gru(cur, u, p.gru)

@@ -19,9 +19,9 @@ from slotvid.slot_attention import SlotAttentionParams, forward_batch
 from gradcheck import broadcast_to, fd_check, matmul, smooth_ramp, softmax_axis, transpose, vsum
 
 
-def make_params(seed, n_positions, d_slot, d_out, n_layers=1):
+def make_params(seed, n_positions, d_slot, d_out):
     rng = engine.rng_for(seed, "dec-params")
-    return DecoderParams.create(rng, n_positions, d_slot, d_out, n_layers=n_layers)
+    return DecoderParams.create(rng, n_positions, d_slot, d_out)
 
 
 def _ln64(x, eps=1e-5):
@@ -79,14 +79,14 @@ class TestDecode:
         np.testing.assert_allclose(attn, 1.0, atol=1e-7)
 
     def test_miniature_matches_scalar_trace(self):
-        p = make_params(3, n_positions=2, d_slot=3, d_out=2, n_layers=1)
+        p = make_params(3, n_positions=2, d_slot=3, d_out=2)
         rng = engine.rng_for(3, "slots")
         slots = engine.normal(rng, (2, 3))
         out = decode_batch(Value(slots[None]), p)
         np.testing.assert_allclose(out.data[0], _trace_decode(slots, p), atol=1e-5)
 
     def test_two_layer_trace(self):
-        p = make_params(4, n_positions=3, d_slot=4, d_out=4, n_layers=2)
+        p = make_params(4, n_positions=3, d_slot=4, d_out=4)
         rng = engine.rng_for(4, "slots")
         slots = engine.normal(rng, (2, 3, 4))
         out = decode_batch(Value(slots), p)
@@ -154,7 +154,7 @@ class TestGradientFlow:
         assert float(np.abs(sa.slots.grad).max()) > 0.0
 
     def test_decode_finite_differences(self):
-        p = make_params(13, n_positions=3, d_slot=4, d_out=3, n_layers=1)
+        p = make_params(13, n_positions=3, d_slot=4, d_out=3)
         rng = engine.rng_for(13, "slots")
         slots = Value(engine.normal(rng, (1, 2, 4)), requires_grad=True)
         probe = engine.normal(engine.rng_for(13, "probe"), (1, 3, 3))

@@ -21,7 +21,7 @@ from slotvid.engine import (
     named_params,
     slot_attention,
 )
-from slotvid.slot_attention import SlotAttentionParams
+from slotvid.slot_attention import ATTN_EPS, SlotAttentionParams
 
 from gradcheck import (
     broadcast_to, exp, fd_check, matmul, recip, relu, sigmoid, smooth_ramp, softmax_axis, tanh, transpose, vsum,
@@ -156,7 +156,7 @@ class TestGru:
         dim = gru.wz.data.shape[0]
         p = SlotAttentionParams.create(engine.rng_for(0, "gru-node"), 1, inputs.shape[-1], dim, iterations=1)
         p.gru, p.mlp_w2 = gru, Value(np.zeros_like(p.mlp_w2.data))
-        slots, _ = slot_attention(Value(inputs[None]), Value(h), p, 1, 1.0)
+        slots, _ = slot_attention(Value(inputs[None]), Value(h), p, 1, 1.0, ATTN_EPS)
         return slots.data[0], p
 
     def test_all_zero_params_halve_state(self):
@@ -184,7 +184,7 @@ class TestGru:
         # the normalized inputs, renormalized with eps, through wv
         xn = inputs - inputs.mean(axis=1, keepdims=True)
         xn /= np.sqrt((xn * xn).mean(axis=1, keepdims=True) + engine.LAYER_NORM_EPS)
-        x = (xn.astype(np.float64).sum(axis=0) / (5.0 + sa.eps)) @ sa.wv.data.astype(np.float64)
+        x = (xn.astype(np.float64).sum(axis=0) / (5.0 + ATTN_EPS)) @ sa.wv.data.astype(np.float64)
         expect = _scalar_gru_oracle([float(v) for v in h[0]], [float(v) for v in x], p)
         np.testing.assert_allclose(out[0], expect, atol=1e-5)
 
@@ -439,7 +439,7 @@ class TestOpGradients:
         params = [h, x] + [getattr(p, k) for k in engine.GRU_NAMES]
 
         def build():
-            return vsum(engine.mul(slot_attention(x, h, sa, 1, 0.5)[0], 0.5))
+            return vsum(engine.mul(slot_attention(x, h, sa, 1, 0.5, ATTN_EPS)[0], 0.5))
 
         ok, total = fd_check(build, params, engine.rng_for(31, "pick"), coords_per_param=4)
         assert ok / total >= 0.95

@@ -46,7 +46,7 @@ from slotvid.engine import (
     slot_attention,
 )
 
-from slotvid.slot_attention import SlotAttentionParams
+from slotvid.slot_attention import ATTN_EPS, SlotAttentionParams
 
 from gradcheck import (
     broadcast_to, fd_check, gru_node, matmul, recip, reference_gru, sigmoid, slot_read_node, smooth_ramp, softmax_axis,
@@ -153,7 +153,7 @@ class TestFusedGru:
         p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
         p.gru.uh = Value(np.zeros((6, 5), dtype=np.float32))
         with pytest.raises(ShapeError, match="gru.uh"):
-            slot_attention(x, init, p, 1, 0.5)
+            slot_attention(x, init, p, 1, 0.5, ATTN_EPS)
 
 
 class TestFusedAttentionStep:
@@ -214,15 +214,15 @@ class TestFusedAttentionStep:
         # the node refuses read operands whose widths disagree
         p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
         with pytest.raises(ShapeError):
-            slot_attention(reshape(x, (10, 4)), init, p, 1, 0.5)
+            slot_attention(reshape(x, (10, 4)), init, p, 1, 0.5, ATTN_EPS)
         with pytest.raises(ShapeError, match="in_norm_g"):  # inputs narrower than the weights
-            slot_attention(Value(np.zeros((2, 5, 3), dtype=np.float32)), init, p, 1, 0.5)
+            slot_attention(Value(np.zeros((2, 5, 3), dtype=np.float32)), init, p, 1, 0.5, ATTN_EPS)
         p.wk = Value(np.zeros((4, 5), dtype=np.float32))
         with pytest.raises(ShapeError, match="wk"):
-            slot_attention(x, init, p, 1, 0.5)
+            slot_attention(x, init, p, 1, 0.5, ATTN_EPS)
         p.wq = Value(np.zeros((6, 5), dtype=np.float32))
         with pytest.raises(ShapeError, match="wq"):
-            slot_attention(x, init, p, 1, 0.5)
+            slot_attention(x, init, p, 1, 0.5, ATTN_EPS)
 
 
 # -- the slot-attention node ---------------------------------------------------------
@@ -240,7 +240,7 @@ def reference_slot_attention(x, init, p, iterations, temp):
     attn = None
     for _ in range(iterations):
         q = matmul(layer_norm(slots, p.slot_norm_g, np.zeros(d, dtype=np.float32)), wqk)
-        read, attn = reference_attention_step(xn, reshape(q, (b, n, d_in)), temp, p.eps)
+        read, attn = reference_attention_step(xn, reshape(q, (b, n, d_in)), temp, ATTN_EPS)
         slots = reference_gru(slots, matmul(reshape(read, (b * n, d_in)), p.wv), p.gru)
         slots = residual_mlp(slots, p.mlp_norm_g, p.mlp_norm_b, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2)
     return reshape(slots, (b, n, d)), attn.data
@@ -290,7 +290,7 @@ class TestSlotAttentionNode:
         shape, n, d = NODE_SHAPES[name]
         p, x, init, _ = _node_case(0, shape, n, d, x_grad)
         temp = np.float32(1.0 / np.sqrt(d))
-        slots, mask = slot_attention(x, init, p, k, temp)
+        slots, mask = slot_attention(x, init, p, k, temp, ATTN_EPS)
         want_slots, want_mask = reference_slot_attention(x, init, p, k, temp)
         assert slots.shape == want_slots.shape and mask.shape == want_mask.shape
         assert mask.dtype == np.float32 and mask.flags["C_CONTIGUOUS"]
@@ -307,7 +307,7 @@ class TestSlotAttentionNode:
         temp = np.float32(1.0 / np.sqrt(d))
         named = _node_leaves(p, x, init)
         leaves = [v for _, v in named]
-        got = _grads(lambda: vsum(mul(slot_attention(x, init, p, k, temp)[0], probe)), leaves)
+        got = _grads(lambda: vsum(mul(slot_attention(x, init, p, k, temp, ATTN_EPS)[0], probe)), leaves)
         want = _grads(lambda: vsum(mul(reference_slot_attention(x, init, p, k, temp)[0], probe)), leaves)
         # a weight's adjoint sums over every slot row of every iteration, and
         # those folded through the inputs over every token too
@@ -324,11 +324,10 @@ class TestSlotAttentionNode:
         # many random points sit where the softmax is sharp enough that float32
         # central differences miss at this step size (the composite's too)
         p, x, init, probe = _node_case(5, (2, 5, 3), 3, 4, True, per_set_init, spread=0.1)
-        p.eps = eps
         leaves = [v for _, v in _node_leaves(p, x, init)]
 
         def build():
-            return vsum(mul(slot_attention(x, init, p, 2, 0.5)[0], probe))
+            return vsum(mul(slot_attention(x, init, p, 2, 0.5, eps)[0], probe))
 
         ok, total = fd_check(build, leaves, engine.rng_for(5, "pick", eps, per_set_init), coords_per_param=3, h=3e-3)
         assert ok / total >= 0.95
@@ -336,10 +335,10 @@ class TestSlotAttentionNode:
     def test_shape_checks(self):
         p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
         with pytest.raises(ShapeError):
-            slot_attention(x, reshape(init, (1, 3, 6)), p, 1, 0.5)  # one set's slots for two sets
+            slot_attention(x, reshape(init, (1, 3, 6)), p, 1, 0.5, ATTN_EPS)  # one set's slots for two sets
         with pytest.raises(ShapeError, match="mlp_w2"):
             p.mlp_w2 = Value(np.zeros((6, 12), dtype=np.float32))
-            slot_attention(x, init, p, 1, 0.5)
+            slot_attention(x, init, p, 1, 0.5, ATTN_EPS)
 
     def test_non_finite_raises(self):
         p, x, init, _ = _node_case(0, (2, 5, 4), 3, 6, True)
@@ -347,13 +346,13 @@ class TestSlotAttentionNode:
         p_huge = dataclasses.replace(p, wq=Value(np.full_like(p.wq.data, 3e38)))  # the folded query weights overflow
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(engine.NonFiniteError, match="normalized"):
-                slot_attention(huge, init, p, 1, 0.5)
+                slot_attention(huge, init, p, 1, 0.5, ATTN_EPS)
             with pytest.raises(engine.NonFiniteError, match="attention"):
-                slot_attention(x, init, p_huge, 1, 0.5)
+                slot_attention(x, init, p_huge, 1, 0.5, ATTN_EPS)
 
     def test_mask_is_contiguous_rows_over_slots(self):
         p, x, init, _ = _node_case(3, (3, 10, 4), 4, 6, False)
-        slots, mask = slot_attention(x, init, p, 2, 0.5)
+        slots, mask = slot_attention(x, init, p, 2, 0.5, ATTN_EPS)
         assert type(mask) is np.ndarray and mask.shape == (3, 10, 4) and mask.flags["C_CONTIGUOUS"]
         np.testing.assert_allclose(mask.sum(axis=2), 1.0, atol=1e-6)
         assert slots.shape == (3, 4, 6)

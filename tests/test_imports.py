@@ -40,9 +40,6 @@ SET_OUTSIDE = {
     # scene per request; a run scores data.n_heldout_scenes
     "training.evaluate_model(tag)",
     "training.evaluate_model(n_scenes)",
-    # the tests build 1-layer decoders and every run takes the default;
-    # ROADMAP item 4 removes the option
-    "decoder.DecoderParams.create(n_layers)",
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 from slotvid import engine
 from slotvid.decoder import QueryLayerParams
 from slotvid.engine import Value
-from slotvid.slot_attention import SlotAttentionParams
+from slotvid.slot_attention import ATTN_EPS, SlotAttentionParams
 
 HEADER, OBJECTS = 256, 4 << 10  # bytes per array header; the closure, its cells and tuples, the node
 
@@ -90,7 +90,7 @@ def _slot(x_grad):
         step += [(b, n, e), (b, n, m)]  # the queries and the weights, for the inputs' adjoint
     reads += step * iters
     temp = np.float32(1.0 / np.sqrt(d))
-    return (lambda: engine.slot_attention(x, p.slots, p, iters, temp)), reads
+    return (lambda: engine.slot_attention(x, p.slots, p, iters, temp, ATTN_EPS)), reads
 
 
 CASES = {

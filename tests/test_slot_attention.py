@@ -14,7 +14,7 @@ from slotvid.engine import (
     scale,
 )
 from slotvid.metrics import MetricsError, hard_assign
-from slotvid.slot_attention import SlotAttentionParams, forward_batch
+from slotvid.slot_attention import ATTN_EPS, SlotAttentionParams, forward_batch
 
 from gradcheck import broadcast_to, fd_check, matmul, recip, reference_gru, smooth_ramp, softmax_axis, transpose, vsum
 
@@ -55,7 +55,7 @@ def _trace_forward(inputs, p):
         logits = (k @ q.T) / math.sqrt(d_att)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
-        weights = attn / (attn.sum(axis=0, keepdims=True) + p.eps)
+        weights = attn / (attn.sum(axis=0, keepdims=True) + ATTN_EPS)
         updates = weights.T @ v
         z = sig(updates @ f64(p.gru.wz) + slots @ f64(p.gru.uz) + f64(p.gru.bz))
         r = sig(updates @ f64(p.gru.wr) + slots @ f64(p.gru.ur) + f64(p.gru.br))
@@ -142,10 +142,9 @@ class TestConvexHull:
         # with exact renormalization each slot update is a convex combination
         for i in range(8):
             p = make_params(40 + i, n_slots=3, d_in=4, d_slot=4)
-            p.eps = 0.0
             rng = engine.rng_for(40, "hull", i)
             inputs = engine.normal(rng, (10, 4))
-            _, masks = forward_batch(Value(inputs[None]), p)
+            _, masks = engine.slot_attention(Value(inputs[None]), p.slots, p, p.iterations, np.float32(0.5), 0.0)
             mask = masks[0]
             if mask.sum(axis=0).min() <= 1e-6:
                 continue
@@ -212,7 +211,7 @@ def _keys_values_forward(inputs, p):
     for _ in range(p.iterations):
         q = reshape(matmul(layer_norm(slots, p.slot_norm_g, np.zeros(d, np.float32)), p.wq), (b, n, d))
         attn = softmax_axis(scale(matmul(k, transpose(q, (0, 2, 1))), temp), axis=2)
-        col = recip(add(vsum(attn, axis=1, keepdims=True), np.float32(p.eps)))
+        col = recip(add(vsum(attn, axis=1, keepdims=True), np.float32(ATTN_EPS)))
         updates = matmul(transpose(mul(attn, broadcast_to(col, attn.shape)), (0, 2, 1)), v)
         slots = reference_gru(slots, reshape(updates, (b * n, d)), p.gru)
         hidden = smooth_ramp(add(matmul(layer_norm(slots, p.mlp_norm_g, p.mlp_norm_b), p.mlp_w1), p.mlp_b1))

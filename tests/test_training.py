@@ -80,14 +80,14 @@ class TestTrainableGroups:
     def test_stage1_slow_covers_branch_and_decoder_only(self):
         rc = tiny_config()
         model = build_model(rc)
-        names = trainable_names(model, rc.stage)
+        names = trainable_names(model)
         assert all(n.startswith(("slow.", "dec_slow.")) for n in names)
         assert any(n.startswith("slow.") for n in names)
         assert any(n.startswith("dec_slow.") for n in names)
 
     def test_stage2_fast_group(self):
         rc = tiny_config(stage={"stage": 2, "branch": "fast", "init_checkpoint": "x"})
-        names = set(trainable_names(build_model(rc), rc.stage))
+        names = set(trainable_names(build_model(rc)))
         assert "fast_pos" in names and "f_proj.w" in names and "proj.w" in names
         assert not any(n.startswith(("slow.", "dec_", "s_proj")) for n in names)
         assert any(n.startswith("probe.") for n in names)
@@ -95,7 +95,7 @@ class TestTrainableGroups:
     def test_stage3_covers_both_branches(self):
         rc = tiny_config(stage={"stage": 3, "branch": "both",
                                 "init_slow_checkpoint": "a", "init_fast_checkpoint": "b"})
-        names = set(trainable_names(build_model(rc), rc.stage))
+        names = set(trainable_names(build_model(rc)))
         assert {"slow_pos", "fast_pos", "s_proj.w", "f_proj.w", "proj.w"} <= names
         assert not any(n.startswith("dec_") for n in names)
 
@@ -130,7 +130,7 @@ class TestStage1:
         init = {k: v.copy() for k, v in model_state(build_model(rc)).items()}
         result = run_stage1(rc, out_dir=str(tmp_path))
         final = load_checkpoint(result["checkpoint"])
-        trainable = set(trainable_names(build_model(rc), rc.stage))
+        trainable = set(trainable_names(build_model(rc)))
         for name, arr in final.items():
             if name.startswith(("meta.", "adam.")) or name in trainable:
                 continue
@@ -253,7 +253,7 @@ class TestStage2:
 
 class TestStage3:
     def test_requires_both_checkpoints(self):
-        rc = tiny_config(stage={"stage": 3})
+        rc = tiny_config(stage={"stage": 3, "branch": "both"})
         with pytest.raises(TrainingError, match="init_slow"):
             run_stage3(rc)
 
@@ -301,7 +301,7 @@ class TestStage1Fast:
     def test_trains_fast_pos(self):
         rc = tiny_config(stage={"branch": "fast", "steps": 3})
         model = build_model(rc)
-        assert "fast_pos" in trainable_names(model, rc.stage)
+        assert "fast_pos" in trainable_names(model)
         before = model.conn.fast_pos.data.copy()
         after = run_stage1(rc)["model"].conn.fast_pos.data
         t = rc.connector.frames
@@ -440,9 +440,9 @@ class TestSceneViews:
     @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
     @pytest.mark.parametrize("branch", ["slow", "fast", "both"])
     def test_forward_on_scene_views_equals_forward_on_stacked_grid(self, kind, branch):
-        rc = tiny_config(connector={"type": kind})
+        rc = tiny_config(connector={"type": kind}, stage={"branch": branch})
         model = build_model(rc)
-        stream = SceneStream(rc, "train", training.view_names(model, branch))
+        stream = SceneStream(rc, "train", training.view_names(rc))
         batch = training._batch(stream, range(3))
         forward = connect_batch if kind == "slot" else slowfast_wrap
         with engine.no_grad():
@@ -461,12 +461,12 @@ class TestSceneViews:
     def test_probe_step_reads_the_views_of_fresh_clips(self, kind, branch, monkeypatch):
         # two passes over the 8 scenes: the first renders each scene and keeps
         # its views, the second reads only the kept views
-        rc = tiny_config(connector={"type": kind})
+        rc = tiny_config(connector={"type": kind}, stage={"branch": branch})
         model = build_model(rc)
-        names = training.view_names(model, branch)
+        names = training.view_names(rc)
         stream = SceneStream(rc, "train", names)
         seen = self._spy_forward(monkeypatch)
-        step = training._probe_step(model, branch)
+        step = training._probe_step(model)
         batches = [list(range(lo, lo + 4)) for lo in (0, 4, 0, 4)]
         for i, indices in enumerate(batches):
             step(i, training._batch(stream, indices))
@@ -512,10 +512,10 @@ class TestSceneViews:
     def test_probe_step_never_reads_a_clip_grid(self, kind, branch, monkeypatch):
         # once the scenes' views are cached, a probe step gathers, pools and
         # checks no [B, T, H, W, D] array
-        rc = tiny_config(connector={"type": kind})
+        rc = tiny_config(connector={"type": kind}, stage={"branch": branch})
         model = build_model(rc)
-        stream = SceneStream(rc, "train", training.view_names(model, branch))
-        step = training._probe_step(model, branch)
+        stream = SceneStream(rc, "train", training.view_names(rc))
+        step = training._probe_step(model)
         step(0, training._batch(stream, range(2)))  # warm: cache each scene's views
         seen = []
 
@@ -566,8 +566,8 @@ class TestSceneViews:
     @pytest.mark.parametrize("kind,branch", [("slot", "both"), ("slot", "slow"), ("slot", "fast"),
                                              ("pooling", "both")])
     def test_default_config_caches_every_training_scene(self, kind, branch):
-        rc = from_dict({"connector": {"type": kind}})
-        stream = SceneStream(rc, "train", training.view_names(build_model(rc), branch))
+        rc = from_dict({"connector": {"type": kind}, "stage": {"branch": branch}})
+        stream = SceneStream(rc, "train", training.view_names(rc))
         assert rc.data.n_train_scenes == 512
         assert self._keeps(stream, 511) and not self._keeps(stream, 512)
 
@@ -617,7 +617,7 @@ class TestSceneViews:
             runner, rc, names = run_stage1, tiny_config(stage={"branch": name, "steps": 8}), (name,)
         else:
             rc = tiny_config(connector={"type": name}, stage={"branch": "both", "steps": 8})
-            runner, names = run_baseline, training.view_names(build_model(rc), "both")
+            runner, names = run_baseline, training.view_names(rc)
         full = Path(runner(rc, str(tmp_path / "full"))["checkpoint"]).read_bytes()
         entry = sum(view.nbytes for view in SceneStream(rc, "train", names).scene(0).views.values())
         monkeypatch.setattr(synthetic, "CACHE_BYTES", (cached + 1) * entry - 1)
@@ -785,7 +785,7 @@ class TestLoopContract:
         monkeypatch.setattr(training, "adam_update", counting)
         result = runner(rc, out_dir=str(tmp_path / "run"))
         assert len(calls) == rc.stage.steps
-        assert all(names == sorted(trainable_names(result["model"], rc.stage)) for names in calls)
+        assert all(names == sorted(trainable_names(result["model"])) for names in calls)
 
     @pytest.mark.parametrize("name", RUNNERS)
     def test_moving_frozen_tensor_fails(self, tmp_path, monkeypatch, name):
@@ -806,7 +806,7 @@ class TestLoopContract:
 
         monkeypatch.setattr(training, "build_model", capturing)
         monkeypatch.setattr(training, "adam_update", nudging)
-        if rc.connector_kind != "slot":
+        if rc.connector.type != "slot":
             runner(rc, out_dir=str(tmp_path / "run"))
             assert not nudged
             return
