@@ -16,9 +16,11 @@ module states the stack's row layout and its engine nodes per layer.
 ``slowfast_wrap`` runs the query transformer inside the slot connector's own
 two-branch frame (``connector.slow_tokens``, ``fast_tokens`` and
 ``join_branches``): it reads the same branch views (sampled frames and pooled
-series) and adds the same temporal embeddings and projections, so token
+series), which select the branches that run as they do for the slot
+connector, and adds the same temporal embeddings and projections, so token
 counts match branch for branch and comparisons isolate the aggregation
-mechanism.
+mechanism. A run's views come from its config through
+``training.view_names``.
 """
 
 from __future__ import annotations
@@ -135,6 +137,6 @@ def wrap_fast_batch(series: Value, cfg: ConnectorConfig, params: WrapParams) -> 
     return fast_tokens(series, cfg, params, query_transformer_batch)
 
 
-def slowfast_wrap(views, cfg: ConnectorConfig, params: WrapParams, branch: str):
-    """Token-count-parity baseline forward over a batch's views; ``branch`` selects slow, fast or both branches."""
-    return join_branches(views, cfg, params, branch, wrap_slow_batch, wrap_fast_batch)
+def slowfast_wrap(views, cfg: ConnectorConfig, params: WrapParams):
+    """Token-count-parity baseline forward over a batch's views, which select the branches (``join_branches``)."""
+    return join_branches(views, cfg, params, wrap_slow_batch, wrap_fast_batch)

@@ -26,7 +26,6 @@ from .training import (
     forward_masks,
     load_model_tensors,
     run_baseline,
-    run_branch,
     run_stage1,
     run_stage2,
     run_stage3,
@@ -130,11 +129,10 @@ def _cmd_viz(args) -> int:
     model = build_model(rc)
     load_model_tensors(model, load_checkpoint(args.ckpt))
     _, video, _ = SceneStream(rc, "heldout").scene(scene)
-    branch = run_branch(rc)
     cfg = rc.connector
     with no_grad():
         views = stack_views([video], cfg, view_names(rc))
-        _, slow_masks, fast_masks = forward_masks(model, views, branch)
+        _, slow_masks, fast_masks = forward_masks(model, views)
     # slow masks render as the H x W frame, fast masks as a T x 1 time strip
     entries = []
     if slow_masks is not None:

@@ -19,6 +19,9 @@ The connector's input is the branch views of a batch of clips, not their
 grids: the sampled slow frames [B, slow_frames, H*W, D] and the pooled fast
 series in position-major layout [B, positions, T, D], before the learned
 frame embedding is added, as plain float32 arrays keyed by view name. The
+views select the branches that run: the slow branch runs exactly when they
+hold "slow", the fast branch exactly when they hold "fast". A run's views
+come from its config through one derivation, ``training.view_names``. The
 grid is a frozen encoder's output, so every view is a fixed array that takes
 no gradient. ``clip_views`` is the one derivation of a clip's views, the
 pooling comparator's pre-projection tokens among them. A training stream
@@ -49,17 +52,6 @@ from .slot_attention import SlotAttentionParams, forward_batch
 
 class ConnectorError(Exception):
     """A clip outside the connector's capacity: fewer frames than it samples, or more than it embeds."""
-
-
-# the views each branch selection reads
-_BRANCH_VIEWS = {"slow": ("slow",), "fast": ("fast",), "both": ("slow", "fast")}
-
-
-def branch_views(branch: str) -> tuple:
-    """The names of the views ``branch`` reads, slow first."""
-    if branch not in _BRANCH_VIEWS:
-        raise ValueError(f"unknown branch {branch!r}")
-    return _BRANCH_VIEWS[branch]
 
 
 @dataclass
@@ -225,25 +217,27 @@ def fast_tokens(series: Value, cfg: ConnectorConfig, params: ConnectorParams, ag
     return tokens, masks.reshape((b, cfg.n_positions) + masks.shape[1:])
 
 
-def join_branches(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str, slow_fn, fast_fn):
-    """Run the selected branches on their views, concatenate slow-first and apply the final map.
+def join_branches(views, cfg: ConnectorConfig, params: ConnectorParams, slow_fn, fast_fn):
+    """Run the branches ``views`` select on them, concatenate slow-first and apply the final map.
 
-    ``views`` maps view names to batch arrays [B, groups, tokens, D] (or to
-    ``Value`` leaves, to take their adjoints); a view the branch selection
-    does not read may be absent. Returns (tokens [B, N, out_dim], slow_masks,
-    fast_masks) with the masks as arrays [B, groups, M, N]; the masks of a
-    branch that did not run are None.
+    ``views`` maps "slow", "fast" or both to batch arrays [B, groups, tokens,
+    D] (or to ``Value`` leaves, to take their adjoints); each branch runs
+    exactly when its view is present. Any other name, or neither, is a
+    ``ShapeError``. Returns (tokens [B, N, out_dim], slow_masks, fast_masks)
+    with the masks as arrays [B, groups, M, N]; the masks of a branch that
+    did not run are None.
     """
-    names = branch_views(branch)
-    for name in names:
-        if np.ndim(views.get(name)) != 4:
+    if not views or set(views) - {"slow", "fast"}:
+        raise ShapeError(f"a two-branch connector reads a slow view, a fast view or both, not {sorted(views)}")
+    for name, view in views.items():
+        if np.ndim(view) != 4:
             raise ShapeError(f"the {name} branch needs its view as a [B, groups, tokens, D] array")
     parts = []
     slow_masks = fast_masks = None
-    if "slow" in names:
+    if "slow" in views:
         tokens, slow_masks = slow_fn(views["slow"], cfg, params)
         parts.append(tokens)
-    if "fast" in names:
+    if "fast" in views:
         tokens, fast_masks = fast_fn(views["fast"], cfg, params)
         parts.append(tokens)
     joined = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
@@ -260,10 +254,9 @@ def fast_branch_batch(series: Value, cfg: ConnectorConfig, params: ConnectorPara
     return fast_tokens(series, cfg, params, forward_batch)
 
 
-def connect_batch(views, cfg: ConnectorConfig, params: ConnectorParams, branch: str):
+def connect_batch(views, cfg: ConnectorConfig, params: ConnectorParams):
     """Differentiable forward over a batch's views; returns (tokens, slow_masks, fast_masks).
 
-    ``views`` maps view names to batch arrays; ``branch`` selects slow, fast
-    or both branches, and an unused branch's masks are None.
+    The views select the branches (``join_branches``); an unused branch's masks are None.
     """
-    return join_branches(views, cfg, params, branch, slow_branch_batch, fast_branch_batch)
+    return join_branches(views, cfg, params, slow_branch_batch, fast_branch_batch)

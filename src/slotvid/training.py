@@ -18,10 +18,12 @@ updates the trainable group (``trainable_names``) with exactly one
 ``adam_update`` call, and any other tensor that moves during the stage is a
 ``TrainingError``.
 
-Every connector kind runs through one dispatch, ``forward_masks``. The slot
-connector and the query-transformer wrapper share the two-branch frame of
-``connector`` and differ only in their aggregator; both read the batch's
-branch views, the pooling connector its pooling view (``view_names``), and
+Every connector kind runs through one dispatch, ``forward_masks``, over the
+views of its run. ``view_names`` is the one place where the connector kind
+and ``stage.branch`` become those views, and the views select the branches
+that run. The slot connector and the query-transformer wrapper share the
+two-branch frame of ``connector`` and differ only in their aggregator; both
+read the batch's branch views, the pooling connector its pooling view, and
 the two-branch connectors return their masks as plain arrays [B, groups,
 tokens, slots], which the metrics score as stacks. Every run reads its
 scenes from one ``SceneStream`` of its config. A training step stacks the
@@ -47,7 +49,6 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig, StageConfig, config_hash
 from .connector import (
     ConnectorParams,
-    branch_views,
     connect_batch,
     pooled_series,
     stack_views,
@@ -293,30 +294,29 @@ def majority_accuracy(labels: dict) -> float:
 # -- forward paths ----------------------------------------------------------------
 
 
-def run_branch(rc: RunConfig) -> str:
-    """The branch selection a run's connector reads: both for pooling, else ``stage.branch``."""
-    return "both" if rc.connector.type == "pooling" else rc.stage.branch
-
-
 def view_names(rc: RunConfig) -> tuple:
-    """The names of the views the run's connector reads for its branch (``run_branch``)."""
-    return ("pooling",) if rc.connector.type == "pooling" else branch_views(rc.stage.branch)
+    """The names of the views the run's connector reads, slow first: the
+    pooling view, or the views of ``stage.branch``, which select the branches
+    that run. The one place where a run's config becomes a branch selection."""
+    if rc.connector.type == "pooling":
+        return ("pooling",)
+    return ("slow", "fast") if rc.stage.branch == "both" else (rc.stage.branch,)
 
 
-def forward_masks(model: Model, views: dict, branch: str):
+def forward_masks(model: Model, views: dict):
     """(tokens [B, N, D_out], slow_masks, fast_masks) of the model's connector
     over a batch's views, by name (``view_names``).
 
     The one forward of probe training, evaluation and mask rendering. The
-    two-branch connectors read the views of ``branch``; the pooling
-    connector reads its pooling view. Masks are plain arrays [B, groups, M,
-    N]; they are None for a branch that did not run and for the pooling
-    connector.
+    two-branch connectors run the branches whose views ``views`` holds; the
+    pooling connector reads its pooling view. Masks are plain arrays [B,
+    groups, M, N]; they are None for a branch that did not run and for the
+    pooling connector.
     """
     if model.rc.connector.type == "pooling":
         return pooling_connector_batch(Value(views["pooling"]), model.conn), None, None
     forward = connect_batch if model.rc.connector.type == "slot" else slowfast_wrap
-    return forward(views, model.rc.connector, model.conn, branch)
+    return forward(views, model.rc.connector, model.conn)
 
 
 # -- training ----------------------------------------------------------------
@@ -403,10 +403,10 @@ def _train(model: Model, out_dir: str | None, resume: str | None,
 def _probe_step(model: Model):
     """Step loss of the probe protocol over the views of the model's run: the mean
     over tasks of each head's cross-entropy on the mean-pooled tokens, logged with the mean accuracy."""
-    names, branch = view_names(model.rc), run_branch(model.rc)
+    names = view_names(model.rc)
 
     def step_loss(step, batch):
-        tokens, _, _ = forward_masks(model, {name: batch.view(name) for name in names}, branch)
+        tokens, _, _ = forward_masks(model, {name: batch.view(name) for name in names})
         logits = model.probe.logits(tokens)
         losses = [engine.cross_entropy(logits[task], batch.labels[task]) for task in TASKS]
         accs = [float((np.argmax(logits[task].data, axis=1) == batch.labels[task]).mean()) for task in TASKS]
@@ -496,10 +496,11 @@ def run_baseline(rc: RunConfig, out_dir: str | None = None, resume: str | None =
 # -- evaluation ----------------------------------------------------------------
 
 
-def _connector_label(rc: RunConfig, branch: str) -> str:
-    if branch == "both":
-        return rc.connector.type
-    return f"{rc.connector.type}-{branch}"
+def _connector_label(rc: RunConfig) -> str:
+    """The connector kind, suffixed with ``stage.branch`` when a two-branch
+    connector runs one branch; the pooling connector reads both."""
+    kind, branch = rc.connector.type, rc.stage.branch
+    return kind if kind == "pooling" or branch == "both" else f"{kind}-{branch}"
 
 
 def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
@@ -507,7 +508,6 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
     """Decoupling metrics and probe accuracy over a held-out scene stream; each
     metric scores one [sets, tokens, slots] stack per chunk of 8 scenes and branch."""
     cfg = rc.connector
-    branch = run_branch(rc)
     stream = SceneStream(rc, tag)
     names = view_names(rc)
     n = rc.data.n_heldout_scenes if n_scenes is None else n_scenes
@@ -531,7 +531,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
         views = stack_views([video for _, video, _ in scenes], cfg, names)
         labels = _labels([truth.probe for _, _, truth in scenes])
         with engine.no_grad():
-            tokens, slow_masks, fast_masks = forward_masks(model, views, branch)
+            tokens, slow_masks, fast_masks = forward_masks(model, views)
             for task, logits in model.probe.logits(tokens).items():
                 task_hits[task] += int((np.argmax(logits.data, axis=1) == labels[task]).sum())
         n_tokens = tokens.data.shape[1]
@@ -552,7 +552,7 @@ def evaluate_model(rc: RunConfig, model: Model, n_scenes: int | None = None,
 
     per_task = {task: task_hits[task] / n for task in TASKS}
     return DecouplingReport(
-        connector=_connector_label(rc, branch),
+        connector=_connector_label(rc),
         seed=rc.seed,
         config_hash=config_hash(rc),
         n_tokens=int(n_tokens),

@@ -16,6 +16,7 @@ from slotvid.config import from_dict
 from slotvid.connector import ConnectorConfig, ConnectorParams, VideoFeatures, clip_views, connect_batch, stack_views
 from slotvid.decoder import DecoderParams, decode_batch
 from slotvid.engine import (
+    ShapeError,
     Value,
     add,
     layer_norm,
@@ -170,10 +171,11 @@ class TestQueryTransformer:
                           "feat_dim": 3, "slow_frames": 2, "pool_stride": 2, "slots_per_frame": 2,
                           "slots_per_position": 2, "slot_dim": 8, "out_dim": 4, "max_frames": 8,
                           "qt_layers": 1, "qt_heads": 2},
+            "stage": {"stage": 3, "branch": "both"},
         })
         model = build_model(rc)
         with engine.no_grad():
-            _, slow, fast = forward_masks(model, stack_views([make_video(11, rc.connector)], rc.connector), "both")
+            _, slow, fast = forward_masks(model, stack_views([make_video(11, rc.connector)], rc.connector))
         assert slow.shape == (1, 2, 16, 2) and fast.shape == (1, 4, 4, 2)
         np.testing.assert_allclose(slow.sum(axis=2), 1.0, atol=1e-5)
         np.testing.assert_allclose(fast.sum(axis=2), 1.0, atol=1e-5)
@@ -400,11 +402,11 @@ class TestWrap:
         params = WrapParams.create(engine.rng_for(8, "wrap"), cfg)
         video = stack_views([make_video(8, cfg, frames=16)], cfg)
         with engine.no_grad():
-            slow, sm, fm = slowfast_wrap(video, cfg, params, branch="slow")
+            slow, sm, fm = slowfast_wrap({"slow": video["slow"]}, cfg, params)
             assert slow.shape == (1, 64, cfg.out_dim) and fm is None
-            fast, _, fmasks = slowfast_wrap(video, cfg, params, branch="fast")
-            assert fast.shape == (1, 128, cfg.out_dim)
-            both, _, _ = slowfast_wrap(video, cfg, params, branch="both")
+            fast, sm_none, fmasks = slowfast_wrap({"fast": video["fast"]}, cfg, params)
+            assert fast.shape == (1, 128, cfg.out_dim) and sm_none is None
+            both, _, _ = slowfast_wrap(video, cfg, params)
             assert both.shape == (1, 192, cfg.out_dim)
         assert sm.shape == (1, 8, 256, 8)
         assert fmasks.shape == (1, 16, 16, 8)
@@ -415,12 +417,21 @@ class TestWrap:
                               slot_dim=8, out_dim=5, max_frames=16, iters_slow=1, iters_fast=1)
         video = stack_views([make_video(9, cfg)], cfg)
         with engine.no_grad():
-            slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg), "both")
-            wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg), "both")
+            slot_out, _, _ = connect_batch(video, cfg, ConnectorParams.create(engine.rng_for(9, "c"), cfg))
+            wrap_out, _, _ = slowfast_wrap(video, cfg, WrapParams.create(engine.rng_for(9, "w"), cfg))
         assert slot_out.shape == wrap_out.shape
 
-    def test_rejects_unknown_mode(self):
-        cfg = self.CFG
-        params = WrapParams.create(engine.rng_for(10, "wrap"), cfg)
-        with pytest.raises(ValueError):
-            slowfast_wrap(stack_views([make_video(10, cfg, frames=8)], cfg), cfg, params, branch="sideways")
+    @pytest.mark.parametrize("names", [(), ("pooling",), ("Slow",), ("slow", "pooling"), ("fast", "Slow")],
+                             ids=lambda names: "+".join(names) or "none")
+    @pytest.mark.parametrize("kind", ["slot", "query_transformer"])
+    def test_views_without_a_branch_or_with_another_name_are_refused(self, kind, names):
+        # the views select the branches, so a dict with neither branch view,
+        # or with a misspelt one, must not run a branch short
+        cfg = ConnectorConfig(frames=4, grid_h=4, grid_w=4, feat_dim=3, slow_frames=2, pool_stride=2,
+                              slots_per_frame=2, slots_per_position=2, slot_dim=4, out_dim=3, max_frames=8,
+                              iters_slow=1, iters_fast=1, qt_layers=1, qt_heads=2)
+        views = stack_views([make_video(10, cfg)], cfg, ("slow", "fast", "pooling"))
+        views["Slow"] = views["slow"]
+        forward, params = (connect_batch, ConnectorParams) if kind == "slot" else (slowfast_wrap, WrapParams)
+        with engine.no_grad(), pytest.raises(ShapeError):
+            forward({name: views[name] for name in names}, cfg, params.create(engine.rng_for(10, kind), cfg))

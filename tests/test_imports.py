@@ -7,7 +7,8 @@ the traced branch functions that the benchmark tracer requires ``training``
 to hold.
 
 Code that only tests run belongs with the tests, so a module-level function
-or class that no ``src/`` code names outside its own definition fails too.
+or class that no ``src/`` code names outside its own definition fails too,
+and so does a module-level constant that no ``src/`` code reads.
 ``UNCALLED`` holds the ones kept on purpose, each with its reason.
 
 An option that no run sets is test-only code too: every defaulted parameter
@@ -29,6 +30,8 @@ ALLOWED = {("training", "fast_branch_batch"), ("training", "slow_branch_batch")}
 UNCALLED = {
     # the chance level that ROADMAP item 2(c)'s probe gate compares probe accuracy against
     ("training", "majority_accuracy"),
+    # the package version, read by whoever imports the package
+    ("__init__", "__version__"),
 }
 SET_OUTSIDE = {
     # the CLI calls each trainer through a variable, runner(rc, out_dir=..., resume=...)
@@ -75,7 +78,7 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -85,18 +88,30 @@ def _named(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return names
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or a class's,
+    or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return []
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """The ``module.name`` of each module-level function and class in ``sources``
-    (module name to text) that no code in them names outside its own definition."""
+    """The ``module.name`` of each module-level function, class and constant in
+    ``sources`` (module name to text) that no code in them names outside its
+    own definition; assigning a name does not name it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     named = {module: _named(tree) for module, tree in trees.items()}
-    dead = []
+    dead = set()
     for module, tree in trees.items():
         elsewhere = set().union(*(names for other, names in named.items() if other != module))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name not in elsewhere and node.name not in _named(tree, skip=node):
-                    dead.append(f"{module}.{node.name}")
+            for name in _defined(node):
+                if name not in elsewhere and name not in _named(tree, skip=node):
+                    dead.add(f"{module}.{name}")
     return sorted(dead)
 
 
@@ -110,6 +125,18 @@ def test_dead_code_checker_flags_a_leftover():
         "cli": "from . import connector\n\n\ndef main():\n    return connector.read(0)\n\n\nmain()\n",
     }
     assert unreferenced(sources) == ["engine.Spare", "engine.vsum"]
+
+
+def test_dead_code_checker_flags_an_unread_constant():
+    # read by a function (_SCALE), by another module (LIMIT) or by another
+    # constant (_BASE), or only assigned: once (_BRANCH_VIEWS, _OTHER) or twice (_SPARE)
+    sources = {
+        "connector": "_BASE = 2\n_SCALE = _BASE * 2\nLIMIT: int = 8\n"
+                     "_BRANCH_VIEWS = {'both': ('slow', 'fast')}\n_SPARE, _OTHER = 1, _BASE\n_SPARE = 3\n\n\n"
+                     "def read(a):\n    return a * _SCALE\n",
+        "cli": "from . import connector\n\n\ndef main():\n    return connector.read(connector.LIMIT)\n\n\nmain()\n",
+    }
+    assert unreferenced(sources) == ["connector._BRANCH_VIEWS", "connector._OTHER", "connector._SPARE"]
 
 
 def test_every_definition_is_named():

@@ -12,7 +12,7 @@ import pytest
 
 from slotvid import engine, synthetic, training
 from slotvid.baselines import slowfast_wrap
-from slotvid.connector import branch_views, connect_batch, pooled_series, stack_views, uniform_sample_frames
+from slotvid.connector import connect_batch, pooled_series, stack_views, uniform_sample_frames
 from slotvid.synthetic import SceneStream
 from slotvid.checkpoint import load_checkpoint, save_checkpoint
 from slotvid.config import from_dict
@@ -283,14 +283,14 @@ class TestStage3:
                 assert arr.tobytes() == slow_state[name].tobytes(), name
 
     def test_token_count_constant_during_joint_training(self, tmp_path):
-        rc = tiny_config()
+        rc = tiny_config(stage={"stage": 3, "branch": "both"})
         model = build_model(rc)
         from slotvid.training import forward_masks
 
         stream = SceneStream(rc, "train")
         with engine.no_grad():
-            views = stack_views([stream.scene(i)[1] for i in range(2)], rc.connector)
-            tokens, _, _ = forward_masks(model, views, "both")
+            views = stack_views([stream.scene(i)[1] for i in range(2)], rc.connector, training.view_names(rc))
+            tokens, _, _ = forward_masks(model, views)
         assert tokens.shape[1] == rc.connector.n_tokens
 
 
@@ -359,9 +359,9 @@ class TestSceneViews:
     def _spy_forward(monkeypatch):
         seen, original = [], training.forward_masks
 
-        def spy(model, views, branch):
+        def spy(model, views):
             seen.append({name: np.array(view) for name, view in views.items()})
-            return original(model, views, branch)
+            return original(model, views)
 
         monkeypatch.setattr(training, "forward_masks", spy)
         return seen
@@ -442,14 +442,15 @@ class TestSceneViews:
     def test_forward_on_scene_views_equals_forward_on_stacked_grid(self, kind, branch):
         rc = tiny_config(connector={"type": kind}, stage={"branch": branch})
         model = build_model(rc)
-        stream = SceneStream(rc, "train", training.view_names(rc))
+        names = training.view_names(rc)
+        stream = SceneStream(rc, "train", names)
         batch = training._batch(stream, range(3))
         forward = connect_batch if kind == "slot" else slowfast_wrap
         with engine.no_grad():
-            got = training.forward_masks(model, {name: batch.view(name) for name in branch_views(branch)}, branch)
+            got = training.forward_masks(model, {name: batch.view(name) for name in names})
             frames, pooled = self._grid_views(self._fresh(rc, range(3)), rc.connector)
             views = {"slow": frames, "fast": pooled.transpose(0, 2, 1, 3)}
-            want = forward(views, rc.connector, model.conn, branch)
+            want = forward({name: views[name] for name in names}, rc.connector, model.conn)
         assert np.array_equal(got[0].data, want[0].data)
         assert (got[1] is None) == (branch == "fast") and (got[2] is None) == (branch == "slow")
         for masks, expect in zip(got[1:], want[1:]):
@@ -672,13 +673,25 @@ class TestModelLayout:
 
 
 class TestBaselines:
-    def test_pooling_trains_and_evaluates(self, tmp_path):
-        rc = tiny_config(connector={"type": "pooling"}, stage={"steps": 3})
-        result = run_baseline(rc, out_dir=str(tmp_path))
-        report = evaluate_checkpoint(rc, result["checkpoint"])
-        assert report.connector == "pooling"
-        assert report.spatial_ari is None
-        assert report.n_tokens == rc.connector.frames + 16
+    def test_pooling_trains_and_evaluates(self, tmp_path, monkeypatch):
+        # the pooling connector reads only its pooling view and is labelled
+        # "pooling", whichever branch stage.branch names
+        seen, original = [], training.forward_masks
+
+        def spy(model, views):
+            seen.append(sorted(views))
+            return original(model, views)
+
+        monkeypatch.setattr(training, "forward_masks", spy)
+        for branch in ("slow", "fast"):
+            seen.clear()
+            rc = tiny_config(connector={"type": "pooling"}, stage={"branch": branch, "steps": 3})
+            result = run_baseline(rc, out_dir=str(tmp_path / branch))
+            report = evaluate_checkpoint(rc, result["checkpoint"])
+            assert seen and all(names == ["pooling"] for names in seen)
+            assert report.connector == "pooling"
+            assert report.spatial_ari is None
+            assert report.n_tokens == rc.connector.frames + 16
 
     def test_query_transformer_branch_parity(self, tmp_path):
         rc = tiny_config(connector={"type": "query_transformer"},
